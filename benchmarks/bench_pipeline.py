@@ -20,12 +20,13 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.pipeline import build_grid, run_campaign
+from repro.api import expand_grid
+from repro.pipeline import run_campaign
 
 
 def _rows_key(result):
     return [
-        (r.task, r.base_misses, r.optimized_misses, r.removed_percent)
+        (r.spec, r.base_misses, r.optimized_misses, r.removed_percent)
         for r in result.rows
     ]
 
@@ -37,26 +38,28 @@ def run(
     cache_sizes: tuple[int, ...] = (1024, 4096, 16384),
     families: tuple[str, ...] = ("2-in", "4-in", "16-in"),
 ) -> dict:
-    tasks = build_grid(
-        suite="mibench",
-        benchmarks=benchmarks,
-        kinds=("data",),
-        cache_sizes=cache_sizes,
-        families=families,
-        scale=scale,
+    specs = expand_grid(
+        {
+            "suite": "mibench",
+            "benchmarks": benchmarks,
+            "kinds": ["data"],
+            "cache_bytes": cache_sizes,
+            "families": families,
+            "scale": scale,
+        }
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
         t0 = time.perf_counter()
-        cold = run_campaign(tasks, cache_dir=cache_dir, workers=workers)
+        cold = run_campaign(specs, cache_dir=cache_dir, workers=workers)
         cold_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        warm = run_campaign(tasks, cache_dir=cache_dir, workers=workers)
+        warm = run_campaign(specs, cache_dir=cache_dir, workers=workers)
         warm_s = time.perf_counter() - t0
 
     assert _rows_key(warm) == _rows_key(cold), "warm replay changed results"
     assert warm.fully_cached, f"warm replay recomputed artifacts: {warm.cache_totals()}"
     return {
-        "tasks": len(tasks),
+        "tasks": len(specs),
         "scale": scale,
         "workers": cold.workers,
         "cold_seconds": round(cold_s, 4),
@@ -114,20 +117,22 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def test_warm_campaign_replay(benchmark):
-    tasks = build_grid(
-        suite="mibench",
-        benchmarks=("fft", "rijndael"),
-        cache_sizes=(1024, 4096),
-        families=("2-in", "4-in"),
-        scale="tiny",
+    specs = expand_grid(
+        {
+            "suite": "mibench",
+            "benchmarks": ["fft", "rijndael"],
+            "cache_bytes": [1024, 4096],
+            "families": ["2-in", "4-in"],
+            "scale": "tiny",
+        }
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
         t0 = time.perf_counter()
-        cold = run_campaign(tasks, cache_dir=cache_dir, workers=1)
+        cold = run_campaign(specs, cache_dir=cache_dir, workers=1)
         cold_s = time.perf_counter() - t0
         warm = benchmark.pedantic(
             run_campaign,
-            args=(tasks,),
+            args=(specs,),
             kwargs={"cache_dir": cache_dir, "workers": 1},
             rounds=1,
             iterations=1,

@@ -54,13 +54,7 @@ from repro.cache.stats import CacheStats
 from repro.core.evaluate import baseline_stats, evaluate_hash_function
 from repro.core.optimizer import OptimizationResult, optimize_for_trace
 from repro.gf2.hashfn import XorHashFunction
-from repro.pipeline import (
-    ArtifactCache,
-    CampaignTask,
-    PipelineContext,
-    build_grid,
-    run_campaign,
-)
+from repro.pipeline import ArtifactCache, PipelineContext, run_campaign
 from repro.profiling.conflict_profile import ConflictProfile, profile_trace
 from repro.trace.trace import Trace
 
@@ -88,8 +82,6 @@ __all__ = [
     "baseline_stats",
     "ArtifactCache",
     "PipelineContext",
-    "CampaignTask",
-    "build_grid",
     "run_campaign",
     "__version__",
 ]

@@ -28,7 +28,7 @@ from repro.api.report import (
     profile_report,
     specs_from_report,
 )
-from repro.api.session import Session, expand_grid, spec_to_task, task_to_spec
+from repro.api.session import Session, expand_grid
 from repro.api.spec import (
     ExecutionSpec,
     ExperimentSpec,
@@ -46,8 +46,6 @@ __all__ = [
     "ExperimentSpec",
     "Session",
     "expand_grid",
-    "spec_to_task",
-    "task_to_spec",
     "REPORT_SCHEMA",
     "optimization_report",
     "optimization_from_report",

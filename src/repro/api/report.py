@@ -283,9 +283,7 @@ def search_report(spec: ExperimentSpec, front) -> dict[str, Any]:
 
 def row_report(row: "CampaignRow") -> dict[str, Any]:
     """The per-row payload inside a campaign report (spec echoed)."""
-    from repro.api.session import task_to_spec
-
-    spec = task_to_spec(row.task, search_seed=row.search_seed)
+    spec = row.spec
     payload = {
         "spec": spec.to_dict(),
         "digests": {"spec": spec.digest},
@@ -308,19 +306,16 @@ def row_report(row: "CampaignRow") -> dict[str, Any]:
 
 
 def row_from_report(payload: Mapping[str, Any]) -> "CampaignRow":
-    from repro.api.session import spec_to_task
     from repro.pipeline.campaign import CampaignRow
 
-    spec = ExperimentSpec.from_dict(payload["spec"])
     return CampaignRow(
-        task=spec_to_task(spec),
+        spec=ExperimentSpec.from_dict(payload["spec"]),
         base_misses=int(payload["base_misses"]),
         optimized_misses=int(payload["optimized_misses"]),
         base_misses_per_kuop=float(payload["base_misses_per_kuop"]),
         removed_percent=float(payload["removed_percent"]),
         accesses=int(payload["accesses"]),
         uops=int(payload["uops"]),
-        search_seed=int(payload["search_seed"]),
         seconds=float(payload["seconds"]),
         status=payload.get("status", "ok"),
         error=payload.get("error"),

@@ -13,11 +13,11 @@ worker count — and consumes declarative :class:`ExperimentSpec`\\ s:
 * :meth:`Session.sweep` expands a grid dictionary into the spec
   cross-product and runs it as a campaign.
 
-This subsumes the older kwarg surfaces: ``optimize_for_trace`` with its
-eleven keywords, ``build_grid``/``run_campaign``, and the ambient
-``PipelineContext`` contextvar all remain available (the Session is
-built on them), but a spec plus a session expresses the same runs
-declaratively and serializably.
+Campaigns run on the same specs end to end (:func:`expand_grid` builds
+a grid of them).  The older kwarg surface ``optimize_for_trace`` with
+its eleven keywords and the ambient ``PipelineContext`` contextvar
+remain available (the Session is built on them), but a spec plus a
+session expresses the same runs declaratively and serializably.
 """
 
 from __future__ import annotations
@@ -34,78 +34,12 @@ from repro.api.spec import (
     SearchSpec,
     TraceSpec,
 )
-from repro.pipeline.campaign import CampaignResult, CampaignTask, run_campaign
+from repro.pipeline.campaign import CampaignResult, derive_seed, run_campaign
 from repro.pipeline.context import PipelineContext
 
-__all__ = ["Session", "spec_to_task", "task_to_spec", "expand_grid"]
+__all__ = ["Session", "expand_grid"]
 
 SpecLike = ExperimentSpec | Mapping | str | Path
-
-
-def spec_to_task(spec: ExperimentSpec) -> CampaignTask:
-    """The campaign-grid cell equivalent of a spec.
-
-    The task pins ``search_seed`` to the spec's seed, so running a spec
-    inside a campaign produces (and caches) exactly the artifacts
-    :meth:`Session.optimize` would for the same spec.
-    """
-    if spec.trace.path is not None:
-        raise SpecError(
-            "file-backed traces run through Session.optimize / "
-            "Session.profile; campaign grids are registry-workload cells",
-            field="trace.path",
-        )
-    return CampaignTask(
-        suite=spec.trace.suite,
-        benchmark=spec.trace.benchmark,
-        kind=spec.trace.kind,
-        scale=spec.trace.scale,
-        cache_bytes=spec.geometry.cache_bytes,
-        block_size=spec.geometry.block_size,
-        associativity=spec.geometry.associativity,
-        family=spec.search.family,
-        n=spec.search.n,
-        workload_seed=spec.trace.seed,
-        guard=spec.search.guard,
-        restarts=spec.search.restarts,
-        max_steps=spec.search.max_steps,
-        strategy=spec.search.strategy,
-        search_seed=spec.search.seed,
-    )
-
-
-def task_to_spec(task: CampaignTask, search_seed: int | None = None) -> ExperimentSpec:
-    """The spec a campaign task denotes.
-
-    ``search_seed`` is the seed the run actually used (tasks without a
-    pinned seed derive one from the campaign's base seed); passing it
-    makes the spec an exact replay of the row it came from.
-    """
-    if search_seed is None:
-        search_seed = task.search_seed if task.search_seed is not None else 0
-    return ExperimentSpec(
-        trace=TraceSpec(
-            suite=task.suite,
-            benchmark=task.benchmark,
-            kind=task.kind,
-            scale=task.scale,
-            seed=task.workload_seed,
-        ),
-        geometry=GeometrySpec(
-            cache_bytes=task.cache_bytes,
-            block_size=task.block_size,
-            associativity=task.associativity,
-        ),
-        search=SearchSpec(
-            family=task.family,
-            strategy=task.strategy,
-            n=task.n,
-            restarts=task.restarts,
-            seed=search_seed,
-            guard=task.guard,
-            max_steps=task.max_steps,
-        ),
-    )
 
 
 #: Grid keys :func:`expand_grid` sweeps over (lists) or fixes (scalars).
@@ -445,30 +379,37 @@ class Session:
     ) -> CampaignResult:
         """Run many specs through the parallel campaign runner.
 
-        By default every spec's search seed is pinned into its task, so
-        results (and cached artifacts) are identical to running each
-        spec through :meth:`optimize` — the campaign only changes *how*
-        the work executes, never what it computes.  With
-        ``derive_seeds=True`` each cell instead derives a distinct seed
-        from its identity and ``base_seed`` (classic grid semantics:
-        independent of worker count and scheduling, different per
-        cell); the report rows carry whichever seed actually ran.
+        By default every spec runs with its own search seed, so results
+        (and cached artifacts) are identical to running each spec
+        through :meth:`optimize` — the campaign only changes *how* the
+        work executes, never what it computes.  With
+        ``derive_seeds=True`` each cell instead gets a distinct seed
+        derived from its identity and ``base_seed`` (see
+        :func:`~repro.pipeline.campaign.derive_seed`; classic grid
+        semantics: independent of worker count and scheduling,
+        different per cell), written into its spec before dispatch, so
+        the report rows carry the seed that actually ran.
         """
         specs = [ExperimentSpec.coerce(spec) for spec in specs]
         execution = self._campaign_execution(specs)
-        tasks = [spec_to_task(spec) for spec in specs]
         if derive_seeds:
-            tasks = [replace(task, search_seed=None) for task in tasks]
-        return run_campaign(
-            tasks,
+            specs = [
+                replace(
+                    spec, search=replace(spec.search, seed=derive_seed(spec, base_seed))
+                )
+                for spec in specs
+            ]
+        result = run_campaign(
+            specs,
             cache_dir=self._effective_cache_dir(execution),
             workers=self._effective_workers(execution),
-            base_seed=base_seed,
             keep_details=keep_details,
             retries=execution.retries,
             task_timeout=execution.task_timeout,
             on_error=execution.on_error,
         )
+        result.base_seed = base_seed
+        return result
 
     def sweep(
         self,

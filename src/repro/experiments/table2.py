@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.session import expand_grid
 from repro.core.optimizer import OptimizationResult
 from repro.experiments.common import format_table, mean
-from repro.pipeline.campaign import CampaignTask, run_campaign
-from repro.workloads.registry import workload_names
+from repro.pipeline.campaign import run_campaign
 
 __all__ = ["Table2Row", "Table2Result", "run_table2", "format_table2", "PAPER_TABLE2_AVERAGES"]
 
@@ -80,35 +80,31 @@ def run_table2(
     ``workers > 1`` (or ``None`` for one per core) rows are simulated
     in parallel across a process pool.
     """
-    names = benchmarks if benchmarks is not None else tuple(workload_names("mibench"))
-    tasks = [
-        CampaignTask(
-            suite="mibench",
-            benchmark=name,
-            kind=kind,
-            scale=scale,
-            cache_bytes=size,
-            family=family,
-            workload_seed=seed,
-        )
-        for name in names
-        for size in cache_sizes
-        for family in families
-    ]
-    campaign = run_campaign(tasks, workers=workers, keep_details=True)
+    specs = expand_grid(
+        {
+            "suite": "mibench",
+            "benchmarks": benchmarks,
+            "kinds": [kind],
+            "cache_bytes": cache_sizes,
+            "families": families,
+            "scale": scale,
+            "workload_seed": seed,
+        }
+    )
+    campaign = run_campaign(specs, workers=workers, keep_details=True)
     rows: dict[tuple[str, int], Table2Row] = {}
     for campaign_row in campaign.rows:
-        task = campaign_row.task
-        row = rows.get((task.benchmark, task.cache_bytes))
+        benchmark = campaign_row.spec.trace.benchmark
+        cache_bytes = campaign_row.spec.geometry.cache_bytes
+        family = campaign_row.spec.search.family
+        row = rows.get((benchmark, cache_bytes))
         if row is None:
             row = Table2Row(
-                benchmark=task.benchmark,
-                cache_bytes=task.cache_bytes,
-                base_misses_per_kuop=0.0,
+                benchmark=benchmark, cache_bytes=cache_bytes, base_misses_per_kuop=0.0
             )
-            rows[(task.benchmark, task.cache_bytes)] = row
-        row.removed_percent[task.family] = campaign_row.removed_percent
-        row.details[task.family] = campaign_row.result
+            rows[(benchmark, cache_bytes)] = row
+        row.removed_percent[family] = campaign_row.removed_percent
+        row.details[family] = campaign_row.result
         row.base_misses_per_kuop = campaign_row.base_misses_per_kuop
     return Table2Result(kind=kind, scale=scale, rows=list(rows.values()))
 

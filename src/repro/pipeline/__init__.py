@@ -14,21 +14,19 @@ Three pieces:
   :mod:`repro.core` and the experiment drivers, so every flow reads
   through the cache with bit-identical results;
 * :func:`~repro.pipeline.campaign.run_campaign` — process-pool
-  execution of benchmark x geometry x family grids with deterministic
-  per-task seeds, shared by ``repro campaign``, ``repro tables`` and
-  the table benchmarks.  Execution is *resilient*
-  (:mod:`repro.pipeline.resilience`): bounded retries with backoff,
-  per-task timeouts, worker-crash recovery and an ``on_error`` policy —
-  all testable through the deterministic fault-injection harness in
-  :mod:`repro.pipeline.faults`.
+  execution of :class:`~repro.api.spec.ExperimentSpec` grids (benchmark
+  x geometry x family cells, see :func:`repro.api.expand_grid`), shared
+  by ``repro campaign``, ``repro tables`` and the table benchmarks.
+  Execution is *resilient* (:mod:`repro.pipeline.resilience`): bounded
+  retries with backoff, per-task timeouts, worker-crash recovery and an
+  ``on_error`` policy — all testable through the deterministic
+  fault-injection harness in :mod:`repro.pipeline.faults`.
 """
 
 from repro.pipeline.artifact_cache import ArtifactCache, default_cache_dir, stable_key
 from repro.pipeline.campaign import (
     CampaignResult,
     CampaignRow,
-    CampaignTask,
-    build_grid,
     format_campaign,
     run_campaign,
 )
@@ -43,7 +41,7 @@ from repro.pipeline.faults import (
     active_plan,
     use_faults,
 )
-from repro.pipeline.resilience import TaskOutcome, run_resilient, run_serial_resilient
+from repro.pipeline.resilience import TaskOutcome, run_resilient
 from repro.pipeline.runtime import current_context, use_context
 from repro.pipeline.storage import (
     STORAGE_BACKENDS,
@@ -61,10 +59,8 @@ __all__ = [
     "PipelineContext",
     "current_context",
     "use_context",
-    "CampaignTask",
     "CampaignRow",
     "CampaignResult",
-    "build_grid",
     "run_campaign",
     "format_campaign",
     "FAULT_KINDS",
@@ -77,7 +73,6 @@ __all__ = [
     "use_faults",
     "TaskOutcome",
     "run_resilient",
-    "run_serial_resilient",
     "STORAGE_BACKENDS",
     "STORAGE_ENV",
     "StorageBackend",

@@ -1,16 +1,19 @@
-"""Parallel campaign execution over benchmark x geometry x family grids.
+"""Parallel campaign execution over lists of experiment specs.
 
 A *campaign* is the unit of production work: every (workload, cache
-geometry, function family) cell of an experiment grid becomes one
-:class:`CampaignTask`, tasks fan out over a process pool, and every
-task reads and writes the shared content-addressed artifact cache.  A
-warm replay of a finished campaign therefore touches no simulator at
-all — it only loads artifacts (``benchmarks/bench_pipeline.py`` holds
-the >= 5x floor on exactly that).
+geometry, function family) cell of an experiment grid is one
+:class:`~repro.api.spec.ExperimentSpec` (see
+:func:`repro.api.expand_grid`), cells fan out over a process pool, and
+every cell reads and writes the shared content-addressed artifact
+cache.  A warm replay of a finished campaign therefore touches no
+simulator at all — it only loads artifacts
+(``benchmarks/bench_pipeline.py`` holds the >= 5x floor on exactly
+that).
 
-Seeding is deterministic per task: the search seed is derived from the
-task's identity and the campaign's base seed, so results do not depend
-on worker count, scheduling order, or which process picks a task up.
+Each cell runs with its spec's own search seed.  Grid semantics —
+a distinct seed per cell — come from :func:`derive_seed`, which hashes
+the cell's identity with a base seed, so results do not depend on
+worker count, scheduling order, or which process picks a cell up.
 """
 
 from __future__ import annotations
@@ -20,111 +23,78 @@ import hashlib
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro.cache.geometry import PAPER_HASHED_BITS, CacheGeometry
+from repro.api.errors import SpecError
+from repro.api.spec import ExecutionSpec, ExperimentSpec
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.faults import maybe_inject
-from repro.pipeline.resilience import (
-    TaskOutcome,
-    run_resilient,
-    run_serial_resilient,
-)
-from repro.pipeline.runtime import current_context
-from repro.workloads.registry import get_workload
+from repro.pipeline.resilience import TaskOutcome, run_resilient
+from repro.pipeline.runtime import current_context, use_context
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.optimizer import OptimizationResult
 
 __all__ = [
-    "CampaignTask",
     "CampaignRow",
     "CampaignResult",
-    "build_grid",
+    "derive_seed",
+    "fault_key",
     "run_campaign",
     "format_campaign",
 ]
 
 
-@dataclass(frozen=True)
-class CampaignTask:
-    """One cell of a campaign grid."""
+def _identity(spec: ExperimentSpec) -> str:
+    t, g, s = spec.trace, spec.geometry, spec.search
+    return (
+        f"{t.suite}/{t.benchmark}/{t.kind}/{t.scale}/"
+        f"{g.cache_bytes}/{g.block_size}/{s.family}/{s.n}/{t.seed}"
+    )
 
-    suite: str
-    benchmark: str
-    kind: str = "data"
-    scale: str = "small"
-    cache_bytes: int = 4096
-    block_size: int = 4
-    family: str = "2-in"
-    n: int = PAPER_HASHED_BITS
-    workload_seed: int = 0
-    guard: bool = False
-    restarts: int = 0
-    max_steps: int | None = None
-    #: Search strategy spec (see :mod:`repro.search.strategies`); the
-    #: default stays the paper's steepest descent.
-    strategy: str = "steepest"
-    #: Set associativity (1 = the paper's direct-mapped caches).
-    associativity: int = 1
-    #: Pinned search seed.  ``None`` (grid campaigns) derives one from
-    #: the campaign's base seed; spec-driven campaigns pin the spec's
-    #: seed here so they compute exactly what ``Session.optimize``
-    #: would for the same spec.
-    search_seed: int | None = None
 
-    @property
-    def geometry(self) -> CacheGeometry:
-        return CacheGeometry(self.cache_bytes, self.block_size, self.associativity)
+def derive_seed(spec: ExperimentSpec, base_seed: int) -> int:
+    """Deterministic per-cell search seed, independent of execution
+    order and worker placement."""
+    ident = _identity(spec)
+    # Default-steepest cells keep their pre-strategy identity so
+    # previously derived seeds (and the artifacts keyed by them) stay
+    # valid; every other strategy (and any non-default associativity)
+    # gets its own seed space.
+    if spec.search.strategy != "steepest":
+        ident += f"/{spec.search.strategy}"
+    if spec.geometry.associativity != 1:
+        ident += f"/a{spec.geometry.associativity}"
+    digest = hashlib.sha256(ident.encode()).digest()
+    return (base_seed + int.from_bytes(digest[:4], "big")) & 0x7FFFFFFF
 
-    def derive_seed(self, base_seed: int) -> int:
-        """Deterministic per-task search seed, independent of execution
-        order and worker placement."""
-        if self.search_seed is not None:
-            return self.search_seed
-        ident = (
-            f"{self.suite}/{self.benchmark}/{self.kind}/{self.scale}/"
-            f"{self.cache_bytes}/{self.block_size}/{self.family}/{self.n}/"
-            f"{self.workload_seed}"
-        )
-        # Default-steepest tasks keep their pre-strategy identity so
-        # previously derived seeds (and the artifacts keyed by them)
-        # stay valid; every other strategy (and any non-default
-        # associativity) gets its own seed space.
-        if self.strategy != "steepest":
-            ident += f"/{self.strategy}"
-        if self.associativity != 1:
-            ident += f"/a{self.associativity}"
-        digest = hashlib.sha256(ident.encode()).digest()
-        return (base_seed + int.from_bytes(digest[:4], "big")) & 0x7FFFFFFF
 
-    def fault_key(self) -> str:
-        """Stable identity string for fault-injection draws.
+def fault_key(spec: ExperimentSpec) -> str:
+    """Stable identity string for fault-injection draws.
 
-        Includes every identity field, so a plan faults the same cells
-        of a grid regardless of task order, worker count, or base seed.
-        """
-        return (
-            f"{self.suite}/{self.benchmark}/{self.kind}/{self.scale}/"
-            f"{self.cache_bytes}/{self.block_size}/{self.family}/{self.n}/"
-            f"{self.workload_seed}/{self.strategy}/a{self.associativity}"
-        )
+    Covers every identity field but the search seed, so a plan faults
+    the same cells of a grid regardless of cell order, worker count, or
+    base seed.
+    """
+    return (
+        f"{_identity(spec)}/{spec.search.strategy}/a{spec.geometry.associativity}"
+    )
 
 
 @dataclass
 class CampaignRow:
-    """Result of one task, light enough to ship back from a worker."""
+    """Result of one cell, light enough to ship back from a worker."""
 
-    task: CampaignTask
+    #: The spec that ran (default ``execution``; its seed is the one used).
+    spec: ExperimentSpec
     base_misses: int = 0
     optimized_misses: int = 0
     base_misses_per_kuop: float = 0.0
     removed_percent: float = 0.0
     accesses: int = 0
     uops: int = 0
-    search_seed: int = 0
     seconds: float = 0.0
     cache_stats: dict[str, dict[str, int]] = field(default_factory=dict)
     #: Full :class:`OptimizationResult`, present only with
@@ -143,6 +113,10 @@ class CampaignRow:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def search_seed(self) -> int:
+        return self.spec.search.seed
 
     def to_json(self) -> dict:
         """The row's ``repro-report/v1`` payload (spec echoed inside)."""
@@ -218,42 +192,6 @@ class CampaignResult:
         return campaign_from_report(payload)
 
 
-def build_grid(
-    suite: str = "mibench",
-    benchmarks: Sequence[str] | None = None,
-    kinds: Sequence[str] = ("data",),
-    cache_sizes: Sequence[int] = (1024, 4096, 16384),
-    families: Sequence[str] = ("2-in",),
-    scale: str = "small",
-    n: int = PAPER_HASHED_BITS,
-    workload_seed: int = 0,
-    guard: bool = False,
-    strategy: str = "steepest",
-) -> list[CampaignTask]:
-    """The benchmark x kind x cache-size x family cross product."""
-    from repro.workloads.registry import workload_names
-
-    names = tuple(benchmarks) if benchmarks else tuple(workload_names(suite))
-    return [
-        CampaignTask(
-            suite=suite,
-            benchmark=name,
-            kind=kind,
-            scale=scale,
-            cache_bytes=size,
-            family=family,
-            n=n,
-            workload_seed=workload_seed,
-            guard=guard,
-            strategy=strategy,
-        )
-        for name in names
-        for kind in kinds
-        for size in cache_sizes
-        for family in families
-    ]
-
-
 # One context per worker process, created lazily on the first task and
 # reused for the rest: the in-memory memo then dedups e.g. one conflict
 # profile shared by every family of a benchmark within that worker.
@@ -265,10 +203,6 @@ def _init_worker(cache_dir: str | None) -> None:
     global _worker_context, _worker_cache_dir
     _worker_cache_dir = cache_dir
     _worker_context = PipelineContext(cache_dir)
-
-
-def _counters_snapshot(context: PipelineContext) -> dict[str, dict[str, int]]:
-    return context.cache_stats()
 
 
 def _counters_delta(
@@ -294,9 +228,10 @@ def _resolve_execution(
 
     The explicit ``cache_dir`` wins; otherwise the ambient context's
     cache is adopted so nested campaigns share the session's artifacts.
-    The returned context is for *serial* execution: the ambient context
-    is reused only when it is backed by the resolved directory, else a
-    fresh session is created (never silently writing elsewhere).
+    At most one item runs serially (``workers`` 1).  The returned
+    context is for *serial* execution: the ambient context is reused
+    only when it is backed by the resolved directory, else a fresh
+    session is created (never silently writing elsewhere).
     """
     ambient = current_context()
     if cache_dir is None and ambient is not None and ambient.cache is not None:
@@ -304,7 +239,7 @@ def _resolve_execution(
     cache_dir = str(cache_dir) if cache_dir is not None else None
     if workers is None:
         workers = min(count, os.cpu_count() or 1) or 1
-    workers = max(1, workers)
+    workers = 1 if count <= 1 else max(1, workers)
     ambient_root = (
         str(ambient.cache.root)
         if ambient is not None and ambient.cache is not None
@@ -318,74 +253,68 @@ def _resolve_execution(
 
 
 def _run_task(
-    task: CampaignTask,
+    spec: ExperimentSpec,
     cache_dir: str | None,
-    base_seed: int,
     keep_details: bool,
     context: PipelineContext | None = None,
 ) -> CampaignRow:
-    """Execute one task (top level so the process pool can pickle it)."""
+    """Execute one cell (top level so the process pool can pickle it)."""
     from repro.core.optimizer import optimize_for_trace
 
     # Injected before any side effects (cache reads, memo fills): a
     # retried attempt then redoes exactly what a clean first attempt
     # would have, keeping fault-injected reports bit-identical.
-    maybe_inject("campaign.task", task.fault_key())
+    maybe_inject("campaign.task", fault_key(spec))
     global _worker_context
     if context is None:
         if _worker_context is None or _worker_cache_dir != cache_dir:
             _init_worker(cache_dir)
         context = _worker_context
     assert context is not None
-    seed = task.derive_seed(base_seed)
-    before = _counters_snapshot(context)
+    before = context.cache_stats()
     t0 = time.perf_counter()
-    trace = get_workload(
-        task.suite, task.benchmark, task.scale, task.workload_seed
-    ).trace(task.kind)
+    # The same spec-to-inputs mapping Session.optimize uses.
+    trace = spec.trace.resolve()
+    geometry = spec.geometry.resolve()
     result = optimize_for_trace(
         trace,
-        task.geometry,
-        family=task.family,
-        n=task.n,
-        guard=task.guard,
-        restarts=task.restarts,
-        seed=seed,
-        max_steps=task.max_steps,
+        geometry,
+        family=spec.search.resolve_family(geometry.index_bits),
+        n=spec.search.n,
+        guard=spec.search.guard,
+        restarts=spec.search.restarts,
+        seed=spec.search.seed,
+        max_steps=spec.search.max_steps,
         context=context,
-        strategy=task.strategy,
+        strategy=spec.search.strategy,
     )
     seconds = time.perf_counter() - t0
     return CampaignRow(
-        task=task,
+        spec=spec,
         base_misses=result.baseline.misses,
         optimized_misses=result.optimized.misses,
         base_misses_per_kuop=result.base_misses_per_kuop(trace.uops),
         removed_percent=result.removed_percent,
         accesses=result.baseline.accesses,
         uops=trace.uops,
-        search_seed=seed,
         seconds=seconds,
-        cache_stats=_counters_delta(before, _counters_snapshot(context)),
+        cache_stats=_counters_delta(before, context.cache_stats()),
         result=result if keep_details else None,
     )
 
 
 def _rows_from_outcomes(
-    tasks: Sequence[CampaignTask],
-    outcomes: Sequence[TaskOutcome],
-    base_seed: int,
+    specs: Sequence[ExperimentSpec], outcomes: Sequence[TaskOutcome]
 ) -> list[CampaignRow]:
-    """Turn executor outcomes into rows, one per task, in task order."""
+    """Turn executor outcomes into rows, one per spec, in spec order."""
     rows = []
-    for task, outcome in zip(tasks, outcomes):
+    for spec, outcome in zip(specs, outcomes):
         if outcome.ok:
             row = outcome.value
             row.attempts = outcome.attempts
         else:
             row = CampaignRow(
-                task=task,
-                search_seed=task.derive_seed(base_seed),
+                spec=spec,
                 status="failed",
                 error=outcome.error,
                 attempts=outcome.attempts,
@@ -394,113 +323,112 @@ def _rows_from_outcomes(
     return rows
 
 
+def _cell(spec: ExperimentSpec) -> ExperimentSpec:
+    """The spec as a campaign row echoes it: a registry cell with the
+    default ``execution`` (one campaign has one execution)."""
+    if spec.trace.path is not None:
+        raise SpecError(
+            "file-backed traces run through Session.optimize / "
+            "Session.profile; campaign grids are registry-workload cells",
+            field="trace.path",
+        )
+    return replace(spec, execution=ExecutionSpec())
+
+
 def run_campaign(
-    tasks: Sequence[CampaignTask],
+    specs: Sequence[ExperimentSpec],
     cache_dir: str | Path | None = None,
     workers: int | None = None,
-    base_seed: int = 0,
     keep_details: bool = False,
     retries: int = 0,
     task_timeout: float | None = None,
     on_error: str = "raise",
 ) -> CampaignResult:
-    """Run a task grid through the artifact cache, fanning out on cores.
+    """Run a spec grid through the artifact cache, fanning out on cores.
 
     Parameters
     ----------
-    tasks:
-        The grid (see :func:`build_grid`); row order follows task order
-        regardless of scheduling.
+    specs:
+        The grid (see :func:`repro.api.expand_grid`); each cell runs
+        with its own search seed, and row order follows spec order
+        regardless of scheduling.  Only registry workloads qualify
+        (file-backed traces raise :class:`SpecError`); the specs'
+        ``execution`` tables are ignored — pass the execution
+        environment here.
     cache_dir:
         Artifact-cache directory shared by all workers.  Defaults to
         the ambient pipeline context's cache (if one is active); pass
         ``None`` with no ambient context for a purely in-memory run.
     workers:
-        Process count; ``None`` picks ``min(len(tasks), cpu_count)``,
+        Process count; ``None`` picks ``min(len(specs), cpu_count)``,
         and ``0``/``1`` runs serially in-process (no pool, useful under
         pytest and for deterministic timing baselines).
-    base_seed:
-        Folded into every task's derived search seed.
     keep_details:
         Attach the full :class:`OptimizationResult` to each row (the
         table drivers need it; costs pickling the conflict profile back
         from each worker).
     retries:
-        Failed-attempt budget per task (exceptions, timeouts, worker
+        Failed-attempt budget per cell (exceptions, timeouts, worker
         deaths); retried with exponential backoff + deterministic
         jitter.  Digest-neutral: retried runs replay from the same
         artifacts.
     task_timeout:
-        Seconds before a task attempt is failed and its worker pool
+        Seconds before a cell attempt is failed and its worker pool
         recycled (``None`` = no limit; ignored for serial runs, which
         cannot abandon an in-process call).
     on_error:
-        What to do when a task exhausts its budget: ``"raise"`` aborts
+        What to do when a cell exhausts its budget: ``"raise"`` aborts
         the campaign (default), ``"skip"`` records a failed row and
         continues, ``"retry"`` raises but guarantees a minimum retry
         budget even when ``retries`` is 0.
     """
-    tasks = list(tasks)
+    specs = [_cell(spec) for spec in specs]
     cache_dir, workers, serial_context = _resolve_execution(
-        cache_dir, workers, len(tasks)
+        cache_dir, workers, len(specs)
     )
 
     t0 = time.perf_counter()
-    if workers == 1 or len(tasks) <= 1:
-        # Serial: one shared context so the in-memory memo spans tasks.
-        fn = functools.partial(
-            _run_task,
-            cache_dir=cache_dir,
-            base_seed=base_seed,
-            keep_details=keep_details,
-            context=serial_context,
+    # Without a cache the pool workers' memos would be private and a
+    # benchmark's per-family cells — scattered across the pool — would
+    # each recompute the shared profile/baseline.  A run-scoped
+    # temporary artifact dir restores the sharing; the result still
+    # reports an in-memory run (cache_dir None).  Serial runs share one
+    # context, so its memo already spans cells.
+    ephemeral = (
+        tempfile.TemporaryDirectory(prefix="repro-campaign-")
+        if cache_dir is None and workers > 1
+        else None
+    )
+    task_cache_dir = ephemeral.name if ephemeral is not None else cache_dir
+    try:
+        outcomes = run_resilient(
+            functools.partial(
+                _run_task,
+                cache_dir=task_cache_dir,
+                keep_details=keep_details,
+                context=serial_context if workers == 1 else None,
+            ),
+            specs,
+            workers=workers,
+            retries=retries,
+            task_timeout=task_timeout,
+            on_error=on_error,
+            initializer=_init_worker,
+            initargs=(task_cache_dir,),
         )
-        outcomes = run_serial_resilient(fn, tasks, retries=retries, on_error=on_error)
-        workers = 1
-    else:
-        # Without a cache the workers' memos would be private and a
-        # benchmark's per-family tasks — scattered across the pool —
-        # would each recompute the shared profile/baseline.  A run-
-        # scoped temporary artifact dir restores the sharing; the
-        # result still reports an in-memory run (cache_dir None).
-        ephemeral = (
-            tempfile.TemporaryDirectory(prefix="repro-campaign-")
-            if cache_dir is None
-            else None
-        )
-        pool_cache_dir = ephemeral.name if ephemeral is not None else cache_dir
-        try:
-            outcomes = run_resilient(
-                functools.partial(
-                    _run_task,
-                    cache_dir=pool_cache_dir,
-                    base_seed=base_seed,
-                    keep_details=keep_details,
-                ),
-                tasks,
-                workers=workers,
-                retries=retries,
-                task_timeout=task_timeout,
-                on_error=on_error,
-                initializer=_init_worker,
-                initargs=(pool_cache_dir,),
-            )
-        finally:
-            if ephemeral is not None:
-                ephemeral.cleanup()
+    finally:
+        if ephemeral is not None:
+            ephemeral.cleanup()
     return CampaignResult(
-        rows=_rows_from_outcomes(tasks, outcomes, base_seed),
+        rows=_rows_from_outcomes(specs, outcomes),
         workers=workers,
         cache_dir=cache_dir,
         seconds=time.perf_counter() - t0,
-        base_seed=base_seed,
     )
 
 
 def _call_with_context(fn, item):
     """Invoke ``fn(item)`` with the worker's pipeline context ambient."""
-    from repro.pipeline.runtime import use_context
-
     with use_context(_worker_context):
         return fn(item)
 
@@ -528,24 +456,17 @@ def map_with_context(
     cache_dir, workers, serial_context = _resolve_execution(
         cache_dir, workers, len(items)
     )
-    if workers == 1 or len(items) <= 1:
-        from repro.pipeline.runtime import use_context
-
-        with use_context(serial_context):
-            outcomes = run_serial_resilient(
-                fn, items, retries=retries, on_error=on_error
-            )
-        return [outcome.value for outcome in outcomes]
-    outcomes = run_resilient(
-        functools.partial(_call_with_context, fn),
-        items,
-        workers=workers,
-        retries=retries,
-        task_timeout=task_timeout,
-        on_error=on_error,
-        initializer=_init_worker,
-        initargs=(cache_dir,),
-    )
+    with use_context(serial_context):
+        outcomes = run_resilient(
+            fn if workers == 1 else functools.partial(_call_with_context, fn),
+            items,
+            workers=workers,
+            retries=retries,
+            task_timeout=task_timeout,
+            on_error=on_error,
+            initializer=_init_worker,
+            initargs=(cache_dir,),
+        )
     return [outcome.value for outcome in outcomes]
 
 
@@ -558,10 +479,10 @@ def format_campaign(result: CampaignResult) -> str:
 
     rows = [
         [
-            f"{row.task.suite}/{row.task.benchmark}",
-            row.task.kind,
-            f"{row.task.cache_bytes // 1024}KB",
-            row.task.family,
+            row.spec.trace.label,
+            row.spec.trace.kind,
+            f"{row.spec.geometry.cache_bytes // 1024}KB",
+            row.spec.search.family,
             row.base_misses_per_kuop,
             row.removed_percent,
             f"{row.seconds:.2f}s" if row.ok else "FAILED",

@@ -1,21 +1,22 @@
-"""Resilient process-pool execution: retries, timeouts, crash recovery.
+"""Resilient execution: retries, timeouts, crash recovery.
 
-:func:`run_resilient` is the fault-tolerant replacement for
-``pool.map`` that both executors in :mod:`repro.pipeline.campaign`
-(and, through ``map_with_context``, the sharded profiler) run on.  It
-adds, over a plain map:
+:func:`run_resilient` is the fault-tolerant replacement for ``map``
+that campaigns, ``map_with_context`` (and through it the sharded
+profiler) and ``repro serve`` jobs run on.  With ``workers <= 1`` it
+runs in-process — no pool, no scratch directory — and otherwise on a
+process pool.  It adds, over a plain map:
 
 * **Bounded retries** with exponential backoff and deterministic
   jitter.  A task attempt that raises is retried up to ``retries``
   times; every attempt executes under
   :func:`repro.pipeline.faults.attempt_scope`, so seeded fault draws
   progress deterministically across retries.
-* **Per-task timeouts.**  A task that exceeds ``task_timeout`` seconds
-  is failed, its (possibly stuck) worker pool is torn down and rebuilt,
-  and every unfinished task is resubmitted.
-* **Crash recovery.**  A worker death (OOM kill, ``os._exit``, signal)
-  breaks the whole ``ProcessPoolExecutor``; the runner rebuilds the
-  pool and resubmits only the unfinished tasks.  Tasks that were
+* **Per-task timeouts** (pool only).  A task that exceeds
+  ``task_timeout`` seconds is failed, its (possibly stuck) worker pool
+  is torn down and rebuilt, and every unfinished task is resubmitted.
+* **Crash recovery** (pool only).  A worker death (OOM kill,
+  ``os._exit``, signal) breaks the whole ``ProcessPoolExecutor``; the
+  runner rebuilds the pool and resubmits only the unfinished tasks.  Tasks that were
   mid-execution when the pool died (tracked by start markers the
   workers drop in a scratch directory) are charged a failed attempt;
   tasks still queued are resubmitted free of charge.
@@ -52,7 +53,6 @@ __all__ = [
     "ON_ERROR_CHOICES",
     "TaskOutcome",
     "run_resilient",
-    "run_serial_resilient",
 ]
 
 #: Admissible ``on_error`` policies.
@@ -136,22 +136,10 @@ def _run_attempt(fn, item, attempt: int, marker: str | None):
                 pass
 
 
-def run_serial_resilient(
-    fn: Callable[[Any], Any],
-    items: Sequence,
-    retries: int = 0,
-    on_error: str = "raise",
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
-) -> list[TaskOutcome]:
-    """In-process equivalent of :func:`run_resilient`.
-
-    No pool, so no timeouts and no crash recovery — but retries,
-    backoff, the attempt scope and the ``on_error`` policy behave
-    identically, which keeps serial and parallel runs bit-identical
-    under the same fault plan.
-    """
-    budget = _effective_retries(retries, on_error)
+def _run_serial(fn, items, budget, on_error, backoff_base, backoff_cap):
+    """In-process execution: the pool's retries, backoff, attempt scope
+    and ``on_error`` policy, minus timeouts and crash recovery — so
+    serial and parallel runs stay bit-identical under one fault plan."""
     outcomes = []
     for index, item in enumerate(items):
         outcome = TaskOutcome()
@@ -409,14 +397,26 @@ def run_resilient(
     initializer: Callable | None = None,
     initargs: tuple = (),
 ) -> list[TaskOutcome]:
-    """Run ``fn`` over ``items`` on a process pool, resiliently.
+    """Run ``fn`` over ``items``, resiliently.
 
-    ``fn`` must be picklable (a top-level function or a
-    :func:`functools.partial` of one).  Returns one
+    ``workers <= 1`` runs in-process: ``task_timeout``, ``initializer``
+    and ``initargs`` do not apply, and an exhausted budget under a
+    raising policy re-raises the task's own exception.  Otherwise ``fn``
+    runs on a process pool and must be picklable (a top-level function
+    or a :func:`functools.partial` of one).  Returns one
     :class:`TaskOutcome` per item, in item order; a row's ``status`` is
     ``"failed"`` only under ``on_error="skip"`` — every other policy
     either returns all-ok rows or raises.
     """
+    if workers <= 1:
+        return _run_serial(
+            fn,
+            items,
+            _effective_retries(retries, on_error),
+            on_error,
+            backoff_base,
+            backoff_cap,
+        )
     runner = _PoolRunner(
         fn,
         items,

@@ -25,9 +25,9 @@ the same batched scoring kernel (:mod:`repro.search.batched`):
 A strategy is anything satisfying :class:`SearchStrategy`; pass an
 instance (or a spec string such as ``"beam:8"``) to
 :func:`repro.search.hill_climb`, :func:`repro.search.hill_climb_front`,
-:func:`repro.core.optimizer.optimize_for_trace`, the campaign grid
-(:class:`repro.pipeline.campaign.CampaignTask`) or the ``repro search``
-CLI.
+:func:`repro.core.optimizer.optimize_for_trace`, a spec's
+``search.strategy`` (and so any campaign grid, see
+:func:`repro.api.expand_grid`) or the ``repro search`` CLI.
 """
 
 from __future__ import annotations

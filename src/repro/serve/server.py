@@ -23,7 +23,7 @@ bodies, ``Connection: close``) over one shared
   the session's cache counters (hits / misses / stores / quarantined).
 
 Jobs run on a bounded thread pool through
-:func:`~repro.pipeline.resilience.run_serial_resilient`, so per-spec
+:func:`~repro.pipeline.resilience.run_resilient` (in-process), so per-spec
 ``execution.retries`` and the ``serve.job`` fault-injection site
 compose with the service exactly as they do with the CLI.  The pool is
 adopted into the session, whose :meth:`~repro.api.session.Session.close`
@@ -43,7 +43,7 @@ from repro.api.errors import SpecError
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.pipeline.faults import maybe_inject
-from repro.pipeline.resilience import run_serial_resilient
+from repro.pipeline.resilience import run_resilient
 from repro.serve.jobs import Job, JobRegistry, QueueFull
 
 __all__ = ["ReproServer", "ServerHandle"]
@@ -146,9 +146,10 @@ class ReproServer:
         # best-effort when unrelated jobs run concurrently (counters
         # are session-wide), authoritative for back-to-back replays.
         before = self._counter_totals()
-        [outcome] = run_serial_resilient(
+        [outcome] = run_resilient(
             run_one,
             [spec],
+            workers=1,
             retries=max(spec.execution.retries, self.retries),
             on_error="skip",
         )
@@ -188,7 +189,10 @@ class ReproServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, f"malformed Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""

@@ -1,5 +1,7 @@
 """The Session facade: spec execution, caching, campaigns, sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
@@ -10,10 +12,9 @@ from repro.api import (
     SpecError,
     TraceSpec,
     expand_grid,
-    spec_to_task,
-    task_to_spec,
 )
 from repro.core.optimizer import optimize_for_trace
+from repro.pipeline.campaign import derive_seed
 
 
 def tiny_spec(benchmark="qurt", family="2-in", **search):
@@ -173,7 +174,7 @@ class TestCampaignAndSweep:
             }
         )
         assert len(result.rows) == 4
-        assert {row.task.family for row in result.rows} == {"1-in", "2-in"}
+        assert {row.spec.search.family for row in result.rows} == {"1-in", "2-in"}
 
     def test_campaign_rejects_disagreeing_executions(self, tmp_path):
         a = tiny_spec("qurt").with_execution(cache_dir=str(tmp_path / "a"))
@@ -197,28 +198,45 @@ class TestCampaignAndSweep:
         )
 
 
-class TestTaskBridge:
-    def test_spec_task_round_trip(self):
-        spec = tiny_spec(
-            family="4-in", strategy="beam:2", restarts=2, seed=9, guard=True,
+class TestRowSpec:
+    def test_rows_carry_the_spec_that_ran(self, tmp_path):
+        """A pinned-seed row's spec is the input spec with a default
+        ``execution``; a derived-seed row's spec carries the seed that
+        ran, which the row report and ``search_seed`` echo."""
+        pinned = tiny_spec(
+            family="4-in", strategy="beam:2", restarts=1, seed=9, guard=True,
             max_steps=5,
-        )
-        assert task_to_spec(spec_to_task(spec)) == spec
-
-    def test_task_spec_round_trip_with_seed(self):
-        task = spec_to_task(tiny_spec())
-        spec = task_to_spec(task, search_seed=17)
-        assert spec.search.seed == 17
-        assert spec_to_task(spec).search_seed == 17
-
-    def test_associativity_round_trips(self):
-        spec = ExperimentSpec(
+        ).with_execution(retries=2)
+        assoc = ExperimentSpec(
             trace=TraceSpec("powerstone", "qurt", scale="tiny"),
             geometry=GeometrySpec(cache_bytes=2048, associativity=2),
+        ).with_execution(retries=2)
+        session = Session(cache_dir=tmp_path, workers=1)
+        rows = session.campaign([pinned, assoc]).rows
+        assert [row.spec for row in rows] == [
+            pinned.with_execution(retries=0),
+            assoc.with_execution(retries=0),
+        ]
+        assert rows[0].search_seed == 9
+        assert rows[0].to_json()["spec"] == rows[0].spec.to_dict()
+
+        [derived] = session.campaign([pinned], base_seed=3, derive_seeds=True).rows
+        seed = derive_seed(pinned, 3)
+        assert seed != 9
+        assert derived.spec == replace(
+            pinned.with_execution(retries=0),
+            search=replace(pinned.search, seed=seed),
         )
-        task = spec_to_task(spec)
-        assert task.geometry.associativity == 2
-        assert task_to_spec(task) == spec
+        assert derived.search_seed == seed
+        assert derived.to_json()["search_seed"] == seed
+        assert derived.to_json()["spec"]["search"]["seed"] == seed
+
+    def test_file_backed_specs_are_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"")
+        spec = ExperimentSpec(trace=TraceSpec(path=str(path)))
+        with pytest.raises(SpecError, match="registry-workload cells"):
+            Session(workers=1).campaign([spec])
 
 
 class TestLifecycle:

@@ -12,7 +12,6 @@ from repro.pipeline.resilience import (
     RETRY_POLICY_MIN_RETRIES,
     TaskOutcome,
     run_resilient,
-    run_serial_resilient,
 )
 
 
@@ -35,13 +34,25 @@ def _flaky(x, scratch=None, fail_times=1):
     return x * 2
 
 
-def _crash_once(x, scratch=None):
-    """Hard-kill the worker (no Python unwinding) on the first call for ``x``."""
+def _crash_once(x, scratch=None, wait_for=()):
+    """Hard-kill the worker (no Python unwinding) on the first call for
+    ``x`` — once every task named in ``wait_for`` has finished, so the
+    crash never catches one of them mid-execution."""
     flag = os.path.join(scratch, f"crashed-{x}")
     if x == "crash" and not os.path.exists(flag):
         with open(flag, "w") as fh:
             fh.write("1")
+        deadline = time.monotonic() + 60
+        while not all(
+            os.path.exists(os.path.join(scratch, f"done-{y}")) for y in wait_for
+        ):
+            assert time.monotonic() < deadline, "waited tasks never finished"
+            time.sleep(0.01)
+        # The finished tasks still return through the pool's wrapper.
+        time.sleep(0.2)
         os._exit(73)
+    with open(os.path.join(scratch, f"done-{x}"), "w") as fh:
+        fh.write("1")
     return f"ok-{x}"
 
 
@@ -57,13 +68,13 @@ def _interrupt(x):
 
 class TestSerial:
     def test_plain_map(self):
-        outcomes = run_serial_resilient(_double, [1, 2, 3])
+        outcomes = run_resilient(_double, [1, 2, 3], workers=1)
         assert [o.value for o in outcomes] == [2, 4, 6]
         assert all(o.ok and o.attempts == 1 and o.failures == 0 for o in outcomes)
 
     def test_retries_heal_transient_failures(self, tmp_path):
         fn = functools.partial(_flaky, scratch=str(tmp_path), fail_times=2)
-        outcomes = run_serial_resilient(fn, [1, 2], retries=2, backoff_base=0)
+        outcomes = run_resilient(fn, [1, 2], workers=1, retries=2, backoff_base=0)
         assert [o.value for o in outcomes] == [2, 4]
         assert [o.attempts for o in outcomes] == [3, 3]
         assert [o.failures for o in outcomes] == [2, 2]
@@ -71,12 +82,12 @@ class TestSerial:
     def test_exhausted_budget_raises_by_default(self, tmp_path):
         fn = functools.partial(_flaky, scratch=str(tmp_path), fail_times=5)
         with pytest.raises(RuntimeError, match="flaky failure"):
-            run_serial_resilient(fn, [1], retries=1, backoff_base=0)
+            run_resilient(fn, [1], workers=1, retries=1, backoff_base=0)
 
     def test_skip_records_failure_and_continues(self, tmp_path):
         fn = functools.partial(_flaky, scratch=str(tmp_path), fail_times=5)
-        outcomes = run_serial_resilient(
-            fn, [1, 2], retries=1, on_error="skip", backoff_base=0
+        outcomes = run_resilient(
+            fn, [1, 2], workers=1, retries=1, on_error="skip", backoff_base=0
         )
         assert all(o.status == "failed" for o in outcomes)
         assert all("RuntimeError: flaky failure" in o.error for o in outcomes)
@@ -86,15 +97,15 @@ class TestSerial:
         fn = functools.partial(
             _flaky, scratch=str(tmp_path), fail_times=RETRY_POLICY_MIN_RETRIES
         )
-        outcomes = run_serial_resilient(fn, [1], on_error="retry", backoff_base=0)
+        outcomes = run_resilient(fn, [1], workers=1, on_error="retry", backoff_base=0)
         assert outcomes[0].ok
         assert outcomes[0].attempts == RETRY_POLICY_MIN_RETRIES + 1
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="on_error"):
-            run_serial_resilient(_double, [1], on_error="ignore")
+            run_resilient(_double, [1], workers=1, on_error="ignore")
         with pytest.raises(ValueError, match="retries"):
-            run_serial_resilient(_double, [1], retries=-1)
+            run_resilient(_double, [1], workers=1, retries=-1)
 
     def test_faults_count_against_retry_budget(self):
         with use_faults("campaign.task:error:p=1:count=2"):
@@ -104,7 +115,7 @@ class TestSerial:
                 maybe_inject("campaign.task", str(x))
                 return x
 
-            outcomes = run_serial_resilient(task, [7], retries=2, backoff_base=0)
+            outcomes = run_resilient(task, [7], workers=1, retries=2, backoff_base=0)
         assert outcomes[0].value == 7
         assert outcomes[0].attempts == 3  # two injected faults, then success
 
@@ -117,7 +128,21 @@ class TestSerial:
                 return x
 
             with pytest.raises(FaultInjected):
-                run_serial_resilient(task, [7])
+                run_resilient(task, [7], workers=1)
+
+    def test_no_pool_and_no_scratch_directory(self, monkeypatch):
+        """The in-process path (every ``repro serve`` job) must not pay
+        for a pool or a marker directory."""
+        import repro.pipeline.resilience as resilience
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("serial execution built a pool or a temp dir")
+
+        monkeypatch.setattr(resilience, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr(resilience.tempfile, "TemporaryDirectory", forbidden)
+        for workers in (0, 1):
+            outcomes = run_resilient(_double, [1, 2], workers=workers)
+            assert [o.value for o in outcomes] == [2, 4]
 
 
 class TestPool:
@@ -145,8 +170,10 @@ class TestPool:
         # With a zero retry budget the killed attempt exhausts the task:
         # under "skip" it is recorded as failed and the rest still runs.
         items = ["a", "crash", "b"]
-        fn = functools.partial(_crash_once, scratch=str(tmp_path))
-        outcomes = run_resilient(fn, items, workers=1, on_error="skip", backoff_base=0)
+        fn = functools.partial(
+            _crash_once, scratch=str(tmp_path), wait_for=("a", "b")
+        )
+        outcomes = run_resilient(fn, items, workers=2, on_error="skip", backoff_base=0)
         assert outcomes[0].value == "ok-a"
         assert outcomes[2].value == "ok-b"
         assert outcomes[1].status == "failed"
@@ -187,7 +214,7 @@ class TestPool:
     def test_raise_policy_propagates_with_context(self, tmp_path):
         fn = functools.partial(_flaky, scratch=str(tmp_path), fail_times=9)
         with pytest.raises(RuntimeError, match="failed after 2 attempt"):
-            run_resilient(fn, [1], workers=1, retries=1, backoff_base=0)
+            run_resilient(fn, [1], workers=2, retries=1, backoff_base=0)
 
     def test_outcome_defaults(self):
         outcome = TaskOutcome()

@@ -188,22 +188,25 @@ class TestPipelineOverSqlite:
     def test_campaign_workers_join_sqlite_cache(self, tmp_path):
         """Worker processes auto-detect the sqlite root (no flag) and a
         warm replay through them recomputes nothing."""
-        from repro.pipeline import build_grid, run_campaign
+        from repro.api import expand_grid
+        from repro.pipeline import run_campaign
 
         ArtifactCache(tmp_path, storage="sqlite").close()  # create the index
-        tasks = build_grid(
-            suite="powerstone",
-            benchmarks=("qurt", "ucbqsort"),
-            cache_sizes=(1024,),
-            families=("2-in",),
-            scale="tiny",
+        specs = expand_grid(
+            {
+                "suite": "powerstone",
+                "benchmarks": ["qurt", "ucbqsort"],
+                "cache_bytes": [1024],
+                "families": ["2-in"],
+                "scale": "tiny",
+            }
         )
-        cold = run_campaign(tasks, cache_dir=tmp_path, workers=2)
-        warm = run_campaign(tasks, cache_dir=tmp_path, workers=2)
+        cold = run_campaign(specs, cache_dir=tmp_path, workers=2)
+        warm = run_campaign(specs, cache_dir=tmp_path, workers=2)
         assert cold.cache_totals()["stores"] > 0
         assert warm.fully_cached
-        assert [(r.task.benchmark, r.optimized_misses) for r in warm.rows] == [
-            (r.task.benchmark, r.optimized_misses) for r in cold.rows
+        assert [(r.spec, r.optimized_misses) for r in warm.rows] == [
+            (r.spec, r.optimized_misses) for r in cold.rows
         ]
 
     def test_warm_optimize_replays_with_zero_recomputes(self, tmp_path):

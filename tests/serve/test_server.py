@@ -1,6 +1,7 @@
 """ReproServer over a real socket: protocol, dedup, cache replay."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -98,6 +99,20 @@ class TestProtocol:
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/v1/healthz", b"{}")
         assert excinfo.value.status == 405
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_400(self, served, length):
+        _, client = served
+        request = (
+            "POST /v1/jobs HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            f"Content-Length: {length}\r\n"
+            "Connection: close\r\n\r\n{}"
+        )
+        with socket.create_connection((client.host, client.port), timeout=10) as conn:
+            conn.sendall(request.encode("latin-1"))
+            status_line = conn.makefile("rb").readline().decode("latin-1")
+        assert status_line.split()[1] == "400", status_line
 
 
 class TestJobsOverHttp:
