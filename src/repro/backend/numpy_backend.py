@@ -2,8 +2,7 @@
 
 Two sequential-replacement problems are solved with array passes only:
 
-* **LRU depth test** — the chunked reuse-distance probe proven in
-  :func:`repro.profiling.conflict_profile._profile_into`: an access's
+* **LRU depth test** — a chunked reuse-distance probe: an access's
   LRU stack depth is the number of *live* slots (latest occurrences of
   other keys) inside its reuse interval, counted with a chunk-end
   survivor cumsum plus a reverse doubling-budget gather that stops the
@@ -29,9 +28,10 @@ from repro.backend.sorting import stable_argsort
 
 __all__ = ["lru_depth_at_least", "skewed_misses", "BACKEND"]
 
-#: Accesses per chunk of the LRU depth probe; same trade-off as the
-#: profiler's ``_PROFILE_CHUNK`` (sharp chunk-end survivor shortcut,
-#: cache-resident work arrays).
+#: Accesses per chunk of the LRU depth probe: shorter chunks keep the
+#: chunk-end survivor shortcut sharp (fewer candidates die inside the
+#: chunk) and the work arrays cache-resident; 4 Ki amortizes the
+#: per-chunk numpy call overhead.
 _CHUNK = 1 << 12
 
 #: Elements of the padded (segments x probe-width) grid the dense probe

@@ -252,11 +252,26 @@ def _resolve_execution(
     return cache_dir, workers, serial_context
 
 
+def _profile_group(spec: ExperimentSpec) -> tuple:
+    """What a cell's conflict profile depends on besides its capacity."""
+    return spec.trace, spec.geometry.block_size, spec.search.n
+
+
+def _profile_capacities(specs: Sequence[ExperimentSpec]) -> dict[tuple, tuple[int, ...]]:
+    """The capacities (in blocks) the grid profiles per profile group."""
+    groups: dict[tuple, set[int]] = {}
+    for spec in specs:
+        capacity = spec.geometry.resolve().num_blocks
+        groups.setdefault(_profile_group(spec), set()).add(capacity)
+    return {group: tuple(sorted(caps)) for group, caps in groups.items()}
+
+
 def _run_task(
     spec: ExperimentSpec,
     cache_dir: str | None,
     keep_details: bool,
     context: PipelineContext | None = None,
+    profile_capacities: dict[tuple, tuple[int, ...]] | None = None,
 ) -> CampaignRow:
     """Execute one cell (top level so the process pool can pickle it)."""
     from repro.core.optimizer import optimize_for_trace
@@ -276,15 +291,25 @@ def _run_task(
     # The same spec-to-inputs mapping Session.optimize uses.
     trace = spec.trace.resolve()
     geometry = spec.geometry.resolve()
+    family = spec.search.resolve_family(geometry.index_bits)
+    # The first cell of a profile group to miss profiles every capacity
+    # the grid asks of it in one pass; the others then hit.
+    profile = context.profile(
+        trace,
+        geometry,
+        spec.search.n,
+        capacities=(profile_capacities or {}).get(_profile_group(spec), ()),
+    )
     result = optimize_for_trace(
         trace,
         geometry,
-        family=spec.search.resolve_family(geometry.index_bits),
+        family=family,
         n=spec.search.n,
         guard=spec.search.guard,
         restarts=spec.search.restarts,
         seed=spec.search.seed,
         max_steps=spec.search.max_steps,
+        profile=profile,
         context=context,
         strategy=spec.search.strategy,
     )
@@ -407,6 +432,7 @@ def run_campaign(
                 cache_dir=task_cache_dir,
                 keep_details=keep_details,
                 context=serial_context if workers == 1 else None,
+                profile_capacities=_profile_capacities(specs),
             ),
             specs,
             workers=workers,

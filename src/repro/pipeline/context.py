@@ -103,7 +103,9 @@ class PipelineContext:
 
     # -- conflict profiles -------------------------------------------------
 
-    def _profile_key(self, trace: Trace, geometry: CacheGeometry, n: int) -> str:
+    def _profile_key(
+        self, trace: Trace, block_size: int, capacity_blocks: int, n: int
+    ) -> str:
         """Keyed by what the profile actually depends on: the trace
         content, the block size (address granularity), the capacity in
         blocks (the capacity-miss filter) and the window width ``n`` —
@@ -113,11 +115,25 @@ class PipelineContext:
             "profile",
             {
                 "trace": trace.digest,
-                "block_size": geometry.block_size,
-                "capacity_blocks": geometry.num_blocks,
+                "block_size": block_size,
+                "capacity_blocks": capacity_blocks,
                 "n": n,
             },
         )
+
+    def _stored_profile(self, key: str) -> ConflictProfile | None:
+        """The profile under ``key`` from the memo or the cache, memoized."""
+        found = self._memo.get(("profile", key))
+        if found is None and self.cache is not None:
+            found = self.cache.load_profile(key)
+        if found is not None:
+            self._memo[("profile", key)] = found
+        return found
+
+    def _keep_profile(self, key: str, profile: ConflictProfile) -> None:
+        if self.cache is not None:
+            self.cache.store_profile(key, profile)
+        self._memo[("profile", key)] = profile
 
     def profile(
         self,
@@ -129,45 +145,64 @@ class PipelineContext:
         retries: int = 0,
         task_timeout: float | None = None,
         on_error: str = "raise",
+        capacities: Sequence[int] = (),
     ) -> ConflictProfile:
         """Cached :func:`repro.profiling.profile_trace`.
 
-        Cache misses run the chunked vectorized profiling kernel
+        Cache misses run the vectorized profiling kernel
         (:func:`repro.profiling.profile_blocks`), so even the cold path
-        has no per-access Python loop.  With ``shard_size``, misses run
+        has no per-access Python loop.  ``capacities`` names further
+        capacities (in blocks) that will be asked of the same trace,
+        block size and ``n`` — a campaign grid's other cache sizes.  A
+        miss then profiles each of them not yet memoized or cached in
+        the same single pass and stores it under its own key, where
+        those later calls find it.  With ``shard_size``, misses run
         the sharded out-of-core driver instead
         (:func:`repro.profiling.run_sharded_profile` — bit-identical,
         bounded memory, optionally parallel over ``workers``); the
         merged result lands under the same key, so sharding never
-        changes what downstream stages see.
+        changes what downstream stages see.  The sharded profiler
+        profiles one capacity, so ``shard_size`` together with
+        ``capacities`` raises :class:`ValueError`.
         """
-        key = self._profile_key(trace, geometry, n)
-        memo_key = ("profile", key)
-        cached = self._memo.get(memo_key)
-        if cached is None and self.cache is not None:
-            cached = self.cache.load_profile(key)
-        if cached is None:
-            if shard_size is not None:
-                from repro.profiling.sharded import run_sharded_profile
+        if shard_size is not None and capacities:
+            raise ValueError(
+                "capacities cannot be combined with shard_size: the "
+                "sharded profiler computes one capacity per pass"
+            )
+        block_size = geometry.block_size
+        key = self._profile_key(trace, block_size, geometry.num_blocks, n)
+        found = self._stored_profile(key)
+        if found is not None:
+            return found
+        if shard_size is not None:
+            from repro.profiling.sharded import run_sharded_profile
 
-                cached = run_sharded_profile(
-                    trace,
-                    geometry,
-                    n,
-                    shard_size=shard_size,
-                    workers=workers,
-                    context=self,
-                    retries=retries,
-                    task_timeout=task_timeout,
-                    on_error=on_error,
-                ).profile
-            else:
-                blocks = trace.block_addresses(geometry.block_size)
-                cached = profile_blocks(blocks, geometry.num_blocks, n)
-            if self.cache is not None:
-                self.cache.store_profile(key, cached)
-        self._memo[memo_key] = cached
-        return cached
+            found = run_sharded_profile(
+                trace,
+                geometry,
+                n,
+                shard_size=shard_size,
+                workers=workers,
+                context=self,
+                retries=retries,
+                task_timeout=task_timeout,
+                on_error=on_error,
+            ).profile
+            self._keep_profile(key, found)
+            return found
+        missing = {geometry.num_blocks: key}
+        for capacity in sorted(set(capacities) - set(missing)):
+            other = self._profile_key(trace, block_size, capacity, n)
+            if self._stored_profile(other) is None:
+                missing[capacity] = other
+        # One pass at the largest capacity fills in every other one.
+        profiles = dict.fromkeys(missing)
+        blocks = trace.block_addresses(block_size)
+        profile_blocks(blocks, max(missing), n, siblings=profiles)
+        for capacity, other in missing.items():
+            self._keep_profile(other, profiles[capacity])
+        return profiles[geometry.num_blocks]
 
     def profile_sharded(
         self,
@@ -202,10 +237,8 @@ class PipelineContext:
             task_timeout=task_timeout,
             on_error=on_error,
         )
-        key = self._profile_key(trace, geometry, n)
-        if self.cache is not None:
-            self.cache.store_profile(key, result.profile)
-        self._memo[("profile", key)] = result.profile
+        key = self._profile_key(trace, geometry.block_size, geometry.num_blocks, n)
+        self._keep_profile(key, result.profile)
         return result
 
     # -- exact simulation --------------------------------------------------

@@ -25,6 +25,11 @@ import numpy as np
 from repro.cache.geometry import CacheGeometry
 from repro.gf2.bitvec import mask
 from repro.profiling.lru_stack import LRUStack
+from repro.profiling.reuse import (
+    next_occurrences,
+    previous_occurrences,
+    walk_chunks,
+)
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -36,18 +41,15 @@ __all__ = [
 
 _FLUSH_THRESHOLD = 1 << 22  # buffered conflict vectors before a bincount flush
 
-#: Accesses per chunk of the vectorized kernel.  Shorter chunks keep
-#: the chunk-end survivor shortcut sharp (fewer candidates die inside
-#: the chunk, so more capacity misses resolve without any gather) and
-#: the work arrays cache-resident; 4 Ki amortizes the per-chunk numpy
-#: call overhead while staying near the measured sweet spot across
-#: loop/stream/random workloads.
+#: Accesses per chunk of the vectorized kernel.  Shorter chunks scan
+#: fewer slots that die inside the chunk and need fewer merge levels for
+#: the in-chunk depth counts; longer ones compact the live-slot array
+#: less often.  4 Ki balances the two from 10 K- to 2 M-access traces.
 _PROFILE_CHUNK = 1 << 12
 
-#: Elements of a padded (segments x probe-width) grid the dense probe
-#: may materialize per round (a few ~128 MB int64 temporaries); larger
-#: rounds fall back to the CSR gather in `_FLUSH_THRESHOLD` batches.
-_DENSE_LIMIT = 1 << 24
+#: Flat candidate slots gathered per batch, bounding the transient
+#: gather arrays (a few bytes each) whatever the capacity.
+_GATHER_BATCH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,12 @@ class ConflictProfile:
         return ConflictProfile.merge((self, other))
 
     def top_vectors(self, k: int) -> list[tuple[int, int]]:
-        """The ``k`` heaviest conflict vectors as (vector, count) pairs."""
+        """The ``k`` heaviest conflict vectors as (vector, count) pairs,
+        ties broken by ascending vector."""
         vectors, counts = self.support()
-        order = np.argsort(counts)[::-1][:k]
+        # support() lists vectors ascending, so a stable sort on the
+        # negated counts keeps tied vectors in that order.
+        order = np.argsort(-counts, kind="stable")[:k]
         return [(int(vectors[i]), int(counts[i])) for i in order]
 
     def save(self, path: str | Path) -> None:
@@ -229,31 +234,13 @@ def _segment_batches(offsets: np.ndarray, limit: int):
         start = end
 
 
-def _previous_occurrences(blocks: np.ndarray) -> np.ndarray:
-    """``prev[t]`` = index of the previous access to ``blocks[t]``, or -1.
-
-    One stable argsort groups equal blocks while preserving program
-    order inside each group, so consecutive positions in sort order
-    with equal blocks are exactly the (previous, current) occurrence
-    pairs — no per-access dict lookup.
-    """
-    count = len(blocks)
-    order = np.argsort(blocks, kind="stable")
-    in_order = blocks[order]
-    repeat = np.empty(count, dtype=bool)
-    if count:
-        repeat[0] = False
-        np.equal(in_order[1:], in_order[:-1], out=repeat[1:])
-    prev = np.full(count, -1, dtype=np.int64)
-    prev[order[repeat]] = order[np.flatnonzero(repeat) - 1]
-    return prev
-
-
 def profile_blocks(
     blocks: np.ndarray,
     capacity_blocks: int,
     n: int,
     chunk_size: int | None = None,
+    *,
+    siblings: dict[int, ConflictProfile | None] | None = None,
 ) -> ConflictProfile:
     """Run the Fig. 1 profiling pass over a block-address trace.
 
@@ -263,7 +250,7 @@ def profile_blocks(
         Block addresses in program order.  Normalized to ``uint64``
         (full 64-bit addresses are valid block ids).
     capacity_blocks:
-        Cache capacity in blocks; accesses whose reuse distance reaches
+        Cache capacity in blocks; accesses whose reuse depth reaches
         it are capacity misses and contribute no conflict vectors.
     n:
         Hashed-address window; conflict vectors are truncated to ``n``
@@ -271,209 +258,133 @@ def profile_blocks(
     chunk_size:
         Accesses per vectorized chunk (default ``_PROFILE_CHUNK``);
         only property tests shrink it.
+    siblings:
+        Further capacities (in blocks) to profile in the same pass:
+        each key's value is replaced by the profile at that capacity.
 
-    This is the chunked, fully vectorized kernel: no per-access Python
-    iteration.  Complexity is ``O(N log N)`` for the global
-    previous-occurrence pass plus, per access, work proportional to
-    the candidate slots in its reuse interval — at most the number of
-    distinct blocks live at the chunk boundary plus the chunk length,
-    with intervals already known to hold ``capacity_blocks`` surviving
-    slots skipped outright.  Bit-identical to
-    :func:`profile_blocks_reference` (property-tested), ≥10x faster
-    than the per-access :func:`profile_blocks_slotted` loop on
-    million-access traces (see ``benchmarks/bench_profiler.py``).
+    Every access's exact LRU depth ``d`` is computed first
+    (:func:`~repro.profiling.reuse.walk_chunks`), and an access is a
+    conflict at capacity ``C`` exactly when ``d < C`` (Mattson stack
+    inclusion).  So capacity misses cost O(1) each, and only conflicts
+    gather the blocks above them — work proportional to the conflict
+    pairs emitted, for every requested capacity at once.  Bit-identical
+    to :func:`profile_blocks_reference` at each capacity
+    (property-tested).
     """
-    if capacity_blocks < 1:
-        raise ValueError(f"capacity must be >= 1 block, got {capacity_blocks}")
     blocks = np.ascontiguousarray(np.asarray(blocks), dtype=np.uint64)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    compulsory, capacity, beyond_window = _profile_into(
-        blocks, capacity_blocks, n, counts, chunk_size=chunk_size
+    profiles = _profile_pass(
+        blocks, [capacity_blocks, *(siblings or ())], n, chunk_size
     )
-    return ConflictProfile(
-        n,
-        counts,
-        compulsory=compulsory,
-        capacity=capacity,
-        accesses=len(blocks),
-        beyond_window=beyond_window,
-    )
+    for capacity in siblings or ():
+        siblings[capacity] = profiles[capacity]
+    return profiles[capacity_blocks]
 
 
-def _profile_into(
+def _profile_pass(
     blocks: np.ndarray,
-    capacity_blocks: int,
+    capacities,
     n: int,
-    counts: np.ndarray,
     chunk_size: int | None = None,
-) -> tuple[int, int, int]:
-    """Accumulate one Fig. 1 pass into ``counts``; the shared kernel of
-    :func:`profile_blocks` and sampled multi-window profiling.
+) -> dict[int, ConflictProfile]:
+    """One Fig. 1 pass over a ``uint64`` block array, profiled at every
+    capacity (in blocks) of ``capacities`` at once.
 
-    Returns ``(compulsory, capacity, beyond_window)``.  ``blocks`` must
-    already be a ``uint64`` array.
+    Each conflict pair lands in one ``bincount`` bin of ``K * 2^n``:
+    the depth bucket of its access (the index of the smallest of the
+    ``K`` capacities it is a conflict for) times the vector.  A
+    capacity's profile is then the cumulative sum of the buckets up to
+    its own; bin 0 of each bucket counts the ``beyond_window`` pairs.
 
-    Per chunk of accesses, the pass works on a *candidate* array: the
-    compacted live slots carried over from previous chunks (one entry
-    per block whose last occurrence precedes the chunk) followed by the
-    chunk's own slots.  Each access's "blocks above" set is then the
-    candidates inside its reuse interval that survive to its timestamp,
-    materialized for all accesses at once by one CSR-style flat gather
-    (repeat of interval starts plus a cumulative-length arange).
+    The pairs of an access are the blocks live in its reuse interval.
+    Per chunk of accesses they are gathered from the chunk's
+    *candidates* (see :func:`~repro.profiling.reuse.walk_chunks`) with
+    one CSR-style flat gather for all of the chunk's conflicts.
     """
-    count = len(blocks)
-    if count == 0:
-        return 0, 0, 0
+    caps = np.unique(np.asarray(capacities, dtype=np.int64))
+    if caps[0] < 1:
+        raise ValueError(f"capacity must be >= 1 block, got {caps[0]}")
     if chunk_size is None:
         chunk_size = _PROFILE_CHUNK
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    count = len(blocks)
     window = np.uint64(mask(n))
-    prev = _previous_occurrences(blocks)
-    compulsory = int(np.count_nonzero(prev < 0))
-    # nxt[t] = next access to blocks[t], or `count` ("never"): slot t is
-    # live (is its block's most recent occurrence) at any time in
-    # (t, nxt[t]].
-    nxt = np.full(count, count, dtype=np.int64)
-    repeats = np.flatnonzero(prev >= 0)
-    nxt[prev[repeats]] = repeats
-    capacity = 0
-    beyond_window = 0
-    # Global times of slots live at the current chunk start, ascending.
-    live_times = np.empty(0, dtype=np.int64)
-
-    for t0 in range(0, count, chunk_size):
-        t1 = min(t0 + chunk_size, count)
-        times = np.arange(t0, t1, dtype=np.int64)
-        cand_times = np.concatenate([live_times, times])
-        cand_death = nxt[cand_times]
-        cand_blocks = blocks[cand_times]
-
-        chunk_prev = prev[t0:t1]
-        seen = chunk_prev >= 0
-        t_seen = times[seen]
-        # Interval of candidate positions strictly between the previous
-        # occurrence and the access: candidates are time-sorted, and
-        # the access's own slot sits at live_times.size + (t - t0).
-        lo = np.searchsorted(cand_times, chunk_prev[seen], side="right")
-        hi = live_times.size + (t_seen - t0)
-
-        # Candidates surviving the whole chunk are live at every access
-        # in it; intervals already holding `capacity_blocks` of them
-        # are capacity misses — skip their gather entirely.  This keeps
-        # long-reuse scans O(1) per access instead of O(interval).
-        survives = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(cand_death >= t1)]
+    prev = previous_occurrences(blocks)
+    nxt = next_occurrences(prev)
+    hist = np.zeros(len(caps) << n, dtype=np.int64)
+    key_dtype = np.int32 if hist.size <= np.iinfo(np.int32).max else np.int64
+    # Repeats per depth bucket: bucket k holds depths in
+    # [caps[k-1], caps[k]), bucket K the capacity misses of every size.
+    per_bucket = np.zeros(len(caps) + 1, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    buffered = 0
+    for t0, live, lo, depth in walk_chunks(prev, nxt, chunk_size):
+        bucket = np.searchsorted(caps, depth, side="right")
+        per_bucket += np.bincount(bucket[depth >= 0], minlength=len(caps) + 1)
+        # Depth-0 reuses are conflicts with no blocks above: nothing to
+        # gather.  The rest reach at most max(caps) live slots back, so
+        # the candidates start at the earliest interval, not at live[0].
+        sel = np.flatnonzero((depth > 0) & (bucket < len(caps)))
+        if not len(sel):
+            continue
+        first = min(int(lo[sel].min()), live.size)
+        cand_times = np.concatenate(
+            [live[first:], np.arange(t0, t0 + len(depth), dtype=np.int64)]
         )
-        sure_capacity = (survives[hi] - survives[lo]) >= capacity_blocks
-        capacity += int(np.count_nonzero(sure_capacity))
-
-        need = np.flatnonzero(~sure_capacity)
-        g_lo = lo[need]
-        g_t = t_seen[need]
-        g_block = blocks[g_t]
-
-        # Reverse-order probing with a doubling budget, mirroring the
-        # reference's bounded top-down stack walk: gather candidates
-        # from the most recent end of each interval, stop a segment as
-        # soon as `capacity_blocks` live candidates are seen (capacity
-        # miss) or its interval is exhausted (conflict miss).  Capacity
-        # misses therefore cost O(capacity + recent dead slots), not
-        # O(interval).
-        live_seen = np.zeros(len(need), dtype=np.int64)
-        cursor = hi[need].copy()  # un-probed upper end of each interval
-        kept_flat: list[np.ndarray] = []
-        kept_seg: list[np.ndarray] = []
-        budget = capacity_blocks + 32
-        open_ids = np.flatnonzero(cursor > g_lo)
-        while len(open_ids):
-            take = np.minimum(cursor[open_ids] - g_lo[open_ids], budget)
-            width = int(take.max())
-            if len(open_ids) * width <= _DENSE_LIMIT:
-                # Dense probe: one (segments x width) grid, broadcast
-                # arithmetic instead of per-element repeats.
-                lanes = np.arange(width, dtype=np.int64)[None, :]
-                valid = lanes < take[:, None]
-                grid = np.where(valid, (cursor[open_ids] - take)[:, None] + lanes, 0)
-                # A candidate is on the stack above the access iff it
-                # is still its block's latest occurrence at the access.
-                alive = (cand_death[grid] > g_t[open_ids, None]) & valid
-                live_seen[open_ids] += alive.sum(axis=1)
-                # Only segments still below capacity can end as
-                # conflict misses; buffer just their elements (one
-                # crossing the threshold in a later round is filtered
-                # below).
-                still = live_seen[open_ids] < capacity_blocks
-                if still.any():
-                    elem = alive & still[:, None]
-                    kept_flat.append(grid[elem])
-                    kept_seg.append(
-                        np.broadcast_to(open_ids[:, None], elem.shape)[elem]
-                    )
-            else:
-                # Sparse fallback: CSR flat gather in bounded batches,
-                # for rounds whose padded grid would be too large.
-                offsets = np.concatenate(
-                    [np.zeros(1, dtype=np.int64), np.cumsum(take)]
-                )
-                for s0, s1 in _segment_batches(offsets, _FLUSH_THRESHOLD):
-                    ids = open_ids[s0:s1]
-                    b_take = take[s0:s1]
-                    # Element j of batch segment i sits at candidate
-                    # position (cursor[i] - take[i]) + j.
-                    seg = np.repeat(np.arange(s1 - s0, dtype=np.int64), b_take)
-                    flat = np.arange(
-                        int(offsets[s0]), int(offsets[s1]), dtype=np.int64
-                    ) + np.repeat(
-                        cursor[ids] - b_take - offsets[s0:s1], b_take
-                    )
-                    alive = cand_death[flat] > np.repeat(g_t[ids], b_take)
-                    live_seen[ids] += np.bincount(
-                        seg[alive], minlength=s1 - s0
-                    )
-                    still = live_seen[ids] < capacity_blocks
-                    if still.any():
-                        elem_keep = alive & still[seg]
-                        kept_flat.append(flat[elem_keep])
-                        kept_seg.append(ids[seg[elem_keep]])
-            cursor[open_ids] -= take
-            open_ids = open_ids[
-                (live_seen[open_ids] < capacity_blocks)
-                & (cursor[open_ids] > g_lo[open_ids])
-            ]
-            budget = min(budget * 2, 1 << 62)  # keep int64-safe
-        over = live_seen >= capacity_blocks
-        capacity += int(np.count_nonzero(over))
-        if kept_flat:
-            flat_all = np.concatenate(kept_flat)
-            seg_all = np.concatenate(kept_seg)
-            keep = ~over[seg_all]
-            vectors = np.bitwise_and(
-                np.bitwise_xor(
-                    cand_blocks[flat_all[keep]], g_block[seg_all[keep]]
-                ),
-                window,
-            ).astype(np.int64)
-            zero = int(np.count_nonzero(vectors == 0))
-            if zero:
-                beyond_window += zero
-                vectors = vectors[vectors != 0]
-            if len(vectors):
-                np.add(
-                    counts,
-                    np.bincount(vectors, minlength=counts.size),
-                    out=counts,
-                )
-
-        # Compact the live-slot array for the next chunk: old slots
-        # that survived this chunk, then chunk slots still live at t1.
-        live_times = np.concatenate(
-            [
-                live_times[cand_death[: live_times.size] >= t1],
-                times[nxt[t0:t1] >= t1],
-            ]
+        # Death times relative to the chunk, capped at its end: a slot
+        # dying at or after it is live at every access in the chunk.
+        cand_death = (np.minimum(nxt[cand_times], t0 + len(depth)) - t0).astype(
+            np.int32
         )
-    return compulsory, capacity, beyond_window
+        cand_low = (blocks[cand_times] & window).astype(key_dtype)
+        g_lo = lo[sel] - first
+        g_rel = sel.astype(np.int32)
+        take = live.size - first + g_rel - g_lo
+        # bucket << n | low bits of the accessed block: XOR with a
+        # candidate's low bits gives the pair's bin.
+        g_key = (bucket[sel] << n).astype(key_dtype)
+        g_key |= (blocks[t0 + sel] & window).astype(key_dtype)
+        offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(take)])
+        for s0, s1 in _segment_batches(offsets, _GATHER_BATCH):
+            b_take = take[s0:s1]
+            # Candidate positions fit int32 (at most max(caps) plus a
+            # chunk), which halves the gather traffic.
+            flat = np.arange(int(offsets[s1] - offsets[s0]), dtype=np.int32)
+            flat += np.repeat(
+                (g_lo[s0:s1] - (offsets[s0:s1] - offsets[s0])).astype(np.int32),
+                b_take,
+            )
+            # A candidate is above the access on the LRU stack iff it
+            # is still its block's latest occurrence then.
+            alive = np.take(cand_death, flat) > np.repeat(g_rel[s0:s1], b_take)
+            bins = np.repeat(g_key[s0:s1], b_take)
+            bins ^= np.take(cand_low, flat)
+            pending.append(np.compress(alive, bins))
+            buffered += len(pending[-1])
+            if buffered >= _FLUSH_THRESHOLD:
+                hist += np.bincount(np.concatenate(pending), minlength=hist.size)
+                pending.clear()
+                buffered = 0
+    if pending:
+        hist += np.bincount(np.concatenate(pending), minlength=hist.size)
+
+    cumulative = np.cumsum(hist.reshape(len(caps), 1 << n), axis=0)
+    beyond = cumulative[:, 0].copy()
+    cumulative[:, 0] = 0
+    cumulative.setflags(write=False)
+    compulsory = count - int(per_bucket.sum())
+    capacity_misses = np.cumsum(per_bucket[::-1])[::-1]
+    return {
+        int(capacity): ConflictProfile(
+            n,
+            cumulative[k],
+            compulsory=compulsory,
+            capacity=int(capacity_misses[k + 1]),
+            accesses=count,
+            beyond_window=int(beyond[k]),
+        )
+        for k, capacity in enumerate(caps)
+    }
 
 
 def profile_blocks_slotted(
@@ -597,9 +508,10 @@ def profile_trace(
 ) -> ConflictProfile:
     """Profile a :class:`~repro.trace.Trace` for a cache geometry.
 
-    Runs the vectorized :func:`profile_blocks` kernel — ``O(N log N)``
-    in the trace length plus output-proportional gather work, with no
-    per-access Python iteration.
+    Runs the vectorized :func:`profile_blocks` kernel: an exact reuse
+    depth per access (``O(N log^2 N)`` array passes), then gather work
+    proportional to the conflict pairs emitted, with no per-access
+    Python iteration.
     """
     blocks = trace.block_addresses(geometry.block_size)
     return profile_blocks(blocks, geometry.num_blocks, n)

@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.profiling.conflict_profile import ConflictProfile, _profile_into
+from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -223,18 +223,11 @@ def _profile_shard(
         synthetic = np.concatenate([prefix_blocks, shard_blocks])
     else:
         synthetic = shard_blocks
-    counts = np.zeros(1 << n, dtype=np.int64)
-    compulsory, capacity, beyond_window = _profile_into(
-        synthetic, capacity_blocks, n, counts
-    )
-    counts.setflags(write=False)
-    return ConflictProfile(
-        n,
-        counts,
-        compulsory=compulsory - len(prefix_blocks),
-        capacity=capacity,
+    profile = profile_blocks(synthetic, capacity_blocks, n)
+    return replace(
+        profile,
+        compulsory=profile.compulsory - len(prefix_blocks),
         accesses=len(shard_blocks),
-        beyond_window=beyond_window,
     )
 
 

@@ -233,6 +233,114 @@ class TestRunCampaign:
         assert "cache:" in text
 
 
+def _profile_keys(trace, capacities_bytes, block_size=4, n=16):
+    """Profile artifact keys exactly as one-capacity-per-call runs wrote
+    them (the cache layout earlier campaigns left on disk)."""
+    from repro.pipeline.artifact_cache import stable_key
+
+    return {
+        stable_key(
+            "profile",
+            {
+                "trace": trace.digest,
+                "block_size": block_size,
+                "capacity_blocks": size // block_size,
+                "n": n,
+            },
+        )
+        for size in capacities_bytes
+    }
+
+
+class TestMultiCapacityProfiling:
+    """A grid's cache sizes of one trace share a single profiling pass."""
+
+    SIZES = (1024, 4096, 16384)
+
+    def _grid(self, sizes):
+        return expand_grid(
+            {
+                "suite": "powerstone",
+                "benchmarks": ["fir"],
+                "cache_bytes": list(sizes),
+                "families": ["1-in", "2-in"],
+                "scale": "tiny",
+            }
+        )
+
+    def _count_passes(self, monkeypatch):
+        import repro.pipeline.context as context_module
+
+        calls = []
+        real = context_module.profile_blocks
+
+        def counting(blocks, capacity_blocks, n, *args, **kwargs):
+            others = set(kwargs.get("siblings") or ()) - {capacity_blocks}
+            calls.append((capacity_blocks, sorted(others)))
+            return real(blocks, capacity_blocks, n, *args, **kwargs)
+
+        monkeypatch.setattr(context_module, "profile_blocks", counting)
+        return calls
+
+    def test_one_pass_stores_every_capacity_under_its_key(self, tmp_path, monkeypatch):
+        calls = self._count_passes(monkeypatch)
+        specs = self._grid(self.SIZES)
+        result = run_campaign(specs, cache_dir=tmp_path, workers=1)
+        assert calls == [(4096, [256, 1024])]
+        trace = specs[0].trace.resolve()
+        stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
+        assert stored == _profile_keys(trace, self.SIZES)
+        # The same totals a one-pass-per-capacity run reports: each
+        # profile is one miss and one store, wherever it is computed.
+        assert result.cache_totals() == {"hits": 0, "misses": 18, "stores": 18}
+        per_row = [row.cache_stats.get("profile", {}) for row in result.rows]
+        assert per_row[0] == {"misses": 3, "stores": 3}
+        assert all(not stats for stats in per_row[1:])
+
+    def test_rows_match_single_capacity_grids(self):
+        multi = run_campaign(self._grid(self.SIZES), workers=1)
+        singles = [run_campaign(self._grid([size]), workers=1) for size in self.SIZES]
+        assert rows_key(multi) == [key for single in singles for key in rows_key(single)]
+
+    def test_warm_replay_loads_each_capacity(self, tmp_path, monkeypatch):
+        specs = self._grid(self.SIZES)
+        run_campaign(specs, cache_dir=tmp_path, workers=1)
+        calls = self._count_passes(monkeypatch)
+        warm = run_campaign(specs, cache_dir=tmp_path, workers=1)
+        assert calls == [] and warm.fully_cached
+
+    def test_single_capacity_grid_profiles_only_its_capacity(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self._count_passes(monkeypatch)
+        specs = self._grid([4096])
+        run_campaign(specs, cache_dir=tmp_path, workers=1)
+        assert calls == [(1024, [])]
+        stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
+        assert stored == _profile_keys(specs[0].trace.resolve(), [4096])
+
+    def test_cached_sibling_is_not_recomputed(self, tmp_path, monkeypatch):
+        run_campaign(self._grid([4096]), cache_dir=tmp_path, workers=1)
+        calls = self._count_passes(monkeypatch)
+        run_campaign(self._grid(self.SIZES), cache_dir=tmp_path, workers=1)
+        assert calls == [(4096, [256])]
+
+    def test_parallel_rows_match_serial(self, tmp_path):
+        specs = self._grid(self.SIZES)
+        parallel = run_campaign(specs, cache_dir=tmp_path, workers=2)
+        assert rows_key(parallel) == rows_key(run_campaign(specs, workers=1))
+        stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
+        assert stored == _profile_keys(specs[0].trace.resolve(), self.SIZES)
+
+    def test_sharded_profile_rejects_capacities(self):
+        spec = self._grid([1024])[0]
+        geometry = spec.geometry.resolve()
+        with pytest.raises(ValueError, match="shard_size"):
+            PipelineContext().profile(
+                spec.trace.resolve(), geometry, 8, shard_size=600, capacities=(64,)
+            )
+
+
 class TestMapWithContext:
     def test_preserves_order_serial(self):
         assert map_with_context(_double, [3, 1, 2], workers=1) == [6, 2, 4]

@@ -13,6 +13,8 @@ from repro.profiling.conflict_profile import (
     profile_blocks_slotted,
     profile_trace,
 )
+from repro.profiling.lru_stack import LRUStack
+from repro.profiling.reuse import reuse_distances
 from repro.trace.trace import Trace
 from tests.conftest import block_traces
 
@@ -156,6 +158,102 @@ class TestFastEqualsReference:
         )
 
 
+def _one_pass(blocks, capacities, n, chunk_size=None):
+    """Every capacity of ``capacities`` from one profile_blocks call."""
+    siblings = dict.fromkeys(capacities)
+    largest = profile_blocks(blocks, max(capacities), n, chunk_size, siblings=siblings)
+    assert_profiles_equal(largest, siblings[max(capacities)])
+    return siblings
+
+
+_capacity_sets = st.lists(
+    st.integers(min_value=1, max_value=64), min_size=1, max_size=6
+).map(lambda caps: caps + [1])  # always include the degenerate capacity
+
+
+class TestMultiCapacity:
+    """One pass profiles every requested capacity (Mattson inclusion)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block_traces(max_block=1 << 12),
+        _capacity_sets,
+        st.one_of(st.none(), st.integers(min_value=1, max_value=48)),
+        st.sampled_from([4, 10, 20]),
+    )
+    def test_each_capacity_equals_reference(self, blocks, capacities, chunk_size, n):
+        profiles = _one_pass(blocks, capacities, n, chunk_size)
+        assert set(profiles) == set(capacities)
+        for capacity, profile in profiles.items():
+            assert_profiles_equal(
+                profile, profile_blocks_reference(blocks, capacity, n)
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.integers(min_value=2**64 - 48, max_value=2**64 - 1),
+            min_size=0,
+            max_size=80,
+        ),
+        _capacity_sets,
+        st.integers(min_value=1, max_value=9),
+    )
+    def test_near_2_64_addresses(self, values, capacities, chunk_size):
+        blocks = np.array(values, dtype=np.uint64)
+        for capacity, profile in _one_pass(blocks, capacities, 10, chunk_size).items():
+            assert_profiles_equal(
+                profile, profile_blocks_reference(blocks, capacity, 10)
+            )
+
+    def test_siblings_unsorted_and_duplicated(self):
+        blocks = np.array([0, 1, 2, 3, 0, 2, 1, 1, 3, 0], dtype=np.uint64)
+        siblings = {8: None, 3: None, 2: None, 1: None}
+        largest = profile_blocks(blocks, 3, 4, siblings=siblings)
+        assert_profiles_equal(largest, profile_blocks_reference(blocks, 3, 4))
+        for capacity in (1, 2, 3, 8):
+            assert_profiles_equal(
+                siblings[capacity], profile_blocks_reference(blocks, capacity, 4)
+            )
+
+    def test_rejects_zero_capacity_sibling(self):
+        with pytest.raises(ValueError):
+            profile_blocks(np.arange(4, dtype=np.uint64), 4, 4, siblings={0: None})
+
+
+def _lru_depths(blocks):
+    """Oracle: each access's depth read off an explicit LRU stack."""
+    stack = LRUStack()
+    depths = []
+    for raw in blocks:
+        block = int(raw)
+        depth = stack.depth_of(block)
+        depths.append(-1 if depth is None else depth)
+        stack.push(block)
+    return np.array(depths, dtype=np.int64)
+
+
+class TestReuseDistancesMatchLRUStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block_traces(max_block=1 << 6),
+        st.one_of(st.just(1 << 12), st.integers(min_value=1, max_value=40)),
+    )
+    def test_equals_lru_stack(self, blocks, chunk_size):
+        depths = reuse_distances(blocks, chunk_size)
+        assert depths.tolist() == _lru_depths(blocks).tolist()
+
+    def test_hand_worked(self):
+        # A B C B A: the second B sees C; the second A sees B and C.
+        blocks = np.array([1, 2, 3, 2, 1], dtype=np.uint64)
+        assert reuse_distances(blocks).tolist() == [
+            -1, -1, -1, 1, 2,
+        ]
+
+    def test_empty(self):
+        assert len(reuse_distances(np.zeros(0, dtype=np.uint64))) == 0
+
+
 class TestProfileObject:
     def test_validation_shape(self):
         with pytest.raises(ValueError):
@@ -184,6 +282,18 @@ class TestProfileObject:
         counts[9] = 2
         profile = ConflictProfile(4, counts)
         assert profile.top_vectors(1) == [(3, 7)]
+
+    def test_top_vectors_ties_by_ascending_vector(self):
+        """Ties must not depend on the sort NumPy picks for the CPU."""
+        counts = np.zeros(1 << 8, dtype=np.int64)
+        tied = np.arange(1, 81)
+        counts[tied] = 5
+        counts[200] = 9
+        counts[100] = 5
+        profile = ConflictProfile(8, counts)
+        expected = [(200, 9)] + [(int(v), 5) for v in [*tied, 100]]
+        assert profile.top_vectors(82) == expected
+        assert profile.top_vectors(20) == expected[:20]
 
     def test_merge(self):
         counts = np.zeros(16, dtype=np.int64)
