@@ -40,48 +40,38 @@ Packages:
 * :mod:`repro.experiments` — drivers regenerating every paper table/figure.
 """
 
-from repro.api import (
-    ExecutionSpec,
-    ExperimentSpec,
-    GeometrySpec,
-    SearchSpec,
-    Session,
-    SpecError,
-    TraceSpec,
-)
-from repro.cache.geometry import PAPER_GEOMETRIES, PAPER_HASHED_BITS, CacheGeometry
-from repro.cache.stats import CacheStats
-from repro.core.evaluate import baseline_stats, evaluate_hash_function
-from repro.core.optimizer import OptimizationResult, optimize_for_trace
-from repro.gf2.hashfn import XorHashFunction
-from repro.pipeline import ArtifactCache, PipelineContext, run_campaign
-from repro.profiling.conflict_profile import ConflictProfile, profile_trace
-from repro.trace.trace import Trace
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SpecError",
-    "TraceSpec",
-    "GeometrySpec",
-    "SearchSpec",
-    "ExecutionSpec",
-    "ExperimentSpec",
-    "Session",
-    "CacheGeometry",
-    "PAPER_GEOMETRIES",
-    "PAPER_HASHED_BITS",
-    "CacheStats",
-    "XorHashFunction",
-    "Trace",
-    "ConflictProfile",
-    "profile_trace",
-    "optimize_for_trace",
-    "OptimizationResult",
-    "evaluate_hash_function",
-    "baseline_stats",
-    "ArtifactCache",
-    "PipelineContext",
-    "run_campaign",
-    "__version__",
-]
+# Names resolve on first access (PEP 562), so ``import repro`` loads
+# only what a caller touches.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.errors": ("SpecError",),
+        "repro.api.spec": (
+            "TraceSpec",
+            "GeometrySpec",
+            "SearchSpec",
+            "ExecutionSpec",
+            "ExperimentSpec",
+        ),
+        "repro.api.session": ("Session",),
+        "repro.cache.geometry": (
+            "CacheGeometry",
+            "PAPER_GEOMETRIES",
+            "PAPER_HASHED_BITS",
+        ),
+        "repro.cache.stats": ("CacheStats",),
+        "repro.gf2.hashfn": ("XorHashFunction",),
+        "repro.trace.trace": ("Trace",),
+        "repro.profiling.conflict_profile": ("ConflictProfile", "profile_trace"),
+        "repro.core.optimizer": ("optimize_for_trace", "OptimizationResult"),
+        "repro.core.evaluate": ("evaluate_hash_function", "baseline_stats"),
+        "repro.pipeline.artifact_cache": ("ArtifactCache",),
+        "repro.pipeline.context": ("PipelineContext",),
+        "repro.pipeline.campaign": ("run_campaign",),
+    },
+)
+__all__.append("__version__")

@@ -47,13 +47,19 @@ from repro.api import (
     TraceSpec,
     expand_grid,
 )
-from repro.api.report import profile_report, search_report
-from repro.cache.classify import classify_misses
-from repro.pipeline import PipelineContext, default_cache_dir, format_campaign
 from repro.search.families import FAMILY_CHOICES
-from repro.trace import TRACE_FORMATS
-from repro.workloads import SUITES, get_workload, workload_names
-from repro.workloads.registry import SCALES, TRACE_KINDS
+from repro.trace.stream import TRACE_FORMATS
+from repro.workloads.registry import (
+    SCALES,
+    SUITES,
+    TRACE_KINDS,
+    get_workload,
+    workload_names,
+)
+
+# Everything else a subcommand needs is imported inside it, so e.g. a
+# cached ``repro run`` never loads the campaign executor, the miss
+# classifier or the service.
 
 
 def _fail(error: SpecError) -> int:
@@ -153,6 +159,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from repro.api.report import search_report
     from repro.profiling.conflict_profile import profile_trace
     from repro.search import hill_climb_front
 
@@ -188,6 +195,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.api.report import profile_report
+
     try:
         if args.trace_file is not None:
             if args.suite or args.name:
@@ -364,6 +373,8 @@ def cmd_spec(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from repro.cache.classify import classify_misses
+
     trace = get_workload(args.suite, args.name, args.scale, args.seed).trace(args.kind)
     geometry = GeometrySpec(cache_bytes=args.cache_kb * 1024).resolve()
     blocks = trace.block_addresses(geometry.block_size)
@@ -404,6 +415,9 @@ def cmd_backends(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.pipeline.artifact_cache import default_cache_dir
+    from repro.pipeline.campaign import format_campaign
+
     try:
         specs = expand_grid(
             {
@@ -454,6 +468,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def _tables_session(args: argparse.Namespace):
     """Artifact-cache session for the tables command (if requested)."""
+    from repro.pipeline.context import PipelineContext
+
     if args.cache_dir is None:
         return contextlib.nullcontext()
     return PipelineContext(args.cache_dir).activate()

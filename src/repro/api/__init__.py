@@ -18,39 +18,28 @@ any report is a replayable input.  All spec validation errors raise
 :class:`SpecError` with a message that names the fix.
 """
 
-from repro.api.errors import SpecError
-from repro.api.report import (
-    REPORT_SCHEMA,
-    campaign_from_report,
-    campaign_report,
-    optimization_from_report,
-    optimization_report,
-    profile_report,
-    specs_from_report,
-)
-from repro.api.session import Session, expand_grid
-from repro.api.spec import (
-    ExecutionSpec,
-    ExperimentSpec,
-    GeometrySpec,
-    SearchSpec,
-    TraceSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SpecError",
-    "TraceSpec",
-    "GeometrySpec",
-    "SearchSpec",
-    "ExecutionSpec",
-    "ExperimentSpec",
-    "Session",
-    "expand_grid",
-    "REPORT_SCHEMA",
-    "optimization_report",
-    "optimization_from_report",
-    "campaign_report",
-    "campaign_from_report",
-    "profile_report",
-    "specs_from_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.errors": ("SpecError",),
+        "repro.api.report": (
+            "REPORT_SCHEMA",
+            "optimization_report",
+            "optimization_from_report",
+            "campaign_report",
+            "campaign_from_report",
+            "profile_report",
+            "specs_from_report",
+        ),
+        "repro.api.session": ("Session", "expand_grid"),
+        "repro.api.spec": (
+            "TraceSpec",
+            "GeometrySpec",
+            "SearchSpec",
+            "ExecutionSpec",
+            "ExperimentSpec",
+        ),
+    },
+)

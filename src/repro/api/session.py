@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.api.errors import SpecError
 from repro.api.spec import (
@@ -34,8 +34,10 @@ from repro.api.spec import (
     SearchSpec,
     TraceSpec,
 )
-from repro.pipeline.campaign import CampaignResult, derive_seed, run_campaign
 from repro.pipeline.context import PipelineContext
+
+if TYPE_CHECKING:
+    from repro.pipeline.campaign import CampaignResult
 
 __all__ = ["Session", "expand_grid"]
 
@@ -304,9 +306,9 @@ class Session:
         per-shard execution statistics.
         """
         spec = ExperimentSpec.coerce(spec)
-        trace = spec.trace.resolve()
-        geometry = spec.geometry.resolve()
         context = self.context(self._effective_cache_dir(spec.execution))
+        trace = context.trace(spec.trace)
+        geometry = spec.geometry.resolve()
         return context.profile(
             trace,
             geometry,
@@ -330,10 +332,10 @@ class Session:
         from repro.core.optimizer import optimize_for_trace
 
         spec = ExperimentSpec.coerce(spec)
-        trace = spec.trace.resolve()
+        context = self.context(self._effective_cache_dir(spec.execution))
+        trace = context.trace(spec.trace)
         geometry = spec.geometry.resolve()
         family = spec.search.resolve_family(geometry.index_bits)
-        context = self.context(self._effective_cache_dir(spec.execution))
         if spec.execution.shard_size is not None:
             # Pre-warm the profile through the sharded out-of-core
             # driver (bit-identical to the single pass); the optimizer
@@ -390,6 +392,8 @@ class Session:
         different per cell), written into its spec before dispatch, so
         the report rows carry the seed that actually ran.
         """
+        from repro.pipeline.campaign import derive_seed, run_campaign
+
         specs = [ExperimentSpec.coerce(spec) for spec in specs]
         execution = self._campaign_execution(specs)
         if derive_seeds:

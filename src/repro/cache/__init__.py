@@ -1,57 +1,42 @@
 """Cache-simulator substrate: geometries, indexing policies, engines."""
 
-from repro.cache.classify import MissBreakdown, classify_misses
-from repro.cache.direct_mapped import (
-    miss_vector_direct_mapped,
-    simulate_direct_mapped,
-    simulate_direct_mapped_scalar,
-)
-from repro.cache.engine import (
-    evaluate_many,
-    simulate,
-    simulate_banks,
-    simulate_capacity,
-)
-from repro.cache.fully_assoc import (
-    simulate_fully_associative,
-    simulate_fully_associative_scalar,
-)
-from repro.cache.geometry import PAPER_GEOMETRIES, PAPER_HASHED_BITS, CacheGeometry
-from repro.cache.indexing import (
-    BitSelectIndexing,
-    IndexingPolicy,
-    ModuloIndexing,
-    XorIndexing,
-)
-from repro.cache.set_assoc import (
-    simulate_set_associative,
-    simulate_set_associative_scalar,
-)
-from repro.cache.skewed import simulate_skewed, simulate_skewed_scalar
-from repro.cache.stats import CacheStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheGeometry",
-    "PAPER_GEOMETRIES",
-    "PAPER_HASHED_BITS",
-    "CacheStats",
-    "IndexingPolicy",
-    "ModuloIndexing",
-    "BitSelectIndexing",
-    "XorIndexing",
-    "simulate",
-    "simulate_banks",
-    "simulate_capacity",
-    "evaluate_many",
-    "simulate_direct_mapped",
-    "simulate_direct_mapped_scalar",
-    "miss_vector_direct_mapped",
-    "simulate_set_associative",
-    "simulate_set_associative_scalar",
-    "simulate_fully_associative",
-    "simulate_fully_associative_scalar",
-    "simulate_skewed",
-    "simulate_skewed_scalar",
-    "MissBreakdown",
-    "classify_misses",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.cache.classify": ("MissBreakdown", "classify_misses"),
+        "repro.cache.direct_mapped": (
+            "simulate_direct_mapped",
+            "simulate_direct_mapped_scalar",
+            "miss_vector_direct_mapped",
+        ),
+        "repro.cache.engine": (
+            "simulate",
+            "simulate_banks",
+            "simulate_capacity",
+            "evaluate_many",
+        ),
+        "repro.cache.fully_assoc": (
+            "simulate_fully_associative",
+            "simulate_fully_associative_scalar",
+        ),
+        "repro.cache.geometry": (
+            "CacheGeometry",
+            "PAPER_GEOMETRIES",
+            "PAPER_HASHED_BITS",
+        ),
+        "repro.cache.indexing": (
+            "IndexingPolicy",
+            "ModuloIndexing",
+            "BitSelectIndexing",
+            "XorIndexing",
+        ),
+        "repro.cache.set_assoc": (
+            "simulate_set_associative",
+            "simulate_set_associative_scalar",
+        ),
+        "repro.cache.skewed": ("simulate_skewed", "simulate_skewed_scalar"),
+        "repro.cache.stats": ("CacheStats",),
+    },
+)

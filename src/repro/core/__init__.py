@@ -1,20 +1,17 @@
 """The paper's primary contribution: profile-driven index optimization."""
 
-from repro.core.evaluate import (
-    baseline_stats,
-    compare_indexings,
-    evaluate_hash_function,
-    evaluate_hash_functions,
-    evaluate_indexing,
-)
-from repro.core.optimizer import OptimizationResult, optimize_for_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OptimizationResult",
-    "optimize_for_trace",
-    "evaluate_indexing",
-    "evaluate_hash_function",
-    "evaluate_hash_functions",
-    "baseline_stats",
-    "compare_indexings",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.evaluate": (
+            "evaluate_indexing",
+            "evaluate_hash_function",
+            "evaluate_hash_functions",
+            "baseline_stats",
+            "compare_indexings",
+        ),
+        "repro.core.optimizer": ("OptimizationResult", "optimize_for_trace"),
+    },
+)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.cache import engine
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import IndexingPolicy, ModuloIndexing, XorIndexing
 from repro.cache.stats import CacheStats
@@ -35,6 +34,8 @@ def evaluate_indexing(
     context = current_context()
     if context is not None and isinstance(indexing, (ModuloIndexing, XorIndexing)):
         return context.simulate(trace, geometry, indexing)
+    from repro.cache import engine
+
     blocks = trace.block_addresses(geometry.block_size)
     return engine.simulate(blocks, geometry, indexing)
 
@@ -63,6 +64,8 @@ def evaluate_hash_functions(
     context = current_context()
     if context is not None:
         return context.evaluate_many(trace, geometry, functions)
+    from repro.cache import engine
+
     return engine.evaluate_many(trace, geometry, functions)
 
 

@@ -1,67 +1,51 @@
 """Experiment drivers: one module per paper table/figure plus ablations."""
 
-from repro.experiments.ablations import (
-    capacity_filter_ablation,
-    estimator_fidelity,
-    optimality_gap,
-    restarts_ablation,
-    search_timing,
-    strategy_comparison,
-)
-from repro.experiments.counting import format_counting, run_counting
-from repro.experiments.figure2 import format_figure2, run_figure2
-from repro.experiments.general_vs_perm import (
-    PAPER_AVERAGES,
-    format_general_vs_perm,
-    run_general_vs_perm,
-)
-from repro.experiments.table1 import PAPER_TABLE1, format_table1, run_table1
-from repro.experiments.table2 import (
-    PAPER_TABLE2_AVERAGES,
-    format_table2,
-    run_table2,
-)
-from repro.experiments.miss_classification import (
-    format_miss_classification,
-    run_miss_classification,
-)
-from repro.experiments.polynomial_baseline import (
-    format_polynomial_baseline,
-    run_polynomial_baseline,
-)
-from repro.experiments.skewed_comparison import (
-    format_skewed_comparison,
-    run_skewed_comparison,
-)
-from repro.experiments.table3 import PAPER_TABLE3, format_table3, run_table3
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "run_table1",
-    "format_table1",
-    "PAPER_TABLE1",
-    "run_table2",
-    "format_table2",
-    "PAPER_TABLE2_AVERAGES",
-    "run_table3",
-    "format_table3",
-    "PAPER_TABLE3",
-    "run_general_vs_perm",
-    "format_general_vs_perm",
-    "PAPER_AVERAGES",
-    "run_counting",
-    "format_counting",
-    "run_figure2",
-    "format_figure2",
-    "estimator_fidelity",
-    "capacity_filter_ablation",
-    "restarts_ablation",
-    "strategy_comparison",
-    "search_timing",
-    "optimality_gap",
-    "run_skewed_comparison",
-    "format_skewed_comparison",
-    "run_polynomial_baseline",
-    "format_polynomial_baseline",
-    "run_miss_classification",
-    "format_miss_classification",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.ablations": (
+            "estimator_fidelity",
+            "capacity_filter_ablation",
+            "restarts_ablation",
+            "strategy_comparison",
+            "search_timing",
+            "optimality_gap",
+        ),
+        "repro.experiments.counting": ("run_counting", "format_counting"),
+        "repro.experiments.figure2": ("run_figure2", "format_figure2"),
+        "repro.experiments.general_vs_perm": (
+            "run_general_vs_perm",
+            "format_general_vs_perm",
+            "PAPER_AVERAGES",
+        ),
+        "repro.experiments.table1": (
+            "run_table1",
+            "format_table1",
+            "PAPER_TABLE1",
+        ),
+        "repro.experiments.table2": (
+            "run_table2",
+            "format_table2",
+            "PAPER_TABLE2_AVERAGES",
+        ),
+        "repro.experiments.miss_classification": (
+            "run_miss_classification",
+            "format_miss_classification",
+        ),
+        "repro.experiments.polynomial_baseline": (
+            "run_polynomial_baseline",
+            "format_polynomial_baseline",
+        ),
+        "repro.experiments.skewed_comparison": (
+            "run_skewed_comparison",
+            "format_skewed_comparison",
+        ),
+        "repro.experiments.table3": (
+            "run_table3",
+            "format_table3",
+            "PAPER_TABLE3",
+        ),
+    },
+)

@@ -5,79 +5,51 @@ design-space counting formulas and the central
 :class:`~repro.gf2.hashfn.XorHashFunction` class.
 """
 
-from repro.gf2.batched import (
-    ColumnReplacementScreen,
-    high_bit_index,
-    reduce_by_basis,
-    rref_basis,
-)
-from repro.gf2.bitpack import (
-    pack_bit_planes,
-    pack_bits,
-    packed_parity_rows,
-    popcount_rows,
-    unpack_bits,
-    weighted_popcount,
-)
-from repro.gf2.bitvec import (
-    bits_of,
-    dot,
-    from_bits,
-    mask,
-    parity,
-    parity_table,
-    popcount,
-)
-from repro.gf2.counting import (
-    gaussian_binomial,
-    num_distinct_null_spaces,
-    num_full_rank_matrices,
-    num_matrices,
-    num_subspaces_total,
-)
-from repro.gf2.hashfn import XorHashFunction
-from repro.gf2.matrix import GF2Matrix
-from repro.gf2.polynomial import (
-    irreducible_polynomials,
-    is_irreducible,
-    poly_degree,
-    poly_mod,
-    poly_mul,
-    polynomial_hash_function,
-)
-from repro.gf2.spaces import Subspace, all_subspace_bases
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ColumnReplacementScreen",
-    "high_bit_index",
-    "reduce_by_basis",
-    "rref_basis",
-    "pack_bit_planes",
-    "pack_bits",
-    "packed_parity_rows",
-    "popcount_rows",
-    "unpack_bits",
-    "weighted_popcount",
-    "bits_of",
-    "dot",
-    "from_bits",
-    "mask",
-    "parity",
-    "parity_table",
-    "popcount",
-    "gaussian_binomial",
-    "num_distinct_null_spaces",
-    "num_full_rank_matrices",
-    "num_matrices",
-    "num_subspaces_total",
-    "GF2Matrix",
-    "Subspace",
-    "all_subspace_bases",
-    "XorHashFunction",
-    "poly_degree",
-    "poly_mul",
-    "poly_mod",
-    "is_irreducible",
-    "irreducible_polynomials",
-    "polynomial_hash_function",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.gf2.batched": (
+            "ColumnReplacementScreen",
+            "high_bit_index",
+            "reduce_by_basis",
+            "rref_basis",
+        ),
+        "repro.gf2.bitpack": (
+            "pack_bit_planes",
+            "pack_bits",
+            "packed_parity_rows",
+            "popcount_rows",
+            "unpack_bits",
+            "weighted_popcount",
+        ),
+        "repro.gf2.bitvec": (
+            "bits_of",
+            "dot",
+            "from_bits",
+            "mask",
+            "parity",
+            "parity_table",
+            "popcount",
+        ),
+        "repro.gf2.counting": (
+            "gaussian_binomial",
+            "num_distinct_null_spaces",
+            "num_full_rank_matrices",
+            "num_matrices",
+            "num_subspaces_total",
+        ),
+        "repro.gf2.hashfn": ("XorHashFunction",),
+        "repro.gf2.matrix": ("GF2Matrix",),
+        "repro.gf2.polynomial": (
+            "poly_degree",
+            "poly_mul",
+            "poly_mod",
+            "is_irreducible",
+            "irreducible_polynomials",
+            "polynomial_hash_function",
+        ),
+        "repro.gf2.spaces": ("Subspace", "all_subspace_bases"),
+    },
+)

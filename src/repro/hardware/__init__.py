@@ -1,43 +1,32 @@
 """Hardware models for reconfigurable XOR-indexing (paper Sec. 5)."""
 
-from repro.hardware.energy import EnergyModel, EnergyReport, indexing_energy
-from repro.hardware.network import (
-    GeneralXorNetwork,
-    OptimizedBitSelectNetwork,
-    PermutationNetwork,
-    PlainBitSelectNetwork,
-    ReconfigurableNetwork,
-    Selector,
-    build_network,
-)
-from repro.hardware.schematic import render_network, render_selector_row
-from repro.hardware.switches import (
-    bit_select_switches,
-    general_xor_switches,
-    optimized_bit_select_switches,
-    permutation_switches,
-    switch_counts,
-)
-from repro.hardware.wiring import WiringReport, wiring_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Selector",
-    "ReconfigurableNetwork",
-    "PlainBitSelectNetwork",
-    "OptimizedBitSelectNetwork",
-    "GeneralXorNetwork",
-    "PermutationNetwork",
-    "build_network",
-    "bit_select_switches",
-    "optimized_bit_select_switches",
-    "general_xor_switches",
-    "permutation_switches",
-    "switch_counts",
-    "WiringReport",
-    "wiring_report",
-    "render_network",
-    "render_selector_row",
-    "EnergyModel",
-    "EnergyReport",
-    "indexing_energy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.hardware.energy": (
+            "EnergyModel",
+            "EnergyReport",
+            "indexing_energy",
+        ),
+        "repro.hardware.network": (
+            "Selector",
+            "ReconfigurableNetwork",
+            "PlainBitSelectNetwork",
+            "OptimizedBitSelectNetwork",
+            "GeneralXorNetwork",
+            "PermutationNetwork",
+            "build_network",
+        ),
+        "repro.hardware.schematic": ("render_network", "render_selector_row"),
+        "repro.hardware.switches": (
+            "bit_select_switches",
+            "optimized_bit_select_switches",
+            "general_xor_switches",
+            "permutation_switches",
+            "switch_counts",
+        ),
+        "repro.hardware.wiring": ("WiringReport", "wiring_report"),
+    },
+)

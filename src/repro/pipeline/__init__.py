@@ -23,60 +23,42 @@ Three pieces:
   fault-injection harness in :mod:`repro.pipeline.faults`.
 """
 
-from repro.pipeline.artifact_cache import ArtifactCache, default_cache_dir, stable_key
-from repro.pipeline.campaign import (
-    CampaignResult,
-    CampaignRow,
-    format_campaign,
-    run_campaign,
-)
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.faults import (
-    FAULT_KINDS,
-    FAULT_SITES,
-    FAULTS_ENV,
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-    active_plan,
-    use_faults,
-)
-from repro.pipeline.resilience import TaskOutcome, run_resilient
-from repro.pipeline.runtime import current_context, use_context
-from repro.pipeline.storage import (
-    STORAGE_BACKENDS,
-    STORAGE_ENV,
-    LocalDirStorage,
-    SqliteStorage,
-    StorageBackend,
-    resolve_storage,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactCache",
-    "default_cache_dir",
-    "stable_key",
-    "PipelineContext",
-    "current_context",
-    "use_context",
-    "CampaignRow",
-    "CampaignResult",
-    "run_campaign",
-    "format_campaign",
-    "FAULT_KINDS",
-    "FAULT_SITES",
-    "FAULTS_ENV",
-    "FaultInjected",
-    "FaultPlan",
-    "FaultSpec",
-    "active_plan",
-    "use_faults",
-    "TaskOutcome",
-    "run_resilient",
-    "STORAGE_BACKENDS",
-    "STORAGE_ENV",
-    "StorageBackend",
-    "LocalDirStorage",
-    "SqliteStorage",
-    "resolve_storage",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.pipeline.artifact_cache": (
+            "ArtifactCache",
+            "default_cache_dir",
+            "stable_key",
+        ),
+        "repro.pipeline.campaign": (
+            "CampaignRow",
+            "CampaignResult",
+            "run_campaign",
+            "format_campaign",
+        ),
+        "repro.pipeline.context": ("PipelineContext",),
+        "repro.pipeline.faults": (
+            "FAULT_KINDS",
+            "FAULT_SITES",
+            "FAULTS_ENV",
+            "FaultInjected",
+            "FaultPlan",
+            "FaultSpec",
+            "active_plan",
+            "use_faults",
+        ),
+        "repro.pipeline.resilience": ("TaskOutcome", "run_resilient"),
+        "repro.pipeline.runtime": ("current_context", "use_context"),
+        "repro.pipeline.storage": (
+            "STORAGE_BACKENDS",
+            "STORAGE_ENV",
+            "StorageBackend",
+            "LocalDirStorage",
+            "SqliteStorage",
+            "resolve_storage",
+        ),
+    },
+)

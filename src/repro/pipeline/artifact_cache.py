@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import zipfile
 from pathlib import Path
 from typing import Any
@@ -95,6 +96,9 @@ class ArtifactCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.storage = resolve_storage(self.root, storage)
         self.counters: dict[str, dict[str, int]] = {}
+        # ``repro serve`` job threads share one cache; an unlocked
+        # read-add-write of a counter could lose counts.
+        self._counters_lock = threading.Lock()
 
     @property
     def storage_name(self) -> str:
@@ -108,28 +112,30 @@ class ArtifactCache:
     # -- accounting --------------------------------------------------------
 
     def _bump(self, kind: str, event: str) -> None:
-        per_kind = self.counters.setdefault(
-            kind, {"hits": 0, "misses": 0, "stores": 0}
-        )
-        # Beyond the standard three, events ("quarantined") appear
-        # lazily, so the common counter dicts keep their stable shape.
-        per_kind[event] = per_kind.get(event, 0) + 1
+        with self._counters_lock:
+            per_kind = self.counters.setdefault(
+                kind, {"hits": 0, "misses": 0, "stores": 0}
+            )
+            # Beyond the standard three, events ("quarantined") appear
+            # lazily, so the common counter dicts keep their stable shape.
+            per_kind[event] = per_kind.get(event, 0) + 1
 
     @property
     def hits(self) -> int:
-        return sum(c["hits"] for c in self.counters.values())
+        return sum(c["hits"] for c in self.stats().values())
 
     @property
     def misses(self) -> int:
-        return sum(c["misses"] for c in self.counters.values())
+        return sum(c["misses"] for c in self.stats().values())
 
     @property
     def stores(self) -> int:
-        return sum(c["stores"] for c in self.counters.values())
+        return sum(c["stores"] for c in self.stats().values())
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Copy of the per-kind counters."""
-        return {kind: dict(c) for kind, c in self.counters.items()}
+        with self._counters_lock:
+            return {kind: dict(c) for kind, c in self.counters.items()}
 
     # -- paths -------------------------------------------------------------
 
@@ -201,11 +207,43 @@ class ArtifactCache:
         return payload
 
     def store_json(self, kind: str, key: str, payload: dict) -> None:
+        self.store_memo(kind, key, payload)
+        self._bump(kind, "stores")
+
+    # -- memos -------------------------------------------------------------
+
+    def load_memo(self, kind: str, key: str) -> dict | None:
+        """A JSON memo entry, or ``None``.
+
+        Memos record facts about inputs (e.g. a registry trace's
+        digest), not computed results, so unlike :meth:`load_json`
+        they bypass the counters and the fault-injection sites.  They
+        share the storage's checksum verification: a corrupt entry is
+        quarantined and reads as ``None``.
+        """
+        path = None
+        try:
+            path, _ = self.storage.materialize(kind, key, ".json")
+            if path is None:
+                return None
+            with open(path) as fh:
+                payload = json.load(fh)
+        except json.JSONDecodeError:
+            self.storage.quarantine(kind, key, ".json")
+            return None
+        except LOAD_ERRORS:
+            return None
+        finally:
+            if path is not None:
+                self.storage.release(path)
+        return payload if isinstance(payload, dict) else None
+
+    def store_memo(self, kind: str, key: str, payload: dict) -> None:
+        """Store a JSON entry without counting it (see :meth:`load_memo`)."""
         text = json.dumps(payload, sort_keys=True)
         self.storage.store(
             kind, key, ".json", lambda tmp: tmp.write_text(text + "\n")
         )
-        self._bump(kind, "stores")
 
     # -- conflict-profile artifacts ----------------------------------------
 

@@ -288,8 +288,7 @@ def _run_task(
     assert context is not None
     before = context.cache_stats()
     t0 = time.perf_counter()
-    # The same spec-to-inputs mapping Session.optimize uses.
-    trace = spec.trace.resolve()
+    trace = context.trace(spec.trace)
     geometry = spec.geometry.resolve()
     family = spec.search.resolve_family(geometry.index_bits)
     # The first cell of a profile group to miss profiles every capacity

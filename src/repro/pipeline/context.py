@@ -1,8 +1,9 @@
 """The pipeline session: one cache-fronted view of the whole flow.
 
 A :class:`PipelineContext` wraps an :class:`ArtifactCache` (optional —
-``cache=None`` gives a purely in-memory session) and exposes the
-pipeline's three expensive primitives with identical semantics to the
+``cache=None`` gives a purely in-memory session).  :meth:`trace` maps a
+spec to its trace, through the cache's trace-digest memo, and the
+pipeline's three expensive primitives keep identical semantics to the
 uncached functions they front:
 
 * :meth:`profile` — :func:`repro.profiling.profile_trace`;
@@ -21,9 +22,8 @@ reads through the cache; results are bit-identical to uncached runs
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.cache import engine
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.cache.stats import CacheStats
@@ -31,9 +31,19 @@ from repro.gf2.hashfn import XorHashFunction
 from repro.pipeline.artifact_cache import ArtifactCache, stable_key
 from repro.pipeline.runtime import use_context
 from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
-from repro.trace.trace import Trace
+from repro.trace.trace import DeferredTrace, Trace
+
+if TYPE_CHECKING:
+    from repro.api.spec import TraceSpec
 
 __all__ = ["PipelineContext"]
+
+#: Storage kind of the trace-digest memo (see :meth:`PipelineContext.trace`).
+TRACE_MEMO = "trace-memo"
+
+#: Memo value for a trace generated in this process: the workload
+#: registry's in-process cache holds it from then on.
+_GENERATED = object()
 
 
 def _geometry_params(geometry: CacheGeometry) -> dict:
@@ -82,7 +92,7 @@ class PipelineContext:
         # In-process memo over the disk store: repeated asks within one
         # session (e.g. one profile shared by three families) cost a
         # dict lookup, not an npz read.
-        self._memo: dict[tuple[str, str], object] = {}
+        self._memo: dict[tuple[str, object], object] = {}
 
     def activate(self):
         """``with ctx.activate():`` — make this the ambient context."""
@@ -100,6 +110,87 @@ class PipelineContext:
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         return self.cache.stats() if self.cache is not None else {}
+
+    # -- traces ------------------------------------------------------------
+
+    def _trace_key(self, spec: "TraceSpec") -> str:
+        """A registry trace's identity plus the fingerprint of the code
+        that generates it, so a memo entry goes stale with that code."""
+        from repro.workloads.registry import generator_fingerprint
+
+        return stable_key(
+            TRACE_MEMO,
+            {
+                "suite": spec.suite,
+                "benchmark": spec.benchmark,
+                "kind": spec.kind,
+                "scale": spec.scale,
+                "seed": spec.seed,
+                "generator": generator_fingerprint(),
+            },
+        )
+
+    def _memoized_trace(self, spec: "TraceSpec", key: str) -> DeferredTrace | None:
+        record = self.cache.load_memo(TRACE_MEMO, key)
+        if record is None:
+            return None
+        try:
+            return DeferredTrace(
+                spec,
+                digest=str(record["digest"]),
+                length=int(record["length"]),
+                uops=int(record["uops"]),
+                name=str(record["name"]),
+                kind=str(record["kind"]),
+                metadata=dict(record["metadata"]),
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
+
+    def trace(self, spec: "TraceSpec") -> Trace:
+        """The trace ``spec`` names; every pipeline entry point maps a
+        spec to its trace through here.
+
+        A registry spec with a cache consults the cache's trace memo: a
+        record of the trace's digest, length, uops, name, kind and
+        metadata, keyed by the spec and :func:`generator_fingerprint
+        <repro.workloads.registry.generator_fingerprint>`.  On a hit it
+        returns a :class:`~repro.trace.trace.DeferredTrace`, so stages
+        served from the cache never run the workload kernel; a stage
+        that needs the addresses generates them then, and they must
+        match the recorded digest.  On a miss the trace is generated
+        and the record written.  Later asks in the same context read no
+        storage: a generated trace comes from the workload registry's
+        in-process cache, a deferred one is reused.  The memo holds no
+        computed result, so it counts no hit, miss or store.
+        File-backed specs and contexts without a cache resolve
+        directly.
+        """
+        if spec.path is not None or self.cache is None:
+            return spec.resolve()
+        # In process the spec itself is the key: the fingerprint is fixed.
+        found = self._memo.get(("trace", spec))
+        if found is None:
+            key = self._trace_key(spec)
+            found = self._memoized_trace(spec, key)
+            if found is None:
+                trace = spec.resolve()
+                self.cache.store_memo(
+                    TRACE_MEMO,
+                    key,
+                    {
+                        "digest": trace.digest,
+                        "length": len(trace),
+                        "uops": trace.uops,
+                        "name": trace.name,
+                        "kind": trace.kind,
+                        "metadata": trace.metadata,
+                    },
+                )
+                self._memo[("trace", spec)] = _GENERATED
+                return trace
+            self._memo[("trace", spec)] = found
+        return spec.resolve() if found is _GENERATED else found
 
     # -- conflict profiles -------------------------------------------------
 
@@ -269,6 +360,8 @@ class PipelineContext:
             payload = self.cache.load_json("stats", key)
             cached = _stats_from_json(payload) if payload is not None else None
         if cached is None:
+            from repro.cache import engine
+
             blocks = trace.block_addresses(geometry.block_size)
             cached = engine.simulate(blocks, geometry, indexing)
             if self.cache is not None:
@@ -316,6 +409,8 @@ class PipelineContext:
             else:
                 results[i] = cached
         if missing:
+            from repro.cache import engine
+
             computed = engine.evaluate_many(
                 trace, geometry, [functions[i] for i in missing]
             )

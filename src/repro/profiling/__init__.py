@@ -1,57 +1,40 @@
 """Profiling substrate: the paper's Fig. 1 pass and Eq. 4 estimator."""
 
-from repro.profiling.conflict_profile import (
-    ConflictProfile,
-    profile_blocks,
-    profile_blocks_reference,
-    profile_blocks_slotted,
-    profile_trace,
-)
-from repro.profiling.estimator import (
-    MissEstimator,
-    estimate_misses,
-    estimate_misses_nullspace,
-    estimate_misses_support,
-)
-from repro.profiling.lru_stack import LRUStack
-from repro.profiling.reuse import (
-    FenwickTree,
-    reuse_distance_histogram,
-    reuse_distances,
-)
-from repro.profiling.sampling import (
-    SamplingReport,
-    profile_blocks_sampled,
-    sampling_quality,
-)
-from repro.profiling.sharded import (
-    ShardedProfileResult,
-    ShardPlan,
-    profile_blocks_sharded,
-    profile_trace_sharded,
-    run_sharded_profile,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConflictProfile",
-    "profile_blocks",
-    "profile_blocks_reference",
-    "profile_blocks_slotted",
-    "profile_trace",
-    "MissEstimator",
-    "estimate_misses",
-    "estimate_misses_nullspace",
-    "estimate_misses_support",
-    "LRUStack",
-    "FenwickTree",
-    "reuse_distances",
-    "reuse_distance_histogram",
-    "SamplingReport",
-    "profile_blocks_sampled",
-    "sampling_quality",
-    "ShardPlan",
-    "ShardedProfileResult",
-    "profile_blocks_sharded",
-    "profile_trace_sharded",
-    "run_sharded_profile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.profiling.conflict_profile": (
+            "ConflictProfile",
+            "profile_blocks",
+            "profile_blocks_reference",
+            "profile_blocks_slotted",
+            "profile_trace",
+        ),
+        "repro.profiling.estimator": (
+            "MissEstimator",
+            "estimate_misses",
+            "estimate_misses_nullspace",
+            "estimate_misses_support",
+        ),
+        "repro.profiling.lru_stack": ("LRUStack",),
+        "repro.profiling.reuse": (
+            "FenwickTree",
+            "reuse_distances",
+            "reuse_distance_histogram",
+        ),
+        "repro.profiling.sampling": (
+            "SamplingReport",
+            "profile_blocks_sampled",
+            "sampling_quality",
+        ),
+        "repro.profiling.sharded": (
+            "ShardPlan",
+            "ShardedProfileResult",
+            "profile_blocks_sharded",
+            "profile_trace_sharded",
+            "run_sharded_profile",
+        ),
+    },
+)

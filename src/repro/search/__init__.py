@@ -1,72 +1,57 @@
 """Design-space search: families, hill climbing, exhaustive baselines."""
 
-from repro.search.branch_bound import (
-    BranchBound,
-    admissible_lower_bound,
-    branch_bound_search,
-    exhaustive_node_count,
-)
-from repro.search.exhaustive import (
-    ExhaustiveResult,
-    enumerate_bit_select_masks,
-    misses_bit_select_exact,
-    optimal_bit_select,
-)
-from repro.search.families import (
-    BitSelectFamily,
-    FunctionFamily,
-    GeneralXorFamily,
-    PermutationFamily,
-    family_for_name,
-)
-from repro.search.hill_climb import (
-    SearchResult,
-    hill_climb,
-    hill_climb_front,
-    hill_climb_restarts,
-    hill_climb_scalar,
-)
-from repro.search.objective import EstimatedMissObjective, ExactSimulationObjective
-from repro.search.optimal_xor import OptimalXorResult, optimal_xor_function
-from repro.search.portfolio import DEFAULT_ZOO, Portfolio
-from repro.search.strategies import (
-    Annealing,
-    BeamSearch,
-    FirstImprovement,
-    SearchStrategy,
-    SteepestDescent,
-    strategy_for_name,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.search.branch_bound": (
+            "BranchBound",
+            "branch_bound_search",
+            "admissible_lower_bound",
+            "exhaustive_node_count",
+        ),
+        "repro.search.exhaustive": (
+            "ExhaustiveResult",
+            "optimal_bit_select",
+            "enumerate_bit_select_masks",
+            "misses_bit_select_exact",
+        ),
+        "repro.search.families": (
+            "FunctionFamily",
+            "GeneralXorFamily",
+            "PermutationFamily",
+            "BitSelectFamily",
+            "family_for_name",
+        ),
+        "repro.search.hill_climb": (
+            "SearchResult",
+            "hill_climb",
+            "hill_climb_scalar",
+            "hill_climb_front",
+            "hill_climb_restarts",
+        ),
+        "repro.search.objective": (
+            "EstimatedMissObjective",
+            "ExactSimulationObjective",
+        ),
+        "repro.search.optimal_xor": (
+            "OptimalXorResult",
+            "optimal_xor_function",
+        ),
+        "repro.search.portfolio": ("Portfolio", "DEFAULT_ZOO"),
+        "repro.search.strategies": (
+            "SearchStrategy",
+            "SteepestDescent",
+            "FirstImprovement",
+            "BeamSearch",
+            "Annealing",
+            "strategy_for_name",
+        ),
+    },
 )
 
-__all__ = [
-    "FunctionFamily",
-    "GeneralXorFamily",
-    "PermutationFamily",
-    "BitSelectFamily",
-    "family_for_name",
-    "SearchResult",
-    "hill_climb",
-    "hill_climb_scalar",
-    "hill_climb_front",
-    "hill_climb_restarts",
-    "SearchStrategy",
-    "SteepestDescent",
-    "FirstImprovement",
-    "BeamSearch",
-    "Annealing",
-    "BranchBound",
-    "Portfolio",
-    "DEFAULT_ZOO",
-    "branch_bound_search",
-    "admissible_lower_bound",
-    "exhaustive_node_count",
-    "strategy_for_name",
-    "ExhaustiveResult",
-    "optimal_bit_select",
-    "enumerate_bit_select_masks",
-    "misses_bit_select_exact",
-    "EstimatedMissObjective",
-    "ExactSimulationObjective",
-    "OptimalXorResult",
-    "optimal_xor_function",
-]
+# Bound eagerly: importing the ``repro.search.hill_climb`` submodule
+# sets the package attribute ``hill_climb`` to that module, which a
+# lazy lookup would then never replace with the function.
+from repro.search.hill_climb import hill_climb  # noqa: E402

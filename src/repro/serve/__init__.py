@@ -18,17 +18,13 @@ Many replicas can share one artifact cache by pointing ``--cache-dir``
 at a sqlite-backed root (see :mod:`repro.pipeline.storage`).
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.jobs import JOB_STATES, Job, JobRegistry, QueueFull
-from repro.serve.server import ReproServer, ServerHandle
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JOB_STATES",
-    "Job",
-    "JobRegistry",
-    "QueueFull",
-    "ReproServer",
-    "ServerHandle",
-    "ServeClient",
-    "ServeError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.client": ("ServeClient", "ServeError"),
+        "repro.serve.jobs": ("JOB_STATES", "Job", "JobRegistry", "QueueFull"),
+        "repro.serve.server": ("ReproServer", "ServerHandle"),
+    },
+)

@@ -39,6 +39,13 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
+# A job's compute path.  The packages import lazily, so without these a
+# server would pay for them inside its first job rather than before it
+# starts listening.
+import repro.api.report  # noqa: F401
+import repro.cache.engine  # noqa: F401
+import repro.core.optimizer  # noqa: F401
+import repro.search.batched  # noqa: F401
 from repro.api.errors import SpecError
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec

@@ -1,55 +1,40 @@
 """Address-trace substrate: the Trace type, synthetic generators, I/O."""
 
-from repro.trace.formats import (
-    iter_dinero,
-    iter_lackey,
-    iter_trace_text,
-    load_dinero,
-    load_lackey,
-)
-from repro.trace.io import load_trace, load_trace_text, save_trace, save_trace_text
-from repro.trace.stats import TraceSummary, summarize
-from repro.trace.stream import (
-    TRACE_FORMATS,
-    BinTraceWriter,
-    convert_to_bin,
-    infer_trace_format,
-    save_trace_bin,
-)
-from repro.trace.synth import (
-    interleaved,
-    matrix_column_walk,
-    pingpong,
-    random_uniform,
-    repeat,
-    sequential,
-    strided,
-)
-from repro.trace.trace import Trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Trace",
-    "TraceSummary",
-    "summarize",
-    "save_trace",
-    "load_trace",
-    "save_trace_text",
-    "load_trace_text",
-    "load_dinero",
-    "load_lackey",
-    "iter_dinero",
-    "iter_lackey",
-    "iter_trace_text",
-    "BinTraceWriter",
-    "save_trace_bin",
-    "convert_to_bin",
-    "infer_trace_format",
-    "TRACE_FORMATS",
-    "sequential",
-    "strided",
-    "interleaved",
-    "matrix_column_walk",
-    "pingpong",
-    "random_uniform",
-    "repeat",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.trace.formats": (
+            "load_dinero",
+            "load_lackey",
+            "iter_dinero",
+            "iter_lackey",
+            "iter_trace_text",
+        ),
+        "repro.trace.io": (
+            "save_trace",
+            "load_trace",
+            "save_trace_text",
+            "load_trace_text",
+        ),
+        "repro.trace.stats": ("TraceSummary", "summarize"),
+        "repro.trace.stream": (
+            "BinTraceWriter",
+            "save_trace_bin",
+            "convert_to_bin",
+            "infer_trace_format",
+            "TRACE_FORMATS",
+        ),
+        "repro.trace.synth": (
+            "sequential",
+            "strided",
+            "interleaved",
+            "matrix_column_walk",
+            "pingpong",
+            "random_uniform",
+            "repeat",
+        ),
+        "repro.trace.trace": ("Trace",),
+    },
+)

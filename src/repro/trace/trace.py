@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["Trace"]
+__all__ = ["Trace", "DeferredTrace", "TraceDigestError"]
 
 #: Bumped whenever the digest recipe changes, so stale on-disk artifacts
 #: keyed by an older recipe can never be mistaken for current ones.
@@ -218,3 +218,60 @@ class Trace:
             f"Trace(name={self.name!r}, kind={self.kind!r}, "
             f"refs={len(self)}, uops={self.uops})"
         )
+
+
+class TraceDigestError(RuntimeError):
+    """A deferred trace's addresses do not match its recorded digest."""
+
+
+class DeferredTrace(Trace):
+    """A :class:`Trace` whose addresses are produced on first use.
+
+    Everything else (the content digest, length, uops, name, kind and
+    metadata) is known up front, typically from a persistent record, so
+    work keyed by the digest runs without producing the trace at all.
+    The first read of :attr:`addresses` calls ``source.resolve()``.  The
+    trace it returns must have the recorded digest and length, or
+    :class:`TraceDigestError` is raised and no address is served.
+    """
+
+    def __init__(
+        self,
+        source: Any,
+        digest: str,
+        length: int,
+        uops: int,
+        name: str,
+        kind: str,
+        metadata: dict[str, Any],
+    ):
+        if kind not in _VALID_KINDS:
+            raise ValueError(f"kind must be one of {_VALID_KINDS}, got {kind!r}")
+        for attr, value in (
+            ("uops", uops),
+            ("name", name),
+            ("kind", kind),
+            ("metadata", metadata),
+            ("_source", source),
+            ("_digest", digest),
+            ("_length", length),
+        ):
+            object.__setattr__(self, attr, value)
+
+    @property
+    def addresses(self) -> np.ndarray:
+        addresses = self.__dict__.get("_addresses")
+        if addresses is None:
+            trace = self._source.resolve()
+            if trace.digest != self._digest or len(trace) != self._length:
+                raise TraceDigestError(
+                    f"trace {self.name!r} was recorded with digest "
+                    f"{self._digest} and {self._length} references, but "
+                    f"generating it gave {trace.digest} and {len(trace)}"
+                )
+            addresses = trace.addresses
+            object.__setattr__(self, "_addresses", addresses)
+        return addresses
+
+    def __len__(self) -> int:
+        return self._length

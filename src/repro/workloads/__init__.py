@@ -7,18 +7,18 @@ fetches and uop counts the real benchmark would produce.  See DESIGN.md
 for the substitution rationale.
 """
 
-from repro.workloads.cpu import CodeImage, TraceBuilder, WorkloadRun
-from repro.workloads.layout import MemoryLayout, Region
-from repro.workloads.registry import SUITES, get_trace, get_workload, workload_names
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MemoryLayout",
-    "Region",
-    "TraceBuilder",
-    "CodeImage",
-    "WorkloadRun",
-    "SUITES",
-    "workload_names",
-    "get_workload",
-    "get_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.cpu": ("TraceBuilder", "CodeImage", "WorkloadRun"),
+        "repro.workloads.layout": ("MemoryLayout", "Region"),
+        "repro.workloads.registry": (
+            "SUITES",
+            "workload_names",
+            "get_workload",
+            "get_trace",
+        ),
+    },
+)

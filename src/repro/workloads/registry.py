@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+import hashlib
+from functools import cache, lru_cache
+from pathlib import Path
+
+import numpy as np
 
 from repro.trace.trace import Trace
 from repro.workloads import mibench, powerstone
@@ -16,6 +20,7 @@ __all__ = [
     "has_workload",
     "get_workload",
     "get_trace",
+    "generator_fingerprint",
 ]
 
 SUITES = {
@@ -73,3 +78,25 @@ def get_trace(
 ) -> Trace:
     """Convenience: the data or instruction trace of a workload."""
     return get_workload(suite, name, scale, seed).trace(kind)
+
+
+@cache
+def generator_fingerprint() -> str:
+    """sha256 of everything a registry trace's content depends on.
+
+    That is the source of every module under :mod:`repro.workloads`,
+    :mod:`repro.trace.trace` (the :class:`Trace` constructor coerces
+    the addresses) and the NumPy version.  Records keyed by it (the
+    pipeline's trace-digest memo) go stale by construction when any of
+    them changes.  Computed once per process.
+    """
+    package = Path(__file__).resolve().parent.parent
+    sources = sorted(
+        path.relative_to(package).as_posix()
+        for path in (package / "workloads").rglob("*.py")
+    )
+    digest = hashlib.sha256(f"numpy={np.__version__}".encode())
+    for name in [*sources, "trace/trace.py"]:
+        digest.update(f"\0{name}\0".encode())
+        digest.update((package / name).read_bytes())
+    return digest.hexdigest()

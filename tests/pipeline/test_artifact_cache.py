@@ -1,5 +1,8 @@
 """Tests for the content-addressed artifact store."""
 
+import sys
+import threading
+
 import numpy as np
 
 from repro.pipeline.artifact_cache import (
@@ -177,3 +180,31 @@ class TestSelfHealing:
             with attempt_scope(1):
                 self._store_arrays(cache, key)  # recompute
                 assert cache.load_arrays("arrays", key) is not None
+
+
+class TestCounterThreadSafety:
+    def test_concurrent_bumps_lose_no_count(self, tmp_path):
+        """``repro serve`` job threads share one cache's counters."""
+        cache = ArtifactCache(tmp_path)
+        threads, bumps = 8, 10_000
+        # Switch threads as often as possible, so an unlocked
+        # read-add-write would interleave.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = threading.Barrier(threads)
+
+            def bump():
+                start.wait()
+                for _ in range(bumps):
+                    cache._bump("stats", "hits")
+
+            workers = [threading.Thread(target=bump) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert cache.stats()["stats"]["hits"] == threads * bumps
+        assert cache.hits == threads * bumps

@@ -1,0 +1,162 @@
+"""Import guards: ``import repro`` and a cached ``repro run`` stay lean.
+
+Package ``__init__`` modules re-export lazily (PEP 562) and the CLI
+imports each subcommand's dependencies inside it, so a warm replay
+loads neither the campaign executor, the certified search, the miss
+classifier, the service, the experiment drivers nor a process pool.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.api import ExperimentSpec, GeometrySpec, SearchSpec, TraceSpec
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Modules a cached replay never needs.
+HEAVY = (
+    "repro.search.branch_bound",
+    "repro.pipeline.resilience",
+    "repro.cache.classify",
+    "repro.serve",
+    "repro.experiments",
+    "repro.hardware",
+    "concurrent.futures.process",
+)
+
+
+def run_python(*args, cwd=ROOT):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def heavy_loaded(modules) -> list[str]:
+    return sorted(
+        name
+        for name in modules
+        for heavy in HEAVY
+        if name == heavy or name.startswith(heavy + ".")
+    )
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A spec file and a cache directory holding its every artifact."""
+    root = tmp_path_factory.mktemp("warm")
+    spec = ExperimentSpec(
+        trace=TraceSpec("powerstone", "qurt", scale="tiny"),
+        geometry=GeometrySpec(cache_bytes=1024),
+        search=SearchSpec(family="2-in"),
+    )
+    spec_file = spec.save(root / "spec.toml")
+    cache = root / "cache"
+    cold = run_python("-m", "repro", "run", spec_file, "--cache-dir", cache, "--json")
+    assert cold.returncode == 0, cold.stderr
+    return spec_file, cache, cold.stdout
+
+
+def test_import_repro_is_lean():
+    probe = run_python(
+        "-c", "import json, sys, repro; print(json.dumps(sorted(sys.modules)))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    modules = json.loads(probe.stdout)
+    assert heavy_loaded(modules) == []
+    assert "repro.api.session" not in modules
+
+
+def test_warm_run_is_lean(warm_cache):
+    spec_file, cache, cold = warm_cache
+    warm = run_python(
+        "-X", "importtime", "-m", "repro", "run", spec_file,
+        "--cache-dir", cache, "--expect-cached", "--json",
+    )
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold
+    modules = [
+        line.rsplit("|", 1)[1].strip()
+        for line in warm.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+    assert "repro.core.optimizer" in modules
+    assert heavy_loaded(modules) == []
+
+
+def _packages():
+    names = ["repro"]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.ispkg:
+            names.append(info.name)
+    return names
+
+
+@pytest.mark.parametrize("package", _packages())
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    for name in getattr(module, "__all__", ()):
+        assert getattr(module, name) is not None, name
+        assert name in dir(module)
+
+
+def test_lazy_attribute_errors_are_attribute_errors():
+    with pytest.raises(AttributeError):
+        repro.no_such_name  # noqa: B018
+    assert not hasattr(repro.pipeline, "no_such_name")
+
+
+def test_search_exports_the_hill_climb_function():
+    """The ``repro.search.hill_climb`` submodule shares its name with
+    the function the package exports; the function wins."""
+    import repro.search
+    import repro.search.hill_climb  # noqa: F401
+
+    assert callable(repro.search.hill_climb)
+    assert repro.search.hill_climb.__module__ == "repro.search.hill_climb"
+
+
+def test_perfbench_tracer_installs_on_the_lazy_layout():
+    probe = run_python(
+        "-c",
+        "import sys; sys.path.insert(0, 'perfbench')\n"
+        "from tracer import Tracer\n"
+        "import repro.__main__\n"
+        "import repro.cache.engine as engine, repro.workloads.registry as registry\n"
+        "originals = engine.simulate, registry.get_workload\n"
+        "tracer = Tracer(); tracer.install()\n"
+        "assert engine.simulate is not originals[0]\n"
+        "assert registry.get_workload is not originals[1]\n"
+        "tracer.uninstall()\n"
+        "assert (engine.simulate, registry.get_workload) == originals\n",
+    )
+    assert probe.returncode == 0, probe.stderr
+
+
+def test_traced_warm_replay_generates_no_trace(warm_cache, tmp_path):
+    spec_file, cache, cold = warm_cache
+    spans = tmp_path / "replay.spans"
+    traced = run_python(
+        ROOT / "perfbench" / "traced_repro.py", spans, "run", spec_file,
+        "--cache-dir", cache, "--expect-cached", "--json",
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == cold
+    layers = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    assert "cache.load" in layers
+    assert "workloads" not in layers
