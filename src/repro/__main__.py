@@ -32,7 +32,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -466,15 +465,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tables_session(args: argparse.Namespace):
-    """Artifact-cache session for the tables command (if requested)."""
-    from repro.pipeline.context import PipelineContext
-
-    if args.cache_dir is None:
-        return contextlib.nullcontext()
-    return PipelineContext(args.cache_dir).activate()
-
-
 def cmd_tables(args: argparse.Namespace) -> int:
     from repro.experiments import (
         format_counting,
@@ -486,9 +476,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
         run_table2,
         run_table3,
     )
+    from repro.pipeline.context import PipelineContext
 
     which = set(args.only) if args.only else {"counting", "table1", "table2", "table3", "general-vs-perm"}
-    with _tables_session(args):
+    context = PipelineContext(args.cache_dir) if args.cache_dir is not None else None
+    try:
         if "counting" in which:
             print(format_counting())
             print()
@@ -496,18 +488,22 @@ def cmd_tables(args: argparse.Namespace) -> int:
             print(format_table1())
             print()
         if "general-vs-perm" in which:
-            print(format_general_vs_perm(run_general_vs_perm(scale=args.scale)))
+            print(format_general_vs_perm(
+                run_general_vs_perm(scale=args.scale, context=context)))
             print()
         if "table2" in which:
-            print(format_table2(run_table2(
-                kind="data", scale=args.scale, workers=args.workers)))
-            print()
-            print(format_table2(run_table2(
-                kind="instruction", scale=args.scale, workers=args.workers)))
-            print()
+            for kind in ("data", "instruction"):
+                print(format_table2(run_table2(
+                    kind=kind, scale=args.scale, workers=args.workers,
+                    context=context)))
+                print()
         if "table3" in which:
             print(format_table3(run_table3(
-                scale=args.scale, max_refs=40_000, workers=args.workers)))
+                scale=args.scale, max_refs=40_000, workers=args.workers,
+                context=context)))
+    finally:
+        if context is not None:
+            context.close()
     return 0
 
 

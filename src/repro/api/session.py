@@ -15,9 +15,10 @@ worker count — and consumes declarative :class:`ExperimentSpec`\\ s:
 
 Campaigns run on the same specs end to end (:func:`expand_grid` builds
 a grid of them).  The older kwarg surface ``optimize_for_trace`` with
-its eleven keywords and the ambient ``PipelineContext`` contextvar
-remain available (the Session is built on them), but a spec plus a
-session expresses the same runs declaratively and serializably.
+its eleven keywords remains available (the Session is built on it, and
+:meth:`Session.context` hands it the session's cache as ``context=``),
+but a spec plus a session expresses the same runs declaratively and
+serializably.
 """
 
 from __future__ import annotations
@@ -203,12 +204,6 @@ class Session:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def activate(self):
-        """``with session.activate():`` — make the session ambient, so
-        legacy entry points (``optimize_for_trace`` et al.) read through
-        its artifact cache too."""
-        return self.context().activate()
 
     @property
     def backends(self) -> list[dict]:

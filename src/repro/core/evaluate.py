@@ -2,9 +2,9 @@
 
 All entry points route through :mod:`repro.cache.engine`: one
 geometry-dispatched simulation core, plus batched verification of a
-whole candidate front in a single trace replay.  When a pipeline
-context is active (:mod:`repro.pipeline`), results are read through
-its content-addressed artifact cache instead of re-simulating.
+whole candidate front in a single trace replay.  These are plain
+engine calls; :class:`repro.pipeline.PipelineContext` fronts the same
+evaluations with its content-addressed artifact cache.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import IndexingPolicy, ModuloIndexing, XorIndexing
 from repro.cache.stats import CacheStats
 from repro.gf2.hashfn import XorHashFunction
-from repro.pipeline.runtime import current_context
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -31,9 +30,6 @@ def evaluate_indexing(
     trace: Trace, geometry: CacheGeometry, indexing: IndexingPolicy
 ) -> CacheStats:
     """Exact miss count of a trace through a cache with this indexing."""
-    context = current_context()
-    if context is not None and isinstance(indexing, (ModuloIndexing, XorIndexing)):
-        return context.simulate(trace, geometry, indexing)
     from repro.cache import engine
 
     blocks = trace.block_addresses(geometry.block_size)
@@ -61,9 +57,6 @@ def evaluate_hash_functions(
     (property-tested), but the index streams are computed in one stacked
     NumPy pass over the trace's working set.
     """
-    context = current_context()
-    if context is not None:
-        return context.evaluate_many(trace, geometry, functions)
     from repro.cache import engine
 
     return engine.evaluate_many(trace, geometry, functions)

@@ -15,14 +15,9 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.api.errors import SpecError
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.cache.stats import CacheStats
-from repro.core.evaluate import (
-    baseline_stats,
-    evaluate_hash_function,
-    evaluate_hash_functions,
-)
 from repro.gf2.hashfn import XorHashFunction
-from repro.pipeline.runtime import current_context, use_context
-from repro.profiling.conflict_profile import ConflictProfile, profile_trace
+from repro.pipeline.context import PipelineContext
+from repro.profiling.conflict_profile import ConflictProfile
 from repro.search.families import FunctionFamily, family_for_name
 from repro.search.hill_climb import SearchResult, hill_climb_front, hill_climb_restarts
 from repro.search.strategies import SearchStrategy, strategy_for_name
@@ -30,7 +25,6 @@ from repro.trace.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.spec import ExperimentSpec
-    from repro.pipeline.context import PipelineContext
 
 __all__ = ["OptimizationResult", "optimize_for_trace"]
 
@@ -149,9 +143,9 @@ def optimize_for_trace(
         trace and the cache capacity, not on the family searched).
     context:
         Pipeline session whose artifact cache backs the profile, the
-        exact simulations and the whole result (defaults to the ambient
-        :func:`repro.pipeline.runtime.current_context`).  A cached
-        result is bit-identical to recomputing it.
+        exact simulations and the whole result (``None`` runs on a
+        fresh cache-less context).  A cached result is bit-identical to
+        recomputing it.
     strategy:
         Search strategy — a spec string (``"steepest"``,
         ``"first-improvement"``, ``"beam:4"``, ``"anneal"``) or any
@@ -182,40 +176,33 @@ def optimize_for_trace(
         strategy = strategy_for_name(strategy)
     except ValueError as error:
         raise SpecError(str(error)) from None
-    ctx = context if context is not None else current_context()
+    ctx = context if context is not None else PipelineContext()
     if profile is None:
-        profile = ctx.profile(trace, geometry, n) if ctx is not None else (
-            profile_trace(trace, geometry, n)
-        )
-    if ctx is not None:
-        # A deterministic single-start search does not depend on the
-        # seed, so normalize it out of the record key and let every
-        # seed share the artifact.  Non-deterministic strategies
-        # (annealing) seed their own walk, so the seed stays in.
-        key_seed = seed if (restarts > 0 or not strategy.deterministic) else 0
-        cached = ctx.load_optimization(
-            trace, geometry, family.name, n, guard, restarts, key_seed,
-            max_steps, profile, strategy=strategy.name,
-        )
-        if cached is not None:
-            return cached
-        with use_context(ctx):
-            result = _optimize(
-                trace, geometry, family, n, guard, restarts, seed, max_steps,
-                profile, strategy,
-            )
-        ctx.store_optimization(
-            trace, geometry, family.name, n, guard, restarts, key_seed,
-            max_steps, result, strategy=strategy.name,
-        )
-        return result
-    return _optimize(
-        trace, geometry, family, n, guard, restarts, seed, max_steps, profile,
-        strategy,
+        profile = ctx.profile(trace, geometry, n)
+    # A deterministic single-start search does not depend on the seed,
+    # so normalize it out of the record key and let every seed share
+    # the artifact.  Non-deterministic strategies (annealing) seed
+    # their own walk, so the seed stays in.
+    key_seed = seed if (restarts > 0 or not strategy.deterministic) else 0
+    cached = ctx.load_optimization(
+        trace, geometry, family.name, n, guard, restarts, key_seed,
+        max_steps, profile, strategy=strategy.name,
     )
+    if cached is not None:
+        return cached
+    result = _optimize(
+        ctx, trace, geometry, family, n, guard, restarts, seed, max_steps,
+        profile, strategy,
+    )
+    ctx.store_optimization(
+        trace, geometry, family.name, n, guard, restarts, key_seed,
+        max_steps, result, strategy=strategy.name,
+    )
+    return result
 
 
 def _optimize(
+    ctx: PipelineContext,
     trace: Trace,
     geometry: CacheGeometry,
     family: FunctionFamily,
@@ -228,7 +215,7 @@ def _optimize(
     strategy: "SearchStrategy",
 ) -> OptimizationResult:
     """The profile -> hill climb -> exact verification flow itself."""
-    baseline = baseline_stats(trace, geometry)
+    baseline = ctx.baseline(trace, geometry)
     if restarts > 0:
         # Multi-start: exact-verify the whole front of local optima in
         # one batched engine replay and keep the *simulated* winner
@@ -237,7 +224,7 @@ def _optimize(
             profile, family, restarts=restarts, seed=seed, max_steps=max_steps,
             strategy=strategy,
         )
-        front_stats = evaluate_hash_functions(
+        front_stats = ctx.evaluate_many(
             trace, geometry, [result.function for result in front]
         )
         search, optimized = min(
@@ -252,7 +239,7 @@ def _optimize(
             profile, family, restarts=restarts, seed=seed, max_steps=max_steps,
             strategy=strategy,
         )
-        optimized = evaluate_hash_function(trace, geometry, search.function)
+        optimized = ctx.evaluate(trace, geometry, search.function)
 
     chosen = search.function
     reverted = False

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 from repro.cache.geometry import CacheGeometry
 from repro.core.evaluate import evaluate_hash_functions
 from repro.gf2.hashfn import XorHashFunction
-from repro.pipeline.runtime import use_context
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,14 +63,10 @@ def exact_miss_counts(
     Drivers that score many functions on the same trace (e.g. the
     polynomial sweep) route through the engine's batched evaluator
     instead of simulating one candidate at a time.  Pass ``context``
-    (or run under an active pipeline session) to read previously
-    verified candidates from the artifact cache and simulate only the
-    rest.
+    to read previously verified candidates from its artifact cache and
+    simulate only the rest.
     """
-    if context is not None:
-        with use_context(context):
-            return exact_miss_counts(trace, geometry, functions)
-    return [
-        stats.misses
-        for stats in evaluate_hash_functions(trace, geometry, list(functions))
-    ]
+    evaluate_many = (
+        context.evaluate_many if context is not None else evaluate_hash_functions
+    )
+    return [stats.misses for stats in evaluate_many(trace, geometry, list(functions))]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.core.optimizer import optimize_for_trace
 from repro.experiments.common import format_table, mean
-from repro.profiling.conflict_profile import profile_trace
+from repro.pipeline.context import PipelineContext
 from repro.search.families import GeneralXorFamily, PermutationFamily
 from repro.workloads.registry import get_workload, workload_names
 
@@ -50,7 +50,12 @@ def run_general_vs_perm(
     cache_sizes: tuple[int, ...] = (1024, 4096, 16384),
     benchmarks: tuple[str, ...] | None = None,
     seed: int = 0,
+    context: PipelineContext | None = None,
 ) -> list[GeneralVsPermResult]:
+    """Optimize both families per benchmark and cache size, reading
+    through ``context``'s artifact cache (``None`` runs without one)."""
+    if context is None:
+        context = PipelineContext()
     names = benchmarks if benchmarks is not None else tuple(workload_names("mibench"))
     n = PAPER_HASHED_BITS
     results = []
@@ -61,12 +66,14 @@ def run_general_vs_perm(
         permutation: dict[str, float] = {}
         for name in names:
             trace = get_workload("mibench", name, scale, seed).data
-            profile = profile_trace(trace, geometry, n)
+            profile = context.profile(trace, geometry, n)
             general[name] = optimize_for_trace(
-                trace, geometry, family=GeneralXorFamily(n, m), profile=profile
+                trace, geometry, family=GeneralXorFamily(n, m), profile=profile,
+                context=context,
             ).removed_percent
             permutation[name] = optimize_for_trace(
-                trace, geometry, family=PermutationFamily(n, m), profile=profile
+                trace, geometry, family=PermutationFamily(n, m), profile=profile,
+                context=context,
             ).removed_percent
         results.append(
             GeneralVsPermResult(

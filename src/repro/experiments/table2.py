@@ -16,6 +16,7 @@ from repro.api.session import expand_grid
 from repro.core.optimizer import OptimizationResult
 from repro.experiments.common import format_table, mean
 from repro.pipeline.campaign import run_campaign
+from repro.pipeline.context import PipelineContext
 
 __all__ = ["Table2Row", "Table2Result", "run_table2", "format_table2", "PAPER_TABLE2_AVERAGES"]
 
@@ -71,10 +72,12 @@ def run_table2(
     benchmarks: tuple[str, ...] | None = None,
     seed: int = 0,
     workers: int | None = 1,
+    context: PipelineContext | None = None,
 ) -> Table2Result:
     """Regenerate one half of Table 2.
 
-    The grid runs as a pipeline campaign: the conflict profile is
+    The grid runs as a pipeline campaign through ``context``'s artifact
+    cache directory (``None`` runs in memory): the conflict profile is
     computed once per (benchmark, cache size) and shared by all
     families through the session memo / artifact cache, and with
     ``workers > 1`` (or ``None`` for one per core) rows are simulated
@@ -91,7 +94,12 @@ def run_table2(
             "workload_seed": seed,
         }
     )
-    campaign = run_campaign(specs, workers=workers, keep_details=True)
+    campaign = run_campaign(
+        specs,
+        cache_dir=context.cache_root if context is not None else None,
+        workers=workers,
+        keep_details=True,
+    )
     rows: dict[tuple[str, int], Table2Row] = {}
     for campaign_row in campaign.rows:
         benchmark = campaign_row.spec.trace.benchmark

@@ -23,12 +23,11 @@ from functools import partial
 
 from repro.cache.fully_assoc import simulate_fully_associative
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
-from repro.core.evaluate import baseline_stats, evaluate_hash_function
 from repro.core.optimizer import optimize_for_trace
 from repro.experiments.common import format_table, mean
-from repro.pipeline.campaign import map_with_context
-from repro.pipeline.runtime import current_context
-from repro.profiling.conflict_profile import profile_trace
+from repro.pipeline.campaign import init_worker, resolve_workers, task_context
+from repro.pipeline.context import PipelineContext
+from repro.pipeline.resilience import run_resilient
 from repro.search.exhaustive import optimal_bit_select
 from repro.workloads.registry import get_workload, workload_names
 
@@ -69,21 +68,23 @@ def _table3_row(
     opt_mode: str,
     seed: int,
     max_refs: int | None,
+    context: PipelineContext | None,
+    cache_dir: str | None,
 ) -> Table3Row:
-    """One Table 3 row; top level so campaign workers can pickle it."""
+    """One Table 3 row; top level so pool workers can pickle it.
+
+    A serial run passes its ``context``; a pool worker runs on its own
+    context for ``cache_dir``.
+    """
+    context = task_context(context, cache_dir)
     geometry = CacheGeometry.direct_mapped(cache_bytes)
     n = PAPER_HASHED_BITS
     trace = get_workload("powerstone", name, scale, seed).data
     if max_refs is not None:
         trace = trace.head(max_refs)
     blocks = trace.block_addresses(geometry.block_size)
-    base = baseline_stats(trace, geometry)
-    context = current_context()
-    profile = (
-        context.profile(trace, geometry, n)
-        if context is not None
-        else profile_trace(trace, geometry, n)
-    )
+    base = context.baseline(trace, geometry)
+    profile = context.profile(trace, geometry, n)
     row = Table3Row(benchmark=name, base_misses=base.misses)
 
     exhaustive = optimal_bit_select(
@@ -93,12 +94,12 @@ def _table3_row(
         profile=profile if opt_mode == "estimate" else None,
         mode=opt_mode,
     )
-    opt_stats = evaluate_hash_function(trace, geometry, exhaustive.function)
+    opt_stats = context.evaluate(trace, geometry, exhaustive.function)
     row.removed_percent["opt"] = opt_stats.removed_fraction(base)
 
     for family in ("1-in", "2-in", "4-in", "16-in"):
         result = optimize_for_trace(
-            trace, geometry, family=family, profile=profile
+            trace, geometry, family=family, profile=profile, context=context
         )
         row.removed_percent[family] = result.removed_percent
 
@@ -115,6 +116,7 @@ def run_table3(
     seed: int = 0,
     max_refs: int | None = None,
     workers: int | None = 1,
+    context: PipelineContext | None = None,
 ) -> list[Table3Row]:
     """Regenerate Table 3.
 
@@ -125,11 +127,16 @@ def run_table3(
     ``max_refs`` truncates long traces before the exhaustive pass — the
     same cost control that limited the paper to the short PowerStone
     suite.  Rows run as pipeline tasks: profiles, baselines and exact
-    verifications go through the active artifact cache, and
-    ``workers > 1`` (or ``None`` for one per core) fans benchmarks out
-    across a process pool.
+    verifications go through ``context``'s artifact cache (``None``
+    runs without one), and ``workers > 1`` (or ``None`` for one per
+    core) fans benchmarks out across a process pool whose workers share
+    that cache directory.
     """
     names = benchmarks if benchmarks is not None else tuple(workload_names("powerstone"))
+    workers = resolve_workers(workers, len(names))
+    if context is None:
+        context = PipelineContext()
+    cache_dir = str(context.cache_root) if context.cache_root is not None else None
     row_fn = partial(
         _table3_row,
         scale=scale,
@@ -137,8 +144,17 @@ def run_table3(
         opt_mode=opt_mode,
         seed=seed,
         max_refs=max_refs,
+        context=context if workers == 1 else None,
+        cache_dir=cache_dir,
     )
-    return map_with_context(row_fn, names, workers=workers)
+    outcomes = run_resilient(
+        row_fn,
+        names,
+        workers=workers,
+        initializer=init_worker,
+        initargs=(cache_dir,),
+    )
+    return [outcome.value for outcome in outcomes]
 
 
 def average_row(rows: list[Table3Row]) -> dict[str, float]:

@@ -9,10 +9,9 @@ Three pieces:
   pluggable byte-store backends (:mod:`repro.pipeline.storage`: local
   directory layout or a sqlite index shared by concurrent replicas);
 * :class:`~repro.pipeline.context.PipelineContext` — the session
-  object threaded (explicitly or ambiently, via
-  :func:`~repro.pipeline.runtime.use_context`) through
-  :mod:`repro.core` and the experiment drivers, so every flow reads
-  through the cache with bit-identical results;
+  object passed explicitly (``context=``) to :mod:`repro.core` and the
+  experiment drivers, so every flow reads through the cache with
+  bit-identical results;
 * :func:`~repro.pipeline.campaign.run_campaign` — process-pool
   execution of :class:`~repro.api.spec.ExperimentSpec` grids (benchmark
   x geometry x family cells, see :func:`repro.api.expand_grid`), shared
@@ -51,7 +50,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "use_faults",
         ),
         "repro.pipeline.resilience": ("TaskOutcome", "run_resilient"),
-        "repro.pipeline.runtime": ("current_context", "use_context"),
         "repro.pipeline.storage": (
             "STORAGE_BACKENDS",
             "STORAGE_ENV",

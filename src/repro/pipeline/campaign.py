@@ -32,7 +32,6 @@ from repro.api.spec import ExecutionSpec, ExperimentSpec
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.faults import maybe_inject
 from repro.pipeline.resilience import TaskOutcome, run_resilient
-from repro.pipeline.runtime import current_context, use_context
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.optimizer import OptimizationResult
@@ -199,7 +198,9 @@ _worker_context: PipelineContext | None = None
 _worker_cache_dir: str | None = None
 
 
-def _init_worker(cache_dir: str | None) -> None:
+def init_worker(cache_dir: str | None) -> None:
+    """Pool initializer: a fresh per-process context for ``cache_dir``
+    (never one inherited from a forked parent)."""
     global _worker_context, _worker_cache_dir
     _worker_cache_dir = cache_dir
     _worker_context = PipelineContext(cache_dir)
@@ -221,35 +222,25 @@ def _counters_delta(
     return delta
 
 
-def _resolve_execution(
-    cache_dir: str | Path | None, workers: int | None, count: int
-) -> tuple[str | None, int, PipelineContext]:
-    """Shared cache-dir/worker/context resolution for both executors.
-
-    The explicit ``cache_dir`` wins; otherwise the ambient context's
-    cache is adopted so nested campaigns share the session's artifacts.
-    At most one item runs serially (``workers`` 1).  The returned
-    context is for *serial* execution: the ambient context is reused
-    only when it is backed by the resolved directory, else a fresh
-    session is created (never silently writing elsewhere).
-    """
-    ambient = current_context()
-    if cache_dir is None and ambient is not None and ambient.cache is not None:
-        cache_dir = ambient.cache.root
-    cache_dir = str(cache_dir) if cache_dir is not None else None
+def resolve_workers(workers: int | None, count: int) -> int:
+    """Process count for ``count`` tasks: ``None`` picks one per core
+    (at most one per task), and at most one task runs serially."""
     if workers is None:
         workers = min(count, os.cpu_count() or 1) or 1
-    workers = 1 if count <= 1 else max(1, workers)
-    ambient_root = (
-        str(ambient.cache.root)
-        if ambient is not None and ambient.cache is not None
-        else None
-    )
-    if ambient is not None and cache_dir == ambient_root:
-        serial_context = ambient
-    else:
-        serial_context = PipelineContext(cache_dir)
-    return cache_dir, workers, serial_context
+    return 1 if count <= 1 else max(1, workers)
+
+
+def task_context(
+    context: PipelineContext | None, cache_dir: str | None
+) -> PipelineContext:
+    """The context a task runs under: the one its serial caller passed
+    in, else this pool worker's own context for ``cache_dir``."""
+    if context is not None:
+        return context
+    if _worker_context is None or _worker_cache_dir != cache_dir:
+        init_worker(cache_dir)
+    assert _worker_context is not None
+    return _worker_context
 
 
 def _profile_group(spec: ExperimentSpec) -> tuple:
@@ -280,12 +271,7 @@ def _run_task(
     # retried attempt then redoes exactly what a clean first attempt
     # would have, keeping fault-injected reports bit-identical.
     maybe_inject("campaign.task", fault_key(spec))
-    global _worker_context
-    if context is None:
-        if _worker_context is None or _worker_cache_dir != cache_dir:
-            _init_worker(cache_dir)
-        context = _worker_context
-    assert context is not None
+    context = task_context(context, cache_dir)
     before = context.cache_stats()
     t0 = time.perf_counter()
     trace = context.trace(spec.trace)
@@ -380,9 +366,8 @@ def run_campaign(
         ``execution`` tables are ignored — pass the execution
         environment here.
     cache_dir:
-        Artifact-cache directory shared by all workers.  Defaults to
-        the ambient pipeline context's cache (if one is active); pass
-        ``None`` with no ambient context for a purely in-memory run.
+        Artifact-cache directory shared by all workers; ``None`` runs
+        purely in memory.
     workers:
         Process count; ``None`` picks ``min(len(specs), cpu_count)``,
         and ``0``/``1`` runs serially in-process (no pool, useful under
@@ -407,9 +392,8 @@ def run_campaign(
         budget even when ``retries`` is 0.
     """
     specs = [_cell(spec) for spec in specs]
-    cache_dir, workers, serial_context = _resolve_execution(
-        cache_dir, workers, len(specs)
-    )
+    cache_dir = str(cache_dir) if cache_dir is not None else None
+    workers = resolve_workers(workers, len(specs))
 
     t0 = time.perf_counter()
     # Without a cache the pool workers' memos would be private and a
@@ -424,13 +408,14 @@ def run_campaign(
         else None
     )
     task_cache_dir = ephemeral.name if ephemeral is not None else cache_dir
+    serial_context = PipelineContext(cache_dir) if workers == 1 else None
     try:
         outcomes = run_resilient(
             functools.partial(
                 _run_task,
                 cache_dir=task_cache_dir,
                 keep_details=keep_details,
-                context=serial_context if workers == 1 else None,
+                context=serial_context,
                 profile_capacities=_profile_capacities(specs),
             ),
             specs,
@@ -438,10 +423,12 @@ def run_campaign(
             retries=retries,
             task_timeout=task_timeout,
             on_error=on_error,
-            initializer=_init_worker,
+            initializer=init_worker,
             initargs=(task_cache_dir,),
         )
     finally:
+        if serial_context is not None:
+            serial_context.close()
         if ephemeral is not None:
             ephemeral.cleanup()
     return CampaignResult(
@@ -452,54 +439,10 @@ def run_campaign(
     )
 
 
-def _call_with_context(fn, item):
-    """Invoke ``fn(item)`` with the worker's pipeline context ambient."""
-    with use_context(_worker_context):
-        return fn(item)
-
-
-def map_with_context(
-    fn,
-    items: Sequence,
-    cache_dir: str | Path | None = None,
-    workers: int | None = 1,
-    retries: int = 0,
-    task_timeout: float | None = None,
-    on_error: str = "raise",
-):
-    """``[fn(item) for item in items]`` with a pipeline context active.
-
-    The generic sibling of :func:`run_campaign` for drivers whose rows
-    are not plain (benchmark, geometry, family) cells — e.g. Table 3's
-    exhaustive-optimum column and the sharded profiler.  ``fn`` must be
-    picklable (a top-level function or :func:`functools.partial` of
-    one) when ``workers > 1``.  Result order follows ``items``; the
-    resilience knobs match :func:`run_campaign` (under
-    ``on_error="skip"`` a failed item's result is ``None``).
-    """
-    items = list(items)
-    cache_dir, workers, serial_context = _resolve_execution(
-        cache_dir, workers, len(items)
-    )
-    with use_context(serial_context):
-        outcomes = run_resilient(
-            fn if workers == 1 else functools.partial(_call_with_context, fn),
-            items,
-            workers=workers,
-            retries=retries,
-            task_timeout=task_timeout,
-            on_error=on_error,
-            initializer=_init_worker,
-            initargs=(cache_dir,),
-        )
-    return [outcome.value for outcome in outcomes]
-
-
 def format_campaign(result: CampaignResult) -> str:
     """Plain-text campaign report in the package's table style."""
-    # Imported here: the experiments package itself imports repro.core,
-    # which consults the pipeline runtime — a module-level import would
-    # be circular.
+    # Imported here so running a campaign never loads the experiments
+    # package.
     from repro.experiments.common import format_table
 
     rows = [

@@ -13,10 +13,10 @@ uncached functions they front:
   :class:`~repro.core.optimizer.OptimizationResult` records, so a warm
   campaign replay skips even the hill climb.
 
-Activate a context (``with ctx.activate(): ...``) and every driver,
-example and ``optimize_for_trace`` call in the block transparently
-reads through the cache; results are bit-identical to uncached runs
-(property-tested in ``tests/pipeline``).
+Stages take their context as an explicit ``context=`` argument
+(:func:`~repro.core.optimizer.optimize_for_trace`, the table drivers,
+the campaign runner's tasks); results are bit-identical to a context
+without a cache (property-tested in ``tests/pipeline``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.cache.stats import CacheStats
 from repro.gf2.hashfn import XorHashFunction
 from repro.pipeline.artifact_cache import ArtifactCache, stable_key
-from repro.pipeline.runtime import use_context
 from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
 from repro.trace.trace import DeferredTrace, Trace
 
@@ -93,10 +92,6 @@ class PipelineContext:
         # session (e.g. one profile shared by three families) cost a
         # dict lookup, not an npz read.
         self._memo: dict[tuple[str, object], object] = {}
-
-    def activate(self):
-        """``with ctx.activate():`` — make this the ambient context."""
-        return use_context(self)
 
     def close(self) -> None:
         """Release the cache's backend resources and drop the memo."""

@@ -1,8 +1,8 @@
 """Resilient execution: retries, timeouts, crash recovery.
 
 :func:`run_resilient` is the fault-tolerant replacement for ``map``
-that campaigns, ``map_with_context`` (and through it the sharded
-profiler) and ``repro serve`` jobs run on.  With ``workers <= 1`` it
+that campaigns, Table 3 rows, the sharded profiler and ``repro serve``
+jobs run on.  With ``workers <= 1`` it
 runs in-process — no pool, no scratch directory — and otherwise on a
 process pool.  It adds, over a plain map:
 

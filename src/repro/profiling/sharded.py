@@ -234,17 +234,22 @@ def _profile_shard(
 # -- worker tasks (top level so the process pool can pickle them) ----------
 
 
-def _scan_shard_task(item, source) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scan one shard: return (blocks, last times, recomputed)."""
+def _scan_shard_task(
+    item, source, context, cache_dir
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Scan one shard: return (blocks, last times, recomputed).
+
+    A serial run passes its ``context``; a pool worker runs on its own
+    context for ``cache_dir`` (as do the profiling tasks).
+    """
+    from repro.pipeline.campaign import task_context
     from repro.pipeline.faults import maybe_inject
-    from repro.pipeline.runtime import current_context
 
     start, stop, key = item
     # Entry injection, before any cache access: a retried attempt redoes
     # exactly what a clean attempt would (see repro.pipeline.faults).
     maybe_inject("shard.profile", f"scan:{start}:{stop}")
-    context = current_context()
-    cache = context.cache if context is not None else None
+    cache = task_context(context, cache_dir).cache
     if cache is not None and key is not None:
         stored = cache.load_arrays("shard-scan", key)
         if stored is not None:
@@ -255,17 +260,19 @@ def _scan_shard_task(item, source) -> tuple[np.ndarray, np.ndarray, bool]:
     return blocks, times, True
 
 
-def _profile_shard_task(item, source, capacity_blocks, n) -> ConflictProfile:
+def _profile_shard_task(
+    item, source, capacity_blocks, n, context, cache_dir
+) -> ConflictProfile:
     """Profile one (known-missing) shard and store its artifact."""
+    from repro.pipeline.campaign import task_context
     from repro.pipeline.faults import maybe_inject
-    from repro.pipeline.runtime import current_context
 
     start, stop, key, prefix_blocks = item
     maybe_inject("shard.profile", f"profile:{start}:{stop}")
     profile = _profile_shard(source.read(start, stop), prefix_blocks, capacity_blocks, n)
-    context = current_context()
-    if context is not None and context.cache is not None and key is not None:
-        context.cache.store_profile(key, profile, kind="shard-profile")
+    cache = task_context(context, cache_dir).cache
+    if cache is not None and key is not None:
+        cache.store_profile(key, profile, kind="shard-profile")
     return profile
 
 
@@ -289,8 +296,9 @@ def _run_sharded(
     on_error: str = "raise",
 ) -> ShardedProfileResult:
     from repro.pipeline.artifact_cache import stable_key
-    from repro.pipeline.campaign import map_with_context
-    from repro.pipeline.runtime import use_context
+    from repro.pipeline.campaign import init_worker, resolve_workers
+    from repro.pipeline.context import PipelineContext
+    from repro.pipeline.resilience import run_resilient
 
     if capacity_blocks < 1:
         raise ValueError(f"capacity must be >= 1 block, got {capacity_blocks}")
@@ -316,8 +324,30 @@ def _run_sharded(
             seconds=time.perf_counter() - t0,
         )
 
-    cache = context.cache if context is not None else None
+    if context is None:
+        context = PipelineContext()
+    cache = context.cache
     cache_dir = str(cache.root) if cache is not None else None
+
+    def run_tasks(task, items: list) -> list:
+        """``[task(item) for item in items]`` on the serial context or a
+        pool whose workers open ``cache_dir`` themselves."""
+        phase_workers = resolve_workers(min(workers, len(items)), len(items))
+        outcomes = run_resilient(
+            partial(
+                task,
+                context=context if phase_workers == 1 else None,
+                cache_dir=cache_dir,
+            ),
+            items,
+            workers=phase_workers,
+            retries=retries,
+            task_timeout=task_timeout,
+            on_error=on_error,
+            initializer=init_worker,
+            initargs=(cache_dir,),
+        )
+        return [outcome.value for outcome in outcomes]
 
     def shard_key(kind: str, shard: Shard) -> str | None:
         if key_base is None or cache is None:
@@ -341,56 +371,41 @@ def _run_sharded(
             (shard.start, shard.stop, shard_key("shard-scan", shard))
             for shard in shards[: max(missing)]
         ]
-        scope = context.activate() if context is not None else _null_scope()
-        with scope:
-            summaries = map_with_context(
-                partial(_scan_shard_task, source=source),
-                scan_items,
-                cache_dir=cache_dir,
-                workers=min(workers, len(scan_items)) or 1,
-                retries=retries,
-                task_timeout=task_timeout,
-                on_error=on_error,
-            )
-            recomputed_scans = sum(1 for *_, fresh in summaries if fresh)
-            missing_set = set(missing)
-            prefixes: dict[int, np.ndarray] = {}
-            state_blocks = np.empty(0, dtype=np.uint64)
-            state_times = np.empty(0, dtype=np.int64)
-            for shard in shards:
-                if shard.index in missing_set:
-                    # Blocks live before the shard, in ascending
-                    # last-occurrence order = LRU stack order.
-                    prefixes[shard.index] = state_blocks[np.argsort(state_times)]
-                if shard.index < len(summaries):
-                    blocks, times, _fresh = summaries[shard.index]
-                    state_blocks, state_times = _merge_state(
-                        state_blocks, state_times, blocks, times
-                    )
-            del state_blocks, state_times, summaries
-            profile_items = [
-                (
-                    shards[i].start,
-                    shards[i].stop,
-                    profile_keys[i],
-                    prefixes.pop(i),
+        summaries = run_tasks(partial(_scan_shard_task, source=source), scan_items)
+        recomputed_scans = sum(1 for *_, fresh in summaries if fresh)
+        missing_set = set(missing)
+        prefixes: dict[int, np.ndarray] = {}
+        state_blocks = np.empty(0, dtype=np.uint64)
+        state_times = np.empty(0, dtype=np.int64)
+        for shard in shards:
+            if shard.index in missing_set:
+                # Blocks live before the shard, in ascending
+                # last-occurrence order = LRU stack order.
+                prefixes[shard.index] = state_blocks[np.argsort(state_times)]
+            if shard.index < len(summaries):
+                blocks, times, _fresh = summaries[shard.index]
+                state_blocks, state_times = _merge_state(
+                    state_blocks, state_times, blocks, times
                 )
-                for i in missing
-            ]
-            computed = map_with_context(
-                partial(
-                    _profile_shard_task,
-                    source=source,
-                    capacity_blocks=capacity_blocks,
-                    n=n,
-                ),
-                profile_items,
-                cache_dir=cache_dir,
-                workers=min(workers, len(profile_items)) or 1,
-                retries=retries,
-                task_timeout=task_timeout,
-                on_error=on_error,
+        del state_blocks, state_times, summaries
+        profile_items = [
+            (
+                shards[i].start,
+                shards[i].stop,
+                profile_keys[i],
+                prefixes.pop(i),
             )
+            for i in missing
+        ]
+        computed = run_tasks(
+            partial(
+                _profile_shard_task,
+                source=source,
+                capacity_blocks=capacity_blocks,
+                n=n,
+            ),
+            profile_items,
+        )
         for i, profile in zip(missing, computed):
             profiles[i] = profile
     merged = ConflictProfile.merge(iter(profiles))
@@ -403,14 +418,6 @@ def _run_sharded(
         recomputed_scans=recomputed_scans,
         seconds=time.perf_counter() - t0,
     )
-
-
-class _null_scope:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 def profile_blocks_sharded(
@@ -466,10 +473,6 @@ def run_sharded_profile(
     only unfinished shards; already-cached shard artifacts are never
     recomputed by a retry.
     """
-    if context is None:
-        from repro.pipeline.runtime import current_context
-
-        context = current_context()
     block_size = geometry.block_size
     path = trace.mmap_path
     if path is not None:

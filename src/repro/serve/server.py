@@ -255,7 +255,8 @@ class ReproServer:
             return ExperimentSpec.from_dict(payload)
         except _HttpError:
             raise
-        except (SpecError, ValueError, UnicodeDecodeError) as error:
+        except (SpecError, ValueError, UnicodeDecodeError, RecursionError) as error:
+            # RecursionError: nesting too deep for the JSON/TOML parser.
             raise _HttpError(400, f"invalid spec: {error}")
 
     async def _route(

@@ -83,15 +83,17 @@ class TestOptimize:
         session.optimize(other)
         assert recomputed(session) > before
 
-    def test_ambient_activation_serves_legacy_calls(self, tmp_path):
+    def test_session_context_serves_legacy_calls(self, tmp_path):
         spec = tiny_spec()
         session = Session(cache_dir=tmp_path)
         direct = session.optimize(spec)
         before = recomputed(session)
-        with session.activate():
-            legacy = optimize_for_trace(
-                spec.trace.resolve(), spec.geometry.resolve(), family="2-in"
-            )
+        legacy = optimize_for_trace(
+            spec.trace.resolve(),
+            spec.geometry.resolve(),
+            family="2-in",
+            context=session.context(),
+        )
         assert recomputed(session) == before  # fully served from cache
         assert legacy.hash_function == direct.hash_function
 

@@ -6,6 +6,7 @@ from repro.experiments.general_vs_perm import (
     format_general_vs_perm,
     run_general_vs_perm,
 )
+from repro.pipeline import PipelineContext
 
 
 @pytest.fixture(scope="module")
@@ -31,3 +32,12 @@ class TestGeneralVsPerm:
     def test_format(self, results):
         text = format_general_vs_perm(results)
         assert "1KB" in text and "permutation" in text
+
+    def test_context_serves_warm_rerun(self, tmp_path, results):
+        kwargs = dict(scale="tiny", cache_sizes=(1024,), benchmarks=("dijkstra", "susan"))
+        cold = run_general_vs_perm(context=PipelineContext(tmp_path), **kwargs)
+        warm_context = PipelineContext(tmp_path)
+        warm = run_general_vs_perm(context=warm_context, **kwargs)
+        assert warm == cold == results
+        stats = warm_context.cache_stats()
+        assert sum(kind["stores"] for kind in stats.values()) == 0

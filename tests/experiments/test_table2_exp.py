@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.table2 import format_table2, run_table2
+from repro.pipeline import PipelineContext
 
 _BENCHMARKS = ("fft", "rijndael")
 
@@ -61,3 +62,11 @@ class TestTable2Driver:
             benchmarks=("dijkstra",),
         )
         assert len(result.rows) == 1
+
+    def test_context_supplies_cache_dir(self, tmp_path):
+        kwargs = dict(scale="tiny", cache_sizes=(1024,), benchmarks=("fft",))
+        context = PipelineContext(tmp_path)
+        cold = run_table2(context=context, **kwargs)
+        assert (tmp_path / "optimization").is_dir()
+        warm = run_table2(context=context, **kwargs)
+        assert warm.rows[0].removed_percent == cold.rows[0].removed_percent

@@ -8,6 +8,7 @@ from repro.experiments.table3 import (
     format_table3,
     run_table3,
 )
+from repro.pipeline import PipelineContext
 
 _BENCHMARKS = ("blit", "des", "qurt")
 
@@ -41,3 +42,30 @@ class TestTable3Driver:
         estimate = run_table3(scale="tiny", benchmarks=("fir",), opt_mode="estimate")
         # Exact optimum can only be at least as good in true misses.
         assert exact[0].removed_percent["opt"] >= estimate[0].removed_percent["opt"] - 1e-9
+
+
+def _files(root):
+    return sorted(path for path in root.rglob("*") if path.is_file())
+
+
+class TestExplicitContext:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_rerun_stores_nothing(self, tmp_path, monkeypatch, workers):
+        """Rows read and write the handed context's cache; a warm rerun
+        is served from it, stores nothing, returns equal rows and leaves
+        the context open for its owner."""
+        kwargs = dict(benchmarks=("qurt", "fir"), scale="tiny", workers=workers)
+        cold = run_table3(context=PipelineContext(tmp_path), **kwargs)
+        written = _files(tmp_path)
+        assert written
+        closed = []
+        monkeypatch.setattr(PipelineContext, "close", lambda self: closed.append(self))
+        context = PipelineContext(tmp_path)
+        warm = run_table3(context=context, **kwargs)
+        assert closed == []
+        assert warm == cold == run_table3(**kwargs)
+        assert _files(tmp_path) == written
+        if workers == 1:
+            stats = context.cache_stats()
+            assert sum(kind["stores"] for kind in stats.values()) == 0
+            assert sum(kind["hits"] for kind in stats.values()) > 0

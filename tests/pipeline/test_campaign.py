@@ -2,12 +2,20 @@
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.api import ExperimentSpec, GeometrySpec, SearchSpec, TraceSpec, expand_grid
-from repro.pipeline import PipelineContext, format_campaign, run_campaign
-from repro.pipeline.campaign import derive_seed, fault_key, map_with_context
+from repro.pipeline import PipelineContext, format_campaign, run_campaign, run_resilient
+from repro.pipeline import campaign as campaign_module
+from repro.pipeline.campaign import (
+    derive_seed,
+    fault_key,
+    init_worker,
+    task_context,
+)
+from repro.pipeline.storage import SqliteStorage
 
 BENCHMARKS = ("qurt", "fir")
 
@@ -190,13 +198,24 @@ class TestRunCampaign:
         # (nothing under the default location was touched).
         assert parallel.cache_totals()["stores"] > 0
 
-    def test_ambient_context_supplies_cache_dir(self, tmp_path):
+    def test_serial_run_closes_its_storage(self, tmp_path, monkeypatch):
+        """Each serial campaign opens one context on the cache root and
+        must release its backend when the run ends."""
+        closes = []
+        original = SqliteStorage.close
+
+        def counting_close(self):
+            closes.append(self)
+            original(self)
+
+        monkeypatch.setattr(SqliteStorage, "close", counting_close)
+        PipelineContext(tmp_path, storage="sqlite").close()  # lays out the index
+        closes.clear()
         specs = tiny_grid(families=("2-in",))
-        with PipelineContext(tmp_path).activate():
-            result = run_campaign(specs, workers=1)
-        assert result.cache_dir == str(tmp_path)
-        warm = run_campaign(specs, cache_dir=tmp_path, workers=1)
-        assert warm.fully_cached
+        for _ in range(3):
+            run_campaign(specs, cache_dir=tmp_path, workers=1)
+        assert len(closes) == 3
+        assert len({id(storage) for storage in closes}) == 3
 
     def test_to_json_is_serializable(self, tmp_path):
         result = run_campaign(tiny_grid(families=("2-in",)), workers=1)
@@ -341,34 +360,46 @@ class TestMultiCapacityProfiling:
             )
 
 
-class TestMapWithContext:
-    def test_preserves_order_serial(self):
-        assert map_with_context(_double, [3, 1, 2], workers=1) == [6, 2, 4]
+class TestTaskContext:
+    """Tasks fanned out with run_resilient get their context explicitly:
+    the serial caller's, or each pool worker's own for the cache dir."""
+
+    @pytest.fixture(autouse=True)
+    def _no_worker_context(self, monkeypatch):
+        monkeypatch.setattr(campaign_module, "_worker_context", None)
+        monkeypatch.setattr(campaign_module, "_worker_cache_dir", None)
+
+    def test_preserves_order_serial(self, tmp_path):
+        task = partial(_double_with_root, context=PipelineContext(tmp_path), cache_dir=None)
+        outcomes = run_resilient(task, [3, 1, 2], workers=1)
+        root = str(tmp_path)
+        assert [o.value for o in outcomes] == [(6, root), (2, root), (4, root)]
 
     def test_preserves_order_parallel(self, tmp_path):
-        assert map_with_context(
-            _double, [3, 1, 2], cache_dir=tmp_path, workers=2
-        ) == [6, 2, 4]
+        outcomes = run_resilient(
+            partial(_double_with_root, context=None, cache_dir=str(tmp_path)),
+            [3, 1, 2],
+            workers=2,
+            initializer=init_worker,
+            initargs=(str(tmp_path),),
+        )
+        root = str(tmp_path)
+        assert [o.value for o in outcomes] == [(6, root), (2, root), (4, root)]
 
-    def test_context_is_active_inside(self, tmp_path):
-        roots = map_with_context(_cache_root, [0], cache_dir=tmp_path, workers=1)
-        assert roots == [str(tmp_path)]
+    def test_worker_context_follows_cache_dir(self, tmp_path):
+        dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
+        first = task_context(None, dir_a)
+        assert task_context(None, dir_a) is first
+        assert str(first.cache_root) == dir_a
+        assert str(task_context(None, dir_b).cache_root) == dir_b
+        assert task_context(None, None).cache_root is None
 
-    def test_explicit_cache_dir_beats_ambient_serially(self, tmp_path):
-        """A serial map must honor an explicit cache_dir even under an
-        ambient session backed elsewhere (same rule as workers > 1)."""
-        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        with PipelineContext(dir_a).activate():
-            roots = map_with_context(_cache_root, [0], cache_dir=dir_b, workers=1)
-        assert roots == [str(dir_b)]
-
-
-def _double(x):
-    return 2 * x
+    def test_handed_context_wins_serially(self, tmp_path):
+        handed = PipelineContext(tmp_path / "a")
+        assert task_context(handed, str(tmp_path / "b")) is handed
+        assert campaign_module._worker_context is None
 
 
-def _cache_root(_):
-    from repro.pipeline.runtime import current_context
-
-    context = current_context()
-    return str(context.cache.root) if context.cache is not None else None
+def _double_with_root(x, context, cache_dir):
+    root = task_context(context, cache_dir).cache_root
+    return 2 * x, str(root) if root is not None else None

@@ -1,5 +1,6 @@
 """Pipeline session tests: cached results must be bit-identical to
-uncached ones, cold or warm, with or without an active context."""
+uncached ones, cold or warm, with or without a cache behind the
+context."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,15 +8,12 @@ from hypothesis import given, settings
 from repro.cache import engine
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
-from repro.core.evaluate import (
-    baseline_stats,
-    evaluate_hash_function,
-    evaluate_hash_functions,
-)
 from repro.core.optimizer import optimize_for_trace
 from repro.gf2.hashfn import XorHashFunction
-from repro.pipeline import PipelineContext, current_context, use_context
+from repro.pipeline import PipelineContext
 from repro.profiling.conflict_profile import profile_trace
+from repro.search.families import family_for_name
+from repro.search.hill_climb import hill_climb_restarts
 from repro.trace.trace import Trace
 from tests.conftest import block_traces, hash_functions
 
@@ -26,21 +24,7 @@ def make_trace(blocks):
     return Trace(np.asarray(blocks, dtype=np.uint64) * 4, name="prop")
 
 
-class TestAmbientContext:
-    def test_activate_and_reset(self, tmp_path):
-        assert current_context() is None
-        ctx = PipelineContext(tmp_path)
-        with ctx.activate():
-            assert current_context() is ctx
-        assert current_context() is None
-
-    def test_use_context_none_disables(self, tmp_path):
-        ctx = PipelineContext(tmp_path)
-        with ctx.activate():
-            with use_context(None):
-                assert current_context() is None
-            assert current_context() is ctx
-
+class TestMemoryOnly:
     def test_memory_only_session(self, conflict_trace, geometry_1kb):
         """cache=None still memoizes within the session."""
         ctx = PipelineContext(None)
@@ -61,11 +45,8 @@ class TestBitIdentical:
         direct = engine.simulate(
             trace.block_addresses(4), geometry, XorIndexing(fn)
         )
-        ctx = PipelineContext(tmp)
-        with ctx.activate():
-            cold = evaluate_hash_function(trace, geometry, fn)
-        with PipelineContext(tmp).activate():
-            warm = evaluate_hash_function(trace, geometry, fn)
+        cold = PipelineContext(tmp).evaluate(trace, geometry, fn)
+        warm = PipelineContext(tmp).evaluate(trace, geometry, fn)
         assert cold == direct and warm == direct
 
     @settings(max_examples=15, deadline=None)
@@ -84,6 +65,22 @@ class TestBitIdentical:
     def test_optimize_cached_equals_uncached(self, conflict_trace, tmp_path):
         geometry = CacheGeometry.direct_mapped(1024)
         plain = optimize_for_trace(conflict_trace, geometry, family="2-in")
+        # Without a context the optimizer runs on a cache-less one; it
+        # must match the bare profiler, search and engine calls.
+        profile = profile_trace(conflict_trace, geometry, 16)
+        search = hill_climb_restarts(
+            profile, family_for_name("2-in", 16, geometry.index_bits)
+        )
+        blocks = conflict_trace.block_addresses(geometry.block_size)
+        assert plain.profile.digest == profile.digest
+        assert plain.hash_function.columns == search.function.columns
+        assert plain.search.history == search.history
+        assert plain.baseline == engine.simulate(
+            blocks, geometry, ModuloIndexing(geometry.index_bits)
+        )
+        assert plain.optimized == engine.simulate(
+            blocks, geometry, XorIndexing(search.function)
+        )
         cold = optimize_for_trace(
             conflict_trace, geometry, family="2-in",
             context=PipelineContext(tmp_path),
@@ -163,13 +160,10 @@ class TestEvaluateMany:
         ]
         expected = engine.evaluate_many(conflict_trace, geometry, functions)
 
-        ctx = PipelineContext(tmp_path)
-        with ctx.activate():
-            # Prime the cache with one candidate only.
-            evaluate_hash_function(conflict_trace, geometry, functions[2])
+        # Prime the cache with one candidate only.
+        PipelineContext(tmp_path).evaluate(conflict_trace, geometry, functions[2])
         warm = PipelineContext(tmp_path)
-        with warm.activate():
-            batched = evaluate_hash_functions(conflict_trace, geometry, functions)
+        batched = warm.evaluate_many(conflict_trace, geometry, functions)
         assert batched == expected
         assert warm.cache_stats()["stats"]["hits"] == 1
         assert warm.cache_stats()["stats"]["stores"] == 3
@@ -180,8 +174,5 @@ class TestEvaluateMany:
             conflict_trace.block_addresses(4), geometry,
             ModuloIndexing(geometry.index_bits),
         )
-        ctx = PipelineContext(tmp_path)
-        with ctx.activate():
-            assert baseline_stats(conflict_trace, geometry) == direct
-        with PipelineContext(tmp_path).activate():
-            assert baseline_stats(conflict_trace, geometry) == direct
+        assert PipelineContext(tmp_path).baseline(conflict_trace, geometry) == direct
+        assert PipelineContext(tmp_path).baseline(conflict_trace, geometry) == direct

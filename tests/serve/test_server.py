@@ -100,6 +100,22 @@ class TestProtocol:
             client._request("POST", "/v1/healthz", b"{}")
         assert excinfo.value.status == 405
 
+    @pytest.mark.parametrize(
+        "body, content_type",
+        [
+            (b"[" * 200_000, "application/json"),
+            (b"a = " + b"[" * 200_000, "application/toml"),
+        ],
+        ids=["json", "toml"],
+    )
+    def test_deeply_nested_body_400(self, served, body, content_type):
+        """Nesting too deep for the parser is a bad request, not a 500."""
+        _, client = served
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", "/v1/jobs", body, content_type=content_type)
+        assert excinfo.value.status == 400
+        assert client.healthz() == {"status": "ok"}
+
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_400(self, served, length):
         _, client = served
