@@ -149,12 +149,14 @@ def run(
         # -- cache-backed resume: cold computes every shard, the warm
         # replay recomputes none --------------------------------------
         context = PipelineContext(Path(tmp) / "cache")
-        cold = context.profile_sharded(
-            trace, geometry, n, shard_size=shard_size, workers=workers
+        cold = run_sharded_profile(
+            trace, geometry, n, shard_size=shard_size, workers=workers,
+            context=context,
         )
         t0 = time.perf_counter()
-        warm = context.profile_sharded(
-            trace, geometry, n, shard_size=shard_size, workers=workers
+        warm = run_sharded_profile(
+            trace, geometry, n, shard_size=shard_size, workers=workers,
+            context=context,
         )
         warm_s = time.perf_counter() - t0
         assert cold.recomputed_shards == len(cold.plan), (

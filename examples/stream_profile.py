@@ -29,7 +29,7 @@ import numpy as np
 
 from repro import CacheGeometry
 from repro.pipeline import PipelineContext
-from repro.profiling import profile_blocks
+from repro.profiling import profile_blocks, run_sharded_profile
 from repro.trace import BinTraceWriter, Trace
 
 ACCESSES = 2_000_000
@@ -72,8 +72,9 @@ def main() -> None:
 
         context = PipelineContext(Path(tmp) / "cache")
         t0 = time.perf_counter()
-        cold = context.profile_sharded(
-            mapped, geometry, WINDOW, shard_size=SHARD_SIZE, workers=1
+        cold = run_sharded_profile(
+            mapped, geometry, WINDOW, shard_size=SHARD_SIZE, workers=1,
+            context=context,
         )
         cold_s = time.perf_counter() - t0
         print(f"cold sharded profile: {len(cold.plan)} shard(s) x "
@@ -92,8 +93,9 @@ def main() -> None:
 
         # Warm replay: every shard loads from the artifact cache.
         t0 = time.perf_counter()
-        warm = context.profile_sharded(
-            mapped, geometry, WINDOW, shard_size=SHARD_SIZE, workers=1
+        warm = run_sharded_profile(
+            mapped, geometry, WINDOW, shard_size=SHARD_SIZE, workers=1,
+            context=context,
         )
         warm_s = time.perf_counter() - t0
         assert warm.recomputed_shards == 0 and warm.fully_cached

@@ -195,6 +195,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.api.report import profile_report
+    from repro.profiling.sharded import run_sharded_profile
 
     try:
         if args.trace_file is not None:
@@ -238,20 +239,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return _fail(error)
     geometry = spec.geometry.resolve()
     session = Session(cache_dir=args.cache_dir, workers=args.workers)
-    context = session.context()
-    sharded = None
-    if spec.execution.shard_size is not None:
-        sharded = context.profile_sharded(
-            trace, geometry, spec.search.n,
-            shard_size=spec.execution.shard_size,
-            workers=spec.execution.workers,
-            retries=spec.execution.retries,
-            task_timeout=spec.execution.task_timeout,
-            on_error=spec.execution.on_error,
-        )
-        profile = sharded.profile
-    else:
-        profile = context.profile(trace, geometry, spec.search.n)
+    result = run_sharded_profile(
+        trace, geometry, spec.search.n,
+        shard_size=spec.execution.shard_size,
+        workers=spec.execution.workers,
+        context=session.context(),
+        retries=spec.execution.retries,
+        task_timeout=spec.execution.task_timeout,
+        on_error=spec.execution.on_error,
+    )
+    profile = result.profile
+    sharded = result if spec.execution.shard_size is not None else None
     if args.json:
         _print_report(
             profile_report(
@@ -273,26 +271,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
                   f"workers {sharded.workers}, "
                   f"{sharded.recomputed_shards} recomputed / "
                   f"{sharded.cached_shards} cached, {sharded.seconds:.2f}s")
-    if args.expect_cached:
-        if sharded is not None:
-            cached = sharded.fully_cached
-            detail = (f"{sharded.recomputed_shards} shard(s) and "
-                      f"{sharded.recomputed_scans} scan(s) recomputed")
-        else:
-            totals = context.cache_stats()
-            recomputed = sum(
-                per_kind.get("misses", 0) + per_kind.get("stores", 0)
-                for per_kind in totals.values()
-            )
-            cached = args.cache_dir is not None and recomputed == 0
-            detail = str(totals or "no cache directory")
-        if not cached:
-            print(
-                "FAIL: expected a fully cached replay but artifacts were "
-                f"recomputed ({detail})",
-                file=sys.stderr,
-            )
-            return 1
+    if args.expect_cached and not result.fully_cached:
+        print(
+            "FAIL: expected a fully cached replay but artifacts were "
+            f"recomputed ({result.recomputed_shards} shard(s) and "
+            f"{result.recomputed_scans} scan(s) recomputed)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -653,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "--cache-dir", default=None,
-        help="read/write per-shard artifacts at this directory",
+        help="read/write the profile and per-shard artifacts at this "
+             "directory",
     )
     p_prof.add_argument(
         "--json", action="store_true",

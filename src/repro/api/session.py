@@ -274,8 +274,9 @@ class Session:
                 )
         # The resilience policy is likewise one per campaign: a pool
         # cannot retry some rows under one budget and others under
-        # another without the row order becoming policy-dependent.
-        for name in ("retries", "task_timeout", "on_error"):
+        # another without the row order becoming policy-dependent.  So
+        # is the shard size every cell profiles with.
+        for name in ("retries", "task_timeout", "on_error", "shard_size"):
             values = {getattr(spec.execution, name) for spec in specs}
             if len(values) > 1:
                 raise SpecError(
@@ -294,11 +295,12 @@ class Session:
         file-backed — a ``.bin`` path opens memory-mapped), profiles it
         for the spec's geometry and window, and returns the
         :class:`~repro.profiling.ConflictProfile`.  With
-        ``execution.shard_size`` set the sharded out-of-core driver
-        runs (parallel over ``execution.workers``, resumable through
-        the session cache); use
-        :meth:`PipelineContext.profile_sharded` directly for the
-        per-shard execution statistics.
+        ``execution.shard_size`` set the trace is profiled shard by
+        shard, out of core (parallel over ``execution.workers``,
+        resumable through the session cache); call
+        :func:`~repro.profiling.run_sharded_profile` with
+        ``context=session.context()`` for the per-shard execution
+        statistics.
         """
         spec = ExperimentSpec.coerce(spec)
         context = self.context(self._effective_cache_dir(spec.execution))
@@ -331,20 +333,16 @@ class Session:
         trace = context.trace(spec.trace)
         geometry = spec.geometry.resolve()
         family = spec.search.resolve_family(geometry.index_bits)
-        if spec.execution.shard_size is not None:
-            # Pre-warm the profile through the sharded out-of-core
-            # driver (bit-identical to the single pass); the optimizer
-            # then finds it memoized under the standard key.
-            context.profile(
-                trace,
-                geometry,
-                spec.search.n,
-                shard_size=spec.execution.shard_size,
-                workers=self._effective_workers(spec.execution),
-                retries=spec.execution.retries,
-                task_timeout=spec.execution.task_timeout,
-                on_error=spec.execution.on_error,
-            )
+        profile = context.profile(
+            trace,
+            geometry,
+            spec.search.n,
+            shard_size=spec.execution.shard_size,
+            workers=self._effective_workers(spec.execution),
+            retries=spec.execution.retries,
+            task_timeout=spec.execution.task_timeout,
+            on_error=spec.execution.on_error,
+        )
         seen_degradations = len(degradation_events())
         with use_backend(spec.execution.backend) as backend:
             result = optimize_for_trace(
@@ -356,6 +354,7 @@ class Session:
                 restarts=spec.search.restarts,
                 seed=spec.search.seed,
                 max_steps=spec.search.max_steps,
+                profile=profile,
                 context=context,
                 strategy=spec.search.strategy,
             )
@@ -406,6 +405,7 @@ class Session:
             retries=execution.retries,
             task_timeout=execution.task_timeout,
             on_error=execution.on_error,
+            shard_size=execution.shard_size,
         )
         result.base_seed = base_seed
         return result

@@ -365,9 +365,10 @@ class ExecutionSpec:
     workers: int | None = None
     cache_dir: str | None = None
     backend: str | None = None
-    #: Accesses per shard for out-of-core profiling (``None`` = the
-    #: single-pass kernel).  Sharding is bit-identical, so — like every
-    #: execution field — it never enters the spec digest.
+    #: Accesses per shard for out-of-core profiling (``None`` = one
+    #: shard, the in-memory single pass).  Sharding is bit-identical,
+    #: so — like every execution field — it never enters the spec
+    #: digest.
     shard_size: int | None = None
     #: Failed-attempt budget per campaign/shard task (exceptions,
     #: timeouts, dead workers).  Retried runs replay from the same
@@ -575,7 +576,8 @@ class ExperimentSpec:
         if path.suffix == ".json":
             try:
                 payload = json.loads(text)
-            except json.JSONDecodeError as error:
+            except (json.JSONDecodeError, RecursionError) as error:
+                # RecursionError: nesting too deep for the JSON parser.
                 raise SpecError(f"{path} is not valid JSON: {error}") from None
             return cls.from_dict(payload)
         return cls.from_toml(text)

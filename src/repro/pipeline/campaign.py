@@ -263,6 +263,7 @@ def _run_task(
     keep_details: bool,
     context: PipelineContext | None = None,
     profile_capacities: dict[tuple, tuple[int, ...]] | None = None,
+    shard_size: int | None = None,
 ) -> CampaignRow:
     """Execute one cell (top level so the process pool can pickle it)."""
     from repro.core.optimizer import optimize_for_trace
@@ -278,11 +279,14 @@ def _run_task(
     geometry = spec.geometry.resolve()
     family = spec.search.resolve_family(geometry.index_bits)
     # The first cell of a profile group to miss profiles every capacity
-    # the grid asks of it in one pass; the others then hit.
+    # the grid asks of it in one pass; the others then hit.  Its shards
+    # run serially: the campaign already fans out over cells.
     profile = context.profile(
         trace,
         geometry,
         spec.search.n,
+        shard_size=shard_size,
+        workers=1,
         capacities=(profile_capacities or {}).get(_profile_group(spec), ()),
     )
     result = optimize_for_trace(
@@ -353,6 +357,7 @@ def run_campaign(
     retries: int = 0,
     task_timeout: float | None = None,
     on_error: str = "raise",
+    shard_size: int | None = None,
 ) -> CampaignResult:
     """Run a spec grid through the artifact cache, fanning out on cores.
 
@@ -390,6 +395,9 @@ def run_campaign(
         the campaign (default), ``"skip"`` records a failed row and
         continues, ``"retry"`` raises but guarantees a minimum retry
         budget even when ``retries`` is 0.
+    shard_size:
+        Accesses per shard when a cell profiles its trace (``None`` =
+        one shard, the single in-memory pass); bit-identical either way.
     """
     specs = [_cell(spec) for spec in specs]
     cache_dir = str(cache_dir) if cache_dir is not None else None
@@ -417,6 +425,7 @@ def run_campaign(
                 keep_details=keep_details,
                 context=serial_context,
                 profile_capacities=_profile_capacities(specs),
+                shard_size=shard_size,
             ),
             specs,
             workers=workers,

@@ -6,7 +6,10 @@ spec to its trace, through the cache's trace-digest memo, and the
 pipeline's three expensive primitives keep identical semantics to the
 uncached functions they front:
 
-* :meth:`profile` — :func:`repro.profiling.profile_trace`;
+* :meth:`profile` — :func:`repro.profiling.profile_trace`, every miss
+  run by the one profile driver
+  (:func:`repro.profiling.run_sharded_profile`: the single pass is its
+  one-shard plan), which stores the merged profiles back here;
 * :meth:`baseline` / :meth:`evaluate` / :meth:`evaluate_many` — the
   exact simulators in :mod:`repro.core.evaluate`;
 * :meth:`load_optimization` / :meth:`store_optimization` — whole
@@ -29,7 +32,8 @@ from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.cache.stats import CacheStats
 from repro.gf2.hashfn import XorHashFunction
 from repro.pipeline.artifact_cache import ArtifactCache, stable_key
-from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
+from repro.profiling.conflict_profile import ConflictProfile
+from repro.profiling.sharded import run_sharded_profile
 from repro.trace.trace import DeferredTrace, Trace
 
 if TYPE_CHECKING:
@@ -221,6 +225,29 @@ class PipelineContext:
             self.cache.store_profile(key, profile)
         self._memo[("profile", key)] = profile
 
+    def _profile_lookup(
+        self,
+        trace: Trace,
+        block_size: int,
+        n: int,
+        capacity: int,
+        capacities: Sequence[int] = (),
+    ) -> tuple[ConflictProfile | None, dict[int, str]]:
+        """The stored profile at ``capacity``, or ``None`` plus the key
+        of it and of each of ``capacities`` not stored yet, by capacity:
+        what one profiling pass must compute.  Each key is looked up
+        once."""
+        key = self._profile_key(trace, block_size, capacity, n)
+        found = self._stored_profile(key)
+        if found is not None:
+            return found, {}
+        missing = {capacity: key}
+        for other in sorted(set(capacities) - {capacity}):
+            other_key = self._profile_key(trace, block_size, other, n)
+            if self._stored_profile(other_key) is None:
+                missing[other] = other_key
+        return None, missing
+
     def profile(
         self,
         trace: Trace,
@@ -235,84 +262,30 @@ class PipelineContext:
     ) -> ConflictProfile:
         """Cached :func:`repro.profiling.profile_trace`.
 
-        Cache misses run the vectorized profiling kernel
-        (:func:`repro.profiling.profile_blocks`), so even the cold path
-        has no per-access Python loop.  ``capacities`` names further
-        capacities (in blocks) that will be asked of the same trace,
-        block size and ``n`` — a campaign grid's other cache sizes.  A
-        miss then profiles each of them not yet memoized or cached in
-        the same single pass and stores it under its own key, where
-        those later calls find it.  With ``shard_size``, misses run
-        the sharded out-of-core driver instead
-        (:func:`repro.profiling.run_sharded_profile` — bit-identical,
-        bounded memory, optionally parallel over ``workers``); the
-        merged result lands under the same key, so sharding never
-        changes what downstream stages see.  The sharded profiler
-        profiles one capacity, so ``shard_size`` together with
-        ``capacities`` raises :class:`ValueError`.
+        Misses run the one profile driver,
+        :func:`repro.profiling.run_sharded_profile`, which stores its
+        merged profiles here.  ``capacities`` names further capacities
+        (in blocks) that will be asked of the same trace, block size
+        and ``n`` — a campaign grid's other cache sizes.  A miss then
+        profiles each of them not yet memoized or cached in the same
+        pass and stores it under its own key, where those later calls
+        find it.  ``shard_size=None`` is the single in-memory pass;
+        with ``shard_size`` the trace is profiled shard by shard
+        (bit-identical, bounded memory, resumable, optionally parallel
+        over ``workers``), but only once no merged profile is stored
+        under the same keys.
         """
-        if shard_size is not None and capacities:
-            raise ValueError(
-                "capacities cannot be combined with shard_size: the "
-                "sharded profiler computes one capacity per pass"
+        # The driver looks a one-shard plan's profiles up itself; a
+        # multi-shard plan walks its shards, so a stored merged profile
+        # is served here first.
+        if shard_size is not None and shard_size < len(trace):
+            found, missing = self._profile_lookup(
+                trace, geometry.block_size, n, geometry.num_blocks, capacities
             )
-        block_size = geometry.block_size
-        key = self._profile_key(trace, block_size, geometry.num_blocks, n)
-        found = self._stored_profile(key)
-        if found is not None:
-            return found
-        if shard_size is not None:
-            from repro.profiling.sharded import run_sharded_profile
-
-            found = run_sharded_profile(
-                trace,
-                geometry,
-                n,
-                shard_size=shard_size,
-                workers=workers,
-                context=self,
-                retries=retries,
-                task_timeout=task_timeout,
-                on_error=on_error,
-            ).profile
-            self._keep_profile(key, found)
-            return found
-        missing = {geometry.num_blocks: key}
-        for capacity in sorted(set(capacities) - set(missing)):
-            other = self._profile_key(trace, block_size, capacity, n)
-            if self._stored_profile(other) is None:
-                missing[capacity] = other
-        # One pass at the largest capacity fills in every other one.
-        profiles = dict.fromkeys(missing)
-        blocks = trace.block_addresses(block_size)
-        profile_blocks(blocks, max(missing), n, siblings=profiles)
-        for capacity, other in missing.items():
-            self._keep_profile(other, profiles[capacity])
-        return profiles[geometry.num_blocks]
-
-    def profile_sharded(
-        self,
-        trace: Trace,
-        geometry: CacheGeometry,
-        n: int,
-        shard_size: int,
-        workers: int | None = None,
-        retries: int = 0,
-        task_timeout: float | None = None,
-        on_error: str = "raise",
-    ):
-        """Run the sharded driver and return its full
-        :class:`~repro.profiling.sharded.ShardedProfileResult`.
-
-        Unlike :meth:`profile` with ``shard_size`` (which short-circuits
-        on a cached merged profile), this always walks the per-shard
-        artifacts — warm runs report ``recomputed_shards == 0`` — and
-        then stores/memoizes the merged profile under the standard
-        ``"profile"`` key so later :meth:`profile` calls hit it.
-        """
-        from repro.profiling.sharded import run_sharded_profile
-
-        result = run_sharded_profile(
+            if found is not None:
+                return found
+            capacities = tuple(missing)
+        return run_sharded_profile(
             trace,
             geometry,
             n,
@@ -322,10 +295,8 @@ class PipelineContext:
             retries=retries,
             task_timeout=task_timeout,
             on_error=on_error,
-        )
-        key = self._profile_key(trace, geometry.block_size, geometry.num_blocks, n)
-        self._keep_profile(key, result.profile)
-        return result
+            capacities=capacities,
+        ).profile
 
     # -- exact simulation --------------------------------------------------
 

@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ShardPlan",
             "ShardedProfileResult",
             "profile_blocks_sharded",
-            "profile_trace_sharded",
             "run_sharded_profile",
         ),
     },

@@ -6,7 +6,10 @@ cuts the stream into a :class:`ShardPlan` of fixed-size shards, profiles
 every shard independently — in parallel worker processes when asked —
 and merges the per-shard histograms into a profile **bit-identical** to
 the single pass, in memory bounded by the shard size and the block
-working set rather than the trace length.
+working set rather than the trace length.  It is the only profile
+driver: the single pass is its one-shard plan, and every
+:meth:`PipelineContext.profile
+<repro.pipeline.context.PipelineContext.profile>` miss runs here.
 
 Why exactness survives the cut
 ------------------------------
@@ -19,16 +22,19 @@ stream: one access per previously-seen block, in ascending
 last-occurrence order (the *prefix*), followed by the shard itself.
 The prefix reproduces the exact stack the global pass would have, its
 accesses are all first touches (``len(prefix)`` compulsory misses, no
-vectors, no capacity misses), and subtracting them leaves precisely the
-shard's contribution to the global profile.  A cheap parallel *scan*
+vectors, no capacity misses — at every capacity), and subtracting them
+leaves precisely the shard's contribution to the global profile, so one
+pass per shard serves every requested capacity.  A cheap parallel *scan*
 pass computes each shard's (block, last time) summary; a sequential
 prefix-merge of those summaries (plain array ops) yields every shard's
 incoming state.
 
 Resumability
 ------------
-With an artifact cache, every shard profile and scan summary is stored
-under a key derived from the trace digest, geometry and shard bounds.
+With an artifact cache, every shard profile and scan summary of a
+multi-shard plan is stored under a key derived from the trace digest,
+geometry and shard bounds; the merged profiles land under the standard
+``"profile"`` keys, which are a one-shard plan's only artifacts.
 A re-run loads finished shards and recomputes only the missing ones —
 ``ShardedProfileResult.recomputed_shards == 0`` on a warm replay — and
 the scan phase is skipped entirely once no shard is missing.
@@ -40,7 +46,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +61,6 @@ __all__ = [
     "ArrayBlockSource",
     "FileBlockSource",
     "profile_blocks_sharded",
-    "profile_trace_sharded",
     "run_sharded_profile",
 ]
 
@@ -85,20 +90,23 @@ class ShardPlan:
     Shards partition ``[0, total)`` exactly; the LRU-stack overlap
     between consecutive shards is not duplicated into the slices but
     carried as scan state (see the module docstring), so the plan is
-    a pure arithmetic object.
+    a pure arithmetic object.  ``shard_size=None`` is one shard
+    covering the whole trace (even an empty one): the single pass.
     """
 
     total: int
-    shard_size: int
+    shard_size: int | None
 
     def __post_init__(self):
         if self.total < 0:
             raise ValueError(f"total must be >= 0, got {self.total}")
-        if self.shard_size < 1:
+        if self.shard_size is not None and self.shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
 
     @property
     def num_shards(self) -> int:
+        if self.shard_size is None:
+            return 1
         return -(-self.total // self.shard_size)
 
     def __len__(self) -> int:
@@ -107,8 +115,9 @@ class ShardPlan:
     def __getitem__(self, index: int) -> Shard:
         if not 0 <= index < self.num_shards:
             raise IndexError(index)
-        start = index * self.shard_size
-        return Shard(index, start, min(start + self.shard_size, self.total))
+        size = self.total if self.shard_size is None else self.shard_size
+        start = index * size
+        return Shard(index, start, min(start + size, self.total))
 
     def __iter__(self) -> Iterator[Shard]:
         return (self[i] for i in range(self.num_shards))
@@ -162,6 +171,8 @@ class ShardedProfileResult:
     """A merged profile plus how the sharded run actually executed."""
 
     profile: ConflictProfile
+    #: Merged profile per capacity in blocks, ``profile`` among them.
+    profiles: dict[int, ConflictProfile]
     plan: ShardPlan
     workers: int
     #: Shards whose profile was computed this run (vs loaded).
@@ -214,21 +225,27 @@ def _merge_state(
 def _profile_shard(
     shard_blocks: np.ndarray,
     prefix_blocks: np.ndarray,
-    capacity_blocks: int,
+    capacities: list[int],
     n: int,
-) -> ConflictProfile:
-    """Profile one shard given the blocks live before it, in ascending
+) -> dict[int, ConflictProfile]:
+    """Profile one shard at every capacity (in blocks) of ``capacities``
+    in one pass, given the blocks live before it in ascending
     last-occurrence order (the synthetic-prefix replay)."""
     if len(prefix_blocks):
         synthetic = np.concatenate([prefix_blocks, shard_blocks])
     else:
         synthetic = shard_blocks
-    profile = profile_blocks(synthetic, capacity_blocks, n)
-    return replace(
-        profile,
-        compulsory=profile.compulsory - len(prefix_blocks),
-        accesses=len(shard_blocks),
-    )
+    profiles = dict.fromkeys(capacities)
+    profile_blocks(synthetic, max(capacities), n, siblings=profiles)
+    # The prefix accesses are first touches at every capacity.
+    return {
+        capacity: replace(
+            profile,
+            compulsory=profile.compulsory - len(prefix_blocks),
+            accesses=len(shard_blocks),
+        )
+        for capacity, profile in profiles.items()
+    }
 
 
 # -- worker tasks (top level so the process pool can pickle them) ----------
@@ -261,72 +278,62 @@ def _scan_shard_task(
 
 
 def _profile_shard_task(
-    item, source, capacity_blocks, n, context, cache_dir
-) -> ConflictProfile:
-    """Profile one (known-missing) shard and store its artifact."""
+    item, source, n, context, cache_dir
+) -> dict[int, ConflictProfile]:
+    """Profile one shard at its missing capacities and store their
+    artifacts."""
     from repro.pipeline.campaign import task_context
     from repro.pipeline.faults import maybe_inject
 
-    start, stop, key, prefix_blocks = item
+    start, stop, keys, prefix_blocks = item
     maybe_inject("shard.profile", f"profile:{start}:{stop}")
-    profile = _profile_shard(source.read(start, stop), prefix_blocks, capacity_blocks, n)
+    profiles = _profile_shard(source.read(start, stop), prefix_blocks, list(keys), n)
     cache = task_context(context, cache_dir).cache
-    if cache is not None and key is not None:
-        cache.store_profile(key, profile, kind="shard-profile")
-    return profile
+    if cache is not None:
+        for capacity, key in keys.items():
+            if key is not None:
+                cache.store_profile(key, profiles[capacity], kind="shard-profile")
+    return profiles
 
 
 # -- drivers ---------------------------------------------------------------
 
 
-def _empty_profile(n: int) -> ConflictProfile:
-    return ConflictProfile(n, np.zeros(1 << n, dtype=np.int64))
-
-
 def _run_sharded(
     source,
-    capacity_blocks: int,
+    plan: ShardPlan,
+    capacities: list[int],
     n: int,
-    shard_size: int,
-    workers: int | None,
-    context,
-    key_base: dict | None,
+    workers: int,
+    context=None,
+    key_base: dict | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
     on_error: str = "raise",
-) -> ShardedProfileResult:
+) -> tuple[dict[int, ConflictProfile], int, int]:
+    """(merged profile per capacity, shards recomputed, scans
+    recomputed) for ``source`` cut along ``plan``.
+
+    A plan of at most one shard is the single pass, run in process: no
+    scan, shard artifact, fault site or retry layer.  Scan summaries
+    depend on no capacity; they are keyed like ``capacities[0]``'s.
+    """
+    if min(capacities) < 1:
+        raise ValueError(f"capacity must be >= 1 block, got {min(capacities)}")
+    if len(plan) <= 1:
+        blocks = source.read(0, len(source))
+        return _profile_shard(blocks, blocks[:0], capacities, n), len(plan), 0
     from repro.pipeline.artifact_cache import stable_key
     from repro.pipeline.campaign import init_worker, resolve_workers
-    from repro.pipeline.context import PipelineContext
     from repro.pipeline.resilience import run_resilient
 
-    if capacity_blocks < 1:
-        raise ValueError(f"capacity must be >= 1 block, got {capacity_blocks}")
     # A profile missing a shard is not a partial result but a wrong one,
     # so the skip policy (meaningful for independent campaign rows) is
     # coerced to raise here; retries/timeouts apply unchanged.
     if on_error == "skip":
         on_error = "raise"
-    t0 = time.perf_counter()
-    plan = ShardPlan(len(source), shard_size)
     shards = list(plan)
-    if workers is None:
-        workers = min(len(shards), os.cpu_count() or 1) or 1
-    workers = max(1, workers)
-    if not shards:
-        return ShardedProfileResult(
-            profile=_empty_profile(n),
-            plan=plan,
-            workers=workers,
-            recomputed_shards=0,
-            cached_shards=0,
-            recomputed_scans=0,
-            seconds=time.perf_counter() - t0,
-        )
-
-    if context is None:
-        context = PipelineContext()
-    cache = context.cache
+    cache = context.cache if context is not None else None
     cache_dir = str(cache.root) if cache is not None else None
 
     def run_tasks(task, items: list) -> list:
@@ -349,36 +356,47 @@ def _run_sharded(
         )
         return [outcome.value for outcome in outcomes]
 
-    def shard_key(kind: str, shard: Shard) -> str | None:
+    def shard_key(kind: str, shard: Shard, capacity: int) -> str | None:
         if key_base is None or cache is None:
             return None
-        return stable_key(kind, {**key_base, "start": shard.start, "stop": shard.stop})
+        return stable_key(
+            kind,
+            {
+                **key_base,
+                "capacity_blocks": capacity,
+                "start": shard.start,
+                "stop": shard.stop,
+            },
+        )
 
-    profile_keys = [shard_key("shard-profile", shard) for shard in shards]
-    profiles: list[ConflictProfile | None] = [
-        cache.load_profile(key, kind="shard-profile")
-        if cache is not None and key is not None
-        else None
-        for key in profile_keys
-    ]
-    missing = [i for i, profile in enumerate(profiles) if profile is None]
+    # Per shard: the stored profile by capacity, and the keys of the
+    # capacities a shard task must compute.
+    profiles: list[dict[int, ConflictProfile]] = [{} for _ in shards]
+    missing: dict[int, dict[int, str | None]] = {}
+    for shard, found in zip(shards, profiles):
+        for capacity in capacities:
+            key = shard_key("shard-profile", shard, capacity)
+            stored = key and cache.load_profile(key, kind="shard-profile")
+            if stored is None:
+                missing.setdefault(shard.index, {})[capacity] = key
+            else:
+                found[capacity] = stored
     recomputed_scans = 0
     if missing:
         # Incoming LRU-stack state per missing shard, via scan summaries
         # of every shard before the furthest missing one.  Scans fan out
         # over the same pool as the profiling phase.
         scan_items = [
-            (shard.start, shard.stop, shard_key("shard-scan", shard))
+            (shard.start, shard.stop, shard_key("shard-scan", shard, capacities[0]))
             for shard in shards[: max(missing)]
         ]
         summaries = run_tasks(partial(_scan_shard_task, source=source), scan_items)
         recomputed_scans = sum(1 for *_, fresh in summaries if fresh)
-        missing_set = set(missing)
         prefixes: dict[int, np.ndarray] = {}
         state_blocks = np.empty(0, dtype=np.uint64)
         state_times = np.empty(0, dtype=np.int64)
         for shard in shards:
-            if shard.index in missing_set:
+            if shard.index in missing:
                 # Blocks live before the shard, in ascending
                 # last-occurrence order = LRU stack order.
                 prefixes[shard.index] = state_blocks[np.argsort(state_times)]
@@ -389,35 +407,31 @@ def _run_sharded(
                 )
         del state_blocks, state_times, summaries
         profile_items = [
-            (
-                shards[i].start,
-                shards[i].stop,
-                profile_keys[i],
-                prefixes.pop(i),
-            )
-            for i in missing
+            (shards[i].start, shards[i].stop, keys, prefixes.pop(i))
+            for i, keys in missing.items()
         ]
         computed = run_tasks(
-            partial(
-                _profile_shard_task,
-                source=source,
-                capacity_blocks=capacity_blocks,
-                n=n,
-            ),
-            profile_items,
+            partial(_profile_shard_task, source=source, n=n), profile_items
         )
-        for i, profile in zip(missing, computed):
-            profiles[i] = profile
-    merged = ConflictProfile.merge(iter(profiles))
-    return ShardedProfileResult(
-        profile=merged,
-        plan=plan,
-        workers=workers,
-        recomputed_shards=len(missing),
-        cached_shards=len(shards) - len(missing),
-        recomputed_scans=recomputed_scans,
-        seconds=time.perf_counter() - t0,
-    )
+        for i, fresh in zip(missing, computed):
+            profiles[i].update(fresh)
+    merged = {
+        capacity: ConflictProfile.merge(found[capacity] for found in profiles)
+        for capacity in capacities
+    }
+    return merged, len(missing), recomputed_scans
+
+
+def _block_source(trace: Trace, block_size: int):
+    """Memory-mapped traces (:meth:`Trace.open_mmap`) are read through a
+    :class:`FileBlockSource`, so each worker touches only its own
+    shard's pages; other traces ship their block array."""
+    path = trace.mmap_path
+    if path is None:
+        return ArrayBlockSource(trace.block_addresses(block_size))
+    if block_size <= 0 or block_size & (block_size - 1):
+        raise ValueError(f"block size must be a power of two, got {block_size}")
+    return FileBlockSource(path, len(trace), block_shift=block_size.bit_length() - 1)
 
 
 def profile_blocks_sharded(
@@ -436,34 +450,42 @@ def profile_blocks_sharded(
     :func:`run_sharded_profile` for the resumable trace-level driver.
     """
     source = ArrayBlockSource(np.ascontiguousarray(np.asarray(blocks), dtype=np.uint64))
-    result = _run_sharded(
-        source, capacity_blocks, n, shard_size, workers, context=None, key_base=None
-    )
-    return result.profile
+    plan = ShardPlan(len(source), shard_size)
+    profiles, _, _ = _run_sharded(source, plan, [capacity_blocks], n, workers)
+    return profiles[capacity_blocks]
 
 
 def run_sharded_profile(
     trace: Trace,
     geometry: CacheGeometry,
     n: int,
-    shard_size: int = DEFAULT_SHARD_SIZE,
+    shard_size: int | None = DEFAULT_SHARD_SIZE,
     workers: int | None = 1,
     context=None,
     retries: int = 0,
     task_timeout: float | None = None,
     on_error: str = "raise",
+    capacities: Sequence[int] = (),
 ) -> ShardedProfileResult:
-    """Profile a trace shard-by-shard; return the merged profile plus
-    execution stats.
+    """Profile a trace shard by shard; return the merged profile plus
+    execution stats.  The one Fig. 1 profile driver: every
+    :meth:`PipelineContext.profile
+    <repro.pipeline.context.PipelineContext.profile>` miss runs here.
 
-    Memory-mapped traces (:meth:`Trace.open_mmap`) are read through a
-    :class:`FileBlockSource`, so each worker touches only its own
-    shard's pages; other traces ship their block array to the workers.
-    With a cache-backed ``context`` (a
-    :class:`~repro.pipeline.context.PipelineContext`), per-shard
-    profiles and scan summaries are stored under keys derived from the
-    trace digest + geometry + shard bounds, and a re-run resumes from
-    whatever finished.  ``workers=None`` picks one per core.
+    ``shard_size=None`` is a one-shard plan, the single in-memory pass.
+    ``capacities`` names further capacities (in blocks) profiled in the
+    same pass per shard as ``geometry``'s, merged per capacity into
+    ``profiles``.  ``workers=None`` picks one process per core.
+
+    With a ``context`` (a
+    :class:`~repro.pipeline.context.PipelineContext`) the merged
+    profiles are memoized and cached under the standard ``"profile"``
+    keys.  A one-shard plan's only shard *is* that merged profile: it is
+    looked up there (then, on a miss, each other capacity) and only the
+    missing ones are computed.  A multi-shard plan walks its shard
+    profiles and scan summaries, keyed by trace digest, block size,
+    capacity, ``n`` and shard bounds, so a re-run resumes from whatever
+    finished (``recomputed_shards == 0`` when warm).
 
     ``retries``/``task_timeout``/``on_error`` match
     :func:`repro.pipeline.campaign.run_campaign`, except that
@@ -473,51 +495,51 @@ def run_sharded_profile(
     only unfinished shards; already-cached shard artifacts are never
     recomputed by a retry.
     """
+    t0 = time.perf_counter()
     block_size = geometry.block_size
-    path = trace.mmap_path
-    if path is not None:
-        if block_size <= 0 or block_size & (block_size - 1):
-            raise ValueError(f"block size must be a power of two, got {block_size}")
-        source = FileBlockSource(
-            path, len(trace), block_shift=block_size.bit_length() - 1
+    capacity = geometry.num_blocks
+    plan = ShardPlan(len(trace), shard_size)
+    wanted = [capacity, *sorted(set(capacities) - {capacity})]
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = max(1, min(workers, len(plan)))
+    stored = None
+    if context is None:
+        keys: dict[int, str | None] = dict.fromkeys(wanted)
+    elif len(plan) <= 1:
+        stored, keys = context._profile_lookup(
+            trace, block_size, n, capacity, capacities
         )
     else:
-        source = ArrayBlockSource(trace.block_addresses(block_size))
-    key_base = None
-    if context is not None and context.cache is not None:
-        key_base = {
-            "trace": trace.digest,
-            "block_size": block_size,
-            "capacity_blocks": geometry.num_blocks,
-            "n": n,
-        }
-    return _run_sharded(
-        source,
-        geometry.num_blocks,
-        n,
-        shard_size,
-        workers,
-        context,
-        key_base,
-        retries=retries,
-        task_timeout=task_timeout,
-        on_error=on_error,
+        keys = {c: context._profile_key(trace, block_size, c, n) for c in wanted}
+    if stored is not None:
+        profiles, recomputed, recomputed_scans = {capacity: stored}, 0, 0
+    else:
+        key_base = None
+        if context is not None and context.cache is not None:
+            key_base = {"trace": trace.digest, "block_size": block_size, "n": n}
+        profiles, recomputed, recomputed_scans = _run_sharded(
+            _block_source(trace, block_size),
+            plan,
+            list(keys),
+            n,
+            workers,
+            context,
+            key_base,
+            retries=retries,
+            task_timeout=task_timeout,
+            on_error=on_error,
+        )
+        if context is not None:
+            for c, key in keys.items():
+                context._keep_profile(key, profiles[c])
+    return ShardedProfileResult(
+        profile=profiles[capacity],
+        profiles=profiles,
+        plan=plan,
+        workers=workers,
+        recomputed_shards=recomputed,
+        cached_shards=len(plan) - recomputed,
+        recomputed_scans=recomputed_scans,
+        seconds=time.perf_counter() - t0,
     )
-
-
-def profile_trace_sharded(
-    trace: Trace,
-    geometry: CacheGeometry,
-    n: int,
-    shard_size: int = DEFAULT_SHARD_SIZE,
-    workers: int | None = 1,
-    context=None,
-) -> ConflictProfile:
-    """Sharded equivalent of :func:`repro.profiling.profile_trace`.
-
-    Bit-identical to the single pass; see :func:`run_sharded_profile`
-    for the variant that also reports shard/cache statistics.
-    """
-    return run_sharded_profile(
-        trace, geometry, n, shard_size=shard_size, workers=workers, context=context
-    ).profile

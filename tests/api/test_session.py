@@ -187,6 +187,12 @@ class TestCampaignAndSweep:
         result = Session(cache_dir=tmp_path / "c", workers=1).campaign([a, b])
         assert len(result.rows) == 2 and (tmp_path / "c").exists()
 
+    def test_campaign_rejects_disagreeing_shard_sizes(self):
+        a = tiny_spec("qurt").with_execution(shard_size=300)
+        b = tiny_spec("fir")
+        with pytest.raises(SpecError, match="disagree on execution.shard_size"):
+            Session().campaign([a, b])
+
     def test_expand_grid_rejects_unknown_keys(self):
         with pytest.raises(SpecError, match="unknown grid key 'benchmark'"):
             expand_grid({"benchmark": "fft"})

@@ -275,6 +275,7 @@ class TestMultiCapacityProfiling:
     """A grid's cache sizes of one trace share a single profiling pass."""
 
     SIZES = (1024, 4096, 16384)
+    SHARD_SIZE = 5000
 
     def _grid(self, sizes):
         return expand_grid(
@@ -288,17 +289,17 @@ class TestMultiCapacityProfiling:
         )
 
     def _count_passes(self, monkeypatch):
-        import repro.pipeline.context as context_module
+        import repro.profiling.sharded as driver_module
 
         calls = []
-        real = context_module.profile_blocks
+        real = driver_module.profile_blocks
 
         def counting(blocks, capacity_blocks, n, *args, **kwargs):
             others = set(kwargs.get("siblings") or ()) - {capacity_blocks}
             calls.append((capacity_blocks, sorted(others)))
             return real(blocks, capacity_blocks, n, *args, **kwargs)
 
-        monkeypatch.setattr(context_module, "profile_blocks", counting)
+        monkeypatch.setattr(driver_module, "profile_blocks", counting)
         return calls
 
     def test_one_pass_stores_every_capacity_under_its_key(self, tmp_path, monkeypatch):
@@ -351,13 +352,62 @@ class TestMultiCapacityProfiling:
         stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
         assert stored == _profile_keys(specs[0].trace.resolve(), self.SIZES)
 
-    def test_sharded_profile_rejects_capacities(self):
+    def test_sharded_profile_with_capacities(self, tmp_path):
         spec = self._grid([1024])[0]
+        trace = spec.trace.resolve()
         geometry = spec.geometry.resolve()
-        with pytest.raises(ValueError, match="shard_size"):
-            PipelineContext().profile(
-                spec.trace.resolve(), geometry, 8, shard_size=600, capacities=(64,)
-            )
+        plain = PipelineContext()
+        expected = [
+            plain.profile(trace, replace(geometry, size_bytes=c * 4), 8)
+            for c in (geometry.num_blocks, 64)
+        ]
+        context = PipelineContext(tmp_path)
+        sharded = context.profile(
+            trace, geometry, 8, shard_size=600, capacities=(64,)
+        )
+        assert sharded.digest == expected[0].digest
+        small = context.profile(trace, replace(geometry, size_bytes=64 * 4), 8)
+        assert small.digest == expected[1].digest
+        stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
+        assert stored == _profile_keys(trace, [1024, 256], n=8)
+        shards = -(-len(trace) // 600)
+        assert len(list((tmp_path / "shard-profile").rglob("*.npz"))) == 2 * shards
+
+    def test_sharded_grid_matches_unsharded(self, tmp_path, monkeypatch):
+        specs = self._grid(self.SIZES)
+        unsharded = run_campaign(specs, workers=1)
+        calls = self._count_passes(monkeypatch)
+        sharded = run_campaign(
+            specs, cache_dir=tmp_path, workers=1, shard_size=self.SHARD_SIZE
+        )
+        assert rows_key(sharded) == rows_key(unsharded)
+        trace = specs[0].trace.resolve()
+        shards = -(-len(trace) // self.SHARD_SIZE)
+        assert shards > 1
+        # One pass per shard for the whole profile group.
+        assert calls == [(4096, [256, 1024])] * shards
+        assert len(list((tmp_path / "shard-profile").rglob("*.npz"))) == (
+            shards * len(self.SIZES)
+        )
+        stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
+        assert stored == _profile_keys(trace, self.SIZES)
+        warm = run_campaign(specs, cache_dir=tmp_path, workers=1)
+        assert rows_key(warm) == rows_key(unsharded) and warm.fully_cached
+
+    def test_session_campaign_honours_shard_size(self, tmp_path, monkeypatch):
+        from repro.api import ExecutionSpec, Session
+
+        grid = self._grid(self.SIZES)
+        unsharded = run_campaign(grid, workers=1)
+        specs = [
+            replace(spec, execution=ExecutionSpec(shard_size=self.SHARD_SIZE))
+            for spec in grid
+        ]
+        calls = self._count_passes(monkeypatch)
+        result = Session(cache_dir=tmp_path, workers=1).campaign(specs)
+        assert rows_key(result) == rows_key(unsharded)
+        assert len(calls) == -(-len(grid[0].trace.resolve()) // self.SHARD_SIZE)
+        assert (tmp_path / "shard-profile").is_dir()
 
 
 class TestTaskContext:

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.pipeline.context import PipelineContext
-from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
+from repro.profiling.conflict_profile import (
+    ConflictProfile,
+    profile_blocks,
+    profile_blocks_reference,
+)
 from repro.profiling.sharded import (
     ShardPlan,
     profile_blocks_sharded,
@@ -161,10 +165,10 @@ class TestRunShardedProfile:
         trace = _write_trace(tmp_path)
         geometry = CacheGeometry(1024, block_size=32)
         context = PipelineContext(tmp_path / "cache")
-        cold = context.profile_sharded(trace, geometry, 10, shard_size=700)
+        cold = run_sharded_profile(trace, geometry, 10, shard_size=700, context=context)
         assert cold.recomputed_shards == len(cold.plan)
         assert not cold.fully_cached
-        warm = context.profile_sharded(trace, geometry, 10, shard_size=700)
+        warm = run_sharded_profile(trace, geometry, 10, shard_size=700, context=context)
         assert warm.recomputed_shards == 0
         assert warm.recomputed_scans == 0
         assert warm.fully_cached
@@ -174,12 +178,13 @@ class TestRunShardedProfile:
         trace = _write_trace(tmp_path)
         geometry = CacheGeometry(1024, block_size=32)
         context = PipelineContext(tmp_path / "cache")
-        cold = context.profile_sharded(trace, geometry, 10, shard_size=700)
+        cold = run_sharded_profile(trace, geometry, 10, shard_size=700, context=context)
         victims = sorted((tmp_path / "cache" / "shard-profile").rglob("*.npz"))
         assert len(victims) == len(cold.plan)
         victims[3].unlink()
-        resumed = PipelineContext(tmp_path / "cache").profile_sharded(
-            trace, geometry, 10, shard_size=700
+        resumed = run_sharded_profile(
+            trace, geometry, 10, shard_size=700,
+            context=PipelineContext(tmp_path / "cache"),
         )
         assert resumed.recomputed_shards == 1
         assert resumed.cached_shards == len(cold.plan) - 1
@@ -189,11 +194,13 @@ class TestRunShardedProfile:
         """A fresh context (fresh memo) still resumes from disk."""
         trace = _write_trace(tmp_path)
         geometry = CacheGeometry(1024, block_size=32)
-        PipelineContext(tmp_path / "cache").profile_sharded(
-            trace, geometry, 10, shard_size=700
+        run_sharded_profile(
+            trace, geometry, 10, shard_size=700,
+            context=PipelineContext(tmp_path / "cache"),
         )
-        fresh = PipelineContext(tmp_path / "cache").profile_sharded(
-            trace, geometry, 10, shard_size=700
+        fresh = run_sharded_profile(
+            trace, geometry, 10, shard_size=700,
+            context=PipelineContext(tmp_path / "cache"),
         )
         assert fresh.recomputed_shards == 0
 
@@ -218,3 +225,91 @@ class TestRunShardedProfile:
         plain = fresh.profile(trace, geometry, 10)
         assert_profiles_equal(plain, sharded)
         assert fresh.cache_stats()["profile"]["hits"] >= 1
+
+
+def _nonzero(stats):
+    return {
+        kind: {event: count for event, count in events.items() if count}
+        for kind, events in stats.items()
+        if any(events.values())
+    }
+
+
+class TestOneDriver:
+    """``run_sharded_profile`` serves every profile: the single pass is
+    its one-shard plan, and ``capacities`` profiles several cache sizes
+    per shard pass."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        block_traces(max_len=120, max_block=1 << 10),
+        st.sets(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
+        st.data(),
+    )
+    def test_capacities_match_reference(self, blocks, log_capacities, data):
+        capacities = sorted(1 << k for k in log_capacities)
+        trace = Trace(blocks * np.uint64(4))
+        primary = data.draw(st.sampled_from(capacities))
+        geometry = CacheGeometry(primary * 4, block_size=4)
+        total = len(blocks)
+        non_divisor = next((k for k in range(2, total) if total % k), total + 1)
+        random_size = data.draw(st.integers(min_value=1, max_value=total + 13))
+        expected = {c: profile_blocks_reference(blocks, c, 8) for c in capacities}
+        for shard_size in (1, non_divisor, random_size, total + 5, None):
+            result = run_sharded_profile(
+                trace, geometry, 8, shard_size=shard_size, capacities=capacities
+            )
+            assert sorted(result.profiles) == capacities
+            assert result.profile is result.profiles[geometry.num_blocks]
+            for capacity in capacities:
+                assert_profiles_equal(result.profiles[capacity], expected[capacity])
+
+    def test_one_shard_writes_only_the_profile(self, tmp_path):
+        trace = _write_trace(tmp_path)
+        geometry = CacheGeometry(1024, block_size=32)
+        cache_dir = tmp_path / "cache"
+        cold_context = PipelineContext(cache_dir)
+        cold = run_sharded_profile(
+            trace, geometry, 10, shard_size=None, context=cold_context
+        )
+        assert len(cold.plan) == 1 and cold.recomputed_shards == 1
+        assert not cold.fully_cached
+        assert _nonzero(cold_context.cache_stats()) == {
+            "profile": {"misses": 1, "stores": 1}
+        }
+        assert [path.name for path in cache_dir.iterdir()] == ["profile"]
+        warm_context = PipelineContext(cache_dir)
+        warm = run_sharded_profile(
+            trace, geometry, 10, shard_size=None, context=warm_context
+        )
+        assert warm.fully_cached and warm.recomputed_scans == 0
+        assert _nonzero(warm_context.cache_stats()) == {"profile": {"hits": 1}}
+        assert_profiles_equal(warm.profile, cold.profile)
+
+    def test_shard_larger_than_trace_is_the_single_pass(self, tmp_path):
+        trace = _write_trace(tmp_path)
+        geometry = CacheGeometry(1024, block_size=32)
+        context = PipelineContext(tmp_path / "cache")
+        result = run_sharded_profile(
+            trace, geometry, 10, shard_size=len(trace) + 1, context=context
+        )
+        assert len(result.plan) == 1
+        assert [path.name for path in (tmp_path / "cache").iterdir()] == ["profile"]
+        assert_profiles_equal(
+            result.profile,
+            profile_blocks(trace.block_addresses(32), geometry.num_blocks, 10),
+        )
+
+    def test_multi_shard_stores_merged_profile(self, tmp_path):
+        trace = _write_trace(tmp_path)
+        geometry = CacheGeometry(1024, block_size=32)
+        run_sharded_profile(
+            trace, geometry, 10, shard_size=700,
+            context=PipelineContext(tmp_path / "cache"),
+        )
+        fresh = PipelineContext(tmp_path / "cache")
+        single = run_sharded_profile(
+            trace, geometry, 10, shard_size=None, context=fresh
+        )
+        assert single.fully_cached
+        assert _nonzero(fresh.cache_stats()) == {"profile": {"hits": 1}}

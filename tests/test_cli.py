@@ -240,6 +240,17 @@ class TestSpecDrivenCommands:
         assert main(["run", "/nope/missing.toml"]) == 2
         assert "cannot read spec file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("deep.json", "[" * 200_000), ("deep.toml", "a = " + "[" * 200_000)],
+        ids=["json", "toml"],
+    )
+    def test_run_deeply_nested_spec_fails_cleanly(self, capsys, tmp_path, name, text):
+        deep = tmp_path / name
+        deep.write_text(text)
+        assert main(["run", str(deep)]) == 2
+        assert "not valid" in capsys.readouterr().err
+
     def test_run_invalid_spec_names_field(self, capsys, tmp_path):
         bad = tmp_path / "bad.toml"
         bad.write_text('[trace]\nsuite = "mibench"\nbenchmark = "nope"\n')
@@ -354,6 +365,34 @@ class TestProfileCommand:
         sharded = json.loads(capsys.readouterr().out)
         assert sharded["digests"]["profile"] == single["digests"]["profile"]
         assert sharded["profile"] == single["profile"]
+
+    def test_sharded_and_single_pass_share_one_cache(self, capsys, bin_trace, tmp_path):
+        argv = ["profile", "--trace-file", bin_trace, "--block-size", "32",
+                "--cache-kb", "4", "--n", "8", "--json",
+                "--cache-dir", str(tmp_path / "cache")]
+        sharded = argv + ["--shard-size", "1200"]
+        assert main(sharded) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["sharding"]["recomputed_shards"] == 5
+        assert main(argv + ["--expect-cached"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert single["sharding"] is None
+        assert main(sharded + ["--expect-cached"]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["sharding"]["recomputed_shards"] == 0
+        for report in (single, warm):
+            assert report["profile"] == cold["profile"]
+            assert report["digests"] == cold["digests"]
+
+    def test_single_pass_expect_cached(self, capsys, bin_trace, tmp_path):
+        argv = ["profile", "--trace-file", bin_trace, "--block-size", "32",
+                "--cache-kb", "4", "--n", "8", "--expect-cached"]
+        assert main(argv) == 1
+        assert "1 shard(s)" in capsys.readouterr().err
+        cached = argv + ["--cache-dir", str(tmp_path / "cache")]
+        assert main(cached) == 1
+        capsys.readouterr()
+        assert main(cached) == 0
 
     def test_both_sources_rejected(self, capsys, bin_trace):
         code = main(["profile", "mibench", "fft", "--trace-file", bin_trace])
