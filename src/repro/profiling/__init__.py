@@ -19,11 +19,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "estimate_misses_support",
         ),
         "repro.profiling.lru_stack": ("LRUStack",),
-        "repro.profiling.reuse": (
-            "FenwickTree",
-            "reuse_distances",
-            "reuse_distance_histogram",
-        ),
+        "repro.profiling.reuse": ("reuse_distances", "reuse_distance_histogram"),
         "repro.profiling.sampling": (
             "SamplingReport",
             "profile_blocks_sampled",

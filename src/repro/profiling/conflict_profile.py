@@ -41,15 +41,37 @@ __all__ = [
 
 _FLUSH_THRESHOLD = 1 << 22  # buffered conflict vectors before a bincount flush
 
-#: Accesses per chunk of the vectorized kernel.  Shorter chunks scan
-#: fewer slots that die inside the chunk and need fewer merge levels for
-#: the in-chunk depth counts; longer ones compact the live-slot array
-#: less often.  4 Ki balances the two from 10 K- to 2 M-access traces.
+#: Accesses per chunk of the depth walk.  Shorter chunks need fewer
+#: merge levels for the in-chunk depth counts; longer ones compact the
+#: live-slot array less often.  4 Ki balances the two from 10 K- to
+#: 2 M-access traces.
 _PROFILE_CHUNK = 1 << 12
 
-#: Flat candidate slots gathered per batch, bounding the transient
-#: gather arrays (a few bytes each) whatever the capacity.
-_GATHER_BATCH = 1 << 20
+#: Accesses per span of a chunk.  A candidate slot born before a span
+#: and retiring after it is above every access of the span, so those
+#: pairs are broadcast; only the slots retiring inside the span and the
+#: span's own slots (under ``2 * _SPAN`` per access) are gathered one
+#: by one.  Shorter spans gather less and broadcast more, at a fixed
+#: cost per span.
+_SPAN = 64
+
+#: A span broadcasts when the reuse intervals of its accesses hold at
+#: least this many candidate slots together.  Sparser spans (the
+#: pair-sparse traces) gather their accesses' whole intervals in the
+#: chunk's one flat pass and pay no per-span cost.
+_SPAN_WORK = 1 << 14
+
+#: Masked cells worth one more broadcast in :func:`_bin_suffixes`.
+_CUT_COST = 1500
+
+#: Pair bins buffered between ``bincount`` flushes: 2 Mi int64 entries
+#: (16 MiB) keep ``bincount`` in its fastest range while amortizing
+#: the add of the ``K * 2^n`` histogram.
+_PAIR_BUFFER = 1 << 21
+
+#: Cells per flat-gather batch: its index, liveness and bin temporaries
+#: (a few bytes per cell each) then stay in the CPU cache.
+_GATHER_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -216,24 +238,6 @@ class ConflictProfile:
         )
 
 
-def _segment_batches(offsets: np.ndarray, limit: int):
-    """Split CSR segments into batches of ~``limit`` flat elements.
-
-    Batches always align with segment boundaries (an access's interval
-    is never split), so a batch can exceed ``limit`` only when a single
-    segment does; this bounds the transient gather arrays on traces
-    with long reuse intervals.
-    """
-    segments = len(offsets) - 1
-    start = 0
-    while start < segments:
-        end = int(np.searchsorted(offsets, offsets[start] + limit, side="right")) - 1
-        if end <= start:
-            end = start + 1
-        yield start, end
-        start = end
-
-
 def profile_blocks(
     blocks: np.ndarray,
     capacity_blocks: int,
@@ -266,7 +270,7 @@ def profile_blocks(
     (:func:`~repro.profiling.reuse.walk_chunks`), and an access is a
     conflict at capacity ``C`` exactly when ``d < C`` (Mattson stack
     inclusion).  So capacity misses cost O(1) each, and only conflicts
-    gather the blocks above them — work proportional to the conflict
+    enumerate the blocks above them — work proportional to the conflict
     pairs emitted, for every requested capacity at once.  Bit-identical
     to :func:`profile_blocks_reference` at each capacity
     (property-tested).
@@ -294,11 +298,8 @@ def _profile_pass(
     ``K`` capacities it is a conflict for) times the vector.  A
     capacity's profile is then the cumulative sum of the buckets up to
     its own; bin 0 of each bucket counts the ``beyond_window`` pairs.
-
-    The pairs of an access are the blocks live in its reuse interval.
-    Per chunk of accesses they are gathered from the chunk's
-    *candidates* (see :func:`~repro.profiling.reuse.walk_chunks`) with
-    one CSR-style flat gather for all of the chunk's conflicts.
+    The pairs themselves are enumerated chunk by chunk, see
+    :func:`_bin_chunk`.
     """
     caps = np.unique(np.asarray(capacities, dtype=np.int64))
     if caps[0] < 1:
@@ -308,65 +309,23 @@ def _profile_pass(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     count = len(blocks)
-    window = np.uint64(mask(n))
+    low = (blocks & np.uint64(mask(n))).astype(np.int64)
     prev = previous_occurrences(blocks)
     nxt = next_occurrences(prev)
-    hist = np.zeros(len(caps) << n, dtype=np.int64)
-    key_dtype = np.int32 if hist.size <= np.iinfo(np.int32).max else np.int64
+    bins = _PairBins(len(caps) << n)
     # Repeats per depth bucket: bucket k holds depths in
     # [caps[k-1], caps[k]), bucket K the capacity misses of every size.
     per_bucket = np.zeros(len(caps) + 1, dtype=np.int64)
-    pending: list[np.ndarray] = []
-    buffered = 0
-    for t0, live, lo, depth in walk_chunks(prev, nxt, chunk_size):
+    for t0, live, live_nxt, lo, depth in walk_chunks(prev, nxt, chunk_size):
         bucket = np.searchsorted(caps, depth, side="right")
         per_bucket += np.bincount(bucket[depth >= 0], minlength=len(caps) + 1)
-        # Depth-0 reuses are conflicts with no blocks above: nothing to
-        # gather.  The rest reach at most max(caps) live slots back, so
-        # the candidates start at the earliest interval, not at live[0].
-        sel = np.flatnonzero((depth > 0) & (bucket < len(caps)))
-        if not len(sel):
-            continue
-        first = min(int(lo[sel].min()), live.size)
-        cand_times = np.concatenate(
-            [live[first:], np.arange(t0, t0 + len(depth), dtype=np.int64)]
-        )
-        # Death times relative to the chunk, capped at its end: a slot
-        # dying at or after it is live at every access in the chunk.
-        cand_death = (np.minimum(nxt[cand_times], t0 + len(depth)) - t0).astype(
-            np.int32
-        )
-        cand_low = (blocks[cand_times] & window).astype(key_dtype)
-        g_lo = lo[sel] - first
-        g_rel = sel.astype(np.int32)
-        take = live.size - first + g_rel - g_lo
-        # bucket << n | low bits of the accessed block: XOR with a
-        # candidate's low bits gives the pair's bin.
-        g_key = (bucket[sel] << n).astype(key_dtype)
-        g_key |= (blocks[t0 + sel] & window).astype(key_dtype)
-        offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(take)])
-        for s0, s1 in _segment_batches(offsets, _GATHER_BATCH):
-            b_take = take[s0:s1]
-            # Candidate positions fit int32 (at most max(caps) plus a
-            # chunk), which halves the gather traffic.
-            flat = np.arange(int(offsets[s1] - offsets[s0]), dtype=np.int32)
-            flat += np.repeat(
-                (g_lo[s0:s1] - (offsets[s0:s1] - offsets[s0])).astype(np.int32),
-                b_take,
+        # Depth-0 reuses are conflicts with no blocks above: no pairs.
+        rows = np.flatnonzero((depth > 0) & (bucket < len(caps)))
+        if len(rows):
+            _bin_chunk(
+                bins, low, nxt, t0, live, live_nxt, lo, rows, bucket[rows] << n
             )
-            # A candidate is above the access on the LRU stack iff it
-            # is still its block's latest occurrence then.
-            alive = np.take(cand_death, flat) > np.repeat(g_rel[s0:s1], b_take)
-            bins = np.repeat(g_key[s0:s1], b_take)
-            bins ^= np.take(cand_low, flat)
-            pending.append(np.compress(alive, bins))
-            buffered += len(pending[-1])
-            if buffered >= _FLUSH_THRESHOLD:
-                hist += np.bincount(np.concatenate(pending), minlength=hist.size)
-                pending.clear()
-                buffered = 0
-    if pending:
-        hist += np.bincount(np.concatenate(pending), minlength=hist.size)
+    hist = bins.histogram()
 
     cumulative = np.cumsum(hist.reshape(len(caps), 1 << n), axis=0)
     beyond = cumulative[:, 0].copy()
@@ -385,6 +344,166 @@ def _profile_pass(
         )
         for k, capacity in enumerate(caps)
     }
+
+
+def _bin_chunk(bins, low, nxt, t0, live, live_nxt, lo, rows, high) -> None:
+    """Bin the pairs of one :func:`~repro.profiling.reuse.walk_chunks`
+    chunk's conflicts ``rows`` (offsets from ``t0``); ``low`` holds the
+    trace's hashed block bits and ``high`` each row's bits above them.
+
+    The pairs of an access are the candidates in its reuse interval
+    that are still live at it.  In a span with enough of them (see
+    ``_SPAN_WORK``) they split in two:
+
+    * **persistent** — candidates born before the span and retiring
+      after it are live at every access of the span, so an access's
+      persistent pairs are one suffix of the span's compacted
+      persistent array, which :func:`_bin_suffixes` broadcasts;
+    * **transient** — candidates retiring inside the span and the
+      span's own slots, gathered one by one with a liveness test.
+
+    Accesses of the other spans gather their whole interval the same
+    way.  Either way each pair is binned once, so the result does not
+    depend on the chunking.
+    """
+    size = len(lo)
+    first = min(int(lo[rows].min()), live.size)
+    m = live.size - first
+    # Candidates: the live slots from the earliest interval on, then the
+    # chunk's own slots.  ``death`` is when each retires, from t0 on.
+    death = np.concatenate([live_nxt[first:], nxt[t0 : t0 + size]]) - t0
+    cand_low = np.concatenate([low[live[first:]], low[t0 : t0 + size]])
+    start = lo[rows] - first
+    keys = high | cand_low[m + rows]
+    span = _SPAN
+    spans = rows // span
+    work = np.bincount(spans, weights=m + rows - start)
+    wide = np.flatnonzero(work[spans] >= _SPAN_WORK)
+    # Gather ranges [begin, end) into (src_death, src_low), per row.
+    begin, end = start, m + rows
+    src_death, src_low = death, cand_low
+    if len(wide):
+        stride = m + size
+        wrows = rows[wide]
+        wstart = start[wide]
+        wkeys = keys[wide]
+        spans = spans[wide]
+        cuts = [0, *(np.flatnonzero(np.diff(spans)) + 1).tolist(), len(spans)]
+        for i0, i1 in zip(cuts[:-1], cuts[1:]):
+            u0 = int(spans[i0]) * span
+            persistent = np.flatnonzero(death[: m + u0] >= min(u0 + span, size))
+            _bin_suffixes(
+                bins,
+                wkeys[i0:i1],
+                np.searchsorted(persistent, wstart[i0:i1]),
+                cand_low[persistent],
+            )
+        # Each span's transient list, keyed (span, candidate): the older
+        # candidates retiring inside it, then its own slots.
+        index = np.arange(stride, dtype=np.int64)
+        born = (index - m) // span
+        dies = death // span
+        dying = np.flatnonzero((death < size) & (born < dies))
+        tkey = np.sort(
+            np.concatenate([dies[dying] * stride + dying, born[m:] * stride + index[m:]])
+        )
+        tcand = tkey % stride
+        src_death = np.concatenate([death, death[tcand]])
+        src_low = np.concatenate([cand_low, cand_low[tcand]])
+        begin, end = begin.copy(), end.copy()
+        begin[wide] = stride + np.searchsorted(tkey, spans * stride + wstart)
+        end[wide] = stride + np.searchsorted(tkey, spans * stride + m + wrows)
+    ends = np.cumsum(end - begin)
+    r0 = 0
+    while r0 < len(rows):
+        done = int(ends[r0 - 1]) if r0 else 0
+        r1 = int(np.searchsorted(ends, done + _GATHER_CELLS, side="right"))
+        r1 = max(r1, r0 + 1)
+        take = end[r0:r1] - begin[r0:r1]
+        flat = np.arange(int(ends[r1 - 1]) - done, dtype=np.int64)
+        flat += np.repeat(begin[r0:r1] - (ends[r0:r1] - take - done), take)
+        # A candidate is above the access on the LRU stack iff it is
+        # still its block's latest occurrence then.
+        alive = np.take(src_death, flat) > np.repeat(rows[r0:r1], take)
+        values = np.repeat(keys[r0:r1], take)
+        values ^= np.take(src_low, flat)
+        np.compress(alive, values, out=bins.reserve(int(np.count_nonzero(alive))))
+        r0 = r1
+
+
+class _PairBins:
+    """A ``bincount`` histogram fed through one preallocated buffer.
+
+    Bin ``dump``, one past the real bins, takes the cells a broadcast
+    writes that belong to no pair; :meth:`histogram` drops it.
+    """
+
+    def __init__(self, bins: int):
+        self.dump = bins
+        self._hist = np.zeros(bins + 1, dtype=np.int64)
+        self._buf = np.empty(_PAIR_BUFFER, dtype=np.int64)
+        self._fill = 0
+
+    def _flush(self) -> None:
+        if self._fill:
+            self._hist += np.bincount(
+                self._buf[: self._fill], minlength=self._hist.size
+            )
+            self._fill = 0
+
+    def reserve(self, cells: int) -> np.ndarray:
+        """The next ``cells`` buffer entries, binned at the next flush."""
+        if self._fill + cells > self._buf.size:
+            self._flush()
+            if cells > self._buf.size:
+                self._buf = np.empty(cells, dtype=np.int64)
+        out = self._buf[self._fill : self._fill + cells]
+        self._fill += cells
+        return out
+
+    def outer(self, keys: np.ndarray, lows: np.ndarray, skip: np.ndarray) -> None:
+        """Bin ``keys[i] ^ lows[j]`` for every ``i, j``, except that the
+        first ``skip[i]`` cells of row ``i`` go to the dump bin.
+        ``skip`` ascends."""
+        width = len(lows)
+        per = max(1, self._buf.size // max(width, 1))
+        for r0 in range(0, len(keys), per):
+            row_keys = keys[r0 : r0 + per]
+            out = self.reserve(len(row_keys) * width).reshape(len(row_keys), width)
+            np.bitwise_xor(row_keys[:, None], lows[None, :], out=out)
+            row_skip = skip[r0 : r0 + per]
+            masked = min(int(row_skip[-1]), width)
+            if masked > 0:
+                top = int(np.searchsorted(row_skip, 0, side="right"))
+                np.putmask(
+                    out[top:, :masked],
+                    np.arange(masked) < row_skip[top:, None],
+                    self.dump,
+                )
+
+    def histogram(self) -> np.ndarray:
+        self._flush()
+        return self._hist[:-1]
+
+
+def _bin_suffixes(bins: _PairBins, keys, starts, lows) -> None:
+    """Bin ``keys[i] ^ lows[j]`` for every ``j >= starts[i]``.
+
+    Sorted by start, the wanted cells form a staircase.  It is cut at a
+    few starts taken at row quantiles (more when the starts spread
+    wider, weighed by ``_CUT_COST``); each cut broadcasts its columns up
+    to the next cut against every row that reaches them, and only the
+    rows starting inside those columns dump their leading cells.
+    """
+    order = np.argsort(starts, kind="stable")
+    starts = np.minimum(starts[order], len(lows))
+    keys = keys[order]
+    spread = int(starts[-1] - starts[0])
+    parts = min(int((len(keys) * spread / _CUT_COST) ** 0.5) + 1, 32)
+    cuts = sorted(set(starts[(np.arange(parts) * len(keys)) // parts].tolist()))
+    reach = [*np.searchsorted(starts, cuts[1:]).tolist(), len(keys)]
+    for c0, c1, i1 in zip(cuts, [*cuts[1:], len(lows)], reach):
+        bins.outer(keys[:i1], lows[c0:c1], skip=starts[:i1] - c0)
 
 
 def profile_blocks_slotted(
@@ -509,9 +628,9 @@ def profile_trace(
     """Profile a :class:`~repro.trace.Trace` for a cache geometry.
 
     Runs the vectorized :func:`profile_blocks` kernel: an exact reuse
-    depth per access (``O(N log^2 N)`` array passes), then gather work
-    proportional to the conflict pairs emitted, with no per-access
-    Python iteration.
+    depth per access (``O(N log^2 N)`` array passes), then broadcast
+    and gather work proportional to the conflict pairs emitted, with no
+    per-access Python iteration.
     """
     blocks = trace.block_addresses(geometry.block_size)
     return profile_blocks(blocks, geometry.num_blocks, n)

@@ -14,51 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "FenwickTree",
     "next_occurrences",
     "previous_occurrences",
     "reuse_distance_histogram",
     "reuse_distances",
     "walk_chunks",
 ]
-
-
-class FenwickTree:
-    """Prefix-sum tree over ``size`` integer cells."""
-
-    __slots__ = ("_tree", "size")
-
-    def __init__(self, size: int):
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        self.size = size
-        self._tree = [0] * (size + 1)
-
-    def add(self, index: int, delta: int) -> None:
-        """Add ``delta`` to cell ``index`` (0-based)."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} out of range [0, {self.size})")
-        i = index + 1
-        while i <= self.size:
-            self._tree[i] += delta
-            i += i & -i
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of cells ``[0, index]`` (0-based, inclusive); -1 gives 0."""
-        if index >= self.size:
-            raise IndexError(f"index {index} out of range [0, {self.size})")
-        total = 0
-        i = index + 1
-        while i > 0:
-            total += self._tree[i]
-            i -= i & -i
-        return total
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of cells ``[lo, hi]`` inclusive."""
-        if lo > hi:
-            return 0
-        return self.prefix_sum(hi) - (self.prefix_sum(lo - 1) if lo > 0 else 0)
 
 
 def previous_occurrences(blocks: np.ndarray) -> np.ndarray:
@@ -100,13 +61,14 @@ def walk_chunks(prev: np.ndarray, nxt: np.ndarray, chunk_size: int):
     """Walk a trace in chunks of accesses with every access's exact LRU depth.
 
     ``prev`` and ``nxt`` come from :func:`previous_occurrences` and
-    :func:`next_occurrences`.  Yields ``(t0, live, lo, depth)`` per
-    chunk ``[t0, t1)``:
+    :func:`next_occurrences`.  Yields ``(t0, live, live_nxt, lo, depth)``
+    per chunk ``[t0, t1)``:
 
     * ``live`` — the global times of the slots live at ``t0`` (the
       latest occurrence of each block touched before the chunk),
       ascending.  The chunk's *candidates* are ``live`` followed by
       the chunk's own times ``t0 .. t1 - 1``;
+    * ``live_nxt`` — ``nxt[live]``, when each live slot retires;
     * ``lo`` — per access, the first candidate after its previous
       occurrence, so its reuse interval is candidates ``lo`` up to its
       own slot at ``len(live) + t - t0``;
@@ -139,7 +101,7 @@ def walk_chunks(prev: np.ndarray, nxt: np.ndarray, chunk_size: int):
         lo += np.maximum(chunk_prev - t0 + 1, 0)
         depth = live.size + offset - lo - retired[t0:t1]
         depth[chunk_prev < 0] = -1
-        yield t0, live, lo, depth
+        yield t0, live, live_nxt, lo, depth
         keep = live_nxt >= t1
         chunk_nxt = nxt[t0:t1]
         born = chunk_nxt >= t1
@@ -199,7 +161,7 @@ def reuse_distances(blocks: np.ndarray, chunk_size: int = 1 << 12) -> np.ndarray
     prev = previous_occurrences(np.asarray(blocks, dtype=np.uint64))
     depths = [
         depth
-        for _, _, _, depth in walk_chunks(prev, next_occurrences(prev), chunk_size)
+        for *_, depth in walk_chunks(prev, next_occurrences(prev), chunk_size)
     ]
     return np.concatenate(depths) if depths else np.empty(0, dtype=np.int64)
 
@@ -213,10 +175,7 @@ def reuse_distance_histogram(
     matches how the capacity filter consumes the information.
     """
     distances = reuse_distances(blocks)
-    histogram: dict[int, int] = {}
-    for d in distances:
-        d = int(d)
-        if max_distance is not None and d > max_distance:
-            d = max_distance
-        histogram[d] = histogram.get(d, 0) + 1
-    return histogram
+    if max_distance is not None:
+        distances = np.minimum(distances, max_distance)
+    values, counts = np.unique(distances, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))

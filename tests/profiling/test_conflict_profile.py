@@ -1,11 +1,14 @@
 """Tests for the Fig. 1 profiling pass."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.profiling import conflict_profile
 from repro.profiling.conflict_profile import (
     ConflictProfile,
     profile_blocks,
@@ -219,6 +222,91 @@ class TestMultiCapacity:
     def test_rejects_zero_capacity_sibling(self):
         with pytest.raises(ValueError):
             profile_blocks(np.arange(4, dtype=np.uint64), 4, 4, siblings={0: None})
+
+
+@st.composite
+def working_set_traces(draw, max_block: int = 1 << 10):
+    """A long-lived working set cycled in order, interleaved with bursts
+    of short-lived blocks that are re-referenced a few times and then
+    dropped.  Every chunk then holds slots that outlive it (the working
+    set, and dropped blocks that are never re-referenced), slots that
+    retire inside it and its own slots."""
+    hot = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=max_block - 1),
+            min_size=2,
+            max_size=40,
+            unique=True,
+        )
+    )
+    steps = draw(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=3)),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    salt = draw(st.integers(min_value=0, max_value=max_block - 1))
+    trace, cursor = [], 0
+    for step, (is_hot, pick) in enumerate(steps):
+        if is_hot:
+            trace.append(hot[cursor % len(hot)])
+            cursor += 1
+        else:
+            # Four short-lived blocks per stretch of eight steps.
+            trace.append(max_block + ((step // 8 * 4 + pick) ^ salt))
+    return np.array(trace, dtype=np.uint64)
+
+
+#: Kernel tunings small enough that test-sized traces take every path:
+#: single-access spans, broadcast and gathered spans side by side, one
+#: cut per distinct start, and buffers and gather batches a few cells
+#: wide.
+_TUNINGS = st.fixed_dictionaries(
+    {
+        "_SPAN": st.integers(min_value=1, max_value=8),
+        "_SPAN_WORK": st.sampled_from([0, 8, 64]),
+        "_CUT_COST": st.sampled_from([1, 16, 1500]),
+        "_PAIR_BUFFER": st.sampled_from([1, 7, 64, 1 << 21]),
+        "_GATHER_CELLS": st.sampled_from([1, 5, 1 << 15]),
+    }
+)
+
+
+class TestPersistentTransientSplit:
+    """Pairs split into broadcast persistent suffixes and gathered
+    transient candidates: the split must not be observable."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(working_set_traces(), block_traces(max_block=1 << 12)),
+        st.integers(min_value=1, max_value=64),
+        st.lists(st.integers(min_value=1, max_value=48), min_size=1, max_size=3),
+        _TUNINGS,
+    )
+    def test_each_capacity_equals_reference(self, blocks, chunk_size, capacities, tuning):
+        with mock.patch.multiple(conflict_profile, **tuning):
+            profiles = _one_pass(blocks, capacities, 10, chunk_size)
+        for capacity, profile in profiles.items():
+            assert_profiles_equal(
+                profile, profile_blocks_reference(blocks, capacity, 10)
+            )
+
+    def test_lame_small_digests_pinned(self):
+        """The densest Table-2 kernel keeps the digests the gather
+        kernel it replaced produced (block size 4, n=16, 1/4/16 KB)."""
+        from repro.api import TraceSpec
+
+        blocks = TraceSpec("mibench", "lame").resolve().block_addresses(4)
+        profiles = _one_pass(blocks, [256, 1024, 4096], 16)
+        pinned = {
+            256: ("8dcc33e5bb41373df775c02787e8b2915f5cb3efc5a6179f7646d28d67cb6bd3", 159852),
+            1024: ("b3984521ea8bda3cc72cffd5b4be97b2d00a03b93afc445d0f1534f219b81495", 2373900),
+            4096: ("b83a9f3a46acb30702d7286d19d547cc485d1d5d8bc49fb24ef56f805aeb4ec2", 93716120),
+        }
+        assert {
+            capacity: (p.digest, p.total_weight) for capacity, p in profiles.items()
+        } == pinned
 
 
 def _lru_depths(blocks):

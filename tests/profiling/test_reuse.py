@@ -1,10 +1,9 @@
 """Tests for reuse-distance computation."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
-from repro.profiling.reuse import FenwickTree, reuse_distance_histogram, reuse_distances
+from repro.profiling.reuse import reuse_distance_histogram, reuse_distances
 from tests.conftest import block_traces
 
 
@@ -23,35 +22,6 @@ def _naive_reuse_distances(blocks):
             out.append(len(seen))
         last[b] = i
     return np.array(out, dtype=np.int64)
-
-
-class TestFenwick:
-    def test_prefix_sums(self):
-        tree = FenwickTree(8)
-        tree.add(0, 5)
-        tree.add(3, 2)
-        tree.add(7, 1)
-        assert tree.prefix_sum(0) == 5
-        assert tree.prefix_sum(3) == 7
-        assert tree.prefix_sum(7) == 8
-
-    def test_range_sum(self):
-        tree = FenwickTree(8)
-        for i in range(8):
-            tree.add(i, 1)
-        assert tree.range_sum(2, 5) == 4
-        assert tree.range_sum(5, 2) == 0
-
-    def test_bounds(self):
-        tree = FenwickTree(4)
-        with pytest.raises(IndexError):
-            tree.add(4, 1)
-        with pytest.raises(IndexError):
-            tree.prefix_sum(4)
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            FenwickTree(-1)
 
 
 class TestReuseDistances:
