@@ -234,11 +234,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 cache_dir=args.cache_dir, **_resilience_overrides(args),
             ),
         )
-        trace = spec.trace.resolve()
+        session = Session(cache_dir=args.cache_dir, workers=args.workers)
+        # Through the trace memo: a warm single-pass replay never runs
+        # the workload kernel.
+        trace = session.context().trace(spec.trace)
     except SpecError as error:
         return _fail(error)
     geometry = spec.geometry.resolve()
-    session = Session(cache_dir=args.cache_dir, workers=args.workers)
     result = run_sharded_profile(
         trace, geometry, spec.search.n,
         shard_size=spec.execution.shard_size,

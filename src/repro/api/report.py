@@ -55,7 +55,7 @@ __all__ = [
 REPORT_SCHEMA = "repro-report/v1"
 
 
-def _stats_to_json(stats) -> dict[str, int]:
+def stats_to_json(stats) -> dict[str, int]:
     return {
         "accesses": stats.accesses,
         "misses": stats.misses,
@@ -63,7 +63,7 @@ def _stats_to_json(stats) -> dict[str, int]:
     }
 
 
-def _stats_from_json(payload: Mapping[str, Any]):
+def stats_from_json(payload: Mapping[str, Any]):
     from repro.cache.stats import CacheStats
 
     return CacheStats(
@@ -73,11 +73,11 @@ def _stats_from_json(payload: Mapping[str, Any]):
     )
 
 
-def _function_to_json(fn) -> dict[str, Any]:
+def function_to_json(fn) -> dict[str, Any]:
     return {"n": fn.n, "columns": list(fn.columns)}
 
 
-def _function_from_json(payload: Mapping[str, Any]):
+def function_from_json(payload: Mapping[str, Any]):
     from repro.gf2.hashfn import XorHashFunction
 
     return XorHashFunction(int(payload["n"]), [int(c) for c in payload["columns"]])
@@ -85,7 +85,7 @@ def _function_from_json(payload: Mapping[str, Any]):
 
 def _search_to_json(search) -> dict[str, Any]:
     payload = {
-        "function": _function_to_json(search.function),
+        "function": function_to_json(search.function),
         "estimated_misses": search.estimated_misses,
         "start_misses": search.start_misses,
         "steps": search.steps,
@@ -111,7 +111,7 @@ def _search_from_json(payload: Mapping[str, Any]):
 
     gap = payload.get("optimality_gap")
     return SearchResult(
-        function=_function_from_json(payload["function"]),
+        function=function_from_json(payload["function"]),
         estimated_misses=int(payload["estimated_misses"]),
         start_misses=int(payload["start_misses"]),
         steps=int(payload["steps"]),
@@ -167,9 +167,9 @@ def optimization_report(
         "environment": environment,
         "trace_name": result.trace_name,
         "family": result.family_name,
-        "function": _function_to_json(result.hash_function),
-        "baseline": _stats_to_json(result.baseline),
-        "optimized": _stats_to_json(result.optimized),
+        "function": function_to_json(result.hash_function),
+        "baseline": stats_to_json(result.baseline),
+        "optimized": stats_to_json(result.optimized),
         "removed_percent": result.removed_percent,
         "reverted": result.reverted,
         "search": _search_to_json(result.search),
@@ -197,9 +197,9 @@ def optimization_from_report(payload: Mapping[str, Any]) -> "OptimizationResult"
         trace_name=payload["trace_name"],
         geometry=spec.geometry.resolve(),
         family_name=payload["family"],
-        hash_function=_function_from_json(payload["function"]),
-        baseline=_stats_from_json(payload["baseline"]),
-        optimized=_stats_from_json(payload["optimized"]),
+        hash_function=function_from_json(payload["function"]),
+        baseline=stats_from_json(payload["baseline"]),
+        optimized=stats_from_json(payload["optimized"]),
         search=_search_from_json(payload["search"]),
         profile=None,
         reverted=bool(payload["reverted"]),

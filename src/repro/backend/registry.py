@@ -34,6 +34,7 @@ import contextlib
 import functools
 import os
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -89,7 +90,9 @@ class Backend:
 
 
 _REGISTRY: dict[str, Backend] = {}
-_OVERRIDES: list[str] = []
+# Per thread (and per asyncio task): a ``repro serve`` job pinning its
+# backend must not move the backend of the jobs running beside it.
+_OVERRIDES: ContextVar[tuple[str, ...]] = ContextVar("backend_overrides", default=())
 
 #: The fallback backend a degraded kernel re-runs on.
 FALLBACK_BACKEND = "numpy"
@@ -225,8 +228,9 @@ def active_backend() -> Backend:
     backend.  An unavailable explicit choice raises immediately — a
     silent fallback would misattribute benchmark numbers.
     """
-    if _OVERRIDES:
-        return get_backend(_OVERRIDES[-1])
+    overrides = _OVERRIDES.get()
+    if overrides:
+        return get_backend(overrides[-1])
     env = os.environ.get(BACKEND_ENV_VAR)
     if env:
         return get_backend(env)
@@ -240,6 +244,8 @@ def active_backend() -> Backend:
 def use_backend(name: str | None):
     """Pin the active backend inside a ``with`` block.
 
+    The pin holds for the calling thread only: concurrent ``repro
+    serve`` jobs each run on the backend their own spec names.
     ``None`` is a no-op context (callers can pass an optional spec
     field straight through).  The name is validated on entry.
     """
@@ -247,11 +253,11 @@ def use_backend(name: str | None):
         yield active_backend()
         return
     get_backend(name)  # validate eagerly: fail before any work runs
-    _OVERRIDES.append(name)
+    token = _OVERRIDES.set((*_OVERRIDES.get(), name))
     try:
         yield _REGISTRY[name]
     finally:
-        _OVERRIDES.pop()
+        _OVERRIDES.reset(token)
 
 
 def backend_status() -> list[dict]:

@@ -73,6 +73,21 @@ def stable_key(kind: str, params: dict[str, Any]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _read_json(path: Path) -> Any:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _json_writer(payload: dict):
+    text = json.dumps(payload, sort_keys=True)
+    return lambda tmp: tmp.write_text(text + "\n")
+
+
+def _read_arrays(path: Path) -> dict[str, Any]:
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
+
+
 class ArtifactCache:
     """Content-addressed artifact store with hit/miss/store accounting.
 
@@ -153,64 +168,65 @@ class ArtifactCache:
         """Where corrupt entries are moved (created on first use)."""
         return self.storage.quarantine_dir
 
-    # -- self-healing ------------------------------------------------------
+    # -- the one load and store path ---------------------------------------
 
-    def _quarantine(self, kind: str, key: str, suffix: str) -> None:
-        """Move a corrupt entry out of the live store and count it."""
-        if self.storage.quarantine(kind, key, suffix):
-            self._bump(kind, "quarantined")
+    def _load(self, kind, key, suffix, parse, damaged, counted=True):
+        """``parse(path)`` of the entry, or ``None`` for a miss.
 
-    def _materialize(self, kind: str, key: str, suffix: str) -> Path | None:
-        """Pre-parse gate: fault hooks + checksum-verified materialization.
-
-        Returns a readable path, or ``None`` for anything that must be
-        treated as a miss; a checksum mismatch additionally quarantines
-        the entry so the recompute's store starts clean.  Callers must
-        :meth:`~repro.pipeline.storage.StorageBackend.release` the path
-        once parsed.
+        Anything that keeps the entry from being read (an injected
+        fault, a failed checksum, an I/O error while materializing or
+        parsing) is a miss.  A checksum mismatch, or a parse error in
+        ``damaged``, also quarantines the entry so the recompute's
+        store starts clean.  Uncounted loads (memos) skip the fault
+        sites and the counters.
         """
-        # An injected cache.load error is a plain miss — the stored
-        # entry is healthy, so it must NOT be quarantined.
-        maybe_inject("cache.load", f"{kind}/{key}")
-        if should_corrupt("cache.load", f"{kind}/{key}"):
-            # Simulate a torn write physically: the verification and
-            # quarantine paths below must then heal it end to end.
-            self.storage.corrupt(kind, key, suffix)
-        path, quarantined = self.storage.materialize(kind, key, suffix)
-        if quarantined:
-            self._bump(kind, "quarantined")
-        return path
-
-    # -- JSON artifacts ----------------------------------------------------
-
-    def load_json(self, kind: str, key: str) -> dict | None:
+        bump = self._bump if counted else lambda kind, event: None
         path = None
         try:
-            path = self._materialize(kind, key, ".json")
+            if counted:
+                # An injected cache.load error is a plain miss — the
+                # stored entry is healthy, so it must NOT be quarantined.
+                maybe_inject("cache.load", f"{kind}/{key}")
+                if should_corrupt("cache.load", f"{kind}/{key}"):
+                    # Simulate a torn write physically: the verification
+                    # and quarantine paths must then heal it end to end.
+                    self.storage.corrupt(kind, key, suffix)
+            path, quarantined = self.storage.materialize(kind, key, suffix)
+            if quarantined:
+                bump(kind, "quarantined")
             if path is None:
                 raise FaultInjected  # unified miss path below
             try:
-                with open(path) as fh:
-                    payload = json.load(fh)
-            except json.JSONDecodeError:
-                # Checksum passed (or legacy) but the content is not
-                # JSON: the entry is damaged beyond a short read.
-                self._quarantine(kind, key, ".json")
+                value = parse(path)
+            except FileNotFoundError:
+                raise FaultInjected from None
+            except damaged:
+                # Checksum passed (or legacy) but the content does not
+                # parse: the entry is damaged beyond a short read.
+                if self.storage.quarantine(kind, key, suffix):
+                    bump(kind, "quarantined")
                 raise FaultInjected from None
         except (FaultInjected, *LOAD_ERRORS):
-            self._bump(kind, "misses")
+            bump(kind, "misses")
             return None
         finally:
             if path is not None:
                 self.storage.release(path)
-        self._bump(kind, "hits")
-        return payload
+        bump(kind, "hits")
+        return value
+
+    def _store(self, kind, key, suffix, write, counted=True) -> None:
+        self.storage.store(kind, key, suffix, write)
+        if counted:
+            self._bump(kind, "stores")
+
+    # -- JSON artifacts and memos ------------------------------------------
+
+    def load_json(self, kind: str, key: str) -> dict | None:
+        return self._load(kind, key, ".json", _read_json, json.JSONDecodeError)
 
     def store_json(self, kind: str, key: str, payload: dict) -> None:
-        self.store_memo(kind, key, payload)
-        self._bump(kind, "stores")
-
-    # -- memos -------------------------------------------------------------
+        self._store(kind, key, ".json", _json_writer(payload))
 
     def load_memo(self, kind: str, key: str) -> dict | None:
         """A JSON memo entry, or ``None``.
@@ -221,94 +237,36 @@ class ArtifactCache:
         share the storage's checksum verification: a corrupt entry is
         quarantined and reads as ``None``.
         """
-        path = None
-        try:
-            path, _ = self.storage.materialize(kind, key, ".json")
-            if path is None:
-                return None
-            with open(path) as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError:
-            self.storage.quarantine(kind, key, ".json")
-            return None
-        except LOAD_ERRORS:
-            return None
-        finally:
-            if path is not None:
-                self.storage.release(path)
+        payload = self._load(
+            kind, key, ".json", _read_json, json.JSONDecodeError, counted=False
+        )
         return payload if isinstance(payload, dict) else None
 
     def store_memo(self, kind: str, key: str, payload: dict) -> None:
         """Store a JSON entry without counting it (see :meth:`load_memo`)."""
-        text = json.dumps(payload, sort_keys=True)
-        self.storage.store(
-            kind, key, ".json", lambda tmp: tmp.write_text(text + "\n")
-        )
+        self._store(kind, key, ".json", _json_writer(payload), counted=False)
 
-    # -- conflict-profile artifacts ----------------------------------------
+    # -- npz artifacts -----------------------------------------------------
 
     def load_profile(self, key: str, kind: str = "profile") -> ConflictProfile | None:
         """Load a profile artifact; ``kind`` separates the whole-trace
         ``"profile"`` namespace from per-shard ``"shard-profile"``
         partials."""
-        path = None
-        try:
-            path = self._materialize(kind, key, ".npz")
-            if path is None:
-                raise FaultInjected  # unified miss path below
-            try:
-                profile = ConflictProfile.load(path)
-            except FileNotFoundError:
-                raise FaultInjected from None
-            except LOAD_ERRORS:
-                self._quarantine(kind, key, ".npz")
-                raise FaultInjected from None
-        except FaultInjected:
-            self._bump(kind, "misses")
-            return None
-        finally:
-            if path is not None:
-                self.storage.release(path)
-        self._bump(kind, "hits")
-        return profile
+        return self._load(kind, key, ".npz", ConflictProfile.load, LOAD_ERRORS)
 
     def store_profile(
         self, key: str, profile: ConflictProfile, kind: str = "profile"
     ) -> None:
-        self.storage.store(kind, key, ".npz", profile.save)
-        self._bump(kind, "stores")
-
-    # -- generic array artifacts -------------------------------------------
+        self._store(kind, key, ".npz", profile.save)
 
     def load_arrays(self, kind: str, key: str) -> dict[str, Any] | None:
         """Load an npz bundle of named arrays (e.g. shard scan states)."""
-        path = None
-        try:
-            path = self._materialize(kind, key, ".npz")
-            if path is None:
-                raise FaultInjected  # unified miss path below
-            try:
-                with np.load(path) as data:
-                    payload = {name: data[name] for name in data.files}
-            except FileNotFoundError:
-                raise FaultInjected from None
-            except LOAD_ERRORS:
-                self._quarantine(kind, key, ".npz")
-                raise FaultInjected from None
-        except FaultInjected:
-            self._bump(kind, "misses")
-            return None
-        finally:
-            if path is not None:
-                self.storage.release(path)
-        self._bump(kind, "hits")
-        return payload
+        return self._load(kind, key, ".npz", _read_arrays, LOAD_ERRORS)
 
     def store_arrays(self, kind: str, key: str, arrays: dict[str, Any]) -> None:
-        self.storage.store(
+        self._store(
             kind, key, ".npz", lambda tmp: np.savez_compressed(tmp, **arrays)
         )
-        self._bump(kind, "stores")
 
     def __repr__(self) -> str:
         return (

@@ -1,20 +1,25 @@
 """The pipeline session: one cache-fronted view of the whole flow.
 
 A :class:`PipelineContext` wraps an :class:`ArtifactCache` (optional —
-``cache=None`` gives a purely in-memory session).  :meth:`trace` maps a
-spec to its trace, through the cache's trace-digest memo, and the
-pipeline's three expensive primitives keep identical semantics to the
-uncached functions they front:
+``cache=None`` gives a purely in-memory session) plus an in-process
+memo, and :meth:`~PipelineContext.stage` is the one way a computed
+artifact is memoized: each key is served from the memo, else from the
+cache, else computed, then stored and memoized.  Every counted
+artifact goes through it:
 
-* :meth:`profile` — :func:`repro.profiling.profile_trace`, every miss
-  run by the one profile driver
-  (:func:`repro.profiling.run_sharded_profile`: the single pass is its
-  one-shard plan), which stores the merged profiles back here;
-* :meth:`baseline` / :meth:`evaluate` / :meth:`evaluate_many` — the
-  exact simulators in :mod:`repro.core.evaluate`;
-* :meth:`load_optimization` / :meth:`store_optimization` — whole
-  :class:`~repro.core.optimizer.OptimizationResult` records, so a warm
-  campaign replay skips even the hill climb.
+* ``stats`` — :meth:`~PipelineContext.simulate`,
+  :meth:`~PipelineContext.baseline`, :meth:`~PipelineContext.evaluate`
+  and :meth:`~PipelineContext.evaluate_many` front the exact simulators
+  of :mod:`repro.cache.engine`;
+* ``profile`` — :meth:`~PipelineContext.profile` fronts the one Fig. 1
+  profile driver, :func:`repro.profiling.run_sharded_profile`, which
+  stages the merged profiles (and, unmemoized, its shard scans);
+* ``optimization`` — :func:`~repro.core.optimizer.optimize_for_trace`
+  stages whole results, unmemoized, so a warm replay skips even the
+  hill climb.
+
+:meth:`~PipelineContext.trace` maps a spec to its trace through the
+cache's trace-digest memo, an uncounted record of facts about inputs.
 
 Stages take their context as an explicit ``context=`` argument
 (:func:`~repro.core.optimizer.optimize_for_trace`, the table drivers,
@@ -25,8 +30,9 @@ without a cache (property-tested in ``tests/pipeline``).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from repro.api.report import function_to_json, stats_from_json, stats_to_json
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.cache.stats import CacheStats
@@ -49,7 +55,8 @@ TRACE_MEMO = "trace-memo"
 _GENERATED = object()
 
 
-def _geometry_params(geometry: CacheGeometry) -> dict:
+def geometry_params(geometry: CacheGeometry) -> dict:
+    """A geometry as it enters artifact keys."""
     return {
         "size_bytes": geometry.size_bytes,
         "block_size": geometry.block_size,
@@ -57,28 +64,13 @@ def _geometry_params(geometry: CacheGeometry) -> dict:
     }
 
 
-def _stats_to_json(stats: CacheStats) -> dict:
-    return {
-        "accesses": stats.accesses,
-        "misses": stats.misses,
-        "compulsory": stats.compulsory,
-    }
+def _load_stats(cache: ArtifactCache, key: str) -> CacheStats | None:
+    payload = cache.load_json("stats", key)
+    return None if payload is None else stats_from_json(payload)
 
 
-def _stats_from_json(payload: dict) -> CacheStats:
-    return CacheStats(
-        accesses=int(payload["accesses"]),
-        misses=int(payload["misses"]),
-        compulsory=int(payload["compulsory"]),
-    )
-
-
-def _function_to_json(fn: XorHashFunction) -> dict:
-    return {"n": fn.n, "columns": list(fn.columns)}
-
-
-def _function_from_json(payload: dict) -> XorHashFunction:
-    return XorHashFunction(int(payload["n"]), [int(c) for c in payload["columns"]])
+def _store_stats(cache: ArtifactCache, key: str, stats: CacheStats) -> None:
+    cache.store_json("stats", key, stats_to_json(stats))
 
 
 class PipelineContext:
@@ -109,6 +101,63 @@ class PipelineContext:
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         return self.cache.stats() if self.cache is not None else {}
+
+    # -- the one way to memoize a stage ------------------------------------
+
+    def stage(
+        self,
+        kind: str,
+        keys: Sequence[str],
+        compute: Callable[[list[str]], Iterable[tuple[str, object]]],
+        load: Callable[[ArtifactCache, str], object] | None,
+        store: Callable[[ArtifactCache, str, object], None],
+        memo: bool = True,
+        siblings: Sequence[str] = (),
+    ) -> dict[str, object]:
+        """The values of ``kind`` under ``keys``, by key.
+
+        Each key is served from the memo (``memo=False`` skips it),
+        else through ``load(cache, key)``; ``None`` means stored
+        nowhere.  Only once every key is looked up does
+        ``compute(missing)`` run on the missing keys, in order, plus
+        the ``siblings`` not stored yet: keys the same computation
+        yields for little extra (a one-pass profile's other
+        capacities), looked up only when a key missed.  ``compute``
+        returns ``(key, value)`` pairs; each is stored through
+        ``store(cache, key, value)`` and memoized, and the result holds
+        the siblings it found or computed too.  ``load=None`` looks
+        nothing up and computes every key: a multi-shard profile walk
+        serves its shards, not a stored merge.
+        """
+        found: dict[str, object] = {}
+
+        def absent(batch: Sequence[str]) -> list[str]:
+            missing = []
+            for key in batch:
+                value = None
+                if load is not None:
+                    value = self._memo.get((kind, key)) if memo else None
+                    if value is None and self.cache is not None:
+                        value = load(self.cache, key)
+                        if value is not None and memo:
+                            self._memo[(kind, key)] = value
+                if value is None:
+                    missing.append(key)
+                else:
+                    found[key] = value
+            return missing
+
+        missing = absent(keys)
+        if missing:
+            # A key asked twice is computed and stored twice, as each
+            # ask counted its own miss.
+            for key, value in compute(missing + absent(siblings)):
+                if self.cache is not None:
+                    store(self.cache, key, value)
+                if memo:
+                    self._memo[(kind, key)] = value
+                found[key] = value
+        return found
 
     # -- traces ------------------------------------------------------------
 
@@ -193,61 +242,6 @@ class PipelineContext:
 
     # -- conflict profiles -------------------------------------------------
 
-    def _profile_key(
-        self, trace: Trace, block_size: int, capacity_blocks: int, n: int
-    ) -> str:
-        """Keyed by what the profile actually depends on: the trace
-        content, the block size (address granularity), the capacity in
-        blocks (the capacity-miss filter) and the window width ``n`` —
-        not the full geometry, so e.g. every associativity sharing a
-        capacity shares the profile."""
-        return stable_key(
-            "profile",
-            {
-                "trace": trace.digest,
-                "block_size": block_size,
-                "capacity_blocks": capacity_blocks,
-                "n": n,
-            },
-        )
-
-    def _stored_profile(self, key: str) -> ConflictProfile | None:
-        """The profile under ``key`` from the memo or the cache, memoized."""
-        found = self._memo.get(("profile", key))
-        if found is None and self.cache is not None:
-            found = self.cache.load_profile(key)
-        if found is not None:
-            self._memo[("profile", key)] = found
-        return found
-
-    def _keep_profile(self, key: str, profile: ConflictProfile) -> None:
-        if self.cache is not None:
-            self.cache.store_profile(key, profile)
-        self._memo[("profile", key)] = profile
-
-    def _profile_lookup(
-        self,
-        trace: Trace,
-        block_size: int,
-        n: int,
-        capacity: int,
-        capacities: Sequence[int] = (),
-    ) -> tuple[ConflictProfile | None, dict[int, str]]:
-        """The stored profile at ``capacity``, or ``None`` plus the key
-        of it and of each of ``capacities`` not stored yet, by capacity:
-        what one profiling pass must compute.  Each key is looked up
-        once."""
-        key = self._profile_key(trace, block_size, capacity, n)
-        found = self._stored_profile(key)
-        if found is not None:
-            return found, {}
-        missing = {capacity: key}
-        for other in sorted(set(capacities) - {capacity}):
-            other_key = self._profile_key(trace, block_size, other, n)
-            if self._stored_profile(other_key) is None:
-                missing[other] = other_key
-        return None, missing
-
     def profile(
         self,
         trace: Trace,
@@ -262,29 +256,18 @@ class PipelineContext:
     ) -> ConflictProfile:
         """Cached :func:`repro.profiling.profile_trace`.
 
-        Misses run the one profile driver,
-        :func:`repro.profiling.run_sharded_profile`, which stores its
-        merged profiles here.  ``capacities`` names further capacities
-        (in blocks) that will be asked of the same trace, block size
-        and ``n`` — a campaign grid's other cache sizes.  A miss then
-        profiles each of them not yet memoized or cached in the same
-        pass and stores it under its own key, where those later calls
-        find it.  ``shard_size=None`` is the single in-memory pass;
-        with ``shard_size`` the trace is profiled shard by shard
-        (bit-identical, bounded memory, resumable, optionally parallel
-        over ``workers``), but only once no merged profile is stored
-        under the same keys.
+        The profile driver, :func:`repro.profiling.run_sharded_profile`,
+        stages the merged profiles in this context.  ``capacities``
+        names further capacities (in blocks) that will be asked of the
+        same trace, block size and ``n`` — a campaign grid's other
+        cache sizes.  A miss then profiles each of them not yet
+        memoized or cached in the same pass and stores it under its own
+        key, where those later calls find it.  ``shard_size=None`` is
+        the single in-memory pass; with ``shard_size`` the trace is
+        profiled shard by shard (bit-identical, bounded memory,
+        resumable, optionally parallel over ``workers``), but only once
+        no merged profile is stored under the same keys.
         """
-        # The driver looks a one-shard plan's profiles up itself; a
-        # multi-shard plan walks its shards, so a stored merged profile
-        # is served here first.
-        if shard_size is not None and shard_size < len(trace):
-            found, missing = self._profile_lookup(
-                trace, geometry.block_size, n, geometry.num_blocks, capacities
-            )
-            if found is not None:
-                return found
-            capacities = tuple(missing)
         return run_sharded_profile(
             trace,
             geometry,
@@ -296,13 +279,14 @@ class PipelineContext:
             task_timeout=task_timeout,
             on_error=on_error,
             capacities=capacities,
+            serve_stored=True,
         ).profile
 
     # -- exact simulation --------------------------------------------------
 
     def _indexing_params(self, indexing) -> dict:
         if isinstance(indexing, XorIndexing):
-            return {"scheme": "xor", **_function_to_json(indexing.hash_function)}
+            return {"scheme": "xor", **function_to_json(indexing.hash_function)}
         if isinstance(indexing, ModuloIndexing):
             return {"scheme": "modulo", "m": indexing.m}
         raise TypeError(f"cannot key indexing policy {indexing!r}")
@@ -312,7 +296,7 @@ class PipelineContext:
             "stats",
             {
                 "trace": trace.digest,
-                "geometry": _geometry_params(geometry),
+                "geometry": geometry_params(geometry),
                 "indexing": self._indexing_params(indexing),
             },
         )
@@ -320,20 +304,14 @@ class PipelineContext:
     def simulate(self, trace: Trace, geometry: CacheGeometry, indexing) -> CacheStats:
         """Cached exact replay of ``trace`` through ``geometry``."""
         key = self._stats_key(trace, geometry, indexing)
-        memo_key = ("stats", key)
-        cached = self._memo.get(memo_key)
-        if cached is None and self.cache is not None:
-            payload = self.cache.load_json("stats", key)
-            cached = _stats_from_json(payload) if payload is not None else None
-        if cached is None:
+
+        def replay(missing: list[str]):
             from repro.cache import engine
 
             blocks = trace.block_addresses(geometry.block_size)
-            cached = engine.simulate(blocks, geometry, indexing)
-            if self.cache is not None:
-                self.cache.store_json("stats", key, _stats_to_json(cached))
-        self._memo[memo_key] = cached
-        return cached
+            return [(key, engine.simulate(blocks, geometry, indexing))]
+
+        return self.stage("stats", [key], replay, _load_stats, _store_stats)[key]
 
     def baseline(self, trace: Trace, geometry: CacheGeometry) -> CacheStats:
         """Cached conventional-indexing (modulo) stats."""
@@ -357,194 +335,19 @@ class PipelineContext:
         one batched engine replay; their results are stored under the
         same per-function keys :meth:`evaluate` uses.
         """
-        functions = list(functions)
-        results: list[CacheStats | None] = [None] * len(functions)
-        missing: list[int] = []
-        keys: list[str] = []
-        for i, fn in enumerate(functions):
-            key = self._stats_key(trace, geometry, XorIndexing(fn))
-            keys.append(key)
-            cached = self._memo.get(("stats", key))
-            if cached is None and self.cache is not None:
-                payload = self.cache.load_json("stats", key)
-                if payload is not None:
-                    cached = _stats_from_json(payload)
-                    self._memo[("stats", key)] = cached
-            if cached is None:
-                missing.append(i)
-            else:
-                results[i] = cached
-        if missing:
+        keys = [self._stats_key(trace, geometry, XorIndexing(fn)) for fn in functions]
+        by_key = dict(zip(keys, functions))
+
+        def replay(missing: list[str]):
             from repro.cache import engine
 
             computed = engine.evaluate_many(
-                trace, geometry, [functions[i] for i in missing]
+                trace, geometry, [by_key[key] for key in missing]
             )
-            for i, stats in zip(missing, computed):
-                results[i] = stats
-                self._memo[("stats", keys[i])] = stats
-                if self.cache is not None:
-                    self.cache.store_json("stats", keys[i], _stats_to_json(stats))
-        return results  # type: ignore[return-value]
+            return zip(missing, computed)
 
-    # -- whole optimization outcomes ---------------------------------------
-
-    def _optimization_key(
-        self,
-        trace: Trace,
-        geometry: CacheGeometry,
-        family_name: str,
-        n: int,
-        guard: bool,
-        restarts: int,
-        seed: int,
-        max_steps: int | None,
-        profile_digest: str,
-        strategy: str = "steepest",
-    ) -> str:
-        params = {
-            "trace": trace.digest,
-            "geometry": _geometry_params(geometry),
-            "family": family_name,
-            "n": n,
-            "guard": guard,
-            "restarts": restarts,
-            "seed": seed,
-            "max_steps": max_steps,
-            "profile": profile_digest,
-        }
-        # The paper's steepest descent is keyed without a strategy
-        # component so records written before strategies existed stay
-        # valid; every other strategy gets its own key space.
-        if strategy != "steepest":
-            params["strategy"] = strategy
-        return stable_key("optimization", params)
-
-    def load_optimization(
-        self,
-        trace: Trace,
-        geometry: CacheGeometry,
-        family_name: str,
-        n: int,
-        guard: bool,
-        restarts: int,
-        seed: int,
-        max_steps: int | None,
-        profile: ConflictProfile,
-        strategy: str = "steepest",
-    ):
-        """Cached :class:`~repro.core.optimizer.OptimizationResult`.
-
-        The record stores everything but the profile, which the caller
-        already holds (it is cached separately and part of the key).
-        """
-        if self.cache is None:
-            return None
-        from repro.core.optimizer import OptimizationResult
-        from repro.search.hill_climb import SearchResult
-
-        key = self._optimization_key(
-            trace, geometry, family_name, n, guard, restarts, seed, max_steps,
-            profile.digest, strategy,
-        )
-        payload = self.cache.load_json("optimization", key)
-        if payload is None:
-            return None
-        search = payload["search"]
-        return OptimizationResult(
-            # The record may have been written by a different-named
-            # trace with identical content (digests ignore provenance);
-            # recomputing would label the result with *this* trace.
-            trace_name=trace.name,
-            geometry=geometry,
-            family_name=payload["family_name"],
-            hash_function=_function_from_json(payload["function"]),
-            baseline=_stats_from_json(payload["baseline"]),
-            optimized=_stats_from_json(payload["optimized"]),
-            search=SearchResult(
-                function=_function_from_json(search["function"]),
-                estimated_misses=int(search["estimated_misses"]),
-                start_misses=int(search["start_misses"]),
-                steps=int(search["steps"]),
-                evaluations=int(search["evaluations"]),
-                seconds=float(search["seconds"]),
-                history=[int(h) for h in search["history"]],
-                family_name=search["family_name"],
-                strategy_name=search.get("strategy_name", "steepest"),
-                certified=bool(search.get("certified", False)),
-                optimality_gap=(
-                    None
-                    if search.get("optimality_gap") is None
-                    else int(search["optimality_gap"])
-                ),
-                nodes_expanded=int(search.get("nodes_expanded", 0)),
-                nodes_pruned=int(search.get("nodes_pruned", 0)),
-            ),
-            profile=profile,
-            reverted=bool(payload["reverted"]),
-            trace_digest=trace.digest,
-            profile_digest=profile.digest,
-        )
-
-    def store_optimization(
-        self,
-        trace: Trace,
-        geometry: CacheGeometry,
-        family_name: str,
-        n: int,
-        guard: bool,
-        restarts: int,
-        seed: int,
-        max_steps: int | None,
-        result,
-        strategy: str = "steepest",
-    ) -> None:
-        if self.cache is None:
-            return
-        key = self._optimization_key(
-            trace, geometry, family_name, n, guard, restarts, seed, max_steps,
-            result.profile.digest, strategy,
-        )
-        search = result.search
-        self.cache.store_json(
-            "optimization",
-            key,
-            {
-                "trace_name": result.trace_name,
-                "family_name": result.family_name,
-                "function": _function_to_json(result.hash_function),
-                "baseline": _stats_to_json(result.baseline),
-                "optimized": _stats_to_json(result.optimized),
-                "search": {
-                    "function": _function_to_json(search.function),
-                    "estimated_misses": search.estimated_misses,
-                    "start_misses": search.start_misses,
-                    "steps": search.steps,
-                    "evaluations": search.evaluations,
-                    "seconds": search.seconds,
-                    "history": list(search.history),
-                    "family_name": search.family_name,
-                    "strategy_name": search.strategy_name,
-                    # Exact-search provenance: stored only when present
-                    # so pre-existing heuristic records stay readable
-                    # and byte-stable.
-                    **(
-                        {
-                            "certified": search.certified,
-                            "optimality_gap": search.optimality_gap,
-                            "nodes_expanded": search.nodes_expanded,
-                            "nodes_pruned": search.nodes_pruned,
-                        }
-                        if search.certified
-                        or search.optimality_gap is not None
-                        or search.nodes_expanded
-                        or search.nodes_pruned
-                        else {}
-                    ),
-                },
-                "reverted": result.reverted,
-            },
-        )
+        found = self.stage("stats", keys, replay, _load_stats, _store_stats)
+        return [found[key] for key in keys]  # type: ignore[misc]
 
     def __repr__(self) -> str:
         root = str(self.cache.root) if self.cache is not None else None

@@ -248,6 +248,19 @@ def _profile_shard(
     }
 
 
+def _profile_key(kind: str, base: dict, capacity: int, shard: Shard | None = None) -> str:
+    """Key of a profile artifact: ``base`` (trace digest, block size,
+    window ``n``) and the capacity in blocks — not the full geometry,
+    so every associativity sharing a capacity shares the profile — plus
+    a shard's bounds for the per-shard partials."""
+    from repro.pipeline.artifact_cache import stable_key
+
+    params = {**base, "capacity_blocks": capacity}
+    if shard is not None:
+        params.update(start=shard.start, stop=shard.stop)
+    return stable_key(kind, params)
+
+
 # -- worker tasks (top level so the process pool can pickle them) ----------
 
 
@@ -266,15 +279,22 @@ def _scan_shard_task(
     # Entry injection, before any cache access: a retried attempt redoes
     # exactly what a clean attempt would (see repro.pipeline.faults).
     maybe_inject("shard.profile", f"scan:{start}:{stop}")
-    cache = task_context(context, cache_dir).cache
-    if cache is not None and key is not None:
-        stored = cache.load_arrays("shard-scan", key)
-        if stored is not None:
-            return stored["blocks"], stored["times"], False
-    blocks, times = _scan_summary(source.read(start, stop), start)
-    if cache is not None and key is not None:
-        cache.store_arrays("shard-scan", key, {"blocks": blocks, "times": times})
-    return blocks, times, True
+    scanned = []
+
+    def scan(missing: list):
+        blocks, times = _scan_summary(source.read(start, stop), start)
+        scanned.append(True)
+        return [(key, {"blocks": blocks, "times": times})]
+
+    summary = task_context(context, cache_dir).stage(
+        "shard-scan",
+        [key],
+        scan,
+        load=lambda cache, key: cache.load_arrays("shard-scan", key),
+        store=lambda cache, key, arrays: cache.store_arrays("shard-scan", key, arrays),
+        memo=False,
+    )[key]
+    return summary["blocks"], summary["times"], bool(scanned)
 
 
 def _profile_shard_task(
@@ -291,8 +311,7 @@ def _profile_shard_task(
     cache = task_context(context, cache_dir).cache
     if cache is not None:
         for capacity, key in keys.items():
-            if key is not None:
-                cache.store_profile(key, profiles[capacity], kind="shard-profile")
+            cache.store_profile(key, profiles[capacity], kind="shard-profile")
     return profiles
 
 
@@ -315,15 +334,16 @@ def _run_sharded(
     recomputed) for ``source`` cut along ``plan``.
 
     A plan of at most one shard is the single pass, run in process: no
-    scan, shard artifact, fault site or retry layer.  Scan summaries
-    depend on no capacity; they are keyed like ``capacities[0]``'s.
+    scan, shard artifact, fault site or retry layer.  Shard artifacts
+    are keyed on ``key_base``, given only with a cached ``context``.
+    Scan summaries depend on no capacity; they are keyed like
+    ``capacities[0]``'s.
     """
     if min(capacities) < 1:
         raise ValueError(f"capacity must be >= 1 block, got {min(capacities)}")
     if len(plan) <= 1:
         blocks = source.read(0, len(source))
         return _profile_shard(blocks, blocks[:0], capacities, n), len(plan), 0
-    from repro.pipeline.artifact_cache import stable_key
     from repro.pipeline.campaign import init_worker, resolve_workers
     from repro.pipeline.resilience import run_resilient
 
@@ -357,17 +377,9 @@ def _run_sharded(
         return [outcome.value for outcome in outcomes]
 
     def shard_key(kind: str, shard: Shard, capacity: int) -> str | None:
-        if key_base is None or cache is None:
+        if key_base is None:
             return None
-        return stable_key(
-            kind,
-            {
-                **key_base,
-                "capacity_blocks": capacity,
-                "start": shard.start,
-                "stop": shard.stop,
-            },
-        )
+        return _profile_key(kind, key_base, capacity, shard)
 
     # Per shard: the stored profile by capacity, and the keys of the
     # capacities a shard task must compute.
@@ -466,6 +478,7 @@ def run_sharded_profile(
     task_timeout: float | None = None,
     on_error: str = "raise",
     capacities: Sequence[int] = (),
+    serve_stored: bool = False,
 ) -> ShardedProfileResult:
     """Profile a trace shard by shard; return the merged profile plus
     execution stats.  The one Fig. 1 profile driver: every
@@ -479,13 +492,17 @@ def run_sharded_profile(
 
     With a ``context`` (a
     :class:`~repro.pipeline.context.PipelineContext`) the merged
-    profiles are memoized and cached under the standard ``"profile"``
-    keys.  A one-shard plan's only shard *is* that merged profile: it is
-    looked up there (then, on a miss, each other capacity) and only the
-    missing ones are computed.  A multi-shard plan walks its shard
-    profiles and scan summaries, keyed by trace digest, block size,
-    capacity, ``n`` and shard bounds, so a re-run resumes from whatever
-    finished (``recomputed_shards == 0`` when warm).
+    profiles are one :meth:`~repro.pipeline.context.PipelineContext.stage`
+    under the standard ``"profile"`` keys.  A one-shard plan's only
+    shard *is* that merged profile: it is looked up there (then, on a
+    miss, each other capacity) and only the missing ones are computed.
+    A multi-shard plan walks its shard profiles and scan summaries,
+    keyed by trace digest, block size, capacity, ``n`` and shard
+    bounds, so a re-run resumes from whatever finished
+    (``recomputed_shards == 0`` when warm) and reports it; with
+    ``serve_stored`` (what :meth:`PipelineContext.profile
+    <repro.pipeline.context.PipelineContext.profile>` asks for) a
+    stored merged profile is served first, as for one shard.
 
     ``retries``/``task_timeout``/``on_error`` match
     :func:`repro.pipeline.campaign.run_campaign`, except that
@@ -503,43 +520,57 @@ def run_sharded_profile(
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(workers, len(plan)))
-    stored = None
-    if context is None:
-        keys: dict[int, str | None] = dict.fromkeys(wanted)
-    elif len(plan) <= 1:
-        stored, keys = context._profile_lookup(
-            trace, block_size, n, capacity, capacities
-        )
-    else:
-        keys = {c: context._profile_key(trace, block_size, c, n) for c in wanted}
-    if stored is not None:
-        profiles, recomputed, recomputed_scans = {capacity: stored}, 0, 0
-    else:
-        key_base = None
-        if context is not None and context.cache is not None:
-            key_base = {"trace": trace.digest, "block_size": block_size, "n": n}
-        profiles, recomputed, recomputed_scans = _run_sharded(
+    cache = context.cache if context is not None else None
+    base = None
+    if context is not None:
+        base = {"trace": trace.digest, "block_size": block_size, "n": n}
+    ran = {"shards": 0, "scans": 0}
+
+    def walk(capacities: list[int]) -> dict[int, ConflictProfile]:
+        profiles, ran["shards"], ran["scans"] = _run_sharded(
             _block_source(trace, block_size),
             plan,
-            list(keys),
+            capacities,
             n,
             workers,
             context,
-            key_base,
+            base if cache is not None else None,
             retries=retries,
             task_timeout=task_timeout,
             on_error=on_error,
         )
-        if context is not None:
-            for c, key in keys.items():
-                context._keep_profile(key, profiles[c])
+        return profiles
+
+    if context is None:
+        profiles = walk(wanted)
+    else:
+        from repro.pipeline.artifact_cache import ArtifactCache
+
+        by_key = {_profile_key("profile", base, c): c for c in wanted}
+        primary, *siblings = by_key
+
+        def compute(missing: list[str]):
+            merged = walk([by_key[key] for key in missing])
+            return [(key, merged[by_key[key]]) for key in missing]
+
+        # A multi-shard walk resumes from (and reports) its shards, so
+        # it serves a stored merge only when asked to.
+        found = context.stage(
+            "profile",
+            [primary],
+            compute,
+            load=ArtifactCache.load_profile if serve_stored or len(plan) <= 1 else None,
+            store=ArtifactCache.store_profile,
+            siblings=siblings,
+        )
+        profiles = {by_key[key]: profile for key, profile in found.items()}
     return ShardedProfileResult(
         profile=profiles[capacity],
         profiles=profiles,
         plan=plan,
         workers=workers,
-        recomputed_shards=recomputed,
-        cached_shards=len(plan) - recomputed,
-        recomputed_scans=recomputed_scans,
+        recomputed_shards=ran["shards"],
+        cached_shards=len(plan) - ran["shards"],
+        recomputed_scans=ran["scans"],
         seconds=time.perf_counter() - t0,
     )

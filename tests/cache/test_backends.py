@@ -14,6 +14,8 @@ traces, via both Hypothesis-generated and fixed-seed random streams.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -233,6 +235,46 @@ class TestSelection:
         with use_backend("python") as pinned:
             assert pinned.name == "python"
             assert active_backend().name == "python"
+
+    def test_override_is_per_thread(self):
+        """A pin in one thread is invisible to another, and overlapping
+        exits restore each thread's own stack."""
+        default = active_backend().name
+        pinned = "python" if default != "python" else "numpy"
+        a_inside, b_inside, a_left = (threading.Event() for _ in range(3))
+        seen: dict[str, str] = {}
+
+        def first():
+            with use_backend(pinned):
+                a_inside.set()
+                assert b_inside.wait(10)
+                seen["a_inside"] = active_backend().name
+            seen["a_after"] = active_backend().name
+            a_left.set()
+
+        def second():
+            assert a_inside.wait(10)
+            seen["b_before"] = active_backend().name
+            with use_backend(default):
+                b_inside.set()
+                assert a_left.wait(10)
+                seen["b_inside"] = active_backend().name
+            seen["b_after"] = active_backend().name
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+            assert not thread.is_alive()
+        assert seen == {
+            "a_inside": pinned,
+            "b_before": default,
+            "a_after": default,
+            "b_inside": default,
+            "b_after": default,
+        }
+        assert active_backend().name == default
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")

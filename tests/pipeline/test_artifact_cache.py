@@ -182,6 +182,30 @@ class TestSelfHealing:
                 assert cache.load_arrays("arrays", key) is not None
 
 
+class TestMaterializeErrors:
+    def test_io_error_is_a_counted_miss_for_every_kind(self, tmp_path, monkeypatch):
+        """An I/O error while an entry is materialized (e.g. a spool
+        write) is a miss for JSON and npz artifacts alike."""
+        cache = ArtifactCache(tmp_path)
+        json_key = stable_key("stats", {"x": 8})
+        profile_key = stable_key("profile", {"x": 8})
+        arrays_key = stable_key("arrays", {"x": 8})
+        cache.store_json("stats", json_key, {"v": 1})
+        cache.store_profile(profile_key, ConflictProfile(3, np.zeros(8, np.int64), accesses=4))
+        cache.store_arrays("arrays", arrays_key, {"a": np.arange(8)})
+
+        def unreadable(*args):
+            raise OSError("spool write failed")
+
+        monkeypatch.setattr(cache.storage, "materialize", unreadable)
+        assert cache.load_json("stats", json_key) is None
+        assert cache.load_profile(profile_key) is None
+        assert cache.load_arrays("arrays", arrays_key) is None
+        assert {kind: counts["misses"] for kind, counts in cache.stats().items()} == {
+            "stats": 1, "profile": 1, "arrays": 1,
+        }
+
+
 class TestCounterThreadSafety:
     def test_concurrent_bumps_lose_no_count(self, tmp_path):
         """``repro serve`` job threads share one cache's counters."""

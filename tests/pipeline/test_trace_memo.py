@@ -96,6 +96,21 @@ class TestWarmReplays:
             timeless(row.to_json()) for row in cold.rows
         ]
 
+    def test_warm_profile_command_generates_nothing(
+        self, tmp_path, capsys, workload_calls
+    ):
+        args = [
+            "profile", "powerstone", "qurt", "--scale", "tiny",
+            "--cache-dir", str(tmp_path), "--json",
+        ]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert workload_calls
+        workload_calls.clear()
+        assert main([*args, "--expect-cached"]) == 0
+        assert workload_calls == []
+        assert capsys.readouterr().out == cold
+
     def test_memo_reports_match_memoless_reports(self, tmp_path):
         """A replay through the memo and one that regenerates the trace
         produce the same report bytes."""
