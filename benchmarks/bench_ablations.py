@@ -76,32 +76,6 @@ def test_optimality_gap(benchmark, results_dir):
     assert result.optimal_estimate <= result.hill_climb_estimate
 
 
-def test_profile_sampling(benchmark, results_dir):
-    """Window-sampled profiling: how much optimization quality survives
-    profiling only a fraction of the trace."""
-    from repro.profiling.sampling import sampling_quality
-
-    trace = get_workload("mibench", "susan", bench_scale()).data
-    blocks = trace.block_addresses(4)
-    report = benchmark.pedantic(
-        sampling_quality,
-        args=(blocks, 1024, 16, 10),
-        kwargs={"period": 4, "window": max(len(blocks) // 16, 1000)},
-        rounds=1,
-        iterations=1,
-    )
-    text = (
-        "Ablation: window-sampled profiling (susan, 4KB, period=4)\n"
-        f"profiled fraction:        {100 * report.sample_fraction:.1f}% of accesses\n"
-        f"baseline misses:          {report.baseline_misses}\n"
-        f"full-profile optimized:   {report.full_profile_misses}\n"
-        f"sampled-profile optimized:{report.sampled_profile_misses}\n"
-        f"quality loss: {report.quality_loss_percent:.1f}% of removed misses"
-    )
-    publish(results_dir, "ablation_sampling", text)
-    assert report.sample_fraction < 0.6
-
-
 def test_restarts(benchmark, results_dir):
     trace = get_workload("mibench", "jpeg_dec", bench_scale()).data
     geometry = CacheGeometry.direct_mapped(1024)

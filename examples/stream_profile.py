@@ -98,7 +98,7 @@ def main() -> None:
             context=context,
         )
         warm_s = time.perf_counter() - t0
-        assert warm.recomputed_shards == 0 and warm.fully_cached
+        assert warm.recomputed_shards == 0
         print(f"warm replay: 0 of {len(warm.plan)} shard(s) recomputed "
               f"in {warm_s:.2f}s ({cold_s / max(warm_s, 1e-9):.0f}x faster)")
 

@@ -66,6 +66,21 @@ def _fail(error: SpecError) -> int:
     return 2
 
 
+def _check_replayed(args: argparse.Namespace, events: dict, detail: str = "") -> int:
+    """Exit status of a run: 1 when ``--expect-cached`` was asked and
+    the run's cache events show it was no replay."""
+    from repro.pipeline.artifact_cache import replayed
+
+    if args.expect_cached and not replayed(events):
+        print(
+            "FAIL: expected a fully cached replay but the cache saw "
+            f"{events or 'nothing (no cache directory)'}{detail}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("suite", choices=sorted(SUITES), help="benchmark suite")
     parser.add_argument("name", help="kernel name (see `workloads`)")
@@ -195,6 +210,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.api.report import profile_report
+    from repro.pipeline.artifact_cache import cache_events
     from repro.profiling.sharded import run_sharded_profile
 
     try:
@@ -241,15 +257,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
     except SpecError as error:
         return _fail(error)
     geometry = spec.geometry.resolve()
-    result = run_sharded_profile(
-        trace, geometry, spec.search.n,
-        shard_size=spec.execution.shard_size,
-        workers=spec.execution.workers,
-        context=session.context(),
-        retries=spec.execution.retries,
-        task_timeout=spec.execution.task_timeout,
-        on_error=spec.execution.on_error,
-    )
+    with cache_events() as events:
+        result = run_sharded_profile(
+            trace, geometry, spec.search.n,
+            shard_size=spec.execution.shard_size,
+            workers=spec.execution.workers,
+            context=session.context(),
+            retries=spec.execution.retries,
+            task_timeout=spec.execution.task_timeout,
+            on_error=spec.execution.on_error,
+        )
     profile = result.profile
     sharded = result if spec.execution.shard_size is not None else None
     if args.json:
@@ -273,18 +290,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
                   f"workers {sharded.workers}, "
                   f"{sharded.recomputed_shards} recomputed / "
                   f"{sharded.cached_shards} cached, {sharded.seconds:.2f}s")
-    if args.expect_cached and not result.fully_cached:
-        print(
-            "FAIL: expected a fully cached replay but artifacts were "
-            f"recomputed ({result.recomputed_shards} shard(s) and "
-            f"{result.recomputed_scans} scan(s) recomputed)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _check_replayed(
+        args,
+        events,
+        f" ({result.recomputed_shards} shard(s) and "
+        f"{result.recomputed_scans} scan(s) recomputed)",
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.pipeline.artifact_cache import cache_events
+
     try:
         spec = ExperimentSpec.load(args.spec_file)
     except SpecError as error:
@@ -303,27 +319,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         workers=args.workers if args.workers is not None
         else spec.execution.workers,
     )
-    result = session.optimize(spec)
+    with cache_events() as events:
+        result = session.optimize(spec)
     if args.json:
         _print_report(result.to_json())
     else:
         print(result.summary())
         print()
         print(result.hash_function.describe())
-    if args.expect_cached:
-        totals = session.cache_stats()
-        recomputed = sum(
-            per_kind.get("misses", 0) + per_kind.get("stores", 0)
-            for per_kind in totals.values()
-        )
-        if recomputed or spec.execution.cache_dir is None:
-            print(
-                "FAIL: expected a fully cached replay but artifacts were "
-                f"recomputed ({totals or 'no cache directory'})",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    return _check_replayed(args, events)
 
 
 def cmd_spec(args: argparse.Namespace) -> int:
@@ -443,12 +447,18 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
             print(f"wrote {args.json}")
     if args.expect_cached and not result.fully_cached:
-        totals = result.cache_totals()
-        print(
-            f"FAIL: expected a fully cached replay but {totals['misses']} "
-            f"artifact(s) were recomputed ({totals['stores']} stored)",
-            file=sys.stderr,
-        )
+        failed = result.failed_rows
+        if failed:
+            reason = f"{len(failed)} cell(s) failed: " + "; ".join(
+                row.spec.describe() for row in failed
+            )
+        else:
+            totals = result.cache_totals()
+            reason = (
+                f"{totals['misses']} artifact(s) were recomputed "
+                f"({totals['stores']} stored)"
+            )
+        print(f"FAIL: expected a fully cached replay but {reason}", file=sys.stderr)
         return 1
     return 0
 

@@ -34,8 +34,10 @@ import json
 import os
 import threading
 import zipfile
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -43,7 +45,13 @@ from repro.pipeline.faults import FaultInjected, maybe_inject, should_corrupt
 from repro.pipeline.storage import StorageBackend, resolve_storage
 from repro.profiling.conflict_profile import ConflictProfile
 
-__all__ = ["ArtifactCache", "default_cache_dir", "stable_key"]
+__all__ = [
+    "ArtifactCache",
+    "cache_events",
+    "default_cache_dir",
+    "replayed",
+    "stable_key",
+]
 
 #: Exceptions that mean "this artifact cannot be read": I/O errors,
 #: missing archive members, torn zip archives (``zipfile.BadZipFile``),
@@ -73,6 +81,43 @@ def stable_key(kind: str, params: dict[str, Any]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+#: Event dicts of the :func:`cache_events` scopes open in this context,
+#: outermost first.
+_SCOPES: ContextVar[tuple[dict[str, dict[str, int]], ...]] = ContextVar(
+    "repro_cache_events", default=()
+)
+
+
+@contextmanager
+def cache_events() -> Iterator[dict[str, dict[str, int]]]:
+    """Count one run's artifact-cache events as ``{kind: {event: count}}``.
+
+    While the scope is open, every counted event of any
+    :class:`ArtifactCache` in this thread (its hits, misses, stores and
+    quarantines) is also added to the yielded dict, and to every
+    enclosing scope's; an event that did not happen has no entry.
+    Concurrent runs on other threads never reach it, so the counts
+    belong to this run alone.  Events counted in pool worker processes
+    stay in those processes.
+    """
+    events: dict[str, dict[str, int]] = {}
+    token = _SCOPES.set((*_SCOPES.get(), events))
+    try:
+        yield events
+    finally:
+        _SCOPES.reset(token)
+
+
+def replayed(events: dict[str, dict[str, int]]) -> bool:
+    """The one replay rule: a run whose :func:`cache_events` show at
+    least one hit and neither a miss nor a store."""
+
+    def total(event: str) -> int:
+        return sum(per_kind.get(event, 0) for per_kind in events.values())
+
+    return total("hits") > 0 and total("misses") == 0 and total("stores") == 0
+
+
 def _read_json(path: Path) -> Any:
     with open(path) as fh:
         return json.load(fh)
@@ -91,9 +136,8 @@ def _read_arrays(path: Path) -> dict[str, Any]:
 class ArtifactCache:
     """Content-addressed artifact store with hit/miss/store accounting.
 
-    Counters are per-instance and per-kind; campaign workers report
-    them back so a run can prove (e.g. in CI) that a warm replay
-    recomputed nothing.
+    Counters are per-instance and per-kind, totals over the cache's
+    lifetime; what one run did is counted by :func:`cache_events`.
 
     ``storage`` selects the byte-store backend — a
     :class:`~repro.pipeline.storage.StorageBackend` instance, a
@@ -134,6 +178,9 @@ class ArtifactCache:
             # Beyond the standard three, events ("quarantined") appear
             # lazily, so the common counter dicts keep their stable shape.
             per_kind[event] = per_kind.get(event, 0) + 1
+            for scope in _SCOPES.get():
+                scoped = scope.setdefault(kind, {})
+                scoped[event] = scoped.get(event, 0) + 1
 
     @property
     def hits(self) -> int:

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.api.errors import SpecError
 from repro.api.spec import ExecutionSpec, ExperimentSpec
+from repro.pipeline.artifact_cache import cache_events, replayed
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.faults import maybe_inject
 from repro.pipeline.resilience import TaskOutcome, run_resilient
@@ -95,6 +96,7 @@ class CampaignRow:
     accesses: int = 0
     uops: int = 0
     seconds: float = 0.0
+    #: The attempt's :func:`~repro.pipeline.artifact_cache.cache_events`.
     cache_stats: dict[str, dict[str, int]] = field(default_factory=dict)
     #: Full :class:`OptimizationResult`, present only with
     #: ``keep_details=True``.
@@ -158,17 +160,19 @@ class CampaignResult:
 
     @property
     def fully_cached(self) -> bool:
-        """True when no artifact had to be (re)computed.
+        """True when every row ran and
+        :func:`~repro.pipeline.artifact_cache.replayed` from the cache.
 
         Always ``False`` for purely in-memory runs (without an artifact
         cache, every task computed from scratch even though there are
-        no cache counters to show it) and for empty campaigns (zero
-        tasks verify nothing).
+        no cache counters to show it), for empty campaigns (zero tasks
+        verify nothing) and when any row failed.
         """
-        if self.cache_dir is None or not self.rows:
-            return False
-        totals = self.cache_totals()
-        return totals["misses"] == 0 and totals["stores"] == 0
+        return (
+            self.cache_dir is not None
+            and bool(self.rows)
+            and all(row.ok and replayed(row.cache_stats) for row in self.rows)
+        )
 
     def to_json(self) -> dict:
         """The campaign's ``repro-report/v1`` payload.
@@ -204,22 +208,6 @@ def init_worker(cache_dir: str | None) -> None:
     global _worker_context, _worker_cache_dir
     _worker_cache_dir = cache_dir
     _worker_context = PipelineContext(cache_dir)
-
-
-def _counters_delta(
-    before: dict[str, dict[str, int]], after: dict[str, dict[str, int]]
-) -> dict[str, dict[str, int]]:
-    delta: dict[str, dict[str, int]] = {}
-    for kind, per_kind in after.items():
-        base = before.get(kind, {})
-        changed = {
-            event: count - base.get(event, 0)
-            for event, count in per_kind.items()
-            if count - base.get(event, 0)
-        }
-        if changed:
-            delta[kind] = changed
-    return delta
 
 
 def resolve_workers(workers: int | None, count: int) -> int:
@@ -273,36 +261,37 @@ def _run_task(
     # would have, keeping fault-injected reports bit-identical.
     maybe_inject("campaign.task", fault_key(spec))
     context = task_context(context, cache_dir)
-    before = context.cache_stats()
-    t0 = time.perf_counter()
-    trace = context.trace(spec.trace)
-    geometry = spec.geometry.resolve()
-    family = spec.search.resolve_family(geometry.index_bits)
-    # The first cell of a profile group to miss profiles every capacity
-    # the grid asks of it in one pass; the others then hit.  Its shards
-    # run serially: the campaign already fans out over cells.
-    profile = context.profile(
-        trace,
-        geometry,
-        spec.search.n,
-        shard_size=shard_size,
-        workers=1,
-        capacities=(profile_capacities or {}).get(_profile_group(spec), ()),
-    )
-    result = optimize_for_trace(
-        trace,
-        geometry,
-        family=family,
-        n=spec.search.n,
-        guard=spec.search.guard,
-        restarts=spec.search.restarts,
-        seed=spec.search.seed,
-        max_steps=spec.search.max_steps,
-        profile=profile,
-        context=context,
-        strategy=spec.search.strategy,
-    )
-    seconds = time.perf_counter() - t0
+    with cache_events() as events:
+        t0 = time.perf_counter()
+        trace = context.trace(spec.trace)
+        geometry = spec.geometry.resolve()
+        family = spec.search.resolve_family(geometry.index_bits)
+        # The first cell of a profile group to miss profiles every
+        # capacity the grid asks of it in one pass; the others then hit.
+        # Its shards run serially: the campaign already fans out over
+        # cells.
+        profile = context.profile(
+            trace,
+            geometry,
+            spec.search.n,
+            shard_size=shard_size,
+            workers=1,
+            capacities=(profile_capacities or {}).get(_profile_group(spec), ()),
+        )
+        result = optimize_for_trace(
+            trace,
+            geometry,
+            family=family,
+            n=spec.search.n,
+            guard=spec.search.guard,
+            restarts=spec.search.restarts,
+            seed=spec.search.seed,
+            max_steps=spec.search.max_steps,
+            profile=profile,
+            context=context,
+            strategy=spec.search.strategy,
+        )
+        seconds = time.perf_counter() - t0
     return CampaignRow(
         spec=spec,
         base_misses=result.baseline.misses,
@@ -312,7 +301,7 @@ def _run_task(
         accesses=result.baseline.accesses,
         uops=trace.uops,
         seconds=seconds,
-        cache_stats=_counters_delta(before, context.cache_stats()),
+        cache_stats=events,
         result=result if keep_details else None,
     )
 

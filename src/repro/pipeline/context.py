@@ -109,7 +109,7 @@ class PipelineContext:
         kind: str,
         keys: Sequence[str],
         compute: Callable[[list[str]], Iterable[tuple[str, object]]],
-        load: Callable[[ArtifactCache, str], object] | None,
+        load: Callable[[ArtifactCache, str], object],
         store: Callable[[ArtifactCache, str, object], None],
         memo: bool = True,
         siblings: Sequence[str] = (),
@@ -125,22 +125,18 @@ class PipelineContext:
         capacities), looked up only when a key missed.  ``compute``
         returns ``(key, value)`` pairs; each is stored through
         ``store(cache, key, value)`` and memoized, and the result holds
-        the siblings it found or computed too.  ``load=None`` looks
-        nothing up and computes every key: a multi-shard profile walk
-        serves its shards, not a stored merge.
+        the siblings it found or computed too.
         """
         found: dict[str, object] = {}
 
         def absent(batch: Sequence[str]) -> list[str]:
             missing = []
             for key in batch:
-                value = None
-                if load is not None:
-                    value = self._memo.get((kind, key)) if memo else None
-                    if value is None and self.cache is not None:
-                        value = load(self.cache, key)
-                        if value is not None and memo:
-                            self._memo[(kind, key)] = value
+                value = self._memo.get((kind, key)) if memo else None
+                if value is None and self.cache is not None:
+                    value = load(self.cache, key)
+                    if value is not None and memo:
+                        self._memo[(kind, key)] = value
                 if value is None:
                     missing.append(key)
                 else:
@@ -279,7 +275,6 @@ class PipelineContext:
             task_timeout=task_timeout,
             on_error=on_error,
             capacities=capacities,
-            serve_stored=True,
         ).profile
 
     # -- exact simulation --------------------------------------------------

@@ -20,15 +20,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.profiling.lru_stack": ("LRUStack",),
         "repro.profiling.reuse": ("reuse_distances", "reuse_distance_histogram"),
-        "repro.profiling.sampling": (
-            "SamplingReport",
-            "profile_blocks_sampled",
-            "sampling_quality",
-        ),
         "repro.profiling.sharded": (
             "ShardPlan",
             "ShardedProfileResult",
-            "profile_blocks_sharded",
             "run_sharded_profile",
         ),
     },

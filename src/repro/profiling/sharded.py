@@ -35,9 +35,10 @@ With an artifact cache, every shard profile and scan summary of a
 multi-shard plan is stored under a key derived from the trace digest,
 geometry and shard bounds; the merged profiles land under the standard
 ``"profile"`` keys, which are a one-shard plan's only artifacts.
-A re-run loads finished shards and recomputes only the missing ones —
-``ShardedProfileResult.recomputed_shards == 0`` on a warm replay — and
-the scan phase is skipped entirely once no shard is missing.
+A warm re-run loads the merged profile and touches no shard; a re-run
+whose merged profile was never stored (a crash mid-walk) loads the
+finished shards and recomputes only the missing ones, and the scan
+phase is skipped entirely once no shard is missing.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "ShardedProfileResult",
     "ArrayBlockSource",
     "FileBlockSource",
-    "profile_blocks_sharded",
     "run_sharded_profile",
 ]
 
@@ -175,17 +175,14 @@ class ShardedProfileResult:
     profiles: dict[int, ConflictProfile]
     plan: ShardPlan
     workers: int
-    #: Shards whose profile was computed this run (vs loaded).
+    #: Shards whose profile was computed this run.
     recomputed_shards: int
+    #: Shards whose profile artifacts were loaded this run; 0 when the
+    #: stored merged profile was served and no shard was read.
     cached_shards: int
     #: Scan summaries computed this run (vs loaded or not needed).
     recomputed_scans: int
     seconds: float
-
-    @property
-    def fully_cached(self) -> bool:
-        """True when every shard profile came from the artifact cache."""
-        return len(self.plan) > 0 and self.recomputed_shards == 0
 
 
 def _scan_summary(blocks: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,9 +326,9 @@ def _run_sharded(
     retries: int = 0,
     task_timeout: float | None = None,
     on_error: str = "raise",
-) -> tuple[dict[int, ConflictProfile], int, int]:
-    """(merged profile per capacity, shards recomputed, scans
-    recomputed) for ``source`` cut along ``plan``.
+) -> tuple[dict[int, ConflictProfile], int, int, int]:
+    """(merged profile per capacity, shards recomputed, shards loaded,
+    scans recomputed) for ``source`` cut along ``plan``.
 
     A plan of at most one shard is the single pass, run in process: no
     scan, shard artifact, fault site or retry layer.  Shard artifacts
@@ -343,7 +340,7 @@ def _run_sharded(
         raise ValueError(f"capacity must be >= 1 block, got {min(capacities)}")
     if len(plan) <= 1:
         blocks = source.read(0, len(source))
-        return _profile_shard(blocks, blocks[:0], capacities, n), len(plan), 0
+        return _profile_shard(blocks, blocks[:0], capacities, n), len(plan), 0, 0
     from repro.pipeline.campaign import init_worker, resolve_workers
     from repro.pipeline.resilience import run_resilient
 
@@ -431,7 +428,7 @@ def _run_sharded(
         capacity: ConflictProfile.merge(found[capacity] for found in profiles)
         for capacity in capacities
     }
-    return merged, len(missing), recomputed_scans
+    return merged, len(missing), len(shards) - len(missing), recomputed_scans
 
 
 def _block_source(trace: Trace, block_size: int):
@@ -446,27 +443,6 @@ def _block_source(trace: Trace, block_size: int):
     return FileBlockSource(path, len(trace), block_shift=block_size.bit_length() - 1)
 
 
-def profile_blocks_sharded(
-    blocks: np.ndarray,
-    capacity_blocks: int,
-    n: int,
-    shard_size: int,
-    workers: int = 1,
-) -> ConflictProfile:
-    """Sharded equivalent of :func:`repro.profiling.profile_blocks`.
-
-    Bit-identical for every shard size (property-tested, including
-    ``shard_size=1`` and shards larger than the trace); the pure
-    block-level entry point used by equivalence tests and callers that
-    already hold an array.  No caching — see
-    :func:`run_sharded_profile` for the resumable trace-level driver.
-    """
-    source = ArrayBlockSource(np.ascontiguousarray(np.asarray(blocks), dtype=np.uint64))
-    plan = ShardPlan(len(source), shard_size)
-    profiles, _, _ = _run_sharded(source, plan, [capacity_blocks], n, workers)
-    return profiles[capacity_blocks]
-
-
 def run_sharded_profile(
     trace: Trace,
     geometry: CacheGeometry,
@@ -478,7 +454,6 @@ def run_sharded_profile(
     task_timeout: float | None = None,
     on_error: str = "raise",
     capacities: Sequence[int] = (),
-    serve_stored: bool = False,
 ) -> ShardedProfileResult:
     """Profile a trace shard by shard; return the merged profile plus
     execution stats.  The one Fig. 1 profile driver: every
@@ -493,16 +468,14 @@ def run_sharded_profile(
     With a ``context`` (a
     :class:`~repro.pipeline.context.PipelineContext`) the merged
     profiles are one :meth:`~repro.pipeline.context.PipelineContext.stage`
-    under the standard ``"profile"`` keys.  A one-shard plan's only
-    shard *is* that merged profile: it is looked up there (then, on a
-    miss, each other capacity) and only the missing ones are computed.
-    A multi-shard plan walks its shard profiles and scan summaries,
-    keyed by trace digest, block size, capacity, ``n`` and shard
-    bounds, so a re-run resumes from whatever finished
-    (``recomputed_shards == 0`` when warm) and reports it; with
-    ``serve_stored`` (what :meth:`PipelineContext.profile
-    <repro.pipeline.context.PipelineContext.profile>` asks for) a
-    stored merged profile is served first, as for one shard.
+    under the standard ``"profile"`` keys: a stored merged profile is
+    served first (then, on a miss, each other capacity is looked up)
+    and only the missing ones are computed.  A one-shard plan's only
+    shard *is* that merged profile.  A multi-shard plan that misses
+    walks its shard profiles and scan summaries, keyed by trace digest,
+    block size, capacity, ``n`` and shard bounds, so a re-run after a
+    crash resumes from whatever finished and reports how many shards
+    it recomputed and how many it loaded.
 
     ``retries``/``task_timeout``/``on_error`` match
     :func:`repro.pipeline.campaign.run_campaign`, except that
@@ -524,10 +497,10 @@ def run_sharded_profile(
     base = None
     if context is not None:
         base = {"trace": trace.digest, "block_size": block_size, "n": n}
-    ran = {"shards": 0, "scans": 0}
+    ran = {"shards": 0, "cached": 0, "scans": 0}
 
     def walk(capacities: list[int]) -> dict[int, ConflictProfile]:
-        profiles, ran["shards"], ran["scans"] = _run_sharded(
+        profiles, ran["shards"], ran["cached"], ran["scans"] = _run_sharded(
             _block_source(trace, block_size),
             plan,
             capacities,
@@ -553,13 +526,11 @@ def run_sharded_profile(
             merged = walk([by_key[key] for key in missing])
             return [(key, merged[by_key[key]]) for key in missing]
 
-        # A multi-shard walk resumes from (and reports) its shards, so
-        # it serves a stored merge only when asked to.
         found = context.stage(
             "profile",
             [primary],
             compute,
-            load=ArtifactCache.load_profile if serve_stored or len(plan) <= 1 else None,
+            load=ArtifactCache.load_profile,
             store=ArtifactCache.store_profile,
             siblings=siblings,
         )
@@ -570,7 +541,7 @@ def run_sharded_profile(
         plan=plan,
         workers=workers,
         recomputed_shards=ran["shards"],
-        cached_shards=len(plan) - ran["shards"],
+        cached_shards=ran["cached"],
         recomputed_scans=ran["scans"],
         seconds=time.perf_counter() - t0,
     )

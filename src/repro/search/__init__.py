@@ -31,10 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "hill_climb_front",
             "hill_climb_restarts",
         ),
-        "repro.search.objective": (
-            "EstimatedMissObjective",
-            "ExactSimulationObjective",
-        ),
         "repro.search.optimal_xor": (
             "OptimalXorResult",
             "optimal_xor_function",

@@ -49,6 +49,7 @@ import repro.search.batched  # noqa: F401
 from repro.api.errors import SpecError
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
+from repro.pipeline.artifact_cache import cache_events, replayed
 from repro.pipeline.faults import maybe_inject
 from repro.pipeline.resilience import run_resilient
 from repro.serve.jobs import Job, JobRegistry, QueueFull
@@ -148,26 +149,20 @@ class ReproServer:
             maybe_inject("serve.job", spec.digest)
             return self.session.optimize(spec).to_json()
 
-        # Per-job cache-counter delta: "cached" means the run re-read
-        # everything and recomputed nothing.  Attribution is
-        # best-effort when unrelated jobs run concurrently (counters
-        # are session-wide), authoritative for back-to-back replays.
-        before = self._counter_totals()
-        [outcome] = run_resilient(
-            run_one,
-            [spec],
-            workers=1,
-            retries=max(spec.execution.retries, self.retries),
-            on_error="skip",
-        )
-        if outcome.ok:
-            after = self._counter_totals()
-            cached = (
-                after["misses"] == before["misses"]
-                and after["stores"] == before["stores"]
-                and after["hits"] > before["hits"]
+        # "cached": the job's attempts replayed everything from the
+        # cache, counted apart from concurrent jobs on other threads.
+        with cache_events() as events:
+            [outcome] = run_resilient(
+                run_one,
+                [spec],
+                workers=1,
+                retries=max(spec.execution.retries, self.retries),
+                on_error="skip",
             )
-            self.registry.mark_done(job.id, outcome.value, outcome.attempts, cached)
+        if outcome.ok:
+            self.registry.mark_done(
+                job.id, outcome.value, outcome.attempts, replayed(events)
+            )
         else:
             self.registry.mark_failed(job.id, outcome.error, outcome.attempts)
         self._futures.pop(job.id, None)

@@ -8,7 +8,9 @@ import numpy as np
 from repro.pipeline.artifact_cache import (
     CACHE_DIR_ENV,
     ArtifactCache,
+    cache_events,
     default_cache_dir,
+    replayed,
     stable_key,
 )
 from repro.profiling.conflict_profile import ConflictProfile
@@ -32,6 +34,37 @@ class TestDefaultDir:
     def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "override"))
         assert default_cache_dir() == tmp_path / "override"
+
+
+class TestCacheEvents:
+    def test_scope_counts_only_its_own_events(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.store_json("stats", "a", {"v": 1})
+        with cache_events() as outer:
+            cache.load_json("stats", "a")
+            with cache_events() as inner:
+                cache.load_json("stats", "b")
+                cache.load_memo("trace-memo", "a")  # memos are uncounted
+        cache.load_json("stats", "a")
+        assert inner == {"stats": {"misses": 1}}
+        assert outer == {"stats": {"hits": 1, "misses": 1}}
+        assert cache.stats()["stats"] == {"hits": 2, "misses": 1, "stores": 1}
+
+    def test_other_threads_do_not_reach_the_scope(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.store_json("stats", "a", {"v": 1})
+        with cache_events() as events:
+            worker = threading.Thread(target=cache.store_json, args=("stats", "b", {}))
+            worker.start()
+            worker.join()
+            cache.load_json("stats", "a")
+        assert events == {"stats": {"hits": 1}}
+
+    def test_replayed_needs_a_hit_and_no_miss_or_store(self):
+        assert replayed({"optimization": {"hits": 1}, "profile": {"hits": 2}})
+        assert not replayed({})
+        assert not replayed({"optimization": {"hits": 1}, "stats": {"misses": 1}})
+        assert not replayed({"optimization": {"hits": 1}, "stats": {"stores": 1}})
 
 
 class TestJsonArtifacts:

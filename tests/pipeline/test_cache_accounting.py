@@ -129,16 +129,40 @@ class TestShardedProfile:
             counts.append(_nonzero(context.cache_stats()))
         shards = len(result.plan)
         assert shards > 1
+        # The merged profiles are looked up first: a warm replay serves
+        # the stored merge and touches no shard.
         assert counts == [
             (shards, shards - 1),
             {
-                "profile": {"stores": 2},
+                "profile": {"misses": 2, "stores": 2},
                 "shard-profile": {"misses": 2 * shards, "stores": 2 * shards},
                 "shard-scan": {"misses": shards - 1, "stores": shards - 1},
             },
             (0, 0),
-            {"profile": {"stores": 2}, "shard-profile": {"hits": 2 * shards}},
+            {"profile": {"hits": 1}},
         ]
+        assert result.cached_shards == 0
+
+    def test_driver_resumes_from_shards_without_merged_profile(self, tmp_path):
+        trace = self._trace()
+        run_sharded_profile(
+            trace, self.GEOMETRY, 16, shard_size=700, workers=1,
+            context=PipelineContext(tmp_path / "cache"), capacities=(64,),
+        )
+        for path in (tmp_path / "cache" / "profile").rglob("*.npz"):
+            path.unlink()
+        context = PipelineContext(tmp_path / "cache")
+        result = run_sharded_profile(
+            trace, self.GEOMETRY, 16, shard_size=700, workers=1,
+            context=context, capacities=(64,),
+        )
+        shards = len(result.plan)
+        assert (result.recomputed_shards, result.cached_shards) == (0, shards)
+        assert result.recomputed_scans == 0
+        assert _nonzero(context.cache_stats()) == {
+            "profile": {"misses": 2, "stores": 2},
+            "shard-profile": {"hits": 2 * shards},
+        }
 
     def test_context_serves_the_merged_profile_when_warm(self, tmp_path):
         trace = self._trace()

@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+from repro.__main__ import main
 from repro.api import ExperimentSpec, GeometrySpec, SearchSpec, TraceSpec, expand_grid
 from repro.pipeline import PipelineContext, format_campaign, run_campaign, run_resilient
 from repro.pipeline import campaign as campaign_module
@@ -15,6 +16,7 @@ from repro.pipeline.campaign import (
     init_worker,
     task_context,
 )
+from repro.pipeline.faults import use_faults
 from repro.pipeline.storage import SqliteStorage
 
 BENCHMARKS = ("qurt", "fir")
@@ -185,6 +187,30 @@ class TestRunCampaign:
         assert result.cache_dir is None
         assert not result.fully_cached
         assert not result.to_json()["fully_cached"]
+
+    def test_failed_cells_are_never_fully_cached(self, tmp_path):
+        """Cells that failed under ``on_error="skip"`` replayed nothing,
+        although they counted no miss and no store."""
+        with use_faults("campaign.task:error:p=1:seed=1"):
+            result = run_campaign(
+                tiny_grid(families=("2-in",)), cache_dir=tmp_path,
+                workers=1, on_error="skip",
+            )
+        assert [row.status for row in result.rows] == ["failed", "failed"]
+        assert result.cache_totals() == {"hits": 0, "misses": 0, "stores": 0}
+        assert not result.fully_cached
+
+    def test_expect_cached_fails_when_every_cell_failed(self, tmp_path, capsys):
+        argv = [
+            "campaign", "--suite", "powerstone", "--benchmarks", "qurt",
+            "--cache-kb", "1", "--families", "2-in", "--scale", "tiny",
+            "--workers", "1", "--cache-dir", str(tmp_path),
+            "--on-error", "skip", "--expect-cached",
+        ]
+        with use_faults("campaign.task:error:p=1:seed=1"):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "FAIL" in err and "1 cell(s) failed: powerstone/qurt" in err
 
     def test_parallel_in_memory_run_shares_artifacts(self):
         """A no-cache parallel run uses a run-scoped temporary artifact

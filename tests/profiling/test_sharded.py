@@ -12,11 +12,7 @@ from repro.profiling.conflict_profile import (
     profile_blocks,
     profile_blocks_reference,
 )
-from repro.profiling.sharded import (
-    ShardPlan,
-    profile_blocks_sharded,
-    run_sharded_profile,
-)
+from repro.profiling.sharded import ShardPlan, run_sharded_profile
 from repro.trace import Trace, save_trace_bin
 from tests.conftest import block_traces
 from tests.profiling.test_conflict_profile import assert_profiles_equal
@@ -86,6 +82,17 @@ class TestMerge:
         )
 
 
+def _sharded(blocks, capacity, n, shard_size):
+    """``run_sharded_profile`` over an in-memory trace whose addresses
+    are ``blocks`` (1-byte blocks), profiled at ``capacity`` blocks."""
+    trace = Trace(np.asarray(blocks, dtype=np.uint64))
+    result = run_sharded_profile(
+        trace, CacheGeometry(1, block_size=1), n,
+        shard_size=shard_size, capacities=(capacity,),
+    )
+    return result.profiles[capacity]
+
+
 class TestShardedEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -98,9 +105,7 @@ class TestShardedEquivalence:
             st.integers(min_value=1, max_value=len(blocks) + 13)
         )
         single = profile_blocks(blocks, capacity, 10)
-        sharded = profile_blocks_sharded(
-            blocks, capacity, 10, shard_size=shard_size
-        )
+        sharded = _sharded(blocks, capacity, 10, shard_size=shard_size)
         assert_profiles_equal(sharded, single)
 
     def test_capacity_heavy(self):
@@ -108,20 +113,20 @@ class TestShardedEquivalence:
         blocks = rng.integers(0, 2000, size=20_000, dtype=np.uint64)
         single = profile_blocks(blocks, 4, 12)
         assert single.capacity > 0
-        sharded = profile_blocks_sharded(blocks, 4, 12, shard_size=777)
+        sharded = _sharded(blocks, 4, 12, shard_size=777)
         assert_profiles_equal(sharded, single)
 
     def test_shard_size_one(self):
         blocks = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], dtype=np.uint64)
         assert_profiles_equal(
-            profile_blocks_sharded(blocks, 4, 6, shard_size=1),
+            _sharded(blocks, 4, 6, shard_size=1),
             profile_blocks(blocks, 4, 6),
         )
 
     def test_empty_trace(self):
         blocks = np.array([], dtype=np.uint64)
         assert_profiles_equal(
-            profile_blocks_sharded(blocks, 4, 6, shard_size=10),
+            _sharded(blocks, 4, 6, shard_size=10),
             profile_blocks(blocks, 4, 6),
         )
 
@@ -133,6 +138,16 @@ def _write_trace(tmp_path, accesses=6000, block_size=32, seed=0):
     path = tmp_path / "trace.bin"
     save_trace_bin(trace, path)
     return Trace.open_mmap(path)
+
+
+def _drop_merged(cache_dir):
+    """Delete the stored merged profiles, as if the run that wrote the
+    shards crashed before the merge was stored: the next run must walk
+    the shards instead of serving the merge."""
+    merged = sorted((cache_dir / "profile").rglob("*.npz"))
+    assert merged
+    for path in merged:
+        path.unlink()
 
 
 class TestRunShardedProfile:
@@ -167,12 +182,22 @@ class TestRunShardedProfile:
         context = PipelineContext(tmp_path / "cache")
         cold = run_sharded_profile(trace, geometry, 10, shard_size=700, context=context)
         assert cold.recomputed_shards == len(cold.plan)
-        assert not cold.fully_cached
+        assert cold.cached_shards == 0
+        # Warm: the stored merged profile is served; no shard is read.
         warm = run_sharded_profile(trace, geometry, 10, shard_size=700, context=context)
-        assert warm.recomputed_shards == 0
+        assert (warm.recomputed_shards, warm.cached_shards) == (0, 0)
         assert warm.recomputed_scans == 0
-        assert warm.fully_cached
         assert_profiles_equal(warm.profile, cold.profile)
+        # Without the merge, every shard is loaded and none recomputed.
+        _drop_merged(tmp_path / "cache")
+        walked = run_sharded_profile(
+            trace, geometry, 10, shard_size=700,
+            context=PipelineContext(tmp_path / "cache"),
+        )
+        assert walked.recomputed_shards == 0
+        assert walked.cached_shards == len(cold.plan)
+        assert walked.recomputed_scans == 0
+        assert_profiles_equal(walked.profile, cold.profile)
 
     def test_partial_resume_recomputes_only_missing(self, tmp_path):
         trace = _write_trace(tmp_path)
@@ -182,6 +207,7 @@ class TestRunShardedProfile:
         victims = sorted((tmp_path / "cache" / "shard-profile").rglob("*.npz"))
         assert len(victims) == len(cold.plan)
         victims[3].unlink()
+        _drop_merged(tmp_path / "cache")
         resumed = run_sharded_profile(
             trace, geometry, 10, shard_size=700,
             context=PipelineContext(tmp_path / "cache"),
@@ -194,15 +220,17 @@ class TestRunShardedProfile:
         """A fresh context (fresh memo) still resumes from disk."""
         trace = _write_trace(tmp_path)
         geometry = CacheGeometry(1024, block_size=32)
-        run_sharded_profile(
+        cold = run_sharded_profile(
             trace, geometry, 10, shard_size=700,
             context=PipelineContext(tmp_path / "cache"),
         )
+        _drop_merged(tmp_path / "cache")
         fresh = run_sharded_profile(
             trace, geometry, 10, shard_size=700,
             context=PipelineContext(tmp_path / "cache"),
         )
         assert fresh.recomputed_shards == 0
+        assert fresh.cached_shards == len(cold.plan)
 
     def test_context_profile_routes_through_shards(self, tmp_path):
         trace = _write_trace(tmp_path)
@@ -273,7 +301,6 @@ class TestOneDriver:
             trace, geometry, 10, shard_size=None, context=cold_context
         )
         assert len(cold.plan) == 1 and cold.recomputed_shards == 1
-        assert not cold.fully_cached
         assert _nonzero(cold_context.cache_stats()) == {
             "profile": {"misses": 1, "stores": 1}
         }
@@ -282,7 +309,7 @@ class TestOneDriver:
         warm = run_sharded_profile(
             trace, geometry, 10, shard_size=None, context=warm_context
         )
-        assert warm.fully_cached and warm.recomputed_scans == 0
+        assert warm.recomputed_shards == 0 and warm.recomputed_scans == 0
         assert _nonzero(warm_context.cache_stats()) == {"profile": {"hits": 1}}
         assert_profiles_equal(warm.profile, cold.profile)
 
@@ -311,5 +338,5 @@ class TestOneDriver:
         single = run_sharded_profile(
             trace, geometry, 10, shard_size=None, context=fresh
         )
-        assert single.fully_cached
+        assert single.recomputed_shards == 0
         assert _nonzero(fresh.cache_stats()) == {"profile": {"hits": 1}}

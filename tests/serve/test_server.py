@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from repro.api import Session
+import repro.serve.server as server_module
+from repro.api import ExperimentSpec, Session
 from repro.pipeline import use_faults
 from repro.serve import ReproServer, ServeClient, ServeError
 
@@ -236,6 +237,36 @@ class TestInFlightDedup:
         assert a["job_id"] != b["job_id"]
         client.wait(a["job_id"], timeout=300)
         client.wait(b["job_id"], timeout=300)
+
+
+class TestConcurrentCachedFlags:
+    def test_cold_job_meanwhile_leaves_a_replay_cached(self, served, monkeypatch):
+        """A job's ``cached`` flag counts only its own cache events, even
+        when a cold job misses and stores on the other worker while it
+        runs."""
+        _, client = served
+        assert client.run(SPEC, timeout=300)["cached"] is False
+        warm_digest = ExperimentSpec.from_dict(SPEC).digest
+        entered, release = threading.Event(), threading.Event()
+        inject = server_module.maybe_inject
+
+        def gated(site, key):
+            if site == "serve.job" and key == warm_digest:
+                entered.set()
+                assert release.wait(timeout=300)
+            inject(site, key)
+
+        monkeypatch.setattr(server_module, "maybe_inject", gated)
+        warm = client.submit(SPEC)
+        try:
+            assert entered.wait(timeout=300)
+            cold = client.run(
+                {**SPEC, "search": {**SPEC["search"], "n": 7}}, timeout=300
+            )
+        finally:
+            release.set()
+        warm = client.wait(warm["job_id"], timeout=300)
+        assert (warm["cached"], cold["cached"]) == (True, False)
 
 
 class TestQueueLimit:
