@@ -46,15 +46,7 @@ from repro.api import (
     TraceSpec,
     expand_grid,
 )
-from repro.search.families import FAMILY_CHOICES
-from repro.trace.stream import TRACE_FORMATS
-from repro.workloads.registry import (
-    SCALES,
-    SUITES,
-    TRACE_KINDS,
-    get_workload,
-    workload_names,
-)
+from repro.names import FAMILY_CHOICES, SCALES, TRACE_FORMATS, TRACE_KINDS, WORKLOADS
 
 # Everything else a subcommand needs is imported inside it, so e.g. a
 # cached ``repro run`` never loads the campaign executor, the miss
@@ -82,7 +74,7 @@ def _check_replayed(args: argparse.Namespace, events: dict, detail: str = "") ->
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("suite", choices=sorted(SUITES), help="benchmark suite")
+    parser.add_argument("suite", choices=sorted(WORKLOADS), help="benchmark suite")
     parser.add_argument("name", help="kernel name (see `workloads`)")
     parser.add_argument(
         "--kind", choices=TRACE_KINDS, default="data",
@@ -314,12 +306,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"spec ok: {spec.describe()}")
         print(f"digest:  {spec.digest}")
         return 0
-    session = Session(
+    with Session(
         cache_dir=spec.execution.cache_dir,
         workers=args.workers if args.workers is not None
         else spec.execution.workers,
-    )
-    with cache_events() as events:
+    ) as session, cache_events() as events:
         result = session.optimize(spec)
     if args.json:
         _print_report(result.to_json())
@@ -365,6 +356,7 @@ def cmd_spec(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     from repro.cache.classify import classify_misses
+    from repro.workloads.registry import get_workload
 
     trace = get_workload(args.suite, args.name, args.scale, args.seed).trace(args.kind)
     geometry = GeometrySpec(cache_bytes=args.cache_kb * 1024).resolve()
@@ -376,9 +368,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_workloads(_args: argparse.Namespace) -> int:
-    for suite in sorted(SUITES):
+    for suite in sorted(WORKLOADS):
         print(f"{suite}:")
-        for name in workload_names(suite):
+        for name in WORKLOADS[suite]:
             print(f"  {name}")
     return 0
 
@@ -561,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser(
         "spec", help="scaffold an experiment-spec file from flags"
     )
-    p_spec.add_argument("--suite", choices=sorted(SUITES), default="mibench")
+    p_spec.add_argument("--suite", choices=sorted(WORKLOADS), default="mibench")
     p_spec.add_argument("--benchmark", default="fft")
     p_spec.add_argument("--kind", choices=TRACE_KINDS, default="data")
     p_spec.add_argument("--scale", choices=SCALES, default="small")
@@ -611,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="conflict-vector profile (Fig. 1) for a workload or trace file",
     )
     p_prof.add_argument(
-        "suite", nargs="?", choices=sorted(SUITES), default=None,
+        "suite", nargs="?", choices=sorted(WORKLOADS), default=None,
         help="benchmark suite (omit when using --trace-file)",
     )
     p_prof.add_argument(
@@ -715,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run a benchmark x cache x family grid through the artifact cache",
     )
-    p_camp.add_argument("--suite", choices=sorted(SUITES), default="mibench")
+    p_camp.add_argument("--suite", choices=sorted(WORKLOADS), default="mibench")
     p_camp.add_argument(
         "--benchmarks", nargs="*", default=None,
         help="kernel names (default: the whole suite)",

@@ -35,6 +35,7 @@ from repro.api.spec import (
     SearchSpec,
     TraceSpec,
 )
+from repro.names import WORKLOADS
 from repro.pipeline.context import PipelineContext
 
 if TYPE_CHECKING:
@@ -70,8 +71,6 @@ def expand_grid(grid: Mapping[str, Any]) -> list[ExperimentSpec]:
     ``associativity``, ``n``, ``workload_seed``, ``search_seed``,
     ``guard``, ``restarts``, ``max_steps``.
     """
-    from repro.workloads.registry import workload_names
-
     unknown = sorted(set(grid) - set(_GRID_AXES) - set(_GRID_SCALARS))
     if unknown:
         raise SpecError(
@@ -81,10 +80,12 @@ def expand_grid(grid: Mapping[str, Any]) -> list[ExperimentSpec]:
     suite = grid.get("suite", "mibench")
     benchmarks = grid.get("benchmarks")
     if benchmarks is None:
-        try:
-            benchmarks = workload_names(suite)
-        except ValueError as error:
-            raise SpecError(str(error), field="suite") from None
+        if suite not in WORKLOADS:
+            raise SpecError(
+                f"unknown suite {suite!r}; choose from {sorted(WORKLOADS)}",
+                field="suite",
+            )
+        benchmarks = WORKLOADS[suite]
     search_fixed = dict(
         n=grid.get("n", SearchSpec().n),
         guard=grid.get("guard", False),
@@ -332,7 +333,6 @@ class Session:
         context = self.context(self._effective_cache_dir(spec.execution))
         trace = context.trace(spec.trace)
         geometry = spec.geometry.resolve()
-        family = spec.search.resolve_family(geometry.index_bits)
         profile = context.profile(
             trace,
             geometry,
@@ -348,7 +348,7 @@ class Session:
             result = optimize_for_trace(
                 trace,
                 geometry,
-                family=family,
+                family=spec.search.family,
                 n=spec.search.n,
                 guard=spec.search.guard,
                 restarts=spec.search.restarts,

@@ -10,7 +10,9 @@ lists of it, reports echo it back verbatim, and the CLI's
 ``repro run`` executes a TOML/JSON file of it.
 
 Specs are validated on construction (a spec object that exists is a
-spec that can run) and round-trip losslessly::
+spec that can run) against the static tables of :mod:`repro.names`, so
+parsing, validating and digesting a spec imports no compute module;
+only the ``resolve*`` methods do.  Specs round-trip losslessly::
 
     ExperimentSpec.from_dict(spec.to_dict()) == spec
     ExperimentSpec.from_toml(spec.to_toml()) == spec
@@ -27,22 +29,26 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.api import tomlio
 from repro.api.errors import SpecError
 from repro.cache.geometry import PAPER_HASHED_BITS, CacheGeometry
-from repro.search.families import FAMILY_CHOICES, FunctionFamily, family_for_name
-from repro.search.strategies import strategy_for_name
-from repro.trace.trace import Trace
-from repro.workloads.registry import (
+from repro.names import (
+    FAMILY_CHOICES,
     SCALES,
-    SUITES,
+    STRATEGY_CHOICES,
+    TRACE_FORMATS,
     TRACE_KINDS,
-    get_trace,
-    has_workload,
-    workload_names,
+    WORKLOADS,
+    infer_trace_format,
+    parse_family,
+    parse_strategy,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.search.families import FunctionFamily
+    from repro.trace.trace import Trace
 
 __all__ = [
     "TraceSpec",
@@ -55,11 +61,6 @@ __all__ = [
 #: Bumped whenever the digest recipe changes, so digests from different
 #: spec schema generations can never collide.
 _SPEC_DIGEST_VERSION = "experiment-spec-v1"
-
-_STRATEGY_CHOICES = (
-    "steepest, first-improvement, beam[:K], anneal[:ITERS[:SEED]], "
-    "branch-bound[:NODES], portfolio[:K]"
-)
 
 
 def _require_int(value: Any, field_name: str, *, minimum: int | None = None) -> int:
@@ -119,8 +120,6 @@ class TraceSpec:
     format: str | None = None
 
     def __post_init__(self):
-        from repro.trace.stream import TRACE_FORMATS, infer_trace_format
-
         if self.path is not None:
             if not isinstance(self.path, str):
                 raise SpecError(
@@ -167,16 +166,16 @@ class TraceSpec:
                     "or an on-disk trace (trace.path)",
                     field="trace.suite",
                 )
-            if self.suite not in SUITES:
+            if self.suite not in WORKLOADS:
                 raise SpecError(
                     f"unknown suite {self.suite!r}; choose from "
-                    f"{', '.join(sorted(SUITES))}",
+                    f"{', '.join(sorted(WORKLOADS))}",
                     field="trace.suite",
                 )
-            if not has_workload(self.suite, self.benchmark):
+            if self.benchmark not in WORKLOADS[self.suite]:
                 raise SpecError(
                     f"unknown workload {self.suite}/{self.benchmark}; choose from "
-                    f"{', '.join(workload_names(self.suite))}",
+                    f"{', '.join(WORKLOADS[self.suite])}",
                     field="trace.benchmark",
                 )
             if self.scale not in SCALES:
@@ -199,7 +198,7 @@ class TraceSpec:
             return f"file:{self.path}"
         return f"{self.suite}/{self.benchmark}"
 
-    def resolve(self) -> Trace:
+    def resolve(self) -> "Trace":
         """The actual trace (workload runs are cached per identity).
 
         File-backed specs load through the format's reader —
@@ -208,11 +207,14 @@ class TraceSpec:
         dinero/lackey filters.
         """
         if self.path is None:
+            from repro.workloads.registry import get_trace
+
             return get_trace(
                 self.suite, self.benchmark, self.kind, self.scale, self.seed
             )
         from repro.trace.formats import load_dinero, load_lackey
         from repro.trace.io import load_trace, load_trace_text
+        from repro.trace.trace import Trace
 
         try:
             if self.format == "bin":
@@ -306,28 +308,35 @@ class SearchSpec:
             raise SpecError(
                 f"expected true/false, got {self.guard!r}", field="search.guard"
             )
+        if not isinstance(self.family, str):
+            raise SpecError(
+                f"expected a family name, got {self.family!r}",
+                field="search.family",
+            )
         try:
-            # m=1 is a placeholder: only the *name* is checked here;
-            # real (n, m) sizing happens in :meth:`resolve_family` once
-            # a geometry is known.
-            family_for_name(self.family, self.n, 1)
+            parse_family(self.family, self.n)
         except ValueError:
             raise SpecError(
                 f"unknown family {self.family!r}; choose from "
                 f"{', '.join(FAMILY_CHOICES)}",
                 field="search.family",
             ) from None
+        if not isinstance(self.strategy, str):
+            raise SpecError(
+                f"expected a strategy name, got {self.strategy!r}",
+                field="search.strategy",
+            )
         try:
-            strategy_for_name(self.strategy)
+            parse_strategy(self.strategy)
         except ValueError:
             raise SpecError(
                 f"unknown search strategy {self.strategy!r}; choose from "
-                f"{_STRATEGY_CHOICES}",
+                f"{STRATEGY_CHOICES}",
                 field="search.strategy",
             ) from None
 
-    def resolve_family(self, index_bits: int) -> FunctionFamily:
-        """The family instance sized ``(n, m)`` for a given geometry."""
+    def check_window(self, index_bits: int) -> None:
+        """Raise unless the ``n``-bit window covers ``index_bits``."""
         if index_bits > self.n:
             raise SpecError(
                 f"the geometry needs m={index_bits} index bits but the search "
@@ -335,9 +344,17 @@ class SearchSpec:
                 f"at least {index_bits} or shrink the cache",
                 field="search.n",
             )
+
+    def resolve_family(self, index_bits: int) -> "FunctionFamily":
+        """The family instance sized ``(n, m)`` for a given geometry."""
+        from repro.search.families import family_for_name
+
+        self.check_window(index_bits)
         return family_for_name(self.family, self.n, index_bits)
 
     def resolve_strategy(self):
+        from repro.search.strategies import strategy_for_name
+
         return strategy_for_name(self.strategy)
 
     def to_dict(self) -> dict[str, Any]:
@@ -469,9 +486,9 @@ class ExperimentSpec:
                     f"{type(getattr(self, name)).__name__}",
                     field=name,
                 )
-        # Cross-field sizing: constructing the family instance surfaces
-        # an (n, m) mismatch right at the boundary.
-        self.search.resolve_family(self.geometry.index_bits)
+        # Cross-field sizing: an (n, m) mismatch surfaces right at the
+        # boundary.
+        self.search.check_window(self.geometry.index_bits)
 
     # -- identity ----------------------------------------------------------
 

@@ -16,14 +16,6 @@ from typing import Any, Mapping
 
 __all__ = ["dumps", "loads"]
 
-try:  # Python >= 3.11
-    import tomllib as _toml_reader
-except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback
-    try:
-        import tomli as _toml_reader  # type: ignore[no-redef]
-    except ModuleNotFoundError:
-        _toml_reader = None
-
 
 def _format_scalar(value: Any) -> str:
     if isinstance(value, bool):
@@ -81,10 +73,18 @@ def dumps(payload: Mapping[str, Any], *, header: str | None = None) -> str:
 
 
 def loads(text: str) -> dict[str, Any]:
-    """Parse TOML text into a plain dictionary."""
-    if _toml_reader is None:  # pragma: no cover - 3.10 without tomli
-        raise RuntimeError(
-            "reading TOML specs needs Python >= 3.11 (tomllib) or the "
-            "'tomli' package; use the JSON spec format instead"
-        )
-    return _toml_reader.loads(text)
+    """Parse TOML text into a plain dictionary.
+
+    The reader is imported here, so JSON-only callers never load it.
+    """
+    try:  # Python >= 3.11
+        import tomllib as reader
+    except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback
+        try:
+            import tomli as reader  # type: ignore[no-redef]
+        except ModuleNotFoundError:
+            raise RuntimeError(
+                "reading TOML specs needs Python >= 3.11 (tomllib) or the "
+                "'tomli' package; use the JSON spec format instead"
+            ) from None
+    return reader.loads(text)

@@ -2,18 +2,20 @@
 
 The per-access reference loops compiled with :func:`numba.njit`: the
 same algorithms as the ``python`` backend (so bit-identity is by
-construction), at native speed.  When :mod:`numba` is not importable
-the backend registers as *unavailable* — discoverable by ``repro
-backends`` and selectable only with an actionable error — exactly like
-the ``np.bitwise_count``-vs-parity-table ladder in
-:mod:`repro.gf2.bitvec` degrades without new NumPy.
+construction), at native speed.  When :mod:`numba` is not installed
+the backend is registered as *unavailable* (see :mod:`repro.backend`) —
+discoverable by ``repro backends`` and selectable only with an
+actionable error — exactly like the ``np.bitwise_count``-vs-parity-table
+ladder in :mod:`repro.gf2.bitvec` degrades without new NumPy.  Installed
+but failing to import, its kernels raise and every call degrades to the
+NumPy kernels with a recorded warning.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["lru_depth_at_least", "skewed_misses", "HAS_NUMBA", "BACKEND"]
+__all__ = ["lru_depth_at_least", "skewed_misses", "HAS_NUMBA"]
 
 try:  # pragma: no cover - exercised only in the Numba CI matrix entry
     from numba import njit
@@ -94,24 +96,3 @@ else:
     lru_depth_at_least = _unavailable
     skewed_misses = _unavailable
 
-
-def _register():
-    from repro.backend.registry import Backend, register_backend
-
-    return register_backend(
-        Backend(
-            name="numba",
-            lru_depth_at_least=lru_depth_at_least,
-            skewed_misses=skewed_misses,
-            priority=20,
-            available=HAS_NUMBA,
-            description=(
-                "JIT-compiled per-access loops"
-                if HAS_NUMBA
-                else "numba not importable (pip install numba to enable)"
-            ),
-        )
-    )
-
-
-BACKEND = _register()

@@ -26,7 +26,7 @@ import numpy as np
 from repro.backend import python_backend
 from repro.backend.sorting import stable_argsort
 
-__all__ = ["lru_depth_at_least", "skewed_misses", "BACKEND"]
+__all__ = ["lru_depth_at_least", "skewed_misses"]
 
 #: Accesses per chunk of the LRU depth probe: shorter chunks keep the
 #: chunk-end survivor shortcut sharp (fewer candidates die inside the
@@ -549,20 +549,3 @@ def skewed_misses(
             frame_full[wframes[last]] = True
     return misses
 
-
-def _register():
-    from repro.backend.registry import Backend, register_backend
-
-    return register_backend(
-        Backend(
-            name="numpy",
-            lru_depth_at_least=lru_depth_at_least,
-            skewed_misses=skewed_misses,
-            priority=10,
-            available=True,
-            description="vectorized chunked-probe and speculative-replay kernels",
-        )
-    )
-
-
-BACKEND = _register()

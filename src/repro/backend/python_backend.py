@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["lru_depth_at_least", "skewed_misses", "BACKEND"]
+__all__ = ["lru_depth_at_least", "skewed_misses"]
 
 
 def lru_depth_at_least(
@@ -73,20 +73,3 @@ def skewed_misses(
             banks[victim][id_lists[victim][i]] = key
     return np.array(flags, dtype=bool)
 
-
-def _register():
-    from repro.backend.registry import Backend, register_backend
-
-    return register_backend(
-        Backend(
-            name="python",
-            lru_depth_at_least=lru_depth_at_least,
-            skewed_misses=skewed_misses,
-            priority=0,
-            available=True,
-            description="per-access reference loops (oracle)",
-        )
-    )
-
-
-BACKEND = _register()

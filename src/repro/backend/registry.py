@@ -8,8 +8,8 @@ interface (:class:`Backend`).  Three implementations ship:
 * ``numpy``  — pure-NumPy kernels (chunked reuse-distance probe for
   LRU, chunked speculative-fixpoint replay for skewed); always
   available and the default;
-* ``numba``  — JIT-compiled per-access loops, registered only when
-  :mod:`numba` is importable (the optional fast path, selected
+* ``numba``  — JIT-compiled per-access loops, available only when
+  :mod:`numba` is installed (the optional fast path, selected
   automatically like the ``np.bitwise_count``-vs-parity-table
   fallback in :mod:`repro.gf2.bitvec`);
 * ``python`` — the retained per-access reference loops, kept as the

@@ -5,6 +5,10 @@ trace once (Fig. 1), hill-climb the chosen function family on the
 Eq. 4 estimate (Sec. 3.2), then verify the winner by exact simulation
 and report the fraction of misses removed versus conventional modulo
 indexing (the quantity in Tables 2 and 3).
+
+A result served from its stored record is rebuilt from plain JSON: the
+search, the GF(2) matrix code and NumPy are imported only when a result
+has to be computed.
 """
 
 from __future__ import annotations
@@ -22,16 +26,17 @@ from repro.api.report import (
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.cache.stats import CacheStats
 from repro.gf2.hashfn import XorHashFunction
+from repro.names import family_name, strategy_identity
 from repro.pipeline.artifact_cache import stable_key
 from repro.pipeline.context import PipelineContext, geometry_params
-from repro.profiling.conflict_profile import ConflictProfile
-from repro.search.families import FunctionFamily, family_for_name
-from repro.search.hill_climb import SearchResult, hill_climb_front, hill_climb_restarts
-from repro.search.strategies import SearchStrategy, strategy_for_name
+from repro.search.result import SearchResult
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.spec import ExperimentSpec
+    from repro.profiling.conflict_profile import ConflictProfile
+    from repro.search.families import FunctionFamily
+    from repro.search.strategies import SearchStrategy
 
 __all__ = ["OptimizationResult", "optimize_for_trace"]
 
@@ -168,21 +173,30 @@ def optimize_for_trace(
             f"geometry needs m={m} index bits but only n={n} are hashed; "
             f"raise n to at least {m} or shrink the cache"
         )
+    # The record key needs only the family's and the strategy's names,
+    # so a served result never builds either.
     if isinstance(family, str):
         try:
-            family = family_for_name(family, n, m)
+            family_key = family_name(family, n)
         except ValueError as error:
             raise SpecError(str(error)) from None
-    if family.n != n or family.m != m:
-        raise SpecError(
-            f"family is sized for (n={family.n}, m={family.m}), "
-            f"expected (n={n}, m={m})"
-        )
+    else:
+        if family.n != n or family.m != m:
+            raise SpecError(
+                f"family is sized for (n={family.n}, m={family.m}), "
+                f"expected (n={n}, m={m})"
+            )
+        family_key = family.name
+    if isinstance(strategy, str):
+        try:
+            strategy_key, deterministic = strategy_identity(strategy)
+        except ValueError as error:
+            raise SpecError(str(error)) from None
+    else:
+        from repro.search.strategies import strategy_for_name
 
-    try:
         strategy = strategy_for_name(strategy)
-    except ValueError as error:
-        raise SpecError(str(error)) from None
+        strategy_key, deterministic = strategy.name, strategy.deterministic
     ctx = context if context is not None else PipelineContext()
     if profile is None:
         profile = ctx.profile(trace, geometry, n)
@@ -190,11 +204,11 @@ def optimize_for_trace(
     # so normalize it out of the record key and let every seed share
     # the artifact.  Non-deterministic strategies (annealing) seed
     # their own walk, so the seed stays in.
-    key_seed = seed if (restarts > 0 or not strategy.deterministic) else 0
+    key_seed = seed if (restarts > 0 or not deterministic) else 0
     params = {
         "trace": trace.digest,
         "geometry": geometry_params(geometry),
-        "family": family.name,
+        "family": family_key,
         "n": n,
         "guard": guard,
         "restarts": restarts,
@@ -205,8 +219,8 @@ def optimize_for_trace(
     # The paper's steepest descent is keyed without a strategy
     # component so records written before strategies existed stay
     # valid; every other strategy gets its own key space.
-    if strategy.name != "steepest":
-        params["strategy"] = strategy.name
+    if strategy_key != "steepest":
+        params["strategy"] = strategy_key
     key = stable_key("optimization", params)
 
     def load(cache, key: str) -> OptimizationResult | None:
@@ -214,9 +228,14 @@ def optimize_for_trace(
         return None if payload is None else _from_record(payload, trace, geometry, profile)
 
     def compute(missing: list[str]):
+        from repro.search.families import family_for_name
+        from repro.search.strategies import strategy_for_name
+
         result = _optimize(
-            ctx, trace, geometry, family, n, guard, restarts, seed, max_steps,
-            profile, strategy,
+            ctx, trace, geometry,
+            family_for_name(family, n, m) if isinstance(family, str) else family,
+            n, guard, restarts, seed, max_steps, profile,
+            strategy_for_name(strategy),
         )
         return [(key, result)]
 
@@ -325,6 +344,8 @@ def _optimize(
     strategy: "SearchStrategy",
 ) -> OptimizationResult:
     """The profile -> hill climb -> exact verification flow itself."""
+    from repro.search.hill_climb import hill_climb_front, hill_climb_restarts
+
     baseline = ctx.baseline(trace, geometry)
     if restarts > 0:
         # Multi-start: exact-verify the whole front of local optima in

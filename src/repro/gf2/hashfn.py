@@ -12,17 +12,23 @@ functions the conventional tag (address bits above the index) works
 unchanged, and for general functions a bit-selecting tag always exists
 (Sec. 4) — we select the pivot positions of the null space's canonical
 basis, which restores injectivity by construction.
+
+Constructing, comparing and serializing a function is plain integer
+work; NumPy and the GF(2) matrix code load on first use of the methods
+that need them, so a function rebuilt from a stored record costs no
+import.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
-from repro.gf2.bitvec import dot, mask, parity_table, parity_u64, popcount
-from repro.gf2.matrix import GF2Matrix
-from repro.gf2.spaces import Subspace
+    from repro.gf2.matrix import GF2Matrix
+    from repro.gf2.spaces import Subspace
 
 __all__ = ["XorHashFunction"]
 
@@ -134,6 +140,7 @@ class XorHashFunction:
         ``permutation=True`` forces the permutation-based structure
         (identity on the low ``m`` rows).
         """
+        from repro.gf2.bitvec import mask, popcount
 
         def draw() -> int:
             high = 1 << n
@@ -187,6 +194,8 @@ class XorHashFunction:
 
     def matrix(self) -> GF2Matrix:
         """The paper's ``n x m`` matrix ``H`` (rows = address bits)."""
+        from repro.gf2.matrix import GF2Matrix
+
         rows = []
         for r in range(self._n):
             row = 0
@@ -198,11 +207,13 @@ class XorHashFunction:
     @property
     def max_fan_in(self) -> int:
         """Largest number of inputs feeding any XOR gate."""
-        return max(popcount(col) for col in self._columns)
+        return max(col.bit_count() for col in self._columns)
 
     @property
     def rank(self) -> int:
         """Rank of the column masks over GF(2)."""
+        from repro.gf2.matrix import GF2Matrix
+
         return GF2Matrix(self._columns, self._n).rank()
 
     @property
@@ -216,10 +227,9 @@ class XorHashFunction:
 
     def apply(self, addr: int) -> int:
         """Set index of a single block address (only low ``n`` bits used)."""
-        addr &= mask(self._n)
         index = 0
         for c, col in enumerate(self._columns):
-            index |= dot(addr, col) << c
+            index |= ((addr & col).bit_count() & 1) << c
         return index
 
     def __call__(self, addr: int) -> int:
@@ -240,6 +250,10 @@ class XorHashFunction:
         replace ``m`` full-width parity passes.
         """
         if self._byte_tables is None:
+            import numpy as np
+
+            from repro.gf2.bitvec import parity_table
+
             num_bytes = (self._n + 7) // 8
             tables = np.zeros((num_bytes, 256), dtype=np.uint32)
             table16 = parity_table()
@@ -254,6 +268,10 @@ class XorHashFunction:
 
     def apply_array(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`apply` for a numpy array of block addresses."""
+        import numpy as np
+
+        from repro.gf2.bitvec import mask, parity_table, parity_u64
+
         addrs = np.asarray(addrs)
         masked = np.bitwise_and(addrs.astype(np.uint64), np.uint64(mask(self._n)))
         out = np.zeros(masked.shape, dtype=np.uint32)
@@ -293,12 +311,17 @@ class XorHashFunction:
         this subspace (Eq. 2).
         """
         if self._null_space is None:
+            from repro.gf2.matrix import GF2Matrix
+            from repro.gf2.spaces import Subspace
+
             kernel = GF2Matrix(self._columns, self._n).kernel()
             self._null_space = Subspace(kernel, self._n)
         return self._null_space
 
     def column_space(self) -> Subspace:
         """Span of the column masks (= ``N(H)^⊥``)."""
+        from repro.gf2.spaces import Subspace
+
         return Subspace(self._columns, self._n)
 
     def canonical_key(self) -> tuple:
@@ -320,7 +343,7 @@ class XorHashFunction:
     @property
     def is_bit_selecting(self) -> bool:
         """True when every index bit is a plain address bit (fan-in 1)."""
-        return all(popcount(col) == 1 for col in self._columns)
+        return all(col.bit_count() == 1 for col in self._columns)
 
     @property
     def is_permutation_based(self) -> bool:
@@ -330,8 +353,7 @@ class XorHashFunction:
         low-order bit.  This is the representation used by the cheap
         reconfigurable hardware of Sec. 5.
         """
-        m = self.m
-        low = mask(m)
+        low = (1 << self.m) - 1
         return all((col & low) == (1 << c) for c, col in enumerate(self._columns))
 
     def has_permutation_null_space(self) -> bool:
@@ -341,6 +363,8 @@ class XorHashFunction:
         representation (see :meth:`permutation_form`) and map every
         aligned run of ``2^m`` blocks conflict-free.
         """
+        from repro.gf2.spaces import Subspace
+
         low_span = Subspace.span_of_units(range(self.m), self._n)
         return self.null_space().intersects_trivially(low_span)
 
@@ -425,6 +449,8 @@ class XorHashFunction:
 
     def tag_array(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`tag_of`."""
+        import numpy as np
+
         addrs = np.asarray(addrs).astype(np.uint64)
         positions = self.tag_bit_positions()
         tag = np.zeros(addrs.shape, dtype=np.uint64)

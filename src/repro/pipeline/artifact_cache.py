@@ -9,6 +9,15 @@ Identical inputs therefore share one artifact across runs, processes
 and drivers, and any input change invalidates by construction (a new
 key simply misses).
 
+Next to the counted artifacts live *memos*: uncounted JSON records of
+facts about them (see :meth:`ArtifactCache.load_memo`).  Every stored
+whole-trace profile gets one, the *profile-digest memo* (kind
+``profile-memo``): its digest and header fields.  A profile hit is
+then a :class:`DeferredProfile` whose counts are parsed only when a
+stage needs them, so a warm replay keys its optimization record
+without parsing the ``.npz`` — and without importing NumPy, which only
+the ``.npz`` codecs load.
+
 Where the bytes live is pluggable (:mod:`repro.pipeline.storage`): the
 default local-directory backend keeps the original
 ``<root>/<kind>/<key[:2]>/<key>.<json|npz>`` layout with atomic
@@ -30,23 +39,27 @@ their next store.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import threading
 import zipfile
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.pipeline.faults import FaultInjected, maybe_inject, should_corrupt
 from repro.pipeline.storage import StorageBackend, resolve_storage
-from repro.profiling.conflict_profile import ConflictProfile
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.profiling.conflict_profile import ConflictProfile
 
 __all__ = [
     "ArtifactCache",
+    "DeferredProfile",
+    "PROFILE_MEMO",
     "cache_events",
     "default_cache_dir",
     "replayed",
@@ -61,6 +74,12 @@ LOAD_ERRORS = (OSError, KeyError, ValueError, zipfile.BadZipFile, EOFError)
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Storage kind of the profile-digest memo (see :meth:`ArtifactCache.load_profile`).
+PROFILE_MEMO = "profile-memo"
+
+#: The header fields of a :class:`ConflictProfile` the memo records.
+_PROFILE_HEADER = ("n", "compulsory", "capacity", "accesses", "beyond_window")
 
 
 def default_cache_dir() -> Path:
@@ -128,9 +147,81 @@ def _json_writer(payload: dict):
     return lambda tmp: tmp.write_text(text + "\n")
 
 
+# -- .npz codecs: the only code here that imports NumPy ----------------------
+
+
 def _read_arrays(path: Path) -> dict[str, Any]:
+    import numpy as np
+
     with np.load(path) as data:
         return {name: data[name] for name in data.files}
+
+
+def _read_profile(path: Path) -> "ConflictProfile":
+    from repro.profiling.conflict_profile import ConflictProfile
+
+    return ConflictProfile.load(path)
+
+
+class DeferredProfile:
+    """A stored :class:`~repro.profiling.conflict_profile.ConflictProfile`
+    whose counts are parsed on first use.
+
+    The digest and header fields (``n``, ``compulsory``, ``capacity``,
+    ``accesses``, ``beyond_window``) come from the profile-digest memo;
+    ``payload`` holds the verified bytes of the ``.npz`` entry.  Reading
+    anything else — ``counts``, ``total_weight``, ``support()`` … —
+    parses them into the profile, which must have the recorded digest
+    or ``ValueError`` is raised and no count is served.
+    """
+
+    def __init__(self, payload: bytes, digest: str, **header: int):
+        self._payload = payload
+        self.digest = digest
+        for name in _PROFILE_HEADER:
+            setattr(self, name, header[name])
+
+    def resolve(self) -> "ConflictProfile":
+        """The parsed profile (parsed once)."""
+        profile = self.__dict__.get("_profile")
+        if profile is None:
+            profile = _read_profile(io.BytesIO(self._payload))
+            if profile.digest != self.digest:
+                raise ValueError(
+                    f"stored profile has digest {profile.digest}, but its "
+                    f"memo records {self.digest}"
+                )
+            self._profile = profile
+        return profile
+
+    def __getattr__(self, name: str):
+        # Reached only for what the memo does not hold.
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.resolve(), name)
+
+    def __repr__(self) -> str:
+        return f"DeferredProfile(n={self.n}, digest={self.digest[:12]}…)"
+
+
+def _read_deferred(header: dict, path: Path) -> DeferredProfile:
+    payload = Path(path).read_bytes()
+    # A torn archive fails here, as it would in np.load.
+    with zipfile.ZipFile(io.BytesIO(payload)) as archive:
+        for member in ("n.npy", "counts.npy", "meta.npy"):
+            archive.getinfo(member)
+    return DeferredProfile(payload, **header)
+
+
+def _profile_header(record: dict | None) -> dict | None:
+    """A profile-digest memo record's fields, or ``None`` if malformed."""
+    try:
+        return {
+            "digest": str(record["digest"]),
+            **{name: int(record[name]) for name in _PROFILE_HEADER},
+        }
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class ArtifactCache:
@@ -295,22 +386,57 @@ class ArtifactCache:
 
     # -- npz artifacts -----------------------------------------------------
 
-    def load_profile(self, key: str, kind: str = "profile") -> ConflictProfile | None:
+    def load_profile(
+        self, key: str, kind: str = "profile"
+    ) -> "ConflictProfile | DeferredProfile | None":
         """Load a profile artifact; ``kind`` separates the whole-trace
         ``"profile"`` namespace from per-shard ``"shard-profile"``
-        partials."""
-        return self._load(kind, key, ".npz", ConflictProfile.load, LOAD_ERRORS)
+        partials.
+
+        A whole-trace profile with a profile-digest memo loads as a
+        :class:`DeferredProfile`: its entry is read and verified as
+        any load is (one counted hit or miss, the fault sites, the
+        checksum and quarantine), only the ``.npz`` parse waits.  One
+        without a memo (written before memos existed, or its memo
+        lost) is parsed now and its memo written.
+        """
+        if kind != "profile":
+            return self._load(kind, key, ".npz", _read_profile, LOAD_ERRORS)
+        header = _profile_header(self.load_memo(PROFILE_MEMO, key))
+        if header is not None:
+            return self._load(
+                kind, key, ".npz", partial(_read_deferred, header), LOAD_ERRORS
+            )
+        profile = self._load(kind, key, ".npz", _read_profile, LOAD_ERRORS)
+        if profile is not None:
+            self._store_profile_memo(key, profile)
+        return profile
 
     def store_profile(
-        self, key: str, profile: ConflictProfile, kind: str = "profile"
+        self, key: str, profile: "ConflictProfile", kind: str = "profile"
     ) -> None:
+        """Store a profile artifact, and a whole-trace profile's memo."""
         self._store(kind, key, ".npz", profile.save)
+        if kind == "profile":
+            self._store_profile_memo(key, profile)
+
+    def _store_profile_memo(self, key: str, profile: "ConflictProfile") -> None:
+        self.store_memo(
+            PROFILE_MEMO,
+            key,
+            {
+                "digest": profile.digest,
+                **{name: int(getattr(profile, name)) for name in _PROFILE_HEADER},
+            },
+        )
 
     def load_arrays(self, kind: str, key: str) -> dict[str, Any] | None:
         """Load an npz bundle of named arrays (e.g. shard scan states)."""
         return self._load(kind, key, ".npz", _read_arrays, LOAD_ERRORS)
 
     def store_arrays(self, kind: str, key: str, arrays: dict[str, Any]) -> None:
+        import numpy as np
+
         self._store(
             kind, key, ".npz", lambda tmp: np.savez_compressed(tmp, **arrays)
         )

@@ -265,7 +265,6 @@ def _run_task(
         t0 = time.perf_counter()
         trace = context.trace(spec.trace)
         geometry = spec.geometry.resolve()
-        family = spec.search.resolve_family(geometry.index_bits)
         # The first cell of a profile group to miss profiles every
         # capacity the grid asks of it in one pass; the others then hit.
         # Its shards run serially: the campaign already fans out over
@@ -281,7 +280,7 @@ def _run_task(
         result = optimize_for_trace(
             trace,
             geometry,
-            family=family,
+            family=spec.search.family,
             n=spec.search.n,
             guard=spec.search.guard,
             restarts=spec.search.restarts,

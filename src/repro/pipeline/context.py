@@ -18,8 +18,17 @@ artifact goes through it:
   stages whole results, unmemoized, so a warm replay skips even the
   hill climb.
 
-:meth:`~PipelineContext.trace` maps a spec to its trace through the
-cache's trace-digest memo, an uncounted record of facts about inputs.
+Two uncounted memos record facts about inputs and artifacts, so a
+warm replay reads three small JSON records and one verified ``.npz``
+entry, parses no array and imports no NumPy:
+
+* the *trace-digest memo*: :meth:`~PipelineContext.trace` maps a spec
+  to its trace through it, without running the workload kernel;
+* the *profile-digest memo*: a stored profile loads as a
+  :class:`~repro.pipeline.artifact_cache.DeferredProfile` whose digest
+  keys the optimization record and whose counts are parsed only when
+  a stage needs them (see :meth:`ArtifactCache.load_profile
+  <repro.pipeline.artifact_cache.ArtifactCache.load_profile>`).
 
 Stages take their context as an explicit ``context=`` argument
 (:func:`~repro.core.optimizer.optimize_for_trace`, the table drivers,
@@ -34,16 +43,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.api.report import function_to_json, stats_from_json, stats_to_json
 from repro.cache.geometry import CacheGeometry
-from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.cache.stats import CacheStats
-from repro.gf2.hashfn import XorHashFunction
 from repro.pipeline.artifact_cache import ArtifactCache, stable_key
-from repro.profiling.conflict_profile import ConflictProfile
 from repro.profiling.sharded import run_sharded_profile
 from repro.trace.trace import DeferredTrace, Trace
 
 if TYPE_CHECKING:
     from repro.api.spec import TraceSpec
+    from repro.gf2.hashfn import XorHashFunction
+    from repro.profiling.conflict_profile import ConflictProfile
 
 __all__ = ["PipelineContext"]
 
@@ -160,7 +168,7 @@ class PipelineContext:
     def _trace_key(self, spec: "TraceSpec") -> str:
         """A registry trace's identity plus the fingerprint of the code
         that generates it, so a memo entry goes stale with that code."""
-        from repro.workloads.registry import generator_fingerprint
+        from repro.workloads.fingerprint import generator_fingerprint
 
         return stable_key(
             TRACE_MEMO,
@@ -198,7 +206,7 @@ class PipelineContext:
         A registry spec with a cache consults the cache's trace memo: a
         record of the trace's digest, length, uops, name, kind and
         metadata, keyed by the spec and :func:`generator_fingerprint
-        <repro.workloads.registry.generator_fingerprint>`.  On a hit it
+        <repro.workloads.fingerprint.generator_fingerprint>`.  On a hit it
         returns a :class:`~repro.trace.trace.DeferredTrace`, so stages
         served from the cache never run the workload kernel; a stage
         that needs the addresses generates them then, and they must
@@ -249,7 +257,7 @@ class PipelineContext:
         task_timeout: float | None = None,
         on_error: str = "raise",
         capacities: Sequence[int] = (),
-    ) -> ConflictProfile:
+    ) -> "ConflictProfile":
         """Cached :func:`repro.profiling.profile_trace`.
 
         The profile driver, :func:`repro.profiling.run_sharded_profile`,
@@ -280,6 +288,8 @@ class PipelineContext:
     # -- exact simulation --------------------------------------------------
 
     def _indexing_params(self, indexing) -> dict:
+        from repro.cache.indexing import ModuloIndexing, XorIndexing
+
         if isinstance(indexing, XorIndexing):
             return {"scheme": "xor", **function_to_json(indexing.hash_function)}
         if isinstance(indexing, ModuloIndexing):
@@ -310,19 +320,23 @@ class PipelineContext:
 
     def baseline(self, trace: Trace, geometry: CacheGeometry) -> CacheStats:
         """Cached conventional-indexing (modulo) stats."""
+        from repro.cache.indexing import ModuloIndexing
+
         return self.simulate(trace, geometry, ModuloIndexing(geometry.index_bits))
 
     def evaluate(
-        self, trace: Trace, geometry: CacheGeometry, fn: XorHashFunction
+        self, trace: Trace, geometry: CacheGeometry, fn: "XorHashFunction"
     ) -> CacheStats:
         """Cached exact stats for one XOR hash function."""
+        from repro.cache.indexing import XorIndexing
+
         return self.simulate(trace, geometry, XorIndexing(fn))
 
     def evaluate_many(
         self,
         trace: Trace,
         geometry: CacheGeometry,
-        functions: Sequence[XorHashFunction],
+        functions: Sequence["XorHashFunction"],
     ) -> list[CacheStats]:
         """Cached batched verification of a candidate front.
 
@@ -330,6 +344,8 @@ class PipelineContext:
         one batched engine replay; their results are stored under the
         same per-function keys :meth:`evaluate` uses.
         """
+        from repro.cache.indexing import XorIndexing
+
         keys = [self._stats_key(trace, geometry, XorIndexing(fn)) for fn in functions]
         by_key = dict(zip(keys, functions))
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import sqlite3
 import tempfile
 import threading
 from abc import ABC, abstractmethod
@@ -230,6 +229,8 @@ class SqliteStorage(StorageBackend):
     """
 
     def __init__(self, root: Path):
+        import sqlite3  # only caches that use it pay for the import
+
         super().__init__(root)
         self._lock = threading.RLock()
         self._spool: tempfile.TemporaryDirectory | None = None

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -216,8 +217,9 @@ class ConflictProfile:
         )
 
     @classmethod
-    def load(cls, path: str | Path) -> "ConflictProfile":
-        with np.load(Path(path)) as data:
+    def load(cls, source: str | Path | BinaryIO) -> "ConflictProfile":
+        """Read a :meth:`save` archive from a path or binary file."""
+        with np.load(source) as data:
             meta = data["meta"]
             return cls(
                 int(data["n"]),

@@ -39,6 +39,9 @@ A warm re-run loads the merged profile and touches no shard; a re-run
 whose merged profile was never stored (a crash mid-walk) loads the
 finished shards and recomputes only the missing ones, and the scan
 phase is skipped entirely once no shard is missing.
+
+NumPy and the Fig. 1 kernel load only once a shard is read: a run
+served from stored profiles imports neither.
 """
 
 from __future__ import annotations
@@ -47,13 +50,15 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.cache.geometry import CacheGeometry
-from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+    from repro.profiling.conflict_profile import ConflictProfile
 
 __all__ = [
     "Shard",
@@ -134,6 +139,8 @@ class ArrayBlockSource:
         return len(self.blocks)
 
     def read(self, start: int, stop: int) -> np.ndarray:
+        import numpy as np
+
         return np.ascontiguousarray(self.blocks[start:stop], dtype=np.uint64)
 
 
@@ -155,6 +162,8 @@ class FileBlockSource:
         return self.count
 
     def read(self, start: int, stop: int) -> np.ndarray:
+        import numpy as np
+
         mapped = np.memmap(self.path, dtype=np.dtype("<u8"), mode="r")
         # Both branches allocate a fresh shard-sized array, so the
         # mapping (and its paged-in slice) is released on return.
@@ -191,6 +200,8 @@ def _scan_summary(blocks: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarra
     One stable argsort: within each equal-block group program order is
     preserved, so the last row of a group is the block's latest access.
     """
+    import numpy as np
+
     order = np.argsort(blocks, kind="stable")
     in_order = blocks[order]
     if not len(in_order):
@@ -207,6 +218,8 @@ def _merge_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold a later shard's scan summary into the running (block, last
     time) state; the summary wins on duplicates (its times are later)."""
+    import numpy as np
+
     if not len(state_blocks):
         return new_blocks, new_times
     if not len(new_blocks):
@@ -228,6 +241,10 @@ def _profile_shard(
     """Profile one shard at every capacity (in blocks) of ``capacities``
     in one pass, given the blocks live before it in ascending
     last-occurrence order (the synthetic-prefix replay)."""
+    import numpy as np
+
+    from repro.profiling.conflict_profile import profile_blocks
+
     if len(prefix_blocks):
         synthetic = np.concatenate([prefix_blocks, shard_blocks])
     else:
@@ -336,6 +353,10 @@ def _run_sharded(
     Scan summaries depend on no capacity; they are keyed like
     ``capacities[0]``'s.
     """
+    import numpy as np
+
+    from repro.profiling.conflict_profile import ConflictProfile
+
     if min(capacities) < 1:
         raise ValueError(f"capacity must be >= 1 block, got {min(capacities)}")
     if len(plan) <= 1:

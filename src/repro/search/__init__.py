@@ -1,5 +1,8 @@
 """Design-space search: families, hill climbing, exhaustive baselines."""
 
+import sys
+import types
+
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(
@@ -47,7 +50,24 @@ __getattr__, __dir__, __all__ = lazy_exports(
     },
 )
 
-# Bound eagerly: importing the ``repro.search.hill_climb`` submodule
-# sets the package attribute ``hill_climb`` to that module, which a
-# lazy lookup would then never replace with the function.
-from repro.search.hill_climb import hill_climb  # noqa: E402
+
+class _SearchPackage(types.ModuleType):
+    """``repro.search.hill_climb`` is the function, like every export.
+
+    Importing the ``repro.search.hill_climb`` submodule binds the
+    package attribute of that name to the module; the setter drops the
+    binding, so the name keeps resolving (lazily) to the function.
+    """
+
+    @property
+    def hill_climb(self):
+        from repro.search.hill_climb import hill_climb
+
+        return hill_climb
+
+    @hill_climb.setter
+    def hill_climb(self, _submodule):
+        pass
+
+
+sys.modules[__name__].__class__ = _SearchPackage

@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.gf2.batched import reduce_by_basis, rref_basis
 from repro.gf2.hashfn import XorHashFunction
+from repro.names import BRANCH_BOUND_NODES
 from repro.profiling.conflict_profile import ConflictProfile
 from repro.profiling.estimator import MissEstimator
 from repro.search.families import FunctionFamily, PermutationFamily
@@ -68,7 +69,7 @@ __all__ = [
 
 #: Default expansion budget.  Far above what the Table-2-size instances
 #: need (hundreds of nodes) while bounding runaway general-family runs.
-DEFAULT_MAX_NODES = 100_000
+DEFAULT_MAX_NODES = BRANCH_BOUND_NODES
 
 
 def _column_domains(family: FunctionFamily) -> list[np.ndarray]:

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.gf2.bitvec import popcount
 from repro.gf2.hashfn import XorHashFunction
+from repro.names import FAMILY_CHOICES, parse_family
 
 __all__ = [
     "FunctionFamily",
@@ -32,12 +33,6 @@ __all__ = [
     "FAMILY_CHOICES",
     "family_for_name",
 ]
-
-#: The paper's canonical family names, in table order — the single
-#: source for CLI ``choices=`` and spec-boundary error messages.
-#: (:func:`family_for_name` additionally accepts any ``"<k>-in"``.)
-FAMILY_CHOICES = ("1-in", "2-in", "4-in", "16-in", "general")
-
 
 @dataclass(frozen=True)
 class FunctionFamily:
@@ -269,18 +264,9 @@ def family_for_name(name: str, n: int, m: int) -> FunctionFamily:
     ``"1-in"``/``"bit-select"``, ``"2-in"``, ``"4-in"``, ``"16-in"``
     (permutation-based per Sec. 6), ``"general"`` (unrestricted XOR).
     """
-    name = name.lower()
-    if name in ("1-in", "bit-select", "bitselect"):
+    kind, fan_in = parse_family(name, n)
+    if kind == "bit-select":
         return BitSelectFamily(n, m)
-    if name == "general":
+    if kind == "general":
         return GeneralXorFamily(n, m, max_fan_in=None)
-    if name.endswith("-in"):
-        fan_in = int(name[:-3])
-        if fan_in == 1:
-            return BitSelectFamily(n, m)
-        if fan_in >= n:
-            # Table 2's '16-in' means permutation-based with unrestricted
-            # fan-in (Sec. 6 evaluates permutation functions).
-            return PermutationFamily(n, m, max_fan_in=None)
-        return PermutationFamily(n, m, max_fan_in=fan_in)
-    raise ValueError(f"unknown family name {name!r}")
+    return PermutationFamily(n, m, max_fan_in=fan_in)

@@ -41,12 +41,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.gf2.batched import ColumnReplacementScreen
+from repro.names import PORTFOLIO_ZOO
 
 __all__ = ["Portfolio", "DEFAULT_ZOO"]
 
-#: Zoo order for ``portfolio:K`` specs: the two descent rules first (they
-#: race on shared gathers), then the population and stochastic members.
-DEFAULT_ZOO = ("steepest", "first-improvement", "beam:4", "anneal")
+#: Zoo order for ``portfolio:K`` specs (see :data:`repro.names.PORTFOLIO_ZOO`).
+DEFAULT_ZOO = PORTFOLIO_ZOO
 
 
 class _Lane:

@@ -32,11 +32,10 @@ instance (or a spec string such as ``"beam:8"``) to
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-import numpy as np
+from repro.names import ANNEAL_COOLING, ANNEAL_ITERATIONS, BEAM_WIDTH, parse_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.profiling.conflict_profile import ConflictProfile
@@ -151,7 +150,7 @@ class FirstImprovement:
 class BeamSearch:
     """Population descent keeping the ``width`` best distinct states."""
 
-    width: int = 4
+    width: int = BEAM_WIDTH
     deterministic = True
 
     def __post_init__(self):
@@ -178,8 +177,8 @@ class BeamSearch:
 class Annealing:
     """Simulated annealing; ``seed`` is used when no ``rng`` is passed."""
 
-    iterations: int = 4000
-    cooling: float = 0.995
+    iterations: int = ANNEAL_ITERATIONS
+    cooling: float = ANNEAL_COOLING
     start_temperature: float | None = None
     seed: int = 0
     deterministic = False
@@ -195,6 +194,8 @@ class Annealing:
         self, profile, family, *, start=None, max_steps=None, estimator=None,
         rng=None,
     ):
+        import numpy as np
+
         from repro.search.batched import anneal_search
 
         if rng is None:
@@ -215,21 +216,10 @@ class Annealing:
         )
 
 
-_BEAM_SPEC = re.compile(r"^beam(?:[:(](\d+)\)?)?$")
-_ANNEAL_SPEC = re.compile(r"^anneal(?:[:(](\d+)(?:[:,](\d+))?\)?)?$")
-_BRANCH_BOUND_SPEC = re.compile(r"^branch-?(?:and-?)?bound(?:[:(](\d+)\)?)?$")
-_PORTFOLIO_SPEC = re.compile(r"^portfolio(?:[:(](\d+)\)?)?$")
-
-
 def strategy_for_name(spec) -> SearchStrategy:
-    """Resolve a strategy spec to an instance.
+    """Resolve a strategy spec string (syntax: :func:`repro.names.parse_strategy`)
+    to an instance.
 
-    Accepts ``"steepest"``, ``"first-improvement"`` (or ``"first"``),
-    ``"beam"`` / ``"beam:8"`` / ``"beam(8)"``, ``"anneal"`` /
-    ``"anneal:10000"`` / ``"anneal:10000:7"`` (iterations, seed),
-    ``"branch-bound"`` / ``"branch-bound:50000"`` (node budget) and
-    ``"portfolio"`` / ``"portfolio:3"`` (the first ``k`` members of
-    :data:`repro.search.portfolio.DEFAULT_ZOO`; default 2).
     :class:`SearchStrategy` instances pass through unchanged, so every
     entry point takes either form.
     """
@@ -237,37 +227,19 @@ def strategy_for_name(spec) -> SearchStrategy:
         if isinstance(spec, SearchStrategy):
             return spec
         raise TypeError(f"not a search strategy: {spec!r}")
-    text = spec.strip().lower()
-    if text in ("steepest", "steepest-descent", "descent"):
+    kind, params = parse_strategy(spec)
+    if kind == "steepest":
         return SteepestDescent()
-    if text in ("first", "first-improvement"):
+    if kind == "first-improvement":
         return FirstImprovement()
-    match = _BEAM_SPEC.match(text)
-    if match:
-        return BeamSearch(int(match.group(1)) if match.group(1) else 4)
-    match = _ANNEAL_SPEC.match(text)
-    if match:
-        kwargs = {}
-        if match.group(1):
-            kwargs["iterations"] = int(match.group(1))
-        if match.group(2):
-            kwargs["seed"] = int(match.group(2))
-        return Annealing(**kwargs)
-    match = _BRANCH_BOUND_SPEC.match(text)
-    if match:
+    if kind == "beam":
+        return BeamSearch(params["width"])
+    if kind == "anneal":
+        return Annealing(**params)
+    if kind == "branch-bound":
         from repro.search.branch_bound import BranchBound
 
-        if match.group(1):
-            return BranchBound(max_nodes=int(match.group(1)))
-        return BranchBound()
-    match = _PORTFOLIO_SPEC.match(text)
-    if match:
-        from repro.search.portfolio import DEFAULT_ZOO, Portfolio
+        return BranchBound(**params)
+    from repro.search.portfolio import DEFAULT_ZOO, Portfolio
 
-        k = int(match.group(1)) if match.group(1) else 2
-        if not 1 <= k <= len(DEFAULT_ZOO):
-            raise ValueError(
-                f"portfolio size must be in 1..{len(DEFAULT_ZOO)}, got {k}"
-            )
-        return Portfolio(members=DEFAULT_ZOO[:k])
-    raise ValueError(f"unknown search strategy {spec!r}")
+    return Portfolio(members=DEFAULT_ZOO[: params["size"]])

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import signal
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -60,6 +61,18 @@ __all__ = ["ReproServer", "ServerHandle"]
 DEFAULT_PORT = 8738
 
 _MAX_BODY = 8 << 20  # spec documents are small; bound hostile bodies
+#: Header fields a request may carry (``http.client``'s own cap).
+_MAX_HEADERS = 100
+#: Longest request line or header line, line ending included.
+_MAX_LINE = 8192
+#: After an over-limit request is refused, what is left of it is read
+#: and dropped (at most this much, for at most this long) before the
+#: connection closes: closing on unread input resets the connection,
+#: which can destroy the error response before the client reads it.
+_LINGER_BYTES = 1 << 20
+_LINGER_S = 1.0
+#: A header field name (an RFC 9110 token).
+_FIELD_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 _TOML_TYPES = ("application/toml", "text/toml", "text/x-toml")
 
 
@@ -78,6 +91,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -176,8 +190,18 @@ class ReproServer:
 
     # -- HTTP plumbing -----------------------------------------------------
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader, what: str) -> str:
+        try:
+            line = await reader.readline()
+        except ValueError:  # longer than the stream's buffer
+            line = None
+        if line is None or len(line) > _MAX_LINE:
+            raise _HttpError(431, f"{what} exceeds {_MAX_LINE} bytes")
+        return line.decode("latin-1")
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = (await self._read_line(reader, "request line")).strip()
         if not request_line:
             raise _HttpError(400, "empty request")
         try:
@@ -185,12 +209,18 @@ class ReproServer:
         except ValueError:
             raise _HttpError(400, f"malformed request line: {request_line!r}")
         headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
+        for count in range(_MAX_HEADERS + 1):
+            line = await self._read_line(reader, "header line")
+            if line in ("\r\n", "\n"):
                 break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+            if not line:
+                raise _HttpError(400, "connection closed inside the headers")
+            if count == _MAX_HEADERS:
+                raise _HttpError(431, f"more than {_MAX_HEADERS} header fields")
+            name, colon, value = line.partition(":")
+            if not colon or not _FIELD_NAME.fullmatch(name):
+                raise _HttpError(400, f"malformed header line: {line.rstrip()!r}")
+            headers[name.lower()] = value.strip()
         raw_length = headers.get("content-length", "0") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise _HttpError(400, f"malformed Content-Length: {raw_length!r}")
@@ -199,6 +229,23 @@ class ReproServer:
             raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target.split("?", 1)[0], headers, body
+
+    @staticmethod
+    async def _linger(reader: asyncio.StreamReader) -> None:
+        """Drop what is left of a refused request (see ``_LINGER_BYTES``)."""
+
+        async def drain() -> None:
+            left = _LINGER_BYTES
+            while left > 0:
+                chunk = await reader.read(min(left, 1 << 16))
+                if not chunk:
+                    return
+                left -= len(chunk)
+
+        try:
+            await asyncio.wait_for(drain(), _LINGER_S)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
 
     @staticmethod
     def _response(status: int, payload: Any) -> bytes:
@@ -213,9 +260,14 @@ class ReproServer:
 
     async def _handle(self, reader, writer) -> None:
         try:
+            refused = False
             try:
-                method, path, headers, body = await self._read_request(reader)
-                status, payload = await self._route(method, path, headers, body)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError:
+                    refused = True
+                    raise
+                status, payload = await self._route(*request)
             except _HttpError as error:
                 status, payload = error.status, {"error": error.message}
             except (asyncio.IncompleteReadError, ConnectionError):
@@ -225,6 +277,8 @@ class ReproServer:
                 payload = {"error": f"{type(error).__name__}: {error}"}
             writer.write(self._response(status, payload))
             await writer.drain()
+            if refused:
+                await self._linger(reader)
         finally:
             writer.close()
             try:

@@ -24,6 +24,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.names import TRACE_FORMATS, infer_trace_format
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -34,26 +35,8 @@ __all__ = [
     "TRACE_FORMATS",
 ]
 
-#: On-disk trace formats the streaming layer understands.
-TRACE_FORMATS = ("bin", "npz", "text", "dinero", "lackey")
-
-_SUFFIX_FORMATS = {
-    ".bin": "bin",
-    ".npz": "npz",
-    ".txt": "text",
-    ".text": "text",
-    ".din": "dinero",
-    ".dinero": "dinero",
-    ".lackey": "lackey",
-}
-
 #: Addresses written per :func:`save_trace_bin` chunk.
 _BIN_CHUNK = 1 << 21
-
-
-def infer_trace_format(path: str | Path) -> str | None:
-    """The trace format a file suffix denotes, or ``None`` if unknown."""
-    return _SUFFIX_FORMATS.get(Path(path).suffix.lower())
 
 
 def _meta_path(path: str | Path) -> Path:

@@ -5,6 +5,10 @@ produce traces, the profiler consumes them, and the cache simulators
 replay them.  Addresses are byte addresses stored as ``uint64``; the
 paper's experiments use 4-byte cache blocks, so block addresses are the
 byte addresses shifted right by 2.
+
+NumPy loads with the first address array: a :class:`DeferredTrace`
+served from a record, which only answers its digest, length and
+metadata, never imports it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Trace", "DeferredTrace", "TraceDigestError"]
 
@@ -59,6 +64,8 @@ class Trace:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        import numpy as np
+
         addresses = np.ascontiguousarray(self.addresses, dtype=np.uint64)
         # Frozen for real: the content digest is memoized, so a mutable
         # array would let a write silently poison every artifact keyed
@@ -100,6 +107,8 @@ class Trace:
         file so downstream consumers (sharded profiling, the streaming
         digest) can reopen it per worker instead of pickling the array.
         """
+        import numpy as np
+
         path = Path(path)
         size = path.stat().st_size
         if size % 8:
@@ -174,11 +183,15 @@ class Trace:
         """Block addresses for the given block size (a power of two)."""
         if block_size <= 0 or block_size & (block_size - 1):
             raise ValueError(f"block size must be a power of two, got {block_size}")
+        import numpy as np
+
         shift = block_size.bit_length() - 1
         return self.addresses >> np.uint64(shift)
 
     def unique_blocks(self, block_size: int) -> int:
         """Number of distinct blocks touched (the block working set)."""
+        import numpy as np
+
         return int(np.unique(self.block_addresses(block_size)).size)
 
     def footprint_bytes(self, block_size: int) -> int:
@@ -204,6 +217,8 @@ class Trace:
 
     def concat(self, other: "Trace", name: str | None = None) -> "Trace":
         """Concatenate two traces in time order."""
+        import numpy as np
+
         kind = self.kind if self.kind == other.kind else "unified"
         return Trace(
             np.concatenate([self.addresses, other.addresses]),

@@ -135,8 +135,13 @@ class TestSetAssociativeGeometry:
 class TestGuard:
     def test_guard_reverts_when_worse(self, geometry_1kb, monkeypatch):
         """Force a bad search outcome; the guard must fall back to modulo."""
-        import repro.core.optimizer as optimizer_module
+        import importlib
+
         from repro.search.hill_climb import SearchResult
+
+        # The package attribute ``hill_climb`` is the function, not the
+        # module; the optimizer imports the search when it runs one.
+        search_module = importlib.import_module("repro.search.hill_climb")
 
         bad_fn = XorHashFunction.from_sigma(16, 8, [15, 14, 13, 12, 11, 10, 9, 8])
 
@@ -152,7 +157,7 @@ class TestGuard:
                 family_name=family.name,
             )
 
-        monkeypatch.setattr(optimizer_module, "hill_climb_restarts", fake_search)
+        monkeypatch.setattr(search_module, "hill_climb_restarts", fake_search)
         # A ping-pong pair that conflicts under bad_fn but not under
         # modulo: 0x0001 ^ 0x8000 = 0x8001 is palindromic, hence in
         # N(bad_fn) (s_c = a_c ^ a_{15-c}), while the modulo sets differ.

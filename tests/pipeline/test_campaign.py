@@ -315,7 +315,8 @@ class TestMultiCapacityProfiling:
         )
 
     def _count_passes(self, monkeypatch):
-        import repro.profiling.sharded as driver_module
+        # The profile driver imports the kernel when it runs a pass.
+        import repro.profiling.conflict_profile as driver_module
 
         calls = []
         real = driver_module.profile_blocks

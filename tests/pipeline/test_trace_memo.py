@@ -13,6 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
+import repro.workloads.fingerprint as fingerprint
 import repro.workloads.registry as registry
 from repro.__main__ import main
 from repro.api import ExperimentSpec, GeometrySpec, SearchSpec, Session, TraceSpec
@@ -233,7 +234,7 @@ class TestCompatibility:
         spec = tiny_spec()
         with Session(cache_dir=tmp_path) as session:
             session.optimize(spec)
-        monkeypatch.setattr(registry, "generator_fingerprint", lambda: "0" * 64)
+        monkeypatch.setattr(fingerprint, "generator_fingerprint", lambda: "0" * 64)
         workload_calls.clear()
         with Session(cache_dir=tmp_path) as session:
             session.optimize(spec)
@@ -241,9 +242,28 @@ class TestCompatibility:
         assert len(memo_files(tmp_path)) == 2
 
     def test_fingerprint_covers_the_generators(self):
-        fingerprint = registry.generator_fingerprint()
-        assert len(fingerprint) == 64
-        assert fingerprint == registry.generator_fingerprint()
+        value = fingerprint.generator_fingerprint()
+        assert len(value) == 64
+        assert value == fingerprint.generator_fingerprint()
+
+    def test_fingerprint_reads_the_imported_numpy_version(self):
+        """The version read without importing NumPy is the one NumPy
+        reports, so the key is the recipe's: sha256 over the version
+        and every generator source."""
+        import hashlib
+        from pathlib import Path
+
+        assert fingerprint.numpy_version() == np.__version__
+        package = Path(fingerprint.__file__).resolve().parent.parent
+        digest = hashlib.sha256(f"numpy={np.__version__}".encode())
+        sources = sorted(
+            path.relative_to(package).as_posix()
+            for path in (package / "workloads").rglob("*.py")
+        )
+        for name in [*sources, "trace/trace.py"]:
+            digest.update(f"\0{name}\0".encode())
+            digest.update((package / name).read_bytes())
+        assert fingerprint.generator_fingerprint() == digest.hexdigest()
 
     def test_forged_digest_raises_and_serves_nothing(self, tmp_path, capsys):
         spec = tiny_spec()
@@ -270,8 +290,16 @@ class TestWithoutMemo:
         def forbidden(*args):
             raise AssertionError("the memo was consulted")
 
+        load_memo = ArtifactCache.load_memo
+
+        def other_memos_only(cache, kind, key):
+            # Profiles keep their own memo; only the trace memo is off.
+            if kind == TRACE_MEMO:
+                forbidden()
+            return load_memo(cache, kind, key)
+
         monkeypatch.setattr(PipelineContext, "_trace_key", forbidden)
-        monkeypatch.setattr(ArtifactCache, "load_memo", forbidden)
+        monkeypatch.setattr(ArtifactCache, "load_memo", other_memos_only)
         path = tmp_path / "trace.npz"
         save_trace(registry.get_trace("powerstone", "qurt", scale="tiny"), path)
         spec = ExperimentSpec(

@@ -304,7 +304,11 @@ class TestOneDriver:
         assert _nonzero(cold_context.cache_stats()) == {
             "profile": {"misses": 1, "stores": 1}
         }
-        assert [path.name for path in cache_dir.iterdir()] == ["profile"]
+        # The profile and its digest memo; no shard artifact.
+        assert sorted(path.name for path in cache_dir.iterdir()) == [
+            "profile",
+            "profile-memo",
+        ]
         warm_context = PipelineContext(cache_dir)
         warm = run_sharded_profile(
             trace, geometry, 10, shard_size=None, context=warm_context
@@ -321,7 +325,10 @@ class TestOneDriver:
             trace, geometry, 10, shard_size=len(trace) + 1, context=context
         )
         assert len(result.plan) == 1
-        assert [path.name for path in (tmp_path / "cache").iterdir()] == ["profile"]
+        assert sorted(path.name for path in (tmp_path / "cache").iterdir()) == [
+            "profile",
+            "profile-memo",
+        ]
         assert_profiles_equal(
             result.profile,
             profile_blocks(trace.block_addresses(32), geometry.num_blocks, 10),

@@ -1,0 +1,79 @@
+"""Hostile request framing over a real socket: bounded headers, typed errors.
+
+The server caps the request line and each header line at ``_MAX_LINE``
+bytes and a request at ``_MAX_HEADERS`` header fields.  Over-limit
+requests get 431, malformed framing gets 400, never a 500, and the
+server keeps serving.
+"""
+
+import socket
+
+import pytest
+
+import repro.serve.server as server_module
+
+from .test_server import start_server
+
+
+@pytest.fixture
+def client(tmp_path):
+    _, handle, client = start_server(tmp_path, workers=1)
+    yield client
+    handle.stop()
+
+
+def exchange(client, request: bytes) -> tuple[int, bytes]:
+    """Send ``request`` whole, then read the response to EOF."""
+    with socket.create_connection((client.host, client.port), timeout=10) as conn:
+        conn.sendall(request)
+        conn.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := conn.recv(1 << 16):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+
+
+def get(headers: list[str], target: str = "/v1/healthz") -> bytes:
+    lines = [f"GET {target} HTTP/1.1", "Host: localhost", *headers, "", ""]
+    return "\r\n".join(lines).encode("latin-1")
+
+
+class TestHeaderLimits:
+    def test_ten_thousand_headers_431(self, client):
+        status, body = exchange(client, get([f"X-H{i}: v" for i in range(10_000)]))
+        assert status == 431
+        assert b"header fields" in body
+        assert client.healthz() == {"status": "ok"}
+
+    def test_header_count_at_the_cap_is_served(self, client):
+        # Host counts as one of the fields.
+        extra = [f"X-H{i}: v" for i in range(server_module._MAX_HEADERS - 1)]
+        assert exchange(client, get(extra))[0] == 200
+        assert exchange(client, get([*extra, "X-One-More: v"]))[0] == 431
+
+    @pytest.mark.parametrize("size", [server_module._MAX_LINE, 200_000])
+    def test_long_header_line_431(self, client, size):
+        status, _ = exchange(client, get(["X-Long: " + "a" * size]))
+        assert status == 431
+        assert client.healthz() == {"status": "ok"}
+
+    @pytest.mark.parametrize("size", [server_module._MAX_LINE, 200_000])
+    def test_long_request_line_431(self, client, size):
+        status, _ = exchange(client, get([], target="/v1/healthz?" + "a" * size))
+        assert status == 431
+
+
+class TestMalformedFraming:
+    @pytest.mark.parametrize(
+        "line",
+        ["no colon here", ": empty name", "Bad Name: v", " folded: v"],
+        ids=["no-colon", "empty-name", "space-in-name", "leading-space"],
+    )
+    def test_malformed_header_line_400(self, client, line):
+        assert exchange(client, get([line]))[0] == 400
+
+    def test_headers_cut_short_400(self, client):
+        request = b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n"
+        assert exchange(client, request)[0] == 400
+        assert client.healthz() == {"status": "ok"}

@@ -4,6 +4,8 @@ Package ``__init__`` modules re-export lazily (PEP 562) and the CLI
 imports each subcommand's dependencies inside it, so a warm replay
 loads neither the campaign executor, the certified search, the miss
 classifier, the service, the experiment drivers nor a process pool.
+Specs validate against static name tables and a warm replay answers
+from its records, so neither imports NumPy either.
 """
 
 import importlib
@@ -97,6 +99,35 @@ def test_warm_run_is_lean(warm_cache):
     ]
     assert "repro.core.optimizer" in modules
     assert heavy_loaded(modules) == []
+    assert "numpy" not in modules
+
+
+def test_dry_run_loads_no_numpy(warm_cache):
+    spec_file, _, _ = warm_cache
+    probe = run_python(
+        "-c",
+        "import json, sys\n"
+        "from repro.__main__ import main\n"
+        f"assert main(['run', {str(spec_file)!r}, '--dry-run']) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert "numpy" not in json.loads(probe.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["repro.api.spec", "repro.serve.client"])
+def test_control_plane_loads_no_numpy(module):
+    probe = run_python(
+        "-c",
+        f"import json, sys, {module}\n"
+        "from repro.api import ExperimentSpec\n"
+        "spec = ExperimentSpec.from_dict({'trace': {'suite': 'mibench', "
+        "'benchmark': 'fft'}, 'search': {'strategy': 'branch-bound:9'}})\n"
+        "print(spec.digest)\n"
+        "print(json.dumps(sorted(sys.modules)))",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert "numpy" not in json.loads(probe.stdout.splitlines()[-1])
 
 
 def _packages():
