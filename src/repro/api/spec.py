@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -91,6 +91,11 @@ def _check_fields(
             field=where,
         )
     return dict(payload)
+
+
+def _flat(spec) -> dict[str, Any]:
+    """A spec's fields in declaration order (all scalars, so no deep copy)."""
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 @dataclass(frozen=True)
@@ -232,7 +237,7 @@ class TraceSpec:
             ) from None
 
     def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
+        payload = _flat(self)
         if self.path is None:
             # Registry specs serialize exactly as before the file
             # fields existed, so their digests (and every golden
@@ -279,7 +284,7 @@ class GeometrySpec:
         return self.resolve().index_bits
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return _flat(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "GeometrySpec":
@@ -358,7 +363,7 @@ class SearchSpec:
         return strategy_for_name(self.strategy)
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return _flat(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SearchSpec":
@@ -444,7 +449,7 @@ class ExecutionSpec:
                 )
 
     def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
+        payload = _flat(self)
         # Newer execution fields are omitted at their defaults so older
         # serializations (and the reports echoing them) stay
         # byte-stable — and so a resilient-but-healed run's report is
@@ -499,19 +504,23 @@ class ExperimentSpec:
         Execution parameters (workers, cache directory) are excluded:
         two specs with equal digests produce bit-identical artifacts,
         so the second run resolves entirely from the cache the first
-        one filled.
+        one filled.  Memoized per instance (every field is frozen).
         """
-        payload = json.dumps(
-            {
-                "version": _SPEC_DIGEST_VERSION,
-                "trace": self.trace.to_dict(),
-                "geometry": self.geometry.to_dict(),
-                "search": self.search.to_dict(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            payload = json.dumps(
+                {
+                    "version": _SPEC_DIGEST_VERSION,
+                    "trace": self.trace.to_dict(),
+                    "geometry": self.geometry.to_dict(),
+                    "search": self.search.to_dict(),
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            cached = hashlib.sha256(payload.encode()).hexdigest()
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     def with_execution(self, **changes: Any) -> "ExperimentSpec":
         """Copy with execution fields replaced (digest unchanged)."""

@@ -137,30 +137,31 @@ def replayed(events: dict[str, dict[str, int]]) -> bool:
     return total("hits") > 0 and total("misses") == 0 and total("stores") == 0
 
 
-def _read_json(path: Path) -> Any:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _json_writer(payload: dict):
-    text = json.dumps(payload, sort_keys=True)
-    return lambda tmp: tmp.write_text(text + "\n")
+def _encode_json(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
 # -- .npz codecs: the only code here that imports NumPy ----------------------
 
 
-def _read_arrays(path: Path) -> dict[str, Any]:
+def _encode_npz(save) -> bytes:
+    """The archive ``save(file)`` writes, as bytes."""
+    buffer = io.BytesIO()
+    save(buffer)
+    return buffer.getvalue()
+
+
+def _read_arrays(data: bytes) -> dict[str, Any]:
     import numpy as np
 
-    with np.load(path) as data:
-        return {name: data[name] for name in data.files}
+    with np.load(io.BytesIO(data)) as archive:
+        return {name: archive[name] for name in archive.files}
 
 
-def _read_profile(path: Path) -> "ConflictProfile":
+def _read_profile(data: bytes) -> "ConflictProfile":
     from repro.profiling.conflict_profile import ConflictProfile
 
-    return ConflictProfile.load(path)
+    return ConflictProfile.load(io.BytesIO(data))
 
 
 class DeferredProfile:
@@ -185,7 +186,7 @@ class DeferredProfile:
         """The parsed profile (parsed once)."""
         profile = self.__dict__.get("_profile")
         if profile is None:
-            profile = _read_profile(io.BytesIO(self._payload))
+            profile = _read_profile(self._payload)
             if profile.digest != self.digest:
                 raise ValueError(
                     f"stored profile has digest {profile.digest}, but its "
@@ -204,8 +205,7 @@ class DeferredProfile:
         return f"DeferredProfile(n={self.n}, digest={self.digest[:12]}…)"
 
 
-def _read_deferred(header: dict, path: Path) -> DeferredProfile:
-    payload = Path(path).read_bytes()
+def _read_deferred(header: dict, payload: bytes) -> DeferredProfile:
     # A torn archive fails here, as it would in np.load.
     with zipfile.ZipFile(io.BytesIO(payload)) as archive:
         for member in ("n.npy", "counts.npy", "meta.npy"):
@@ -256,7 +256,7 @@ class ArtifactCache:
         return self.storage.name
 
     def close(self) -> None:
-        """Release backend resources (sqlite connections, spool files)."""
+        """Release backend resources (sqlite connections)."""
         self.storage.close()
 
     # -- accounting --------------------------------------------------------
@@ -309,17 +309,16 @@ class ArtifactCache:
     # -- the one load and store path ---------------------------------------
 
     def _load(self, kind, key, suffix, parse, damaged, counted=True):
-        """``parse(path)`` of the entry, or ``None`` for a miss.
+        """``parse(data)`` of the entry's bytes, or ``None`` for a miss.
 
         Anything that keeps the entry from being read (an injected
-        fault, a failed checksum, an I/O error while materializing or
+        fault, a failed checksum, an I/O error while reading or
         parsing) is a miss.  A checksum mismatch, or a parse error in
         ``damaged``, also quarantines the entry so the recompute's
         store starts clean.  Uncounted loads (memos) skip the fault
         sites and the counters.
         """
         bump = self._bump if counted else lambda kind, event: None
-        path = None
         try:
             if counted:
                 # An injected cache.load error is a plain miss — the
@@ -329,15 +328,13 @@ class ArtifactCache:
                     # Simulate a torn write physically: the verification
                     # and quarantine paths must then heal it end to end.
                     self.storage.corrupt(kind, key, suffix)
-            path, quarantined = self.storage.materialize(kind, key, suffix)
+            data, quarantined = self.storage.read(kind, key, suffix)
             if quarantined:
                 bump(kind, "quarantined")
-            if path is None:
+            if data is None:
                 raise FaultInjected  # unified miss path below
             try:
-                value = parse(path)
-            except FileNotFoundError:
-                raise FaultInjected from None
+                value = parse(data)
             except damaged:
                 # Checksum passed (or legacy) but the content does not
                 # parse: the entry is damaged beyond a short read.
@@ -347,24 +344,21 @@ class ArtifactCache:
         except (FaultInjected, *LOAD_ERRORS):
             bump(kind, "misses")
             return None
-        finally:
-            if path is not None:
-                self.storage.release(path)
         bump(kind, "hits")
         return value
 
-    def _store(self, kind, key, suffix, write, counted=True) -> None:
-        self.storage.store(kind, key, suffix, write)
+    def _store(self, kind, key, suffix, data: bytes, counted=True) -> None:
+        self.storage.write(kind, key, suffix, data)
         if counted:
             self._bump(kind, "stores")
 
     # -- JSON artifacts and memos ------------------------------------------
 
     def load_json(self, kind: str, key: str) -> dict | None:
-        return self._load(kind, key, ".json", _read_json, json.JSONDecodeError)
+        return self._load(kind, key, ".json", json.loads, json.JSONDecodeError)
 
     def store_json(self, kind: str, key: str, payload: dict) -> None:
-        self._store(kind, key, ".json", _json_writer(payload))
+        self._store(kind, key, ".json", _encode_json(payload))
 
     def load_memo(self, kind: str, key: str) -> dict | None:
         """A JSON memo entry, or ``None``.
@@ -376,13 +370,13 @@ class ArtifactCache:
         quarantined and reads as ``None``.
         """
         payload = self._load(
-            kind, key, ".json", _read_json, json.JSONDecodeError, counted=False
+            kind, key, ".json", json.loads, json.JSONDecodeError, counted=False
         )
         return payload if isinstance(payload, dict) else None
 
     def store_memo(self, kind: str, key: str, payload: dict) -> None:
         """Store a JSON entry without counting it (see :meth:`load_memo`)."""
-        self._store(kind, key, ".json", _json_writer(payload), counted=False)
+        self._store(kind, key, ".json", _encode_json(payload), counted=False)
 
     # -- npz artifacts -----------------------------------------------------
 
@@ -416,7 +410,7 @@ class ArtifactCache:
         self, key: str, profile: "ConflictProfile", kind: str = "profile"
     ) -> None:
         """Store a profile artifact, and a whole-trace profile's memo."""
-        self._store(kind, key, ".npz", profile.save)
+        self._store(kind, key, ".npz", _encode_npz(profile.save))
         if kind == "profile":
             self._store_profile_memo(key, profile)
 
@@ -438,7 +432,7 @@ class ArtifactCache:
         import numpy as np
 
         self._store(
-            kind, key, ".npz", lambda tmp: np.savez_compressed(tmp, **arrays)
+            kind, key, ".npz", _encode_npz(partial(np.savez_compressed, **arrays))
         )
 
     def __repr__(self) -> str:

@@ -19,8 +19,9 @@ store*.  This module is the byte-store seam:
   corrupt rows are quarantined to ``.quarantine/`` files, exactly
   like the directory backend.
 
-Both backends expose the same small contract (:class:`StorageBackend`)
-so the cache's self-healing semantics — verify on load, quarantine
+Both backends expose the same small byte contract
+(:class:`StorageBackend`: ``read`` returns verified bytes, ``write``
+stores bytes atomically), so the cache's self-healing semantics — verify on load, quarantine
 anything torn, report a miss, recompute — hold identically no matter
 where the bytes live.
 
@@ -40,7 +41,6 @@ import tempfile
 import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable
 
 __all__ = [
     "STORAGE_BACKENDS",
@@ -59,20 +59,16 @@ STORAGE_ENV = "REPRO_CACHE_STORAGE"
 SQLITE_INDEX_NAME = "index.sqlite"
 
 
-def _file_digest(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class StorageBackend(ABC):
     """Byte store for content-addressed artifacts.
 
-    An artifact is addressed by ``(kind, key, suffix)``; payloads are
-    opaque bytes produced/consumed through real filesystem paths so
-    the cache's codecs (``json``, ``np.load``) stay backend-agnostic.
+    An artifact is addressed by ``(kind, key, suffix)``; its payload is
+    opaque bytes, so the cache's codecs parse from and encode to memory
+    whatever backend holds them.
     """
 
     #: Registry name (``local``, ``sqlite``).
@@ -88,18 +84,18 @@ class StorageBackend(ABC):
         return self.root / ".quarantine"
 
     @abstractmethod
-    def materialize(self, kind: str, key: str, suffix: str) -> tuple[Path | None, bool]:
-        """A verified, readable path for the artifact — or a miss.
+    def read(self, kind: str, key: str, suffix: str) -> tuple[bytes | None, bool]:
+        """The verified bytes of the artifact — or a miss.
 
-        Returns ``(path, quarantined)``: ``path`` is ``None`` when the
-        artifact is absent or unreadable; ``quarantined`` is True when
-        a corrupt entry was moved out of the live store on this call.
-        Call :meth:`release` on the returned path once parsed.
+        Returns ``(data, quarantined)``: ``data`` is ``None`` when the
+        artifact is absent or fails its checksum; ``quarantined`` is
+        True when a corrupt entry was moved out of the live store on
+        this call.
         """
 
     @abstractmethod
-    def store(self, kind: str, key: str, suffix: str, write: Callable[[Path], None]) -> None:
-        """Atomically store the artifact ``write`` produces at a temp path."""
+    def write(self, kind: str, key: str, suffix: str, data: bytes) -> None:
+        """Atomically store ``data`` as the artifact."""
 
     @abstractmethod
     def quarantine(self, kind: str, key: str, suffix: str) -> bool:
@@ -109,11 +105,8 @@ class StorageBackend(ABC):
     def corrupt(self, kind: str, key: str, suffix: str) -> None:
         """Physically tear the stored entry (fault injection only)."""
 
-    def release(self, path: Path) -> None:
-        """Done parsing ``path`` (backends may reclaim scratch files)."""
-
     def close(self) -> None:
-        """Release backend resources (connections, scratch space)."""
+        """Release backend resources (connections)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(root={str(self.root)!r})"
@@ -137,31 +130,37 @@ class LocalDirStorage(StorageBackend):
     def _checksum_path(path: Path) -> Path:
         return path.with_name(path.name + ".sha256")
 
-    def materialize(self, kind: str, key: str, suffix: str) -> tuple[Path | None, bool]:
+    def read(self, kind: str, key: str, suffix: str) -> tuple[bytes | None, bool]:
         path = self.path_for(kind, key, suffix)
-        if not path.exists():
-            return None, False
-        sidecar = self._checksum_path(path)
         try:
-            expected = sidecar.read_text().strip()
-        except OSError:
-            return path, False  # legacy entry: no sidecar to check against
-        try:
-            actual = _file_digest(path)
-        except OSError:
+            data = path.read_bytes()
+        except FileNotFoundError:
             return None, False
-        if actual == expected:
-            return path, False
+        try:
+            expected = self._checksum_path(path).read_text().strip()
+        except OSError:
+            return data, False  # legacy entry: no sidecar to check against
+        if _sha256(data) == expected:
+            return data, False
         return None, self.quarantine(kind, key, suffix)
 
-    def store(self, kind: str, key: str, suffix: str, write: Callable[[Path], None]) -> None:
+    def write(self, kind: str, key: str, suffix: str, data: bytes) -> None:
         path = self.path_for(kind, key, suffix)
         path.parent.mkdir(parents=True, exist_ok=True)
+        self._replace(path, data)
+        # Sidecar lands after the artifact: a crash in between leaves a
+        # legacy (sidecar-less) entry, which loads accept unchecked.
+        # Concurrent same-key stores are safe — artifacts are content-
+        # addressed, so both writers produce the same digest.
+        self._replace(self._checksum_path(path), (_sha256(data) + "\n").encode())
+
+    @staticmethod
+    def _replace(path: Path, data: bytes) -> None:
+        """Write ``data`` to a temp file beside ``path``, then rename it."""
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
-        os.close(fd)
         try:
-            write(Path(tmp))
-            digest = _file_digest(Path(tmp))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -169,16 +168,6 @@ class LocalDirStorage(StorageBackend):
             except OSError:
                 pass
             raise
-        # Sidecar lands after the artifact: a crash in between leaves a
-        # legacy (sidecar-less) entry, which loads accept unchecked.
-        # Concurrent same-key stores are safe — artifacts are content-
-        # addressed, so both writers produce the same digest.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".sha256")
-        try:
-            os.write(fd, (digest + "\n").encode())
-        finally:
-            os.close(fd)
-        os.replace(tmp, self._checksum_path(path))
 
     def quarantine(self, kind: str, key: str, suffix: str) -> bool:
         path = self.path_for(kind, key, suffix)
@@ -209,10 +198,10 @@ class SqliteStorage(StorageBackend):
     threads (campaign workers, service replicas) share the cache
     through ordinary sqlite locking; a store is one ``INSERT OR
     REPLACE`` transaction, so readers never observe a torn artifact.
-    Loads verify the stored sha256 and spool the blob to a scratch
-    file for the cache's path-based codecs; corrupt rows are written
-    out to ``.quarantine/`` and deleted, mirroring the directory
-    backend's self-healing contract.
+    Loads verify the stored sha256 and hand the blob straight to the
+    cache's codecs; corrupt rows are written out to ``.quarantine/``
+    and deleted, mirroring the directory backend's self-healing
+    contract.
     """
 
     name = "sqlite"
@@ -233,7 +222,6 @@ class SqliteStorage(StorageBackend):
 
         super().__init__(root)
         self._lock = threading.RLock()
-        self._spool: tempfile.TemporaryDirectory | None = None
         # check_same_thread=False: the serve worker pool loads and
         # stores from several threads; every statement runs under
         # self._lock, so the connection is never used concurrently.
@@ -249,11 +237,6 @@ class SqliteStorage(StorageBackend):
     def index_path(self) -> Path:
         return self.root / SQLITE_INDEX_NAME
 
-    def _spool_dir(self) -> Path:
-        if self._spool is None:
-            self._spool = tempfile.TemporaryDirectory(prefix="repro-sqlite-spool-")
-        return Path(self._spool.name)
-
     def _fetch(self, kind: str, key: str, suffix: str):
         with self._lock:
             row = self._conn.execute(
@@ -263,41 +246,21 @@ class SqliteStorage(StorageBackend):
             ).fetchone()
         return row
 
-    def materialize(self, kind: str, key: str, suffix: str) -> tuple[Path | None, bool]:
+    def read(self, kind: str, key: str, suffix: str) -> tuple[bytes | None, bool]:
         row = self._fetch(kind, key, suffix)
         if row is None:
             return None, False
         expected, data = row
-        if hashlib.sha256(data).hexdigest() != expected:
+        if _sha256(data) != expected:
             return None, self.quarantine(kind, key, suffix)
-        fd, spool = tempfile.mkstemp(
-            dir=self._spool_dir(), prefix=f"{kind}-", suffix=suffix
-        )
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
-        return Path(spool), False
+        return data, False
 
-    def store(self, kind: str, key: str, suffix: str, write: Callable[[Path], None]) -> None:
-        fd, tmp = tempfile.mkstemp(
-            dir=self._spool_dir(), prefix=".store-", suffix=suffix
-        )
-        os.close(fd)
-        try:
-            write(Path(tmp))
-            data = Path(tmp).read_bytes()
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        digest = hashlib.sha256(data).hexdigest()
+    def write(self, kind: str, key: str, suffix: str, data: bytes) -> None:
         with self._lock, self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO artifacts (kind, key, suffix, sha256, data) "
                 "VALUES (?, ?, ?, ?, ?)",
-                (kind, key, suffix, digest, data),
+                (kind, key, suffix, _sha256(data), data),
             )
 
     def quarantine(self, kind: str, key: str, suffix: str) -> bool:
@@ -326,19 +289,9 @@ class SqliteStorage(StorageBackend):
                 (data[: max(len(data) // 2, 1)], kind, key, suffix),
             )
 
-    def release(self, path: Path) -> None:
-        if self._spool is not None and Path(path).parent == Path(self._spool.name):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
     def close(self) -> None:
         with self._lock:
             self._conn.close()
-        if self._spool is not None:
-            self._spool.cleanup()
-            self._spool = None
 
 
 #: Registered backends, by name.

@@ -205,9 +205,10 @@ class ConflictProfile:
         order = np.argsort(-counts, kind="stable")[:k]
         return [(int(vectors[i]), int(counts[i])) for i in order]
 
-    def save(self, path: str | Path) -> None:
+    def save(self, target: str | Path | BinaryIO) -> None:
+        """Write a compressed ``.npz`` archive to a path or binary file."""
         np.savez_compressed(
-            Path(path),
+            target,
             n=self.n,
             counts=self.counts,
             meta=np.array(

@@ -62,9 +62,9 @@ class Job:
     error: str | None = None
     #: The exact ``repro-report/v1`` document, once ``state == "done"``.
     report: dict | None = field(default=None, repr=False)
-    #: Whether the run recomputed nothing (served entirely from cache).
-    #: Best-effort under concurrent mixed workloads; authoritative when
-    #: jobs run back-to-back (the CI replay check).
+    #: Whether the run recomputed nothing (served entirely from cache):
+    #: exact per job, counted from this job's own cache events even
+    #: while other jobs run concurrently.
     cached: bool | None = None
 
     def to_json(self, include_report: bool = False) -> dict:

@@ -71,6 +71,9 @@ _MAX_LINE = 8192
 #: which can destroy the error response before the client reads it.
 _LINGER_BYTES = 1 << 20
 _LINGER_S = 1.0
+#: Seconds a client has to send its whole request (line, headers and
+#: body) before it is answered 408 and the connection closes.
+_READ_TIMEOUT_S = 10.0
 #: A header field name (an RFC 9110 token).
 _FIELD_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 _TOML_TYPES = ("application/toml", "text/toml", "text/x-toml")
@@ -89,6 +92,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
@@ -145,6 +149,8 @@ class ReproServer:
         )
         self._futures: dict[str, Future] = {}
         self._server: asyncio.base_events.Server | None = None
+        #: Handler tasks of the open connections (see :meth:`stop`).
+        self._connections: set[asyncio.Task] = set()
 
     # -- job execution (worker threads) ------------------------------------
 
@@ -258,33 +264,51 @@ class ReproServer:
         )
         return head.encode("latin-1") + body
 
-    async def _handle(self, reader, writer) -> None:
+    async def _respond(self, reader, writer) -> None:
+        refused = False
         try:
-            refused = False
             try:
-                try:
-                    request = await self._read_request(reader)
-                except _HttpError:
-                    refused = True
-                    raise
-                status, payload = await self._route(*request)
-            except _HttpError as error:
-                status, payload = error.status, {"error": error.message}
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except Exception as error:  # never let one request kill the loop
-                status = 500
-                payload = {"error": f"{type(error).__name__}: {error}"}
-            writer.write(self._response(status, payload))
-            await writer.drain()
-            if refused:
-                await self._linger(reader)
+                request = await asyncio.wait_for(
+                    self._read_request(reader), _READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                raise _HttpError(
+                    408, f"request not received within {_READ_TIMEOUT_S:g} s"
+                ) from None
+            except _HttpError:
+                refused = True
+                raise
+            status, payload = await self._route(*request)
+        except _HttpError as error:
+            status, payload = error.status, {"error": error.message}
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return
+        except Exception as error:  # never let one request kill the loop
+            status = 500
+            payload = {"error": f"{type(error).__name__}: {error}"}
+        writer.write(self._response(status, payload))
+        await writer.drain()
+        if refused:
+            await self._linger(reader)
+
+    async def _handle(self, reader, writer) -> None:
+        """One connection: read a request, answer it, close.
+
+        A client that went away, and a connection :meth:`stop` cancels,
+        close quietly: a handler that ends cancelled would make asyncio
+        log a ``CancelledError`` traceback.
+        """
+        task = asyncio.current_task()
+        self._connections.add(task)
+        try:
+            await self._respond(reader, writer)
+            writer.close()
+            await writer.wait_closed()
+        except (asyncio.CancelledError, ConnectionError):
+            pass
         finally:
             writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
+            self._connections.discard(task)
 
     # -- routes ------------------------------------------------------------
 
@@ -380,9 +404,14 @@ class ReproServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting, cancel queued jobs, wait for running ones."""
+        """Stop accepting, close open connections, cancel queued jobs,
+        wait for running ones."""
         if self._server is not None:
             self._server.close()
+            connections = list(self._connections)
+            for task in connections:
+                task.cancel()
+            await asyncio.gather(*connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         # Cancel jobs still queued behind the pool; running jobs finish.

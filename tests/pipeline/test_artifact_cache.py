@@ -217,8 +217,8 @@ class TestSelfHealing:
 
 class TestMaterializeErrors:
     def test_io_error_is_a_counted_miss_for_every_kind(self, tmp_path, monkeypatch):
-        """An I/O error while an entry is materialized (e.g. a spool
-        write) is a miss for JSON and npz artifacts alike."""
+        """An I/O error while an entry is read from storage is a miss
+        for JSON and npz artifacts alike."""
         cache = ArtifactCache(tmp_path)
         json_key = stable_key("stats", {"x": 8})
         profile_key = stable_key("profile", {"x": 8})
@@ -228,9 +228,9 @@ class TestMaterializeErrors:
         cache.store_arrays("arrays", arrays_key, {"a": np.arange(8)})
 
         def unreadable(*args):
-            raise OSError("spool write failed")
+            raise OSError("storage read failed")
 
-        monkeypatch.setattr(cache.storage, "materialize", unreadable)
+        monkeypatch.setattr(cache.storage, "read", unreadable)
         assert cache.load_json("stats", json_key) is None
         assert cache.load_profile(profile_key) is None
         assert cache.load_arrays("arrays", arrays_key) is None

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,53 @@ class TestBackendParity:
     def test_close_is_idempotent(self, cache):
         cache.store_json("stats", KEY, {"v": 1})
         cache.close()
+        cache.close()
+
+
+@pytest.fixture(params=BACKENDS)
+def storage(request, tmp_path):
+    backend = resolve_storage(tmp_path, request.param)
+    yield backend
+    backend.close()
+
+
+class TestByteContract:
+    """``read`` hands back exactly the bytes ``write`` stored."""
+
+    @pytest.mark.parametrize(
+        "data", [b"", b'{"v": 1}\n', bytes(range(256)) * 64], ids=["empty", "json", "binary"]
+    )
+    def test_read_returns_what_write_stored(self, storage, data):
+        assert storage.read("stats", KEY, ".json") == (None, False)
+        storage.write("stats", KEY, ".json", data)
+        assert storage.read("stats", KEY, ".json") == (data, False)
+        assert storage.read("stats", KEY, ".npz") == (None, False)
+
+    def test_torn_entry_is_quarantined_and_reads_as_a_miss(self, storage):
+        storage.write("arrays", KEY, ".npz", bytes(range(200)))
+        storage.corrupt("arrays", KEY, ".npz")
+        assert storage.read("arrays", KEY, ".npz") == (None, True)
+        assert storage.read("arrays", KEY, ".npz") == (None, False)
+        assert any(storage.quarantine_dir.iterdir())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cache_writes_no_file_outside_its_root(self, backend, tmp_path, monkeypatch):
+        """Loads and stores of every codec parse and encode in memory."""
+        from repro.profiling.conflict_profile import ConflictProfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        cache = ArtifactCache(tmp_path / "cache", storage=backend)
+        profile = ConflictProfile(3, np.arange(8, dtype=np.int64), accesses=9)
+        cache.store_json("stats", KEY, {"v": 1})
+        cache.store_arrays("arrays", KEY, {"a": np.arange(4)})
+        cache.store_profile(KEY, profile)
+        assert cache.load_json("stats", KEY) == {"v": 1}
+        assert np.array_equal(cache.load_arrays("arrays", KEY)["a"], np.arange(4))
+        assert cache.load_profile(KEY).digest == profile.digest
+        assert cache.load_profile(KEY).total_weight == profile.total_weight
+        assert list(scratch.iterdir()) == []
         cache.close()
 
 

@@ -1,16 +1,25 @@
 """Hostile request framing over a real socket: bounded headers, typed errors.
 
 The server caps the request line and each header line at ``_MAX_LINE``
-bytes and a request at ``_MAX_HEADERS`` header fields.  Over-limit
-requests get 431, malformed framing gets 400, never a 500, and the
-server keeps serving.
+bytes, a request at ``_MAX_HEADERS`` header fields and its reading at
+``_READ_TIMEOUT_S`` seconds.  Over-limit requests get 431, malformed
+framing gets 400, a stalled request 408, never a 500, and the server
+keeps serving.  Stopping it with a connection still open logs nothing.
 """
 
+import logging
+import os
+import signal
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.serve.server as server_module
+
+from repro.serve import ServeClient
 
 from .test_server import start_server
 
@@ -77,3 +86,70 @@ class TestMalformedFraming:
         request = b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n"
         assert exchange(client, request)[0] == 400
         assert client.healthz() == {"status": "ok"}
+
+
+def read_all(conn: socket.socket) -> bytes:
+    response = b""
+    while chunk := conn.recv(1 << 16):
+        response += chunk
+    return response
+
+
+class TestReadTimeout:
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"trace\"",
+        ],
+        ids=["inside-headers", "inside-body"],
+    )
+    def test_stalled_request_408(self, client, monkeypatch, request_bytes):
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 0.2)
+        with socket.create_connection((client.host, client.port), timeout=10) as conn:
+            # Sent, then nothing: no blank line or full body, no EOF.
+            conn.sendall(request_bytes)
+            response = read_all(conn)
+        assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert b"within 0.2 s" in response
+        assert client.healthz() == {"status": "ok"}
+
+
+class TestQuietShutdown:
+    def test_stop_with_a_connection_mid_read(self, tmp_path, caplog):
+        _, handle, client = start_server(tmp_path, workers=1)
+        with socket.create_connection((client.host, client.port), timeout=10) as conn:
+            conn.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n")
+            assert client.healthz() == {"status": "ok"}  # the held one is mid-read
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                handle.stop()
+            assert read_all(conn) == b""  # closed without a response
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_sigterm_with_a_connection_mid_read(self, tmp_path):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[2] / "src"), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", str(tmp_path / "cache")],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            announce = proc.stdout.readline()
+            port = int(announce.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+                conn.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n")
+                probe = ServeClient(port=port)
+                assert probe.healthz() == {"status": "ok"}
+                proc.send_signal(signal.SIGTERM)
+                _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0
+        assert stderr == ""
