@@ -20,8 +20,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.api import expand_grid
-from repro.pipeline import run_campaign
+from repro.api import ExecutionSpec, expand_grid
+from repro.pipeline import PipelineContext, run_campaign
 
 
 def _rows_key(result):
@@ -50,10 +50,14 @@ def run(
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
         t0 = time.perf_counter()
-        cold = run_campaign(specs, cache_dir=cache_dir, workers=workers)
+        cold = run_campaign(
+            specs, PipelineContext(cache_dir), ExecutionSpec(workers=workers)
+        )
         cold_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        warm = run_campaign(specs, cache_dir=cache_dir, workers=workers)
+        warm = run_campaign(
+            specs, PipelineContext(cache_dir), ExecutionSpec(workers=workers)
+        )
         warm_s = time.perf_counter() - t0
 
     assert _rows_key(warm) == _rows_key(cold), "warm replay changed results"
@@ -128,12 +132,13 @@ def test_warm_campaign_replay(benchmark):
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
         t0 = time.perf_counter()
-        cold = run_campaign(specs, cache_dir=cache_dir, workers=1)
+        cold = run_campaign(
+            specs, PipelineContext(cache_dir), ExecutionSpec(workers=1)
+        )
         cold_s = time.perf_counter() - t0
         warm = benchmark.pedantic(
             run_campaign,
-            args=(specs,),
-            kwargs={"cache_dir": cache_dir, "workers": 1},
+            args=(specs, PipelineContext(cache_dir), ExecutionSpec(workers=1)),
             rounds=1,
             iterations=1,
         )

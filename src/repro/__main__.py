@@ -479,7 +479,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
             print()
         if "general-vs-perm" in which:
             print(format_general_vs_perm(
-                run_general_vs_perm(scale=args.scale, context=context)))
+                run_general_vs_perm(
+                    scale=args.scale, workers=args.workers, context=context)))
             print()
         if "table2" in which:
             for kind in ("data", "instruction"):

@@ -13,12 +13,11 @@ worker count — and consumes declarative :class:`ExperimentSpec`\\ s:
 * :meth:`Session.sweep` expands a grid dictionary into the spec
   cross-product and runs it as a campaign.
 
-Campaigns run on the same specs end to end (:func:`expand_grid` builds
-a grid of them).  The older kwarg surface ``optimize_for_trace`` with
-its eleven keywords remains available (the Session is built on it, and
-:meth:`Session.context` hands it the session's cache as ``context=``),
-but a spec plus a session expresses the same runs declaratively and
-serializably.
+Every spec runs through one runner,
+:func:`~repro.core.optimizer.run_spec` (trace, profile, then search and
+exact verification on the spec's compute backend), and every run —
+campaigns included — reads and writes the session's own context: its
+cache directory, storage backend and cache counters.
 """
 
 from __future__ import annotations
@@ -238,11 +237,15 @@ class Session:
                     bucket[event] = bucket.get(event, 0) + count
         return totals
 
-    def _effective_cache_dir(self, execution: ExecutionSpec) -> str | None:
-        return self.cache_dir if self.cache_dir is not None else execution.cache_dir
-
-    def _effective_workers(self, execution: ExecutionSpec) -> int | None:
-        return self.workers if self.workers is not None else execution.workers
+    def _environment(
+        self, execution: ExecutionSpec
+    ) -> tuple[PipelineContext, ExecutionSpec]:
+        """The context and execution a run gets: the session's cache
+        directory and worker count win over ``execution``'s."""
+        root = self.cache_dir if self.cache_dir is not None else execution.cache_dir
+        if self.workers is not None:
+            execution = replace(execution, workers=self.workers)
+        return self.context(root), execution
 
     def _campaign_execution(self, specs: list[ExperimentSpec]) -> ExecutionSpec:
         """One execution environment for a whole campaign.
@@ -276,8 +279,9 @@ class Session:
         # The resilience policy is likewise one per campaign: a pool
         # cannot retry some rows under one budget and others under
         # another without the row order becoming policy-dependent.  So
-        # is the shard size every cell profiles with.
-        for name in ("retries", "task_timeout", "on_error", "shard_size"):
+        # are the shard size every cell profiles with and the compute
+        # backend every cell runs on.
+        for name in ("retries", "task_timeout", "on_error", "shard_size", "backend"):
             values = {getattr(spec.execution, name) for spec in specs}
             if len(values) > 1:
                 raise SpecError(
@@ -303,20 +307,11 @@ class Session:
         ``context=session.context()`` for the per-shard execution
         statistics.
         """
+        from repro.core.optimizer import profile_spec
+
         spec = ExperimentSpec.coerce(spec)
-        context = self.context(self._effective_cache_dir(spec.execution))
-        trace = context.trace(spec.trace)
-        geometry = spec.geometry.resolve()
-        return context.profile(
-            trace,
-            geometry,
-            spec.search.n,
-            shard_size=spec.execution.shard_size,
-            workers=self._effective_workers(spec.execution),
-            retries=spec.execution.retries,
-            task_timeout=spec.execution.task_timeout,
-            on_error=spec.execution.on_error,
-        )
+        context, execution = self._environment(spec.execution)
+        return profile_spec(context, spec, execution)[1]
 
     def optimize(self, spec: SpecLike):
         """Run one experiment spec end to end.
@@ -326,41 +321,15 @@ class Session:
         :class:`~repro.core.optimizer.OptimizationResult` with the spec
         attached (``result.spec``), so ``result.to_json()`` embeds it.
         """
-        from repro.backend import degradation_events, use_backend
-        from repro.core.optimizer import optimize_for_trace
+        from repro.backend import degradation_events
+        from repro.core.optimizer import run_spec
 
         spec = ExperimentSpec.coerce(spec)
-        context = self.context(self._effective_cache_dir(spec.execution))
-        trace = context.trace(spec.trace)
-        geometry = spec.geometry.resolve()
-        profile = context.profile(
-            trace,
-            geometry,
-            spec.search.n,
-            shard_size=spec.execution.shard_size,
-            workers=self._effective_workers(spec.execution),
-            retries=spec.execution.retries,
-            task_timeout=spec.execution.task_timeout,
-            on_error=spec.execution.on_error,
-        )
+        context, execution = self._environment(spec.execution)
         seen_degradations = len(degradation_events())
-        with use_backend(spec.execution.backend) as backend:
-            result = optimize_for_trace(
-                trace,
-                geometry,
-                family=spec.search.family,
-                n=spec.search.n,
-                guard=spec.search.guard,
-                restarts=spec.search.restarts,
-                seed=spec.search.seed,
-                max_steps=spec.search.max_steps,
-                profile=profile,
-                context=context,
-                strategy=spec.search.strategy,
-            )
+        trace, result = run_spec(context, spec, execution)
         result.spec = spec
         result.trace_digest = trace.digest
-        result.backend = backend.name
         # Kernel degradations during this run (e.g. a JIT failure that
         # fell back to NumPy) surface in the report's environment.
         result.warnings = list(degradation_events()[seen_degradations:])
@@ -398,14 +367,7 @@ class Session:
                 for spec in specs
             ]
         result = run_campaign(
-            specs,
-            cache_dir=self._effective_cache_dir(execution),
-            workers=self._effective_workers(execution),
-            keep_details=keep_details,
-            retries=execution.retries,
-            task_timeout=execution.task_timeout,
-            on_error=execution.on_error,
-            shard_size=execution.shard_size,
+            specs, *self._environment(execution), keep_details=keep_details
         )
         result.base_seed = base_seed
         return result

@@ -33,7 +33,7 @@ from repro.search.result import SearchResult
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.api.spec import ExperimentSpec
+    from repro.api.spec import ExecutionSpec, ExperimentSpec
     from repro.profiling.conflict_profile import ConflictProfile
     from repro.search.families import FunctionFamily
     from repro.search.strategies import SearchStrategy
@@ -249,6 +249,66 @@ def optimize_for_trace(
         lambda cache, key, result: cache.store_json("optimization", key, _record(result)),
         memo=False,
     )[key]
+
+
+def profile_spec(
+    context: PipelineContext,
+    spec: "ExperimentSpec",
+    execution: "ExecutionSpec | None" = None,
+    capacities: tuple[int, ...] = (),
+) -> tuple[Trace, ConflictProfile]:
+    """The first half of :func:`run_spec`: the spec's trace and its
+    conflict profile, profiled as ``execution`` (default: the spec's)
+    says, together with ``capacities`` (see
+    :meth:`PipelineContext.profile`)."""
+    execution = execution or spec.execution
+    trace = context.trace(spec.trace)
+    profile = context.profile(
+        trace,
+        spec.geometry.resolve(),
+        spec.search.n,
+        shard_size=execution.shard_size,
+        workers=execution.workers,
+        retries=execution.retries,
+        task_timeout=execution.task_timeout,
+        on_error=execution.on_error,
+        capacities=capacities,
+    )
+    return trace, profile
+
+
+def run_spec(
+    context: PipelineContext,
+    spec: "ExperimentSpec",
+    execution: "ExecutionSpec | None" = None,
+    capacities: tuple[int, ...] = (),
+) -> tuple[Trace, OptimizationResult]:
+    """The one spec runner, behind ``Session.optimize``,
+    ``Session.profile`` and every campaign cell: trace and profile
+    (:func:`profile_spec`), then search and exact verification with
+    this thread pinned to ``execution.backend``, which the result
+    records."""
+    from repro.backend import use_backend
+
+    execution = execution or spec.execution
+    trace, profile = profile_spec(context, spec, execution, capacities)
+    search = spec.search
+    with use_backend(execution.backend) as backend:
+        result = optimize_for_trace(
+            trace,
+            spec.geometry.resolve(),
+            family=search.family,
+            n=search.n,
+            guard=search.guard,
+            restarts=search.restarts,
+            seed=search.seed,
+            max_steps=search.max_steps,
+            profile=profile,
+            context=context,
+            strategy=search.strategy,
+        )
+    result.backend = backend.name
+    return trace, result
 
 
 def _record(result: OptimizationResult) -> dict[str, Any]:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
-from repro.core.optimizer import optimize_for_trace
+from repro.api.session import expand_grid
+from repro.api.spec import ExecutionSpec
 from repro.experiments.common import format_table, mean
+from repro.pipeline.campaign import run_campaign
 from repro.pipeline.context import PipelineContext
-from repro.search.families import GeneralXorFamily, PermutationFamily
-from repro.workloads.registry import get_workload, workload_names
 
 __all__ = ["GeneralVsPermResult", "run_general_vs_perm", "format_general_vs_perm",
            "PAPER_AVERAGES"]
@@ -50,39 +49,34 @@ def run_general_vs_perm(
     cache_sizes: tuple[int, ...] = (1024, 4096, 16384),
     benchmarks: tuple[str, ...] | None = None,
     seed: int = 0,
+    workers: int | None = 1,
     context: PipelineContext | None = None,
 ) -> list[GeneralVsPermResult]:
-    """Optimize both families per benchmark and cache size, reading
-    through ``context``'s artifact cache (``None`` runs without one)."""
-    if context is None:
-        context = PipelineContext()
-    names = benchmarks if benchmarks is not None else tuple(workload_names("mibench"))
-    n = PAPER_HASHED_BITS
-    results = []
-    for size in cache_sizes:
-        geometry = CacheGeometry.direct_mapped(size)
-        m = geometry.index_bits
-        general: dict[str, float] = {}
-        permutation: dict[str, float] = {}
-        for name in names:
-            trace = get_workload("mibench", name, scale, seed).data
-            profile = context.profile(trace, geometry, n)
-            general[name] = optimize_for_trace(
-                trace, geometry, family=GeneralXorFamily(n, m), profile=profile,
-                context=context,
-            ).removed_percent
-            permutation[name] = optimize_for_trace(
-                trace, geometry, family=PermutationFamily(n, m), profile=profile,
-                context=context,
-            ).removed_percent
-        results.append(
-            GeneralVsPermResult(
-                cache_bytes=size,
-                general_removed=general,
-                permutation_removed=permutation,
-            )
+    """Optimize both families per MiBench benchmark and cache size, as
+    one campaign through ``context``'s artifact cache (``None`` runs
+    without one); ``workers`` as in :func:`~repro.experiments.run_table2`."""
+    specs = expand_grid(
+        {
+            "suite": "mibench",
+            "benchmarks": benchmarks,
+            "kinds": ["data"],
+            "cache_bytes": cache_sizes,
+            "families": ["general", "16-in"],
+            "scale": scale,
+            "workload_seed": seed,
+        }
+    )
+    campaign = run_campaign(specs, context, ExecutionSpec(workers=workers))
+    results = {size: GeneralVsPermResult(size, {}, {}) for size in cache_sizes}
+    for row in campaign.rows:
+        result = results[row.spec.geometry.cache_bytes]
+        removed = (
+            result.general_removed
+            if row.spec.search.family == "general"
+            else result.permutation_removed
         )
-    return results
+        removed[row.spec.trace.benchmark] = row.removed_percent
+    return list(results.values())
 
 
 def format_general_vs_perm(results: list[GeneralVsPermResult]) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api.session import expand_grid
+from repro.api.spec import ExecutionSpec
 from repro.core.optimizer import OptimizationResult
 from repro.experiments.common import format_table, mean
 from repro.pipeline.campaign import run_campaign
@@ -77,7 +78,7 @@ def run_table2(
     """Regenerate one half of Table 2.
 
     The grid runs as a pipeline campaign through ``context``'s artifact
-    cache directory (``None`` runs in memory): the conflict profile is
+    cache (``None`` runs in memory): the conflict profile is
     computed once per (benchmark, cache size) and shared by all
     families through the session memo / artifact cache, and with
     ``workers > 1`` (or ``None`` for one per core) rows are simulated
@@ -95,10 +96,7 @@ def run_table2(
         }
     )
     campaign = run_campaign(
-        specs,
-        cache_dir=context.cache_root if context is not None else None,
-        workers=workers,
-        keep_details=True,
+        specs, context, ExecutionSpec(workers=workers), keep_details=True
     )
     rows: dict[tuple[str, int], Table2Row] = {}
     for campaign_row in campaign.rows:

@@ -25,9 +25,7 @@ from repro.cache.fully_assoc import simulate_fully_associative
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.core.optimizer import optimize_for_trace
 from repro.experiments.common import format_table, mean
-from repro.pipeline.campaign import init_worker, resolve_workers, task_context
 from repro.pipeline.context import PipelineContext
-from repro.pipeline.resilience import run_resilient
 from repro.search.exhaustive import optimal_bit_select
 from repro.workloads.registry import get_workload, workload_names
 
@@ -62,21 +60,15 @@ class Table3Row:
 
 
 def _table3_row(
+    context: PipelineContext,
     name: str,
     scale: str,
     cache_bytes: int,
     opt_mode: str,
     seed: int,
     max_refs: int | None,
-    context: PipelineContext | None,
-    cache_dir: str | None,
 ) -> Table3Row:
-    """One Table 3 row; top level so pool workers can pickle it.
-
-    A serial run passes its ``context``; a pool worker runs on its own
-    context for ``cache_dir``.
-    """
-    context = task_context(context, cache_dir)
+    """One Table 3 row; top level so pool workers can pickle it."""
     geometry = CacheGeometry.direct_mapped(cache_bytes)
     n = PAPER_HASHED_BITS
     trace = get_workload("powerstone", name, scale, seed).data
@@ -126,35 +118,24 @@ def run_table3(
     ``opt_mode="estimate"`` scores the enumeration with Eq. 4 instead.
     ``max_refs`` truncates long traces before the exhaustive pass — the
     same cost control that limited the paper to the short PowerStone
-    suite.  Rows run as pipeline tasks: profiles, baselines and exact
-    verifications go through ``context``'s artifact cache (``None``
-    runs without one), and ``workers > 1`` (or ``None`` for one per
-    core) fans benchmarks out across a process pool whose workers share
-    that cache directory.
+    suite.  Rows fan out through :meth:`PipelineContext.map`: profiles,
+    baselines and exact verifications go through ``context``'s artifact
+    cache (``None`` runs without one), and ``workers > 1`` (or ``None``
+    for one per core) runs benchmarks on a process pool whose workers
+    share that cache.
     """
     names = benchmarks if benchmarks is not None else tuple(workload_names("powerstone"))
-    workers = resolve_workers(workers, len(names))
     if context is None:
         context = PipelineContext()
-    cache_dir = str(context.cache_root) if context.cache_root is not None else None
-    row_fn = partial(
+    row = partial(
         _table3_row,
         scale=scale,
         cache_bytes=cache_bytes,
         opt_mode=opt_mode,
         seed=seed,
         max_refs=max_refs,
-        context=context if workers == 1 else None,
-        cache_dir=cache_dir,
     )
-    outcomes = run_resilient(
-        row_fn,
-        names,
-        workers=workers,
-        initializer=init_worker,
-        initargs=(cache_dir,),
-    )
-    return [outcome.value for outcome in outcomes]
+    return [outcome.value for outcome in context.map(row, names, workers=workers)]
 
 
 def average_row(rows: list[Table3Row]) -> dict[str, float]:

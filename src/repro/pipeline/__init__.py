@@ -11,9 +11,10 @@ Three pieces:
 * :class:`~repro.pipeline.context.PipelineContext` — the session
   object passed explicitly (``context=``) to :mod:`repro.core` and the
   experiment drivers, so every flow reads through the cache with
-  bit-identical results;
-* :func:`~repro.pipeline.campaign.run_campaign` — process-pool
-  execution of :class:`~repro.api.spec.ExperimentSpec` grids (benchmark
+  bit-identical results; its :meth:`~repro.pipeline.context.PipelineContext.map`
+  is the one way work fans out over processes;
+* :func:`~repro.pipeline.campaign.run_campaign` — execution of
+  :class:`~repro.api.spec.ExperimentSpec` grids (benchmark
   x geometry x family cells, see :func:`repro.api.expand_grid`), shared
   by ``repro campaign``, ``repro tables`` and the table benchmarks.
   Execution is *resilient* (:mod:`repro.pipeline.resilience`): bounded

@@ -3,12 +3,12 @@
 A *campaign* is the unit of production work: every (workload, cache
 geometry, function family) cell of an experiment grid is one
 :class:`~repro.api.spec.ExperimentSpec` (see
-:func:`repro.api.expand_grid`), cells fan out over a process pool, and
-every cell reads and writes the shared content-addressed artifact
-cache.  A warm replay of a finished campaign therefore touches no
-simulator at all — it only loads artifacts
-(``benchmarks/bench_pipeline.py`` holds the >= 5x floor on exactly
-that).
+:func:`repro.api.expand_grid`), cells fan out through the caller's
+:meth:`PipelineContext.map`, and every cell reads and writes that
+context's content-addressed artifact cache.  A warm replay of a
+finished campaign therefore touches no simulator at all — it only
+loads artifacts (``benchmarks/bench_pipeline.py`` holds the >= 5x
+floor on exactly that).
 
 Each cell runs with its spec's own search seed.  Grid semantics —
 a distinct seed per cell — come from :func:`derive_seed`, which hashes
@@ -18,24 +18,22 @@ worker count, scheduling order, or which process picks a cell up.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import os
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from repro.api.errors import SpecError
 from repro.api.spec import ExecutionSpec, ExperimentSpec
 from repro.pipeline.artifact_cache import cache_events, replayed
-from repro.pipeline.context import PipelineContext
+from repro.pipeline.context import PipelineContext, pool_size
 from repro.pipeline.faults import maybe_inject
-from repro.pipeline.resilience import TaskOutcome, run_resilient
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.optimizer import OptimizationResult
+    from repro.pipeline.resilience import TaskOutcome
 
 __all__ = [
     "CampaignRow",
@@ -195,42 +193,6 @@ class CampaignResult:
         return campaign_from_report(payload)
 
 
-# One context per worker process, created lazily on the first task and
-# reused for the rest: the in-memory memo then dedups e.g. one conflict
-# profile shared by every family of a benchmark within that worker.
-_worker_context: PipelineContext | None = None
-_worker_cache_dir: str | None = None
-
-
-def init_worker(cache_dir: str | None) -> None:
-    """Pool initializer: a fresh per-process context for ``cache_dir``
-    (never one inherited from a forked parent)."""
-    global _worker_context, _worker_cache_dir
-    _worker_cache_dir = cache_dir
-    _worker_context = PipelineContext(cache_dir)
-
-
-def resolve_workers(workers: int | None, count: int) -> int:
-    """Process count for ``count`` tasks: ``None`` picks one per core
-    (at most one per task), and at most one task runs serially."""
-    if workers is None:
-        workers = min(count, os.cpu_count() or 1) or 1
-    return 1 if count <= 1 else max(1, workers)
-
-
-def task_context(
-    context: PipelineContext | None, cache_dir: str | None
-) -> PipelineContext:
-    """The context a task runs under: the one its serial caller passed
-    in, else this pool worker's own context for ``cache_dir``."""
-    if context is not None:
-        return context
-    if _worker_context is None or _worker_cache_dir != cache_dir:
-        init_worker(cache_dir)
-    assert _worker_context is not None
-    return _worker_context
-
-
 def _profile_group(spec: ExperimentSpec) -> tuple:
     """What a cell's conflict profile depends on besides its capacity."""
     return spec.trace, spec.geometry.block_size, spec.search.n
@@ -246,49 +208,29 @@ def _profile_capacities(specs: Sequence[ExperimentSpec]) -> dict[tuple, tuple[in
 
 
 def _run_task(
+    context: PipelineContext,
     spec: ExperimentSpec,
-    cache_dir: str | None,
+    execution: ExecutionSpec,
     keep_details: bool,
-    context: PipelineContext | None = None,
-    profile_capacities: dict[tuple, tuple[int, ...]] | None = None,
-    shard_size: int | None = None,
+    profile_capacities: dict[tuple, tuple[int, ...]],
 ) -> CampaignRow:
-    """Execute one cell (top level so the process pool can pickle it)."""
-    from repro.core.optimizer import optimize_for_trace
+    """Execute one cell on ``execution`` (top level so the process pool
+    can pickle it)."""
+    from repro.core.optimizer import run_spec
 
     # Injected before any side effects (cache reads, memo fills): a
     # retried attempt then redoes exactly what a clean first attempt
     # would have, keeping fault-injected reports bit-identical.
     maybe_inject("campaign.task", fault_key(spec))
-    context = task_context(context, cache_dir)
     with cache_events() as events:
         t0 = time.perf_counter()
-        trace = context.trace(spec.trace)
-        geometry = spec.geometry.resolve()
         # The first cell of a profile group to miss profiles every
         # capacity the grid asks of it in one pass; the others then hit.
-        # Its shards run serially: the campaign already fans out over
-        # cells.
-        profile = context.profile(
-            trace,
-            geometry,
-            spec.search.n,
-            shard_size=shard_size,
-            workers=1,
-            capacities=(profile_capacities or {}).get(_profile_group(spec), ()),
-        )
-        result = optimize_for_trace(
-            trace,
-            geometry,
-            family=spec.search.family,
-            n=spec.search.n,
-            guard=spec.search.guard,
-            restarts=spec.search.restarts,
-            seed=spec.search.seed,
-            max_steps=spec.search.max_steps,
-            profile=profile,
-            context=context,
-            strategy=spec.search.strategy,
+        trace, result = run_spec(
+            context,
+            spec,
+            execution,
+            capacities=profile_capacities.get(_profile_group(spec), ()),
         )
         seconds = time.perf_counter() - t0
     return CampaignRow(
@@ -339,15 +281,12 @@ def _cell(spec: ExperimentSpec) -> ExperimentSpec:
 
 def run_campaign(
     specs: Sequence[ExperimentSpec],
-    cache_dir: str | Path | None = None,
-    workers: int | None = None,
+    context: PipelineContext | None = None,
+    execution: ExecutionSpec = ExecutionSpec(),
     keep_details: bool = False,
-    retries: int = 0,
-    task_timeout: float | None = None,
-    on_error: str = "raise",
-    shard_size: int | None = None,
 ) -> CampaignResult:
-    """Run a spec grid through the artifact cache, fanning out on cores.
+    """Run a spec grid through ``context``'s artifact cache, fanning
+    out on cores.
 
     Parameters
     ----------
@@ -356,82 +295,72 @@ def run_campaign(
         with its own search seed, and row order follows spec order
         regardless of scheduling.  Only registry workloads qualify
         (file-backed traces raise :class:`SpecError`); the specs'
-        ``execution`` tables are ignored — pass the execution
-        environment here.
-    cache_dir:
-        Artifact-cache directory shared by all workers; ``None`` runs
-        purely in memory.
-    workers:
-        Process count; ``None`` picks ``min(len(specs), cpu_count)``,
-        and ``0``/``1`` runs serially in-process (no pool, useful under
-        pytest and for deterministic timing baselines).
+        ``execution`` tables are ignored — pass the campaign's here.
+    context:
+        Whose cache (and storage) every cell reads and writes; ``None``
+        runs purely in memory.  The campaign borrows the cache and
+        never closes it.
+    execution:
+        ``workers`` (``None`` picks ``min(len(specs), cpu_count)``;
+        ``0``/``1`` runs serially in-process, no pool), ``retries``,
+        ``task_timeout`` (pool runs only), ``on_error`` (``"skip"``
+        records a failed row and continues) — see
+        :meth:`PipelineContext.map` — plus the ``shard_size`` each cell
+        profiles with and the compute ``backend`` it runs on.  Its
+        ``cache_dir`` is ignored: the context decides.
     keep_details:
         Attach the full :class:`OptimizationResult` to each row (the
         table drivers need it; costs pickling the conflict profile back
         from each worker).
-    retries:
-        Failed-attempt budget per cell (exceptions, timeouts, worker
-        deaths); retried with exponential backoff + deterministic
-        jitter.  Digest-neutral: retried runs replay from the same
-        artifacts.
-    task_timeout:
-        Seconds before a cell attempt is failed and its worker pool
-        recycled (``None`` = no limit; ignored for serial runs, which
-        cannot abandon an in-process call).
-    on_error:
-        What to do when a cell exhausts its budget: ``"raise"`` aborts
-        the campaign (default), ``"skip"`` records a failed row and
-        continues, ``"retry"`` raises but guarantees a minimum retry
-        budget even when ``retries`` is 0.
-    shard_size:
-        Accesses per shard when a cell profiles its trace (``None`` =
-        one shard, the single in-memory pass); bit-identical either way.
     """
     specs = [_cell(spec) for spec in specs]
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    workers = resolve_workers(workers, len(specs))
+    cache = context.cache if context is not None else None
+    workers = pool_size(execution.workers, len(specs))
 
     t0 = time.perf_counter()
     # Without a cache the pool workers' memos would be private and a
     # benchmark's per-family cells — scattered across the pool — would
     # each recompute the shared profile/baseline.  A run-scoped
     # temporary artifact dir restores the sharing; the result still
-    # reports an in-memory run (cache_dir None).  Serial runs share one
-    # context, so its memo already spans cells.
+    # reports an in-memory run (cache_dir None).
     ephemeral = (
         tempfile.TemporaryDirectory(prefix="repro-campaign-")
-        if cache_dir is None and workers > 1
+        if cache is None and workers > 1
         else None
     )
-    task_cache_dir = ephemeral.name if ephemeral is not None else cache_dir
-    serial_context = PipelineContext(cache_dir) if workers == 1 else None
+    # Serial cells share a memo scoped to this run over the borrowed
+    # cache, not the caller's memo: that memo has no bound yet, and
+    # sharing it across the ten per-kernel Table-2 campaigns of one
+    # Session raised peak RSS from 106.6 to 122.5 MB.
+    runner = PipelineContext(ephemeral.name if ephemeral is not None else cache)
     try:
-        outcomes = run_resilient(
-            functools.partial(
+        outcomes = runner.map(
+            partial(
                 _run_task,
-                cache_dir=task_cache_dir,
+                # A cell's shards run serially: the campaign already fans
+                # out over cells, and retries a cell as a whole.
+                execution=ExecutionSpec(
+                    workers=1,
+                    shard_size=execution.shard_size,
+                    backend=execution.backend,
+                ),
                 keep_details=keep_details,
-                context=serial_context,
                 profile_capacities=_profile_capacities(specs),
-                shard_size=shard_size,
             ),
             specs,
             workers=workers,
-            retries=retries,
-            task_timeout=task_timeout,
-            on_error=on_error,
-            initializer=init_worker,
-            initargs=(task_cache_dir,),
+            retries=execution.retries,
+            task_timeout=execution.task_timeout,
+            on_error=execution.on_error,
         )
     finally:
-        if serial_context is not None:
-            serial_context.close()
         if ephemeral is not None:
+            runner.close()
             ephemeral.cleanup()
     return CampaignResult(
         rows=_rows_from_outcomes(specs, outcomes),
         workers=workers,
-        cache_dir=cache_dir,
+        cache_dir=str(cache.root) if cache is not None else None,
         seconds=time.perf_counter() - t0,
     )
 

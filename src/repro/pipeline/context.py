@@ -32,14 +32,20 @@ entry, parses no array and imports no NumPy:
 
 Stages take their context as an explicit ``context=`` argument
 (:func:`~repro.core.optimizer.optimize_for_trace`, the table drivers,
-the campaign runner's tasks); results are bit-identical to a context
-without a cache (property-tested in ``tests/pipeline``).
+:func:`~repro.pipeline.campaign.run_campaign`); results are
+bit-identical to a context without a cache (property-tested in
+``tests/pipeline``).  :meth:`~PipelineContext.map` is the one way work
+fans out: campaign cells, shard scans and profiles, and Table 3 rows
+each run as ``task(context, item)``, serially on the context itself or
+on a pool whose processes each open one context on the same cache.
 """
 
 from __future__ import annotations
 
+import os
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.api.report import function_to_json, stats_from_json, stats_to_json
 from repro.cache.geometry import CacheGeometry
@@ -51,6 +57,7 @@ from repro.trace.trace import DeferredTrace, Trace
 if TYPE_CHECKING:
     from repro.api.spec import TraceSpec
     from repro.gf2.hashfn import XorHashFunction
+    from repro.pipeline.resilience import TaskOutcome
     from repro.profiling.conflict_profile import ConflictProfile
 
 __all__ = ["PipelineContext"]
@@ -81,6 +88,30 @@ def _store_stats(cache: ArtifactCache, key: str, stats: CacheStats) -> None:
     cache.store_json("stats", key, stats_to_json(stats))
 
 
+def pool_size(workers: int | None, count: int) -> int:
+    """The worker count :meth:`PipelineContext.map` resolves for
+    ``count`` items: ``None`` picks one per core (at most one per item),
+    and at most one item runs serially."""
+    if workers is None:
+        workers = min(count, os.cpu_count() or 1) or 1
+    return 1 if count <= 1 else max(1, workers)
+
+
+# One context per pool process, opened by the pool initializer (never
+# inherited across a fork) and reused for all of the process's tasks:
+# its memo then dedups e.g. one profile shared by a benchmark's cells.
+_worker_context: "PipelineContext | None" = None
+
+
+def _open_worker_context(root: str | None, storage: str | None) -> None:
+    global _worker_context
+    _worker_context = PipelineContext(root, storage=storage)
+
+
+def _run_in_worker(task: Callable, item: object) -> object:
+    return task(_worker_context, item)
+
+
 class PipelineContext:
     """Session threading one artifact cache through the pipeline."""
 
@@ -109,6 +140,50 @@ class PipelineContext:
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         return self.cache.stats() if self.cache is not None else {}
+
+    # -- the one way to run work -------------------------------------------
+
+    def map(
+        self,
+        task: Callable[["PipelineContext", Any], Any],
+        items: Iterable,
+        *,
+        workers: int | None = 1,
+        retries: int = 0,
+        task_timeout: float | None = None,
+        on_error: str = "raise",
+    ) -> list["TaskOutcome"]:
+        """``task(context, item)`` for each item, as
+        :class:`~repro.pipeline.resilience.TaskOutcome` rows in item
+        order, through :func:`~repro.pipeline.resilience.run_resilient`
+        (``retries``, ``task_timeout`` and ``on_error`` are its policy).
+
+        One worker (see :func:`pool_size`) runs every item in process
+        on this context.  More run on a process pool, at most one per
+        item, so ``task`` must pickle (a top-level function or a
+        :func:`functools.partial` of one); each pool process opens one
+        context on this context's cache root and storage and runs all
+        its tasks on it.
+        """
+        from repro.pipeline.resilience import run_resilient
+
+        items = list(items)
+        workers = min(pool_size(workers, len(items)), max(len(items), 1))
+        policy = dict(retries=retries, task_timeout=task_timeout, on_error=on_error)
+        if workers == 1:
+            return run_resilient(partial(task, self), items, workers=1, **policy)
+        root = self.cache_root
+        return run_resilient(
+            partial(_run_in_worker, task),
+            items,
+            workers=workers,
+            initializer=_open_worker_context,
+            initargs=(
+                str(root) if root is not None else None,
+                self.cache.storage_name if self.cache is not None else None,
+            ),
+            **policy,
+        )
 
     # -- the one way to memoize a stage ------------------------------------
 

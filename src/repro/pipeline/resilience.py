@@ -1,10 +1,11 @@
 """Resilient execution: retries, timeouts, crash recovery.
 
-:func:`run_resilient` is the fault-tolerant replacement for ``map``
-that campaigns, Table 3 rows, the sharded profiler and ``repro serve``
-jobs run on.  With ``workers <= 1`` it
-runs in-process — no pool, no scratch directory — and otherwise on a
-process pool.  It adds, over a plain map:
+:func:`run_resilient` is the fault-tolerant ``map`` underneath
+:meth:`PipelineContext.map <repro.pipeline.context.PipelineContext.map>`
+— the one fan-out of campaigns, Table 3 rows and the sharded profiler —
+and ``repro serve`` calls it in-process for each job.  With
+``workers <= 1`` it runs in-process — no pool, no scratch directory —
+and otherwise on a process pool.  It adds, over a plain map:
 
 * **Bounded retries** with exponential backoff and deterministic
   jitter.  A task attempt that raises is retried up to ``retries``

@@ -278,15 +278,8 @@ def _profile_key(kind: str, base: dict, capacity: int, shard: Shard | None = Non
 # -- worker tasks (top level so the process pool can pickle them) ----------
 
 
-def _scan_shard_task(
-    item, source, context, cache_dir
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scan one shard: return (blocks, last times, recomputed).
-
-    A serial run passes its ``context``; a pool worker runs on its own
-    context for ``cache_dir`` (as do the profiling tasks).
-    """
-    from repro.pipeline.campaign import task_context
+def _scan_shard_task(context, item, source) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Scan one shard: return (blocks, last times, recomputed)."""
     from repro.pipeline.faults import maybe_inject
 
     start, stop, key = item
@@ -300,7 +293,7 @@ def _scan_shard_task(
         scanned.append(True)
         return [(key, {"blocks": blocks, "times": times})]
 
-    summary = task_context(context, cache_dir).stage(
+    summary = context.stage(
         "shard-scan",
         [key],
         scan,
@@ -311,21 +304,17 @@ def _scan_shard_task(
     return summary["blocks"], summary["times"], bool(scanned)
 
 
-def _profile_shard_task(
-    item, source, n, context, cache_dir
-) -> dict[int, ConflictProfile]:
+def _profile_shard_task(context, item, source, n) -> dict[int, ConflictProfile]:
     """Profile one shard at its missing capacities and store their
     artifacts."""
-    from repro.pipeline.campaign import task_context
     from repro.pipeline.faults import maybe_inject
 
     start, stop, keys, prefix_blocks = item
     maybe_inject("shard.profile", f"profile:{start}:{stop}")
     profiles = _profile_shard(source.read(start, stop), prefix_blocks, list(keys), n)
-    cache = task_context(context, cache_dir).cache
-    if cache is not None:
+    if context.cache is not None:
         for capacity, key in keys.items():
-            cache.store_profile(key, profiles[capacity], kind="shard-profile")
+            context.cache.store_profile(key, profiles[capacity], kind="shard-profile")
     return profiles
 
 
@@ -338,7 +327,7 @@ def _run_sharded(
     capacities: list[int],
     n: int,
     workers: int,
-    context=None,
+    context,
     key_base: dict | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
@@ -348,8 +337,9 @@ def _run_sharded(
     scans recomputed) for ``source`` cut along ``plan``.
 
     A plan of at most one shard is the single pass, run in process: no
-    scan, shard artifact, fault site or retry layer.  Shard artifacts
-    are keyed on ``key_base``, given only with a cached ``context``.
+    scan, shard artifact, fault site or retry layer.  Otherwise both
+    phases fan out through ``context.map``.  Shard artifacts are keyed
+    on ``key_base``, given only with a cached ``context``.
     Scan summaries depend on no capacity; they are keyed like
     ``capacities[0]``'s.
     """
@@ -362,37 +352,18 @@ def _run_sharded(
     if len(plan) <= 1:
         blocks = source.read(0, len(source))
         return _profile_shard(blocks, blocks[:0], capacities, n), len(plan), 0, 0
-    from repro.pipeline.campaign import init_worker, resolve_workers
-    from repro.pipeline.resilience import run_resilient
-
-    # A profile missing a shard is not a partial result but a wrong one,
-    # so the skip policy (meaningful for independent campaign rows) is
-    # coerced to raise here; retries/timeouts apply unchanged.
-    if on_error == "skip":
-        on_error = "raise"
+    # Both phases fan out through the context; a profile missing a
+    # shard is not a partial result but a wrong one, so the skip policy
+    # (meaningful for independent campaign rows) is coerced to raise
+    # here; retries/timeouts apply unchanged.
+    policy = dict(
+        workers=workers,
+        retries=retries,
+        task_timeout=task_timeout,
+        on_error="raise" if on_error == "skip" else on_error,
+    )
     shards = list(plan)
-    cache = context.cache if context is not None else None
-    cache_dir = str(cache.root) if cache is not None else None
-
-    def run_tasks(task, items: list) -> list:
-        """``[task(item) for item in items]`` on the serial context or a
-        pool whose workers open ``cache_dir`` themselves."""
-        phase_workers = resolve_workers(min(workers, len(items)), len(items))
-        outcomes = run_resilient(
-            partial(
-                task,
-                context=context if phase_workers == 1 else None,
-                cache_dir=cache_dir,
-            ),
-            items,
-            workers=phase_workers,
-            retries=retries,
-            task_timeout=task_timeout,
-            on_error=on_error,
-            initializer=init_worker,
-            initargs=(cache_dir,),
-        )
-        return [outcome.value for outcome in outcomes]
+    cache = context.cache
 
     def shard_key(kind: str, shard: Shard, capacity: int) -> str | None:
         if key_base is None:
@@ -420,7 +391,12 @@ def _run_sharded(
             (shard.start, shard.stop, shard_key("shard-scan", shard, capacities[0]))
             for shard in shards[: max(missing)]
         ]
-        summaries = run_tasks(partial(_scan_shard_task, source=source), scan_items)
+        summaries = [
+            outcome.value
+            for outcome in context.map(
+                partial(_scan_shard_task, source=source), scan_items, **policy
+            )
+        ]
         recomputed_scans = sum(1 for *_, fresh in summaries if fresh)
         prefixes: dict[int, np.ndarray] = {}
         state_blocks = np.empty(0, dtype=np.uint64)
@@ -440,11 +416,11 @@ def _run_sharded(
             (shards[i].start, shards[i].stop, keys, prefixes.pop(i))
             for i, keys in missing.items()
         ]
-        computed = run_tasks(
-            partial(_profile_shard_task, source=source, n=n), profile_items
+        computed = context.map(
+            partial(_profile_shard_task, source=source, n=n), profile_items, **policy
         )
-        for i, fresh in zip(missing, computed):
-            profiles[i].update(fresh)
+        for i, outcome in zip(missing, computed):
+            profiles[i].update(outcome.value)
     merged = {
         capacity: ConflictProfile.merge(found[capacity] for found in profiles)
         for capacity in capacities
@@ -498,8 +474,9 @@ def run_sharded_profile(
     crash resumes from whatever finished and reports how many shards
     it recomputed and how many it loaded.
 
-    ``retries``/``task_timeout``/``on_error`` match
-    :func:`repro.pipeline.campaign.run_campaign`, except that
+    Shards fan out through :meth:`PipelineContext.map
+    <repro.pipeline.context.PipelineContext.map>`, whose
+    ``retries``/``task_timeout``/``on_error`` apply, except that
     ``on_error="skip"`` is coerced to ``"raise"`` — a profile missing a
     shard would be wrong, not partial.  A shard task that fails is
     retried with backoff; dead workers rebuild the pool and resubmit
@@ -536,6 +513,10 @@ def run_sharded_profile(
         return profiles
 
     if context is None:
+        from repro.pipeline.context import PipelineContext
+
+        # Shards fan out through a context even without a cache.
+        context = PipelineContext()
         profiles = walk(wanted)
     else:
         from repro.pipeline.artifact_cache import ArtifactCache

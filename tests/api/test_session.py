@@ -206,6 +206,60 @@ class TestCampaignAndSweep:
         )
 
 
+class TestCampaignEnvironment:
+    """A campaign runs on the session's own context and execution."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_writes_the_session_storage(self, tmp_path, workers):
+        from repro.pipeline.artifact_cache import cache_events, replayed
+        from repro.pipeline.storage import SQLITE_INDEX_NAME
+
+        specs = [tiny_spec("qurt"), tiny_spec("fir")]
+        with Session(cache_dir=tmp_path, storage="sqlite", workers=workers) as session:
+            session.campaign(specs)
+        assert (tmp_path / SQLITE_INDEX_NAME).exists()
+        assert not (tmp_path / "optimization").exists()
+        with Session(cache_dir=tmp_path, storage="sqlite") as session:
+            with cache_events() as events:
+                session.optimize(specs[1])
+        assert replayed(events)
+
+    def test_serial_campaign_counts_in_session_stats(self, tmp_path):
+        session = Session(cache_dir=tmp_path, workers=1)
+        session.campaign([tiny_spec("qurt")])
+        assert recomputed(session) > 0
+
+    def test_campaign_runs_on_the_execution_backend(self, monkeypatch):
+        from repro.backend import registry
+
+        python = registry._REGISTRY["python"]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return python.lru_depth_at_least(*args, **kwargs)
+
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "python",
+            replace(python, lru_depth_at_least=counting),
+        )
+        spec = replace(
+            tiny_spec("fir"),
+            geometry=GeometrySpec(cache_bytes=1024, associativity=2),
+        ).with_execution(backend="python")
+        result = Session(workers=1).campaign([spec])
+        assert result.rows[0].ok
+        assert calls  # the 2-way replays dispatched to the python kernel
+
+    def test_campaign_rejects_disagreeing_backends(self):
+        a = tiny_spec("qurt").with_execution(backend="python")
+        b = tiny_spec("fir")
+        with pytest.raises(SpecError, match="disagree on execution.backend") as info:
+            Session().campaign([a, b])
+        assert info.value.field == "execution.backend"
+
+
 class TestRowSpec:
     def test_rows_carry_the_spec_that_ran(self, tmp_path):
         """A pinned-seed row's spec is the input spec with a default

@@ -1,23 +1,24 @@
 """Tests for the parallel campaign runner."""
 
 import json
+import os
 from dataclasses import replace
-from functools import partial
 
 import pytest
 
 from repro.__main__ import main
-from repro.api import ExperimentSpec, GeometrySpec, SearchSpec, TraceSpec, expand_grid
-from repro.pipeline import PipelineContext, format_campaign, run_campaign, run_resilient
-from repro.pipeline import campaign as campaign_module
-from repro.pipeline.campaign import (
-    derive_seed,
-    fault_key,
-    init_worker,
-    task_context,
+from repro.api import (
+    ExecutionSpec,
+    ExperimentSpec,
+    GeometrySpec,
+    SearchSpec,
+    TraceSpec,
+    expand_grid,
 )
+from repro.pipeline import PipelineContext, format_campaign, run_campaign
+from repro.pipeline.campaign import derive_seed, fault_key
 from repro.pipeline.faults import use_faults
-from repro.pipeline.storage import SqliteStorage
+from repro.pipeline.storage import STORAGE_ENV, SqliteStorage
 
 BENCHMARKS = ("qurt", "fir")
 
@@ -91,7 +92,9 @@ class TestStrategies:
                 "scale": "tiny", "strategies": ["first-improvement"],
             }
         )
-        result = run_campaign(specs, cache_dir=tmp_path, workers=1)
+        result = run_campaign(
+            specs, PipelineContext(tmp_path), ExecutionSpec(workers=1)
+        )
         assert len(result.rows) == 1
         payload = result.to_json()
         assert payload["rows"][0]["spec"]["search"]["strategy"] == "first-improvement"
@@ -150,17 +153,19 @@ class TestSeeds:
 class TestRunCampaign:
     def test_serial_and_parallel_agree(self, tmp_path):
         specs = tiny_grid()
-        serial = run_campaign(specs, workers=1)
+        serial = run_campaign(specs, execution=ExecutionSpec(workers=1))
         parallel = run_campaign(
-            specs, cache_dir=tmp_path / "parallel-cache", workers=2
+            specs,
+            PipelineContext(tmp_path / "parallel-cache"),
+            ExecutionSpec(workers=2),
         )
         assert serial.workers == 1 and parallel.workers == 2
         assert rows_key(serial) == rows_key(parallel)
 
     def test_warm_replay_is_fully_cached_and_identical(self, tmp_path):
         specs = tiny_grid()
-        cold = run_campaign(specs, cache_dir=tmp_path, workers=1)
-        warm = run_campaign(specs, cache_dir=tmp_path, workers=1)
+        cold = run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=1))
+        warm = run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=1))
         assert not cold.fully_cached and cold.cache_totals()["stores"] > 0
         assert warm.fully_cached
         assert warm.cache_totals()["hits"] > 0
@@ -168,12 +173,19 @@ class TestRunCampaign:
 
     def test_row_order_follows_task_order(self, tmp_path):
         specs = tiny_grid()
-        result = run_campaign(specs, cache_dir=tmp_path, workers=2)
+        result = run_campaign(
+            specs, PipelineContext(tmp_path), ExecutionSpec(workers=2)
+        )
         assert [r.spec for r in result.rows] == specs
 
     def test_keep_details_attaches_results(self, tmp_path):
         specs = tiny_grid(families=("2-in",))
-        result = run_campaign(specs, cache_dir=tmp_path, workers=1, keep_details=True)
+        result = run_campaign(
+            specs,
+            PipelineContext(tmp_path),
+            ExecutionSpec(workers=1),
+            keep_details=True,
+        )
         for row in result.rows:
             detail = row.result
             assert detail is not None
@@ -183,7 +195,9 @@ class TestRunCampaign:
     def test_in_memory_run_is_never_fully_cached(self):
         """Without an artifact cache every task computes from scratch,
         so the run must not report itself as a cached replay."""
-        result = run_campaign(tiny_grid(families=("2-in",)), workers=1)
+        result = run_campaign(
+            tiny_grid(families=("2-in",)), execution=ExecutionSpec(workers=1)
+        )
         assert result.cache_dir is None
         assert not result.fully_cached
         assert not result.to_json()["fully_cached"]
@@ -193,8 +207,9 @@ class TestRunCampaign:
         although they counted no miss and no store."""
         with use_faults("campaign.task:error:p=1:seed=1"):
             result = run_campaign(
-                tiny_grid(families=("2-in",)), cache_dir=tmp_path,
-                workers=1, on_error="skip",
+                tiny_grid(families=("2-in",)),
+                PipelineContext(tmp_path),
+                ExecutionSpec(workers=1, on_error="skip"),
             )
         assert [row.status for row in result.rows] == ["failed", "failed"]
         assert result.cache_totals() == {"hits": 0, "misses": 0, "stores": 0}
@@ -217,34 +232,44 @@ class TestRunCampaign:
         dir so per-family tasks share profiles, but still reports an
         in-memory run and matches the serial results."""
         specs = tiny_grid()
-        parallel = run_campaign(specs, workers=2)
+        parallel = run_campaign(specs, execution=ExecutionSpec(workers=2))
         assert parallel.cache_dir is None and not parallel.fully_cached
-        assert rows_key(parallel) == rows_key(run_campaign(specs, workers=1))
+        assert rows_key(parallel) == rows_key(run_campaign(
+            specs, execution=ExecutionSpec(workers=1))
+        )
         # The ephemeral dir was used (counters exist) and cleaned up
         # (nothing under the default location was touched).
         assert parallel.cache_totals()["stores"] > 0
 
-    def test_serial_run_closes_its_storage(self, tmp_path, monkeypatch):
-        """Each serial campaign opens one context on the cache root and
-        must release its backend when the run ends."""
-        closes = []
-        original = SqliteStorage.close
+    def test_campaign_borrows_the_callers_storage(self, tmp_path, monkeypatch):
+        """A campaign runs on the caller's cache: it opens no storage of
+        its own and closes none, so the caller's close releases the one
+        backend."""
+        opens, closes = [], []
+        original_init, original_close = SqliteStorage.__init__, SqliteStorage.close
+
+        def counting_init(self, *args, **kwargs):
+            opens.append(self)
+            original_init(self, *args, **kwargs)
 
         def counting_close(self):
             closes.append(self)
-            original(self)
+            original_close(self)
 
+        monkeypatch.setattr(SqliteStorage, "__init__", counting_init)
         monkeypatch.setattr(SqliteStorage, "close", counting_close)
-        PipelineContext(tmp_path, storage="sqlite").close()  # lays out the index
-        closes.clear()
+        context = PipelineContext(tmp_path, storage="sqlite")
         specs = tiny_grid(families=("2-in",))
         for _ in range(3):
-            run_campaign(specs, cache_dir=tmp_path, workers=1)
-        assert len(closes) == 3
-        assert len({id(storage) for storage in closes}) == 3
+            run_campaign(specs, context, ExecutionSpec(workers=1))
+        assert len(opens) == 1 and closes == []
+        context.close()
+        assert closes == opens
 
     def test_to_json_is_serializable(self, tmp_path):
-        result = run_campaign(tiny_grid(families=("2-in",)), workers=1)
+        result = run_campaign(
+            tiny_grid(families=("2-in",)), execution=ExecutionSpec(workers=1)
+        )
         payload = json.loads(json.dumps(result.to_json()))
         assert payload["schema"] == "repro-report/v1"
         assert payload["kind"] == "campaign"
@@ -259,7 +284,9 @@ class TestRunCampaign:
     def test_report_round_trips(self, tmp_path):
         from repro.pipeline.campaign import CampaignResult
 
-        result = run_campaign(tiny_grid(families=("2-in",)), workers=1)
+        result = run_campaign(
+            tiny_grid(families=("2-in",)), execution=ExecutionSpec(workers=1)
+        )
         payload = json.loads(json.dumps(result.to_json()))
         rebuilt = CampaignResult.from_json(payload)
         # The rebuilt rows carry the spec (and seed) the run used;
@@ -272,7 +299,9 @@ class TestRunCampaign:
             assert new.search_seed == orig.search_seed
 
     def test_format_campaign(self):
-        result = run_campaign(tiny_grid(families=("2-in",)), workers=1)
+        result = run_campaign(
+            tiny_grid(families=("2-in",)), execution=ExecutionSpec(workers=1)
+        )
         text = format_campaign(result)
         assert "powerstone/fir" in text and "removed %" in text
         assert "cache:" in text
@@ -332,7 +361,9 @@ class TestMultiCapacityProfiling:
     def test_one_pass_stores_every_capacity_under_its_key(self, tmp_path, monkeypatch):
         calls = self._count_passes(monkeypatch)
         specs = self._grid(self.SIZES)
-        result = run_campaign(specs, cache_dir=tmp_path, workers=1)
+        result = run_campaign(
+            specs, PipelineContext(tmp_path), ExecutionSpec(workers=1)
+        )
         assert calls == [(4096, [256, 1024])]
         trace = specs[0].trace.resolve()
         stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
@@ -345,15 +376,18 @@ class TestMultiCapacityProfiling:
         assert all(not stats for stats in per_row[1:])
 
     def test_rows_match_single_capacity_grids(self):
-        multi = run_campaign(self._grid(self.SIZES), workers=1)
-        singles = [run_campaign(self._grid([size]), workers=1) for size in self.SIZES]
+        serial = ExecutionSpec(workers=1)
+        multi = run_campaign(self._grid(self.SIZES), execution=serial)
+        singles = [
+            run_campaign(self._grid([size]), execution=serial) for size in self.SIZES
+        ]
         assert rows_key(multi) == [key for single in singles for key in rows_key(single)]
 
     def test_warm_replay_loads_each_capacity(self, tmp_path, monkeypatch):
         specs = self._grid(self.SIZES)
-        run_campaign(specs, cache_dir=tmp_path, workers=1)
+        run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=1))
         calls = self._count_passes(monkeypatch)
-        warm = run_campaign(specs, cache_dir=tmp_path, workers=1)
+        warm = run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=1))
         assert calls == [] and warm.fully_cached
 
     def test_single_capacity_grid_profiles_only_its_capacity(
@@ -361,21 +395,29 @@ class TestMultiCapacityProfiling:
     ):
         calls = self._count_passes(monkeypatch)
         specs = self._grid([4096])
-        run_campaign(specs, cache_dir=tmp_path, workers=1)
+        run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=1))
         assert calls == [(1024, [])]
         stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
         assert stored == _profile_keys(specs[0].trace.resolve(), [4096])
 
     def test_cached_sibling_is_not_recomputed(self, tmp_path, monkeypatch):
-        run_campaign(self._grid([4096]), cache_dir=tmp_path, workers=1)
+        run_campaign(
+            self._grid([4096]), PipelineContext(tmp_path), ExecutionSpec(workers=1)
+        )
         calls = self._count_passes(monkeypatch)
-        run_campaign(self._grid(self.SIZES), cache_dir=tmp_path, workers=1)
+        run_campaign(
+            self._grid(self.SIZES), PipelineContext(tmp_path), ExecutionSpec(workers=1)
+        )
         assert calls == [(4096, [256])]
 
     def test_parallel_rows_match_serial(self, tmp_path):
         specs = self._grid(self.SIZES)
-        parallel = run_campaign(specs, cache_dir=tmp_path, workers=2)
-        assert rows_key(parallel) == rows_key(run_campaign(specs, workers=1))
+        parallel = run_campaign(
+            specs, PipelineContext(tmp_path), ExecutionSpec(workers=2)
+        )
+        assert rows_key(parallel) == rows_key(run_campaign(
+            specs, execution=ExecutionSpec(workers=1))
+        )
         stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
         assert stored == _profile_keys(specs[0].trace.resolve(), self.SIZES)
 
@@ -402,10 +444,12 @@ class TestMultiCapacityProfiling:
 
     def test_sharded_grid_matches_unsharded(self, tmp_path, monkeypatch):
         specs = self._grid(self.SIZES)
-        unsharded = run_campaign(specs, workers=1)
+        unsharded = run_campaign(specs, execution=ExecutionSpec(workers=1))
         calls = self._count_passes(monkeypatch)
         sharded = run_campaign(
-            specs, cache_dir=tmp_path, workers=1, shard_size=self.SHARD_SIZE
+            specs,
+            PipelineContext(tmp_path),
+            ExecutionSpec(workers=1, shard_size=self.SHARD_SIZE),
         )
         assert rows_key(sharded) == rows_key(unsharded)
         trace = specs[0].trace.resolve()
@@ -418,14 +462,14 @@ class TestMultiCapacityProfiling:
         )
         stored = {path.stem for path in (tmp_path / "profile").rglob("*.npz")}
         assert stored == _profile_keys(trace, self.SIZES)
-        warm = run_campaign(specs, cache_dir=tmp_path, workers=1)
+        warm = run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=1))
         assert rows_key(warm) == rows_key(unsharded) and warm.fully_cached
 
     def test_session_campaign_honours_shard_size(self, tmp_path, monkeypatch):
-        from repro.api import ExecutionSpec, Session
+        from repro.api import Session
 
         grid = self._grid(self.SIZES)
-        unsharded = run_campaign(grid, workers=1)
+        unsharded = run_campaign(grid, execution=ExecutionSpec(workers=1))
         specs = [
             replace(spec, execution=ExecutionSpec(shard_size=self.SHARD_SIZE))
             for spec in grid
@@ -437,46 +481,70 @@ class TestMultiCapacityProfiling:
         assert (tmp_path / "shard-profile").is_dir()
 
 
-class TestTaskContext:
-    """Tasks fanned out with run_resilient get their context explicitly:
-    the serial caller's, or each pool worker's own for the cache dir."""
-
-    @pytest.fixture(autouse=True)
-    def _no_worker_context(self, monkeypatch):
-        monkeypatch.setattr(campaign_module, "_worker_context", None)
-        monkeypatch.setattr(campaign_module, "_worker_cache_dir", None)
+class TestMap:
+    """``PipelineContext.map`` runs ``task(context, item)`` in item
+    order: serially on the context itself, else on one context per
+    pool process, opened on the caller's cache root and storage."""
 
     def test_preserves_order_serial(self, tmp_path):
-        task = partial(_double_with_root, context=PipelineContext(tmp_path), cache_dir=None)
-        outcomes = run_resilient(task, [3, 1, 2], workers=1)
+        outcomes = PipelineContext(tmp_path).map(_double_with_root, [3, 1, 2])
         root = str(tmp_path)
         assert [o.value for o in outcomes] == [(6, root), (2, root), (4, root)]
 
     def test_preserves_order_parallel(self, tmp_path):
-        outcomes = run_resilient(
-            partial(_double_with_root, context=None, cache_dir=str(tmp_path)),
-            [3, 1, 2],
-            workers=2,
-            initializer=init_worker,
-            initargs=(str(tmp_path),),
+        outcomes = PipelineContext(tmp_path).map(
+            _double_with_root, [3, 1, 2], workers=2
         )
         root = str(tmp_path)
         assert [o.value for o in outcomes] == [(6, root), (2, root), (4, root)]
 
-    def test_worker_context_follows_cache_dir(self, tmp_path):
-        dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
-        first = task_context(None, dir_a)
-        assert task_context(None, dir_a) is first
-        assert str(first.cache_root) == dir_a
-        assert str(task_context(None, dir_b).cache_root) == dir_b
-        assert task_context(None, None).cache_root is None
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serial_run_uses_self(self, tmp_path, workers):
+        """One worker, or one item whatever the worker count, runs in
+        process on the context itself."""
+        context = PipelineContext(tmp_path)
+        items = [1, 2] if workers == 1 else [1]
+        outcomes = context.map(_context_of, items, workers=workers)
+        assert all(outcome.value is context for outcome in outcomes)
 
-    def test_handed_context_wins_serially(self, tmp_path):
-        handed = PipelineContext(tmp_path / "a")
-        assert task_context(handed, str(tmp_path / "b")) is handed
-        assert campaign_module._worker_context is None
+    def test_pool_workers_open_one_context_each(self, tmp_path, monkeypatch):
+        # Pool workers inherit the environment, so only the forwarded
+        # storage name can make them open sqlite here.
+        monkeypatch.setenv(STORAGE_ENV, "local")
+        context = PipelineContext(tmp_path, storage="sqlite")
+        outcomes = context.map(_worker_identity, range(6), workers=2)
+        contexts: dict[int, set[int]] = {}
+        for outcome in outcomes:
+            pid, context_id, root, storage = outcome.value
+            assert (root, storage) == (str(tmp_path), "sqlite")
+            contexts.setdefault(pid, set()).add(context_id)
+        assert os.getpid() not in contexts
+        assert all(len(ids) == 1 for ids in contexts.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_skip_yields_a_failed_outcome(self, workers):
+        outcomes = PipelineContext().map(
+            _fail_on_two, [1, 2, 3], workers=workers, on_error="skip"
+        )
+        assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
+        assert [o.value for o in outcomes] == [1, None, 3]
+        assert "ValueError: two" in outcomes[1].error
 
 
-def _double_with_root(x, context, cache_dir):
-    root = task_context(context, cache_dir).cache_root
+def _double_with_root(context, x):
+    root = context.cache_root
     return 2 * x, str(root) if root is not None else None
+
+
+def _context_of(context, _item):
+    return context
+
+
+def _worker_identity(context, _item):
+    return os.getpid(), id(context), str(context.cache_root), context.cache.storage_name
+
+
+def _fail_on_two(_context, x):
+    if x == 2:
+        raise ValueError("two")
+    return x

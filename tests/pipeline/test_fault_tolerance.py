@@ -22,8 +22,8 @@ from repro.api.report import (
     specs_from_report,
 )
 from repro.cache.geometry import CacheGeometry
-from repro.api import expand_grid
-from repro.pipeline import FAULTS_ENV, run_campaign, use_faults
+from repro.api import ExecutionSpec, expand_grid
+from repro.pipeline import FAULTS_ENV, PipelineContext, run_campaign, use_faults
 from repro.pipeline.campaign import fault_key
 from repro.pipeline.faults import _draw
 from repro.profiling.sharded import run_sharded_profile
@@ -74,21 +74,29 @@ ALL_SITE_PLAN = ",".join(
 class TestCampaignBitIdentity:
     def test_serial_faults_at_every_site(self, tmp_path):
         specs = tiny_grid()
-        clean = run_campaign(specs, cache_dir=tmp_path / "clean", workers=1)
+        clean = run_campaign(
+            specs, PipelineContext(tmp_path / "clean"), ExecutionSpec(workers=1)
+        )
         with use_faults(ALL_SITE_PLAN):
             faulted = run_campaign(
-                specs, cache_dir=tmp_path / "faulted", workers=1, retries=3
+                specs,
+                PipelineContext(tmp_path / "faulted"),
+                ExecutionSpec(workers=1, retries=3),
             )
         assert normalized_report(faulted) == normalized_report(clean)
         assert all(row.status == "ok" for row in faulted.rows)
 
     def test_parallel_worker_kills(self, tmp_path, monkeypatch):
         specs = tiny_grid()
-        clean = run_campaign(specs, cache_dir=tmp_path / "clean", workers=1)
+        clean = run_campaign(
+            specs, PipelineContext(tmp_path / "clean"), ExecutionSpec(workers=1)
+        )
         # Pool workers only see the plan through the environment.
         monkeypatch.setenv(FAULTS_ENV, "campaign.task:kill:p=1:count=1:seed=3")
         killed = run_campaign(
-            specs, cache_dir=tmp_path / "killed", workers=2, retries=3
+            specs,
+            PipelineContext(tmp_path / "killed"),
+            ExecutionSpec(workers=2, retries=3),
         )
         assert normalized_report(killed) == normalized_report(clean)
         assert all(row.attempts >= 2 for row in killed.rows)
@@ -96,8 +104,10 @@ class TestCampaignBitIdentity:
     def test_warm_replay_after_faulted_run_recomputes_nothing(self, tmp_path):
         specs = tiny_grid()
         with use_faults(ALL_SITE_PLAN):
-            run_campaign(specs, cache_dir=tmp_path, workers=1, retries=3)
-        warm = run_campaign(specs, cache_dir=tmp_path, workers=1)
+            run_campaign(
+                specs, PipelineContext(tmp_path), ExecutionSpec(workers=1, retries=3)
+            )
+        warm = run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=1))
         totals = warm.cache_totals()
         assert totals.get("stores", 0) == 0
         assert warm.fully_cached
@@ -116,7 +126,9 @@ class TestSkipPolicy:
         # count=99 outlasts the budget, so exactly one task fails for good.
         with use_faults(f"campaign.task:error:p={p}:count=99:seed=0"):
             result = run_campaign(
-                specs, cache_dir=tmp_path, workers=1, retries=1, on_error="skip"
+                specs,
+                PipelineContext(tmp_path),
+                ExecutionSpec(workers=1, retries=1, on_error="skip"),
             )
         failed = [row for row in result.rows if row.status == "failed"]
         ok = [row for row in result.rows if row.status == "ok"]
@@ -150,7 +162,9 @@ class TestSkipPolicy:
         p = self._split_p(specs, seed=0)
         with use_faults(f"campaign.task:error:p={p}:count=99:seed=0"):
             result = run_campaign(
-                specs, cache_dir=tmp_path, workers=1, on_error="skip"
+                specs,
+                PipelineContext(tmp_path),
+                ExecutionSpec(workers=1, on_error="skip"),
             )
         text = format_campaign(result)
         assert "FAILED" in text
@@ -275,14 +289,20 @@ def test_random_fault_plans_are_bit_identical(tmp_path_factory, site, kind, p, s
     invisible in the report, and the warm replay recomputes nothing."""
     specs = tiny_grid(benchmarks=("qurt",))
     scratch = tmp_path_factory.mktemp("fault-prop")
-    clean = run_campaign(specs, cache_dir=scratch / "clean", workers=1)
+    clean = run_campaign(
+        specs, PipelineContext(scratch / "clean"), ExecutionSpec(workers=1)
+    )
     plan = f"{site}:{kind}:p={p}:count={count}:seed={seed}"
     with use_faults(plan):
         faulted = run_campaign(
-            specs, cache_dir=scratch / "faulted", workers=1, retries=3
+            specs,
+            PipelineContext(scratch / "faulted"),
+            ExecutionSpec(workers=1, retries=3),
         )
     assert normalized_report(faulted) == normalized_report(clean)
-    warm = run_campaign(specs, cache_dir=scratch / "faulted", workers=1)
+    warm = run_campaign(
+        specs, PipelineContext(scratch / "faulted"), ExecutionSpec(workers=1)
+    )
     assert warm.cache_totals().get("stores", 0) == 0
 
 

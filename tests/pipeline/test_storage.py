@@ -234,10 +234,10 @@ class TestSqliteConcurrency:
 
 class TestPipelineOverSqlite:
     def test_campaign_workers_join_sqlite_cache(self, tmp_path):
-        """Worker processes auto-detect the sqlite root (no flag) and a
-        warm replay through them recomputes nothing."""
-        from repro.api import expand_grid
-        from repro.pipeline import run_campaign
+        """Pool workers open the caller's sqlite root (auto-detected, no
+        flag) and a warm replay through them recomputes nothing."""
+        from repro.api import ExecutionSpec, expand_grid
+        from repro.pipeline import PipelineContext, run_campaign
 
         ArtifactCache(tmp_path, storage="sqlite").close()  # create the index
         specs = expand_grid(
@@ -249,8 +249,8 @@ class TestPipelineOverSqlite:
                 "scale": "tiny",
             }
         )
-        cold = run_campaign(specs, cache_dir=tmp_path, workers=2)
-        warm = run_campaign(specs, cache_dir=tmp_path, workers=2)
+        cold = run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=2))
+        warm = run_campaign(specs, PipelineContext(tmp_path), ExecutionSpec(workers=2))
         assert cold.cache_totals()["stores"] > 0
         assert warm.fully_cached
         assert [(r.spec, r.optimized_misses) for r in warm.rows] == [
