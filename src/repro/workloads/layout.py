@@ -16,7 +16,7 @@ __all__ = ["Region", "MemoryLayout"]
 class Region:
     """A contiguous allocation; produces element addresses."""
 
-    __slots__ = ("name", "base", "size", "element_size")
+    __slots__ = ("name", "base", "size", "element_size", "num_elements")
 
     def __init__(self, name: str, base: int, size: int, element_size: int = 4):
         if base < 0 or size <= 0:
@@ -27,14 +27,12 @@ class Region:
         self.base = base
         self.size = size
         self.element_size = element_size
+        # Stored, not derived: ``addr`` checks it on every kernel access.
+        self.num_elements = size // element_size
 
     @property
     def end(self) -> int:
         return self.base + self.size
-
-    @property
-    def num_elements(self) -> int:
-        return self.size // self.element_size
 
     def addr(self, index: int) -> int:
         """Byte address of element ``index`` (bounds-checked)."""

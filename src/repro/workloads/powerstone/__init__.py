@@ -5,6 +5,8 @@ MediaBench/MiBench versions with smaller inputs; we reuse those kernels
 one scale down, renamed into this suite.
 """
 
+from dataclasses import replace
+
 from repro.workloads.cpu import WorkloadRun
 from repro.workloads.mibench import adpcm as _adpcm
 from repro.workloads.mibench import jpeg as _jpeg
@@ -22,9 +24,9 @@ _SMALLER = {"tiny": "tiny", "small": "tiny", "default": "small", "large": "defau
 
 
 def _rename(run: WorkloadRun, name: str) -> WorkloadRun:
+    # The instruction trace is built later, under ``run.name``.
     run.name = name
-    object.__setattr__(run.data, "name", name)
-    object.__setattr__(run.instructions, "name", name)
+    run.data = replace(run.data, name=name)
     return run
 
 

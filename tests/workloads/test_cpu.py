@@ -17,14 +17,6 @@ class TestTraceBuilder:
         assert trace.uops == 5
         assert trace.kind == "data"
 
-    def test_access_array(self):
-        import numpy as np
-
-        builder = TraceBuilder("t")
-        builder.access_array(np.array([4, 8], dtype=np.uint64), uops_per_access=2)
-        assert builder.data_trace().addresses.tolist() == [4, 8]
-        assert builder.uops == 4
-
     def test_instruction_trace(self):
         builder = TraceBuilder("t")
         builder.fetch_block(0x1000, 3)
@@ -34,6 +26,22 @@ class TestTraceBuilder:
 
     def test_empty_instruction_trace(self):
         assert len(TraceBuilder("t").instruction_trace()) == 0
+
+    def test_empty_builder(self):
+        run = WorkloadRun(TraceBuilder("e"))
+        assert len(run.data) == len(run.instructions) == 0
+        assert run.uops == run.data.uops == run.instructions.uops == 0
+        assert "ifetch=0 refs" in repr(run)
+
+    def test_run_below_four_times_the_words_before_it(self):
+        # The second run's base (0x10) is below 4 x the 2000 words fetched
+        # before it, so its offset wraps in uint64 and must wrap back.
+        builder = TraceBuilder("t")
+        builder.fetch_block(0x1000, 2000)
+        builder.fetch_block(0x10, 2)
+        addresses = builder.instruction_trace().addresses
+        assert addresses[:2000].tolist() == list(range(0x1000, 0x1000 + 8000, 4))
+        assert addresses[2000:].tolist() == [0x10, 0x14]
 
 
 class TestCodeImage:
@@ -63,6 +71,21 @@ class TestCodeImage:
         assert len(trace) == 10
         assert builder.uops == 10
 
+    def test_run_zero_times(self):
+        layout = MemoryLayout()
+        code = CodeImage(layout)
+        code.block("loop", 5)
+        code.block("tail", 2)
+        builder = TraceBuilder("t")
+        code.run(builder, "loop", times=0)
+        assert builder.uops == 0
+        assert len(builder.instruction_trace()) == 0
+        code.run(builder, "tail")
+        code.run(builder, "loop", times=0)
+        tail = code.address_of("tail")
+        assert builder.instruction_trace().addresses.tolist() == [tail, tail + 4]
+        assert builder.uops == 2
+
     def test_zero_instructions_rejected(self):
         with pytest.raises(ValueError):
             CodeImage(MemoryLayout()).block("empty", 0)
@@ -80,3 +103,17 @@ class TestWorkloadRun:
             run.trace("unified")
         assert run.parameters == {"param": 1}
         assert "refs" in repr(run)
+
+    def test_instructions_built_on_first_access(self):
+        builder = TraceBuilder("w")
+        builder.load(4)
+        builder.fetch_block(0x1000, 3, times=2)
+        run = WorkloadRun(builder)
+        assert "ifetch=6 refs" in repr(run)
+        run.name = "renamed"
+        assert "instructions" not in vars(run)
+        trace = run.instructions
+        assert trace is run.trace("instruction")
+        assert trace.name == "renamed"
+        assert trace.addresses.tolist() == [0x1000, 0x1004, 0x1008] * 2
+        assert trace.uops == 6
