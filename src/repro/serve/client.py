@@ -5,12 +5,19 @@
 document.  :meth:`ServeClient.run` is the one-call path — submit, wait,
 return the finished job (report included) — used by
 ``examples/serve_client.py`` and the CI smoke check.
+
+Each thread of a client keeps one persistent connection to the server,
+so a submit and its polls share one TCP connection and a client stays
+safe to share between threads.  A request that finds its reused
+connection closed by the server (which closes idle ones) before any
+response byte arrived is sent once more on a new connection.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any, Mapping
 
@@ -30,16 +37,53 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """One server endpoint; connections are per-request (the server
-    answers ``Connection: close``), so a client is cheap and
-    thread-safe to share."""
+    """One server endpoint, one persistent connection per calling thread
+    (so a client is thread-safe to share)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8738, timeout: float = 60.0):
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
 
     # -- transport ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request opens
+        a new one)."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
+
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict[str, str]
+    ) -> tuple[int, bytes]:
+        """Status and body of one request on the thread's connection."""
+        conn = getattr(self._local, "conn", None)
+        reused = conn is not None
+        if not reused:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        try:
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                # Closed by the server while idle, before any response
+                # byte: the request was never read, so it is safe to resend.
+                if not reused:
+                    raise
+                self.close()
+                return self._exchange(method, path, body, headers)
+            raw = response.read()
+        except BaseException:
+            self.close()
+            raise
+        if response.will_close:
+            self.close()
+        return response.status, raw
 
     def _request(
         self,
@@ -48,17 +92,11 @@ class ServeClient:
         body: bytes | None = None,
         content_type: str = "application/json",
     ) -> Any:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            headers = {"Content-Type": content_type} if body is not None else {}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        finally:
-            conn.close()
+        headers = {"Content-Type": content_type} if body is not None else {}
+        status, raw = self._exchange(method, path, body, headers)
         payload = json.loads(raw) if raw else None
-        if response.status >= 400:
-            raise ServeError(response.status, payload)
+        if status >= 400:
+            raise ServeError(status, payload)
         return payload
 
     # -- API ---------------------------------------------------------------

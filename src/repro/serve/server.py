@@ -2,9 +2,9 @@
 
 A :class:`ReproServer` is an :func:`asyncio.start_server`-based
 HTTP/1.1 endpoint (stdlib only — the protocol layer is hand-rolled,
-~80 lines, because the service speaks exactly one dialect: small JSON
-bodies, ``Connection: close``) over one shared
-:class:`~repro.api.session.Session`:
+~150 lines, because the service speaks exactly one dialect: small JSON
+bodies framed by ``Content-Length`` on persistent connections) over one
+shared :class:`~repro.api.session.Session`:
 
 * ``POST /v1/jobs`` — submit an :class:`~repro.api.spec.ExperimentSpec`
   as JSON (the ``to_dict`` document, optionally wrapped as
@@ -28,6 +28,13 @@ Jobs run on a bounded thread pool through
 compose with the service exactly as they do with the CLI.  The pool is
 adopted into the session, whose :meth:`~repro.api.session.Session.close`
 tears both down deterministically.
+
+Connections persist as RFC 9112 §9.3 describes: an HTTP/1.1 request
+keeps its connection open unless it sends ``Connection: close``, an
+HTTP/1.0 one closes it unless it sends ``keep-alive``, and pipelined
+requests are answered in order.  A connection closes without a response
+when it is idle for ``_READ_TIMEOUT_S`` or its client closes it between
+requests, and after a refused request (broken framing, 408) or a 500.
 """
 
 from __future__ import annotations
@@ -71,12 +78,27 @@ _MAX_LINE = 8192
 #: which can destroy the error response before the client reads it.
 _LINGER_BYTES = 1 << 20
 _LINGER_S = 1.0
-#: Seconds a client has to send its whole request (line, headers and
-#: body) before it is answered 408 and the connection closes.
+#: Seconds a connection may stay idle between requests before it closes
+#: silently, and seconds a client has to send the rest of a request once
+#: its first byte arrived (line, headers and body) before it is answered
+#: 408 and the connection closes.
 _READ_TIMEOUT_S = 10.0
 #: A header field name (an RFC 9110 token).
 _FIELD_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 _TOML_TYPES = ("application/toml", "text/toml", "text/x-toml")
+
+
+async def _within(seconds: float, awaitable):
+    """``await awaitable``, raising :class:`asyncio.TimeoutError` after
+    ``seconds``.  Where :func:`asyncio.timeout` exists (3.11+) it runs in
+    the calling task, not in the extra task Python 3.11's ``wait_for``
+    creates: that task costs about three more event-loop turns per call,
+    and each turn's ``select`` releases the GIL to a running job's thread,
+    which may keep it for the 5 ms switch interval."""
+    if not hasattr(asyncio, "timeout"):
+        return await asyncio.wait_for(awaitable, seconds)
+    async with asyncio.timeout(seconds):
+        return await awaitable
 
 
 class _HttpError(Exception):
@@ -197,21 +219,26 @@ class ReproServer:
     # -- HTTP plumbing -----------------------------------------------------
 
     @staticmethod
-    async def _read_line(reader: asyncio.StreamReader, what: str) -> str:
+    async def _read_line(
+        reader: asyncio.StreamReader, what: str, start: bytes = b""
+    ) -> str:
+        """The next line; ``start`` is its first byte if already read."""
         try:
-            line = await reader.readline()
+            line = start if start == b"\n" else start + await reader.readline()
         except ValueError:  # longer than the stream's buffer
             line = None
         if line is None or len(line) > _MAX_LINE:
             raise _HttpError(431, f"{what} exceeds {_MAX_LINE} bytes")
         return line.decode("latin-1")
 
-    async def _read_request(self, reader: asyncio.StreamReader):
-        request_line = (await self._read_line(reader, "request line")).strip()
+    async def _read_request(self, reader: asyncio.StreamReader, first: bytes):
+        """The request whose first byte (already read) is ``first``, and
+        whether its connection stays open after the response."""
+        request_line = (await self._read_line(reader, "request line", first)).strip()
         if not request_line:
             raise _HttpError(400, "empty request")
         try:
-            method, target, _version = request_line.split(None, 2)
+            method, target, version = request_line.split(None, 2)
         except ValueError:
             raise _HttpError(400, f"malformed request line: {request_line!r}")
         headers: dict[str, str] = {}
@@ -226,7 +253,13 @@ class ReproServer:
             name, colon, value = line.partition(":")
             if not colon or not _FIELD_NAME.fullmatch(name):
                 raise _HttpError(400, f"malformed header line: {line.rstrip()!r}")
-            headers[name.lower()] = value.strip()
+            name, value = name.lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _HttpError(400, "conflicting Content-Length headers")
+            headers[name] = value
+        # A body framed any other way would be read as the next request.
+        if "transfer-encoding" in headers:
+            raise _HttpError(400, "Transfer-Encoding is not supported; send Content-Length")
         raw_length = headers.get("content-length", "0") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise _HttpError(400, f"malformed Content-Length: {raw_length!r}")
@@ -234,7 +267,11 @@ class ReproServer:
         if length > _MAX_BODY:
             raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), target.split("?", 1)[0], headers, body
+        options = {o.strip().lower() for o in headers.get("connection", "").split(",")}
+        keep_alive = "close" not in options and (
+            version == "HTTP/1.1" or "keep-alive" in options
+        )
+        return (method.upper(), target.split("?", 1)[0], headers, body), keep_alive
 
     @staticmethod
     async def _linger(reader: asyncio.StreamReader) -> None:
@@ -254,22 +291,27 @@ class ReproServer:
             pass
 
     @staticmethod
-    def _response(status: int, payload: Any) -> bytes:
+    def _response(status: int, payload: Any, keep_alive: bool) -> bytes:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         )
         return head.encode("latin-1") + body
 
-    async def _respond(self, reader, writer) -> None:
-        refused = False
+    async def _respond(self, reader, writer) -> bool:
+        """Answer the connection's next request; True to await another."""
+        try:
+            first = await _within(_READ_TIMEOUT_S, reader.readexactly(1))
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError):
+            return False  # idle or closed between requests: nothing owed
+        refused = keep_alive = False
         try:
             try:
-                request = await asyncio.wait_for(
-                    self._read_request(reader), _READ_TIMEOUT_S
+                request, keep_alive = await _within(
+                    _READ_TIMEOUT_S, self._read_request(reader, first)
                 )
             except asyncio.TimeoutError:
                 raise _HttpError(
@@ -282,17 +324,18 @@ class ReproServer:
         except _HttpError as error:
             status, payload = error.status, {"error": error.message}
         except (asyncio.IncompleteReadError, ConnectionError):
-            return
+            return False
         except Exception as error:  # never let one request kill the loop
-            status = 500
+            status, keep_alive = 500, False
             payload = {"error": f"{type(error).__name__}: {error}"}
-        writer.write(self._response(status, payload))
+        writer.write(self._response(status, payload, keep_alive))
         await writer.drain()
         if refused:
             await self._linger(reader)
+        return keep_alive
 
     async def _handle(self, reader, writer) -> None:
-        """One connection: read a request, answer it, close.
+        """One connection: answer its requests in order, then close.
 
         A client that went away, and a connection :meth:`stop` cancels,
         close quietly: a handler that ends cancelled would make asyncio
@@ -301,7 +344,8 @@ class ReproServer:
         task = asyncio.current_task()
         self._connections.add(task)
         try:
-            await self._respond(reader, writer)
+            while await self._respond(reader, writer):
+                pass
             writer.close()
             await writer.wait_closed()
         except (asyncio.CancelledError, ConnectionError):

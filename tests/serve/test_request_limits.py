@@ -4,7 +4,10 @@ The server caps the request line and each header line at ``_MAX_LINE``
 bytes, a request at ``_MAX_HEADERS`` header fields and its reading at
 ``_READ_TIMEOUT_S`` seconds.  Over-limit requests get 431, malformed
 framing gets 400, a stalled request 408, never a 500, and the server
-keeps serving.  Stopping it with a connection still open logs nothing.
+keeps serving.  A body framed other than by one ``Content-Length``
+(``Transfer-Encoding``, conflicting lengths) is refused, so it cannot
+be read as a next request on a kept connection.  Stopping the server
+with a connection still open, mid-read or idle, logs nothing.
 """
 
 import logging
@@ -87,6 +90,32 @@ class TestMalformedFraming:
         assert exchange(client, request)[0] == 400
         assert client.healthz() == {"status": "ok"}
 
+    def test_transfer_encoding_400_and_close(self, client):
+        # Were the chunked body ignored, its bytes would be answered as
+        # a second, smuggled request on the kept connection.
+        smuggled = b"GET /v1/stats HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        request = (
+            b"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(smuggled) + smuggled + b"\r\n0\r\n\r\n"
+        )
+        with socket.create_connection((client.host, client.port), timeout=10) as conn:
+            conn.sendall(request)
+            response = read_all(conn)  # the server closes; no EOF sent
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close\r\n" in response
+        assert b"Transfer-Encoding" in response
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert client.healthz() == {"status": "ok"}
+
+    def test_conflicting_content_lengths_400(self, client):
+        status, body = exchange(client, get(["Content-Length: 0", "Content-Length: 5"]))
+        assert status == 400
+        assert b"conflicting Content-Length" in body
+
+    def test_repeated_equal_content_length_is_served(self, client):
+        assert exchange(client, get(["Content-Length: 0", "Content-Length: 0"]))[0] == 200
+
 
 def read_all(conn: socket.socket) -> bytes:
     response = b""
@@ -113,6 +142,26 @@ class TestReadTimeout:
         assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
         assert b"within 0.2 s" in response
         assert client.healthz() == {"status": "ok"}
+
+
+def read_response(stream) -> tuple[int, dict[str, str], bytes]:
+    """One response from ``stream`` (a socket's binary file), leaving
+    the connection open for the next."""
+    status_line = stream.readline()
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+def keep_idle(conn: socket.socket) -> None:
+    """One full exchange on ``conn``, which then stays open and idle."""
+    conn.sendall(get([]))
+    with conn.makefile("rb") as stream:
+        status, headers, _ = read_response(stream)
+    assert status == 200 and headers["connection"] == "keep-alive"
 
 
 class TestQuietShutdown:
@@ -148,6 +197,43 @@ class TestQuietShutdown:
                 assert probe.healthz() == {"status": "ok"}
                 proc.send_signal(signal.SIGTERM)
                 _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0
+        assert stderr == ""
+
+    def test_stop_with_an_idle_kept_connection(self, tmp_path, caplog):
+        _, handle, client = start_server(tmp_path, workers=1)
+        with socket.create_connection((client.host, client.port), timeout=10) as conn:
+            keep_idle(conn)
+            assert client.healthz() == {"status": "ok"}
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                handle.stop()
+            assert read_all(conn) == b""  # closed with nothing sent
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_sigterm_with_an_idle_kept_connection(self, tmp_path):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[2] / "src"), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", str(tmp_path / "cache")],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            announce = proc.stdout.readline()
+            port = int(announce.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+                keep_idle(conn)
+                proc.send_signal(signal.SIGTERM)
+                _, stderr = proc.communicate(timeout=60)
+                assert read_all(conn) == b""
         finally:
             proc.kill()
             proc.wait()
