@@ -38,12 +38,11 @@ from repro.names import (
     FAMILY_CHOICES,
     SCALES,
     STRATEGY_CHOICES,
-    TRACE_FORMATS,
     TRACE_KINDS,
     WORKLOADS,
-    infer_trace_format,
     parse_family,
     parse_strategy,
+    trace_format,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -142,22 +141,10 @@ class TraceSpec:
                     "to file-backed traces",
                     field="trace.scale" if self.scale != "small" else "trace.seed",
                 )
-            fmt = self.format
-            if fmt is None:
-                fmt = infer_trace_format(self.path)
-                if fmt is None:
-                    raise SpecError(
-                        f"cannot infer the trace format from {self.path!r}; "
-                        f"set trace.format to one of {', '.join(TRACE_FORMATS)}",
-                        field="trace.format",
-                    )
-                object.__setattr__(self, "format", fmt)
-            if fmt not in TRACE_FORMATS:
-                raise SpecError(
-                    f"unknown trace format {fmt!r}; choose from "
-                    f"{', '.join(TRACE_FORMATS)}",
-                    field="trace.format",
-                )
+            try:
+                object.__setattr__(self, "format", trace_format(self.path, self.format))
+            except ValueError as error:
+                raise SpecError(str(error), field="trace.format") from None
         else:
             if self.format is not None:
                 raise SpecError(
@@ -206,10 +193,10 @@ class TraceSpec:
     def resolve(self) -> "Trace":
         """The actual trace (workload runs are cached per identity).
 
-        File-backed specs load through the format's reader —
-        memory-mapped for ``bin``, the streaming-tested loaders
-        otherwise, with ``kind`` selecting references for the
-        dinero/lackey filters.
+        File-backed specs load through :func:`repro.trace.load_trace`:
+        ``kind`` selects dinero/lackey references and overrides a
+        ``.bin`` sidecar.  An unreadable or malformed file is a
+        :class:`SpecError` on ``trace.path``.
         """
         if self.path is None:
             from repro.workloads.registry import get_trace
@@ -217,23 +204,14 @@ class TraceSpec:
             return get_trace(
                 self.suite, self.benchmark, self.kind, self.scale, self.seed
             )
-        from repro.trace.formats import load_dinero, load_lackey
-        from repro.trace.io import load_trace, load_trace_text
-        from repro.trace.trace import Trace
+        from repro.trace.formats import TraceFileError
+        from repro.trace.io import load_trace
 
         try:
-            if self.format == "bin":
-                return Trace.open_mmap(self.path, kind=self.kind)
-            if self.format == "npz":
-                return load_trace(self.path)
-            if self.format == "text":
-                return load_trace_text(self.path)
-            if self.format == "dinero":
-                return load_dinero(self.path, kinds=self.kind)
-            return load_lackey(self.path, kinds=self.kind)
-        except OSError as error:
+            return load_trace(self.path, self.format, self.kind)
+        except (OSError, TraceFileError) as error:
             raise SpecError(
-                f"cannot read trace file {self.path}: {error}", field="trace.path"
+                f"cannot read trace file: {error}", field="trace.path"
             ) from None
 
     def to_dict(self) -> dict[str, Any]:

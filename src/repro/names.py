@@ -28,6 +28,7 @@ __all__ = [
     "WORKLOADS",
     "family_name",
     "infer_trace_format",
+    "trace_format",
     "parse_family",
     "parse_strategy",
     "strategy_identity",
@@ -93,6 +94,22 @@ _SUFFIX_FORMATS = {
 def infer_trace_format(path: str | Path) -> str | None:
     """The trace format a file suffix denotes, or ``None`` if unknown."""
     return _SUFFIX_FORMATS.get(Path(path).suffix.lower())
+
+
+def trace_format(path: str | Path, format: str | None = None) -> str:
+    """``format``, else the one the suffix of ``path`` denotes; raises
+    ``ValueError`` naming the choices when neither is a known format."""
+    choices = ", ".join(TRACE_FORMATS)
+    if format is None:
+        format = infer_trace_format(path)
+        if format is None:
+            raise ValueError(
+                f"cannot infer the trace format from {str(path)!r}; "
+                f"name one of {choices}"
+            )
+    if format not in TRACE_FORMATS:
+        raise ValueError(f"unknown trace format {format!r}; choose from {choices}")
+    return format
 
 
 # -- function families --------------------------------------------------------

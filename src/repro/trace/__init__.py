@@ -1,4 +1,9 @@
-"""Address-trace substrate: the Trace type, synthetic generators, I/O."""
+"""Address-trace substrate: the Trace type, synthetic generators, I/O.
+
+:func:`load_trace` is the one loader for every trace-file format; the
+``iter_*`` readers of :mod:`repro.trace.formats` are the parsers it and
+:func:`convert_to_bin` stream through.
+"""
 
 from repro._lazy import lazy_exports
 
@@ -6,18 +11,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.trace.formats": (
-            "load_dinero",
-            "load_lackey",
+            "TraceFileError",
             "iter_dinero",
             "iter_lackey",
             "iter_trace_text",
         ),
-        "repro.trace.io": (
-            "save_trace",
-            "load_trace",
-            "save_trace_text",
-            "load_trace_text",
-        ),
+        "repro.trace.io": ("load_trace", "save_trace", "save_trace_text"),
         "repro.trace.stats": ("TraceSummary", "summarize"),
         "repro.trace.stream": (
             "BinTraceWriter",

@@ -1,4 +1,9 @@
-"""Trace persistence: compressed npz and a plain-text interchange format."""
+"""Trace persistence: the one loader and the npz and hex-text writers.
+
+:func:`load_trace` reads a trace file of any format: ``.bin``
+memory-mapped, every other format through its one reader in
+:mod:`repro.trace.formats`.
+"""
 
 from __future__ import annotations
 
@@ -7,19 +12,20 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.names import trace_format
+from repro.trace.formats import READERS, TraceFileError, read_comment
 from repro.trace.trace import Trace
 
 __all__ = [
     "save_trace",
     "load_trace",
     "save_trace_text",
-    "load_trace_text",
     "save_trace_text_reference",
     "load_trace_text_reference",
 ]
 
-#: Addresses formatted/parsed per vectorized batch; bounds the transient
-#: (lines x 17)-byte grids so text I/O works on memory-mapped traces.
+#: Addresses formatted per vectorized batch; bounds the transient
+#: (lines x 17)-byte grids so text output works on memory-mapped traces.
 _TEXT_CHUNK = 1 << 20
 
 _HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
@@ -40,17 +46,34 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     )
 
 
-def load_trace(path: str | Path) -> Trace:
-    """Inverse of :func:`save_trace`."""
-    with np.load(Path(path)) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        return Trace(
-            data["addresses"],
-            uops=int(header["uops"]),
-            name=header["name"],
-            kind=header["kind"],
-            metadata=header["metadata"],
-        )
+def load_trace(
+    path: str | Path, format: str | None = None, kind: str | None = None
+) -> Trace:
+    """Load a trace file; ``format`` defaults to the suffix's.
+
+    ``.bin`` opens memory-mapped, with ``kind`` overriding its sidecar.
+    The other formats concatenate their reader's batches: ``kind``
+    (default ``"data"``) selects the references of dinero and lackey
+    files, while npz and text files name their own kind.  Malformed
+    content raises :class:`~repro.trace.formats.TraceFileError`.
+    """
+    format = trace_format(path, format)
+    if format == "bin":
+        try:
+            return Trace.open_mmap(path, kind=kind)
+        except (ValueError, TypeError, AttributeError) as error:
+            raise TraceFileError(path, str(error).removeprefix(f"{path}: ")) from None
+    header: dict = {}
+    batches = list(READERS[format](path, kind or "data", header=header))
+    addresses = np.concatenate([np.empty(0, dtype=np.uint64), *batches])
+    addresses.setflags(write=False)  # already private: spare Trace's copy
+    return Trace(
+        addresses,
+        uops=header.get("uops", 0),
+        name=header.get("name", Path(path).stem),
+        kind=header.get("kind", "data"),
+        metadata=header.get("metadata", {}),
+    )
 
 
 def _format_hex_lines(addresses: np.ndarray) -> bytes:
@@ -87,84 +110,6 @@ def save_trace_text(trace: Trace, path: str | Path) -> None:
             fh.write(_format_hex_lines(trace.addresses[start : start + _TEXT_CHUNK]))
 
 
-def parse_hex_tokens(tokens: np.ndarray) -> np.ndarray:
-    """Vectorized ``int(token, 16)`` over an array of hex strings.
-
-    Views the fixed-width unicode storage as UCS-4 code points (NUL
-    right-padding marks each token's end), maps digit characters to
-    values, and combines them with per-row shifts — no Python loop.
-    """
-    tokens = np.ascontiguousarray(tokens)
-    if tokens.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    prefixed = np.char.startswith(tokens, "0x") | np.char.startswith(tokens, "0X")
-    if prefixed.any():
-        # int(token, 16) accepts an 0x prefix; strip it (only ever at
-        # position 0 — 'x' is not a hex digit) and keep going.
-        tokens = tokens.copy()
-        tokens[prefixed] = [str(t)[2:] for t in tokens[prefixed]]
-        tokens = np.ascontiguousarray(tokens)
-    width = tokens.dtype.itemsize // 4
-    codes = tokens.view(np.uint32).reshape(tokens.size, width)
-    in_token = codes != 0
-    digits = np.full(codes.shape, -1, dtype=np.int64)
-    for lo, hi, base in ((48, 57, 0), (97, 102, 10), (65, 70, 10)):
-        picked = (codes >= lo) & (codes <= hi)
-        digits[picked] = codes[picked].astype(np.int64) - lo + base
-    bad = (in_token & (digits < 0)).any(axis=1) | ~in_token[:, 0]
-    if bad.any():
-        raise ValueError(
-            f"invalid hex literal {str(tokens[int(np.argmax(bad))])!r}"
-        )
-    lengths = in_token.sum(axis=1)
-    if int(lengths.max()) > 16:
-        # A literal over 16 digits still fits when the extra digits are
-        # leading zeros (int(token, 16) accepts them).
-        stripped = np.char.lstrip(tokens, "0")
-        wide = np.char.str_len(stripped) > 16
-        if wide.any():
-            raise ValueError(
-                f"hex literal {str(tokens[int(np.argmax(wide))])!r} "
-                "does not fit in 64 bits"
-            )
-        return parse_hex_tokens(np.where(np.char.str_len(stripped) > 0, stripped, "0"))
-    shifts = (lengths[:, None] - 1 - np.arange(width, dtype=np.int64)) * 4
-    terms = np.where(in_token, digits, 0).astype(np.uint64) << np.where(
-        in_token, shifts, 0
-    ).astype(np.uint64)
-    return terms.sum(axis=1, dtype=np.uint64)
-
-
-def load_trace_text(path: str | Path) -> Trace:
-    """Inverse of :func:`save_trace_text`.
-
-    Splits the file into a line array once and parses every address
-    with :func:`parse_hex_tokens`; identical results to
-    :func:`load_trace_text_reference` (property-tested).
-    """
-    name, kind, uops = "trace", "data", 0
-    text = Path(path).read_text()
-    lines = np.array(text.splitlines(), dtype=str)
-    if lines.size:
-        lines = np.char.strip(lines)
-        comments = np.char.startswith(lines, "#")
-        for line in lines[comments]:
-            key, __, value = str(line)[1:].partition(":")
-            key = key.strip()
-            value = value.strip()
-            if key == "name":
-                name = value
-            elif key == "kind":
-                kind = value
-            elif key == "uops":
-                uops = int(value)
-        tokens = lines[~comments & (np.char.str_len(lines) > 0)]
-        addresses = parse_hex_tokens(tokens)
-    else:
-        addresses = np.empty(0, dtype=np.uint64)
-    return Trace(addresses, uops=uops, name=name, kind=kind)
-
-
 def save_trace_text_reference(trace: Trace, path: str | Path) -> None:
     """Per-line loop writer, kept as the oracle for
     :func:`save_trace_text`."""
@@ -177,25 +122,20 @@ def save_trace_text_reference(trace: Trace, path: str | Path) -> None:
 
 
 def load_trace_text_reference(path: str | Path) -> Trace:
-    """Per-line loop reader, kept as the oracle for
-    :func:`load_trace_text`."""
-    name, kind, uops = "trace", "data", 0
+    """Per-line loop reader, kept as the oracle for the hex-text reader
+    :func:`repro.trace.formats.iter_trace_text`."""
+    header: dict = {}
     addresses: list[int] = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                key, __, value = line[1:].partition(":")
-                key = key.strip()
-                value = value.strip()
-                if key == "name":
-                    name = value
-                elif key == "kind":
-                    kind = value
-                elif key == "uops":
-                    uops = int(value)
-                continue
-            addresses.append(int(line, 16))
-    return Trace(np.array(addresses, dtype=np.uint64), uops=uops, name=name, kind=kind)
+                read_comment(line, header)
+            elif line:
+                addresses.append(int(line, 16))
+    return Trace(
+        np.array(addresses, dtype=np.uint64),
+        uops=header.get("uops", 0),
+        name=header.get("name", Path(path).stem),
+        kind=header.get("kind", "data"),
+    )

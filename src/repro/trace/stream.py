@@ -10,21 +10,23 @@ digest, the sharded profiler and the in-memory kernels all agree bit
 for bit.  Execution metadata (``uops``, ``name``, ``kind``, free-form
 provenance) lives in a ``<path>.meta.json`` sidecar.
 
-:func:`convert_to_bin` turns the existing interchange formats (dinero,
-lackey, hex text, npz) into ``.bin`` through the streaming readers in
-:mod:`repro.trace.formats`, holding one batch of lines in memory at a
-time — a 100 GB Lackey log converts without ever loading it.
+:func:`convert_to_bin` streams the other formats through their readers
+(:mod:`repro.trace.formats`) one batch at a time, so a 100 GB Lackey log
+converts without ever loading it; a failed write leaves the destination
+as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro.names import TRACE_FORMATS, infer_trace_format
+from repro.names import TRACE_FORMATS, infer_trace_format, trace_format
+from repro.trace.formats import _BATCH_LINES, READERS
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -46,10 +48,11 @@ def _meta_path(path: str | Path) -> Path:
 class BinTraceWriter:
     """Incrementally write a ``.bin`` trace plus its metadata sidecar.
 
-    Append any number of address batches (``writer.append(chunk)``),
-    then :meth:`close` — or use it as a context manager.  Peak memory
-    is one batch; the trace on disk can be arbitrarily larger.  ``uops``
-    defaults to the reference count, matching :class:`Trace`.
+    Append any number of address batches (``writer.append(chunk)``) to a
+    ``.partial`` sibling, then :meth:`close` moves both files into
+    place; as a context manager it discards the partial file when the
+    block raises.  Peak memory is one batch.  ``uops`` defaults to the
+    reference count, matching :class:`Trace`.
     """
 
     def __init__(
@@ -64,7 +67,8 @@ class BinTraceWriter:
         self.kind = kind
         self.metadata = dict(metadata) if metadata else {}
         self.references = 0
-        self._fh = open(self.path, "wb")
+        self._partial = self.path.with_name(self.path.name + ".partial")
+        self._fh = open(self._partial, "wb")
 
     def append(self, addresses: np.ndarray) -> None:
         """Write a batch of byte addresses (any integer array)."""
@@ -73,9 +77,14 @@ class BinTraceWriter:
         self.references += len(chunk)
 
     def close(self, uops: int = 0) -> Trace:
-        """Finish the file, write the sidecar, reopen memory-mapped."""
+        """Finish the file, write the sidecar, reopen memory-mapped.
+
+        Closing again rewrites only the sidecar.
+        """
+        finishing = not self._fh.closed
         self._fh.close()
-        _meta_path(self.path).write_text(
+        sidecar = _meta_path(self._partial)
+        sidecar.write_text(
             json.dumps(
                 {
                     "uops": int(uops) if uops else self.references,
@@ -87,26 +96,30 @@ class BinTraceWriter:
             )
             + "\n"
         )
+        os.replace(sidecar, _meta_path(self.path))
+        if finishing:
+            os.replace(self._partial, self.path)
         return Trace.open_mmap(self.path)
 
     def __enter__(self) -> "BinTraceWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
+        if exc_type is not None:
             self._fh.close()
+            self._partial.unlink(missing_ok=True)
+        elif not self._fh.closed:
+            self.close()
 
 
 def save_trace_bin(trace: Trace, path: str | Path) -> None:
     """Save a trace as raw ``.bin`` plus sidecar, in bounded chunks."""
-    writer = BinTraceWriter(
+    with BinTraceWriter(
         path, name=trace.name, kind=trace.kind, metadata=trace.metadata
-    )
-    for start in range(0, len(trace), _BIN_CHUNK):
-        writer.append(trace.addresses[start : start + _BIN_CHUNK])
-    writer.close(uops=trace.uops)
+    ) as writer:
+        for start in range(0, len(trace), _BIN_CHUNK):
+            writer.append(trace.addresses[start : start + _BIN_CHUNK])
+        writer.close(uops=trace.uops)
 
 
 def convert_to_bin(
@@ -115,67 +128,23 @@ def convert_to_bin(
     format: str | None = None,
     kinds: str = "data",
     name: str | None = None,
-    batch_lines: int | None = None,
+    batch_lines: int = _BATCH_LINES,
 ) -> Trace:
-    """Convert any supported trace file to ``.bin``; return it mapped.
+    """Convert any other trace file to ``.bin``; return it mapped.
 
-    ``format`` defaults to the suffix of ``src``
-    (:func:`infer_trace_format`).  The dinero/lackey/text formats
-    stream through their batch iterators so conversion runs in bounded
-    memory; ``npz`` decompresses in memory (its compression is not
-    seekable).  The result is byte-for-byte the addresses the matching
-    in-memory loader would produce (property-tested), with ``uops`` and
-    ``kind`` carried into the sidecar.
+    ``src`` streams through its format's reader (``format`` defaults to
+    the suffix's), so the result is field for field what
+    :func:`repro.trace.load_trace` gives; ``kinds`` selects dinero and
+    lackey references.  On any error ``dst`` is left as it was.
     """
-    from repro.trace.formats import iter_dinero, iter_lackey, iter_trace_text
-    from repro.trace.io import load_trace
-
-    src = Path(src)
-    if format is None:
-        format = infer_trace_format(src)
-        if format is None:
-            raise ValueError(
-                f"cannot infer trace format from suffix of {src}; "
-                f"pass format= one of {TRACE_FORMATS}"
-            )
-    if format not in TRACE_FORMATS:
-        raise ValueError(f"format must be one of {TRACE_FORMATS}, got {format!r}")
+    format = trace_format(src, format)
     if format == "bin":
         raise ValueError(f"{src} is already a .bin trace; open it with Trace.open_mmap")
-    batches = {} if batch_lines is None else {"batch_lines": batch_lines}
-    if format == "npz":
-        trace = load_trace(src)
-        save_trace_bin(
-            Trace(
-                trace.addresses,
-                uops=trace.uops,
-                name=name or trace.name,
-                kind=trace.kind,
-                metadata=trace.metadata,
-            ),
-            dst,
-        )
-        return Trace.open_mmap(dst)
-    if format == "text":
-        header: dict[str, Any] = {}
-        writer = BinTraceWriter(dst, name=name, kind="data")
-        try:
-            for chunk in iter_trace_text(src, header=header, **batches):
-                writer.append(chunk)
-        except BaseException:
-            writer._fh.close()
-            raise
-        writer.name = name or header.get("name", writer.name)
-        writer.kind = header.get("kind", "data")
-        return writer.close(uops=int(header.get("uops", 0)))
-    reader = iter_dinero if format == "dinero" else iter_lackey
-    writer = BinTraceWriter(dst, name=name or src.stem, kind=kinds)
-    uops = 0
-    try:
-        for chunk, total in reader(src, kinds=kinds, **batches):
+    header: dict[str, Any] = {}
+    with BinTraceWriter(dst) as writer:
+        for chunk in READERS[format](src, kinds, batch_lines, header):
             writer.append(chunk)
-            uops += total
-    except BaseException:
-        writer._fh.close()
-        raise
-    return writer.close(uops=uops)
+        writer.name = name or header.get("name", Path(src).stem)
+        writer.kind = header.get("kind", "data")
+        writer.metadata = header.get("metadata", {})
+        return writer.close(uops=header.get("uops", 0))

@@ -352,6 +352,69 @@ class TestFileTraceSpecs:
             TraceSpec()
 
 
+def _bad_npz_without_header(path):
+    import numpy as np
+
+    np.savez(path, addresses=np.arange(3, dtype=np.uint64))
+
+
+def _bad_sidecar(path):
+    path.write_bytes(b"\x00" * 16)
+    (path.parent / (path.name + ".meta.json")).write_text("{not json")
+
+
+#: One malformed file per failure the readers must type: (suffix, writer).
+_MALFORMED_TRACES = {
+    "dinero-bad-hex": (".din", lambda p: p.write_text("0 zz\n")),
+    "text-bad-hex": (".txt", lambda p: p.write_text("zz\n")),
+    "dinero-not-utf8": (".din", lambda p: p.write_bytes(b"0 1\xff\xfe\n")),
+    "bin-3-bytes": (".bin", lambda p: p.write_bytes(b"abc")),
+    "npz-garbage": (".npz", lambda p: p.write_bytes(b"garbage")),
+    "npz-no-header": (".npz", _bad_npz_without_header),
+    "bin-bad-sidecar": (".bin", _bad_sidecar),
+}
+
+
+class TestMalformedTraceFiles:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_TRACES))
+    def test_resolve_raises_spec_error(self, tmp_path, case):
+        suffix, write = _MALFORMED_TRACES[case]
+        path = tmp_path / f"bad{suffix}"
+        write(path)
+        with pytest.raises(SpecError, match="cannot read trace file") as caught:
+            TraceSpec(path=str(path)).resolve()
+        assert caught.value.field == "trace.path"
+        assert str(path) in str(caught.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        suffix=st.sampled_from([".din", ".lackey", ".txt", ".npz", ".bin"]),
+        data=st.one_of(
+            st.binary(max_size=200),
+            st.lists(
+                st.sampled_from(
+                    ["0 10", "2 ff", "1 zz", "# uops: 3", "# kind: x", "I  40,4",
+                     " M 44,8", " L", "ff", "0x1f", "-1", "\xff", "", "7 10"]
+                ),
+                max_size=8,
+            ).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogateescape")),
+        ),
+    )
+    def test_fuzzed_files_give_a_trace_or_spec_error(
+        self, tmp_path_factory, suffix, data
+    ):
+        from repro.trace import Trace
+
+        path = tmp_path_factory.mktemp("fuzz") / f"t{suffix}"
+        path.write_bytes(data)
+        try:
+            trace = TraceSpec(path=str(path)).resolve()
+        except SpecError as error:
+            assert error.field == "trace.path"
+        else:
+            assert isinstance(trace, Trace)
+
+
 class TestExecutionShardSize:
     def test_round_trip(self):
         spec = ExecutionSpec(shard_size=4096)

@@ -240,6 +240,15 @@ class TestSpecDrivenCommands:
         assert main(["run", "/nope/missing.toml"]) == 2
         assert "cannot read spec file" in capsys.readouterr().err
 
+    def test_run_malformed_trace_file_fails_cleanly(self, capsys, tmp_path):
+        trace = tmp_path / "bad.din"
+        trace.write_text("0 10\n0 zz\n")
+        spec_file = tmp_path / "exp.json"
+        spec_file.write_text(json.dumps({"trace": {"path": str(trace)}}))
+        assert main(["run", str(spec_file), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.din:2" in err
+
     @pytest.mark.parametrize(
         "name, text",
         [("deep.json", "[" * 200_000), ("deep.toml", "a = " + "[" * 200_000)],
@@ -407,3 +416,10 @@ class TestProfileCommand:
         code = main(["profile", "--trace-file", str(tmp_path / "nope.bin")])
         assert code == 2
         assert "nope.bin" in capsys.readouterr().err
+
+    def test_malformed_file_rejected(self, capsys, tmp_path):
+        trace = tmp_path / "short.bin"
+        trace.write_bytes(b"abc")
+        assert main(["profile", "--trace-file", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "multiple of 8" in err

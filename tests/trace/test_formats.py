@@ -1,8 +1,8 @@
-"""Tests for the Dinero and Lackey trace readers."""
+"""Tests for the Dinero and Lackey trace readers, through load_trace."""
 
 import pytest
 
-from repro.trace.formats import load_dinero, load_lackey
+from repro.trace import load_trace
 
 _DINERO = """\
 # comment
@@ -27,42 +27,42 @@ class TestDinero:
     def test_data_selection(self, tmp_path):
         path = tmp_path / "t.din"
         path.write_text(_DINERO)
-        trace = load_dinero(path, kinds="data")
+        trace = load_trace(path, kind="data")
         assert trace.addresses.tolist() == [0x1000, 0x1004, 0x1008]
         assert trace.uops == 4  # all references count as work
 
     def test_instruction_selection(self, tmp_path):
         path = tmp_path / "t.din"
         path.write_text(_DINERO)
-        trace = load_dinero(path, kinds="instruction")
+        trace = load_trace(path, kind="instruction")
         assert trace.addresses.tolist() == [0x400000]
 
     def test_unified(self, tmp_path):
         path = tmp_path / "t.din"
         path.write_text(_DINERO)
-        assert len(load_dinero(path, kinds="unified")) == 4
+        assert len(load_trace(path, kind="unified")) == 4
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.din"
         path.write_text("0\n")
         with pytest.raises(ValueError):
-            load_dinero(path)
+            load_trace(path)
         path.write_text("7 1000\n")
         with pytest.raises(ValueError):
-            load_dinero(path)
+            load_trace(path)
 
     def test_bad_kinds(self, tmp_path):
         path = tmp_path / "t.din"
         path.write_text(_DINERO)
         with pytest.raises(ValueError):
-            load_dinero(path, kinds="writes")
+            load_trace(path, kind="writes")
 
 
 class TestLackey:
     def test_data_selection(self, tmp_path):
         path = tmp_path / "t.log"
         path.write_text(_LACKEY)
-        trace = load_lackey(path, kinds="data")
+        trace = load_trace(path, "lackey", kind="data")
         # L, S, then M twice (load + store).
         assert trace.addresses.tolist() == [
             0x1FFEFFFD80, 0x04222028, 0x04222028, 0x04222028
@@ -71,13 +71,13 @@ class TestLackey:
     def test_instruction_selection(self, tmp_path):
         path = tmp_path / "t.log"
         path.write_text(_LACKEY)
-        trace = load_lackey(path, kinds="instruction")
+        trace = load_trace(path, "lackey", kind="instruction")
         assert trace.addresses.tolist() == [0x0400A7E0, 0x0400A7E4]
 
     def test_noise_ignored(self, tmp_path):
         path = tmp_path / "t.log"
         path.write_text("==1== banner\nrandom\n")
-        assert len(load_lackey(path, kinds="unified")) == 0
+        assert len(load_trace(path, "lackey", kind="unified")) == 0
 
     def test_pipeline_integration(self, tmp_path):
         """A lackey trace drives the optimizer end to end."""
@@ -89,7 +89,7 @@ class TestLackey:
             lines.append(f" S {0x1000 + 1024:x},4\n")
         path = tmp_path / "pp.log"
         path.write_text("".join(lines))
-        trace = load_lackey(path, kinds="data")
+        trace = load_trace(path, "lackey", kind="data")
         result = optimize_for_trace(
             trace, CacheGeometry.direct_mapped(1024), family="2-in"
         )

@@ -11,16 +11,15 @@ from repro.trace import (
     TRACE_FORMATS,
     convert_to_bin,
     infer_trace_format,
+    TraceFileError,
     iter_dinero,
     iter_lackey,
     iter_trace_text,
-    load_dinero,
-    load_lackey,
     load_trace,
     save_trace,
     save_trace_bin,
+    save_trace_text,
 )
-from repro.trace.io import load_trace_text, save_trace_text
 
 
 def _sample():
@@ -132,6 +131,8 @@ class TestFormatInference:
 
 
 class TestStreamingIterators:
+    """Batch boundaries never change what a reader yields."""
+
     def _dinero_file(self, tmp_path, lines):
         path = tmp_path / "t.din"
         path.write_text("\n".join(lines) + "\n")
@@ -140,20 +141,22 @@ class TestStreamingIterators:
     def test_iter_dinero_matches_loader(self, tmp_path):
         lines = [f"{i % 3} {i * 64:x}" for i in range(100)]
         path = self._dinero_file(tmp_path, lines)
-        whole = load_dinero(path, kinds="unified")
-        batches = list(iter_dinero(path, kinds="unified", batch_lines=7))
-        streamed = np.concatenate([b for b, _ in batches])
-        assert (streamed == whole.addresses).all()
-        assert sum(total for _, total in batches) == whole.uops
+        whole = load_trace(path, kind="unified")
+        header: dict = {}
+        batches = list(iter_dinero(path, "unified", batch_lines=7, header=header))
+        assert len(batches) == 15
+        assert (np.concatenate(batches) == whole.addresses).all()
+        assert header == {"kind": "unified", "uops": whole.uops}
 
     def test_iter_lackey_matches_loader(self, tmp_path):
         lines = ["I  4000,4", " L 5000,8", " S 6000,4", " M 7000,8"]
         path = tmp_path / "t.lackey"
         path.write_text("\n".join(lines) + "\n")
-        whole = load_lackey(path, kinds="data")
-        batches = list(iter_lackey(path, kinds="data", batch_lines=2))
-        streamed = np.concatenate([b for b, _ in batches])
-        assert (streamed == whole.addresses).all()
+        whole = load_trace(path, kind="data")
+        header: dict = {}
+        batches = list(iter_lackey(path, batch_lines=2, header=header))
+        assert (np.concatenate(batches) == whole.addresses).all()
+        assert header["uops"] == whole.uops == 5
 
     def test_iter_trace_text_matches_loader(self, tmp_path):
         original = _sample()
@@ -161,17 +164,56 @@ class TestStreamingIterators:
         save_trace_text(original, path)
         header: dict = {}
         batches = list(iter_trace_text(path, batch_lines=2, header=header))
-        streamed = np.concatenate(batches)
-        assert (streamed == original.addresses).all()
-        assert header["name"] == original.name
-        assert header["kind"] == original.kind
-        assert header["uops"] == original.uops
+        assert (np.concatenate(batches) == original.addresses).all()
+        assert (load_trace(path).addresses == original.addresses).all()
+        assert header == {
+            "name": original.name, "kind": original.kind, "uops": original.uops
+        }
 
     def test_iter_dinero_bad_line_has_location(self, tmp_path):
         path = self._dinero_file(tmp_path, ["0 100", "nonsense"])
-        with pytest.raises(ValueError, match=r"t\.din:2"):
+        with pytest.raises(TraceFileError, match=r"t\.din:2") as caught:
             for _ in iter_dinero(path):
                 pass
+        assert caught.value.path == str(path) and caught.value.line == 2
+
+    @pytest.mark.parametrize(
+        "suffix,body,line",
+        [
+            (".din", "0 10\n# note\n\n1 zz\n", 4),
+            (".din", "0 10\n3 10\n", 2),
+            (".din", "0 10000000000000000\n", 1),
+            (".txt", "# name: t\n10\nzz\n", 3),
+            (".txt", "10\n10000000000000000\n", 2),
+            (".txt", "# kind: cheese\n", 1),
+            (".txt", "1\n# uops: -3\n", 2),
+        ],
+    )
+    def test_bad_line_is_located_across_batches(self, tmp_path, suffix, body, line):
+        path = tmp_path / f"t{suffix}"
+        path.write_text(body)
+        with pytest.raises(TraceFileError) as caught:
+            load_trace(path)
+        assert caught.value.line == line
+        reader = iter_dinero if suffix == ".din" else iter_trace_text
+        with pytest.raises(TraceFileError) as caught:
+            list(reader(path, batch_lines=1))
+        assert caught.value.line == line
+
+    def test_lackey_lookalike_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "t.lackey"
+        path.write_bytes(
+            b" Loading\xff\n I think\n L 10000000000000000,4\nI  -4,4\n L 40,4\n"
+        )
+        trace = load_trace(path, kind="data")
+        assert trace.addresses.tolist() == [0x40] and trace.uops == 1
+
+    def test_non_utf8_bytes_fail_their_line(self, tmp_path):
+        path = tmp_path / "t.din"
+        path.write_bytes(b"0 10\n0 1\xff\n")
+        with pytest.raises(TraceFileError) as caught:
+            load_trace(path)
+        assert caught.value.line == 2
 
 
 class TestConvertToBin:
@@ -197,7 +239,7 @@ class TestConvertToBin:
     def test_from_dinero(self, tmp_path, kinds):
         src = tmp_path / "t.din"
         src.write_text("".join(f"{i % 3} {i * 64:x}\n" for i in range(50)))
-        in_memory = load_dinero(src, kinds=kinds)
+        in_memory = load_trace(src, kind=kinds)
         converted = convert_to_bin(
             src, tmp_path / f"{kinds}.bin", kinds=kinds
         )
@@ -207,11 +249,32 @@ class TestConvertToBin:
     def test_from_lackey(self, tmp_path, kinds):
         src = tmp_path / "t.lackey"
         src.write_text("I  4000,4\n L 5000,8\n S 6000,4\n M 7000,8\n")
-        in_memory = load_lackey(src, kinds=kinds)
+        in_memory = load_trace(src, kind=kinds)
         converted = convert_to_bin(
             src, tmp_path / f"{kinds}.bin", kinds=kinds
         )
         assert converted.digest == in_memory.digest
+
+    @pytest.mark.parametrize("suffix", [".npz", ".txt", ".din", ".lackey"])
+    def test_matches_load_trace(self, tmp_path, suffix):
+        """One reader per format: converting and loading agree on every
+        field, whatever the batch size."""
+        src = tmp_path / f"t{suffix}"
+        rng = np.random.default_rng(5)
+        addresses = rng.integers(0, 1 << 48, size=40, dtype=np.uint64)
+        if suffix == ".npz":
+            save_trace(Trace(addresses, uops=99, kind="instruction"), src)
+        elif suffix == ".txt":
+            save_trace_text(Trace(addresses, uops=99, name="x"), src)
+        elif suffix == ".din":
+            src.write_text("".join(f"{i % 3} {a:x}\n" for i, a in enumerate(addresses)))
+        else:
+            src.write_text("".join(f"I  {a:x},4\n M {a:x},8\n" for a in addresses))
+        loaded = load_trace(src)
+        converted = convert_to_bin(src, tmp_path / "t.bin", batch_lines=3)
+        assert (converted.addresses == loaded.addresses).all()
+        for field in ("uops", "name", "kind", "metadata", "digest"):
+            assert getattr(converted, field) == getattr(loaded, field)
 
     def test_bin_source_rejected(self, tmp_path):
         src = tmp_path / "t.bin"
@@ -225,3 +288,38 @@ class TestConvertToBin:
         save_trace_text(original, src)
         converted = convert_to_bin(src, tmp_path / "t.bin", format="text")
         assert converted.digest == original.digest
+
+
+class TestAtomicConversion:
+    """A failed write leaves no truncated trace behind."""
+
+    def _bad_dinero(self, tmp_path):
+        src = tmp_path / "partial.din"
+        src.write_text("0 40\n" * 2500 + "0 zz\n")
+        return src
+
+    def test_failed_convert_leaves_nothing(self, tmp_path):
+        dst = tmp_path / "partial.bin"
+        with pytest.raises(TraceFileError, match="partial.din:2501"):
+            convert_to_bin(self._bad_dinero(tmp_path), dst, batch_lines=1000)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["partial.din"]
+
+    def test_failed_convert_keeps_the_old_trace(self, tmp_path):
+        dst = tmp_path / "partial.bin"
+        save_trace_bin(_sample(), dst)
+        sidecar = tmp_path / "partial.bin.meta.json"
+        before = dst.read_bytes(), sidecar.read_bytes()
+        with pytest.raises(TraceFileError):
+            convert_to_bin(self._bad_dinero(tmp_path), dst, batch_lines=1000)
+        assert (dst.read_bytes(), sidecar.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "partial.bin", "partial.bin.meta.json", "partial.din"
+        ]
+
+    def test_writer_discards_on_error(self, tmp_path):
+        dst = tmp_path / "t.bin"
+        with pytest.raises(RuntimeError):
+            with BinTraceWriter(dst) as writer:
+                writer.append(np.arange(10))
+                raise RuntimeError("producer failed")
+        assert list(tmp_path.iterdir()) == []
