@@ -26,23 +26,21 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cache.engine import evaluate_many
-from repro.cache.direct_mapped import (
-    simulate_direct_mapped,
-    simulate_direct_mapped_scalar,
-)
-from repro.cache.fully_assoc import (
-    simulate_fully_associative,
-    simulate_fully_associative_scalar,
+from repro.backend import use_backend
+from repro.cache.engine import (
+    evaluate_many,
+    simulate,
+    simulate_banks,
+    simulate_capacity,
 )
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
-from repro.cache.set_assoc import (
-    simulate_set_associative,
+from repro.cache.reference import (
+    simulate_direct_mapped_scalar,
+    simulate_fully_associative_scalar,
     simulate_set_associative_scalar,
+    simulate_skewed_scalar,
 )
-from repro.backend import use_backend
-from repro.cache.skewed import simulate_skewed, simulate_skewed_scalar
 from repro.gf2.hashfn import XorHashFunction
 
 M = 10  # 4 KB direct-mapped, 4-byte blocks
@@ -91,21 +89,23 @@ def run(refs: int, candidates: int) -> dict:
     banks = [ModuloIndexing(M - 1), XorIndexing(make_hash(M - 1))]
     results: dict = {"accesses": refs, "cases": {}}
 
+    # (name, engine call and its arguments, scalar oracle and its arguments)
     cases = [
-        ("direct_mapped_xor", simulate_direct_mapped,
+        ("direct_mapped_xor", simulate, (geometry, xor),
          simulate_direct_mapped_scalar, (xor,)),
-        ("direct_mapped_modulo", simulate_direct_mapped,
+        ("direct_mapped_modulo", simulate, (geometry, ModuloIndexing(M)),
          simulate_direct_mapped_scalar, (ModuloIndexing(M),)),
-        ("two_way_lru_xor", simulate_set_associative,
+        ("two_way_lru_xor", simulate, (two_way, xor_two_way),
          simulate_set_associative_scalar, (two_way, xor_two_way)),
-        ("fully_associative", simulate_fully_associative,
+        ("fully_associative", simulate_capacity, (1 << M,),
          simulate_fully_associative_scalar, (1 << M,)),
-        ("skewed_two_bank", simulate_skewed, simulate_skewed_scalar, (banks, 0)),
+        ("skewed_two_bank", simulate_banks, (banks, 0),
+         simulate_skewed_scalar, (banks, 0)),
     ]
-    for name, engine_fn, scalar_fn, extra in cases:
+    for name, engine_fn, engine_args, scalar_fn, scalar_args in cases:
         with use_backend("numpy"):
-            rate, stats = _rate(engine_fn, blocks, *extra)
-        scalar_rate, scalar_stats = _rate(scalar_fn, blocks, *extra, repeats=1)
+            rate, stats = _rate(engine_fn, blocks, *engine_args)
+        scalar_rate, scalar_stats = _rate(scalar_fn, blocks, *scalar_args, repeats=1)
         assert stats == scalar_stats, f"{name}: engine != reference"
         results["cases"][name] = {
             "engine_accesses_per_sec": round(rate),
@@ -123,7 +123,7 @@ def run(refs: int, candidates: int) -> dict:
     batched = evaluate_many(blocks, geometry, functions)
     batched_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sequential = [simulate_direct_mapped(blocks, XorIndexing(f)) for f in functions]
+    sequential = [simulate(blocks, geometry, XorIndexing(f)) for f in functions]
     sequential_s = time.perf_counter() - t0
     assert batched == sequential, "evaluate_many != sequential simulation"
     results["cases"]["evaluate_many"] = {
@@ -193,18 +193,20 @@ def main(argv: list[str] | None = None) -> int:
 
 def test_engine_direct_mapped_throughput(benchmark):
     blocks = make_blocks(200_000)
+    geometry = CacheGeometry.direct_mapped((1 << M) * 4)
     xor = XorIndexing(make_hash())
-    stats = benchmark(simulate_direct_mapped, blocks, xor)
+    stats = benchmark(simulate, blocks, geometry, xor)
     assert stats.accesses == len(blocks)
 
 
 def test_engine_beats_reference_10x(benchmark):
     blocks = make_blocks(200_000)
+    geometry = CacheGeometry.direct_mapped((1 << M) * 4)
     xor = XorIndexing(make_hash())
-    engine_rate, stats = _rate(simulate_direct_mapped, blocks, xor)
+    engine_rate, stats = _rate(simulate, blocks, geometry, xor)
     scalar_rate, _ = _rate(simulate_direct_mapped_scalar, blocks[:20_000], xor, repeats=1)
     benchmark.extra_info["speedup"] = engine_rate / scalar_rate
-    benchmark(simulate_direct_mapped, blocks, xor)
+    benchmark(simulate, blocks, geometry, xor)
     assert engine_rate >= 10 * scalar_rate
     assert stats == simulate_direct_mapped_scalar(blocks, xor)
 
@@ -216,9 +218,7 @@ def test_evaluate_many_matches_sequential(benchmark):
         XorHashFunction.random(16, M, np.random.default_rng(s)) for s in range(8)
     ]
     batched = benchmark(evaluate_many, blocks, geometry, functions)
-    assert batched == [
-        simulate_direct_mapped(blocks, XorIndexing(f)) for f in functions
-    ]
+    assert batched == [simulate(blocks, geometry, XorIndexing(f)) for f in functions]
 
 
 if __name__ == "__main__":

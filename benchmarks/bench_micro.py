@@ -8,7 +8,8 @@ estimator, and the vectorized direct-mapped simulator.
 import numpy as np
 import pytest
 
-from repro.cache.direct_mapped import simulate_direct_mapped
+from repro.cache.engine import simulate
+from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import profile_blocks
@@ -36,7 +37,7 @@ def test_profiler_throughput(benchmark, blocks):
 
 def test_simulator_modulo_throughput(benchmark, blocks):
     pol = ModuloIndexing(10)
-    stats = benchmark(simulate_direct_mapped, blocks, pol)
+    stats = benchmark(simulate, blocks, CacheGeometry.direct_mapped(4096), pol)
     assert stats.accesses == len(blocks)
 
 
@@ -45,7 +46,7 @@ def test_simulator_xor_throughput(benchmark, blocks):
         16, 10, [15, 14, 13, 12, 11, 10, None, 15, 14, 13]
     )
     pol = XorIndexing(fn)
-    stats = benchmark(simulate_direct_mapped, blocks, pol)
+    stats = benchmark(simulate, blocks, CacheGeometry.direct_mapped(4096), pol)
     assert stats.accesses == len(blocks)
 
 

@@ -38,7 +38,8 @@ import pytest
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.profiling.conflict_profile import profile_blocks, profile_trace
 from repro.search.families import family_for_name
-from repro.search.hill_climb import hill_climb, hill_climb_scalar
+from repro.search.hill_climb import hill_climb_scalar
+from repro.search.strategies import strategy_for_name
 from repro.workloads.registry import get_workload
 
 #: The acceptance configuration: the 16-in family (unrestricted
@@ -95,13 +96,14 @@ def run(accesses: int, repeats: int, families, cache_bytes: int) -> dict:
     blocks = build_trace(accesses)
     geometry = CacheGeometry.direct_mapped(cache_bytes)
     profile = profile_blocks(blocks, geometry.num_blocks, PAPER_HASHED_BITS)
+    steepest = strategy_for_name("steepest")
     rows = []
     for family_name in families:
         family = family_for_name(
             family_name, PAPER_HASHED_BITS, geometry.index_bits
         )
         batched_s, batched = _time_best_of(
-            lambda: hill_climb(profile, family), repeats
+            lambda: steepest.search(profile, family), repeats
         )
         scalar_s, scalar = _time_best_of(
             lambda: hill_climb_scalar(profile, family), repeats
@@ -144,7 +146,6 @@ def run_optimality(
     """
     from repro.search.branch_bound import branch_bound_search, exhaustive_node_count
     from repro.search.exhaustive import optimal_bit_select
-    from repro.search.strategies import strategy_for_name
 
     blocks = build_trace(accesses)
     geometry = CacheGeometry.direct_mapped(CERTIFIED_CACHE_BYTES)
@@ -367,7 +368,7 @@ def test_search_speed(benchmark, profiles, family, size):
     geometry = CacheGeometry.direct_mapped(size)
     fam = family_for_name(family, PAPER_HASHED_BITS, geometry.index_bits)
     profile = profiles[size]
-    result = benchmark(hill_climb, profile, fam)
+    result = benchmark(strategy_for_name("steepest").search, profile, fam)
     assert result.function.is_full_rank
     # Far faster than the paper's 0.5-10 s budget on modern hardware.
     assert result.seconds < 10.0
@@ -377,7 +378,7 @@ def test_batched_matches_scalar_on_workload(profiles):
     """The bench's correctness precondition, also checked standalone."""
     geometry = CacheGeometry.direct_mapped(1024)
     fam = family_for_name(GATED_FAMILY, PAPER_HASHED_BITS, geometry.index_bits)
-    batched = hill_climb(profiles[1024], fam)
+    batched = strategy_for_name("steepest").search(profiles[1024], fam)
     scalar = hill_climb_scalar(profiles[1024], fam)
     assert batched.function == scalar.function
     assert batched.history == scalar.history

@@ -21,10 +21,10 @@ from repro import CacheGeometry, PAPER_HASHED_BITS, optimize_for_trace, profile_
 from repro.cache import (
     ModuloIndexing,
     XorIndexing,
-    simulate_fully_associative,
-    simulate_skewed,
+    simulate,
+    simulate_banks,
+    simulate_capacity,
 )
-from repro.core import baseline_stats
 from repro.gf2 import XorHashFunction
 from repro.trace import Trace, summarize
 
@@ -68,12 +68,12 @@ def main() -> None:
     print()
 
     # 3. Fix it, several ways.
-    base = baseline_stats(trace, geometry)
+    blocks = trace.block_addresses(geometry.block_size)
+    base = simulate(blocks, geometry)
     print(f"{'configuration':<38}{'misses':>8}  {'removed':>8}")
     print("-" * 58)
     print(f"{'modulo (baseline)':<38}{base.misses:>8}  {'-':>8}")
 
-    blocks = trace.block_addresses(geometry.block_size)
     for family in ("1-in", "2-in", "general"):
         result = optimize_for_trace(
             trace, geometry, family=family, profile=profile
@@ -88,13 +88,13 @@ def main() -> None:
     skew_fn = XorHashFunction.from_sigma(
         16, half_m, [half_m + (c % (16 - half_m)) for c in range(half_m)]
     )
-    skewed = simulate_skewed(
+    skewed = simulate_banks(
         blocks, [ModuloIndexing(half_m), XorIndexing(skew_fn)], seed=0
     )
     removed = skewed.removed_fraction(base)
     print(f"{'2-way skewed-associative (Seznec)':<38}{skewed.misses:>8}  {removed:>7.1f}%")
 
-    fa = simulate_fully_associative(blocks, geometry.num_blocks)
+    fa = simulate_capacity(blocks, geometry.num_blocks)
     removed = fa.removed_fraction(base)
     print(f"{'fully associative LRU (reference)':<38}{fa.misses:>8}  {removed:>7.1f}%")
 

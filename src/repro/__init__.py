@@ -68,7 +68,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.trace.trace": ("Trace",),
         "repro.profiling.conflict_profile": ("ConflictProfile", "profile_trace"),
         "repro.core.optimizer": ("optimize_for_trace", "OptimizationResult"),
-        "repro.core.evaluate": ("evaluate_hash_function", "baseline_stats"),
         "repro.pipeline.artifact_cache": ("ArtifactCache",),
         "repro.pipeline.context": ("PipelineContext",),
         "repro.pipeline.campaign": ("run_campaign",),

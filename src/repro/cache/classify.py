@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.direct_mapped import simulate_direct_mapped
-from repro.cache.fully_assoc import simulate_fully_associative
+from repro.cache.engine import simulate, simulate_capacity
 from repro.cache.geometry import CacheGeometry
-from repro.cache.indexing import IndexingPolicy, ModuloIndexing
+from repro.cache.indexing import IndexingPolicy
 
 __all__ = ["MissBreakdown", "classify_misses"]
 
@@ -62,11 +61,9 @@ def classify_misses(
     """Classify the misses of a direct-mapped cache on a block trace."""
     if not geometry.is_direct_mapped:
         raise ValueError("three-Cs classification here targets direct-mapped caches")
-    if indexing is None:
-        indexing = ModuloIndexing(geometry.index_bits)
     blocks = np.asarray(blocks, dtype=np.uint64)
-    actual = simulate_direct_mapped(blocks, indexing)
-    fully = simulate_fully_associative(blocks, geometry.num_blocks)
+    actual = simulate(blocks, geometry, indexing)
+    fully = simulate_capacity(blocks, geometry.num_blocks)
     compulsory = actual.compulsory
     capacity = fully.misses - fully.compulsory
     conflict = actual.misses - compulsory - capacity

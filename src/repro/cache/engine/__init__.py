@@ -1,6 +1,6 @@
 """Unified array-based cache simulation engine.
 
-One simulation core serves every cache organization in the package:
+The one uncached way to simulate a cache; one entry point per shape:
 
 * :func:`simulate` — geometry-dispatched replay (direct-mapped cache
   via the fully vectorized sort kernel, set-associative / fully
@@ -11,11 +11,10 @@ One simulation core serves every cache organization in the package:
 * :func:`evaluate_many` — exact verification of a whole candidate
   front of hash functions in one batched trace replay.
 
-The public simulators in :mod:`repro.cache.direct_mapped`,
-:mod:`repro.cache.set_assoc`, :mod:`repro.cache.fully_assoc` and
-:mod:`repro.cache.skewed` are thin wrappers over this engine; their old
-per-access loops survive as ``*_scalar`` reference oracles the property
-tests cross-check the engine against.
+:class:`repro.pipeline.PipelineContext` fronts the same calls with its
+content-addressed artifact cache.  The per-access loops in
+:mod:`repro.cache.reference` are the oracles the property tests
+cross-check this engine against.
 """
 
 from repro.cache.engine.batched import (
@@ -26,7 +25,6 @@ from repro.cache.engine.batched import (
 from repro.cache.engine.core import (
     compulsory_count,
     direct_mapped_miss_vector,
-    group_by_set,
     lru_miss_vector,
     skewed_miss_vector,
 )
@@ -48,6 +46,5 @@ __all__ = [
     "direct_mapped_miss_vector",
     "lru_miss_vector",
     "skewed_miss_vector",
-    "group_by_set",
     "compulsory_count",
 ]

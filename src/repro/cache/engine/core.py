@@ -13,9 +13,7 @@ The kernels operate on two parallel streams derived from a block trace:
 All kernels return a per-access boolean miss vector in program order,
 so the simulators, the three-Cs classifier and the property tests share
 one contract.  The replacement behaviour is bit-identical to the scalar
-reference simulators kept in :mod:`repro.cache.direct_mapped`,
-:mod:`repro.cache.set_assoc`, :mod:`repro.cache.fully_assoc` and
-:mod:`repro.cache.skewed`.
+reference simulators in :mod:`repro.cache.reference`.
 
 The sequential-replacement inner kernels (the LRU stack-depth test and
 the skewed replay) dispatch through :mod:`repro.backend` — the common
@@ -39,7 +37,6 @@ __all__ = [
     "program_order_links",
     "skewed_miss_vector",
     "compulsory_count",
-    "group_by_set",
     "occurrence_links",
 ]
 
@@ -68,29 +65,14 @@ def direct_mapped_miss_vector(set_ids: np.ndarray, keys: np.ndarray) -> np.ndarr
     return misses
 
 
-def group_by_set(set_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group accesses by set: (stable order, group starts, group ends).
-
-    ``order`` permutes accesses so each set's references are contiguous
-    and in program order; ``starts[g]:ends[g]`` delimits group ``g`` in
-    that permutation.
-    """
-    order = stable_argsort(set_ids)
-    sorted_ids = set_ids[order]
-    boundaries = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.intp), boundaries])
-    ends = np.append(boundaries, len(set_ids))
-    return order, starts, ends
-
-
 def occurrence_links(
     grouped_set_ids: np.ndarray, grouped_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Previous/next same-(set, key) occurrence links, grouped coords.
 
     Both inputs must already be in grouped coordinates (sets
-    contiguous, program order inside each set — the permutation from
-    :func:`group_by_set`).  ``prev[t] < 0`` marks a set-local first
+    contiguous, program order inside each set — a stable sort by set
+    identity).  ``prev[t] < 0`` marks a set-local first
     touch.  A slot whose key never recurs gets ``nxt[t]`` = the *end of
     its set's span* rather than a global sentinel: past its set's last
     access the slot can never participate in a reuse interval again, so

@@ -1,9 +1,8 @@
 """Organization dispatch: one entry point for every cache shape.
 
-:func:`simulate` is the front door the thin simulator wrappers and the
-``core`` layer route through.  It derives the (set identity, key)
-streams once from the indexing policy and hands them to the matching
-kernel in :mod:`repro.cache.engine.core`.
+Each entry point derives the (set identity, key) streams once from the
+indexing policy and hands them to the matching kernel in
+:mod:`repro.cache.engine.core`.
 """
 
 from __future__ import annotations
@@ -70,8 +69,12 @@ def simulate(
 def simulate_capacity(blocks: np.ndarray, capacity_blocks: int) -> CacheStats:
     """Fully-associative LRU cache of ``capacity_blocks`` frames.
 
-    Capacity need not be a power of two (unlike :class:`CacheGeometry`),
-    matching the historical ``simulate_fully_associative`` contract.
+    Table 3's ``FA`` column and the capacity class of the three-Cs
+    split.  The paper uses FA-LRU as a reference point, not a bound:
+    LRU replacement is itself sub-optimal, so full associativity is not
+    an upper bound on what indexing can achieve (optimized hash
+    functions sometimes beat it).  Capacity need not be a power of two
+    (unlike :class:`CacheGeometry`).
     """
     if capacity_blocks < 1:
         raise ValueError(f"capacity must be >= 1 block, got {capacity_blocks}")
@@ -87,7 +90,14 @@ def simulate_banks(
     bank_indexings: Sequence[IndexingPolicy],
     seed: int = 0,
 ) -> CacheStats:
-    """Skewed cache: one frame per set per bank, distinct bank hashes."""
+    """Skewed cache: one frame per set per bank, distinct bank hashes.
+
+    The related-work baseline (Seznec & Bodin, paper ref. [2]): two
+    blocks conflicting in one bank rarely conflict in another.  All
+    banks must produce the same number of sets, and there must be at
+    least two.  A miss evicts from a bank drawn by Seznec's simple
+    pseudo-random policy, seeded by ``seed`` so replays reproduce.
+    """
     sets = bank_indexings[0].num_sets if bank_indexings else 0
     for i, policy in enumerate(bank_indexings):
         if policy.num_sets != sets:

@@ -163,7 +163,7 @@ def optimize_for_trace(
         ``"first-improvement"``, ``"beam:4"``, ``"anneal"``) or any
         :class:`~repro.search.strategies.SearchStrategy` instance.  The
         default is the paper's steepest descent
-        (:func:`repro.search.hill_climb`); see
+        (:class:`~repro.search.strategies.SteepestDescent`); see
         :mod:`repro.search.strategies` for when the alternatives pay
         off.
     """

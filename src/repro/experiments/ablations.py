@@ -25,11 +25,11 @@ from scipy import stats
 
 from repro.cache import engine
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
-from repro.core.evaluate import baseline_stats, evaluate_hash_function
+from repro.cache.indexing import XorIndexing
 from repro.profiling.conflict_profile import profile_blocks, profile_trace
 from repro.profiling.estimator import MissEstimator
 from repro.search.families import PermutationFamily, family_for_name
-from repro.search.hill_climb import hill_climb, hill_climb_restarts
+from repro.search.hill_climb import hill_climb_restarts
 from repro.search.strategies import strategy_for_name
 from repro.trace.trace import Trace
 
@@ -136,18 +136,21 @@ def capacity_filter_ablation(
     m = geometry.index_bits
     blocks = trace.block_addresses(geometry.block_size)
     fam = family_for_name(family, n, m)
+    steepest = strategy_for_name("steepest")
 
     filtered = profile_blocks(blocks, geometry.num_blocks, n)
     unfiltered = profile_blocks(blocks, len(blocks) + 1, n)
 
-    with_filter = hill_climb(filtered, fam).function
-    without_filter = hill_climb(unfiltered, fam).function
+    with_filter = steepest.search(filtered, fam).function
+    without_filter = steepest.search(unfiltered, fam).function
 
     return CapacityFilterAblation(
-        baseline_misses=baseline_stats(trace, geometry).misses,
-        with_filter_misses=evaluate_hash_function(trace, geometry, with_filter).misses,
-        without_filter_misses=evaluate_hash_function(
-            trace, geometry, without_filter
+        baseline_misses=engine.simulate(blocks, geometry).misses,
+        with_filter_misses=engine.simulate(
+            blocks, geometry, XorIndexing(with_filter)
+        ).misses,
+        without_filter_misses=engine.simulate(
+            blocks, geometry, XorIndexing(without_filter)
         ).misses,
     )
 
@@ -184,7 +187,7 @@ def restarts_ablation(
     m = geometry.index_bits
     fam = family_for_name(family, n, m)
     profile = profile_trace(trace, geometry, n)
-    single = hill_climb(profile, fam, strategy=strategy)
+    single = strategy_for_name(strategy).search(profile, fam)
     multi = hill_climb_restarts(
         profile, fam, restarts=restarts, seed=seed, strategy=strategy
     )
@@ -238,11 +241,12 @@ def strategy_comparison(
     fam = family_for_name(family, n, m)
     profile = profile_trace(trace, geometry, n)
     estimator = MissEstimator(profile)
+    blocks = trace.block_addresses(geometry.block_size)
     outcomes = []
     for spec in strategies:
         strategy = strategy_for_name(spec)
-        result = hill_climb(profile, fam, estimator=estimator, strategy=strategy)
-        exact = evaluate_hash_function(trace, geometry, result.function)
+        result = strategy.search(profile, fam, estimator=estimator)
+        exact = engine.simulate(blocks, geometry, XorIndexing(result.function))
         outcomes.append(
             StrategyOutcome(
                 strategy=strategy.name,
@@ -302,7 +306,7 @@ def optimality_gap(
 
     profile = profile_blocks(np.asarray(blocks, dtype=np.uint64), capacity_blocks, n)
     family = family_for_name("general", n, m)
-    climbed = hill_climb(profile, family)
+    climbed = strategy_for_name("steepest").search(profile, family)
     optimal = optimal_xor_function(profile, m)
     return OptimalityGap(
         n=n,
@@ -337,7 +341,7 @@ def search_timing(
         for family in families:
             fam = family_for_name(family, n, geometry.index_bits)
             t0 = time.perf_counter()
-            result = hill_climb(profile, fam)
+            result = strategy_for_name("steepest").search(profile, fam)
             timings.append(
                 SearchTiming(
                     family=fam.name,

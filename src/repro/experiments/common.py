@@ -3,17 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
-from repro.cache.geometry import CacheGeometry
-from repro.core.evaluate import evaluate_hash_functions
-from repro.gf2.hashfn import XorHashFunction
-from repro.trace.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.pipeline.context import PipelineContext
-
-__all__ = ["format_table", "mean", "exact_miss_counts"]
+__all__ = ["format_table", "mean"]
 
 
 def format_table(
@@ -51,22 +42,3 @@ def mean(values: Sequence[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
 
-
-def exact_miss_counts(
-    trace: Trace,
-    geometry: CacheGeometry,
-    functions: Sequence[XorHashFunction],
-    context: "PipelineContext | None" = None,
-) -> list[int]:
-    """Exact miss counts for a whole candidate front in one replay.
-
-    Drivers that score many functions on the same trace (e.g. the
-    polynomial sweep) route through the engine's batched evaluator
-    instead of simulating one candidate at a time.  Pass ``context``
-    to read previously verified candidates from its artifact cache and
-    simulate only the rest.
-    """
-    evaluate_many = (
-        context.evaluate_many if context is not None else evaluate_hash_functions
-    )
-    return [stats.misses for stats in evaluate_many(trace, geometry, list(functions))]

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cache import engine
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
-from repro.core.evaluate import baseline_stats
 from repro.core.optimizer import optimize_for_trace
-from repro.experiments.common import exact_miss_counts, format_table, mean
+from repro.experiments.common import format_table, mean
 from repro.gf2.polynomial import irreducible_polynomials, polynomial_hash_function
 from repro.workloads.registry import get_workload, workload_names
 
@@ -57,9 +57,12 @@ def run_polynomial_baseline(
     rows = []
     for name in names:
         trace = get_workload("mibench", name, scale, seed).data
-        base = baseline_stats(trace, geometry)
+        blocks = trace.block_addresses(geometry.block_size)
+        base = engine.simulate(blocks, geometry)
         # One batched engine replay scores the whole polynomial front.
-        poly_misses = exact_miss_counts(trace, geometry, functions)
+        poly_misses = [
+            stats.misses for stats in engine.evaluate_many(blocks, geometry, functions)
+        ]
         fixed = poly_misses[0]
         best = min(poly_misses)
         app = optimize_for_trace(trace, geometry, family="2-in")

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cache import engine
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.cache.indexing import ModuloIndexing, XorIndexing
-from repro.cache.set_assoc import simulate_set_associative
-from repro.cache.skewed import simulate_skewed
-from repro.core.evaluate import baseline_stats
 from repro.core.optimizer import optimize_for_trace
 from repro.experiments.common import format_table, mean
 from repro.gf2.hashfn import XorHashFunction
@@ -56,13 +54,13 @@ def run_skewed_comparison(
     for name in names:
         trace = get_workload("mibench", name, scale, seed).data
         blocks = trace.block_addresses(geometry.block_size)
-        base = baseline_stats(trace, geometry)
+        base = engine.simulate(blocks, geometry)
 
         optimized = optimize_for_trace(trace, geometry, family="2-in")
-        skewed = simulate_skewed(
+        skewed = engine.simulate_banks(
             blocks, _skew_banks(n, geometry.index_bits - 1), seed=seed
         )
-        two_way = simulate_set_associative(
+        two_way = engine.simulate(
             blocks,
             CacheGeometry(cache_bytes, geometry.block_size, associativity=2),
         )

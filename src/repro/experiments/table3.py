@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.cache.fully_assoc import simulate_fully_associative
+from repro.cache import engine
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.core.optimizer import optimize_for_trace
 from repro.experiments.common import format_table, mean
@@ -95,7 +95,7 @@ def _table3_row(
         )
         row.removed_percent[family] = result.removed_percent
 
-    fa = simulate_fully_associative(blocks, geometry.num_blocks)
+    fa = engine.simulate_capacity(blocks, geometry.num_blocks)
     row.removed_percent["FA"] = fa.removed_fraction(base)
     return row
 

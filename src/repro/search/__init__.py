@@ -1,8 +1,5 @@
 """Design-space search: families, hill climbing, exhaustive baselines."""
 
-import sys
-import types
-
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(
@@ -29,7 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.search.hill_climb": (
             "SearchResult",
-            "hill_climb",
             "hill_climb_scalar",
             "hill_climb_front",
             "hill_climb_restarts",
@@ -50,24 +46,3 @@ __getattr__, __dir__, __all__ = lazy_exports(
     },
 )
 
-
-class _SearchPackage(types.ModuleType):
-    """``repro.search.hill_climb`` is the function, like every export.
-
-    Importing the ``repro.search.hill_climb`` submodule binds the
-    package attribute of that name to the module; the setter drops the
-    binding, so the name keeps resolving (lazily) to the function.
-    """
-
-    @property
-    def hill_climb(self):
-        from repro.search.hill_climb import hill_climb
-
-        return hill_climb
-
-    @hill_climb.setter
-    def hill_climb(self, _submodule):
-        pass
-
-
-sys.modules[__name__].__class__ = _SearchPackage

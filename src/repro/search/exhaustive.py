@@ -105,8 +105,9 @@ def misses_bit_select_exact(blocks: np.ndarray, mask_value: int) -> int:
     The uncompressed value ``block & mask`` identifies the set (two
     blocks collide iff it matches), so no index/tag packing is needed:
     stable-sort by it and count block changes within each group.  This
-    equals ``simulate_direct_mapped`` with the corresponding
-    ``BitSelectIndexing`` (property-tested) at a fraction of the cost.
+    equals :func:`repro.cache.engine.simulate` on a direct-mapped
+    geometry with the corresponding ``BitSelectIndexing``
+    (property-tested) at a fraction of the cost.
     """
     blocks = np.asarray(blocks, dtype=np.uint64)
     if len(blocks) == 0:

@@ -9,15 +9,15 @@ inside the loop.
 
 Two implementations with identical results:
 
-* :func:`hill_climb` — the batched subsystem: each step scores the
-  whole neighbourhood (all columns x all candidate masks) in one
-  estimator gather and screens rank/dedup with the vectorized GF(2)
-  checks of :mod:`repro.gf2.batched`; the ``strategy`` parameter swaps
-  the paper's steepest descent for any
-  :class:`~repro.search.strategies.SearchStrategy`;
+* the batched subsystem, one search pass per
+  :class:`~repro.search.strategies.SearchStrategy` (the paper's is
+  ``strategy_for_name("steepest").search(profile, family)``): each step
+  scores the whole neighbourhood (all columns x all candidate masks) in
+  one estimator gather and screens rank/dedup with the vectorized GF(2)
+  checks of :mod:`repro.gf2.batched`;
 * :func:`hill_climb_scalar` — the retired per-column loop, kept as the
-  property-tested oracle: with the default strategy both produce the
-  same final function, cost history, step count and evaluation count.
+  property-tested oracle: steepest descent produces the same final
+  function, cost history, step count and evaluation count.
 
 :func:`hill_climb_front` runs the conventional start plus random
 restarts *in lockstep*, so one shared estimator gather serves the
@@ -38,48 +38,10 @@ from repro.search.result import SearchResult
 
 __all__ = [
     "SearchResult",
-    "hill_climb",
     "hill_climb_scalar",
     "hill_climb_front",
     "hill_climb_restarts",
 ]
-
-
-def hill_climb(
-    profile: ConflictProfile,
-    family: FunctionFamily,
-    start: XorHashFunction | None = None,
-    max_steps: int | None = None,
-    estimator: MissEstimator | None = None,
-    strategy="steepest",
-) -> SearchResult:
-    """Run one search pass (batched; steepest descent by default).
-
-    Parameters
-    ----------
-    profile:
-        Conflict profile from :func:`repro.profiling.profile_trace`.
-    family:
-        Search family (determines admissible moves and the start point).
-    start:
-        Override the start function (defaults to ``family.start()``, the
-        conventional modulo function as in the paper).
-    max_steps:
-        Safety bound on descent steps (``None`` = run to local optimum).
-    estimator:
-        Reuse a prepared :class:`MissEstimator` across searches.
-    strategy:
-        A :class:`~repro.search.strategies.SearchStrategy` instance or
-        spec string (``"steepest"``, ``"first-improvement"``,
-        ``"beam:4"``, ``"anneal"``).  The default is the paper's
-        steepest descent, bit-identical to :func:`hill_climb_scalar`.
-    """
-    from repro.search.strategies import strategy_for_name
-
-    strategy = strategy_for_name(strategy)
-    return strategy.search(
-        profile, family, start=start, max_steps=max_steps, estimator=estimator
-    )
 
 
 def hill_climb_scalar(
@@ -95,7 +57,7 @@ def hill_climb_scalar(
     :meth:`MissEstimator.costs_with_column_replaced` and checks each
     inspected candidate's rank and canonical key through
     :class:`~repro.gf2.hashfn.XorHashFunction` construction — the
-    behaviour the batched :func:`hill_climb` must reproduce
+    behaviour the batched steepest descent must reproduce
     bit-identically (final function, history, steps, evaluations).
     """
     t0 = time.perf_counter()

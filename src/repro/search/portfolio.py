@@ -25,12 +25,6 @@ the naive "run them all" loop does not have:
 Members without a ``pick`` (beam, annealing) cannot be advanced one
 move at a time from outside, so they run to completion on the shared
 estimator after the race, each with a deterministically folded rng.
-
-``rungs`` opts into successive halving: every ``rungs`` race rounds the
-worst-scoring half of the still-active lanes is eliminated.  That caps
-the cost of dragging a slow-converging member along, but the winner is
-then only best-of-the-survivors — the never-worse guarantee is
-forfeited, so halving is off by default.
 """
 
 from __future__ import annotations
@@ -108,19 +102,17 @@ def _lazy_first_improvement_step(estimator, family, climber) -> bool:
     return False
 
 
-def _race(estimator, family, lanes, max_steps, rungs) -> None:
+def _race(estimator, family, lanes, max_steps) -> None:
     """Advance every lane one move per round until all finish.
 
     Lanes are grouped by their *exact* current columns each round; one
     flatten + gather serves a whole group (each lane still applies its
     own pick rule and visited-set to the shared scores, so trajectories
     replicate solo runs).  A lone lazy lane skips the full gather
-    entirely.  With ``rungs`` set, every ``rungs`` rounds the worse
-    half of the active lanes is retired.
+    entirely.
     """
     from repro.search.batched import _flatten_neighbourhoods
 
-    rounds = 0
     while True:
         active = []
         for lane in lanes:
@@ -167,16 +159,6 @@ def _race(estimator, family, lanes, max_steps, rungs) -> None:
                 climber.visited.add(key)
                 climber.history.append(cost)
                 climber.steps += 1
-        rounds += 1
-        if rungs is not None and rounds % rungs == 0:
-            survivors = [lane for lane in lanes if lane.climber.active]
-            if len(survivors) > 1:
-                ranked = sorted(
-                    survivors,
-                    key=lambda lane: (lane.climber.cost, lane.member_index),
-                )
-                for lane in ranked[(len(ranked) + 1) // 2 :]:
-                    lane.climber.finish()
 
 
 @dataclass(frozen=True)
@@ -185,23 +167,19 @@ class Portfolio:
 
     ``members`` are strategy specs (or instances) resolved through
     :func:`repro.search.strategies.strategy_for_name`; ``seed`` folds
-    into the rng handed to stochastic members; ``rungs`` (off by
-    default) enables successive halving of the racing lanes.  Winner
-    ties break toward the earlier member, so the result is
-    deterministic whenever every member is.
+    into the rng handed to stochastic members.  Winner ties break
+    toward the earlier member, so the result is deterministic whenever
+    every member is.
     """
 
     members: tuple = ("steepest", "first-improvement")
     seed: int = 0
-    rungs: int | None = None
 
     def __post_init__(self):
         members = tuple(self.members)
         if len(members) == 0:
             raise ValueError("portfolio needs at least one member")
         object.__setattr__(self, "members", members)
-        if self.rungs is not None and self.rungs < 1:
-            raise ValueError(f"rungs must be >= 1, got {self.rungs}")
 
     def _resolved(self) -> tuple:
         cached = self.__dict__.get("_member_cache")
@@ -224,8 +202,6 @@ class Portfolio:
     @property
     def name(self) -> str:
         inner = "+".join(member.name for member in self._resolved())
-        if self.rungs is not None:
-            inner += f";rungs={self.rungs}"
         if not self.deterministic:
             inner += f";seed={self.seed}"
         return f"portfolio({inner})"
@@ -264,7 +240,7 @@ class Portfolio:
             climber.visited = {start_key}
             lanes.append(_Lane(index, member, climber))
         if lanes:
-            _race(estimator, family, lanes, max_steps, self.rungs)
+            _race(estimator, family, lanes, max_steps)
             for lane in lanes:
                 results[lane.member_index] = lane.climber.result(
                     family, lane.strategy.name

@@ -22,9 +22,10 @@ the same batched scoring kernel (:mod:`repro.search.batched`):
                           returns the cheapest finisher.
 ========================  ====================================================
 
-A strategy is anything satisfying :class:`SearchStrategy`; pass an
+A strategy is anything satisfying :class:`SearchStrategy`; one search
+pass is ``strategy_for_name(spec).search(profile, family)``.  Pass an
 instance (or a spec string such as ``"beam:8"``) to
-:func:`repro.search.hill_climb`, :func:`repro.search.hill_climb_front`,
+:func:`repro.search.hill_climb_front`,
 :func:`repro.core.optimizer.optimize_for_trace`, a spec's
 ``search.strategy`` (and so any campaign grid, see
 :func:`repro.api.expand_grid`) or the ``repro search`` CLI.

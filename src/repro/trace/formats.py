@@ -142,7 +142,7 @@ def _parse_text(lines: Iterable[str], header: dict) -> list[int]:
     for raw in lines:
         line = raw.strip()
         if line.startswith("#"):
-            read_comment(line, header)
+            _read_comment(line, header)
         elif line:
             addr = int(line, 16)
             if addr >> 64:
@@ -200,7 +200,7 @@ def _set_field(header: dict, key: str, value) -> None:
     header[key] = value
 
 
-def read_comment(line: str, header: dict) -> None:
+def _read_comment(line: str, header: dict) -> None:
     """Record a hex-text ``# name:``/``# kind:``/``# uops:`` comment
     in ``header``; other comments are ignored."""
     key, __, value = line[1:].partition(":")

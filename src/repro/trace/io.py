@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.names import trace_format
-from repro.trace.formats import READERS, TraceFileError, read_comment
+from repro.trace.formats import READERS, TraceFileError
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "load_trace",
     "save_trace_text",
     "save_trace_text_reference",
-    "load_trace_text_reference",
 ]
 
 #: Addresses formatted per vectorized batch; bounds the transient
@@ -119,23 +118,3 @@ def save_trace_text_reference(trace: Trace, path: str | Path) -> None:
         fh.write(f"# uops: {trace.uops}\n")
         for addr in trace.addresses:
             fh.write(f"{int(addr):x}\n")
-
-
-def load_trace_text_reference(path: str | Path) -> Trace:
-    """Per-line loop reader, kept as the oracle for the hex-text reader
-    :func:`repro.trace.formats.iter_trace_text`."""
-    header: dict = {}
-    addresses: list[int] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                read_comment(line, header)
-            elif line:
-                addresses.append(int(line, 16))
-    return Trace(
-        np.array(addresses, dtype=np.uint64),
-        uops=header.get("uops", 0),
-        name=header.get("name", Path(path).stem),
-        kind=header.get("kind", "data"),
-    )

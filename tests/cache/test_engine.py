@@ -15,27 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.engine import (
+    direct_mapped_miss_vector,
     evaluate_many,
+    lru_miss_vector,
     misses_for_index_streams,
     simulate,
+    simulate_banks,
+    simulate_capacity,
     stacked_index_streams,
-)
-from repro.cache.direct_mapped import (
-    miss_vector_direct_mapped,
-    simulate_direct_mapped,
-    simulate_direct_mapped_scalar,
-)
-from repro.cache.fully_assoc import (
-    simulate_fully_associative,
-    simulate_fully_associative_scalar,
+    stats_from_misses,
 )
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
-from repro.cache.set_assoc import (
-    simulate_set_associative,
+from repro.cache.reference import (
+    simulate_direct_mapped_scalar,
+    simulate_fully_associative_scalar,
     simulate_set_associative_scalar,
+    simulate_skewed_scalar,
 )
-from repro.cache.skewed import simulate_skewed, simulate_skewed_scalar
 from repro.gf2.hashfn import XorHashFunction
 from repro.search.exhaustive import misses_bit_select_exact
 from repro.workloads.registry import get_workload
@@ -63,7 +60,8 @@ class TestDirectMappedProperty:
     @given(blocks=block_traces(), fn=hash_functions(n=N, full_rank=True))
     def test_engine_matches_scalar_xor(self, blocks, fn):
         indexing = XorIndexing(fn)
-        assert simulate_direct_mapped(blocks, indexing) == (
+        geometry = CacheGeometry.direct_mapped((1 << fn.m) * 4)
+        assert simulate(blocks, geometry, indexing) == (
             simulate_direct_mapped_scalar(blocks, indexing)
         )
 
@@ -71,14 +69,15 @@ class TestDirectMappedProperty:
     @given(blocks=block_traces(), m=st.integers(min_value=0, max_value=8))
     def test_engine_matches_scalar_modulo(self, blocks, m):
         indexing = ModuloIndexing(m)
-        assert simulate_direct_mapped(blocks, indexing) == (
+        geometry = CacheGeometry.direct_mapped((1 << m) * 4)
+        assert simulate(blocks, geometry, indexing) == (
             simulate_direct_mapped_scalar(blocks, indexing)
         )
 
     @settings(max_examples=30, deadline=None)
     @given(blocks=block_traces(), fn=hash_functions(n=N, full_rank=True))
     def test_miss_vector_count_consistent(self, blocks, fn):
-        misses = miss_vector_direct_mapped(blocks, XorIndexing(fn))
+        misses = direct_mapped_miss_vector(fn.apply_array(blocks), blocks)
         assert int(misses.sum()) == (
             simulate_direct_mapped_scalar(blocks, XorIndexing(fn)).misses
         )
@@ -89,7 +88,8 @@ class TestDirectMappedProperty:
         for m in (6, 8, 10):
             fn = XorHashFunction.random(16, m, np.random.default_rng(m))
             indexing = XorIndexing(fn)
-            assert simulate_direct_mapped(blocks, indexing) == (
+            geometry = CacheGeometry.direct_mapped((1 << m) * 4)
+            assert simulate(blocks, geometry, indexing) == (
                 simulate_direct_mapped_scalar(blocks, indexing)
             )
 
@@ -107,7 +107,7 @@ class TestLruProperty:
             (1 << fn.m) * ways * 4, block_size=4, associativity=ways
         )
         indexing = XorIndexing(fn)
-        assert simulate_set_associative(blocks, geometry, indexing) == (
+        assert simulate(blocks, geometry, indexing) == (
             simulate_set_associative_scalar(blocks, geometry, indexing)
         )
 
@@ -116,30 +116,32 @@ class TestLruProperty:
     def test_real_traces(self, suite, name, ways):
         blocks = _real_blocks(suite, name)
         geometry = CacheGeometry(4096, block_size=4, associativity=ways)
-        assert simulate_set_associative(blocks, geometry) == (
+        assert simulate(blocks, geometry) == (
             simulate_set_associative_scalar(blocks, geometry)
         )
 
     def test_single_way_matches_direct_mapped(self):
+        """The LRU kernel at one way agrees with the direct-mapped
+        kernel ``simulate`` dispatches a 1-way geometry to."""
         blocks = _real_blocks("powerstone", "ucbqsort")
         geometry = CacheGeometry.direct_mapped(1024)
-        assert simulate_set_associative(blocks, geometry) == (
-            simulate_direct_mapped(blocks, ModuloIndexing(geometry.index_bits))
-        )
+        set_ids = ModuloIndexing(geometry.index_bits).set_index_array(blocks)
+        one_way = stats_from_misses(blocks, lru_miss_vector(set_ids, blocks, 1))
+        assert simulate(blocks, geometry) == one_way
 
 
 class TestFullyAssociativeProperty:
     @settings(max_examples=40, deadline=None)
     @given(blocks=block_traces(), capacity=st.integers(min_value=1, max_value=40))
     def test_engine_matches_scalar(self, blocks, capacity):
-        assert simulate_fully_associative(blocks, capacity) == (
+        assert simulate_capacity(blocks, capacity) == (
             simulate_fully_associative_scalar(blocks, capacity)
         )
 
     @pytest.mark.parametrize("suite,name", REAL_WORKLOADS)
     def test_real_traces(self, suite, name):
         blocks = _real_blocks(suite, name)
-        assert simulate_fully_associative(blocks, 256) == (
+        assert simulate_capacity(blocks, 256) == (
             simulate_fully_associative_scalar(blocks, 256)
         )
 
@@ -153,7 +155,7 @@ class TestSkewedProperty:
     )
     def test_engine_matches_scalar(self, blocks, fn, seed):
         banks = [ModuloIndexing(fn.m), XorIndexing(fn)]
-        assert simulate_skewed(blocks, banks, seed=seed) == (
+        assert simulate_banks(blocks, banks, seed=seed) == (
             simulate_skewed_scalar(blocks, banks, seed=seed)
         )
 
@@ -162,13 +164,13 @@ class TestSkewedProperty:
         blocks = _real_blocks(suite, name)
         fn = XorHashFunction.random(16, 9, np.random.default_rng(7))
         banks = [ModuloIndexing(9), XorIndexing(fn)]
-        assert simulate_skewed(blocks, banks, seed=3) == (
+        assert simulate_banks(blocks, banks, seed=3) == (
             simulate_skewed_scalar(blocks, banks, seed=3)
         )
 
     def test_rejects_single_bank(self):
         with pytest.raises(ValueError):
-            simulate_skewed(np.arange(4, dtype=np.uint64), [ModuloIndexing(4)])
+            simulate_banks(np.arange(4, dtype=np.uint64), [ModuloIndexing(4)])
 
 
 class TestEvaluateMany:
@@ -187,7 +189,7 @@ class TestEvaluateMany:
         ]
         batched = evaluate_many(blocks, geometry, functions)
         sequential = [
-            simulate_direct_mapped(blocks, XorIndexing(fn)) for fn in functions
+            simulate(blocks, geometry, XorIndexing(fn)) for fn in functions
         ]
         assert batched == sequential
 
@@ -201,8 +203,7 @@ class TestEvaluateMany:
         ]
         batched = evaluate_many(blocks, geometry, functions)
         sequential = [
-            simulate_set_associative(blocks, geometry, XorIndexing(fn))
-            for fn in functions
+            simulate(blocks, geometry, XorIndexing(fn)) for fn in functions
         ]
         assert batched == sequential
 
@@ -217,7 +218,7 @@ class TestEvaluateMany:
         batched = evaluate_many(trace, geometry, functions)
         blocks = trace.block_addresses(geometry.block_size)
         sequential = [
-            simulate_direct_mapped(blocks, XorIndexing(fn)) for fn in functions
+            simulate(blocks, geometry, XorIndexing(fn)) for fn in functions
         ]
         assert batched == sequential
 
@@ -294,13 +295,15 @@ class TestDispatchSimulate:
     def test_geometry_dispatch_consistency(self):
         blocks = _real_blocks("mibench", "fft")
         direct = CacheGeometry.direct_mapped(1024)
-        assert simulate(blocks, direct) == simulate_direct_mapped(
+        assert simulate(blocks, direct) == simulate_direct_mapped_scalar(
             blocks, ModuloIndexing(direct.index_bits)
         )
         assoc = CacheGeometry(1024, block_size=4, associativity=4)
-        assert simulate(blocks, assoc) == simulate_set_associative(blocks, assoc)
+        assert simulate(blocks, assoc) == simulate_set_associative_scalar(
+            blocks, assoc
+        )
         fa = CacheGeometry.fully_associative(1024)
-        assert simulate(blocks, fa) == simulate_fully_associative(blocks, 256)
+        assert simulate(blocks, fa) == simulate_capacity(blocks, 256)
 
     def test_set_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,16 @@
-"""Tests for the LRU set-associative simulator."""
+"""Tests for LRU set-associative simulation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.cache.direct_mapped import simulate_direct_mapped
+from repro.cache.engine import simulate
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing
-from repro.cache.set_assoc import simulate_set_associative
+from repro.cache.reference import (
+    simulate_direct_mapped_scalar,
+    simulate_set_associative_scalar,
+)
 from tests.conftest import block_traces
 
 
@@ -17,22 +20,23 @@ class TestAgainstDirectMapped:
     def test_one_way_equals_direct_mapped(self, blocks):
         geometry = CacheGeometry(128, block_size=4, associativity=1)
         pol = ModuloIndexing(geometry.index_bits)
-        assert simulate_set_associative(blocks, geometry, pol) == \
-            simulate_direct_mapped(blocks, pol)
+        one_way_lru = simulate_set_associative_scalar(blocks, geometry, pol)
+        assert one_way_lru == simulate_direct_mapped_scalar(blocks, pol)
+        assert simulate(blocks, geometry, pol) == one_way_lru
 
 
 class TestLruBehaviour:
     def test_two_way_absorbs_pingpong(self):
         blocks = np.tile(np.array([0, 32], dtype=np.uint64), 50)
         geometry = CacheGeometry(256, block_size=4, associativity=2)
-        stats = simulate_set_associative(blocks, geometry)
+        stats = simulate(blocks, geometry)
         assert stats.misses == 2  # both fit in one 2-way set
 
     def test_lru_eviction_order(self):
         # Set 0 of a 2-way cache: blocks 0, 32, 64 rotate; LRU evicts.
         geometry = CacheGeometry(256, block_size=4, associativity=2)
         blocks = np.array([0, 32, 64, 0], dtype=np.uint64)
-        stats = simulate_set_associative(blocks, geometry)
+        stats = simulate(blocks, geometry)
         # access 0 (miss), 32 (miss), 64 (miss, evicts 0), 0 (miss again)
         assert stats.misses == 4
 
@@ -40,18 +44,18 @@ class TestLruBehaviour:
         geometry = CacheGeometry(256, block_size=4, associativity=2)
         blocks = np.array([0, 32, 0, 64, 0], dtype=np.uint64)
         # 0,32 miss; 0 hit (refresh); 64 miss evicts 32 (LRU); 0 hit.
-        stats = simulate_set_associative(blocks, geometry)
+        stats = simulate(blocks, geometry)
         assert stats.misses == 3
 
     def test_empty(self):
         geometry = CacheGeometry(256, block_size=4, associativity=2)
-        stats = simulate_set_associative(np.zeros(0, dtype=np.uint64), geometry)
+        stats = simulate(np.zeros(0, dtype=np.uint64), geometry)
         assert stats.accesses == 0
 
     def test_indexing_set_count_mismatch(self):
         geometry = CacheGeometry(256, block_size=4, associativity=2)
         with pytest.raises(ValueError):
-            simulate_set_associative(
+            simulate(
                 np.zeros(1, dtype=np.uint64), geometry, ModuloIndexing(3)
             )
 
@@ -62,11 +66,11 @@ class TestAssociativityMonotonicityOnLoops:
     def test_more_ways_never_hurt_single_set(self, blocks):
         """With one set (fully associative), more capacity never hurts —
         LRU stack inclusion."""
-        small = simulate_set_associative(
+        small = simulate(
             blocks, CacheGeometry(32, block_size=4, associativity=8),
             ModuloIndexing(0),
         )
-        large = simulate_set_associative(
+        large = simulate(
             blocks, CacheGeometry(64, block_size=4, associativity=16),
             ModuloIndexing(0),
         )

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cache.direct_mapped import simulate_direct_mapped
+from repro.cache.engine import simulate, simulate_banks
+from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
-from repro.cache.skewed import simulate_skewed
 from repro.gf2.hashfn import XorHashFunction
 
 
@@ -20,29 +20,29 @@ def _banks(m=8):
 class TestSkewed:
     def test_requires_two_banks(self):
         with pytest.raises(ValueError):
-            simulate_skewed(np.zeros(1, dtype=np.uint64), [ModuloIndexing(4)])
+            simulate_banks(np.zeros(1, dtype=np.uint64), [ModuloIndexing(4)])
 
     def test_bank_set_counts_must_agree(self):
         with pytest.raises(ValueError):
-            simulate_skewed(
+            simulate_banks(
                 np.zeros(1, dtype=np.uint64), [ModuloIndexing(4), ModuloIndexing(5)]
             )
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(7)
         blocks = rng.integers(0, 4096, size=2000).astype(np.uint64)
-        a = simulate_skewed(blocks, _banks(), seed=3)
-        b = simulate_skewed(blocks, _banks(), seed=3)
+        a = simulate_banks(blocks, _banks(), seed=3)
+        b = simulate_banks(blocks, _banks(), seed=3)
         assert a == b
 
     def test_beats_direct_mapped_on_conflict_pattern(self):
         """Seznec's motivation: skewing absorbs modulo conflicts."""
         streams = [k * 1024 + np.arange(32, dtype=np.uint64) for k in range(4)]
         blocks = np.tile(np.stack(streams, axis=1).reshape(-1), 20)
-        dm = simulate_direct_mapped(blocks, ModuloIndexing(8))
-        skewed = simulate_skewed(blocks, _banks(8), seed=0)
+        dm = simulate(blocks, CacheGeometry.direct_mapped(256 * 4))
+        skewed = simulate_banks(blocks, _banks(8), seed=0)
         assert skewed.misses < dm.misses
 
     def test_empty(self):
-        stats = simulate_skewed(np.zeros(0, dtype=np.uint64), _banks())
+        stats = simulate_banks(np.zeros(0, dtype=np.uint64), _banks())
         assert stats.accesses == 0

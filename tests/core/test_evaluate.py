@@ -1,17 +1,12 @@
-"""Tests for exact evaluation helpers."""
+"""Tests for exact evaluation through the cached pipeline entry points."""
 
 import numpy as np
 import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
-from repro.core.evaluate import (
-    baseline_stats,
-    compare_indexings,
-    evaluate_hash_function,
-    evaluate_indexing,
-)
 from repro.gf2.hashfn import XorHashFunction
+from repro.pipeline.context import PipelineContext
 from repro.trace.trace import Trace
 
 
@@ -23,40 +18,42 @@ def trace():
 class TestEvaluate:
     def test_baseline_is_modulo(self, trace):
         geometry = CacheGeometry.direct_mapped(1024)
-        base = baseline_stats(trace, geometry)
-        direct = evaluate_indexing(trace, geometry, ModuloIndexing(8))
+        context = PipelineContext()
+        base = context.baseline(trace, geometry)
+        direct = context.simulate(trace, geometry, ModuloIndexing(8))
         assert base == direct
         assert base.misses == 100  # 0 and 1024 ping-pong in set 0
 
     def test_hash_function_evaluation(self, trace):
         geometry = CacheGeometry.direct_mapped(1024)
         fn = XorHashFunction.from_sigma(16, 8, [8] + [None] * 7)
-        stats = evaluate_hash_function(trace, geometry, fn)
+        stats = PipelineContext().evaluate(trace, geometry, fn)
         assert stats.misses == 2
 
     def test_m_mismatch_rejected(self, trace):
         geometry = CacheGeometry.direct_mapped(1024)
+        context = PipelineContext()
+        wide = XorHashFunction.modulo(16, 10)
         with pytest.raises(ValueError):
-            evaluate_hash_function(trace, geometry, XorHashFunction.modulo(16, 10))
+            context.evaluate(trace, geometry, wide)
+        with pytest.raises(ValueError):
+            context.evaluate_many(trace, geometry, [wide])
 
     def test_set_count_mismatch_rejected(self, trace):
         geometry = CacheGeometry.direct_mapped(1024)
         with pytest.raises(ValueError):
-            evaluate_indexing(trace, geometry, ModuloIndexing(9))
+            PipelineContext().simulate(trace, geometry, ModuloIndexing(9))
 
     def test_set_associative_path(self, trace):
         geometry = CacheGeometry(1024, block_size=4, associativity=2)
-        stats = evaluate_indexing(trace, geometry, ModuloIndexing(7))
+        stats = PipelineContext().simulate(trace, geometry, ModuloIndexing(7))
         assert stats.misses == 2  # two ways absorb the ping-pong
 
     def test_compare_indexings(self, trace):
         geometry = CacheGeometry.direct_mapped(1024)
-        results = compare_indexings(
-            trace,
-            geometry,
-            {
-                "modulo": ModuloIndexing(8),
-                "xor": XorIndexing(XorHashFunction.from_sigma(16, 8, [8] + [None] * 7)),
-            },
-        )
-        assert results["xor"].misses < results["modulo"].misses
+        context = PipelineContext()
+        fn = XorHashFunction.from_sigma(16, 8, [8] + [None] * 7)
+        modulo = context.simulate(trace, geometry, ModuloIndexing(8))
+        xor = context.simulate(trace, geometry, XorIndexing(fn))
+        assert xor == context.evaluate(trace, geometry, fn)
+        assert xor.misses < modulo.misses

@@ -135,13 +135,8 @@ class TestSetAssociativeGeometry:
 class TestGuard:
     def test_guard_reverts_when_worse(self, geometry_1kb, monkeypatch):
         """Force a bad search outcome; the guard must fall back to modulo."""
-        import importlib
-
+        import repro.search.hill_climb as search_module
         from repro.search.hill_climb import SearchResult
-
-        # The package attribute ``hill_climb`` is the function, not the
-        # module; the optimizer imports the search when it runs one.
-        search_module = importlib.import_module("repro.search.hill_climb")
 
         bad_fn = XorHashFunction.from_sigma(16, 8, [15, 14, 13, 12, 11, 10, 9, 8])
 

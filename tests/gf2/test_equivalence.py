@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.direct_mapped import simulate_direct_mapped
+from repro.cache.engine import simulate
+from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import XorIndexing
 from repro.gf2.hashfn import XorHashFunction
 from repro.gf2.spaces import Subspace
@@ -34,8 +35,9 @@ class TestEquivalenceIsBehavioural:
         cols[1] ^= cols[0]  # column op: same span, different matrix
         other = XorHashFunction(fn.n, cols)
         assert other.equivalent_to(fn)
-        a = simulate_direct_mapped(blocks, XorIndexing(fn))
-        b = simulate_direct_mapped(blocks, XorIndexing(other))
+        geometry = CacheGeometry.direct_mapped((1 << fn.m) * 4)
+        a = simulate(blocks, geometry, XorIndexing(fn))
+        b = simulate(blocks, geometry, XorIndexing(other))
         assert a.misses == b.misses
 
     @settings(max_examples=25, deadline=None)

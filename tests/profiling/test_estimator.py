@@ -68,14 +68,14 @@ class TestEq4Semantics:
     def test_estimate_matches_conflict_misses_on_clean_pattern(self):
         """On a pure ping-pong, Eq. 4 exactly counts the conflict misses
         of the baseline (estimate == exact non-compulsory misses)."""
-        from repro.cache.direct_mapped import simulate_direct_mapped
-        from repro.cache.indexing import ModuloIndexing
+        from repro.cache.engine import simulate
+        from repro.cache.geometry import CacheGeometry
 
         blocks = np.tile(np.array([0, 256], dtype=np.uint64), 50)
         profile = profile_blocks(blocks, 256, 16)
         fn = XorHashFunction.modulo(16, 8)
         estimated = estimate_misses(profile, fn)
-        exact = simulate_direct_mapped(blocks, ModuloIndexing(8))
+        exact = simulate(blocks, CacheGeometry.direct_mapped(256 * 4))
         assert estimated == exact.misses - exact.compulsory
 
 

@@ -30,7 +30,6 @@ from repro.search.families import (
     GeneralXorFamily,
     PermutationFamily,
 )
-from repro.search.hill_climb import hill_climb
 from repro.search.strategies import strategy_for_name
 
 SMALL_FAMILIES = [
@@ -107,7 +106,7 @@ class TestCertifiedOptimum:
         )
         profile = ConflictProfile(6, counts)
         family = PermutationFamily(6, 3, None)
-        result = hill_climb(profile, family, strategy="branch-bound")
+        result = strategy_for_name("branch-bound").search(profile, family)
         assert result.certified
         assert result.estimated_misses == brute_force_optimum(profile, family)
 

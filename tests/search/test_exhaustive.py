@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.cache.direct_mapped import simulate_direct_mapped
+from repro.cache.engine import simulate
+from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import XorIndexing
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import profile_blocks
@@ -15,7 +16,7 @@ from repro.search.exhaustive import (
     optimal_bit_select,
 )
 from repro.search.families import BitSelectFamily
-from repro.search.hill_climb import hill_climb
+from repro.search.strategies import strategy_for_name
 
 
 class TestEnumeration:
@@ -47,7 +48,8 @@ class TestFastExactKernel:
             for mask_value in [0b1111, 0b1010100010, 0b1111000000]:
                 bits = [r for r in range(n) if (mask_value >> r) & 1]
                 fn = XorHashFunction.bit_select(n, bits)
-                reference = simulate_direct_mapped(blocks, XorIndexing(fn)).misses
+                geometry = CacheGeometry.direct_mapped((1 << m) * 4)
+                reference = simulate(blocks, geometry, XorIndexing(fn)).misses
                 assert misses_bit_select_exact(blocks, mask_value) == reference
 
         check()
@@ -70,10 +72,11 @@ class TestExactMode:
         blocks = rng.integers(0, 256, size=400).astype(np.uint64)
         n, m = 8, 3
         result = optimal_bit_select(n, m, blocks=blocks, mode="exact")
+        geometry = CacheGeometry.direct_mapped((1 << m) * 4)
         for mask_value in enumerate_bit_select_masks(n, m):
             bits = [r for r in range(n) if (int(mask_value) >> r) & 1]
             fn = XorHashFunction.bit_select(n, bits)
-            stats = simulate_direct_mapped(blocks, XorIndexing(fn))
+            stats = simulate(blocks, geometry, XorIndexing(fn))
             assert result.misses <= stats.misses
 
     def test_exact_needs_blocks(self):
@@ -116,7 +119,9 @@ class TestEstimateMode:
         n, m = 10, 4
         profile = profile_blocks(blocks, 64, n)
         exhaustive = optimal_bit_select(n, m, profile=profile, mode="estimate")
-        heuristic = hill_climb(profile, BitSelectFamily(n, m))
+        heuristic = strategy_for_name("steepest").search(
+            profile, BitSelectFamily(n, m)
+        )
         assert exhaustive.misses <= heuristic.estimated_misses
 
 

@@ -14,11 +14,14 @@ from repro.search.families import (
     PermutationFamily,
 )
 from repro.search.hill_climb import (
-    hill_climb,
     hill_climb_front,
     hill_climb_restarts,
     hill_climb_scalar,
 )
+from repro.search.strategies import strategy_for_name
+
+#: The batched steepest descent, the paper's search pass.
+STEEPEST = strategy_for_name("steepest")
 
 
 def _profile_with(n, entries):
@@ -37,7 +40,7 @@ class TestDescent:
             10,
         )
         profile = profile_blocks(blocks, 64, 12)
-        result = hill_climb(profile, PermutationFamily(12, 6, 2))
+        result = STEEPEST.search(profile, PermutationFamily(12, 6, 2))
         for earlier, later in zip(result.history, result.history[1:]):
             assert later < earlier
 
@@ -46,7 +49,7 @@ class TestDescent:
         n, m = 12, 6
         heavy = 0b000001000001  # bits 0 and 6
         profile = _profile_with(n, [(heavy, 1000)])
-        result = hill_climb(profile, PermutationFamily(n, m, 2))
+        result = STEEPEST.search(profile, PermutationFamily(n, m, 2))
         assert result.estimated_misses == 0
         assert heavy not in result.function.null_space()
 
@@ -54,7 +57,7 @@ class TestDescent:
         n, m = 12, 6
         # Vector with zero low bits is in the modulo null space.
         profile = _profile_with(n, [(0b111000 << 6, 42)])
-        result = hill_climb(profile, PermutationFamily(n, m, 2))
+        result = STEEPEST.search(profile, PermutationFamily(n, m, 2))
         assert result.start_misses == 42
 
     def test_respects_max_steps(self):
@@ -65,7 +68,7 @@ class TestDescent:
             10,
         )
         profile = profile_blocks(blocks, 64, 12)
-        result = hill_climb(profile, PermutationFamily(12, 6, 2), max_steps=1)
+        result = STEEPEST.search(profile, PermutationFamily(12, 6, 2), max_steps=1)
         assert result.steps <= 1
 
     def test_result_in_family_and_full_rank(self):
@@ -76,14 +79,14 @@ class TestDescent:
             BitSelectFamily(n, m),
             GeneralXorFamily(n, m, 2),
         ):
-            result = hill_climb(profile, family)
+            result = STEEPEST.search(profile, family)
             assert family.contains(result.function)
             assert result.function.is_full_rank
 
     def test_zero_profile_stays_at_start(self):
         n, m = 12, 6
         profile = _profile_with(n, [])
-        result = hill_climb(profile, PermutationFamily(n, m, 2))
+        result = STEEPEST.search(profile, PermutationFamily(n, m, 2))
         assert result.steps == 0
         assert result.function == XorHashFunction.modulo(n, m)
 
@@ -92,7 +95,7 @@ class TestDescent:
         family = PermutationFamily(n, m, 2)
         start = XorHashFunction.from_sigma(n, m, [7, 8, 9, 10, 11, None])
         profile = _profile_with(n, [])
-        result = hill_climb(profile, family, start=start)
+        result = STEEPEST.search(profile, family, start=start)
         assert result.function == start
 
     def test_start_outside_family_rejected(self):
@@ -100,14 +103,14 @@ class TestDescent:
         family = BitSelectFamily(n, m)
         start = XorHashFunction.from_sigma(n, m, [7] * m)
         with pytest.raises(ValueError):
-            hill_climb(_profile_with(n, []), family, start=start)
+            STEEPEST.search(_profile_with(n, []), family, start=start)
 
 
 class TestEstimatedRemoval:
     def test_removed_fraction_reporting(self):
         n, m = 12, 6
         profile = _profile_with(n, [(0b1000000, 100)])  # e6: in modulo null space
-        result = hill_climb(profile, PermutationFamily(n, m, 2))
+        result = STEEPEST.search(profile, PermutationFamily(n, m, 2))
         assert result.start_misses == 100
         assert result.estimated_misses == 0
         assert result.estimated_removed_fraction == 100.0
@@ -158,7 +161,7 @@ class TestBatchedMatchesScalar:
     def test_random_profiles_all_families(self, profile, family_index):
         family = _ALL_FAMILIES[family_index]
         _assert_identical(
-            hill_climb(profile, family), hill_climb_scalar(profile, family)
+            STEEPEST.search(profile, family), hill_climb_scalar(profile, family)
         )
 
     @settings(max_examples=10, deadline=None)
@@ -167,7 +170,7 @@ class TestBatchedMatchesScalar:
         family = PermutationFamily(10, 5, 2)
         start = family.random_member(np.random.default_rng(seed))
         _assert_identical(
-            hill_climb(profile, family, start=start),
+            STEEPEST.search(profile, family, start=start),
             hill_climb_scalar(profile, family, start=start),
         )
 
@@ -176,7 +179,7 @@ class TestBatchedMatchesScalar:
     def test_max_steps(self, profile, max_steps):
         family = PermutationFamily(10, 5, None)
         _assert_identical(
-            hill_climb(profile, family, max_steps=max_steps),
+            STEEPEST.search(profile, family, max_steps=max_steps),
             hill_climb_scalar(profile, family, max_steps=max_steps),
         )
 
@@ -201,14 +204,14 @@ class TestBatchedMatchesScalar:
             GeneralXorFamily(12, 6, None),
         ):
             _assert_identical(
-                hill_climb(profile, family), hill_climb_scalar(profile, family)
+                STEEPEST.search(profile, family), hill_climb_scalar(profile, family)
             )
 
     def test_scalar_rejects_bad_starts_identically(self):
         family = BitSelectFamily(10, 5)
         bad = XorHashFunction.from_sigma(10, 5, [7] * 5)
         profile = _profile_with(10, [])
-        for search in (hill_climb, hill_climb_scalar):
+        for search in (STEEPEST.search, hill_climb_scalar):
             with pytest.raises(ValueError):
                 search(profile, family, start=bad)
 
@@ -254,7 +257,7 @@ class TestLockstepFront:
 class TestFrozenResult:
     def test_with_start_does_not_mutate(self):
         profile = _profile_with(10, [(0b1000001, 10)])
-        result = hill_climb(profile, PermutationFamily(10, 5, 2))
+        result = STEEPEST.search(profile, PermutationFamily(10, 5, 2))
         before = result.start_misses
         replaced = result.with_start(before + 1)
         assert replaced.start_misses == before + 1
@@ -263,7 +266,7 @@ class TestFrozenResult:
 
     def test_result_is_frozen(self):
         profile = _profile_with(10, [])
-        result = hill_climb(profile, PermutationFamily(10, 5, 2))
+        result = STEEPEST.search(profile, PermutationFamily(10, 5, 2))
         with pytest.raises(AttributeError):
             result.start_misses = 7
 
@@ -290,6 +293,6 @@ class TestRestarts:
         )
         profile = profile_blocks(blocks, 64, 12)
         family = PermutationFamily(12, 6, 2)
-        single = hill_climb(profile, family)
+        single = STEEPEST.search(profile, family)
         multi = hill_climb_restarts(profile, family, restarts=4, seed=1)
         assert multi.estimated_misses <= single.estimated_misses

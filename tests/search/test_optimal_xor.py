@@ -8,8 +8,8 @@ from repro.gf2.spaces import Subspace, all_subspace_bases
 from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
 from repro.search.exhaustive import optimal_bit_select
 from repro.search.families import GeneralXorFamily, PermutationFamily
-from repro.search.hill_climb import hill_climb
 from repro.search.optimal_xor import optimal_xor_function
+from repro.search.strategies import strategy_for_name
 
 
 def _profile(n, entries):
@@ -65,7 +65,7 @@ class TestOptimalXor:
         profile = profile_blocks(blocks, 16, 8)
         optimal = optimal_xor_function(profile, 4)
         for family in (GeneralXorFamily(8, 4), PermutationFamily(8, 4)):
-            climbed = hill_climb(profile, family)
+            climbed = strategy_for_name("steepest").search(profile, family)
             assert optimal.estimated_misses <= climbed.estimated_misses
 
     def test_lower_bounds_bit_select(self):

@@ -136,21 +136,6 @@ class TestDeterminism:
         assert one.function == two.function
 
 
-class TestRungs:
-    def test_halving_runs_and_stays_deterministic(self, profile):
-        race = Portfolio(rungs=1)
-        one = race.search(profile, FAMILY)
-        two = race.search(profile, FAMILY)
-        assert one.function == two.function
-        assert one.estimated_misses == two.estimated_misses
-        # The survivor is still a real local optimum of some member.
-        assert one.function.is_full_rank
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Portfolio(rungs=0)
-
-
 class TestResolutionAndNames:
     def test_spec_strings(self):
         assert strategy_for_name("portfolio").members == DEFAULT_ZOO[:2]
@@ -166,7 +151,6 @@ class TestResolutionAndNames:
 
     def test_name_encodes_members_and_mode(self):
         assert Portfolio().name == "portfolio(steepest+first-improvement)"
-        assert "rungs=2" in Portfolio(rungs=2).name
         stochastic = Portfolio(members=("steepest", "anneal"), seed=3)
         assert "seed=3" in stochastic.name
 

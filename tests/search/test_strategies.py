@@ -5,7 +5,7 @@ import pytest
 
 from repro.profiling.conflict_profile import profile_blocks
 from repro.search.families import BitSelectFamily, PermutationFamily
-from repro.search.hill_climb import hill_climb, hill_climb_front, hill_climb_scalar
+from repro.search.hill_climb import hill_climb_front, hill_climb_scalar
 from repro.search.strategies import (
     Annealing,
     BeamSearch,
@@ -75,8 +75,8 @@ class TestResolution:
 
 class TestStrategyOutcomes:
     def test_default_is_paper_steepest(self, profile):
-        """The unadorned entry point stays the paper's algorithm."""
-        default = hill_climb(profile, FAMILY)
+        """The default ``"steepest"`` spec is the paper's algorithm."""
+        default = strategy_for_name("steepest").search(profile, FAMILY)
         assert default.strategy_name == "steepest"
         scalar = hill_climb_scalar(profile, FAMILY)
         assert default.function == scalar.function
@@ -86,37 +86,37 @@ class TestStrategyOutcomes:
         "spec", ["steepest", "first-improvement", "beam:3", "anneal:1500"]
     )
     def test_results_feasible_and_improving(self, profile, spec):
-        result = hill_climb(profile, FAMILY, strategy=spec)
+        result = strategy_for_name(spec).search(profile, FAMILY)
         assert FAMILY.contains(result.function)
         assert result.function.is_full_rank
         assert result.estimated_misses <= result.start_misses
         assert result.history[0] == result.start_misses
 
     def test_first_improvement_descends_monotonically(self, profile):
-        result = hill_climb(profile, FAMILY, strategy="first-improvement")
+        result = strategy_for_name("first-improvement").search(profile, FAMILY)
         for earlier, later in zip(result.history, result.history[1:]):
             assert later < earlier
 
     def test_beam_at_least_as_good_as_steepest(self, profile):
         """Width-1 beam follows the greedy path; wider beams dominate it."""
-        steepest = hill_climb(profile, FAMILY)
-        beam = hill_climb(profile, FAMILY, strategy="beam:4")
+        steepest = strategy_for_name("steepest").search(profile, FAMILY)
+        beam = strategy_for_name("beam:4").search(profile, FAMILY)
         assert beam.estimated_misses <= steepest.estimated_misses
 
     def test_anneal_deterministic_given_seed(self, profile):
-        a = hill_climb(profile, FAMILY, strategy=Annealing(iterations=800, seed=5))
-        b = hill_climb(profile, FAMILY, strategy=Annealing(iterations=800, seed=5))
+        a = Annealing(iterations=800, seed=5).search(profile, FAMILY)
+        b = Annealing(iterations=800, seed=5).search(profile, FAMILY)
         assert a.function == b.function and a.history == b.history
 
     def test_anneal_respects_family(self, profile):
         family = BitSelectFamily(12, 6)
-        result = hill_climb(profile, family, strategy="anneal:600")
+        result = strategy_for_name("anneal:600").search(profile, family)
         assert family.contains(result.function)
         assert result.function.is_full_rank
 
     def test_max_steps_bounds_all_strategies(self, profile):
         for spec in ("steepest", "first-improvement", "beam:2", "anneal:400"):
-            result = hill_climb(profile, FAMILY, strategy=spec, max_steps=2)
+            result = strategy_for_name(spec).search(profile, FAMILY, max_steps=2)
             assert result.steps <= 2
 
 
@@ -132,7 +132,7 @@ class TestFrontWithStrategies:
 
     def test_front_strategy_matches_single_for_first_improvement(self, profile):
         front = hill_climb_front(profile, FAMILY, strategy="first-improvement")
-        single = hill_climb(profile, FAMILY, strategy="first-improvement")
+        single = strategy_for_name("first-improvement").search(profile, FAMILY)
         assert front[0].function == single.function
         assert front[0].history == single.history
 

@@ -152,16 +152,6 @@ def test_lazy_attribute_errors_are_attribute_errors():
     assert not hasattr(repro.pipeline, "no_such_name")
 
 
-def test_search_exports_the_hill_climb_function():
-    """The ``repro.search.hill_climb`` submodule shares its name with
-    the function the package exports; the function wins."""
-    import repro.search
-    import repro.search.hill_climb  # noqa: F401
-
-    assert callable(repro.search.hill_climb)
-    assert repro.search.hill_climb.__module__ == "repro.search.hill_climb"
-
-
 def test_perfbench_tracer_installs_on_the_lazy_layout():
     probe = run_python(
         "-c",

@@ -4,10 +4,8 @@ at reduced scale."""
 import numpy as np
 import pytest
 
-from repro.cache.direct_mapped import simulate_direct_mapped
-from repro.cache.fully_assoc import simulate_fully_associative
+from repro.cache.engine import simulate, simulate_capacity
 from repro.cache.geometry import CacheGeometry
-from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.core.optimizer import optimize_for_trace
 from repro.hardware.network import PermutationNetwork
 from repro.profiling.conflict_profile import profile_trace
@@ -77,9 +75,9 @@ class TestHashingCanBeatFullAssociativity:
         capacity = 256
         loop = np.arange(capacity + 8, dtype=np.uint64)
         blocks = np.tile(loop, 30)
-        fa = simulate_fully_associative(blocks, capacity)
+        fa = simulate_capacity(blocks, capacity)
         assert fa.hits == 0  # the LRU pathology
-        dm = simulate_direct_mapped(blocks, ModuloIndexing(8))
+        dm = simulate(blocks, CacheGeometry.direct_mapped(capacity * 4))
         assert dm.hits > 0.8 * len(blocks)
 
     def test_optimized_function_beats_fa_on_pathology(self):
@@ -88,9 +86,7 @@ class TestHashingCanBeatFullAssociativity:
         trace = Trace(4 * np.tile(loop, 30), name="cyclic")
         geometry = CacheGeometry.direct_mapped(1024)
         result = optimize_for_trace(trace, geometry, family="2-in")
-        fa = simulate_fully_associative(
-            trace.block_addresses(4), geometry.num_blocks
-        )
+        fa = simulate_capacity(trace.block_addresses(4), geometry.num_blocks)
         assert result.optimized.misses < fa.misses
 
 

@@ -40,7 +40,6 @@ KERNELS = (
     ("repro.search.hill_climb", "hill_climb_restarts"),
     ("repro.search.branch_bound", "branch_bound_search"),
     ("repro.search.exhaustive", "optimal_bit_select"),
-    ("repro.cache.fully_assoc", "simulate_fully_associative"),
     ("repro.workloads.registry", "get_workload"),
 )
 
