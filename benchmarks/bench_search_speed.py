@@ -83,13 +83,20 @@ def build_trace(accesses: int, seed: int = 42) -> np.ndarray:
     return np.concatenate([hot, streams, noise])
 
 
-def _time_best_of(fn, repeats: int) -> tuple[float, object]:
-    best, result = float("inf"), None
+def _time_best_of(fns, repeats: int) -> list[tuple[float, object]]:
+    """Best-of-``repeats`` seconds and the result of each of ``fns``.
+
+    The functions take turns within every repeat, so a slow stretch of
+    a shared host falls on all of them rather than on one side of a
+    ratio.
+    """
+    best, results = [float("inf")] * len(fns), [None] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(best, results))
 
 
 def run(accesses: int, repeats: int, families, cache_bytes: int) -> dict:
@@ -102,11 +109,12 @@ def run(accesses: int, repeats: int, families, cache_bytes: int) -> dict:
         family = family_for_name(
             family_name, PAPER_HASHED_BITS, geometry.index_bits
         )
-        batched_s, batched = _time_best_of(
-            lambda: steepest.search(profile, family), repeats
-        )
-        scalar_s, scalar = _time_best_of(
-            lambda: hill_climb_scalar(profile, family), repeats
+        (batched_s, batched), (scalar_s, scalar) = _time_best_of(
+            [
+                lambda: steepest.search(profile, family),
+                lambda: hill_climb_scalar(profile, family),
+            ],
+            repeats,
         )
         assert batched.function == scalar.function, family_name
         assert batched.history == scalar.history, family_name
@@ -231,7 +239,10 @@ def main(argv: list[str] | None = None) -> int:
         help="trace length (the acceptance floor is measured at >= 1M)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N timing repeats"
+        "--repeats", type=int, default=10,
+        help="best-of-N timing repeats, batched and scalar taking turns "
+             "(3 separate repeats let host noise alone fail the 16-in "
+             "gate on a shared 2-core host)",
     )
     parser.add_argument(
         "--cache-bytes", type=int, default=GATED_CACHE_BYTES,

@@ -517,300 +517,328 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Application-specific reconfigurable XOR-indexing (DATE 2006 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser(
-        "run", help="execute a TOML/JSON experiment-spec file"
-    )
-    p_run.add_argument("spec_file", help="path to experiment.toml / .json")
-    p_run.add_argument(
+def _args_run(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("spec_file", help="path to experiment.toml / .json")
+    parser.add_argument(
         "--dry-run", action="store_true",
         help="validate the spec and print what it would run, then exit",
     )
-    p_run.add_argument(
+    parser.add_argument(
         "--json", action="store_true",
         help="emit the repro-report/v1 result to stdout",
     )
-    p_run.add_argument(
+    parser.add_argument(
         "--cache-dir", default=None,
         help="override the spec's execution.cache_dir",
     )
-    p_run.add_argument(
+    parser.add_argument(
         "--workers", type=int, default=None,
         help="override the spec's execution.workers",
     )
-    p_run.add_argument(
+    parser.add_argument(
         "--expect-cached", action="store_true",
         help="exit non-zero if any artifact had to be (re)computed",
     )
-    _add_resilience_args(p_run)
-    p_run.set_defaults(func=cmd_run)
+    _add_resilience_args(parser)
 
-    p_spec = sub.add_parser(
-        "spec", help="scaffold an experiment-spec file from flags"
-    )
-    p_spec.add_argument("--suite", choices=sorted(WORKLOADS), default="mibench")
-    p_spec.add_argument("--benchmark", default="fft")
-    p_spec.add_argument("--kind", choices=TRACE_KINDS, default="data")
-    p_spec.add_argument("--scale", choices=SCALES, default="small")
-    p_spec.add_argument("--cache-kb", type=int, default=4)
-    p_spec.add_argument("--seed", type=int, default=0, help="workload seed")
-    p_spec.add_argument("--family", default="2-in", choices=FAMILY_CHOICES)
-    p_spec.add_argument("--strategy", default="steepest")
-    p_spec.add_argument("--restarts", type=int, default=0)
-    p_spec.add_argument("--guard", action="store_true")
-    p_spec.add_argument("--workers", type=int, default=None)
-    p_spec.add_argument("--cache-dir", default=None)
-    p_spec.add_argument(
+
+def _args_spec(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--suite", choices=sorted(WORKLOADS), default="mibench")
+    parser.add_argument("--benchmark", default="fft")
+    parser.add_argument("--kind", choices=TRACE_KINDS, default="data")
+    parser.add_argument("--scale", choices=SCALES, default="small")
+    parser.add_argument("--cache-kb", type=int, default=4)
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument("--family", default="2-in", choices=FAMILY_CHOICES)
+    parser.add_argument("--strategy", default="steepest")
+    parser.add_argument("--restarts", type=int, default=0)
+    parser.add_argument("--guard", action="store_true")
+    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--cache-dir", default=None)
+    parser.add_argument(
         "-o", "--output", default=None,
         help="write the spec here instead of stdout",
     )
-    p_spec.set_defaults(func=cmd_spec)
 
-    p_opt = sub.add_parser("optimize", help="construct an index function")
-    _add_workload_args(p_opt)
-    p_opt.add_argument("--family", default="2-in", choices=FAMILY_CHOICES)
-    p_opt.add_argument(
+
+def _args_optimize(parser: argparse.ArgumentParser) -> None:
+    _add_workload_args(parser)
+    parser.add_argument("--family", default="2-in", choices=FAMILY_CHOICES)
+    parser.add_argument(
         "--guard", action="store_true",
         help="revert to modulo indexing if the function adds misses (Sec. 6)",
     )
-    p_opt.add_argument(
+    parser.add_argument(
         "--strategy", default="steepest",
         help="search strategy: steepest (paper), first-improvement, "
              "beam[:K], anneal[:ITERS[:SEED]], branch-bound[:NODES] "
              "(certified optimum), portfolio[:K] (lockstep race)",
     )
-    p_opt.add_argument("--restarts", type=int, default=0)
-    p_opt.add_argument(
+    parser.add_argument("--restarts", type=int, default=0)
+    parser.add_argument(
         "--search-seed", type=int, default=0, help="hill-climb restart seed"
     )
-    p_opt.add_argument(
+    parser.add_argument(
         "--cache-dir", default=None,
         help="read/write artifacts at this directory",
     )
-    p_opt.add_argument(
+    parser.add_argument(
         "--json", action="store_true",
         help="emit the repro-report/v1 result to stdout",
     )
-    p_opt.set_defaults(func=cmd_optimize)
 
-    p_prof = sub.add_parser(
-        "profile",
-        help="conflict-vector profile (Fig. 1) for a workload or trace file",
-    )
-    p_prof.add_argument(
+
+def _args_profile(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "suite", nargs="?", choices=sorted(WORKLOADS), default=None,
         help="benchmark suite (omit when using --trace-file)",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "name", nargs="?", default=None,
         help="kernel name (see `workloads`)",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "--trace-file", default=None, metavar="PATH",
         help="profile an on-disk trace instead of a registry workload "
              "(.bin memory-maps out of core; npz/text/dinero/lackey load "
              "through their readers)",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "--format", default=None, choices=TRACE_FORMATS,
         help="trace-file format (default: inferred from the suffix)",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "--kind", choices=TRACE_KINDS, default="data",
         help="which address stream to use",
     )
-    p_prof.add_argument("--scale", choices=SCALES, default="small")
-    p_prof.add_argument("--seed", type=int, default=0, help="workload seed")
-    p_prof.add_argument("--cache-kb", type=int, default=4, help="cache size in KB")
-    p_prof.add_argument("--block-size", type=int, default=4)
-    p_prof.add_argument(
+    parser.add_argument("--scale", choices=SCALES, default="small")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument("--cache-kb", type=int, default=4, help="cache size in KB")
+    parser.add_argument("--block-size", type=int, default=4)
+    parser.add_argument(
         "--n", type=int, default=16,
         help="conflict-window length (paper's n)",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "--shard-size", type=int, default=None,
         help="run the out-of-core sharded driver with this many "
              "accesses per shard (bit-identical to the single pass)",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "--workers", type=int, default=None,
         help="process count for sharded profiling (1 = serial)",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "--cache-dir", default=None,
         help="read/write the profile and per-shard artifacts at this "
              "directory",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "--json", action="store_true",
         help="emit the repro-report/v1 profile report to stdout",
     )
-    p_prof.add_argument(
+    parser.add_argument(
         "--expect-cached", action="store_true",
         help="exit non-zero if any shard had to be (re)computed "
              "(CI warm-cache check)",
     )
-    _add_resilience_args(p_prof)
-    p_prof.set_defaults(func=cmd_profile)
+    _add_resilience_args(parser)
 
-    p_search = sub.add_parser(
-        "search",
-        help="estimate-only hash search with a pluggable strategy",
-    )
-    _add_workload_args(p_search)
-    p_search.add_argument("--family", default="2-in", choices=FAMILY_CHOICES)
-    p_search.add_argument(
+
+def _args_search(parser: argparse.ArgumentParser) -> None:
+    _add_workload_args(parser)
+    parser.add_argument("--family", default="2-in", choices=FAMILY_CHOICES)
+    parser.add_argument(
         "--strategy", default="steepest",
         help="search strategy: steepest (paper), first-improvement, "
              "beam[:K], anneal[:ITERS[:SEED]], branch-bound[:NODES] "
              "(certified optimum), portfolio[:K] (lockstep race)",
     )
-    p_search.add_argument(
+    parser.add_argument(
         "--restarts", type=int, default=0,
         help="random restarts beyond the conventional start "
              "(advanced in lockstep for point strategies)",
     )
-    p_search.add_argument(
+    parser.add_argument(
         "--search-seed", type=int, default=0, help="hill-climb restart seed"
     )
-    p_search.add_argument(
+    parser.add_argument(
         "--max-steps", type=int, default=None,
         help="bound on accepted search steps",
     )
-    p_search.add_argument(
+    parser.add_argument(
         "--json", action="store_true",
         help="emit the repro-report/v1 search front to stdout",
     )
-    p_search.set_defaults(func=cmd_search)
 
-    p_cls = sub.add_parser("classify", help="three-Cs miss breakdown")
-    _add_workload_args(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
 
-    p_wl = sub.add_parser("workloads", help="list bundled kernels")
-    p_wl.set_defaults(func=cmd_workloads)
-
-    p_be = sub.add_parser(
-        "backends", help="list compute backends and the active one"
-    )
-    p_be.add_argument(
+def _args_backends(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--json", action="store_true", help="emit the status rows as JSON"
     )
-    p_be.set_defaults(func=cmd_backends)
 
-    p_camp = sub.add_parser(
-        "campaign",
-        help="run a benchmark x cache x family grid through the artifact cache",
-    )
-    p_camp.add_argument("--suite", choices=sorted(WORKLOADS), default="mibench")
-    p_camp.add_argument(
+
+def _args_campaign(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--suite", choices=sorted(WORKLOADS), default="mibench")
+    parser.add_argument(
         "--benchmarks", nargs="*", default=None,
         help="kernel names (default: the whole suite)",
     )
-    p_camp.add_argument(
+    parser.add_argument(
         "--kinds", nargs="*", choices=TRACE_KINDS, default=["data"]
     )
-    p_camp.add_argument(
+    parser.add_argument(
         "--cache-kb", nargs="*", type=int, default=[1, 4, 16],
         help="cache sizes in KB",
     )
-    p_camp.add_argument(
+    parser.add_argument(
         "--families", nargs="*", default=["2-in"], choices=FAMILY_CHOICES,
     )
-    p_camp.add_argument(
+    parser.add_argument(
         "--strategy", default="steepest",
         help="search strategy for every task (default: the paper's "
              "steepest descent)",
     )
-    p_camp.add_argument("--scale", choices=SCALES, default="small")
-    p_camp.add_argument("--seed", type=int, default=0)
-    p_camp.add_argument("--guard", action="store_true")
-    p_camp.add_argument(
+    parser.add_argument("--scale", choices=SCALES, default="small")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--guard", action="store_true")
+    parser.add_argument(
         "--workers", type=int, default=None,
         help="process count (default: one per core; 1 = serial)",
     )
-    p_camp.add_argument(
+    parser.add_argument(
         "--cache-dir", default=None,
         help="artifact cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro-xor-indexing)",
     )
-    p_camp.add_argument(
+    parser.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="FILE",
         help="emit the repro-report/v1 campaign report: bare --json "
              "prints to stdout, --json FILE writes the file",
     )
-    p_camp.add_argument(
+    parser.add_argument(
         "--expect-cached", action="store_true",
         help="exit non-zero if any artifact had to be (re)computed "
              "(CI warm-cache check)",
     )
-    _add_resilience_args(p_camp)
-    p_camp.set_defaults(func=cmd_campaign)
+    _add_resilience_args(parser)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-lived HTTP optimization service (POST specs, GET reports)",
-    )
-    p_serve.add_argument(
+
+def _args_serve(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
     )
-    p_serve.add_argument(
+    parser.add_argument(
         "--port", type=int, default=8738,
         help="TCP port (default 8738; 0 picks a free port)",
     )
-    p_serve.add_argument(
+    parser.add_argument(
         "--cache-dir", default=None,
         help="artifact-cache root shared by every job (and, with sqlite "
         "storage, by other service replicas); default: in-memory only",
     )
-    p_serve.add_argument(
+    parser.add_argument(
         "--workers", type=int, default=2,
         help="job worker threads (default 2)",
     )
-    p_serve.add_argument(
+    parser.add_argument(
         "--storage", choices=("local", "sqlite"), default="sqlite",
         help="cache storage backend (default sqlite: one WAL-journaled "
         "index safe for many concurrent replicas; pass local to reuse an "
         "existing directory-layout cache)",
     )
-    p_serve.add_argument(
+    parser.add_argument(
         "--queue-limit", type=int, default=64,
         help="max jobs in flight before submissions get 503 (default 64)",
     )
-    p_serve.add_argument(
+    parser.add_argument(
         "--retries", type=int, default=0,
         help="default retry budget for jobs whose spec sets none",
     )
-    p_serve.set_defaults(func=cmd_serve)
 
-    p_tab = sub.add_parser("tables", help="regenerate paper tables")
-    p_tab.add_argument(
+
+def _args_tables(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--scale", choices=("tiny", "small", "default"), default="tiny"
     )
-    p_tab.add_argument(
+    parser.add_argument(
         "--only", nargs="*", default=None,
         choices=("counting", "table1", "table2", "table3", "general-vs-perm"),
     )
-    p_tab.add_argument(
+    parser.add_argument(
         "--workers", type=int, default=1,
         help="process count for the table grids (1 = serial)",
     )
-    p_tab.add_argument(
+    parser.add_argument(
         "--cache-dir", default=None,
         help="run all drivers through an artifact cache at this directory",
     )
-    p_tab.set_defaults(func=cmd_tables)
+
+
+#: The subcommands, in help order: name -> (help, argument builder, handler).
+_COMMANDS = {
+    "run": ("execute a TOML/JSON experiment-spec file", _args_run, cmd_run),
+    "spec": ("scaffold an experiment-spec file from flags", _args_spec, cmd_spec),
+    "optimize": ("construct an index function", _args_optimize, cmd_optimize),
+    "profile": (
+        "conflict-vector profile (Fig. 1) for a workload or trace file",
+        _args_profile,
+        cmd_profile,
+    ),
+    "search": (
+        "estimate-only hash search with a pluggable strategy",
+        _args_search,
+        cmd_search,
+    ),
+    "classify": ("three-Cs miss breakdown", _add_workload_args, cmd_classify),
+    "workloads": ("list bundled kernels", None, cmd_workloads),
+    "backends": (
+        "list compute backends and the active one",
+        _args_backends,
+        cmd_backends,
+    ),
+    "campaign": (
+        "run a benchmark x cache x family grid through the artifact cache",
+        _args_campaign,
+        cmd_campaign,
+    ),
+    "serve": (
+        "long-lived HTTP optimization service (POST specs, GET reports)",
+        _args_serve,
+        cmd_serve,
+    ),
+    "tables": ("regenerate paper tables", _args_tables, cmd_tables),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    Given a known ``command``, only that subcommand's parser is built:
+    building all eleven costs several milliseconds of every start-up.
+    What it prints (help, usage, errors) reads the same either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Application-specific reconfigurable XOR-indexing (DATE 2006 reproduction)",
+    )
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # The choices as argparse prints them, so the usage line does not
+    # shrink to the one subcommand built.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        summary, add_arguments, func = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=summary)
+        if add_arguments is not None:
+            add_arguments(subparser)
+        subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except SpecError as error:

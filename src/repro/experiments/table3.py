@@ -25,7 +25,7 @@ from repro.cache import engine
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.core.optimizer import optimize_for_trace
 from repro.experiments.common import format_table, mean
-from repro.pipeline.context import PipelineContext
+from repro.pipeline.context import REPLAY_ONLY, NotCached, PipelineContext
 from repro.search.exhaustive import optimal_bit_select
 from repro.workloads.registry import get_workload, workload_names
 
@@ -69,6 +69,10 @@ def _table3_row(
     max_refs: int | None,
 ) -> Table3Row:
     """One Table 3 row; top level so pool workers can pickle it."""
+    if REPLAY_ONLY.get():
+        # The row's trace and its opt and FA columns are computed
+        # outside any cached stage, so a row never replays.
+        raise NotCached("table3-row", f"powerstone/{name}")
     geometry = CacheGeometry.direct_mapped(cache_bytes)
     n = PAPER_HASHED_BITS
     trace = get_workload("powerstone", name, scale, seed).data

@@ -59,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ArtifactCache",
     "DeferredProfile",
+    "NotCached",
     "PROFILE_MEMO",
     "cache_events",
     "default_cache_dir",
@@ -125,6 +126,27 @@ def cache_events() -> Iterator[dict[str, dict[str, int]]]:
         yield events
     finally:
         _SCOPES.reset(token)
+
+
+#: Set by :func:`repro.pipeline.context.replay_only`.  A counted load
+#: that misses inside that scope raises :class:`NotCached`, uncounted: it
+#: ends a probe rather than starting a computation.
+REPLAY_ONLY: ContextVar[bool] = ContextVar("repro_replay_only", default=False)
+
+
+class NotCached(LookupError):
+    """A :func:`~repro.pipeline.context.replay_only` run needed an
+    artifact the cache does not hold: ``kind`` names the stage
+    (``"trace-memo"`` and ``"trace"`` for a trace's record and
+    addresses), ``key`` its key."""
+
+    def __init__(self, kind: str, key: str):
+        super().__init__(kind, key)
+        self.kind = kind
+        self.key = key
+
+    def __str__(self) -> str:
+        return f"no cached {self.kind} artifact under key {self.key} (replay-only run)"
 
 
 def replayed(events: dict[str, dict[str, int]]) -> bool:
@@ -316,7 +338,8 @@ class ArtifactCache:
         parsing) is a miss.  A checksum mismatch, or a parse error in
         ``damaged``, also quarantines the entry so the recompute's
         store starts clean.  Uncounted loads (memos) skip the fault
-        sites and the counters.
+        sites and the counters.  Under :data:`REPLAY_ONLY` a counted
+        miss raises :class:`NotCached` instead, and is not counted.
         """
         bump = self._bump if counted else lambda kind, event: None
         try:
@@ -342,6 +365,8 @@ class ArtifactCache:
                     bump(kind, "quarantined")
                 raise FaultInjected from None
         except (FaultInjected, *LOAD_ERRORS):
+            if counted and REPLAY_ONLY.get():
+                raise NotCached(kind, key) from None
             bump(kind, "misses")
             return None
         bump(kind, "hits")

@@ -38,19 +38,31 @@ bit-identical to a context without a cache (property-tested in
 fans out: campaign cells, shard scans and profiles, and Table 3 rows
 each run as ``task(context, item)``, serially on the context itself or
 on a pool whose processes each open one context on the same cache.
+
+Inside a :func:`replay_only` scope nothing is computed: a stage whose
+key misses, a trace without a memo record, and a deferred trace asked
+for its addresses raise :class:`NotCached` instead, and the probe
+counts no miss.  ``repro serve`` answers a cache hit this way on its
+event-loop thread.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.api.report import function_to_json, stats_from_json, stats_to_json
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
-from repro.pipeline.artifact_cache import ArtifactCache, stable_key
+from repro.pipeline.artifact_cache import (
+    REPLAY_ONLY,
+    ArtifactCache,
+    NotCached,
+    stable_key,
+)
 from repro.profiling.sharded import run_sharded_profile
 from repro.trace.trace import DeferredTrace, Trace
 
@@ -60,7 +72,7 @@ if TYPE_CHECKING:
     from repro.pipeline.resilience import TaskOutcome
     from repro.profiling.conflict_profile import ConflictProfile
 
-__all__ = ["PipelineContext"]
+__all__ = ["NotCached", "PipelineContext", "replay_only"]
 
 #: Storage kind of the trace-digest memo (see :meth:`PipelineContext.trace`).
 TRACE_MEMO = "trace-memo"
@@ -68,6 +80,24 @@ TRACE_MEMO = "trace-memo"
 #: Memo value for a trace generated in this process: the workload
 #: registry's in-process cache holds it from then on.
 _GENERATED = object()
+
+
+@contextmanager
+def replay_only() -> Iterator[None]:
+    """Refuse to compute, in this thread, while the scope is open.
+
+    The first artifact a run would compute raises :class:`NotCached`
+    instead, before any compute starts; the checks sit on the miss
+    branches, so a hit costs nothing extra.  The probe charges no miss:
+    a run that falls back to computing counts its misses once.  Like
+    :func:`~repro.pipeline.artifact_cache.cache_events`, the scope
+    reaches neither other threads nor pool processes.
+    """
+    token = REPLAY_ONLY.set(True)
+    try:
+        yield
+    finally:
+        REPLAY_ONLY.reset(token)
 
 
 def geometry_params(geometry: CacheGeometry) -> dict:
@@ -208,7 +238,9 @@ class PipelineContext:
         capacities), looked up only when a key missed.  ``compute``
         returns ``(key, value)`` pairs; each is stored through
         ``store(cache, key, value)`` and memoized, and the result holds
-        the siblings it found or computed too.
+        the siblings it found or computed too.  Under
+        :func:`replay_only`, a missing key raises :class:`NotCached`
+        instead.
         """
         found: dict[str, object] = {}
 
@@ -228,6 +260,8 @@ class PipelineContext:
 
         missing = absent(keys)
         if missing:
+            if REPLAY_ONLY.get():
+                raise NotCached(kind, missing[0])
             # A key asked twice is computed and stored twice, as each
             # ask counted its own miss.
             for key, value in compute(missing + absent(siblings)):
@@ -291,9 +325,13 @@ class PipelineContext:
         in-process cache, a deferred one is reused.  The memo holds no
         computed result, so it counts no hit, miss or store.
         File-backed specs and contexts without a cache resolve
-        directly.
+        directly.  Under :func:`replay_only`, a missing record raises
+        :class:`NotCached`, and so do those two, which would read or
+        generate the whole trace.
         """
         if spec.path is not None or self.cache is None:
+            if REPLAY_ONLY.get():
+                raise NotCached("trace", str(spec.path or self._trace_key(spec)))
             return spec.resolve()
         # In process the spec itself is the key: the fingerprint is fixed.
         found = self._memo.get(("trace", spec))
@@ -301,6 +339,8 @@ class PipelineContext:
             key = self._trace_key(spec)
             found = self._memoized_trace(spec, key)
             if found is None:
+                if REPLAY_ONLY.get():
+                    raise NotCached(TRACE_MEMO, key)
                 trace = spec.resolve()
                 self.cache.store_memo(
                     TRACE_MEMO,

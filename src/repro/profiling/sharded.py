@@ -488,9 +488,11 @@ def run_sharded_profile(
     capacity = geometry.num_blocks
     plan = ShardPlan(len(trace), shard_size)
     wanted = [capacity, *sorted(set(capacities) - {capacity})]
-    if workers is None:
+    # One shard runs in process: no core count (a file read per call),
+    # which a cache hit would otherwise pay for.
+    if workers is None and len(plan) > 1:
         workers = os.cpu_count() or 1
-    workers = max(1, min(workers, len(plan)))
+    workers = max(1, min(workers or 1, len(plan)))
     cache = context.cache if context is not None else None
     base = None
     if context is not None:

@@ -7,12 +7,13 @@ This package puts that contract on a socket:
 
 * :class:`~repro.serve.server.ReproServer` — stdlib-asyncio HTTP front
   end over a shared :class:`~repro.api.session.Session`: POST a spec,
-  get a job id; identical in-flight specs share one computation
-  (dedup by ``spec.digest``); finished jobs return the exact report.
+  get a job id (a cache hit is answered done at once); identical
+  in-flight specs share one computation (dedup by ``spec.digest``);
+  finished jobs return the exact report.
 * :class:`~repro.serve.jobs.JobRegistry` — the thread-safe job table
   and in-flight dedup map behind the server.
 * :class:`~repro.serve.client.ServeClient` — stdlib client helpers
-  (submit / poll / fetch-report) for examples, tests and CI.
+  (submit / wait / fetch-report) for examples, tests and CI.
 
 Many replicas can share one artifact cache by pointing ``--cache-dir``
 at a sqlite-backed root (see :mod:`repro.pipeline.storage`).

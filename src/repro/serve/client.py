@@ -1,13 +1,16 @@
 """Stdlib HTTP client for the ``repro serve`` endpoint.
 
 :class:`ServeClient` wraps :mod:`http.client` (no new deps) around the
-``/v1`` API: submit a spec, poll its job, fetch the ``repro-report/v1``
-document.  :meth:`ServeClient.run` is the one-call path — submit, wait,
-return the finished job (report included) — used by
-``examples/serve_client.py`` and the CI smoke check.
+``/v1`` API: submit a spec, wait for its job, fetch the
+``repro-report/v1`` document.  :meth:`ServeClient.wait` asks the server
+to hold each status answer until the job ends (``Prefer: wait``), so a
+wait sends one request per 10 s (the server's cap), not one per poll.
+:meth:`ServeClient.run` is the one-call path — submit, wait, return the
+finished job (report included) — used by ``examples/serve_client.py``
+and the CI smoke check.
 
 Each thread of a client keeps one persistent connection to the server,
-so a submit and its polls share one TCP connection and a client stays
+so a submit and its waits share one TCP connection and a client stays
 safe to share between threads.  A request that finds its reused
 connection closed by the server (which closes idle ones) before any
 response byte arrived is sent once more on a new connection.
@@ -91,8 +94,11 @@ class ServeClient:
         path: str,
         body: bytes | None = None,
         content_type: str = "application/json",
+        headers: Mapping[str, str] | None = None,
     ) -> Any:
-        headers = {"Content-Type": content_type} if body is not None else {}
+        headers = dict(headers or {})
+        if body is not None:
+            headers["Content-Type"] = content_type
         status, raw = self._exchange(method, path, body, headers)
         payload = json.loads(raw) if raw else None
         if status >= 400:
@@ -132,22 +138,27 @@ class ServeClient:
         """The bare ``repro-report/v1`` document for a finished job."""
         return self._request("GET", f"/v1/jobs/{job_id}/report")
 
-    def wait(self, job_id: str, timeout: float = 600.0, poll: float = 0.05) -> dict:
-        """Poll until the job is terminal; returns its final status.
+    def wait(self, job_id: str, timeout: float = 600.0) -> dict:
+        """Wait until the job is terminal; returns its final status.
 
-        Raises :class:`ServeError` on a failed job or :class:`TimeoutError`
-        if the deadline passes first.
+        Each status request asks the server to answer once the job ends
+        (``Prefer: wait``, for at most the time left and half the
+        connection's timeout; the server caps it too).  Raises
+        :class:`ServeError` on a failed job or :class:`TimeoutError` if
+        the deadline passes first.
         """
         deadline = time.monotonic() + timeout
         while True:
-            job = self.job(job_id)
+            left = max(0, min(deadline - time.monotonic(), self.timeout / 2))
+            job = self._request(
+                "GET", f"/v1/jobs/{job_id}", headers={"Prefer": f"wait={left:.3f}"}
+            )
             if job["state"] == "done":
                 return job
             if job["state"] == "failed":
                 raise ServeError(500, {"error": f"job {job_id} failed: {job['error']}"})
             if time.monotonic() >= deadline:
                 raise TimeoutError(f"job {job_id} still {job['state']} after {timeout}s")
-            time.sleep(poll)
 
     def run(self, spec: "ExperimentSpec | Mapping | str", timeout: float = 600.0) -> dict:
         """Submit and wait; the returned job carries the full report."""

@@ -111,25 +111,57 @@ class JobRegistry:
         """
         digest = spec.digest
         with self._lock:
-            existing_id = self._inflight.get(digest)
-            if existing_id is not None:
-                job = self._jobs[existing_id]
-                if job.state in _IN_FLIGHT:
-                    job.submissions += 1
-                    return job, True
+            job = self._join(digest)
+            if job is not None:
+                return job, True
             if limit is not None and len(self._inflight) >= limit:
                 raise QueueFull(
                     f"{len(self._inflight)} jobs in flight (limit {limit})"
                 )
-            job = Job(
-                id=f"job-{next(self._ids):06d}",
-                digest=digest,
-                spec=spec,
-                created=self._clock(),
-            )
-            self._jobs[job.id] = job
+            job = self._add(spec, created=self._clock())
             self._inflight[digest] = job.id
             return job, False
+
+    def join(self, spec: ExperimentSpec) -> Job | None:
+        """The spec's in-flight job, with this submission counted on it,
+        or ``None`` when no identical spec is queued or running."""
+        digest = spec.digest
+        with self._lock:
+            return self._join(digest)
+
+    def add_done(
+        self, spec: ExperimentSpec, report: dict, started: float, cached: bool
+    ) -> Job:
+        """Register a job that already ran, in one attempt, on the
+        caller's thread from ``started`` until now: a cache hit the
+        server answered without queueing it.  It never enters the dedup
+        table."""
+        with self._lock:
+            return self._add(
+                spec,
+                state="done",
+                created=started,
+                started=started,
+                finished=self._clock(),
+                attempts=1,
+                report=report,
+                cached=cached,
+            )
+
+    def _join(self, digest: str) -> Job | None:
+        job_id = self._inflight.get(digest)
+        if job_id is None or self._jobs[job_id].state not in _IN_FLIGHT:
+            return None
+        job = self._jobs[job_id]
+        job.submissions += 1
+        return job
+
+    def _add(self, spec: ExperimentSpec, **fields) -> Job:
+        job = Job(
+            id=f"job-{next(self._ids):06d}", digest=spec.digest, spec=spec, **fields
+        )
+        self._jobs[job.id] = job
+        return job
 
     # -- transitions -------------------------------------------------------
 

@@ -9,25 +9,42 @@ shared :class:`~repro.api.session.Session`:
 * ``POST /v1/jobs`` — submit an :class:`~repro.api.spec.ExperimentSpec`
   as JSON (the ``to_dict`` document, optionally wrapped as
   ``{"spec": ...}``) or TOML (``Content-Type: application/toml``).
-  Returns ``202`` with a job id.  Submissions are deduplicated **in
-  flight** by ``spec.digest``: while an identical spec is queued or
-  running, new submissions join its job (``deduplicated: true``)
-  instead of computing twice.  A full queue answers ``503``.
+  Answers ``{job_id, digest, state, deduplicated}``.  Submissions are
+  deduplicated **in flight** by ``spec.digest``: while an identical
+  spec is queued or running, new submissions join its job
+  (``deduplicated: true``) instead of computing twice.  Otherwise a
+  spec the artifact cache holds in full is replayed at once, inside
+  the request, and answered with ``state: "done"`` (its job ``cached:
+  true``, one attempt); any other spec is queued.  The status is
+  ``202`` while the job is queued or running and ``200`` once it has
+  ended.  A full queue answers ``503``; a cache hit is answered even
+  then.
 * ``GET /v1/jobs`` / ``GET /v1/jobs/<id>`` — job status: state,
   timestamps, resilient-runner attempt count and, once done, the exact
   ``repro-report/v1`` document plus ``cached`` (True when the run
   replayed entirely from the artifact cache).
+* ``Prefer: wait=<seconds>`` (RFC 7240 §4.3) on ``POST /v1/jobs`` or
+  ``GET /v1/jobs/<id>`` holds the answer until the job ends or the
+  wait, capped at ``_READ_TIMEOUT_S``, runs out; the response then
+  carries ``Preference-Applied``.  A client waits for a job with one
+  such request instead of polling.
 * ``GET /v1/jobs/<id>/report`` — the bare ``repro-report/v1`` JSON,
   byte-identical to what ``repro run --json`` prints for the same spec.
 * ``GET /v1/healthz`` / ``GET /v1/stats`` — liveness, queue depth, and
   the session's cache counters (hits / misses / stores / quarantined).
 
-Jobs run on a bounded thread pool through
+A cache hit is replayed on the event-loop thread under
+:func:`~repro.pipeline.context.replay_only`, which raises
+:class:`~repro.pipeline.context.NotCached` at the first artifact it
+would compute; the spec is then queued, and no stage runs twice.  A
+spec with a ``trace.path`` is always queued, as its replay would read
+the whole trace file on the loop.  Queued jobs run on a bounded thread pool through
 :func:`~repro.pipeline.resilience.run_resilient` (in-process), so per-spec
 ``execution.retries`` and the ``serve.job`` fault-injection site
-compose with the service exactly as they do with the CLI.  The pool is
-adopted into the session, whose :meth:`~repro.api.session.Session.close`
-tears both down deterministically.
+compose with the service exactly as they do with the CLI (a replayed
+hit fires neither).  The pool is adopted into the session, whose
+:meth:`~repro.api.session.Session.close` tears both down
+deterministically.
 
 Connections persist as RFC 9112 §9.3 describes: an HTTP/1.1 request
 keeps its connection open unless it sends ``Connection: close``, an
@@ -44,6 +61,7 @@ import json
 import re
 import signal
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
@@ -58,6 +76,7 @@ from repro.api.errors import SpecError
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.pipeline.artifact_cache import cache_events, replayed
+from repro.pipeline.context import replay_only
 from repro.pipeline.faults import maybe_inject
 from repro.pipeline.resilience import run_resilient
 from repro.serve.jobs import Job, JobRegistry, QueueFull
@@ -85,6 +104,8 @@ _LINGER_S = 1.0
 _READ_TIMEOUT_S = 10.0
 #: A header field name (an RFC 9110 token).
 _FIELD_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+#: The value of a ``Prefer: wait`` preference: seconds, a decimal allowed.
+_WAIT_SECONDS = re.compile(r"[0-9]+(?:\.[0-9]*)?")
 _TOML_TYPES = ("application/toml", "text/toml", "text/x-toml")
 
 
@@ -99,6 +120,18 @@ async def _within(seconds: float, awaitable):
         return await asyncio.wait_for(awaitable, seconds)
     async with asyncio.timeout(seconds):
         return await awaitable
+
+
+def _prefer_wait(headers: dict[str, str]) -> float | None:
+    """The seconds a ``Prefer: wait=<seconds>`` header asks to wait,
+    capped at ``_READ_TIMEOUT_S``; ``None`` when it asks for none or in
+    a form this server does not know (RFC 7240 lets it ignore those)."""
+    for preference in headers.get("prefer", "").split(","):
+        name, _, value = preference.split(";", 1)[0].partition("=")
+        value = value.strip().strip('"')
+        if name.strip().lower() == "wait" and _WAIT_SECONDS.fullmatch(value):
+            return min(float(value), _READ_TIMEOUT_S)
+    return None
 
 
 class _HttpError(Exception):
@@ -142,7 +175,8 @@ class ReproServer:
     queue_limit:
         Maximum jobs in flight (queued + running); submissions beyond
         it answer ``503`` so back-pressure is explicit, never unbounded
-        memory.  Deduplicated submissions bypass the limit.
+        memory.  Deduplicated submissions and cache hits bypass the
+        limit.
     retries:
         Default resilient-runner retry budget for jobs whose spec
         leaves ``execution.retries`` at 0.
@@ -209,8 +243,28 @@ class ReproServer:
             self.registry.mark_failed(job.id, outcome.error, outcome.attempts)
         self._futures.pop(job.id, None)
 
+    def _replay(self, spec: ExperimentSpec) -> Job | None:
+        """The spec's job, replayed from the cache alone on the calling
+        thread and registered done, or ``None`` to queue it."""
+        started = time.time()
+        try:
+            with replay_only(), cache_events() as events:
+                report = self.session.optimize(spec).to_json()
+        except Exception:
+            # NotCached: some stage would compute.  Any other failure is
+            # the queued run's to retry and to report.
+            return None
+        return self.registry.add_done(spec, report, started, replayed(events))
+
     def submit(self, spec: ExperimentSpec) -> tuple[Job, bool]:
-        """Register a spec and (unless deduplicated) queue its job."""
+        """Register a spec: join its job in flight, else answer it from
+        the cache on this thread, else queue its job."""
+        job = self.registry.join(spec)
+        if job is not None:
+            return job, True
+        job = self._replay(spec)
+        if job is not None:
+            return job, False
         job, deduplicated = self.registry.submit(spec, limit=self.queue_limit)
         if not deduplicated:
             self._futures[job.id] = self._executor.submit(self._execute, job)
@@ -291,13 +345,14 @@ class ReproServer:
             pass
 
     @staticmethod
-    def _response(status: int, payload: Any, keep_alive: bool) -> bytes:
+    def _response(status: int, payload: Any, keep_alive: bool, headers=()) -> bytes:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+            + "".join(f"{name}: {value}\r\n" for name, value in headers)
+            + f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         )
         return head.encode("latin-1") + body
 
@@ -308,6 +363,7 @@ class ReproServer:
         except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError):
             return False  # idle or closed between requests: nothing owed
         refused = keep_alive = False
+        headers = ()
         try:
             try:
                 request, keep_alive = await _within(
@@ -320,7 +376,7 @@ class ReproServer:
             except _HttpError:
                 refused = True
                 raise
-            status, payload = await self._route(*request)
+            status, payload, headers = await self._route(*request)
         except _HttpError as error:
             status, payload = error.status, {"error": error.message}
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -328,7 +384,7 @@ class ReproServer:
         except Exception as error:  # never let one request kill the loop
             status, keep_alive = 500, False
             payload = {"error": f"{type(error).__name__}: {error}"}
-        writer.write(self._response(status, payload, keep_alive))
+        writer.write(self._response(status, payload, keep_alive, headers))
         await writer.drain()
         if refused:
             await self._linger(reader)
@@ -378,18 +434,19 @@ class ReproServer:
 
     async def _route(
         self, method: str, path: str, headers: dict[str, str], body: bytes
-    ) -> tuple[int, Any]:
+    ) -> tuple[int, Any, tuple[tuple[str, str], ...]]:
+        """Status, payload and extra response headers of a request."""
         if path == "/v1/healthz":
             if method != "GET":
                 raise _HttpError(405, "healthz is GET-only")
-            return 200, {"status": "ok"}
+            return 200, {"status": "ok"}, ()
         if path == "/v1/stats":
             if method != "GET":
                 raise _HttpError(405, "stats is GET-only")
-            return 200, self.stats()
+            return 200, self.stats(), ()
         if path == "/v1/jobs":
             if method == "GET":
-                return 200, {"jobs": [j.to_json() for j in self.registry.jobs()]}
+                return 200, {"jobs": [j.to_json() for j in self.registry.jobs()]}, ()
             if method != "POST":
                 raise _HttpError(405, "jobs accepts GET and POST")
             spec = self._parse_spec(headers, body)
@@ -397,12 +454,14 @@ class ReproServer:
                 job, deduplicated = self.submit(spec)
             except QueueFull as error:
                 raise _HttpError(503, str(error))
-            return 202, {
+            applied = await self._waited(job, headers)
+            payload = {
                 "job_id": job.id,
                 "digest": job.digest,
                 "state": job.state,
                 "deduplicated": deduplicated,
             }
+            return 202 if job.state in ("queued", "running") else 200, payload, applied
         if path.startswith("/v1/jobs/"):
             if method != "GET":
                 raise _HttpError(405, "job status is GET-only")
@@ -416,11 +475,28 @@ class ReproServer:
                     raise _HttpError(
                         409, f"job {job_id} is {job.state}; no report yet"
                     )
-                return 200, job.report
+                return 200, job.report, ()
             if tail:
                 raise _HttpError(404, f"unknown job resource {tail!r}")
-            return 200, job.to_json(include_report=True)
+            applied = await self._waited(job, headers)
+            return 200, job.to_json(include_report=True), applied
         raise _HttpError(404, f"unknown path {path!r}")
+
+    async def _waited(self, job: Job, headers: dict[str, str]):
+        """Hold the answer about ``job`` as the request's ``Prefer:
+        wait`` asks, until the job ends or the wait runs out; the
+        ``Preference-Applied`` header, if it asked for a wait."""
+        seconds = _prefer_wait(headers)
+        if seconds is None:
+            return ()
+        # _execute drops a job's future only once the job has ended, so
+        # a job without one is over already (or was never queued).
+        future = self._futures.get(job.id)
+        if future is not None and seconds > 0:
+            # wait() neither raises the job's outcome nor cancels the
+            # job when the time runs out.
+            await asyncio.wait([asyncio.wrap_future(future)], timeout=seconds)
+        return (("Preference-Applied", f"wait={seconds:g}"),)
 
     def stats(self) -> dict:
         """The ``/v1/stats`` document."""

@@ -248,6 +248,8 @@ class DeferredTrace(Trace):
     The first read of :attr:`addresses` calls ``source.resolve()``.  The
     trace it returns must have the recorded digest and length, or
     :class:`TraceDigestError` is raised and no address is served.
+    Inside :func:`~repro.pipeline.context.replay_only` that first read
+    raises :class:`~repro.pipeline.context.NotCached` instead.
     """
 
     def __init__(
@@ -277,6 +279,12 @@ class DeferredTrace(Trace):
     def addresses(self) -> np.ndarray:
         addresses = self.__dict__.get("_addresses")
         if addresses is None:
+            # Only a pipeline context makes deferred traces, so this
+            # import is already loaded.
+            from repro.pipeline.context import REPLAY_ONLY, NotCached
+
+            if REPLAY_ONLY.get():
+                raise NotCached("trace", self._digest)
             trace = self._source.resolve()
             if trace.digest != self._digest or len(trace) != self._length:
                 raise TraceDigestError(

@@ -3,6 +3,7 @@ uncached ones, cold or warm, with or without a cache behind the
 context."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.cache import engine
@@ -11,6 +12,8 @@ from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.core.optimizer import optimize_for_trace
 from repro.gf2.hashfn import XorHashFunction
 from repro.pipeline import PipelineContext
+from repro.pipeline.artifact_cache import cache_events, replayed
+from repro.pipeline.context import NotCached, replay_only
 from repro.profiling.conflict_profile import profile_trace
 from repro.search.families import family_for_name
 from repro.search.hill_climb import hill_climb_restarts
@@ -176,3 +179,21 @@ class TestEvaluateMany:
         )
         assert PipelineContext(tmp_path).baseline(conflict_trace, geometry) == direct
         assert PipelineContext(tmp_path).baseline(conflict_trace, geometry) == direct
+
+
+class TestReplayOnly:
+    def test_a_miss_raises_and_counts_nothing(self, conflict_trace, geometry_1kb, tmp_path):
+        with cache_events() as events, replay_only(), pytest.raises(NotCached) as raised:
+            PipelineContext(tmp_path).baseline(conflict_trace, geometry_1kb)
+        assert raised.value.kind == "stats" and events == {}
+        with cache_events() as events:
+            cold = PipelineContext(tmp_path).baseline(conflict_trace, geometry_1kb)
+        assert events["stats"] == {"misses": 1, "stores": 1}
+        with cache_events() as events, replay_only():
+            assert PipelineContext(tmp_path).baseline(conflict_trace, geometry_1kb) == cold
+        assert replayed(events)
+
+    def test_a_context_without_a_cache_raises(self, conflict_trace, geometry_1kb):
+        with replay_only(), pytest.raises(NotCached) as raised:
+            PipelineContext().baseline(conflict_trace, geometry_1kb)
+        assert raised.value.kind == "stats"

@@ -18,7 +18,7 @@ import repro.workloads.registry as registry
 from repro.__main__ import main
 from repro.api import ExperimentSpec, GeometrySpec, SearchSpec, Session, TraceSpec
 from repro.pipeline.artifact_cache import ArtifactCache
-from repro.pipeline.context import TRACE_MEMO, PipelineContext
+from repro.pipeline.context import TRACE_MEMO, NotCached, PipelineContext, replay_only
 from repro.trace.io import save_trace
 from repro.trace.trace import DeferredTrace, Trace, TraceDigestError
 
@@ -321,6 +321,22 @@ class TestWithoutMemo:
         assert PipelineContext().trace(spec.trace) is spec.trace.resolve()
         Session().optimize(spec)
 
+    def test_replay_only_neither_reads_nor_generates(self, tmp_path, workload_calls):
+        path = tmp_path / "trace.npz"
+        save_trace(registry.get_trace("powerstone", "qurt", scale="tiny"), path)
+        workload_calls.clear()
+        contexts = PipelineContext(tmp_path / "cache"), PipelineContext()
+        with replay_only():
+            for spec, context, kind in (
+                (TraceSpec(path=str(path)), contexts[0], "trace"),
+                (tiny_spec().trace, contexts[1], "trace"),
+                (tiny_spec().trace, contexts[0], TRACE_MEMO),
+            ):
+                with pytest.raises(NotCached) as raised:
+                    context.trace(spec)
+                assert raised.value.kind == kind
+        assert not workload_calls
+
 
 class TestDeferredTrace:
     def _deferred(self, trace, source, **overrides):
@@ -374,4 +390,13 @@ class TestDeferredTrace:
         trace = spec.resolve()
         deferred = pickle.loads(pickle.dumps(self._deferred(trace, spec)))
         assert deferred.digest == trace.digest
+        np.testing.assert_array_equal(deferred.addresses, trace.addresses)
+
+    def test_replay_only_refuses_the_addresses(self):
+        spec = tiny_spec().trace
+        trace = spec.resolve()
+        deferred = self._deferred(trace, spec)
+        with replay_only(), pytest.raises(NotCached) as raised:
+            deferred.block_addresses(4)
+        assert (raised.value.kind, raised.value.key) == ("trace", trace.digest)
         np.testing.assert_array_equal(deferred.addresses, trace.addresses)

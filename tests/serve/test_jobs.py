@@ -95,6 +95,27 @@ class TestInFlightDedup:
         assert registry.in_flight() == 2
 
 
+class TestInlineJobs:
+    def test_join_counts_onto_the_job_in_flight(self):
+        registry = JobRegistry()
+        assert registry.join(spec()) is None
+        job, _ = registry.submit(spec())
+        assert registry.join(spec()) is job and job.submissions == 2
+        registry.mark_done(job.id, {}, 1, False)
+        assert registry.join(spec()) is None
+
+    def test_add_done_registers_a_finished_job(self):
+        registry = JobRegistry(clock=lambda: 7.0)
+        job = registry.add_done(spec(), {"schema": "repro-report/v1"}, 6.0, True)
+        assert (job.state, job.created, job.started, job.finished) == (
+            "done", 6.0, 6.0, 7.0,
+        )
+        assert (job.attempts, job.cached, job.submissions) == (1, True, 1)
+        assert registry.get(job.id) is job and registry.in_flight() == 0
+        again, deduplicated = registry.submit(spec())
+        assert not deduplicated and again is not job
+
+
 class TestQueueLimit:
     def test_new_job_beyond_limit_rejected(self):
         registry = JobRegistry()

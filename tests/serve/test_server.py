@@ -3,12 +3,13 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
-import repro.serve.server as server_module
-from repro.api import ExperimentSpec, Session
+from repro.api import Session
 from repro.pipeline import use_faults
+from repro.pipeline.artifact_cache import ArtifactCache
 from repro.serve import ReproServer, ServeClient, ServeError
 
 SPEC = {
@@ -241,32 +242,122 @@ class TestInFlightDedup:
 
 class TestConcurrentCachedFlags:
     def test_cold_job_meanwhile_leaves_a_replay_cached(self, served, monkeypatch):
-        """A job's ``cached`` flag counts only its own cache events, even
-        when a cold job misses and stores on the other worker while it
-        runs."""
+        """A job's ``cached`` flag counts only its own cache events: a
+        hit answered while a cold job, held after its first miss, runs
+        on a worker is cached, and the cold job is not."""
         _, client = served
         assert client.run(SPEC, timeout=300)["cached"] is False
-        warm_digest = ExperimentSpec.from_dict(SPEC).digest
-        entered, release = threading.Event(), threading.Event()
-        inject = server_module.maybe_inject
+        missed, release = threading.Event(), threading.Event()
+        bump = ArtifactCache._bump
 
-        def gated(site, key):
-            if site == "serve.job" and key == warm_digest:
-                entered.set()
+        def held(self, kind, event):
+            bump(self, kind, event)
+            # Only a worker counts misses: a replay-only probe charges none.
+            if event == "misses" and not missed.is_set():
+                missed.set()
                 assert release.wait(timeout=300)
-            inject(site, key)
 
-        monkeypatch.setattr(server_module, "maybe_inject", gated)
-        warm = client.submit(SPEC)
+        monkeypatch.setattr(ArtifactCache, "_bump", held)
+        cold = client.submit({**SPEC, "search": {**SPEC["search"], "n": 7}})
         try:
-            assert entered.wait(timeout=300)
-            cold = client.run(
-                {**SPEC, "search": {**SPEC["search"], "n": 7}}, timeout=300
-            )
+            assert missed.wait(timeout=300)
+            warm = client.submit(SPEC)
+            assert warm["state"] == "done"
+            assert client.job(cold["job_id"])["state"] == "running"
         finally:
             release.set()
-        warm = client.wait(warm["job_id"], timeout=300)
-        assert (warm["cached"], cold["cached"]) == (True, False)
+        assert client.job(warm["job_id"])["cached"] is True
+        assert client.wait(cold["job_id"], timeout=300)["cached"] is False
+
+
+class TestInlineHits:
+    """A hit is answered inside its POST; anything else is queued."""
+
+    @staticmethod
+    def post(client, spec) -> tuple[int, dict]:
+        status, raw = client._exchange(
+            "POST", "/v1/jobs", json.dumps(spec).encode(),
+            {"Content-Type": "application/json"},
+        )
+        return status, json.loads(raw)
+
+    def test_hit_post_answers_done(self, served):
+        _, client = served
+        cold = client.run(SPEC, timeout=300)
+        status, posted = self.post(client, SPEC)
+        assert status == 200
+        assert set(posted) == {"job_id", "digest", "state", "deduplicated"}
+        assert posted["state"] == "done" and posted["deduplicated"] is False
+        job = client.job(posted["job_id"])
+        assert (job["cached"], job["attempts"], job["error"]) == (True, 1, None)
+        assert job["created"] == job["started"] <= job["finished"]
+        queued_report = client._exchange("GET", f"/v1/jobs/{cold['job_id']}/report", None, {})
+        hit_report = client._exchange("GET", f"/v1/jobs/{posted['job_id']}/report", None, {})
+        assert hit_report == queued_report
+
+    def test_cold_spec_is_queued_and_charges_misses_once(self, served):
+        _, client = served
+        status, posted = self.post(client, SPEC)
+        assert status == 202 and posted["state"] in ("queued", "running")
+        assert client.wait(posted["job_id"], timeout=300)["cached"] is False
+        totals = client.stats()["cache"]["totals"]
+        assert totals["misses"] == totals["stores"] > 0
+
+    def test_partly_cached_spec_is_queued_not_failed(self, served):
+        """A probe that hits some stages, then raises NotCached, is a
+        202 and a queued run that computes the rest, never a 500."""
+        _, client = served
+        client.run({**SPEC, "search": {**SPEC["search"], "n": 7}}, timeout=300)
+        before = client.stats()["cache"]["totals"]
+        status, posted = self.post(client, SPEC)
+        assert status == 202
+        job = client.wait(posted["job_id"], timeout=300)
+        assert job["state"] == "done" and job["cached"] is False
+        after = client.stats()["cache"]["totals"]
+        assert after["misses"] - before["misses"] == after["stores"] - before["stores"]
+
+    def test_other_failure_is_left_to_the_queued_run(self, served, monkeypatch):
+        """Any other exception in the inline replay queues the spec,
+        whose run fails the job with it: never a 500."""
+        server, client = served
+
+        def broken(spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server.session, "optimize", broken)
+        status, posted = self.post(client, SPEC)
+        # The queued run may fail before the answer is written.
+        assert (status, posted["state"]) in (
+            (202, "queued"), (202, "running"), (200, "failed"),
+        )
+        with pytest.raises(ServeError, match="boom"):
+            client.wait(posted["job_id"], timeout=300)
+
+    @pytest.mark.parametrize(
+        "plan", ["serve.job:delay:delay=30", "serve.job:error:p=1:count=9"],
+        ids=["delay", "error"],
+    )
+    def test_hit_fires_no_serve_job_fault(self, served, plan):
+        _, client = served
+        client.run(SPEC, timeout=300)
+        with use_faults(plan):
+            started = time.monotonic()
+            posted = client.submit(SPEC)
+            assert time.monotonic() - started < 15
+        assert posted["state"] == "done"
+        job = client.job(posted["job_id"])
+        assert (job["cached"], job["attempts"], job["error"]) == (True, 1, None)
+
+    def test_hit_is_answered_through_a_full_queue(self, tmp_path):
+        server, handle, client = start_server(tmp_path, queue_limit=1, workers=1)
+        try:
+            client.run(SPEC, timeout=300)
+            with use_faults("serve.job:delay:delay=1.0"):
+                held = client.submit({**SPEC, "search": {**SPEC["search"], "n": 7}})
+                assert client.submit(SPEC)["state"] == "done"
+                client.wait(held["job_id"], timeout=300)
+        finally:
+            handle.stop()
 
 
 class TestQueueLimit:

@@ -1,13 +1,16 @@
 """A warm replay runs no compute, at every entry point.
 
-Each entry point runs cold, then warm inside ``no_compute()``: every
-compute kernel — the Fig. 1 profiler, the exact simulators, the search
-drivers, the exhaustive and fully-associative columns of Table 3, and
-workload generation — raises, and so does a deferred trace asked for
-its addresses.  A warm run must finish from the artifact cache alone,
-and its cache events must be a replay.  Checking outputs, files or
-counters alone cannot tell a stage that bypasses the cache from one
-served by it; this harness checks the work done.
+Each entry point runs cold, then warm twice: once inside
+``no_compute()``, where every compute kernel — the Fig. 1 profiler, the
+exact simulators, the search drivers, the exhaustive and
+fully-associative columns of Table 3, and workload generation — raises,
+and so does a deferred trace asked for its addresses; and once inside
+:func:`~repro.pipeline.context.replay_only`, the production form of the
+same refusal.  A warm run must finish from the artifact cache alone,
+and its cache events must be a replay.  Cold, the replay-only run must
+raise :class:`~repro.pipeline.context.NotCached`.  Checking outputs,
+files or counters alone cannot tell a stage that bypasses the cache
+from one served by it; this harness checks the work done.
 """
 
 import contextlib
@@ -27,6 +30,8 @@ from repro.api import (
     TraceSpec,
 )
 from repro.pipeline.artifact_cache import cache_events, replayed
+from repro.pipeline.context import NotCached, replay_only
+from repro.serve import ReproServer, ServeClient
 from repro.trace.trace import DeferredTrace
 
 #: (defining module, name) of every compute kernel a replay must not reach.
@@ -93,60 +98,79 @@ def no_compute():
     return scope
 
 
+@pytest.fixture
+def refusals(no_compute):
+    """Both scopes a warm run must pass: the patched kernels, and
+    :func:`replay_only`."""
+    return (no_compute, replay_only)
+
+
 def test_the_fixture_forbids_compute(no_compute):
     with no_compute(), pytest.raises(ComputeRan):
         Session().optimize(SPECS[0])
+    with replay_only(), pytest.raises(NotCached):
+        Session().optimize(SPECS[0])
+
+
+def run_cold_then_warm(argv, refusals):
+    """``repro <argv>`` raises NotCached replay-only and computes plain
+    when cold, then replays ``--expect-cached`` under each refusal."""
+    with replay_only(), pytest.raises(NotCached):
+        main(argv)
+    assert main(argv) == 0
+    for refusal in refusals:
+        with refusal():
+            assert main([*argv, "--expect-cached"]) == 0
 
 
 class TestCli:
-    def test_run(self, tmp_path, no_compute):
+    def test_run(self, tmp_path, refusals):
         spec_file = SPECS[0].save(tmp_path / "spec.toml")
         argv = [
             "run", str(spec_file), "--cache-dir", str(tmp_path / "c"), "--workers", "1",
         ]
-        assert main(argv) == 0
-        with no_compute():
-            assert main([*argv, "--expect-cached"]) == 0
+        run_cold_then_warm(argv, refusals)
 
-    def test_campaign(self, tmp_path, no_compute):
+    def test_campaign(self, tmp_path, refusals):
         argv = [
             "campaign", "--suite", "powerstone", "--benchmarks", "qurt", "fir",
             "--cache-kb", "1", "4", "--families", "2-in", "16-in",
             "--scale", "tiny", "--workers", "1", "--cache-dir", str(tmp_path),
         ]
-        assert main(argv) == 0
-        with no_compute():
-            assert main([*argv, "--expect-cached"]) == 0
+        run_cold_then_warm(argv, refusals)
 
     @pytest.mark.parametrize("sharding", [[], ["--shard-size", "300"]])
-    def test_profile(self, tmp_path, no_compute, sharding):
+    def test_profile(self, tmp_path, refusals, sharding):
         argv = [
             "profile", "powerstone", "qurt", "--scale", "tiny", "--workers", "1",
             "--cache-dir", str(tmp_path), *sharding,
         ]
-        assert main(argv) == 0
-        with no_compute():
-            assert main([*argv, "--expect-cached"]) == 0
+        run_cold_then_warm(argv, refusals)
 
-    def test_tables(self, tmp_path, no_compute, capsys):
+    def test_tables(self, tmp_path, refusals, capsys):
         argv = [
             "tables", "--only", "general-vs-perm", "table2", "--scale", "tiny",
             "--workers", "1", "--cache-dir", str(tmp_path),
         ]
+        with replay_only(), pytest.raises(NotCached):
+            main(argv)
+        capsys.readouterr()
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        with no_compute(), cache_events() as events:
-            assert main(argv) == 0
-        assert capsys.readouterr().out == cold
-        assert replayed(events)
+        for refusal in refusals:
+            with refusal(), cache_events() as events:
+                assert main(argv) == 0
+            assert capsys.readouterr().out == cold
+            assert replayed(events)
 
     @pytest.mark.xfail(
         strict=True,
-        raises=ComputeRan,
+        raises=(ComputeRan, NotCached),
         reason="ROADMAP item 4: Table 3 rows are no cached stages; a warm "
         "run regenerates each trace and recomputes the opt and FA columns",
     )
-    def test_table3(self, tmp_path, no_compute, monkeypatch):
+    @pytest.mark.parametrize("refusal", ["no_compute", "replay_only"])
+    def test_table3(self, tmp_path, no_compute, monkeypatch, refusal):
         # Two rows are enough to show it, at a fraction of the full table.
         monkeypatch.setattr(
             "repro.experiments.table3.workload_names", lambda suite: ["qurt", "fir"]
@@ -156,23 +180,22 @@ class TestCli:
             "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 0
-        with no_compute():
+        with {"no_compute": no_compute, "replay_only": replay_only}[refusal]():
             assert main(argv) == 0
 
 
 class TestSession:
     @pytest.fixture
     def warm(self, tmp_path):
-        """A session over a cache every spec below has run into."""
+        """A cache every spec below has run into."""
         sharded = replace(SPECS[0], execution=ExecutionSpec(shard_size=300))
         with Session(cache_dir=tmp_path, workers=1) as cold:
             cold.optimize(SPECS[0])
             cold.profile(sharded)
             cold.campaign(SPECS)
-        with Session(cache_dir=tmp_path, workers=1) as session:
-            yield session
+        return tmp_path
 
-    @pytest.mark.parametrize(
+    ENTRY_POINTS = pytest.mark.parametrize(
         "entry_point",
         [
             lambda session: session.optimize(SPECS[0]),
@@ -184,7 +207,49 @@ class TestSession:
         ],
         ids=["optimize", "profile", "sharded-profile", "campaign"],
     )
-    def test_entry_point(self, warm, no_compute, entry_point):
-        with no_compute(), cache_events() as events:
-            entry_point(warm)
-        assert replayed(events)
+
+    @ENTRY_POINTS
+    def test_entry_point(self, warm, refusals, entry_point):
+        for refusal in refusals:
+            # A session apiece: the first one's memo would serve the second.
+            with Session(cache_dir=warm, workers=1) as session:
+                with refusal(), cache_events() as events:
+                    entry_point(session)
+            assert replayed(events)
+
+    @ENTRY_POINTS
+    def test_cold_entry_point_raises(self, tmp_path, entry_point):
+        with Session(cache_dir=tmp_path, workers=1) as cold, cache_events() as events:
+            with replay_only(), pytest.raises(NotCached):
+                entry_point(cold)
+        assert events == {}  # the probe charged no miss
+
+
+class TestServe:
+    def test_hit_is_answered_inline(self, tmp_path, no_compute):
+        """A served hit replays on the event-loop thread, where the
+        server's own replay-only scope raises at any compute; the
+        patched kernels check that no other path computed."""
+        spec = SPECS[0].to_dict()
+
+        def serve():
+            session = Session(cache_dir=tmp_path, storage="sqlite")
+            server = ReproServer(session=session, port=0, own_session=True)
+            handle = server.run_in_thread()
+            return handle, ServeClient(port=handle.port)
+
+        handle, client = serve()
+        cold = client.run(spec, timeout=300)
+        handle.stop()
+        # A restarted server, whose workload registry holds no trace
+        # that a patched kernel would refuse to hand out.
+        handle, client = serve()
+        try:
+            with no_compute():
+                posted = client.submit(spec)
+                assert posted["state"] == "done"
+                warm = client.job(posted["job_id"])
+            assert (warm["cached"], warm["attempts"]) == (True, 1)
+            assert warm["report"] == cold["report"]
+        finally:
+            handle.stop()
