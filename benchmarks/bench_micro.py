@@ -10,11 +10,10 @@ import pytest
 
 from repro.cache.engine import simulate
 from repro.cache.geometry import CacheGeometry
-from repro.cache.indexing import ModuloIndexing, XorIndexing
+from repro.cache.indexing import BitSelectIndexing, ModuloIndexing, XorIndexing
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import profile_blocks
 from repro.profiling.estimator import MissEstimator
-from repro.search.exhaustive import misses_bit_select_exact
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +68,7 @@ def test_batched_column_eval_throughput(benchmark, profile):
     assert len(costs) == len(candidates)
 
 
-def test_exact_bit_select_kernel_throughput(benchmark, blocks):
-    misses = benchmark(misses_bit_select_exact, blocks, 0b1111111111)
-    assert misses > 0
+def test_simulator_bit_select_throughput(benchmark, blocks):
+    pol = BitSelectIndexing(16, range(10))
+    stats = benchmark(simulate, blocks, CacheGeometry.direct_mapped(4096), pol)
+    assert stats.misses > 0

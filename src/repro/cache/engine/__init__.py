@@ -3,7 +3,8 @@
 The one uncached way to simulate a cache; one entry point per shape:
 
 * :func:`simulate` — geometry-dispatched replay (direct-mapped cache
-  via the fully vectorized sort kernel, set-associative / fully
+  via one row of the batched sort kernel
+  :func:`misses_for_index_streams`, set-associative / fully
   associative via the grouped per-set LRU scan);
 * :func:`simulate_capacity` — fully-associative LRU with an arbitrary
   (non-power-of-two) frame count;
@@ -24,7 +25,6 @@ from repro.cache.engine.batched import (
 )
 from repro.cache.engine.core import (
     compulsory_count,
-    direct_mapped_miss_vector,
     lru_miss_vector,
     skewed_miss_vector,
 )
@@ -43,7 +43,6 @@ __all__ = [
     "evaluate_many",
     "stacked_index_streams",
     "misses_for_index_streams",
-    "direct_mapped_miss_vector",
     "lru_miss_vector",
     "skewed_miss_vector",
     "compulsory_count",

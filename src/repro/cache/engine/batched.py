@@ -31,6 +31,8 @@ from repro.gf2.hashfn import XorHashFunction
 __all__ = [
     "stacked_index_streams",
     "misses_for_index_streams",
+    "working_set",
+    "working_set_misses",
     "evaluate_many",
 ]
 
@@ -132,6 +134,38 @@ def misses_for_index_streams(
     return misses
 
 
+def working_set(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct blocks of a trace and each access's dense label.
+
+    ``inverse`` (``uint32``) maps every access to its block's position
+    in ``unique_blocks``; it is a valid block key for
+    :func:`misses_for_index_streams` at half the gather bandwidth of
+    the ``uint64`` addresses.
+    """
+    unique_blocks, inverse = np.unique(blocks, return_inverse=True)
+    return unique_blocks, inverse.astype(np.uint32)
+
+
+def working_set_misses(unique_ids: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Direct-mapped miss counts of set-id rows given per distinct block.
+
+    ``unique_ids`` has shape ``(K, U)``: row ``k`` is candidate ``k``'s
+    set identity of each of the ``U`` distinct blocks of
+    :func:`working_set`.  Rows are expanded through ``inverse`` to the
+    whole trace and counted by :func:`misses_for_index_streams` a chunk
+    at a time, so peak memory stays near :data:`CHUNK_ELEMENTS`.
+    """
+    num_candidates = len(unique_ids)
+    misses = np.zeros(num_candidates, dtype=np.int64)
+    rows_per_chunk = max(1, CHUNK_ELEMENTS // max(len(inverse), 1))
+    for lo in range(0, num_candidates, rows_per_chunk):
+        expanded = unique_ids[lo : lo + rows_per_chunk][:, inverse]
+        misses[lo : lo + rows_per_chunk] = misses_for_index_streams(
+            expanded, inverse
+        )
+    return misses
+
+
 def evaluate_many(
     trace,
     geometry: CacheGeometry,
@@ -169,23 +203,13 @@ def evaluate_many(
     if len(blocks) == 0:
         return [CacheStats(accesses=0, misses=0) for _ in functions]
     # Hash the *working set*, not the trace: index streams are computed
-    # once per distinct block and expanded through the inverse mapping,
-    # and the dense uint32 relabeling doubles as the block-identity key
-    # (halving gather bandwidth in the scoring sort).
-    unique_blocks, inverse = np.unique(blocks, return_inverse=True)
-    inverse = inverse.astype(np.uint32)
+    # once per distinct block and expanded through the inverse mapping.
+    unique_blocks, inverse = working_set(blocks)
     unique_streams = stacked_index_streams(functions, unique_blocks)
     compulsory = len(unique_blocks)
     count = len(blocks)
-    num_functions = len(functions)
     if geometry.is_direct_mapped:
-        miss_counts = np.zeros(num_functions, dtype=np.int64)
-        rows_per_chunk = max(1, CHUNK_ELEMENTS // count)
-        for lo in range(0, num_functions, rows_per_chunk):
-            expanded = unique_streams[lo : lo + rows_per_chunk][:, inverse]
-            miss_counts[lo : lo + rows_per_chunk] = misses_for_index_streams(
-                expanded, inverse
-            )
+        miss_counts = working_set_misses(unique_streams, inverse)
     else:
         # Shared per-trace precomputation: equal keys imply equal set
         # ids under every candidate, so the same-key occurrence links
@@ -207,7 +231,7 @@ def evaluate_many(
                     )
                 )
             )
-            for k in range(num_functions)
+            for k in range(len(functions))
         ]
     return [
         CacheStats(accesses=count, misses=int(misses), compulsory=compulsory)

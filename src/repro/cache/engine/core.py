@@ -10,10 +10,12 @@ The kernels operate on two parallel streams derived from a block trace:
   bijective, the full block address is always a valid key, which lets
   callers skip computing tags entirely.
 
-All kernels return a per-access boolean miss vector in program order,
-so the simulators, the three-Cs classifier and the property tests share
-one contract.  The replacement behaviour is bit-identical to the scalar
-reference simulators in :mod:`repro.cache.reference`.
+The LRU and skewed kernels return a per-access boolean miss vector in
+program order (the direct-mapped count is
+:func:`repro.cache.engine.batched.misses_for_index_streams`), and
+:func:`program_order_links` is the one same-key occurrence pass, shared
+with the Fig. 1 profiler.  The replacement behaviour is bit-identical
+to the scalar reference simulators in :mod:`repro.cache.reference`.
 
 The sequential-replacement inner kernels (the LRU stack-depth test and
 the skewed replay) dispatch through :mod:`repro.backend` — the common
@@ -31,7 +33,6 @@ from repro.backend import Backend, active_backend
 from repro.backend.sorting import stable_argsort
 
 __all__ = [
-    "direct_mapped_miss_vector",
     "lru_miss_vector",
     "lru_miss_vector_shared",
     "program_order_links",
@@ -39,30 +40,6 @@ __all__ = [
     "compulsory_count",
     "occurrence_links",
 ]
-
-
-def direct_mapped_miss_vector(set_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Miss vector for one frame per set, fully vectorized.
-
-    Stable-sorting by set identity preserves program order inside each
-    set's subsequence, and a direct-mapped set holds exactly the most
-    recent block: an access misses iff it is the first to its set or its
-    key differs from the immediately preceding access to that set.
-    """
-    count = len(set_ids)
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.argsort(set_ids, kind="stable")
-    sorted_ids = set_ids[order]
-    sorted_keys = keys[order]
-    miss_sorted = np.empty(count, dtype=bool)
-    miss_sorted[0] = True
-    miss_sorted[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (
-        sorted_keys[1:] != sorted_keys[:-1]
-    )
-    misses = np.empty(count, dtype=bool)
-    misses[order] = miss_sorted
-    return misses
 
 
 def occurrence_links(
@@ -162,7 +139,8 @@ def lru_miss_vector(
     the associativity.  The depth test runs on the active compute
     backend over occurrence links built here in grouped coordinates;
     everything else (grouping, links, scatter back to program order) is
-    one-pass NumPy regardless of backend.
+    one-pass NumPy regardless of backend.  One way is a direct-mapped
+    cache's miss vector.
 
     ``set_ids=None`` declares a single-set (fully-associative) cache:
     program order already is grouped order, so the grouping sort and
@@ -172,8 +150,6 @@ def lru_miss_vector(
         raise ValueError(f"ways must be >= 1, got {ways}")
     count = len(keys)
     if set_ids is None:
-        if ways == 1:
-            return lru_miss_vector(np.zeros(count, dtype=np.uint8), keys, 1)
         if count == 0:
             return np.zeros(0, dtype=bool)
         sole = np.zeros(1, dtype=np.uint8)
@@ -181,8 +157,6 @@ def lru_miss_vector(
         if backend is None:
             backend = active_backend()
         return (prev < 0) | backend.lru_depth_at_least(prev, nxt, ways)
-    if ways == 1:
-        return direct_mapped_miss_vector(set_ids, keys)
     if count == 0:
         return np.zeros(0, dtype=bool)
     order = stable_argsort(set_ids)
@@ -202,7 +176,9 @@ def program_order_links(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first touch); ``nxt[t]`` the next (``count`` when the key never
     recurs).  One stable key sort — reusable by
     :func:`lru_miss_vector_shared` across every candidate index
-    function of a batch, because the links never look at set ids.
+    function of a batch, because the links never look at set ids, and
+    the links the Fig. 1 profiler's depth walk
+    (:func:`repro.profiling.reuse.walk_chunks`) runs on.
     """
     count = len(keys)
     sole = np.zeros(1, dtype=np.uint8)
@@ -232,8 +208,6 @@ def lru_miss_vector_shared(
     """
     if ways < 1:
         raise ValueError(f"ways must be >= 1, got {ways}")
-    if ways == 1:
-        return direct_mapped_miss_vector(set_ids, keys)
     count = len(set_ids)
     if count == 0:
         return np.zeros(0, dtype=bool)

@@ -11,9 +11,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.cache.engine.batched import misses_for_index_streams
 from repro.cache.engine.core import (
     compulsory_count,
-    direct_mapped_miss_vector,
     lru_miss_vector,
     skewed_miss_vector,
 )
@@ -41,9 +41,9 @@ def simulate(
     """Replay a block trace through a cache of the given geometry.
 
     ``indexing`` defaults to modulo on the geometry's index bits.
-    Dispatches to the vectorized direct-mapped kernel when
-    ``associativity == 1`` and to the grouped LRU kernel otherwise
-    (full associativity is the single-set special case).
+    A direct-mapped geometry counts its misses as one row of the
+    batched sort kernel; any other runs the grouped LRU kernel (full
+    associativity is the single-set special case).
     """
     if indexing is None:
         indexing = ModuloIndexing(geometry.index_bits)
@@ -56,8 +56,13 @@ def simulate(
     if len(blocks) == 0:
         return CacheStats(accesses=0, misses=0)
     if geometry.is_direct_mapped:
-        misses = direct_mapped_miss_vector(indexing.set_index_array(blocks), blocks)
-    elif geometry.num_sets == 1:
+        set_ids = indexing.set_index_array(blocks)
+        return CacheStats(
+            accesses=len(blocks),
+            misses=int(misses_for_index_streams(set_ids[None, :], blocks)[0]),
+            compulsory=compulsory_count(blocks),
+        )
+    if geometry.num_sets == 1:
         misses = lru_miss_vector(None, blocks, geometry.associativity)
     else:
         misses = lru_miss_vector(

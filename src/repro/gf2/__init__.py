@@ -14,7 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ColumnReplacementScreen",
             "high_bit_index",
             "reduce_by_basis",
-            "rref_basis",
         ),
         "repro.gf2.bitpack": (
             "pack_bit_planes",
@@ -50,6 +49,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "irreducible_polynomials",
             "polynomial_hash_function",
         ),
-        "repro.gf2.spaces": ("Subspace", "all_subspace_bases"),
+        "repro.gf2.spaces": ("Subspace", "all_subspace_bases", "rref_basis"),
     },
 )

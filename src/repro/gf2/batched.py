@@ -28,23 +28,13 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.gf2.spaces import _rref_basis
+from repro.gf2.spaces import rref_basis
 
 __all__ = [
-    "rref_basis",
     "reduce_by_basis",
     "high_bit_index",
     "ColumnReplacementScreen",
 ]
-
-
-def rref_basis(vectors: Iterable[int], n: int) -> tuple[int, ...]:
-    """Canonical (RREF) basis of ``span(vectors)`` in GF(2)^n.
-
-    Identical to the basis :class:`~repro.gf2.spaces.Subspace` stores,
-    sorted by decreasing pivot position.
-    """
-    return _rref_basis(vectors, n)
 
 
 def reduce_by_basis(vectors: np.ndarray, basis: Iterable[int]) -> np.ndarray:
@@ -97,7 +87,7 @@ class ColumnReplacementScreen:
         fixed = tuple(
             col for c, col in enumerate(columns) if c != column_index
         )
-        self.basis = _rref_basis(fixed, self.n)
+        self.basis = rref_basis(fixed, self.n)
         self._fixed_independent = len(self.basis) == self.m - 1
 
     def full_rank(self, candidates: np.ndarray) -> np.ndarray:

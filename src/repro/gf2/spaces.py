@@ -21,11 +21,15 @@ import numpy as np
 from repro.gf2.bitvec import mask
 from repro.gf2.matrix import GF2Matrix
 
-__all__ = ["Subspace", "all_subspace_bases"]
+__all__ = ["Subspace", "all_subspace_bases", "rref_basis"]
 
 
-def _rref_basis(vectors: Iterable[int], n: int) -> tuple[int, ...]:
-    """Canonical (RREF) basis of the span of ``vectors`` in GF(2)^n."""
+def rref_basis(vectors: Iterable[int], n: int) -> tuple[int, ...]:
+    """Canonical (RREF) basis of ``span(vectors)`` in GF(2)^n.
+
+    The basis a :class:`Subspace` stores, sorted by decreasing pivot
+    position.
+    """
     limit = 1 << n
     basis: list[int] = []  # kept sorted by decreasing pivot
     for vec in vectors:
@@ -92,7 +96,7 @@ class Subspace:
 
     def __init__(self, vectors: Iterable[int], n: int):
         self._n = int(n)
-        self._basis = _rref_basis(vectors, self._n)
+        self._basis = rref_basis(vectors, self._n)
 
     # ------------------------------------------------------------------
     # Constructors

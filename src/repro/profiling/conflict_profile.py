@@ -23,14 +23,11 @@ from typing import BinaryIO
 
 import numpy as np
 
+from repro.cache.engine.core import program_order_links
 from repro.cache.geometry import CacheGeometry
 from repro.gf2.bitvec import mask
 from repro.profiling.lru_stack import LRUStack
-from repro.profiling.reuse import (
-    next_occurrences,
-    previous_occurrences,
-    walk_chunks,
-)
+from repro.profiling.reuse import walk_chunks
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -313,8 +310,7 @@ def _profile_pass(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     count = len(blocks)
     low = (blocks & np.uint64(mask(n))).astype(np.int64)
-    prev = previous_occurrences(blocks)
-    nxt = next_occurrences(prev)
+    prev, nxt = program_order_links(blocks)
     bins = _PairBins(len(caps) << n)
     # Repeats per depth bucket: bucket k holds depths in
     # [caps[k-1], caps[k]), bucket K the capacity misses of every size.

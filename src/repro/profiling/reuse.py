@@ -13,33 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cache.engine.core import program_order_links
+
 __all__ = [
-    "next_occurrences",
-    "previous_occurrences",
     "reuse_distance_histogram",
     "reuse_distances",
     "walk_chunks",
 ]
-
-
-def previous_occurrences(blocks: np.ndarray) -> np.ndarray:
-    """``prev[t]`` = index of the previous access to ``blocks[t]``, or -1.
-
-    One stable argsort groups equal blocks while preserving program
-    order inside each group, so consecutive positions in sort order
-    with equal blocks are exactly the (previous, current) occurrence
-    pairs — no per-access dict lookup.
-    """
-    count = len(blocks)
-    order = np.argsort(blocks, kind="stable")
-    in_order = blocks[order]
-    repeat = np.empty(count, dtype=bool)
-    if count:
-        repeat[0] = False
-        np.equal(in_order[1:], in_order[:-1], out=repeat[1:])
-    prev = np.full(count, -1, dtype=np.int64)
-    prev[order[repeat]] = order[np.flatnonzero(repeat) - 1]
-    return prev
 
 
 #: Longest chunk :func:`walk_chunks` uses: its packed sort keys (value,
@@ -47,22 +27,15 @@ def previous_occurrences(blocks: np.ndarray) -> np.ndarray:
 _MAX_CHUNK = 1 << 16
 
 
-def next_occurrences(prev: np.ndarray) -> np.ndarray:
-    """``nxt[t]`` = index of the next access to ``blocks[t]``, or
-    ``len(prev)`` ("never"), from :func:`previous_occurrences`: slot
-    ``t`` is its block's latest occurrence at any time in ``(t, nxt[t]]``."""
-    repeats = np.flatnonzero(prev >= 0)
-    nxt = np.full(len(prev), len(prev), dtype=np.int64)
-    nxt[prev[repeats]] = repeats
-    return nxt
-
-
 def walk_chunks(prev: np.ndarray, nxt: np.ndarray, chunk_size: int):
     """Walk a trace in chunks of accesses with every access's exact LRU depth.
 
-    ``prev`` and ``nxt`` come from :func:`previous_occurrences` and
-    :func:`next_occurrences`.  Yields ``(t0, live, live_nxt, lo, depth)``
-    per chunk ``[t0, t1)``:
+    ``prev`` and ``nxt`` are the same-block occurrence links of
+    :func:`repro.cache.engine.core.program_order_links`: ``prev[t]`` is
+    the previous access to ``t``'s block (-1 on first touch) and
+    ``nxt[t]`` the next (``len(prev)`` if none), so slot ``t`` is its
+    block's latest occurrence at any time in ``(t, nxt[t]]``.  Yields
+    ``(t0, live, live_nxt, lo, depth)`` per chunk ``[t0, t1)``:
 
     * ``live`` — the global times of the slots live at ``t0`` (the
       latest occurrence of each block touched before the chunk),
@@ -158,11 +131,8 @@ def reuse_distances(blocks: np.ndarray, chunk_size: int = 1 << 12) -> np.ndarray
     """Per-access reuse distances (exact LRU stack depths); -1 marks
     first touches.  :func:`walk_chunks` over ``chunk_size``-access
     chunks, its depths collected."""
-    prev = previous_occurrences(np.asarray(blocks, dtype=np.uint64))
-    depths = [
-        depth
-        for *_, depth in walk_chunks(prev, next_occurrences(prev), chunk_size)
-    ]
+    prev, nxt = program_order_links(np.asarray(blocks, dtype=np.uint64))
+    depths = [depth for *_, depth in walk_chunks(prev, nxt, chunk_size)]
     return np.concatenate(depths) if depths else np.empty(0, dtype=np.int64)
 
 

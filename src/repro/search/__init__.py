@@ -15,7 +15,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ExhaustiveResult",
             "optimal_bit_select",
             "enumerate_bit_select_masks",
-            "misses_bit_select_exact",
         ),
         "repro.search.families": (
             "FunctionFamily",

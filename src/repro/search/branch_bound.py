@@ -52,8 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gf2.batched import reduce_by_basis, rref_basis
+from repro.gf2.batched import reduce_by_basis
 from repro.gf2.hashfn import XorHashFunction
+from repro.gf2.spaces import rref_basis
 from repro.names import BRANCH_BOUND_NODES
 from repro.profiling.conflict_profile import ConflictProfile
 from repro.profiling.estimator import MissEstimator

@@ -19,7 +19,11 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.cache.engine.batched import CHUNK_ELEMENTS, misses_for_index_streams
+from repro.cache.engine.batched import (
+    CHUNK_ELEMENTS,
+    working_set,
+    working_set_misses,
+)
 from repro.gf2.bitpack import pack_bit_planes, packed_any_rows, weighted_popcount
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import ConflictProfile
@@ -28,7 +32,6 @@ __all__ = [
     "ExhaustiveResult",
     "optimal_bit_select",
     "enumerate_bit_select_masks",
-    "misses_bit_select_exact",
 ]
 
 
@@ -99,52 +102,27 @@ def optimal_bit_select(
     )
 
 
-def misses_bit_select_exact(blocks: np.ndarray, mask_value: int) -> int:
-    """Exact direct-mapped misses under a bit-selection mask.
-
-    The uncompressed value ``block & mask`` identifies the set (two
-    blocks collide iff it matches), so no index/tag packing is needed:
-    stable-sort by it and count block changes within each group.  This
-    equals :func:`repro.cache.engine.simulate` on a direct-mapped
-    geometry with the corresponding ``BitSelectIndexing``
-    (property-tested) at a fraction of the cost.
-    """
-    blocks = np.asarray(blocks, dtype=np.uint64)
-    if len(blocks) == 0:
-        return 0
-    set_identity = np.bitwise_and(blocks, np.uint64(mask_value))
-    order = np.argsort(set_identity, kind="stable")
-    sorted_sets = set_identity[order]
-    sorted_blocks = blocks[order]
-    misses = 1 + int(
-        np.count_nonzero(
-            (sorted_sets[1:] != sorted_sets[:-1])
-            | (sorted_blocks[1:] != sorted_blocks[:-1])
-        )
-    )
-    return misses
-
-
 def _best_exact(n: int, masks: np.ndarray, blocks: np.ndarray) -> tuple[int, int]:
     """Score every selection mask with the engine's batched sort kernel.
 
-    The masked block address is a valid set identity (uncompressed) and
-    the dense working-set relabeling a valid block key, so a chunk of
-    candidate masks is scored in one ``(R, N)`` pass instead of R
-    separate replays.
+    The masked block address is a valid set identity (uncompressed:
+    two blocks collide iff it matches), so a chunk of candidate masks
+    is scored in one ``(R, N)`` pass of
+    :func:`~repro.cache.engine.batched.working_set_misses` instead of R
+    separate replays; each score equals direct-mapped
+    :func:`~repro.cache.engine.simulate` under the matching
+    :class:`~repro.cache.indexing.BitSelectIndexing` (property-tested).
     """
     blocks = np.asarray(blocks, dtype=np.uint64)
     if len(blocks) == 0:
         return int(masks[0]), 0
-    unique_blocks, inverse = np.unique(blocks, return_inverse=True)
-    inverse = inverse.astype(np.uint32)
+    unique_blocks, inverse = working_set(blocks)
     best_mask = int(masks[0])
     best = None
     rows_per_chunk = max(1, CHUNK_ELEMENTS // len(blocks))
     for lo in range(0, len(masks), rows_per_chunk):
         chunk = masks[lo : lo + rows_per_chunk].astype(np.uint64)
-        unique_ids = unique_blocks[None, :] & chunk[:, None]
-        misses = misses_for_index_streams(unique_ids[:, inverse], inverse)
+        misses = working_set_misses(unique_blocks[None, :] & chunk[:, None], inverse)
         i = int(np.argmin(misses))
         if best is None or int(misses[i]) < best:
             best = int(misses[i])

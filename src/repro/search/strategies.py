@@ -88,22 +88,12 @@ def _estimator_for(profile, estimator):
     return estimator if estimator is not None else MissEstimator(profile)
 
 
-@dataclass(frozen=True)
-class SteepestDescent:
-    """The paper's Sec. 3.2 algorithm on the batched kernel."""
+class _PointDescent:
+    """One descent from one start on the batched kernel; subclasses
+    name it and choose ``pick``, the per-step selection rule (which
+    also enables the lockstep front path)."""
 
     deterministic = True
-
-    @property
-    def name(self) -> str:
-        return "steepest"
-
-    @property
-    def pick(self):
-        """Per-step selection rule (enables the lockstep front path)."""
-        from repro.search.batched import pick_steepest
-
-        return pick_steepest
 
     def search(
         self, profile, family, *, start=None, max_steps=None, estimator=None,
@@ -119,10 +109,23 @@ class SteepestDescent:
 
 
 @dataclass(frozen=True)
-class FirstImprovement:
-    """Accept the first improving neighbour instead of the best one."""
+class SteepestDescent(_PointDescent):
+    """The paper's Sec. 3.2 algorithm on the batched kernel."""
 
-    deterministic = True
+    @property
+    def name(self) -> str:
+        return "steepest"
+
+    @property
+    def pick(self):
+        from repro.search.batched import pick_steepest
+
+        return pick_steepest
+
+
+@dataclass(frozen=True)
+class FirstImprovement(_PointDescent):
+    """Accept the first improving neighbour instead of the best one."""
 
     @property
     def name(self) -> str:
@@ -133,18 +136,6 @@ class FirstImprovement:
         from repro.search.batched import pick_first_improvement
 
         return pick_first_improvement
-
-    def search(
-        self, profile, family, *, start=None, max_steps=None, estimator=None,
-        rng=None,
-    ):
-        from repro.search.batched import descend_front
-
-        start = start if start is not None else family.start()
-        return descend_front(
-            _estimator_for(profile, estimator), family, [start],
-            self.pick, max_steps, strategy_name=self.name,
-        )[0]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.engine import direct_mapped_miss_vector, simulate
+from repro.cache.engine import lru_miss_vector, simulate
 from repro.cache.geometry import CacheGeometry
-from repro.cache.indexing import ModuloIndexing, XorIndexing
+from repro.cache.indexing import BitSelectIndexing, ModuloIndexing, XorIndexing
 from repro.cache.reference import simulate_direct_mapped_scalar
 from tests.conftest import block_traces, hash_functions
 
@@ -40,11 +41,11 @@ class TestKnownCases:
     def test_miss_vector_positions(self):
         blocks = np.array([0, 16, 0, 1], dtype=np.uint64)
         set_ids = ModuloIndexing(4).set_index_array(blocks)
-        misses = direct_mapped_miss_vector(set_ids, blocks)
+        misses = lru_miss_vector(set_ids, blocks, 1)
         assert misses.tolist() == [True, True, True, True]
         blocks = np.array([0, 1, 0, 1], dtype=np.uint64)
         set_ids = ModuloIndexing(4).set_index_array(blocks)
-        misses = direct_mapped_miss_vector(set_ids, blocks)
+        misses = lru_miss_vector(set_ids, blocks, 1)
         assert misses.tolist() == [True, True, False, False]
 
 
@@ -66,10 +67,42 @@ class TestVectorizedEqualsScalar:
         )
 
     @settings(max_examples=40, deadline=None)
+    @given(
+        block_traces(max_block=1 << 12),
+        st.lists(st.integers(0, 11), min_size=5, max_size=5, unique=True),
+    )
+    def test_bit_select_indexing(self, blocks, bits):
+        pol = BitSelectIndexing(12, bits)
+        assert simulate(blocks, DM32, pol) == simulate_direct_mapped_scalar(
+            blocks, pol
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, (1 << 64) - 1), st.integers(0, 8))
+    def test_empty_and_one_access(self, block, m):
+        geometry = CacheGeometry.direct_mapped((1 << m) * 4)
+        pol = ModuloIndexing(m)
+        for blocks in (np.zeros(0, dtype=np.uint64), np.array([block], np.uint64)):
+            assert simulate(blocks, geometry, pol) == (
+                simulate_direct_mapped_scalar(blocks, pol)
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(block_traces(max_block=1 << 24))
+    def test_index_wider_than_16_bits(self, blocks):
+        """18-bit set ids stay 32-bit: the sort skips the radix narrowing."""
+        blocks = np.append(blocks, np.uint64((1 << 18) - 1))
+        pol = ModuloIndexing(18)
+        geometry = CacheGeometry.direct_mapped((1 << 18) * 4)
+        assert simulate(blocks, geometry, pol) == simulate_direct_mapped_scalar(
+            blocks, pol
+        )
+
+    @settings(max_examples=40, deadline=None)
     @given(block_traces())
     def test_miss_vector_sums_to_misses(self, blocks):
         pol = ModuloIndexing(5)
-        vector = direct_mapped_miss_vector(pol.set_index_array(blocks), blocks)
+        vector = lru_miss_vector(pol.set_index_array(blocks), blocks, 1)
         assert int(vector.sum()) == simulate(blocks, DM32, pol).misses
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.engine import (
-    direct_mapped_miss_vector,
     evaluate_many,
     lru_miss_vector,
     misses_for_index_streams,
@@ -26,7 +25,7 @@ from repro.cache.engine import (
     stats_from_misses,
 )
 from repro.cache.geometry import CacheGeometry
-from repro.cache.indexing import ModuloIndexing, XorIndexing
+from repro.cache.indexing import BitSelectIndexing, ModuloIndexing, XorIndexing
 from repro.cache.reference import (
     simulate_direct_mapped_scalar,
     simulate_fully_associative_scalar,
@@ -34,7 +33,6 @@ from repro.cache.reference import (
     simulate_skewed_scalar,
 )
 from repro.gf2.hashfn import XorHashFunction
-from repro.search.exhaustive import misses_bit_select_exact
 from repro.workloads.registry import get_workload
 
 from tests.conftest import block_traces, hash_functions
@@ -77,7 +75,7 @@ class TestDirectMappedProperty:
     @settings(max_examples=30, deadline=None)
     @given(blocks=block_traces(), fn=hash_functions(n=N, full_rank=True))
     def test_miss_vector_count_consistent(self, blocks, fn):
-        misses = direct_mapped_miss_vector(fn.apply_array(blocks), blocks)
+        misses = lru_miss_vector(fn.apply_array(blocks), blocks, 1)
         assert int(misses.sum()) == (
             simulate_direct_mapped_scalar(blocks, XorIndexing(fn)).misses
         )
@@ -121,8 +119,8 @@ class TestLruProperty:
         )
 
     def test_single_way_matches_direct_mapped(self):
-        """The LRU kernel at one way agrees with the direct-mapped
-        kernel ``simulate`` dispatches a 1-way geometry to."""
+        """The LRU depth kernel at one way agrees with the sort kernel
+        ``simulate`` counts a 1-way geometry with."""
         blocks = _real_blocks("powerstone", "ucbqsort")
         geometry = CacheGeometry.direct_mapped(1024)
         set_ids = ModuloIndexing(geometry.index_bits).set_index_array(blocks)
@@ -136,6 +134,14 @@ class TestFullyAssociativeProperty:
     def test_engine_matches_scalar(self, blocks, capacity):
         assert simulate_capacity(blocks, capacity) == (
             simulate_fully_associative_scalar(blocks, capacity)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(blocks=block_traces(max_block=1 << 64))
+    def test_single_frame_matches_scalar(self, blocks):
+        """One frame runs the depth kernel at threshold 1."""
+        assert simulate_capacity(blocks, 1) == (
+            simulate_fully_associative_scalar(blocks, 1)
         )
 
     @pytest.mark.parametrize("suite,name", REAL_WORKLOADS)
@@ -287,7 +293,11 @@ class TestBatchedKernels:
             [blocks & np.uint64(mask_value) for mask_value in masks], axis=0
         )
         scored = misses_for_index_streams(ids, blocks)
-        expected = [misses_bit_select_exact(blocks, m) for m in masks]
+        expected = []
+        for mask_value in masks:
+            bits = [r for r in range(N) if (mask_value >> r) & 1]
+            policy = BitSelectIndexing(N, bits) if bits else ModuloIndexing(0)
+            expected.append(simulate_direct_mapped_scalar(blocks, policy).misses)
         assert scored.tolist() == expected
 
 

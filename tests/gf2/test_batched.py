@@ -9,10 +9,9 @@ from repro.gf2.batched import (
     ColumnReplacementScreen,
     high_bit_index,
     reduce_by_basis,
-    rref_basis,
 )
 from repro.gf2.hashfn import XorHashFunction
-from repro.gf2.spaces import Subspace
+from repro.gf2.spaces import Subspace, rref_basis
 
 from tests.conftest import hash_functions
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache.engine.core import program_order_links
 from repro.profiling.reuse import reuse_distance_histogram, reuse_distances
 from tests.conftest import block_traces
 
@@ -43,3 +45,34 @@ class TestReuseDistances:
         hist = reuse_distance_histogram(blocks, max_distance=2)
         assert hist[-1] == 4
         assert hist[2] == 1  # distance 3 pooled at 2
+
+
+def _dict_links(blocks):
+    """Oracle: previous/next same-block access by dict lookups."""
+    count = len(blocks)
+    prev = [-1] * count
+    nxt = [count] * count
+    last = {}
+    for t, b in enumerate(blocks.tolist()):
+        if b in last:
+            prev[t] = last[b]
+            nxt[last[b]] = t
+        last[b] = t
+    return prev, nxt
+
+
+class TestProgramOrderLinks:
+    """The occurrence links every profile and reuse walk runs on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_traces(max_len=150, max_block=1 << 64), st.integers(48, 63))
+    def test_matches_dict_reference_above_2_48(self, blocks, shift):
+        blocks = blocks | np.uint64(1 << shift)
+        prev, nxt = program_order_links(blocks)
+        want_prev, want_nxt = _dict_links(blocks)
+        assert prev.tolist() == want_prev
+        assert nxt.tolist() == want_nxt
+
+    def test_empty(self):
+        prev, nxt = program_order_links(np.zeros(0, dtype=np.uint64))
+        assert len(prev) == 0 and len(nxt) == 0

@@ -7,12 +7,11 @@ import pytest
 
 from repro.cache.engine import simulate
 from repro.cache.geometry import CacheGeometry
-from repro.cache.indexing import XorIndexing
+from repro.cache.indexing import BitSelectIndexing, XorIndexing
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import profile_blocks
 from repro.search.exhaustive import (
     enumerate_bit_select_masks,
-    misses_bit_select_exact,
     optimal_bit_select,
 )
 from repro.search.families import BitSelectFamily
@@ -34,28 +33,42 @@ class TestEnumeration:
             enumerate_bit_select_masks(4, 5)
 
 
+def _bit_select_misses(blocks, n, bits):
+    geometry = CacheGeometry.direct_mapped((1 << len(bits)) * 4)
+    return simulate(blocks, geometry, BitSelectIndexing(n, bits)).misses
+
+
 class TestFastExactKernel:
     def test_matches_full_simulator(self):
-        """The mask-as-set-identity shortcut equals the real simulator."""
+        """The mask-as-set-identity shortcut finds the minimum of the
+        real simulator over every selection."""
         from hypothesis import given, settings
+        from hypothesis import strategies as st
 
         from tests.conftest import block_traces
 
         @settings(max_examples=40, deadline=None)
-        @given(block_traces(max_block=1 << 10))
-        def check(blocks):
-            n, m = 10, 4
-            for mask_value in [0b1111, 0b1010100010, 0b1111000000]:
-                bits = [r for r in range(n) if (mask_value >> r) & 1]
-                fn = XorHashFunction.bit_select(n, bits)
-                geometry = CacheGeometry.direct_mapped((1 << m) * 4)
-                reference = simulate(blocks, geometry, XorIndexing(fn)).misses
-                assert misses_bit_select_exact(blocks, mask_value) == reference
+        @given(
+            block_traces(max_block=1 << 8),
+            st.sampled_from([(6, 2), (7, 3), (8, 4), (8, 1)]),
+        )
+        def check(blocks, shape):
+            n, m = shape
+            result = optimal_bit_select(n, m, blocks=blocks, mode="exact")
+            scores = [
+                _bit_select_misses(blocks, n, [r for r in range(n) if (v >> r) & 1])
+                for v in enumerate_bit_select_masks(n, m).tolist()
+            ]
+            assert result.misses == min(scores)
+            selected = [c.bit_length() - 1 for c in result.function.columns]
+            assert _bit_select_misses(blocks, n, selected) == result.misses
 
         check()
 
     def test_empty_trace(self):
-        assert misses_bit_select_exact(np.zeros(0, dtype=np.uint64), 0b11) == 0
+        empty = np.zeros(0, dtype=np.uint64)
+        assert optimal_bit_select(4, 2, blocks=empty, mode="exact").misses == 0
+        assert _bit_select_misses(empty, 4, [0, 1]) == 0
 
 
 class TestExactMode:
@@ -192,10 +205,12 @@ class TestWideWindows:
         check()
 
     def test_exact_kernel_wide_blocks(self):
-        """The sort kernel already ran on uint64; pin it at n = 40."""
+        """Selections from a 40-bit window score on uint64 blocks."""
         blocks = np.tile(
             np.array([1 << 39, (1 << 39) | (1 << 20)], dtype=np.uint64), 30
         )
-        assert misses_bit_select_exact(blocks, 1 << 20) == 2
-        assert misses_bit_select_exact(blocks, 1 << 21) == 60
+        assert _bit_select_misses(blocks, 40, [20]) == 2
+        assert _bit_select_misses(blocks, 40, [21]) == 60
+        result = optimal_bit_select(40, 1, blocks=blocks, mode="exact")
+        assert result.misses == 2
 

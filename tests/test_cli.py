@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gc
 import json
 
 import pytest
@@ -423,3 +424,27 @@ class TestProfileCommand:
         assert main(["profile", "--trace-file", str(trace)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "multiple of 8" in err
+
+
+class TestServeCommand:
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    def test_freezes_startup_heap_before_serving(
+        self, monkeypatch, tmp_path, unfreeze
+    ):
+        """``repro serve`` freezes the start-up heap before its loop
+        runs, so full collections stop rescanning it."""
+        from repro.serve import ReproServer
+
+        frozen = []
+
+        def run(self):
+            frozen.append(gc.get_freeze_count())
+            self.session.close()
+
+        monkeypatch.setattr(ReproServer, "run", run)
+        assert main(["serve", "--port", "0", "--cache-dir", str(tmp_path)]) == 0
+        assert len(frozen) == 1 and frozen[0] > 0
