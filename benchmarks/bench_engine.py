@@ -115,15 +115,17 @@ def run(refs: int, candidates: int) -> dict:
         if name in FLOORS:
             results["cases"][name]["floor"] = FLOORS[name]
 
+    # The 2-way geometry: there the front shares its working set and
+    # occurrence links; a direct-mapped front is K plain simulate rows.
     functions = [
-        XorHashFunction.random(16, M, np.random.default_rng(s))
+        XorHashFunction.random(16, two_way.index_bits, np.random.default_rng(s))
         for s in range(candidates)
     ]
     t0 = time.perf_counter()
-    batched = evaluate_many(blocks, geometry, functions)
+    batched = evaluate_many(blocks, two_way, functions)
     batched_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sequential = [simulate(blocks, geometry, XorIndexing(f)) for f in functions]
+    sequential = [simulate(blocks, two_way, XorIndexing(f)) for f in functions]
     sequential_s = time.perf_counter() - t0
     assert batched == sequential, "evaluate_many != sequential simulation"
     results["cases"]["evaluate_many"] = {
@@ -213,9 +215,10 @@ def test_engine_beats_reference_10x(benchmark):
 
 def test_evaluate_many_matches_sequential(benchmark):
     blocks = make_blocks(100_000)
-    geometry = CacheGeometry.direct_mapped((1 << M) * 4)
+    geometry = CacheGeometry((1 << M) * 4, block_size=4, associativity=2)
     functions = [
-        XorHashFunction.random(16, M, np.random.default_rng(s)) for s in range(8)
+        XorHashFunction.random(16, geometry.index_bits, np.random.default_rng(s))
+        for s in range(8)
     ]
     batched = benchmark(evaluate_many, blocks, geometry, functions)
     assert batched == [simulate(blocks, geometry, XorIndexing(f)) for f in functions]

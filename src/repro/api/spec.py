@@ -36,6 +36,7 @@ from repro.api.errors import SpecError
 from repro.cache.geometry import PAPER_HASHED_BITS, CacheGeometry
 from repro.names import (
     FAMILY_CHOICES,
+    MAX_HASHED_BITS,
     SCALES,
     STRATEGY_CHOICES,
     TRACE_KINDS,
@@ -62,13 +63,21 @@ __all__ = [
 _SPEC_DIGEST_VERSION = "experiment-spec-v1"
 
 
-def _require_int(value: Any, field_name: str, *, minimum: int | None = None) -> int:
+def _require_int(
+    value: Any,
+    field_name: str,
+    *,
+    minimum: int | None = None,
+    maximum: int | None = None,
+) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(
             f"expected an integer, got {value!r}", field=field_name
         )
     if minimum is not None and value < minimum:
         raise SpecError(f"must be >= {minimum}, got {value}", field=field_name)
+    if maximum is not None and value > maximum:
+        raise SpecError(f"must be <= {maximum}, got {value}", field=field_name)
     return value
 
 
@@ -282,7 +291,7 @@ class SearchSpec:
     max_steps: int | None = None
 
     def __post_init__(self):
-        _require_int(self.n, "search.n", minimum=1)
+        _require_int(self.n, "search.n", minimum=1, maximum=MAX_HASHED_BITS)
         _require_int(self.restarts, "search.restarts", minimum=0)
         _require_int(self.seed, "search.seed", minimum=0)
         if self.max_steps is not None:

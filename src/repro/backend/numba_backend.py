@@ -5,8 +5,9 @@ same algorithms as the ``python`` backend (so bit-identity is by
 construction), at native speed.  When :mod:`numba` is not installed
 the backend is registered as *unavailable* (see :mod:`repro.backend`) —
 discoverable by ``repro backends`` and selectable only with an
-actionable error — exactly like the ``np.bitwise_count``-vs-parity-table
-ladder in :mod:`repro.gf2.bitvec` degrades without new NumPy.  Installed
+actionable error — exactly like the parity kernel in
+:mod:`repro.gf2.bitvec` degrades to its table fallback without new
+NumPy.  Installed
 but failing to import, its kernels raise and every call degrades to the
 NumPy kernels with a recorded warning.
 """

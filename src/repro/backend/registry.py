@@ -10,8 +10,8 @@ interface (:class:`Backend`).  Three implementations ship:
   available and the default;
 * ``numba``  — JIT-compiled per-access loops, available only when
   :mod:`numba` is installed (the optional fast path, selected
-  automatically like the ``np.bitwise_count``-vs-parity-table
-  fallback in :mod:`repro.gf2.bitvec`);
+  automatically like the parity kernel's NumPy 1.x table fallback
+  in :mod:`repro.gf2.bitvec`);
 * ``python`` — the retained per-access reference loops, kept as the
   always-available oracle the other two are property-tested against.
 

@@ -10,7 +10,7 @@ The one uncached way to simulate a cache; one entry point per shape:
   (non-power-of-two) frame count;
 * :func:`simulate_banks` — skewed cache with per-bank hash functions;
 * :func:`evaluate_many` — exact verification of a whole candidate
-  front of hash functions in one batched trace replay.
+  front of hash functions on one trace.
 
 :class:`repro.pipeline.PipelineContext` fronts the same calls with its
 content-addressed artifact cache.  The per-access loops in
@@ -18,11 +18,7 @@ content-addressed artifact cache.  The per-access loops in
 cross-check this engine against.
 """
 
-from repro.cache.engine.batched import (
-    evaluate_many,
-    misses_for_index_streams,
-    stacked_index_streams,
-)
+from repro.cache.engine.batched import evaluate_many, misses_for_index_streams
 from repro.cache.engine.core import (
     compulsory_count,
     lru_miss_vector,
@@ -41,7 +37,6 @@ __all__ = [
     "simulate_capacity",
     "stats_from_misses",
     "evaluate_many",
-    "stacked_index_streams",
     "misses_for_index_streams",
     "lru_miss_vector",
     "skewed_miss_vector",

@@ -1,12 +1,13 @@
-"""Batched candidate evaluation: K index functions, one trace replay.
+"""Batched candidate evaluation: K index functions, one trace.
 
 The search and experiment layers repeatedly exact-verify many candidate
-hash functions on the same trace.  Doing that one candidate at a time
-recomputes the same masked parities and re-walks the trace K times in
-Python-call-heavy code.  This module stacks the column masks of all K
-candidates and computes every index stream in one NumPy pass, then
-scores all streams with per-row stable argsorts — the whole candidate
-front costs one batched replay.
+hash functions on the same trace.  :func:`evaluate_many` scores a whole
+front: a direct-mapped geometry counts each candidate with the same
+one-row radix kernel :func:`misses_for_index_streams` that
+:func:`~repro.cache.engine.dispatch.simulate` uses, while associative
+geometries share one working set and one set of program-order
+occurrence links across the front, so each candidate pays only its
+set-grouping sort and the backend depth kernel.
 
 Index streams are laid out one *row* per candidate (``(K, N)``,
 C-contiguous) so every sort, gather and reduction walks memory
@@ -22,14 +23,16 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.backend import active_backend
-from repro.cache.engine.core import lru_miss_vector_shared, program_order_links
+from repro.cache.engine.core import (
+    compulsory_count,
+    lru_miss_vector_shared,
+    program_order_links,
+)
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
-from repro.gf2.bitvec import parity_table, parity_u64
 from repro.gf2.hashfn import XorHashFunction
 
 __all__ = [
-    "stacked_index_streams",
     "misses_for_index_streams",
     "working_set",
     "working_set_misses",
@@ -38,55 +41,6 @@ __all__ = [
 
 #: Soft cap on intermediate array size (elements) for chunked passes.
 CHUNK_ELEMENTS = 1 << 22
-
-
-def stacked_index_streams(
-    functions: Sequence[XorHashFunction], blocks: np.ndarray
-) -> np.ndarray:
-    """Index streams of K hash functions as one ``(K, N)`` uint32 array.
-
-    All functions must share the hashed window ``n`` and width ``m``.
-    Row ``k`` equals ``functions[k].apply_array(blocks)``; the batch
-    computes one parity pass per index bit across all K candidates
-    instead of K separate evaluations.
-    """
-    if not functions:
-        return np.zeros((0, len(blocks)), dtype=np.uint32)
-    n = functions[0].n
-    m = functions[0].m
-    for k, fn in enumerate(functions):
-        if fn.n != n or fn.m != m:
-            raise ValueError(
-                f"candidate {k} is sized (n={fn.n}, m={fn.m}); "
-                f"the batch requires (n={n}, m={m})"
-            )
-    blocks = np.asarray(blocks, dtype=np.uint64)
-    count = len(blocks)
-    num_functions = len(functions)
-    out = np.zeros((num_functions, count), dtype=np.uint32)
-    if count == 0:
-        return out
-    cols_per_chunk = max(1, CHUNK_ELEMENTS // max(num_functions, 1))
-    if n <= 16:
-        table = parity_table()
-        small = (blocks & np.uint64((1 << n) - 1)).astype(np.uint16)
-        col_masks = np.array(
-            [[fn.columns[c] for fn in functions] for c in range(m)], dtype=np.uint16
-        )
-        for lo in range(0, count, cols_per_chunk):
-            chunk = small[None, lo : lo + cols_per_chunk]
-            view = out[:, lo : lo + cols_per_chunk]
-            for c in range(m):
-                bits = table[chunk & col_masks[c][:, None]]
-                view |= bits.astype(np.uint32) << np.uint32(c)
-    else:
-        masked = blocks & np.uint64((1 << n) - 1)
-        for k, fn in enumerate(functions):
-            row = out[k]
-            for c, col in enumerate(fn.columns):
-                bits = parity_u64(masked, col).astype(np.uint32)
-                row |= bits << np.uint32(c)
-    return out
 
 
 def misses_for_index_streams(
@@ -174,10 +128,10 @@ def evaluate_many(
     """Exact stats for K candidate hash functions in one trace replay.
 
     ``trace`` may be a :class:`~repro.trace.trace.Trace` or a raw
-    block-address array.  Equivalent to calling the per-function
-    simulators K times (property-tested), but the index streams are
-    computed in one stacked pass and — for direct-mapped geometries —
-    scored by the batched sort kernel.
+    block-address array.  Equivalent to calling
+    :func:`~repro.cache.engine.dispatch.simulate` K times
+    (property-tested); associative geometries share the working set and
+    occurrence links across the front.
     """
     if hasattr(trace, "block_addresses"):
         blocks = trace.block_addresses(geometry.block_size)
@@ -202,36 +156,36 @@ def evaluate_many(
         return []
     if len(blocks) == 0:
         return [CacheStats(accesses=0, misses=0) for _ in functions]
-    # Hash the *working set*, not the trace: index streams are computed
-    # once per distinct block and expanded through the inverse mapping.
-    unique_blocks, inverse = working_set(blocks)
-    unique_streams = stacked_index_streams(functions, unique_blocks)
-    compulsory = len(unique_blocks)
     count = len(blocks)
     if geometry.is_direct_mapped:
-        miss_counts = working_set_misses(unique_streams, inverse)
+        compulsory = compulsory_count(blocks)
+        miss_counts = [
+            misses_for_index_streams(fn.apply_array(blocks)[None, :], blocks)[0]
+            for fn in functions
+        ]
     else:
-        # Shared per-trace precomputation: equal keys imply equal set
-        # ids under every candidate, so the same-key occurrence links
-        # are candidate-independent — one key sort serves the whole
-        # front, and each candidate pays only its set-grouping sort
-        # plus the backend depth kernel.
+        # Hash the *working set*, not the trace, and share the per-trace
+        # precomputation: equal keys imply equal set ids under every
+        # candidate, so the same-key occurrence links are
+        # candidate-independent — one key sort serves the whole front,
+        # and each candidate pays only its set-grouping sort plus the
+        # backend depth kernel.
+        unique_blocks, inverse = working_set(blocks)
+        compulsory = len(unique_blocks)
         prev_program, next_program = program_order_links(inverse)
         backend = active_backend()
         miss_counts = [
-            int(
-                np.count_nonzero(
-                    lru_miss_vector_shared(
-                        unique_streams[k][inverse],
-                        inverse,
-                        prev_program,
-                        next_program,
-                        geometry.associativity,
-                        backend,
-                    )
+            np.count_nonzero(
+                lru_miss_vector_shared(
+                    fn.apply_array(unique_blocks)[inverse],
+                    inverse,
+                    prev_program,
+                    next_program,
+                    geometry.associativity,
+                    backend,
                 )
             )
-            for k in range(len(functions))
+            for fn in functions
         ]
     return [
         CacheStats(accesses=count, misses=int(misses), compulsory=compulsory)

@@ -19,7 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "pack_bit_planes",
             "pack_bits",
             "packed_parity_rows",
-            "popcount_rows",
             "unpack_bits",
             "weighted_popcount",
         ),
@@ -29,7 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "from_bits",
             "mask",
             "parity",
-            "parity_table",
+            "parity_array",
             "popcount",
         ),
         "repro.gf2.counting": (

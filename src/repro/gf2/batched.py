@@ -44,11 +44,11 @@ def reduce_by_basis(vectors: np.ndarray, basis: Iterable[int]) -> np.ndarray:
     basis pivot eliminated.  A zero entry means the vector lies in the
     basis' span.
     """
-    out = np.asarray(vectors).astype(np.uint64).copy()
+    out = np.asarray(vectors).astype(np.uint64)  # a fresh copy
+    one = np.uint64(1)
     for b in basis:
-        pivot = np.uint64(b.bit_length() - 1)
-        hit = (out >> pivot) & np.uint64(1) == np.uint64(1)
-        out[hit] ^= np.uint64(b)
+        hit = (out >> np.uint64(b.bit_length() - 1)) & one
+        out ^= hit * np.uint64(b)
     return out
 
 
@@ -101,6 +101,17 @@ class ColumnReplacementScreen:
             return np.zeros(len(np.asarray(candidates)), dtype=bool)
         return reduce_by_basis(candidates, self.basis) != 0
 
+    def keeps_full_rank(self, mask: int) -> bool:
+        """:meth:`full_rank` of one mask, in integer arithmetic — for
+        callers that inspect only a few candidates of a column."""
+        return self._fixed_independent and self._reduce(mask) != 0
+
+    def _reduce(self, mask: int) -> int:
+        reduced = int(mask)
+        for b in self.basis:
+            reduced = min(reduced, reduced ^ b)
+        return reduced
+
     def canonical_bases(self, candidates: np.ndarray) -> np.ndarray:
         """Array-valued canonical keys: one RREF basis row per candidate.
 
@@ -139,9 +150,7 @@ class ColumnReplacementScreen:
         actually inspects, while :meth:`canonical_bases` serves whole
         arrays.
         """
-        reduced = int(mask)
-        for b in self.basis:
-            reduced = min(reduced, reduced ^ b)
+        reduced = self._reduce(mask)
         if reduced == 0:
             return (self.n, self.basis)
         pivot = 1 << (reduced.bit_length() - 1)

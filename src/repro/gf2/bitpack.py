@@ -2,22 +2,23 @@
 
 The estimator's hot loops evaluate ``parity(v & h)`` for *many* support
 vectors ``v`` under *many* column masks ``h``.  Element-wise that costs
-one masked popcount per (vector, mask) pair.  Packed, it collapses into
-word-wide XORs: store the support as *bit planes* — plane ``i`` holds
-bit ``i`` of every vector, 64 vectors per ``uint64`` word — and the
-parity row of a mask is simply the XOR of its selected planes::
+one masked :func:`~repro.gf2.bitvec.parity_array` per (vector, mask)
+pair.  Packed, it collapses into word-wide XORs: store the support as
+*bit planes* — plane ``i`` holds bit ``i`` of every vector, 64 vectors
+per ``uint64`` word — and the parity row of a mask is simply the XOR of
+its selected planes::
 
     parity(v & h) = XOR over set bits i of h of bit_i(v)
 
 so one mask costs ``popcount(h)`` XOR passes over ``support/64`` words
-instead of ``support`` masked popcounts — a ~64x traffic reduction that
-is independent of the window width ``n`` (the 16-bit parity-table
-gather in :mod:`repro.gf2.bitvec` is width-limited; this kernel is
-not).
+instead of ``support`` masked popcounts.  Weighted reductions unpack a
+packed parity row back to bytes once (:func:`weighted_popcount`).
 
-Weighted reductions unpack a packed parity row back to bytes once
-(:func:`weighted_popcount`); unweighted counts stay packed end to end
-(:func:`popcount_rows`).
+Packing is not free — the plane transpose costs about as much as one
+elementwise pass — so callers follow one rule, :func:`packing_pays`:
+pack only windows wider than :data:`PACKED_MIN_BITS` bits, and pack a
+one-shot batch only from :data:`PACKED_MIN_ELEMENTS` (masks x vectors)
+cells.
 """
 
 from __future__ import annotations
@@ -30,27 +31,33 @@ __all__ = [
     "unpack_bits",
     "packed_any_rows",
     "packed_parity_rows",
-    "popcount_rows",
+    "packing_pays",
     "weighted_popcount",
+    "PACKED_MIN_BITS",
+    "PACKED_MIN_ELEMENTS",
 ]
 
 _WORD = 64
 
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+#: Windows of at most this many bits never pack: there the elementwise
+#: :func:`~repro.gf2.bitvec.parity_array` pass beats the plane XORs
+#: plus their unpack.
+PACKED_MIN_BITS = 16
 
-_byte_popcount: np.ndarray | None = None
+#: Smallest (masks x vectors) batch worth a one-shot plane transpose.
+PACKED_MIN_ELEMENTS = 1 << 12
 
 
-def _byte_popcount_table() -> np.ndarray:
-    """256-entry popcount table (NumPy < 2.0 fallback)."""
-    global _byte_popcount
-    if _byte_popcount is None:
-        values = np.arange(256, dtype=np.uint8)
-        counts = np.zeros(256, dtype=np.uint8)
-        for shift in range(8):
-            counts += (values >> shift) & 1
-        _byte_popcount = counts
-    return _byte_popcount
+def packing_pays(n: int, cells: int | None = None) -> bool:
+    """The packing rule: ``n``-bit windows above :data:`PACKED_MIN_BITS`.
+
+    ``cells`` is the (masks x vectors) size of a one-shot batch, which
+    must also reach :data:`PACKED_MIN_ELEMENTS`; leave it out for
+    planes built once and reused (the amortized case).
+    """
+    if n <= PACKED_MIN_BITS:
+        return False
+    return cells is None or cells >= PACKED_MIN_ELEMENTS
 
 
 def _words_for(count: int) -> int:
@@ -149,19 +156,6 @@ def packed_any_rows(planes: np.ndarray, masks: np.ndarray) -> np.ndarray:
         if selected.any():
             out[selected] |= planes[i]
     return out
-
-
-def popcount_rows(rows: np.ndarray) -> np.ndarray:
-    """Set-bit count of each packed row (``int64``)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-    as_bytes = np.ascontiguousarray(rows).view(np.uint8)
-    return (
-        _byte_popcount_table()[as_bytes]
-        .sum(axis=1, dtype=np.int64)
-        .reshape(len(rows))
-    )
 
 
 def weighted_popcount(

@@ -16,13 +16,10 @@ __all__ = [
     "mask",
     "bits_of",
     "from_bits",
-    "parity_table",
     "parity_array",
     "dot",
     "weight_at_most",
 ]
-
-_PARITY_TABLE_BITS = 16
 
 
 def popcount(x: int) -> int:
@@ -69,53 +66,34 @@ def weight_at_most(x: int, k: int) -> bool:
     return popcount(x) <= k
 
 
-_parity16: np.ndarray | None = None
-
-#: ``np.bitwise_count`` only exists on NumPy >= 2.0; everything below
-#: falls back to XOR-folding plus the 16-bit parity table so the engine
-#: also runs on NumPy 1.x.
+#: ``np.bitwise_count`` only exists on NumPy >= 2.0; without it
+#: :func:`parity_array` folds each operand to 16 bits and reads one
+#: 64 Ki-entry parity table, so everything also runs on NumPy 1.x.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
+_parity16: np.ndarray | None = None
 
-def parity_table() -> np.ndarray:
-    """Lookup table ``t`` with ``t[v] = parity(v)`` for 16-bit values.
 
-    Used to vectorize GF(2) inner products over numpy arrays: the parity
-    of ``v & h`` for a column mask ``h`` that fits in 16 bits is
-    ``parity_table()[v & h]``.
-    """
+def _parity16_table() -> np.ndarray:
+    """The fallback's table ``t`` with ``t[v] = parity(v)`` for 16-bit ``v``."""
     global _parity16
     if _parity16 is None:
-        folded = np.arange(1 << _PARITY_TABLE_BITS, dtype=np.uint16)
+        folded = np.arange(1 << 16, dtype=np.uint16)
         for shift in (8, 4, 2, 1):
             folded = folded ^ (folded >> np.uint16(shift))
         _parity16 = (folded & np.uint16(1)).astype(np.uint8)
     return _parity16
 
 
-_parity_byte: np.ndarray | None = None
-
-
-def _parity_byte_table() -> np.ndarray:
-    """256-entry parity lookup table, one entry per byte value."""
-    global _parity_byte
-    if _parity_byte is None:
-        folded = np.arange(256, dtype=np.uint8)
-        for shift in (4, 2, 1):
-            folded = folded ^ (folded >> np.uint8(shift))
-        _parity_byte = folded & np.uint8(1)
-    return _parity_byte
-
-
 def parity_array(values: np.ndarray) -> np.ndarray:
     """Elementwise parity of an integer array of any shape and width.
 
-    The wide-window parity kernel: unlike :func:`parity_table` (a
-    16-bit value-indexed gather) it has no operand-width limit, so the
-    estimator's support-side evaluation works for hashed windows of any
-    ``n``.  Uses ``np.bitwise_count`` on NumPy >= 2.0; otherwise views
-    the operands as packed bytes and XOR-reduces a 256-entry byte
-    parity table over them, one table row per operand byte.
+    The package's one vectorized GF(2) parity kernel: index bit ``c`` of
+    a block is ``parity_array(blocks & h_c)`` and Eq. 4's null-space
+    test asks the same of every profiled vector.  Uses
+    ``np.bitwise_count`` on NumPy >= 2.0; otherwise XOR-folds each
+    operand's 16-bit limbs into one (parity is invariant under the
+    fold) and gathers from a 64 Ki-entry table.
 
     Returns a ``uint8`` array of 0/1 parities with ``values``'s shape.
     """
@@ -123,22 +101,15 @@ def parity_array(values: np.ndarray) -> np.ndarray:
     if values.dtype.kind != "u":
         values = values.astype(np.uint64)
     if _HAS_BITWISE_COUNT:
-        return (np.bitwise_count(values) & values.dtype.type(1)).astype(np.uint8)
-    values = np.ascontiguousarray(values)
-    itemsize = values.dtype.itemsize
-    as_bytes = values.view(np.uint8).reshape(values.shape + (itemsize,))
-    return np.bitwise_xor.reduce(_parity_byte_table()[as_bytes], axis=-1)
-
-
-def parity_u64(values: np.ndarray, column_mask: int) -> np.ndarray:
-    """Vectorized ``parity(values & column_mask)`` for a numpy array.
-
-    Works for masks of any width up to 64 bits.  Returns a ``uint8``
-    array of 0/1 parities.
-    """
-    masked = np.bitwise_and(np.asarray(values).astype(np.uint64), np.uint64(column_mask))
-    if _HAS_BITWISE_COUNT:
-        return (np.bitwise_count(masked) & 1).astype(np.uint8)
-    folded = masked ^ (masked >> np.uint64(32))
-    folded ^= folded >> np.uint64(16)
-    return parity_table()[(folded & np.uint64(0xFFFF)).astype(np.uint16)]
+        counts = np.bitwise_count(values)  # uint8 for every input width
+        counts &= np.uint8(1)
+        return counts
+    limbs = values.dtype.itemsize // 2
+    if limbs > 1:
+        # Fold to 16 bits: XOR the operand's 16-bit limbs together.
+        halves = np.ascontiguousarray(values).view(np.uint16)
+        halves = halves.reshape(values.shape + (limbs,))
+        values = halves[..., 0] ^ halves[..., 1]
+        for k in range(2, limbs):
+            values ^= halves[..., k]
+    return _parity16_table()[values]

@@ -235,69 +235,50 @@ class XorHashFunction:
     def __call__(self, addr: int) -> int:
         return self.apply(addr)
 
-    #: Array size from which :meth:`apply_array` switches to the cached
-    #: byte tables.  Below it the per-column paths win (no table-build
-    #: cost); above it the whole index comes from one small L1-resident
-    #: gather per operand byte instead of one wide gather per column.
-    _BYTE_TABLE_MIN = 1 << 12
-
     def _index_byte_tables(self) -> np.ndarray:
         """Per-byte index tables: ``tables[j][v]`` is the full ``m``-bit
         set index the ``j``-th address byte ``v`` contributes.
 
         The hash is GF(2)-linear, so the index of an address is the XOR
         of its bytes' contributions — ``ceil(n/8)`` 256-entry gathers
-        replace ``m`` full-width parity passes.
+        replace ``m`` full-width parity passes.  All tables come from
+        one :func:`~repro.gf2.bitvec.parity_array` call over every
+        (byte position, column, byte value) triple.
         """
         if self._byte_tables is None:
             import numpy as np
 
-            from repro.gf2.bitvec import parity_table
+            from repro.gf2.bitvec import parity_array
 
             num_bytes = (self._n + 7) // 8
-            tables = np.zeros((num_bytes, 256), dtype=np.uint32)
-            table16 = parity_table()
-            byte_values = np.arange(256, dtype=np.uint16)
-            for j in range(num_bytes):
-                for c, col in enumerate(self._columns):
-                    col_byte = np.uint16((col >> (8 * j)) & 0xFF)
-                    bits = table16[byte_values & col_byte]
-                    tables[j] |= bits.astype(np.uint32) << np.uint32(c)
-            self._byte_tables = tables
+            col_bytes = np.array(
+                [[(col >> (8 * j)) & 0xFF for col in self._columns]
+                 for j in range(num_bytes)],
+                dtype=np.uint8,
+            )
+            byte_values = np.arange(256, dtype=np.uint8)
+            bits = parity_array(col_bytes[:, :, None] & byte_values)
+            weights = np.uint32(1) << np.arange(self.m, dtype=np.uint32)
+            self._byte_tables = np.bitwise_or.reduce(
+                bits.astype(np.uint32) * weights[None, :, None], axis=1
+            )
         return self._byte_tables
 
     def apply_array(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`apply` for a numpy array of block addresses."""
         import numpy as np
 
-        from repro.gf2.bitvec import mask, parity_table, parity_u64
+        from repro.gf2.bitvec import mask
 
-        addrs = np.asarray(addrs)
-        masked = np.bitwise_and(addrs.astype(np.uint64), np.uint64(mask(self._n)))
+        masked = np.bitwise_and(
+            np.asarray(addrs).astype(np.uint64), np.uint64(mask(self._n))
+        )
+        # Byte j of every address sits at [..., j] whatever the host order.
+        operand_bytes = np.ascontiguousarray(masked, dtype="<u8").view(np.uint8)
+        operand_bytes = operand_bytes.reshape(masked.shape + (8,))
         out = np.zeros(masked.shape, dtype=np.uint32)
-        if masked.size >= self._BYTE_TABLE_MIN:
-            tables = self._index_byte_tables()
-            if np.little_endian:
-                operand_bytes = np.ascontiguousarray(masked).view(np.uint8)
-                operand_bytes = operand_bytes.reshape(masked.shape + (8,))
-                for j in range(len(tables)):
-                    out ^= tables[j][operand_bytes[..., j]]
-            else:  # pragma: no cover - big-endian hosts
-                for j in range(len(tables)):
-                    byte = np.bitwise_and(
-                        masked >> np.uint64(8 * j), np.uint64(0xFF)
-                    ).astype(np.intp)
-                    out ^= tables[j][byte]
-        elif self._n <= 16:
-            table = parity_table()
-            small = masked.astype(np.uint16)
-            for c, col in enumerate(self._columns):
-                bits = table[np.bitwise_and(small, np.uint16(col))]
-                out |= bits.astype(np.uint32) << np.uint32(c)
-        else:
-            for c, col in enumerate(self._columns):
-                bits = parity_u64(masked, col).astype(np.uint32)
-                out |= bits << np.uint32(c)
+        for j, table in enumerate(self._index_byte_tables()):
+            out ^= table[operand_bytes[..., j]]
         return out
 
     # ------------------------------------------------------------------

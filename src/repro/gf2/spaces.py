@@ -31,24 +31,21 @@ def rref_basis(vectors: Iterable[int], n: int) -> tuple[int, ...]:
     position.
     """
     limit = 1 << n
-    basis: list[int] = []  # kept sorted by decreasing pivot
+    rows: dict[int, int] = {}  # pivot position -> fully reduced row
     for vec in vectors:
         if vec < 0 or vec >= limit:
             raise ValueError(f"vector {vec:#x} does not fit in {n} bits")
-        for b in basis:
-            vec = min(vec, vec ^ b)
+        for pivot, row in rows.items():
+            if vec >> pivot & 1:
+                vec ^= row
         if vec:
-            basis.append(vec)
-            basis.sort(key=lambda v: -v.bit_length())
-            # Back-substitute so each pivot appears in exactly one vector.
-            for i in range(len(basis)):
-                for j in range(len(basis)):
-                    if i != j:
-                        pivot = 1 << (basis[j].bit_length() - 1)
-                        if basis[i] & pivot:
-                            basis[i] ^= basis[j]
-            basis.sort(key=lambda v: -v.bit_length())
-    return tuple(basis)
+            # Back-substitute so each pivot appears in exactly one row.
+            pivot = vec.bit_length() - 1
+            for other, row in rows.items():
+                if row >> pivot & 1:
+                    rows[other] = row ^ vec
+            rows[pivot] = vec
+    return tuple(rows[pivot] for pivot in sorted(rows, reverse=True))
 
 
 def all_subspace_bases(n: int, dim: int):

@@ -21,6 +21,7 @@ from pathlib import Path
 
 __all__ = [
     "FAMILY_CHOICES",
+    "MAX_HASHED_BITS",
     "SCALES",
     "STRATEGY_CHOICES",
     "TRACE_FORMATS",
@@ -38,6 +39,11 @@ __all__ = [
 #: source for CLI ``choices=`` and spec-boundary error messages.
 #: (:func:`parse_family` additionally accepts any ``"<k>-in"``.)
 FAMILY_CHOICES = ("1-in", "2-in", "4-in", "16-in", "general")
+
+#: Widest hashed window ``search.n`` a spec may ask for.  The conflict
+#: profile is dense — one int64 bin per ``n``-bit vector and capacity —
+#: so 24 bits already cost 128 MiB per capacity.
+MAX_HASHED_BITS = 24
 
 #: Kernel names per suite, in the paper's table order (Tables 2 and 3).
 WORKLOADS = {

@@ -14,9 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.profiling.estimator": (
             "MissEstimator",
-            "estimate_misses",
             "estimate_misses_nullspace",
-            "estimate_misses_support",
         ),
         "repro.profiling.lru_stack": ("LRUStack",),
         "repro.profiling.reuse": ("reuse_distances", "reuse_distance_histogram"),

@@ -11,11 +11,11 @@ Two evaluation strategies with identical results:
   (``parity(v & h_c) == 0`` for all columns) — cost ``O(m x support)``,
   cheap when the profile support is smaller than the null space.
 
-Neither side is width-limited: narrow windows use the 16-bit parity
-lookup table, wider ones the :func:`repro.gf2.bitvec.parity_array`
-kernel (``np.bitwise_count`` or a packed-byte-table fallback).
-:func:`estimate_misses` picks the cheaper side by comparing the two
-cost terms.
+Neither side is width-limited: every elementwise parity goes through
+:func:`repro.gf2.bitvec.parity_array`, and windows wider than 16 bits
+may switch to the bit-packed kernels of :mod:`repro.gf2.bitpack` under
+its one packing rule.  :func:`estimate_misses_nullspace` is the
+independent oracle for the support side.
 
 :class:`MissEstimator` packages the support arrays once per profile and
 adds the batched single-column evaluation the hill climber relies on.
@@ -28,25 +28,15 @@ import numpy as np
 from repro.gf2.bitpack import (
     pack_bit_planes,
     packed_parity_rows,
+    packing_pays,
     unpack_bits,
     weighted_popcount,
 )
-from repro.gf2.bitvec import parity_array, parity_table
+from repro.gf2.bitvec import parity_array
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import ConflictProfile
 
-__all__ = [
-    "estimate_misses",
-    "estimate_misses_nullspace",
-    "estimate_misses_support",
-    "MissEstimator",
-]
-
-#: Width of :func:`repro.gf2.bitvec.parity_table`.  At or below it the
-#: support-side paths use the value-indexed table gather (one lookup
-#: per element); above it they switch to the wide parity kernel.  It
-#: is a strategy threshold, not a limit.
-_PARITY_TABLE_BITS = 16
+__all__ = ["estimate_misses_nullspace", "MissEstimator"]
 
 
 def _support_dtype(n: int) -> np.dtype:
@@ -61,75 +51,22 @@ def estimate_misses_nullspace(
     One vectorized enumeration of the ``2^(n - rank)`` null-space
     members plus one fancy-indexed gather into the histogram.
     """
-    _check(profile, hash_function)
-    members = hash_function.null_space().member_array()
-    return int(profile.counts[members.astype(np.intp)].sum())
-
-
-def estimate_misses_support(
-    profile: ConflictProfile, hash_function: XorHashFunction
-) -> int:
-    """Eq. 4 by scanning the profile support.
-
-    One parity pass per column over the non-zero histogram entries —
-    ``O(m x support)`` for any window width ``n``.
-    """
-    _check(profile, hash_function)
-    vectors, weights = profile.support()
-    if len(vectors) == 0:
-        return 0
-    alive = _members_of_nullspace(
-        vectors.astype(_support_dtype(profile.n)),
-        hash_function.columns,
-        profile.n,
-    )
-    return int(weights[alive].sum())
-
-
-def estimate_misses(
-    profile: ConflictProfile, hash_function: XorHashFunction
-) -> int:
-    """Eq. 4, choosing the cheaper evaluation side by cost model.
-
-    The null-space side gathers ``2^(n - rank)`` histogram entries;
-    the support side runs ``m`` parity passes over the profile
-    support.  Both are exact, so the routing is purely a performance
-    choice.
-    """
-    _check(profile, hash_function)
-    null_size = 1 << (hash_function.n - hash_function.rank)
-    support_cost = len(hash_function.columns) * profile.num_distinct_vectors
-    if null_size <= support_cost:
-        return estimate_misses_nullspace(profile, hash_function)
-    return estimate_misses_support(profile, hash_function)
-
-
-def _check(profile: ConflictProfile, hash_function: XorHashFunction) -> None:
     if profile.n != hash_function.n:
         raise ValueError(
             f"profile window ({profile.n} bits) does not match hash function "
             f"({hash_function.n} bits)"
         )
+    members = hash_function.null_space().member_array()
+    return int(profile.counts[members.astype(np.intp)].sum())
 
 
-def _members_of_nullspace(
-    vectors: np.ndarray, columns: tuple[int, ...], n: int
-) -> np.ndarray:
+def _members_of_nullspace(vectors: np.ndarray, columns) -> np.ndarray:
     """Boolean mask of ``vectors`` annihilated by every column mask."""
     alive = np.ones(len(vectors), dtype=bool)
-    if n <= _PARITY_TABLE_BITS:
-        table = parity_table()
-        for col in columns:
-            np.logical_and(
-                alive, table[vectors & vectors.dtype.type(col)] == 0, out=alive
-            )
-    else:
-        for col in columns:
-            np.logical_and(
-                alive,
-                parity_array(vectors & vectors.dtype.type(col)) == 0,
-                out=alive,
-            )
+    for col in columns:
+        np.logical_and(
+            alive, parity_array(vectors & vectors.dtype.type(col)) == 0, out=alive
+        )
     return alive
 
 
@@ -152,21 +89,16 @@ class MissEstimator:
       :meth:`costs_for_moves_front`) — in one shared 2-D parity
       gather.
 
-    Works for any window width: windows beyond the 16-bit parity table
-    evaluate through the bit-packed plane kernels of
-    :mod:`repro.gf2.bitpack` (64 support vectors per machine word),
-    falling back to :func:`repro.gf2.bitvec.parity_array` for workloads
-    too small to amortize the packing transpose.
+    Works for any window width.  Parities come from
+    :func:`repro.gf2.bitvec.parity_array`; where
+    :func:`repro.gf2.bitpack.packing_pays` says so (windows wider than
+    16 bits, batches large enough to amortize the transpose), from the
+    bit-packed plane kernels instead (64 support vectors per word).
     """
 
     #: Bound on ``candidates x residue-vectors`` elements materialized at
     #: once by the batched evaluation (the int64 product stays ~32 MB).
     CHUNK_ELEMENTS = 1 << 22
-
-    #: Smallest ``candidates x residue-vectors`` workload the wide-window
-    #: paths bit-pack.  Below it the per-call :func:`pack_bit_planes`
-    #: transpose dominates and the elementwise parity kernel wins.
-    PACKED_MIN_ELEMENTS = 1 << 12
 
     def __init__(self, profile: ConflictProfile):
         self.profile = profile
@@ -174,9 +106,8 @@ class MissEstimator:
         vectors, weights = profile.support()
         self._vectors = vectors.astype(_support_dtype(profile.n))
         self._weights = weights.astype(np.int64)
-        self._table = parity_table() if profile.n <= _PARITY_TABLE_BITS else None
         # Bit-plane packing of the full support, built on first use by
-        # the wide-window (n > 16) paths; narrow windows never pay for it.
+        # the packed (n > 16) paths; narrow windows never pay for it.
         self._planes: np.ndarray | None = None
         self.evaluations = 0
         # Parity rows over the support keyed by column mask (~64 MB cap;
@@ -287,19 +218,31 @@ class MissEstimator:
         for k, cols in enumerate(column_sets):
             for c, col in enumerate(cols):
                 parities[k, c] = self._parity_row(col)
-        odd_counts = parities.sum(axis=1, dtype=np.int64)
+        # m <= 64 columns, so the odd-column count of a vector fits a byte.
+        odd_counts = parities.sum(axis=1, dtype=np.uint8)
         # One residue gather per (member, column) group: vectors
         # annihilated by every *other* column of that member — the same
         # residue the per-column path uses, read off the shared parity
-        # matrix instead of recomputed.
+        # matrix instead of recomputed.  A vector is in column c's
+        # residue iff its odd-column count equals its parity under c,
+        # so only vectors odd under at most one column can be in any;
+        # each member's groups share that one pre-filtered slice.
+        near: dict[int, tuple] = {}
         row_ids = owners * m + move_columns
         for row_id in np.unique(row_ids):
             k, c = divmod(int(row_id), m)
-            alive = (odd_counts[k] - parities[k, c]) == 0
-            sub_vectors = vectors[alive]
+            if k not in near:
+                idx = np.flatnonzero(odd_counts[k] <= 1)
+                near[k] = (
+                    odd_counts[k][idx], parities[k][:, idx],
+                    vectors[idx], self._weights[idx],
+                )
+            near_odd, near_parities, near_vectors, near_weights = near[k]
+            alive = near_odd == near_parities[c]
+            sub_vectors = near_vectors[alive]
             if len(sub_vectors) == 0:
                 continue  # no surviving vectors: every cost stays 0
-            sub_weights = self._weights[alive]
+            sub_weights = near_weights[alive]
             total = int(sub_weights.sum())
             mine = np.nonzero(row_ids == row_id)[0]
             group = candidates[mine]
@@ -402,23 +345,17 @@ class MissEstimator:
     ) -> np.ndarray:
         """Weight of odd-parity vectors under each candidate mask.
 
-        The batch kernel behind both neighbourhood evaluators.  Narrow
-        windows (n <= 16) run the 2-D parity-table gather; wide windows
-        bit-pack the residue once (:func:`pack_bit_planes`) and evaluate
-        each candidate as plane XORs plus one weighted popcount —
-        unless the workload is too small to amortize the packing
-        transpose (:attr:`PACKED_MIN_ELEMENTS`), where the elementwise
-        :func:`parity_array` kernel stays cheaper.  Both routes are
-        exact, so the choice is purely a performance one.
+        The batch kernel behind both neighbourhood evaluators: one
+        chunked 2-D :func:`parity_array` pass, or — where the packing
+        rule says the transpose pays — one :func:`pack_bit_planes` of
+        the residue, then per candidate plane XORs plus one weighted
+        popcount.  Both routes are exact.
         """
         out = np.empty(len(candidates), dtype=np.int64)
         if len(candidates) == 0:
             return out
         rows = max(1, self.CHUNK_ELEMENTS // max(len(vectors), 1))
-        if (
-            self._table is None
-            and len(candidates) * len(vectors) >= self.PACKED_MIN_ELEMENTS
-        ):
+        if packing_pays(self.n, len(candidates) * len(vectors)):
             planes = pack_bit_planes(vectors, self.n)
             for lo in range(0, len(candidates), rows):
                 packed = packed_parity_rows(planes, candidates[lo : lo + rows])
@@ -428,20 +365,14 @@ class MissEstimator:
             return out
         for lo in range(0, len(candidates), rows):
             chunk = candidates[lo : lo + rows]
-            odd = self._parity(chunk[:, None] & vectors[None, :])
+            odd = parity_array(chunk[:, None] & vectors[None, :])
             out[lo : lo + rows] = odd.astype(np.int64) @ weights
         return out
-
-    def _parity(self, masked: np.ndarray) -> np.ndarray:
-        """Elementwise parity by the table (n <= 16) or the wide kernel."""
-        if self._table is not None:
-            return self._table[masked]
-        return parity_array(masked)
 
     def _parity_row(self, column: int) -> np.ndarray:
         """Memoized parity of the whole support under one column mask.
 
-        Wide windows read the row off the bit-plane packing of the
+        Packed windows read the row off the bit-plane packing of the
         support — ``popcount(column)`` word-wide XOR passes plus one
         unpack — instead of a full-width masked parity pass.
         """
@@ -449,14 +380,14 @@ class MissEstimator:
         if row is None:
             if len(self._parity_rows) >= self._parity_row_limit:
                 self._parity_rows.clear()
-            if self._table is None and len(self._vectors):
+            if packing_pays(self.n) and len(self._vectors):
                 packed = packed_parity_rows(
                     self._support_planes(),
                     np.asarray([column], dtype=np.uint64),
                 )
                 row = unpack_bits(packed, len(self._vectors))[0]
             else:
-                row = self._parity(
+                row = parity_array(
                     self._vectors & self._vectors.dtype.type(column)
                 )
             self._parity_rows[column] = row
@@ -482,10 +413,10 @@ class MissEstimator:
         candidates = np.asarray(candidates, dtype=vectors.dtype)
         out = np.empty(len(candidates), dtype=np.int64)
         for i, cand in enumerate(candidates):
-            zero_parity = _members_of_nullspace(vectors, (int(cand),), self.n)
+            zero_parity = _members_of_nullspace(vectors, (int(cand),))
             out[i] = weights[zero_parity].sum()
         return out
 
     def _alive(self, columns: tuple[int, ...]) -> np.ndarray:
         """Support vectors annihilated by every given column."""
-        return _members_of_nullspace(self._vectors, columns, self.n)
+        return _members_of_nullspace(self._vectors, columns)

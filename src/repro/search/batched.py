@@ -136,7 +136,6 @@ def pick_steepest(climber: _Climber, segments, costs) -> tuple | None:
     for c, candidates, offset in segments:
         segment = costs[offset : offset + len(candidates)]
         screen = None
-        feasible = None
         for i in np.argsort(segment, kind="stable"):
             cost = int(segment[i])
             if cost >= best_cost:
@@ -145,8 +144,7 @@ def pick_steepest(climber: _Climber, segments, costs) -> tuple | None:
                 screen = ColumnReplacementScreen(
                     climber.current.columns, c, climber.current.n
                 )
-                feasible = screen.full_rank(candidates)
-            if not feasible[i]:
+            if not screen.keeps_full_rank(int(candidates[i])):
                 continue
             key = screen.canonical_key_of(int(candidates[i]))
             if key in climber.visited:

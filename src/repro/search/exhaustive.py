@@ -24,7 +24,12 @@ from repro.cache.engine.batched import (
     working_set,
     working_set_misses,
 )
-from repro.gf2.bitpack import pack_bit_planes, packed_any_rows, weighted_popcount
+from repro.gf2.bitpack import (
+    pack_bit_planes,
+    packed_any_rows,
+    packing_pays,
+    weighted_popcount,
+)
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import ConflictProfile
 
@@ -136,11 +141,6 @@ def _best_estimated(masks: np.ndarray, profile: ConflictProfile) -> tuple[int, i
     return _best_estimated_support(masks, vectors, weights, n=profile.n)
 
 
-#: Below this (masks x vectors) workload the packed path's plane build
-#: outweighs its traffic win; mirrors the estimator's packed threshold.
-_PACKED_MIN_ELEMENTS = 1 << 12
-
-
 def _best_estimated_support(
     masks: np.ndarray,
     vectors: np.ndarray,
@@ -151,8 +151,9 @@ def _best_estimated_support(
 
     Split out of :func:`_best_estimated` so wide windows (n > 32,
     where a dense profile array is impractical) stay testable; all
-    operands are ``uint64`` so no selection bit truncates.  Wide
-    windows run bit-packed: a vector survives selection mask ``M`` iff
+    operands are ``uint64`` so no selection bit truncates.  Batches
+    that :func:`repro.gf2.bitpack.packing_pays` admits run bit-packed:
+    a vector survives selection mask ``M`` iff
     ``v & M == 0``, which is an OR-of-planes accumulation
     (:func:`repro.gf2.bitpack.packed_any_rows` — *not* the XOR parity
     kernel), so a mask costs ``popcount(M)`` word-wide OR passes
@@ -167,7 +168,7 @@ def _best_estimated_support(
         spread = int(np.bitwise_or.reduce(vectors) | np.bitwise_or.reduce(masks))
         n = max(1, spread.bit_length())
     costs = np.zeros(len(masks), dtype=np.int64)
-    if n > 16 and len(masks) * len(vectors) >= _PACKED_MIN_ELEMENTS:
+    if packing_pays(n, len(masks) * len(vectors)):
         planes = pack_bit_planes(vectors, n)
         total = int(weights.sum())
         rows_per_chunk = max(1, (1 << 22) // max(planes.shape[1], 1))

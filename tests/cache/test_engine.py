@@ -21,7 +21,6 @@ from repro.cache.engine import (
     simulate,
     simulate_banks,
     simulate_capacity,
-    stacked_index_streams,
     stats_from_misses,
 )
 from repro.cache.geometry import CacheGeometry
@@ -253,11 +252,6 @@ class TestEvaluateMany:
                 [XorHashFunction.modulo(16, 9)],
             )
 
-    def test_mixed_shapes_rejected(self):
-        fns = [XorHashFunction.modulo(16, 8), XorHashFunction.modulo(12, 8)]
-        with pytest.raises(ValueError):
-            stacked_index_streams(fns, np.arange(8, dtype=np.uint64))
-
     def test_rank_deficient_rejected(self):
         """Same contract as XorIndexing on the sequential path."""
         deficient = XorHashFunction(16, [1, 1] + [1 << c for c in range(2, 8)])
@@ -271,14 +265,6 @@ class TestEvaluateMany:
 
 
 class TestBatchedKernels:
-    @settings(max_examples=30, deadline=None)
-    @given(blocks=block_traces(), fn=hash_functions(n=N, full_rank=True))
-    def test_stacked_streams_match_apply_array(self, blocks, fn):
-        streams = stacked_index_streams([fn, fn], blocks)
-        expected = fn.apply_array(blocks)
-        assert np.array_equal(streams[0], expected)
-        assert np.array_equal(streams[1], expected)
-
     @settings(max_examples=30, deadline=None)
     @given(
         blocks=block_traces(),

@@ -3,8 +3,8 @@
 ``pack_bits``/``pack_bit_planes`` must round-trip, and the packed
 parity/popcount kernels must be bit-identical to the elementwise
 ``parity_array`` / ``parity(v & h)`` definitions across window widths
-n ∈ {8, 16, 20, 33, 64} — including the widths beyond the 16-bit
-parity table, which is exactly where the estimator routes through this
+n ∈ {8, 16, 20, 33, 64} — including the widths above 16 bits, which is
+exactly where the packing rule routes the estimator through this
 module.
 """
 
@@ -19,7 +19,7 @@ from repro.gf2.bitpack import (
     pack_bit_planes,
     pack_bits,
     packed_parity_rows,
-    popcount_rows,
+    packing_pays,
     unpack_bits,
     weighted_popcount,
 )
@@ -94,17 +94,6 @@ class TestPackedParity:
 
 class TestPackedReductions:
     @pytest.mark.parametrize("n", WIDTHS)
-    def test_popcount_rows_matches_sum(self, n):
-        rng = np.random.default_rng(n + 7)
-        vectors = _vectors(rng, 201, n)
-        masks = _vectors(rng, 11, n)
-        rows = packed_parity_rows(pack_bit_planes(vectors, n), masks)
-        want = parity_array(masks[:, None] & vectors[None, :]).sum(
-            axis=1, dtype=np.int64
-        )
-        assert np.array_equal(popcount_rows(rows), want)
-
-    @pytest.mark.parametrize("n", WIDTHS)
     def test_weighted_popcount_matches_matmul(self, n):
         rng = np.random.default_rng(n + 13)
         vectors = _vectors(rng, 173, n)
@@ -135,25 +124,23 @@ class TestEstimatorRouting:
             return self._support
 
     @pytest.mark.parametrize("n", [20, 33, 64])
-    def test_odd_weights_routes_agree(self, n):
+    def test_odd_weights_routes_agree(self, n, monkeypatch):
+        import repro.gf2.bitpack as bitpack
         from repro.profiling.estimator import MissEstimator
 
         rng = np.random.default_rng(n)
         vectors = np.unique(_vectors(rng, 400, n))
         weights = rng.integers(1, 50, size=len(vectors)).astype(np.int64)
         estimator = MissEstimator(self._Profile(n, vectors, weights))
-        assert estimator._table is None
         candidates = _vectors(rng, 64, n)
+        assert packing_pays(n, len(candidates) * len(vectors))
         packed = estimator._odd_weights(candidates, estimator._vectors,
                                         estimator._weights)
-        original = MissEstimator.PACKED_MIN_ELEMENTS
-        try:
-            MissEstimator.PACKED_MIN_ELEMENTS = 1 << 62  # force elementwise
-            elementwise = estimator._odd_weights(
-                candidates, estimator._vectors, estimator._weights
-            )
-        finally:
-            MissEstimator.PACKED_MIN_ELEMENTS = original
+        monkeypatch.setattr(bitpack, "PACKED_MIN_ELEMENTS", 1 << 62)
+        assert not packing_pays(n, len(candidates) * len(vectors))
+        elementwise = estimator._odd_weights(
+            candidates, estimator._vectors, estimator._weights
+        )
         assert np.array_equal(packed, elementwise)
 
     @pytest.mark.parametrize("n", [20, 33])
@@ -167,3 +154,14 @@ class TestEstimatorRouting:
         for mask in _vectors(rng, 8, n):
             want = parity_array(vectors & mask)
             assert np.array_equal(estimator._parity_row(int(mask)), want)
+
+
+class TestPackingRule:
+    def test_narrow_windows_never_pack(self):
+        assert not packing_pays(16)
+        assert not packing_pays(16, 1 << 30)
+
+    def test_wide_windows_pack_amortized_or_large_batches(self):
+        assert packing_pays(17)
+        assert packing_pays(17, 1 << 12)
+        assert not packing_pays(17, (1 << 12) - 1)

@@ -11,9 +11,8 @@ from repro.gf2.bitvec import (
     from_bits,
     mask,
     parity,
+    _parity16_table,
     parity_array,
-    parity_table,
-    parity_u64,
     popcount,
     weight_at_most,
 )
@@ -86,45 +85,61 @@ class TestMaskBits:
 
 
 class TestParityTable:
+    """The NumPy 1.x fallback's private 16-bit table."""
+
     def test_table_shape_and_dtype(self):
-        table = parity_table()
+        table = _parity16_table()
         assert table.shape == (65536,)
         assert table.dtype == np.uint8
 
     def test_table_matches_scalar(self):
-        table = parity_table()
+        table = _parity16_table()
         for value in [0, 1, 2, 3, 0xFF, 0xABC, 0xFFFF, 12345]:
             assert table[value] == parity(value)
 
     def test_table_is_cached(self):
-        assert parity_table() is parity_table()
+        assert _parity16_table() is _parity16_table()
 
-    @given(st.integers(min_value=0, max_value=(1 << 16) - 1))
-    def test_parity_u64_matches_scalar(self, col):
-        values = np.arange(512, dtype=np.uint64)
-        expected = np.array([parity(int(v) & col) for v in values], dtype=np.uint8)
-        assert (parity_u64(values, col) == expected).all()
+
+#: Operand widths around every fold boundary of the fallback kernel.
+WIDTHS = [1, 8, 16, 17, 20, 32, 33, 64]
+
+
+def _scalar_parities(values: np.ndarray) -> np.ndarray:
+    return np.array(
+        [parity(int(v)) for v in values.reshape(-1)], dtype=np.uint8
+    ).reshape(values.shape)
+
+
+def _check_widths(n: int, seed: int) -> None:
+    """``parity_array`` equals the scalar ``parity`` on ``n``-bit
+    operands, 1-D and 2-D, plain and masked by a column."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 1 << 63, size=512, dtype=np.uint64) * np.uint64(2)
+    raw |= rng.integers(0, 2, size=512, dtype=np.uint64)
+    values = raw & np.uint64((1 << n) - 1)
+    col = np.uint64(int(rng.integers(0, 1 << min(n, 63))) | (1 << (n - 1)))
+    for operand in (values, values.reshape(16, 32), values & col):
+        out = parity_array(operand)
+        assert out.dtype == np.uint8 and out.shape == operand.shape
+        assert np.array_equal(out, _scalar_parities(operand))
 
 
 class TestParityArray:
-    """The wide-window parity kernel against the scalar ``parity``."""
+    """The one parity kernel against the scalar ``parity``."""
 
-    @pytest.mark.parametrize("n", [8, 16, 20, 32])
+    @pytest.mark.parametrize("n", WIDTHS)
     def test_matches_scalar_at_width(self, n):
-        rng = np.random.default_rng(n)
-        values = rng.integers(0, 1 << n, size=512, dtype=np.uint64)
-        expected = np.array([parity(int(v)) for v in values], dtype=np.uint8)
-        assert (parity_array(values) == expected).all()
+        if not hasattr(np, "bitwise_count"):
+            pytest.skip("NumPy < 2.0 has no bitwise_count")
+        _check_widths(n, seed=n)
 
-    @pytest.mark.parametrize("n", [8, 16, 20, 32])
+    @pytest.mark.parametrize("n", WIDTHS)
     def test_fallback_matches_scalar_at_width(self, n, monkeypatch):
         import repro.gf2.bitvec as bitvec
 
-        rng = np.random.default_rng(n + 1)
-        values = rng.integers(0, 1 << n, size=512, dtype=np.uint64)
-        expected = np.array([parity(int(v)) for v in values], dtype=np.uint8)
         monkeypatch.setattr(bitvec, "_HAS_BITWISE_COUNT", False)
-        assert (parity_array(values) == expected).all()
+        _check_widths(n, seed=n + 1)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
     def test_unsigned_dtypes_preserved(self, dtype):
@@ -176,11 +191,11 @@ class TestNumpyCompatFallback:
 
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 1 << 62, size=64, dtype=np.uint64)
-        fast = parity_u64(values, col)
+        fast = parity_array(values & np.uint64(col))
         original = bitvec._HAS_BITWISE_COUNT
         bitvec._HAS_BITWISE_COUNT = False
         try:
-            slow = parity_u64(values, col)
+            slow = parity_array(values & np.uint64(col))
         finally:
             bitvec._HAS_BITWISE_COUNT = original
         assert (fast == slow).all()
@@ -193,7 +208,7 @@ class TestNumpyCompatFallback:
         import repro.gf2.bitvec as bitvec
 
         monkeypatch.setattr(bitvec, "_parity16", None)
-        table = bitvec.parity_table()
+        table = bitvec._parity16_table()
         assert table.shape == (65536,)
         for value in [0, 1, 0b11, 0xFFFF, 0xABC]:
             assert table[value] == parity(value)
@@ -208,7 +223,8 @@ class TestNumpyCompatFallback:
         addrs = np.random.default_rng(4).integers(0, 1 << 24, size=256).astype(np.uint64)
         with_count = fn.apply_array(addrs)
         monkeypatch.setattr(bitvec, "_HAS_BITWISE_COUNT", False)
-        without_count = fn.apply_array(addrs)
+        # A fresh copy rebuilds its byte tables on the fallback kernel.
+        without_count = XorHashFunction(fn.n, fn.columns).apply_array(addrs)
         assert (with_count == without_count).all()
         expected = np.array([fn.apply(int(a)) for a in addrs], dtype=np.uint32)
         assert (without_count == expected).all()

@@ -87,8 +87,22 @@ class TestEvaluation:
         for addr in range(256):
             assert fn.apply(addr) == matrix.vecmat(addr)
 
+    @pytest.mark.parametrize("n", [8, 16, 24, 64])
+    @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 100_000])
+    def test_apply_array_matches_scalar_at_size(self, n, size):
+        import random
+
+        fn = XorHashFunction.random(n, 8, random.Random(n))
+        rng = np.random.default_rng(size + n)
+        addrs = rng.integers(0, 1 << 63, size=size, dtype=np.uint64) * np.uint64(2)
+        addrs |= rng.integers(0, 2, size=size, dtype=np.uint64)
+        vector = fn.apply_array(addrs)
+        assert vector.dtype == np.uint32 and vector.shape == (size,)
+        expected = [fn.apply(int(a)) for a in addrs]
+        assert vector.tolist() == expected
+
     def test_wide_function_array_path(self):
-        """n > 16 exercises the bitwise_count fallback."""
+        """n > 16 needs a third per-byte index table."""
         fn = XorHashFunction(20, [0b11 << 17, 0b101, 1 << 19 | 1])
         addrs = np.arange(1000, dtype=np.uint64) * 997
         vector = fn.apply_array(addrs)

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
-from repro.profiling.estimator import (
-    MissEstimator,
-    estimate_misses,
-    estimate_misses_nullspace,
-    estimate_misses_support,
-)
+from repro.profiling.estimator import MissEstimator, estimate_misses_nullspace
 from tests.conftest import hash_functions
 
 
@@ -38,13 +33,8 @@ class TestBothSidesAgree:
     @settings(max_examples=60, deadline=None)
     @given(profiles(), hash_functions(n=10))
     def test_support_equals_nullspace(self, profile, fn):
-        assert estimate_misses_support(profile, fn) == \
+        assert MissEstimator(profile).cost_of(fn) == \
             estimate_misses_nullspace(profile, fn)
-
-    @settings(max_examples=30, deadline=None)
-    @given(profiles(), hash_functions(n=10))
-    def test_auto_dispatch_consistent(self, profile, fn):
-        assert estimate_misses(profile, fn) == estimate_misses_support(profile, fn)
 
 
 class TestEq4Semantics:
@@ -56,14 +46,15 @@ class TestEq4Semantics:
         counts[0b000111] = 1
         profile = ConflictProfile(6, counts)
         fn = XorHashFunction.modulo(6, 3)  # N(H) = vectors with low 3 bits 0
-        assert estimate_misses(profile, fn) == 7
+        assert estimate_misses_nullspace(profile, fn) == 7
+        assert MissEstimator(profile).cost_of(fn) == 7
 
     def test_window_mismatch_rejected(self):
         import pytest
 
         profile = ConflictProfile(4, np.zeros(16, dtype=np.int64))
         with pytest.raises(ValueError):
-            estimate_misses(profile, XorHashFunction.modulo(5, 2))
+            estimate_misses_nullspace(profile, XorHashFunction.modulo(5, 2))
 
     def test_estimate_matches_conflict_misses_on_clean_pattern(self):
         """On a pure ping-pong, Eq. 4 exactly counts the conflict misses
@@ -74,7 +65,7 @@ class TestEq4Semantics:
         blocks = np.tile(np.array([0, 256], dtype=np.uint64), 50)
         profile = profile_blocks(blocks, 256, 16)
         fn = XorHashFunction.modulo(16, 8)
-        estimated = estimate_misses(profile, fn)
+        estimated = MissEstimator(profile).cost_of(fn)
         exact = simulate(blocks, CacheGeometry.direct_mapped(256 * 4))
         assert estimated == exact.misses - exact.compulsory
 
@@ -84,7 +75,7 @@ class TestMissEstimator:
     @given(profiles(), hash_functions(n=10))
     def test_cost_matches_free_function(self, profile, fn):
         estimator = MissEstimator(profile)
-        assert estimator.cost(fn.columns) == estimate_misses_support(profile, fn)
+        assert estimator.cost(fn.columns) == estimate_misses_nullspace(profile, fn)
         assert estimator.cost_of(fn) == estimator.cost(fn.columns)
 
     @settings(max_examples=30, deadline=None)
@@ -234,12 +225,12 @@ class TestMissEstimator:
 
 
 class TestWideWindows:
-    """Windows beyond the 16-bit parity table: the support side runs on
-    the wide parity kernel and must agree with the null-space side."""
+    """Windows wider than 16 bits: the support side (packed where the
+    packing rule allows) must agree with the null-space side."""
 
     def _wide_profile(self, n=17):
         counts = np.zeros(1 << n, dtype=np.int64)
-        counts[1 << 16] = 7  # a vector outside any 16-bit table
+        counts[1 << 16] = 7  # a vector outside any 16-bit window
         counts[3] = 2
         return ConflictProfile(n, counts)
 
@@ -248,12 +239,11 @@ class TestWideWindows:
         fn = XorHashFunction(17, [1 << c for c in range(14)])
         expected = sum(int(profile.counts[v]) for v in fn.null_space())
         assert estimate_misses_nullspace(profile, fn) == expected
-        assert estimate_misses(profile, fn) == expected
 
     def test_support_side_has_no_width_limit(self):
         profile = self._wide_profile()
         fn = XorHashFunction(17, [1 << c for c in range(14)])
-        assert estimate_misses_support(profile, fn) == \
+        assert MissEstimator(profile).cost_of(fn) == \
             estimate_misses_nullspace(profile, fn)
 
     @settings(max_examples=20, deadline=None)
@@ -273,7 +263,7 @@ class TestWideWindows:
         for vector, weight in entries:
             counts[vector] += weight
         profile = ConflictProfile(n, counts)
-        assert estimate_misses_support(profile, fn) == \
+        assert MissEstimator(profile).cost_of(fn) == \
             estimate_misses_nullspace(profile, fn)
 
     def test_wide_estimator_agrees_with_nullspace(self):

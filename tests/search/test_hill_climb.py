@@ -296,3 +296,32 @@ class TestRestarts:
         single = STEEPEST.search(profile, family)
         multi = hill_climb_restarts(profile, family, restarts=4, seed=1)
         assert multi.estimated_misses <= single.estimated_misses
+
+
+class TestParityKernelFallback:
+    """The NumPy 1.x parity fallback must not change a search: same
+    function, same descent history, same evaluation count."""
+
+    @pytest.mark.parametrize("n", [16, 20])
+    @pytest.mark.parametrize("family_name", ["2-in", "16-in", "general"])
+    def test_fallback_search_equals_bitwise_count_search(
+        self, n, family_name, monkeypatch
+    ):
+        import repro.gf2.bitvec as bitvec
+        from repro.cache.geometry import CacheGeometry
+        from repro.profiling.conflict_profile import profile_trace
+        from repro.search.families import family_for_name
+        from repro.workloads.registry import get_workload
+
+        trace = get_workload("powerstone", "compress", "tiny", 0).data
+        geometry = CacheGeometry.direct_mapped(1024)
+        profile = profile_trace(trace, geometry, n)
+        family = family_for_name(family_name, n, geometry.index_bits)
+
+        def run():
+            result = STEEPEST.search(profile, family)
+            return result.function, result.history, result.evaluations
+
+        native = run()
+        monkeypatch.setattr(bitvec, "_HAS_BITWISE_COUNT", False)
+        assert run() == native

@@ -84,6 +84,16 @@ class TestProtocol:
             client.submit({"trace": {"suite": "no-such-suite"}})
         assert excinfo.value.status == 400
 
+    def test_window_wider_than_profile_bound_400(self, served):
+        from repro.names import MAX_HASHED_BITS
+
+        _, client = served
+        spec = dict(SPEC, search=dict(SPEC["search"], n=MAX_HASHED_BITS + 1))
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert client.stats()["jobs"]["queued"] == 0
+
     def test_non_object_body_400(self, served):
         _, client = served
         with pytest.raises(ServeError) as excinfo:

@@ -241,6 +241,18 @@ class TestSpecDrivenCommands:
         assert main(["run", "/nope/missing.toml"]) == 2
         assert "cannot read spec file" in capsys.readouterr().err
 
+    def test_run_rejects_window_wider_than_profile_bound(self, capsys, tmp_path):
+        from repro.names import MAX_HASHED_BITS
+
+        spec_file = tmp_path / "wide.json"
+        spec_file.write_text(json.dumps({
+            "trace": {"suite": "powerstone", "benchmark": "qurt", "scale": "tiny"},
+            "search": {"n": MAX_HASHED_BITS + 1, "restarts": 1},
+        }))
+        assert main(["run", str(spec_file), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: search.n") and f"<= {MAX_HASHED_BITS}" in err
+
     def test_run_malformed_trace_file_fails_cleanly(self, capsys, tmp_path):
         trace = tmp_path / "bad.din"
         trace.write_text("0 10\n0 zz\n")

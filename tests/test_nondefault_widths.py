@@ -7,7 +7,7 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.core.optimizer import optimize_for_trace
 from repro.profiling.conflict_profile import profile_trace
-from repro.profiling.estimator import estimate_misses
+from repro.profiling.estimator import MissEstimator, estimate_misses_nullspace
 from repro.gf2.hashfn import XorHashFunction
 from repro.trace.trace import Trace
 
@@ -44,21 +44,19 @@ class TestNarrowWindow:
         assert narrow.total_weight <= wide.total_weight
 
     def test_overwide_window_works_on_both_sides(self):
-        """Windows beyond the 16-bit parity table evaluate on both the
-        null-space side and the wide-parity support side; the
-        dispatcher's cost model may pick either."""
+        """Windows wider than 16 bits evaluate on both the null-space
+        side and the support side (the packed estimator)."""
         from repro.profiling.conflict_profile import ConflictProfile
-        from repro.profiling.estimator import estimate_misses_support
 
         counts = np.zeros(1 << 17, dtype=np.int64)
         counts[1 << 16] = 5
         profile = ConflictProfile(17, counts)
         fn = XorHashFunction.modulo(17, 4)
-        assert estimate_misses(profile, fn) == 5  # 1<<16 is in N(fn)
-        assert estimate_misses_support(profile, fn) == 5
+        assert estimate_misses_nullspace(profile, fn) == 5  # 1<<16 is in N(fn)
+        assert MissEstimator(profile).cost_of(fn) == 5
 
     def test_wide_window_end_to_end(self, small_conflict_trace):
-        """The full pipeline runs at n = 18, past the parity table."""
+        """The full pipeline runs at n = 18, where the estimator packs."""
         geometry = CacheGeometry.direct_mapped(1024)
         result = optimize_for_trace(
             small_conflict_trace, geometry, family="2-in", n=18
