@@ -28,6 +28,11 @@ shared :class:`~repro.api.session.Session`:
   wait, capped at ``_READ_TIMEOUT_S``, runs out; the response then
   carries ``Preference-Applied``.  A client waits for a job with one
   such request instead of polling.
+* ``Prefer: return=representation`` (RFC 7240 §4.2) on ``POST
+  /v1/jobs``: once the job has ended (a cache hit, or a job that ended
+  within the wait), the answer is the body ``GET /v1/jobs/<id>`` would
+  send, report included, and ``Preference-Applied`` lists it.  So a hit
+  takes one request.
 * ``GET /v1/jobs/<id>/report`` — the bare ``repro-report/v1`` JSON,
   byte-identical to what ``repro run --json`` prints for the same spec.
 * ``GET /v1/healthz`` / ``GET /v1/stats`` — liveness, queue depth, and
@@ -122,16 +127,20 @@ async def _within(seconds: float, awaitable):
         return await awaitable
 
 
-def _prefer_wait(headers: dict[str, str]) -> float | None:
-    """The seconds a ``Prefer: wait=<seconds>`` header asks to wait,
-    capped at ``_READ_TIMEOUT_S``; ``None`` when it asks for none or in
-    a form this server does not know (RFC 7240 lets it ignore those)."""
+def _preferences(headers: dict[str, str]) -> dict[str, str]:
+    """The preferences of a request's ``Prefer`` header by lower-case
+    name (RFC 7240 §2): only the first instance of a name counts, and
+    parameters after ``;`` are dropped."""
+    preferences: dict[str, str] = {}
     for preference in headers.get("prefer", "").split(","):
         name, _, value = preference.split(";", 1)[0].partition("=")
-        value = value.strip().strip('"')
-        if name.strip().lower() == "wait" and _WAIT_SECONDS.fullmatch(value):
-            return min(float(value), _READ_TIMEOUT_S)
-    return None
+        preferences.setdefault(name.strip().lower(), value.strip().strip('"'))
+    return preferences
+
+
+def _applied(preferences: list[str]) -> tuple[tuple[str, str], ...]:
+    """The ``Preference-Applied`` header listing ``preferences``, if any."""
+    return (("Preference-Applied", ", ".join(preferences)),) if preferences else ()
 
 
 class _HttpError(Exception):
@@ -454,14 +463,21 @@ class ReproServer:
                 job, deduplicated = self.submit(spec)
             except QueueFull as error:
                 raise _HttpError(503, str(error))
-            applied = await self._waited(job, headers)
+            preferences = _preferences(headers)
+            applied = await self._waited(job, preferences)
+            state = job.state
+            ended = state not in ("queued", "running")
+            if ended and preferences.get("return", "").lower() == "representation":
+                # RFC 7240 §4.2: the ended job, as GET /v1/jobs/<id> has it.
+                applied.append("return=representation")
+                return 200, job.to_json(include_report=True), _applied(applied)
             payload = {
                 "job_id": job.id,
                 "digest": job.digest,
-                "state": job.state,
+                "state": state,
                 "deduplicated": deduplicated,
             }
-            return 202 if job.state in ("queued", "running") else 200, payload, applied
+            return 200 if ended else 202, payload, _applied(applied)
         if path.startswith("/v1/jobs/"):
             if method != "GET":
                 raise _HttpError(405, "job status is GET-only")
@@ -478,17 +494,18 @@ class ReproServer:
                 return 200, job.report, ()
             if tail:
                 raise _HttpError(404, f"unknown job resource {tail!r}")
-            applied = await self._waited(job, headers)
-            return 200, job.to_json(include_report=True), applied
+            applied = await self._waited(job, _preferences(headers))
+            return 200, job.to_json(include_report=True), _applied(applied)
         raise _HttpError(404, f"unknown path {path!r}")
 
-    async def _waited(self, job: Job, headers: dict[str, str]):
-        """Hold the answer about ``job`` as the request's ``Prefer:
-        wait`` asks, until the job ends or the wait runs out; the
-        ``Preference-Applied`` header, if it asked for a wait."""
-        seconds = _prefer_wait(headers)
-        if seconds is None:
-            return ()
+    async def _waited(self, job: Job, preferences: dict[str, str]) -> list[str]:
+        """Hold the answer about ``job`` as a ``wait`` preference asks,
+        until the job ends or the wait, capped at ``_READ_TIMEOUT_S``,
+        runs out; the preferences applied (none without a valid wait)."""
+        value = preferences.get("wait", "")
+        if not _WAIT_SECONDS.fullmatch(value):
+            return []  # none, or a form RFC 7240 lets this server ignore
+        seconds = min(float(value), _READ_TIMEOUT_S)
         # _execute drops a job's future only once the job has ended, so
         # a job without one is over already (or was never queued).
         future = self._futures.get(job.id)
@@ -496,7 +513,7 @@ class ReproServer:
             # wait() neither raises the job's outcome nor cancels the
             # job when the time runs out.
             await asyncio.wait([asyncio.wrap_future(future)], timeout=seconds)
-        return (("Preference-Applied", f"wait={seconds:g}"),)
+        return [f"wait={seconds:g}"]
 
     def stats(self) -> dict:
         """The ``/v1/stats`` document."""
