@@ -27,12 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import use_backend
-from repro.cache.engine import (
-    evaluate_many,
-    simulate,
-    simulate_banks,
-    simulate_capacity,
-)
+from repro.cache.engine import simulate, simulate_banks, simulate_capacity
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
 from repro.cache.reference import (
@@ -80,7 +75,7 @@ def _rate(fn, *args, repeats: int = 3) -> tuple[float, object]:
     return len(args[0]) / best, result
 
 
-def run(refs: int, candidates: int) -> dict:
+def run(refs: int) -> dict:
     blocks = make_blocks(refs)
     xor = XorIndexing(make_hash())
     geometry = CacheGeometry.direct_mapped((1 << M) * 4)
@@ -114,33 +109,12 @@ def run(refs: int, candidates: int) -> dict:
         }
         if name in FLOORS:
             results["cases"][name]["floor"] = FLOORS[name]
-
-    # The 2-way geometry: there the front shares its working set and
-    # occurrence links; a direct-mapped front is K plain simulate rows.
-    functions = [
-        XorHashFunction.random(16, two_way.index_bits, np.random.default_rng(s))
-        for s in range(candidates)
-    ]
-    t0 = time.perf_counter()
-    batched = evaluate_many(blocks, two_way, functions)
-    batched_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sequential = [simulate(blocks, two_way, XorIndexing(f)) for f in functions]
-    sequential_s = time.perf_counter() - t0
-    assert batched == sequential, "evaluate_many != sequential simulation"
-    results["cases"]["evaluate_many"] = {
-        "candidates": candidates,
-        "batched_sec": round(batched_s, 4),
-        "sequential_sec": round(sequential_s, 4),
-        "speedup": round(sequential_s / batched_s, 2),
-    }
     return results
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--refs", type=int, default=500_000)
-    parser.add_argument("--candidates", type=int, default=16)
     parser.add_argument(
         "--output", type=Path, default=Path(__file__).resolve().parent.parent / "BENCH_engine.json"
     )
@@ -149,22 +123,15 @@ def main(argv: list[str] | None = None) -> int:
         help="required direct-mapped engine speedup over the scalar loop",
     )
     args = parser.parse_args(argv)
-    results = run(args.refs, args.candidates)
+    results = run(args.refs)
 
     width = max(len(name) for name in results["cases"])
     for name, case in results["cases"].items():
-        if "engine_accesses_per_sec" in case:
-            print(
-                f"{name.rjust(width)}  engine {case['engine_accesses_per_sec']/1e6:8.2f} M/s"
-                f"  reference {case['reference_accesses_per_sec']/1e6:8.3f} M/s"
-                f"  speedup {case['speedup']:8.1f}x"
-            )
-        else:
-            print(
-                f"{name.rjust(width)}  batched {case['batched_sec']:.3f}s"
-                f"  sequential {case['sequential_sec']:.3f}s"
-                f"  speedup {case['speedup']:8.1f}x  ({case['candidates']} candidates)"
-            )
+        print(
+            f"{name.rjust(width)}  engine {case['engine_accesses_per_sec']/1e6:8.2f} M/s"
+            f"  reference {case['reference_accesses_per_sec']/1e6:8.3f} M/s"
+            f"  speedup {case['speedup']:8.1f}x"
+        )
     floors = dict(FLOORS, direct_mapped_xor=args.min_speedup)
     failures = []
     for name, floor in floors.items():
@@ -211,17 +178,6 @@ def test_engine_beats_reference_10x(benchmark):
     benchmark(simulate, blocks, geometry, xor)
     assert engine_rate >= 10 * scalar_rate
     assert stats == simulate_direct_mapped_scalar(blocks, xor)
-
-
-def test_evaluate_many_matches_sequential(benchmark):
-    blocks = make_blocks(100_000)
-    geometry = CacheGeometry((1 << M) * 4, block_size=4, associativity=2)
-    functions = [
-        XorHashFunction.random(16, geometry.index_bits, np.random.default_rng(s))
-        for s in range(8)
-    ]
-    batched = benchmark(evaluate_many, blocks, geometry, functions)
-    assert batched == [simulate(blocks, geometry, XorIndexing(f)) for f in functions]
 
 
 if __name__ == "__main__":

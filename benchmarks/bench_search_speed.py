@@ -50,8 +50,8 @@ GATED_CACHE_BYTES = 4096
 
 #: The certified-optimum configuration: bit-selection at the paper's
 #: 1 KB geometry, where branch-and-bound closes the gap outright and
-#: the result can be cross-checked against the independent exhaustive
-#: enumeration of ``repro.search.exhaustive``.
+#: the result can be cross-checked against the independent optimal
+#: bit-select search of ``repro.search.exhaustive``.
 CERTIFIED_FAMILY = "1-in"
 CERTIFIED_CACHE_BYTES = 1024
 CERTIFIED_ACCESSES = 300_000
@@ -167,7 +167,7 @@ def run_optimality(
     exact_seconds = time.perf_counter() - t0
     exhaustive = exhaustive_node_count(family)
     fraction = exact.nodes_expanded / exhaustive
-    # Independent oracle: exhaustive bit-select enumeration must agree.
+    # Independent oracle: Table 3's optimal bit-select search must agree.
     cross_check = optimal_bit_select(
         PAPER_HASHED_BITS, geometry.index_bits, profile=profile, mode="estimate"
     ).misses

@@ -2,9 +2,11 @@
 heuristic XOR vs full associativity, 4 KB data cache).
 
 ``REPRO_TABLE3_OPT=exact`` (default) reproduces the paper's optimal
-column by exhaustive exact simulation of all C(16, 10) = 8008 bit
-selections — the expensive step that limited the paper to PowerStone.
-Traces are capped at 40k references for the same reason.
+column, the best of all C(16, 10) = 8008 bit selections under exact
+simulation — the expensive step that limited the paper to PowerStone.
+A branch and bound finds it while simulating only a few dozen to a few
+hundred of them.  Traces are capped at 40k references, as
+``repro tables`` does.
 """
 
 from benchmarks.conftest import bench_scale, bench_workers, publish, table3_opt_mode

@@ -3,14 +3,14 @@
 The one uncached way to simulate a cache; one entry point per shape:
 
 * :func:`simulate` — geometry-dispatched replay (direct-mapped cache
-  via one row of the batched sort kernel
-  :func:`misses_for_index_streams`, set-associative / fully
-  associative via the grouped per-set LRU scan);
+  via one row of the sort kernel :func:`misses_for_index_streams`,
+  set-associative / fully associative via the grouped per-set LRU
+  scan);
 * :func:`simulate_capacity` — fully-associative LRU with an arbitrary
   (non-power-of-two) frame count;
 * :func:`simulate_banks` — skewed cache with per-bank hash functions;
 * :func:`evaluate_many` — exact verification of a whole candidate
-  front of hash functions on one trace.
+  front of hash functions on one trace, one :func:`simulate` each.
 
 :class:`repro.pipeline.PipelineContext` fronts the same calls with its
 content-addressed artifact cache.  The per-access loops in
@@ -18,13 +18,14 @@ content-addressed artifact cache.  The per-access loops in
 cross-check this engine against.
 """
 
-from repro.cache.engine.batched import evaluate_many, misses_for_index_streams
 from repro.cache.engine.core import (
     compulsory_count,
     lru_miss_vector,
+    misses_for_index_streams,
     skewed_miss_vector,
 )
 from repro.cache.engine.dispatch import (
+    evaluate_many,
     simulate,
     simulate_banks,
     simulate_capacity,

@@ -10,9 +10,9 @@ The kernels operate on two parallel streams derived from a block trace:
   bijective, the full block address is always a valid key, which lets
   callers skip computing tags entirely.
 
-The LRU and skewed kernels return a per-access boolean miss vector in
-program order (the direct-mapped count is
-:func:`repro.cache.engine.batched.misses_for_index_streams`), and
+:func:`misses_for_index_streams` counts direct-mapped misses, one row
+of set ids per index function; the LRU and skewed kernels return a
+per-access boolean miss vector in program order; and
 :func:`program_order_links` is the one same-key occurrence pass, shared
 with the Fig. 1 profiler.  The replacement behaviour is bit-identical
 to the scalar reference simulators in :mod:`repro.cache.reference`.
@@ -33,13 +33,62 @@ from repro.backend import Backend, active_backend
 from repro.backend.sorting import stable_argsort
 
 __all__ = [
+    "misses_for_index_streams",
     "lru_miss_vector",
-    "lru_miss_vector_shared",
     "program_order_links",
     "skewed_miss_vector",
     "compulsory_count",
     "occurrence_links",
 ]
+
+
+#: Soft cap on intermediate array size (elements) for chunked passes.
+CHUNK_ELEMENTS = 1 << 22
+
+
+def misses_for_index_streams(
+    index_streams: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Direct-mapped miss counts for each row of ``index_streams``.
+
+    ``index_streams`` has shape ``(K, N)``: one set-identity stream per
+    candidate.  ``keys`` must identify *blocks* (block addresses or any
+    bijective relabeling of them) — equal keys then imply equal set ids
+    in every stream, so after the stable per-row sort an access hits iff
+    its key equals the preceding key, and the set comparison is
+    redundant.  The argsort and the consecutive-change count run on a
+    whole chunk of candidates at once (``axis=1`` reductions over
+    contiguous rows), so the per-candidate cost is one radix sort with
+    no Python-level per-access work.
+    """
+    index_streams = np.asarray(index_streams)
+    if index_streams.ndim != 2:
+        raise ValueError(
+            f"index_streams must be 2-D (K, N), got shape {index_streams.shape}"
+        )
+    num_candidates, count = index_streams.shape
+    misses = np.zeros(num_candidates, dtype=np.int64)
+    if count == 0 or num_candidates == 0:
+        return misses
+    keys = np.asarray(keys)
+    # NumPy's stable sort is radix only for <= 16-bit integers; wider
+    # rows fall back to a comparison sort (~9x slower).  Index streams
+    # carry m-bit set ids, so they almost always narrow.
+    if (
+        index_streams.dtype.kind in "ui"
+        and index_streams.dtype.itemsize > 2
+        and int(index_streams.max()) < 1 << 16
+        and (index_streams.dtype.kind == "u" or int(index_streams.min()) >= 0)
+    ):
+        index_streams = index_streams.astype(np.uint16)
+    rows_per_chunk = max(1, CHUNK_ELEMENTS // count)
+    for lo in range(0, num_candidates, rows_per_chunk):
+        ids = index_streams[lo : lo + rows_per_chunk]
+        order = np.argsort(ids, axis=1, kind="stable")
+        sorted_keys = keys[order]
+        change = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+        misses[lo : lo + rows_per_chunk] = 1 + np.count_nonzero(change, axis=1)
+    return misses
 
 
 def occurrence_links(
@@ -174,68 +223,12 @@ def program_order_links(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``prev[t]`` is the previous access with the same key (``-1`` on
     first touch); ``nxt[t]`` the next (``count`` when the key never
-    recurs).  One stable key sort — reusable by
-    :func:`lru_miss_vector_shared` across every candidate index
-    function of a batch, because the links never look at set ids, and
-    the links the Fig. 1 profiler's depth walk
-    (:func:`repro.profiling.reuse.walk_chunks`) runs on.
+    recurs).  One stable key sort; the links the Fig. 1 profiler's
+    depth walk (:func:`repro.profiling.reuse.walk_chunks`) runs on.
     """
     count = len(keys)
     sole = np.zeros(1, dtype=np.uint8)
     return occurrence_links(np.broadcast_to(sole, (count,)), keys)
-
-
-def lru_miss_vector_shared(
-    set_ids: np.ndarray,
-    keys: np.ndarray,
-    prev_program: np.ndarray,
-    next_program: np.ndarray,
-    ways: int,
-    backend: Backend | None = None,
-) -> np.ndarray:
-    """:func:`lru_miss_vector` reusing precomputed program-order links.
-
-    ``prev_program``/``next_program`` come from
-    :func:`program_order_links` over the same ``keys``.  Valid whenever
-    equal keys imply equal set ids — true for every indexing function
-    over one block stream, since the set index is a function of the
-    block address.  All occurrences of a key then share a set and sit
-    in program order within its group, so the grouped-coordinate links
-    are just the program-order links pushed through the grouping
-    permutation — two gathers instead of the per-candidate key sort
-    :func:`occurrence_links` would pay.  Batched evaluation over K
-    candidates pays one key sort total instead of K.
-    """
-    if ways < 1:
-        raise ValueError(f"ways must be >= 1, got {ways}")
-    count = len(set_ids)
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    order = stable_argsort(set_ids)
-    dtype = prev_program.dtype
-    # One extra slot absorbs both sentinels during the gathers: index
-    # ``-1`` (first touch) wraps to it and index ``count`` (key never
-    # recurs) lands on it, so no clipping pass is needed before the
-    # fancy indexing — the sentinel positions are repaired afterwards.
-    inv = np.empty(count + 1, dtype=dtype)
-    inv[order] = np.arange(count, dtype=dtype)
-    sorted_ids = set_ids[order]
-    boundaries = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-    span_ends = np.append(boundaries, count).astype(dtype, copy=False)
-    widths = np.diff(np.concatenate([np.zeros(1, dtype=dtype), span_ends]))
-    span_of = np.repeat(span_ends, widths)
-    pp = prev_program[order]
-    prev = inv[pp]
-    first = pp < 0
-    prev[first] = -1
-    pn = next_program[order]
-    nxt = np.where(pn >= count, span_of, inv[pn])
-    if backend is None:
-        backend = active_backend()
-    deep = backend.lru_depth_at_least(prev, nxt, ways)
-    misses = np.empty(count, dtype=bool)
-    misses[order] = first | deep
-    return misses
 
 
 def skewed_miss_vector(

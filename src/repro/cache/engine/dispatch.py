@@ -2,7 +2,8 @@
 
 Each entry point derives the (set identity, key) streams once from the
 indexing policy and hands them to the matching kernel in
-:mod:`repro.cache.engine.core`.
+:mod:`repro.cache.engine.core`; :func:`evaluate_many` is
+:func:`simulate` over a front of candidate hash functions.
 """
 
 from __future__ import annotations
@@ -11,17 +12,24 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cache.engine.batched import misses_for_index_streams
 from repro.cache.engine.core import (
     compulsory_count,
     lru_miss_vector,
+    misses_for_index_streams,
     skewed_miss_vector,
 )
 from repro.cache.geometry import CacheGeometry
-from repro.cache.indexing import IndexingPolicy, ModuloIndexing
+from repro.cache.indexing import IndexingPolicy, ModuloIndexing, XorIndexing
 from repro.cache.stats import CacheStats
+from repro.gf2.hashfn import XorHashFunction
 
-__all__ = ["simulate", "simulate_banks", "simulate_capacity", "stats_from_misses"]
+__all__ = [
+    "simulate",
+    "simulate_banks",
+    "simulate_capacity",
+    "stats_from_misses",
+    "evaluate_many",
+]
 
 
 def stats_from_misses(blocks: np.ndarray, misses: np.ndarray) -> CacheStats:
@@ -41,9 +49,9 @@ def simulate(
     """Replay a block trace through a cache of the given geometry.
 
     ``indexing`` defaults to modulo on the geometry's index bits.
-    A direct-mapped geometry counts its misses as one row of the
-    batched sort kernel; any other runs the grouped LRU kernel (full
-    associativity is the single-set special case).
+    A direct-mapped geometry counts its misses as one row of
+    :func:`misses_for_index_streams`; any other runs the grouped LRU
+    kernel (full associativity is the single-set special case).
     """
     if indexing is None:
         indexing = ModuloIndexing(geometry.index_bits)
@@ -69,6 +77,37 @@ def simulate(
             indexing.set_index_array(blocks), blocks, geometry.associativity
         )
     return stats_from_misses(blocks, misses)
+
+
+def evaluate_many(
+    trace,
+    geometry: CacheGeometry,
+    functions: Sequence[XorHashFunction],
+) -> list[CacheStats]:
+    """Exact stats for each of K candidate hash functions on one trace.
+
+    ``trace`` may be a :class:`~repro.trace.trace.Trace` or a raw
+    block-address array.  Every candidate is validated before any is
+    simulated, then each runs through :func:`simulate`.
+    """
+    if hasattr(trace, "block_addresses"):
+        blocks = trace.block_addresses(geometry.block_size)
+    else:
+        blocks = np.asarray(trace, dtype=np.uint64)
+    for k, fn in enumerate(functions):
+        if fn.m != geometry.index_bits:
+            raise ValueError(
+                f"candidate {k} produces {fn.m} index bits, geometry needs "
+                f"{geometry.index_bits}"
+            )
+        if not fn.is_full_rank:
+            # A rank-deficient function breaks the paper's bijectivity
+            # requirement and must not be silently scored.
+            raise ValueError(
+                f"candidate {k} requires a full-rank hash function "
+                f"(rank {fn.rank} < m={fn.m})"
+            )
+    return [simulate(blocks, geometry, XorIndexing(fn)) for fn in functions]
 
 
 def simulate_capacity(blocks: np.ndarray, capacity_blocks: int) -> CacheStats:

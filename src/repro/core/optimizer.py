@@ -408,8 +408,8 @@ def _optimize(
 
     baseline = ctx.baseline(trace, geometry)
     if restarts > 0:
-        # Multi-start: exact-verify the whole front of local optima in
-        # one batched engine replay and keep the *simulated* winner
+        # Multi-start: exact-verify the whole front of local optima
+        # and keep the *simulated* winner
         # (the Eq. 4 estimate only ranks candidates approximately).
         front = hill_climb_front(
             profile, family, restarts=restarts, seed=seed, max_steps=max_steps,

@@ -89,7 +89,7 @@ def estimator_fidelity(
         seen.add(key)
         sampled.append(fn)
         estimated.append(estimator.cost(fn.columns))
-    # Exact-verify the whole sampled front in one batched engine replay.
+    # Exact-verify the whole sampled front.
     # Scored direct-mapped regardless of geometry.associativity: the
     # Eq. 4 estimate models direct-mapped conflicts, so that is the
     # reference whose ranking fidelity is being measured.

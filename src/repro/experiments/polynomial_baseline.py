@@ -59,7 +59,6 @@ def run_polynomial_baseline(
         trace = get_workload("mibench", name, scale, seed).data
         blocks = trace.block_addresses(geometry.block_size)
         base = engine.simulate(blocks, geometry)
-        # One batched engine replay scores the whole polynomial front.
         poly_misses = [
             stats.misses for stats in engine.evaluate_many(blocks, geometry, functions)
         ]

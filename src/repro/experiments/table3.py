@@ -2,8 +2,8 @@
 
 For each PowerStone benchmark on the 4 KB direct-mapped data cache:
 
-* ``opt``   — the optimal bit-selecting function (exhaustive search,
-  exact simulation — Patel et al.'s result);
+* ``opt``   — the optimal bit-selecting function (exact simulation,
+  found by branch and bound — Patel et al.'s result);
 * ``1-in``  — bit selection found by the paper's heuristic;
 * ``2/4/16-in`` — permutation-based XOR functions from the heuristic;
 * ``FA``    — a fully-associative LRU cache of equal capacity.
@@ -116,13 +116,13 @@ def run_table3(
 ) -> list[Table3Row]:
     """Regenerate Table 3.
 
-    ``opt_mode="exact"`` enumerates all C(16, m) bit selections with
-    exact simulation (slow but the true optimum, as in the paper —
-    feasible because PowerStone traces are short);
-    ``opt_mode="estimate"`` scores the enumeration with Eq. 4 instead.
-    ``max_refs`` truncates long traces before the exhaustive pass — the
-    same cost control that limited the paper to the short PowerStone
-    suite.  Rows fan out through :meth:`PipelineContext.map`: profiles,
+    ``opt_mode="exact"`` finds the best of all C(16, m) bit selections
+    under exact simulation (the true optimum, as in the paper), by a
+    branch and bound that simulates only the selections its bound
+    cannot rule out; ``opt_mode="estimate"`` scores selections with
+    Eq. 4 instead.  ``max_refs`` truncates long traces before the
+    optimal pass — the same cost control that limited the paper to the
+    short PowerStone suite.  Rows fan out through :meth:`PipelineContext.map`: profiles,
     baselines and exact verifications go through ``context``'s artifact
     cache (``None`` runs without one), and ``workers > 1`` (or ``None``
     for one per core) runs benchmarks on a process pool whose workers

@@ -29,7 +29,6 @@ __all__ = [
     "pack_bit_planes",
     "pack_bits",
     "unpack_bits",
-    "packed_any_rows",
     "packed_parity_rows",
     "packing_pays",
     "weighted_popcount",
@@ -132,29 +131,6 @@ def packed_parity_rows(planes: np.ndarray, masks: np.ndarray) -> np.ndarray:
         selected = (wide >> np.uint64(i)) & np.uint64(1) != 0
         if selected.any():
             out[selected] ^= planes[i]
-    return out
-
-
-def packed_any_rows(planes: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Packed ``(v & mask) != 0`` rows for every mask.
-
-    The *membership* counterpart of :func:`packed_parity_rows`: bit
-    ``j`` of result row ``r`` is set iff vector ``j`` intersects
-    ``masks[r]`` — the OR (not XOR) of the selected planes.  Bit
-    selection needs this accumulation: a profiled vector survives a
-    selection mask ``M`` iff ``v & M == 0``, so the *unset* bits of a
-    row mark the survivors.
-    """
-    masks = np.asarray(masks)
-    n, words = planes.shape
-    out = np.zeros((len(masks), words), dtype=np.uint64)
-    if len(masks) == 0:
-        return out
-    wide = masks.astype(np.uint64)
-    for i in range(n):
-        selected = (wide >> np.uint64(i)) & np.uint64(1) != 0
-        if selected.any():
-            out[selected] |= planes[i]
     return out
 
 

@@ -453,11 +453,11 @@ class PipelineContext:
         geometry: CacheGeometry,
         functions: Sequence["XorHashFunction"],
     ) -> list[CacheStats]:
-        """Cached batched verification of a candidate front.
+        """Cached exact verification of a candidate front.
 
         Only the functions without a cached artifact are simulated, in
-        one batched engine replay; their results are stored under the
-        same per-function keys :meth:`evaluate` uses.
+        one engine call; their results are stored under the same
+        per-function keys :meth:`evaluate` uses.
         """
         from repro.cache.indexing import XorIndexing
 

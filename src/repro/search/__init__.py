@@ -11,11 +11,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "admissible_lower_bound",
             "exhaustive_node_count",
         ),
-        "repro.search.exhaustive": (
-            "ExhaustiveResult",
-            "optimal_bit_select",
-            "enumerate_bit_select_masks",
-        ),
+        "repro.search.exhaustive": ("ExhaustiveResult", "optimal_bit_select"),
         "repro.search.families": (
             "FunctionFamily",
             "GeneralXorFamily",

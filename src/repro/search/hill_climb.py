@@ -135,8 +135,8 @@ def hill_climb_front(
     The first entry is always the paper's single conventional start;
     each restart contributes one more local optimum.  Returning the
     whole front (instead of only the estimate-best member) lets callers
-    exact-verify every candidate in one batched trace replay and pick
-    the *simulated* winner — see ``repro.core.optimizer``.
+    exact-verify every candidate and pick the *simulated* winner — see
+    ``repro.core.optimizer``.
 
     Point strategies (steepest descent, first-improvement) advance the
     whole front in lockstep: every round flattens all still-active

@@ -171,30 +171,37 @@ class JobRegistry:
             job.state = "running"
             job.started = self._clock()
 
-    def _finish(self, job_id: str, state: str) -> Job:
+    def _finish(self, job_id: str, state: str) -> None:
+        """Publish a terminal ``state`` once the job's fields are set.
+
+        The event loop reads jobs without the lock, so the state is
+        assigned last: a reader that sees ``done`` or ``failed`` also
+        sees the report or error the transition carries.
+        """
         job = self._jobs[job_id]
-        job.state = state
         job.finished = self._clock()
+        job.state = state
         # Drop the dedup entry only if it still points at this job (a
         # newer submission may have replaced it already).
         if self._inflight.get(job.digest) == job_id:
             del self._inflight[job.digest]
-        return job
 
     def mark_done(
         self, job_id: str, report: dict, attempts: int, cached: bool
     ) -> None:
         with self._lock:
-            job = self._finish(job_id, "done")
+            job = self._jobs[job_id]
             job.report = report
             job.attempts = attempts
             job.cached = cached
+            self._finish(job_id, "done")
 
     def mark_failed(self, job_id: str, error: str, attempts: int) -> None:
         with self._lock:
-            job = self._finish(job_id, "failed")
+            job = self._jobs[job_id]
             job.error = error
             job.attempts = attempts
+            self._finish(job_id, "failed")
 
     # -- queries -----------------------------------------------------------
 

@@ -29,12 +29,7 @@ from repro.backend import (
     get_backend,
     use_backend,
 )
-from repro.cache.engine.core import (
-    lru_miss_vector,
-    lru_miss_vector_shared,
-    program_order_links,
-    skewed_miss_vector,
-)
+from repro.cache.engine.core import lru_miss_vector, skewed_miss_vector
 
 BACKENDS = [b.name for b in available_backends()]
 ORACLE = get_backend("python")
@@ -117,39 +112,6 @@ class TestLRUBackends:
         # fully-associative spelling (set_ids=None)
         misses = lru_miss_vector(None, keys, 2, backend=backend)
         assert misses.shape == (count,) and misses.all()
-
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), ways=st.sampled_from([2, 4, 8]))
-    def test_shared_links_path_matches(self, backend, data, ways):
-        count = data.draw(st.integers(min_value=0, max_value=100))
-        keys = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=15),
-                    min_size=count,
-                    max_size=count,
-                )
-            ),
-            dtype=np.uint32,
-        )
-        set_map = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=3),
-                    min_size=16,
-                    max_size=16,
-                )
-            ),
-            dtype=np.uint16,
-        )
-        set_ids = set_map[keys.astype(np.intp)]
-        prev_program, next_program = program_order_links(keys)
-        got = lru_miss_vector_shared(
-            set_ids, keys, prev_program, next_program, ways, backend
-        )
-        want = lru_miss_vector(set_ids, keys, ways, backend=ORACLE)
-        assert np.array_equal(got, want)
 
 
 class TestSkewedBackends:

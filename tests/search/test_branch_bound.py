@@ -91,7 +91,7 @@ class TestCertifiedOptimum:
     @settings(max_examples=5, deadline=None)
     @given(sparse_profiles(n=8))
     def test_matches_exhaustive_bit_select(self, profile):
-        """Independent oracle: the Table-3 exhaustive enumeration."""
+        """Independent oracle: Table 3's optimal bit-select search."""
         family = BitSelectFamily(8, 4)
         result = branch_bound_search(profile, family)
         oracle = optimal_bit_select(8, 4, profile=profile, mode="estimate")

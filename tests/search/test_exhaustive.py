@@ -1,36 +1,107 @@
-"""Tests for the exhaustive optimal bit-select search (Patel et al.)."""
+"""Tests for the optimal bit-select search (Patel et al.).
+
+The branch and bound must return exactly what the retired enumeration
+(:mod:`tests.oracles.bit_select`) returns: the same mask, so the same
+tie-break, and the same misses, in both scoring modes.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.engine import simulate
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import BitSelectIndexing, XorIndexing
 from repro.gf2.hashfn import XorHashFunction
-from repro.profiling.conflict_profile import profile_blocks
-from repro.search.exhaustive import (
-    enumerate_bit_select_masks,
-    optimal_bit_select,
-)
+from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
+from repro.search.exhaustive import optimal_bit_select
 from repro.search.families import BitSelectFamily
 from repro.search.strategies import strategy_for_name
+from repro.workloads.registry import get_workload
+from tests.conftest import block_traces
+from tests.oracles.bit_select import (
+    _best_estimated,
+    _best_estimated_support,
+    _best_exact,
+    enumerate_bit_select_masks,
+)
 
 
-class TestEnumeration:
-    def test_count_is_binomial(self):
-        for n, m in [(6, 3), (8, 4), (10, 2)]:
-            masks = enumerate_bit_select_masks(n, m)
-            assert len(masks) == math.comb(n, m)
-            assert len(set(masks.tolist())) == len(masks)
-            assert all(bin(int(v)).count("1") == m for v in masks)
+def _selection(n, mask):
+    return XorHashFunction.bit_select(n, [r for r in range(n) if (mask >> r) & 1])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            enumerate_bit_select_masks(4, 0)
-        with pytest.raises(ValueError):
-            enumerate_bit_select_masks(4, 5)
+
+class _SupportProfile:
+    """The two things estimate mode reads of a profile, for windows
+    too wide for a dense :class:`ConflictProfile` (n > 32)."""
+
+    def __init__(self, n, vectors, weights):
+        self.n = n
+        self._support = (
+            np.asarray(vectors, dtype=np.uint64),
+            np.asarray(weights, dtype=np.int64),
+        )
+
+    def support(self):
+        return self._support
+
+
+class TestAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block_traces(max_block=1 << 12),
+        st.sampled_from([(3, 1), (4, 2), (6, 3), (7, 5), (8, 4), (10, 3), (12, 6)]),
+    )
+    def test_matches_enumeration_in_both_modes(self, blocks, shape):
+        n, m = shape
+        masks = enumerate_bit_select_masks(n, m)
+        exact = optimal_bit_select(n, m, blocks=blocks, mode="exact")
+        mask, misses = _best_exact(n, masks, blocks)
+        assert (exact.function, exact.misses) == (_selection(n, mask), misses)
+        profile = profile_blocks(blocks, 1 << m, n)
+        estimate = optimal_bit_select(n, m, profile=profile, mode="estimate")
+        mask, misses = _best_estimated(masks, profile)
+        assert (estimate.function, estimate.misses) == (_selection(n, mask), misses)
+
+    @settings(max_examples=10, deadline=None)
+    @given(block_traces(max_len=400, max_block=1 << 16))
+    def test_matches_enumeration_at_table3_shape(self, blocks):
+        """n = 16, m = 10: Table 3's window over a 4 KB cache."""
+        masks = enumerate_bit_select_masks(16, 10)
+        result = optimal_bit_select(16, 10, blocks=blocks, mode="exact")
+        mask, misses = _best_exact(16, masks, blocks)
+        assert (result.function, result.misses) == (_selection(16, mask), misses)
+
+    @pytest.mark.parametrize("mode", ["exact", "estimate"])
+    def test_empty_input_takes_the_first_selection(self, mode):
+        """Every selection ties at zero: the first one wins, and the
+        search stops at once because nothing can beat the all-bits
+        score."""
+        n, m = 16, 10
+        empty = np.zeros(0, dtype=np.uint64)
+        result = optimal_bit_select(
+            n, m, blocks=empty, profile=ConflictProfile(n, np.zeros(1 << n)), mode=mode
+        )
+        masks = enumerate_bit_select_masks(n, m)
+        oracle = _best_exact(n, masks, empty) if mode == "exact" else (
+            _best_estimated_support(masks, empty, empty)
+        )
+        assert (result.function, result.misses) == (_selection(n, oracle[0]), 0)
+        assert result.evaluated <= m + 1
+
+    def test_search_scores_far_fewer_masks_than_the_enumeration(self):
+        """On a real kernel the bound prunes nearly every branch."""
+        blocks = (
+            get_workload("powerstone", "v42", "tiny").data.head(4000).block_addresses(4)
+        )
+        result = optimal_bit_select(16, 10, blocks=blocks, mode="exact")
+        masks = enumerate_bit_select_masks(16, 10)
+        mask, misses = _best_exact(16, masks, blocks)
+        assert (result.function, result.misses) == (_selection(16, mask), misses)
+        assert result.evaluated < len(masks) // 50
 
 
 def _bit_select_misses(blocks, n, bits):
@@ -42,10 +113,6 @@ class TestFastExactKernel:
     def test_matches_full_simulator(self):
         """The mask-as-set-identity shortcut finds the minimum of the
         real simulator over every selection."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from tests.conftest import block_traces
 
         @settings(max_examples=40, deadline=None)
         @given(
@@ -155,6 +222,8 @@ class TestWideWindows:
     def test_width_cap_is_64(self):
         with pytest.raises(ValueError):
             enumerate_bit_select_masks(65, 2)
+        with pytest.raises(ValueError):
+            optimal_bit_select(65, 2, blocks=np.zeros(1, dtype=np.uint64))
 
     def test_exact_mode_selects_high_bits_at_n40(self):
         """Blocks differing only in bits 35/37: selecting them is
@@ -168,41 +237,38 @@ class TestWideWindows:
         selected = {c.bit_length() - 1 for c in result.function.columns}
         assert selected == {35, 37}
 
-    def test_estimate_mode_matches_brute_force_at_n40(self):
-        """Property test of the uint64 support scoring at n = 40."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.search.exhaustive import _best_estimated_support
-
-        n, m = 40, 2
-        masks = enumerate_bit_select_masks(n, m)
-
-        @settings(max_examples=25, deadline=None)
-        @given(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=1, max_value=(1 << n) - 1),
-                    st.integers(min_value=1, max_value=100),
-                ),
-                min_size=1,
-                max_size=15,
-            )
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=(1 << 40) - 1),
+                st.integers(min_value=1, max_value=100),
+            ),
+            min_size=1,
+            max_size=15,
         )
-        def check(entries):
-            vectors = np.array([v for v, _ in entries], dtype=np.uint64)
-            weights = np.array([w for _, w in entries], dtype=np.int64)
-            best_mask, best_cost = _best_estimated_support(masks, vectors, weights)
-            brute = min(
-                sum(w for v, w in entries if (v & int(mask_value)) == 0)
-                for mask_value in masks
-            )
-            assert best_cost == brute
-            assert sum(
-                w for v, w in entries if (v & best_mask) == 0
-            ) == best_cost
+    )
+    def test_estimate_mode_matches_brute_force_at_n40(self, entries):
+        """Estimate mode against the oracle on uint64 support vectors."""
+        n, m = 40, 2
+        vectors = [v for v, _ in entries]
+        weights = [w for _, w in entries]
+        result = optimal_bit_select(
+            n, m, profile=_SupportProfile(n, vectors, weights), mode="estimate"
+        )
+        mask, cost = _best_estimated_support(
+            enumerate_bit_select_masks(n, m), vectors, weights
+        )
+        assert (result.function, result.misses) == (_selection(n, mask), cost)
+        assert sum(w for v, w in entries if (v & mask) == 0) == cost
 
-        check()
+    @settings(max_examples=25, deadline=None)
+    @given(block_traces(max_block=1 << 40))
+    def test_exact_mode_matches_brute_force_at_n40(self, blocks):
+        n, m = 40, 2
+        result = optimal_bit_select(n, m, blocks=blocks, mode="exact")
+        mask, misses = _best_exact(n, enumerate_bit_select_masks(n, m), blocks)
+        assert (result.function, result.misses) == (_selection(n, mask), misses)
 
     def test_exact_kernel_wide_blocks(self):
         """Selections from a 40-bit window score on uint64 blocks."""

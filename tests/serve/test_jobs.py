@@ -51,6 +51,35 @@ class TestLifecycle:
     def test_get_unknown_is_none(self):
         assert JobRegistry().get("job-999999") is None
 
+    def test_terminal_state_is_published_with_its_fields(self):
+        """The event loop reads jobs without the lock, so a job must
+        never be visible as done without its report, or as failed
+        without its error.  The clock runs inside every transition, so
+        it sees each job exactly as such a reader could."""
+        snapshots, jobs = [], []
+
+        def clock():
+            snapshots.extend(job.to_json(include_report=True) for job in jobs)
+            return 1.0
+
+        registry = JobRegistry(clock=clock)
+        jobs.extend(registry.submit(spec(name))[0] for name in ("qurt", "fir"))
+        done, failed = jobs
+        registry.mark_running(done.id)
+        registry.mark_done(done.id, {"schema": "repro-report/v1"}, 1, True)
+        registry.mark_failed(failed.id, "FaultInjected: boom", 2)
+        registry.submit(spec("crc"))  # one more clock read after both ends
+        terminal = [s for s in snapshots if s["state"] in ("done", "failed")]
+        assert {s["state"] for s in terminal} == {"done", "failed"}
+        for snapshot in terminal:
+            assert snapshot["finished"] is not None
+            if snapshot["state"] == "done":
+                assert snapshot["report"] == {"schema": "repro-report/v1"}
+                assert snapshot["attempts"] == 1 and snapshot["cached"] is True
+            else:
+                assert snapshot["error"] == "FaultInjected: boom"
+                assert snapshot["attempts"] == 2
+
 
 class TestInFlightDedup:
     def test_same_spec_coalesces_while_in_flight(self):

@@ -40,7 +40,7 @@ KERNELS = (
     ("repro.cache.engine.dispatch", "simulate"),
     ("repro.cache.engine.dispatch", "simulate_capacity"),
     ("repro.cache.engine.dispatch", "simulate_banks"),
-    ("repro.cache.engine.batched", "evaluate_many"),
+    ("repro.cache.engine.dispatch", "evaluate_many"),
     ("repro.search.hill_climb", "hill_climb_front"),
     ("repro.search.hill_climb", "hill_climb_restarts"),
     ("repro.search.branch_bound", "branch_bound_search"),
