@@ -1,27 +1,20 @@
 """Bench: regenerate paper Table 3 (PowerStone, optimal bit-select vs
 heuristic XOR vs full associativity, 4 KB data cache).
 
-``REPRO_TABLE3_OPT=exact`` (default) reproduces the paper's optimal
-column, the best of all C(16, 10) = 8008 bit selections under exact
-simulation — the expensive step that limited the paper to PowerStone.
-A branch and bound finds it while simulating only a few dozen to a few
-hundred of them.  Traces are capped at 40k references, as
-``repro tables`` does.
+The optimal column is the best of all C(16, 10) = 8008 bit selections
+under exact simulation — the expensive step that limited the paper to
+PowerStone.  A branch and bound finds it on each complete trace while
+simulating only a few dozen to a few hundred of them.
 """
 
-from benchmarks.conftest import bench_scale, bench_workers, publish, table3_opt_mode
+from benchmarks.conftest import bench_scale, bench_workers, publish
 from repro.experiments.table3 import average_row, format_table3, run_table3
 
 
 def test_table3(benchmark, results_dir):
     rows = benchmark.pedantic(
         run_table3,
-        kwargs={
-            "scale": bench_scale(),
-            "opt_mode": table3_opt_mode(),
-            "max_refs": 40_000,
-            "workers": bench_workers(),
-        },
+        kwargs={"scale": bench_scale(), "workers": bench_workers()},
         rounds=1,
         iterations=1,
     )

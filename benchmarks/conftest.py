@@ -10,8 +10,6 @@ Environment knobs:
 
 * ``REPRO_BENCH_SCALE`` — workload scale for the experiment benches
   (``tiny`` / ``small`` / ``default``; default ``small``).
-* ``REPRO_TABLE3_OPT`` — ``exact`` (paper-faithful, slower) or
-  ``estimate`` for Table 3's optimal column (default ``exact``).
 * ``REPRO_BENCH_WORKERS`` — campaign worker processes for the table
   grids (default 1 = serial, so timings stay comparable across hosts;
   0 = one per core).
@@ -29,10 +27,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 def bench_scale() -> str:
     return os.environ.get("REPRO_BENCH_SCALE", "small")
-
-
-def table3_opt_mode() -> str:
-    return os.environ.get("REPRO_TABLE3_OPT", "exact")
 
 
 def bench_workers() -> int | None:

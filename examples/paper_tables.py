@@ -40,7 +40,7 @@ def main(scale: str) -> None:
     print()
     print(format_table2(run_table2(kind="instruction", scale=scale)))
     print()
-    print(format_table3(run_table3(scale=scale, opt_mode="exact", max_refs=40_000)))
+    print(format_table3(run_table3(scale=scale)))
     print()
     print(f"total: {time.perf_counter() - t0:.1f}s at scale={scale!r}")
 

@@ -490,8 +490,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
                 print()
         if "table3" in which:
             print(format_table3(run_table3(
-                scale=args.scale, max_refs=40_000, workers=args.workers,
-                context=context)))
+                scale=args.scale, workers=args.workers, context=context)))
     finally:
         if context is not None:
             context.close()

@@ -113,8 +113,9 @@ def evaluate_many(
 def simulate_capacity(blocks: np.ndarray, capacity_blocks: int) -> CacheStats:
     """Fully-associative LRU cache of ``capacity_blocks`` frames.
 
-    Table 3's ``FA`` column and the capacity class of the three-Cs
-    split.  The paper uses FA-LRU as a reference point, not a bound:
+    The capacity class of the three-Cs split (Table 3's ``FA`` column
+    is :func:`simulate` on a one-set geometry, the same LRU count).
+    The paper uses FA-LRU as a reference point, not a bound:
     LRU replacement is itself sub-optimal, so full associativity is not
     an upper bound on what indexing can achieve (optimized hash
     functions sometimes beat it).  Capacity need not be a power of two

@@ -21,13 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.cache import engine
+from repro.api.report import function_from_json, function_to_json
+from repro.api.spec import ExperimentSpec, GeometrySpec, SearchSpec, TraceSpec
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
-from repro.core.optimizer import optimize_for_trace
+from repro.core.optimizer import run_spec
 from repro.experiments.common import format_table, mean
-from repro.pipeline.context import REPLAY_ONLY, NotCached, PipelineContext
+from repro.gf2.hashfn import XorHashFunction
+from repro.pipeline.artifact_cache import stable_key
+from repro.pipeline.context import PipelineContext, geometry_params
 from repro.search.exhaustive import optimal_bit_select
-from repro.workloads.registry import get_workload, workload_names
+from repro.trace.trace import Trace
+from repro.workloads.registry import workload_names
 
 __all__ = ["Table3Row", "run_table3", "format_table3", "PAPER_TABLE3"]
 
@@ -59,47 +63,56 @@ class Table3Row:
     removed_percent: dict[str, float] = field(default_factory=dict)
 
 
+#: Storage kind of the ``opt`` column's record: the optimal selection.
+OPT_KIND = "optimal-bit-select"
+
+
+def _optimal_bit_select(
+    context: PipelineContext, trace: Trace, geometry: CacheGeometry, n: int
+) -> XorHashFunction:
+    """The exact optimal bit selection for ``trace``, staged as one JSON
+    record keyed by the trace's digest, the geometry and ``n``."""
+    key = stable_key(
+        OPT_KIND,
+        {"trace": trace.digest, "geometry": geometry_params(geometry), "n": n},
+    )
+
+    def compute(missing: list[str]):
+        blocks = trace.block_addresses(geometry.block_size)
+        best = optimal_bit_select(n, geometry.index_bits, blocks=blocks)
+        return [(key, best.function)]
+
+    def load(cache, key: str) -> XorHashFunction | None:
+        payload = cache.load_json(OPT_KIND, key)
+        return None if payload is None else function_from_json(payload)
+
+    def store(cache, key: str, function: XorHashFunction) -> None:
+        cache.store_json(OPT_KIND, key, function_to_json(function))
+
+    return context.stage(OPT_KIND, [key], compute, load, store)[key]
+
+
 def _table3_row(
-    context: PipelineContext,
-    name: str,
-    scale: str,
-    cache_bytes: int,
-    opt_mode: str,
-    seed: int,
-    max_refs: int | None,
+    context: PipelineContext, name: str, scale: str, cache_bytes: int, seed: int
 ) -> Table3Row:
-    """One Table 3 row; top level so pool workers can pickle it."""
-    if REPLAY_ONLY.get():
-        # The row's trace and its opt and FA columns are computed
-        # outside any cached stage, so a row never replays.
-        raise NotCached("table3-row", f"powerstone/{name}")
-    geometry = CacheGeometry.direct_mapped(cache_bytes)
-    n = PAPER_HASHED_BITS
-    trace = get_workload("powerstone", name, scale, seed).data
-    if max_refs is not None:
-        trace = trace.head(max_refs)
-    blocks = trace.block_addresses(geometry.block_size)
+    """One Table 3 row, every column a cached stage; top level so pool
+    workers can pickle it."""
+    trace_spec = TraceSpec("powerstone", name, scale=scale, seed=seed)
+    geometry_spec = GeometrySpec(cache_bytes=cache_bytes)
+    geometry = geometry_spec.resolve()
+    trace = context.trace(trace_spec)
     base = context.baseline(trace, geometry)
-    profile = context.profile(trace, geometry, n)
     row = Table3Row(benchmark=name, base_misses=base.misses)
 
-    exhaustive = optimal_bit_select(
-        n,
-        geometry.index_bits,
-        blocks=blocks if opt_mode == "exact" else None,
-        profile=profile if opt_mode == "estimate" else None,
-        mode=opt_mode,
-    )
-    opt_stats = context.evaluate(trace, geometry, exhaustive.function)
+    opt = _optimal_bit_select(context, trace, geometry, PAPER_HASHED_BITS)
+    opt_stats = context.evaluate(trace, geometry, opt)
     row.removed_percent["opt"] = opt_stats.removed_fraction(base)
 
     for family in ("1-in", "2-in", "4-in", "16-in"):
-        result = optimize_for_trace(
-            trace, geometry, family=family, profile=profile, context=context
-        )
-        row.removed_percent[family] = result.removed_percent
+        spec = ExperimentSpec(trace_spec, geometry_spec, SearchSpec(family=family))
+        row.removed_percent[family] = run_spec(context, spec)[1].removed_percent
 
-    fa = engine.simulate_capacity(blocks, geometry.num_blocks)
+    fa = context.baseline(trace, CacheGeometry.fully_associative(cache_bytes))
     row.removed_percent["FA"] = fa.removed_fraction(base)
     return row
 
@@ -108,37 +121,28 @@ def run_table3(
     scale: str = "small",
     cache_bytes: int = 4096,
     benchmarks: tuple[str, ...] | None = None,
-    opt_mode: str = "exact",
     seed: int = 0,
-    max_refs: int | None = None,
     workers: int | None = 1,
     context: PipelineContext | None = None,
 ) -> list[Table3Row]:
-    """Regenerate Table 3.
+    """Regenerate Table 3 over complete traces.
 
-    ``opt_mode="exact"`` finds the best of all C(16, m) bit selections
-    under exact simulation (the true optimum, as in the paper), by a
+    The ``opt`` column is the best of all C(16, m) bit selections under
+    exact simulation (the true optimum, as in the paper), found by a
     branch and bound that simulates only the selections its bound
-    cannot rule out; ``opt_mode="estimate"`` scores selections with
-    Eq. 4 instead.  ``max_refs`` truncates long traces before the
-    optimal pass — the same cost control that limited the paper to the
-    short PowerStone suite.  Rows fan out through :meth:`PipelineContext.map`: profiles,
-    baselines and exact verifications go through ``context``'s artifact
-    cache (``None`` runs without one), and ``workers > 1`` (or ``None``
-    for one per core) runs benchmarks on a process pool whose workers
-    share that cache.
+    cannot rule out.  Every column is a cached stage of ``context``
+    (``None`` runs without a cache): the trace, the baselines, the
+    ``opt`` selection and its stats, and the heuristic columns' whole
+    ``optimization`` records, which a ``repro campaign`` of the same
+    cells shares, so a warm run computes nothing.  Rows fan out through
+    :meth:`PipelineContext.map`; ``workers > 1`` (or ``None`` for one
+    per core) runs benchmarks on a process pool whose workers share
+    that cache.
     """
     names = benchmarks if benchmarks is not None else tuple(workload_names("powerstone"))
     if context is None:
         context = PipelineContext()
-    row = partial(
-        _table3_row,
-        scale=scale,
-        cache_bytes=cache_bytes,
-        opt_mode=opt_mode,
-        seed=seed,
-        max_refs=max_refs,
-    )
+    row = partial(_table3_row, scale=scale, cache_bytes=cache_bytes, seed=seed)
     return [outcome.value for outcome in context.map(row, names, workers=workers)]
 
 

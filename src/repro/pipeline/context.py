@@ -17,6 +17,10 @@ artifact goes through it:
 * ``optimization`` — :func:`~repro.core.optimizer.optimize_for_trace`
   stages whole results, unmemoized, so a warm replay skips even the
   hill climb.
+* ``optimal-bit-select`` — Table 3's ``opt`` column stages the exact
+  optimal bit selection of :func:`repro.search.exhaustive.optimal_bit_select`,
+  keyed by trace digest, geometry and ``n``; its misses are a ``stats``
+  artifact.
 
 Two uncounted memos record facts about inputs and artifacts, so a
 warm replay reads three small JSON records and one verified ``.npz``

@@ -198,23 +198,6 @@ class Trace:
         """Touched memory, rounded to blocks."""
         return self.unique_blocks(block_size) * block_size
 
-    def head(self, count: int) -> "Trace":
-        """A new trace containing the first ``count`` references.
-
-        Uop counts are scaled proportionally so misses/K-uop stays
-        meaningful for truncated runs.
-        """
-        if count >= len(self):
-            return self
-        scale = count / max(len(self), 1)
-        return Trace(
-            self.addresses[:count],
-            uops=max(int(self.uops * scale), count),
-            name=self.name,
-            kind=self.kind,
-            metadata={**self.metadata, "truncated_from": len(self)},
-        )
-
     def concat(self, other: "Trace", name: str | None = None) -> "Trace":
         """Concatenate two traces in time order."""
         import numpy as np

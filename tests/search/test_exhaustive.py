@@ -94,9 +94,7 @@ class TestAgainstOracle:
 
     def test_search_scores_far_fewer_masks_than_the_enumeration(self):
         """On a real kernel the bound prunes nearly every branch."""
-        blocks = (
-            get_workload("powerstone", "v42", "tiny").data.head(4000).block_addresses(4)
-        )
+        blocks = get_workload("powerstone", "v42", "tiny").data.block_addresses(4)[:4000]
         result = optimal_bit_select(16, 10, blocks=blocks, mode="exact")
         masks = enumerate_bit_select_masks(16, 10)
         mask, misses = _best_exact(16, masks, blocks)

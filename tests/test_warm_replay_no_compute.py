@@ -2,9 +2,9 @@
 
 Each entry point runs cold, then warm twice: once inside
 ``no_compute()``, where every compute kernel — the Fig. 1 profiler, the
-exact simulators, the search drivers, the exhaustive and
-fully-associative columns of Table 3, and workload generation — raises,
-and so does a deferred trace asked for its addresses; and once inside
+exact simulators, the search drivers, Table 3's optimal bit-select
+search, and workload generation — raises, and so does a deferred trace
+asked for its addresses; and once inside
 :func:`~repro.pipeline.context.replay_only`, the production form of the
 same refusal.  A warm run must finish from the artifact cache alone,
 and its cache events must be a replay.  Cold, the replay-only run must
@@ -147,13 +147,17 @@ class TestCli:
         ]
         run_cold_then_warm(argv, refusals)
 
-    def test_tables(self, tmp_path, refusals, capsys):
-        argv = [
-            "tables", "--only", "general-vs-perm", "table2", "--scale", "tiny",
-            "--workers", "1", "--cache-dir", str(tmp_path),
-        ]
-        with replay_only(), pytest.raises(NotCached):
-            main(argv)
+    def test_tables(self, tmp_path, refusals, capsys, monkeypatch):
+        # Two Table 3 rows are enough to show it, at a fraction of the table.
+        monkeypatch.setattr(
+            "repro.experiments.table3.workload_names", lambda suite: ["qurt", "fir"]
+        )
+        cache = ["--scale", "tiny", "--workers", "1", "--cache-dir", str(tmp_path)]
+        argv = ["tables", "--only", "general-vs-perm", "table2", "table3", *cache]
+        # Table 3 runs last, so it refuses cold on its own too.
+        for only in (argv, ["tables", "--only", "table3", *cache]):
+            with replay_only(), pytest.raises(NotCached):
+                main(only)
         capsys.readouterr()
         assert main(argv) == 0
         cold = capsys.readouterr().out
@@ -162,26 +166,6 @@ class TestCli:
                 assert main(argv) == 0
             assert capsys.readouterr().out == cold
             assert replayed(events)
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=(ComputeRan, NotCached),
-        reason="ROADMAP item 4: Table 3 rows are no cached stages; a warm "
-        "run regenerates each trace and recomputes the opt and FA columns",
-    )
-    @pytest.mark.parametrize("refusal", ["no_compute", "replay_only"])
-    def test_table3(self, tmp_path, no_compute, monkeypatch, refusal):
-        # Two rows are enough to show it, at a fraction of the full table.
-        monkeypatch.setattr(
-            "repro.experiments.table3.workload_names", lambda suite: ["qurt", "fir"]
-        )
-        argv = [
-            "tables", "--only", "table3", "--scale", "tiny", "--workers", "1",
-            "--cache-dir", str(tmp_path),
-        ]
-        assert main(argv) == 0
-        with {"no_compute": no_compute, "replay_only": replay_only}[refusal]():
-            assert main(argv) == 0
 
 
 class TestSession:

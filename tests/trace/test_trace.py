@@ -60,9 +60,6 @@ class TestDigest:
         _ = trace.digest
         with pytest.raises(ValueError):
             trace.addresses[0] = 999
-        head = trace.head(2)
-        with pytest.raises(ValueError):
-            head.addresses[0] = 999
 
     def test_freeze_does_not_leak_to_caller_array(self):
         """Passing an already-contiguous uint64 buffer must not freeze
@@ -94,17 +91,6 @@ class TestDigest:
 
 
 class TestManipulation:
-    def test_head_truncates_and_scales_uops(self):
-        tr = Trace(np.arange(100), uops=1000)
-        head = tr.head(10)
-        assert len(head) == 10
-        assert head.uops == 100
-        assert head.metadata["truncated_from"] == 100
-
-    def test_head_no_op_when_longer(self):
-        tr = Trace([1, 2])
-        assert tr.head(10) is tr
-
     def test_concat(self):
         a = Trace([1, 2], uops=5, name="a")
         b = Trace([3], uops=7, name="b")
