@@ -30,13 +30,16 @@ from repro.backend import use_backend
 from repro.cache.engine import simulate, simulate_banks, simulate_capacity
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing, XorIndexing
-from repro.cache.reference import (
+from repro.gf2.hashfn import XorHashFunction
+
+# The oracles live in the test package, at the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles.cache import (
     simulate_direct_mapped_scalar,
     simulate_fully_associative_scalar,
     simulate_set_associative_scalar,
     simulate_skewed_scalar,
 )
-from repro.gf2.hashfn import XorHashFunction
 
 M = 10  # 4 KB direct-mapped, 4-byte blocks
 

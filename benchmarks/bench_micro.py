@@ -62,8 +62,9 @@ def test_batched_column_eval_throughput(benchmark, profile):
     candidates = np.array(
         [(1 << 0) | (1 << j) for j in range(10, 16)], dtype=np.uint32
     )
+    column_0 = np.zeros(len(candidates), dtype=np.intp)  # owner and column
     costs = benchmark(
-        estimator.costs_with_column_replaced, fn.columns, 0, candidates
+        estimator.costs_for_moves_front, (fn.columns,), candidates, column_0, column_0
     )
     assert len(costs) == len(candidates)
 

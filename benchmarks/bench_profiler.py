@@ -29,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.profiling.conflict_profile import (
-    profile_blocks,
-    profile_blocks_slotted,
-)
+from repro.profiling.conflict_profile import profile_blocks
+
+# The oracles live in the test package, at the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles.profile import profile_blocks_slotted
 
 PAPER_HASHED_BITS = 16
 CAPACITY_BLOCKS = 256  # 8 KB cache of 32 B blocks, the paper's scale

@@ -5,17 +5,18 @@ Two entry points:
 * ``python benchmarks/bench_search_speed.py`` — standalone: profiles a
   >= 1M-access mixed synthetic trace (hot loop + conflicting streams +
   wide-footprint noise, giving a production-scale profile support),
-  runs the batched hill climber and the retired per-column
-  ``hill_climb_scalar`` oracle on the same profile, verifies they are
-  bit-identical (same function, history, steps, evaluations), prints
-  the timings, writes ``BENCH_search.json`` and exits non-zero if the
-  batched kernel is not >= the required speedup on the gated
-  configuration (the 16-in family at n = 16).  A second, always-on
-  section certifies the global optimum of the 1 KB bit-selection
-  space by branch-and-bound (gated: certified, gap 0, and under 10%
-  of the unpruned assignment tree expanded), reports every zoo
-  strategy's measured optimality gap against it, and races the
-  portfolio (gated: matches the zoo best at <= 1.5x the
+  runs the batched hill climber and the frozen per-column
+  ``hill_climb_scalar`` oracle of ``tests/oracles/search.py`` (its own
+  scalar Eq. 4 cost, no shared estimator) on the same profile,
+  verifies they are bit-identical (same function, history, steps,
+  evaluations), prints the timings, writes ``BENCH_search.json`` and
+  exits non-zero if the batched kernel is not >= the required speedup
+  on the gated configuration (the 16-in family at n = 16).  A second,
+  always-on section certifies the global optimum of the 1 KB
+  bit-selection space by branch-and-bound (gated: certified, gap 0,
+  and under 10% of the unpruned assignment tree expanded), reports
+  every zoo strategy's measured optimality gap against it, and races
+  the portfolio (gated: matches the zoo best at <= 1.5x the
   steepest-descent evaluation count);
 * ``pytest benchmarks/bench_search_speed.py`` — pytest-benchmark
   variant per family and cache size on a real workload for trend
@@ -38,9 +39,12 @@ import pytest
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.profiling.conflict_profile import profile_blocks, profile_trace
 from repro.search.families import family_for_name
-from repro.search.hill_climb import hill_climb_scalar
 from repro.search.strategies import strategy_for_name
 from repro.workloads.registry import get_workload
+
+# The oracles live in the test package, at the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles.search import hill_climb_scalar
 
 #: The acceptance configuration: the 16-in family (unrestricted
 #: permutation functions, the widest per-column neighbourhood) on the

@@ -13,9 +13,9 @@ The one uncached way to simulate a cache; one entry point per shape:
   front of hash functions on one trace, one :func:`simulate` each.
 
 :class:`repro.pipeline.PipelineContext` fronts the same calls with its
-content-addressed artifact cache.  The per-access loops in
-:mod:`repro.cache.reference` are the oracles the property tests
-cross-check this engine against.
+content-addressed artifact cache.  The property tests cross-check this
+engine against per-access scalar loops, one per cache organization,
+kept on the test side as oracles.
 """
 
 from repro.cache.engine.core import (

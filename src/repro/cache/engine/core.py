@@ -15,7 +15,7 @@ of set ids per index function; the LRU and skewed kernels return a
 per-access boolean miss vector in program order; and
 :func:`program_order_links` is the one same-key occurrence pass, shared
 with the Fig. 1 profiler.  The replacement behaviour is bit-identical
-to the scalar reference simulators in :mod:`repro.cache.reference`.
+to per-access scalar simulators kept on the test side as oracles.
 
 The sequential-replacement inner kernels (the LRU stack-depth test and
 the skewed replay) dispatch through :mod:`repro.backend` — the common

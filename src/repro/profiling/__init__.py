@@ -8,15 +8,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.profiling.conflict_profile": (
             "ConflictProfile",
             "profile_blocks",
-            "profile_blocks_reference",
-            "profile_blocks_slotted",
             "profile_trace",
         ),
-        "repro.profiling.estimator": (
-            "MissEstimator",
-            "estimate_misses_nullspace",
-        ),
-        "repro.profiling.lru_stack": ("LRUStack",),
+        "repro.profiling.estimator": ("MissEstimator",),
         "repro.profiling.reuse": ("reuse_distances", "reuse_distance_histogram"),
         "repro.profiling.sharded": (
             "ShardPlan",

@@ -26,18 +26,14 @@ import numpy as np
 from repro.cache.engine.core import program_order_links
 from repro.cache.geometry import CacheGeometry
 from repro.gf2.bitvec import mask
-from repro.profiling.lru_stack import LRUStack
 from repro.profiling.reuse import walk_chunks
 from repro.trace.trace import Trace
 
 __all__ = [
     "ConflictProfile",
     "profile_blocks",
-    "profile_blocks_slotted",
     "profile_trace",
 ]
-
-_FLUSH_THRESHOLD = 1 << 22  # buffered conflict vectors before a bincount flush
 
 #: Accesses per chunk of the depth walk.  Shorter chunks need fewer
 #: merge levels for the in-chunk depth counts; longer ones compact the
@@ -272,8 +268,8 @@ def profile_blocks(
     inclusion).  So capacity misses cost O(1) each, and only conflicts
     enumerate the blocks above them — work proportional to the conflict
     pairs emitted, for every requested capacity at once.  Bit-identical
-    to :func:`profile_blocks_reference` at each capacity
-    (property-tested).
+    at each capacity to the literal Fig. 1 transcription over an LRU
+    stack, a test-side oracle (property-tested).
     """
     blocks = np.ascontiguousarray(np.asarray(blocks), dtype=np.uint64)
     profiles = _profile_pass(
@@ -503,122 +499,6 @@ def _bin_suffixes(bins: _PairBins, keys, starts, lows) -> None:
     reach = [*np.searchsorted(starts, cuts[1:]).tolist(), len(keys)]
     for c0, c1, i1 in zip(cuts, [*cuts[1:], len(lows)], reach):
         bins.outer(keys[:i1], lows[c0:c1], skip=starts[:i1] - c0)
-
-
-def profile_blocks_slotted(
-    blocks: np.ndarray, capacity_blocks: int, n: int
-) -> ConflictProfile:
-    """Per-access live-slot implementation of the Fig. 1 pass.
-
-    The previous production kernel, kept as a second oracle next to
-    :func:`profile_blocks_reference`: each block's *current last
-    position* owns a slot in a time-indexed array, and the blocks above
-    ``x`` on the LRU stack are exactly the live slots between ``x``'s
-    previous access and now, retrieved as one numpy slice per access.
-    Identical results to :func:`profile_blocks`, which replaces the
-    Python-rate access loop with chunked array passes.
-    """
-    if capacity_blocks < 1:
-        raise ValueError(f"capacity must be >= 1 block, got {capacity_blocks}")
-    blocks = np.ascontiguousarray(np.asarray(blocks), dtype=np.uint64)
-    count = len(blocks)
-    window = np.uint64(mask(n))
-    counts = np.zeros(1 << n, dtype=np.int64)
-    last_owner = np.zeros(count, dtype=np.uint64)  # slot t -> block
-    live = np.zeros(count, dtype=bool)  # slot t is its block's latest
-    last_position: dict[int, int] = {}
-    chunks: list[np.ndarray] = []
-    buffered = 0
-    compulsory = 0
-    capacity = 0
-    beyond_window = 0
-
-    def flush() -> None:
-        nonlocal buffered
-        if chunks:
-            merged = np.concatenate(chunks)
-            np.add(counts, np.bincount(merged, minlength=1 << n), out=counts)
-            chunks.clear()
-            buffered = 0
-
-    for t in range(count):
-        block = int(blocks[t])
-        p = last_position.get(block)
-        if p is None:
-            compulsory += 1
-        else:
-            above = last_owner[p + 1 : t][live[p + 1 : t]]
-            if len(above) >= capacity_blocks:
-                capacity += 1
-            elif len(above):
-                vectors = np.bitwise_and(
-                    np.bitwise_xor(above, np.uint64(block)), window
-                ).astype(np.int64)
-                zero = int(np.count_nonzero(vectors == 0))
-                if zero:
-                    beyond_window += zero
-                    vectors = vectors[vectors != 0]
-                if len(vectors):
-                    chunks.append(vectors)
-                    buffered += len(vectors)
-                    if buffered >= _FLUSH_THRESHOLD:
-                        flush()
-            live[p] = False
-        last_owner[t] = np.uint64(block)
-        live[t] = True
-        last_position[block] = t
-    flush()
-    return ConflictProfile(
-        n,
-        counts,
-        compulsory=compulsory,
-        capacity=capacity,
-        accesses=count,
-        beyond_window=beyond_window,
-    )
-
-
-def profile_blocks_reference(
-    blocks: np.ndarray, capacity_blocks: int, n: int
-) -> ConflictProfile:
-    """Literal transcription of the paper's Fig. 1 with an LRU stack.
-
-    Kept as the oracle for property tests of :func:`profile_blocks`.
-    """
-    if capacity_blocks < 1:
-        raise ValueError(f"capacity must be >= 1 block, got {capacity_blocks}")
-    window = mask(n)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    stack = LRUStack()
-    compulsory = 0
-    capacity = 0
-    beyond_window = 0
-
-    for raw in np.asarray(blocks, dtype=np.uint64):
-        block = int(raw)
-        if block not in stack:
-            compulsory += 1
-            stack.push(block)
-            continue
-        above = stack.blocks_above(block, capacity_blocks - 1)
-        if above is None:
-            capacity += 1
-        else:
-            for other in above:
-                vector = (block ^ other) & window
-                if vector:
-                    counts[vector] += 1
-                else:
-                    beyond_window += 1
-        stack.push(block)
-    return ConflictProfile(
-        n,
-        counts,
-        compulsory=compulsory,
-        capacity=capacity,
-        accesses=len(blocks),
-        beyond_window=beyond_window,
-    )
 
 
 def profile_trace(

@@ -2,23 +2,19 @@
 
 ``misses(H) = sum over v in N(H) of misses(v)``
 
-Two evaluation strategies with identical results:
+Evaluated from the *support side*: every profiled vector is tested for
+null-space membership (``parity(v & h_c) == 0`` for all columns) — cost
+``O(m x support)``, cheap when the profile support is smaller than the
+``2^(n-m)`` members of the null space.  The null-space side (enumerate
+``N(H)``, gather its histogram entries) is kept as a test-side oracle.
 
-* *null-space side*: enumerate the ``2^(n-m)`` vectors of ``N(H)`` and
-  sum their histogram entries in one fancy-indexed gather — cost
-  ``O(2^(n-m))``, cheap when the rank is close to ``n``;
-* *support side*: test every profiled vector for null-space membership
-  (``parity(v & h_c) == 0`` for all columns) — cost ``O(m x support)``,
-  cheap when the profile support is smaller than the null space.
-
-Neither side is width-limited: every elementwise parity goes through
-:func:`repro.gf2.bitvec.parity_array`, and windows wider than 16 bits
-may switch to the bit-packed kernels of :mod:`repro.gf2.bitpack` under
-its one packing rule.  :func:`estimate_misses_nullspace` is the
-independent oracle for the support side.
+The support side is not width-limited: every elementwise parity goes
+through :func:`repro.gf2.bitvec.parity_array`, and windows wider than
+16 bits may switch to the bit-packed kernels of :mod:`repro.gf2.bitpack`
+under its one packing rule.
 
 :class:`MissEstimator` packages the support arrays once per profile and
-adds the batched single-column evaluation the hill climber relies on.
+adds the batched neighbourhood evaluation the hill climber relies on.
 """
 
 from __future__ import annotations
@@ -33,31 +29,13 @@ from repro.gf2.bitpack import (
     weighted_popcount,
 )
 from repro.gf2.bitvec import parity_array
-from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import ConflictProfile
 
-__all__ = ["estimate_misses_nullspace", "MissEstimator"]
+__all__ = ["MissEstimator"]
 
 
 def _support_dtype(n: int) -> np.dtype:
     return np.dtype(np.uint32 if n <= 32 else np.uint64)
-
-
-def estimate_misses_nullspace(
-    profile: ConflictProfile, hash_function: XorHashFunction
-) -> int:
-    """Eq. 4 by enumerating the null space.
-
-    One vectorized enumeration of the ``2^(n - rank)`` null-space
-    members plus one fancy-indexed gather into the histogram.
-    """
-    if profile.n != hash_function.n:
-        raise ValueError(
-            f"profile window ({profile.n} bits) does not match hash function "
-            f"({hash_function.n} bits)"
-        )
-    members = hash_function.null_space().member_array()
-    return int(profile.counts[members.astype(np.intp)].sum())
 
 
 def _members_of_nullspace(vectors: np.ndarray, columns) -> np.ndarray:
@@ -77,17 +55,12 @@ class MissEstimator:
 
     * the cost of a full column set (:meth:`cost`) — one parity pass
       per column over the support;
-    * the costs of replacing a single column by each of many candidate
-      masks while the others stay fixed
-      (:meth:`costs_with_column_replaced`) — the support is first
-      reduced to vectors annihilated by the *fixed* columns, then each
-      candidate touches only that residue via one 2-D parity gather,
-      ``O(candidates x residue)`` overall;
     * the costs of a whole search neighbourhood — every column times
-      every candidate mask, optionally for a whole front of current
-      functions at once (:meth:`costs_for_moves` /
-      :meth:`costs_for_moves_front`) — in one shared 2-D parity
-      gather.
+      every candidate mask, for a whole front of current functions at
+      once (:meth:`costs_for_moves_front`).  For each replaced column
+      the support is reduced to the vectors annihilated by the *other*
+      columns, and each candidate touches only that residue via one
+      shared 2-D parity gather, ``O(candidates x residue)`` overall.
 
     Works for any window width.  Parities come from
     :func:`repro.gf2.bitvec.parity_array`; where
@@ -125,57 +98,6 @@ class MissEstimator:
         self.evaluations += 1
         return int(self._weights[alive].sum())
 
-    def cost_of(self, hash_function: XorHashFunction) -> int:
-        return self.cost(hash_function.columns)
-
-    def costs_with_column_replaced(
-        self, columns: tuple[int, ...], column_index: int, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Cost of ``columns`` with ``columns[column_index]`` replaced by
-        each candidate mask; returns an ``int64`` array aligned with
-        ``candidates``."""
-        fixed = tuple(
-            col for c, col in enumerate(columns) if c != column_index
-        )
-        alive = self._alive(fixed)
-        vectors = self._vectors[alive]
-        weights = self._weights[alive]
-        candidates = np.asarray(candidates, dtype=vectors.dtype)
-        out = np.zeros(len(candidates), dtype=np.int64)
-        if len(vectors):
-            # A vector survives a candidate column when the parity is 0,
-            # so its weight is the residue total minus the odd-parity
-            # weight summed by the routed batch kernel.
-            total = int(weights.sum())
-            out[:] = total - self._odd_weights(candidates, vectors, weights)
-        self.evaluations += len(candidates)
-        return out
-
-    def costs_for_moves(
-        self,
-        columns: tuple[int, ...],
-        candidates: np.ndarray,
-        move_columns: np.ndarray,
-    ) -> np.ndarray:
-        """Score an entire search neighbourhood in one pass.
-
-        ``candidates[i]`` replaces column ``move_columns[i]`` of
-        ``columns``; the return value is an ``int64`` array of Eq. 4
-        costs aligned with ``candidates``.  Exactly equals calling
-        :meth:`costs_with_column_replaced` per column (property-tested)
-        but runs ``m`` parity passes over the support instead of
-        ``m * (m - 1)`` and one shared 2-D candidate gather instead of
-        ``m`` separate ones — the kernel behind the batched hill
-        climber in :mod:`repro.search`.
-        """
-        candidates = np.asarray(candidates)
-        return self.costs_for_moves_front(
-            (tuple(columns),),
-            candidates,
-            np.zeros(len(candidates), dtype=np.intp),
-            move_columns,
-        )
-
     def costs_for_moves_front(
         self,
         column_sets,
@@ -183,7 +105,7 @@ class MissEstimator:
         owners: np.ndarray,
         move_columns: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`costs_for_moves` for a lockstep front of functions.
+        """Eq. 4 costs of single-column moves over a lockstep front.
 
         ``column_sets[k]`` is the current column tuple of front member
         ``k`` (all members share ``m``); candidate ``i`` replaces
@@ -191,7 +113,8 @@ class MissEstimator:
         matrix over the support (``len(column_sets) x m`` passes) and
         one shared chunked 2-D candidate gather serve every member —
         this is what lets ``hill_climb_front`` advance all restarts
-        simultaneously.
+        simultaneously.  Returns an ``int64`` array of costs aligned
+        with ``candidates``.
         """
         column_sets = [tuple(cols) for cols in column_sets]
         if not column_sets:
@@ -212,8 +135,7 @@ class MissEstimator:
         # Parity of every support vector under every current column of
         # every member.  Rows are memoized per column *mask*: a descent
         # step changes one column and front members share most masks,
-        # so nearly every row is a dict hit instead of a parity pass —
-        # the scalar path recomputes m*(m-1) passes per step instead.
+        # so nearly every row is a dict hit instead of a parity pass.
         parities = np.empty((len(column_sets), m, len(vectors)), dtype=np.uint8)
         for k, cols in enumerate(column_sets):
             for c, col in enumerate(cols):
@@ -221,12 +143,11 @@ class MissEstimator:
         # m <= 64 columns, so the odd-column count of a vector fits a byte.
         odd_counts = parities.sum(axis=1, dtype=np.uint8)
         # One residue gather per (member, column) group: vectors
-        # annihilated by every *other* column of that member — the same
-        # residue the per-column path uses, read off the shared parity
-        # matrix instead of recomputed.  A vector is in column c's
-        # residue iff its odd-column count equals its parity under c,
-        # so only vectors odd under at most one column can be in any;
-        # each member's groups share that one pre-filtered slice.
+        # annihilated by every *other* column of that member, read off
+        # the shared parity matrix.  A vector is in column c's residue
+        # iff its odd-column count equals its parity under c, so only
+        # vectors odd under at most one column can be in any; each
+        # member's groups share that one pre-filtered slice.
         near: dict[int, tuple] = {}
         row_ids = owners * m + move_columns
         for row_id in np.unique(row_ids):
@@ -345,7 +266,8 @@ class MissEstimator:
     ) -> np.ndarray:
         """Weight of odd-parity vectors under each candidate mask.
 
-        The batch kernel behind both neighbourhood evaluators: one
+        The batch kernel behind the neighbourhood and bound
+        evaluations: one
         chunked 2-D :func:`parity_array` pass, or — where the packing
         rule says the transpose pays — one :func:`pack_bit_planes` of
         the residue, then per candidate plane XORs plus one weighted
@@ -398,24 +320,6 @@ class MissEstimator:
         if self._planes is None:
             self._planes = pack_bit_planes(self._vectors, self.n)
         return self._planes
-
-    def _costs_with_column_replaced_loop(
-        self, columns: tuple[int, ...], column_index: int, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Per-candidate reference loop, kept as the oracle for property
-        tests of the batched 2-D evaluation above."""
-        fixed = tuple(
-            col for c, col in enumerate(columns) if c != column_index
-        )
-        alive = self._alive(fixed)
-        vectors = self._vectors[alive]
-        weights = self._weights[alive]
-        candidates = np.asarray(candidates, dtype=vectors.dtype)
-        out = np.empty(len(candidates), dtype=np.int64)
-        for i, cand in enumerate(candidates):
-            zero_parity = _members_of_nullspace(vectors, (int(cand),))
-            out[i] = weights[zero_parity].sum()
-        return out
 
     def _alive(self, columns: tuple[int, ...]) -> np.ndarray:
         """Support vectors annihilated by every given column."""

@@ -21,7 +21,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.search.hill_climb": (
             "SearchResult",
-            "hill_climb_scalar",
             "hill_climb_front",
             "hill_climb_restarts",
         ),

@@ -14,8 +14,9 @@ Three engines share that kernel:
 * :func:`descend_front` — lockstep local search (steepest or
   first-improvement pick rules) over any number of simultaneous
   starts; with one start and :func:`pick_steepest` it is bit-identical
-  to the scalar reference ``hill_climb_scalar`` (same final function,
-  cost history, step and evaluation counts — property-tested);
+  to the frozen per-column descent kept as a test-side oracle (same
+  final function, cost history, step and evaluation counts —
+  property-tested);
 * :func:`beam_search` — keeps the ``width`` best distinct successors
   per generation instead of one;
 * :func:`anneal_search` — simulated annealing over the same
@@ -128,7 +129,7 @@ def pick_steepest(climber: _Climber, segments, costs) -> tuple | None:
     """The paper's rule: cheapest feasible strictly-improving neighbour.
 
     Ties break by column order then stable cost order within a column —
-    the exact scan order of the scalar reference, so the batched and
+    the exact scan order of the per-column oracle, so the batched and
     scalar climbers choose identical moves.
     """
     best_cost = climber.cost

@@ -7,17 +7,15 @@ strictly-improving neighbour, and stops at a local optimum.  Candidate
 evaluation uses the Eq. 4 estimate, so no cache simulation happens
 inside the loop.
 
-Two implementations with identical results:
-
-* the batched subsystem, one search pass per
-  :class:`~repro.search.strategies.SearchStrategy` (the paper's is
-  ``strategy_for_name("steepest").search(profile, family)``): each step
-  scores the whole neighbourhood (all columns x all candidate masks) in
-  one estimator gather and screens rank/dedup with the vectorized GF(2)
-  checks of :mod:`repro.gf2.batched`;
-* :func:`hill_climb_scalar` — the retired per-column loop, kept as the
-  property-tested oracle: steepest descent produces the same final
-  function, cost history, step count and evaluation count.
+The search runs one pass per
+:class:`~repro.search.strategies.SearchStrategy` (the paper's is
+``strategy_for_name("steepest").search(profile, family)``): each step
+scores the whole neighbourhood (all columns x all candidate masks) in
+one estimator gather and screens rank/dedup with the vectorized GF(2)
+checks of :mod:`repro.gf2.batched`.  A frozen per-column descent with
+its own scalar cost is kept as a test-side oracle: steepest descent
+must reproduce its final function, cost history, step count and
+evaluation count.
 
 :func:`hill_climb_front` runs the conventional start plus random
 restarts *in lockstep*, so one shared estimator gather serves the
@@ -26,11 +24,8 @@ whole front each round.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import ConflictProfile
 from repro.profiling.estimator import MissEstimator
 from repro.search.families import FunctionFamily
@@ -38,88 +33,9 @@ from repro.search.result import SearchResult
 
 __all__ = [
     "SearchResult",
-    "hill_climb_scalar",
     "hill_climb_front",
     "hill_climb_restarts",
 ]
-
-
-def hill_climb_scalar(
-    profile: ConflictProfile,
-    family: FunctionFamily,
-    start: XorHashFunction | None = None,
-    max_steps: int | None = None,
-    estimator: MissEstimator | None = None,
-) -> SearchResult:
-    """The retired per-column steepest descent, kept as the oracle.
-
-    Walks the neighbourhood one column at a time through
-    :meth:`MissEstimator.costs_with_column_replaced` and checks each
-    inspected candidate's rank and canonical key through
-    :class:`~repro.gf2.hashfn.XorHashFunction` construction — the
-    behaviour the batched steepest descent must reproduce
-    bit-identically (final function, history, steps, evaluations).
-    """
-    t0 = time.perf_counter()
-    if estimator is None:
-        estimator = MissEstimator(profile)
-    current = start if start is not None else family.start()
-    if not family.contains(current):
-        raise ValueError(
-            f"start function is not a member of family {family.name!r}"
-        )
-    if not current.is_full_rank:
-        raise ValueError("start function must be full rank")
-    evaluations_before = estimator.evaluations
-    current_cost = estimator.cost(current.columns)
-    start_cost = current_cost
-    history = [current_cost]
-    visited = {current.canonical_key()}
-    steps = 0
-
-    while max_steps is None or steps < max_steps:
-        best_cost = current_cost
-        best_fn: XorHashFunction | None = None
-        for c in range(current.m):
-            candidates = family.column_candidates(current, c)
-            if len(candidates) == 0:
-                continue
-            costs = estimator.costs_with_column_replaced(
-                current.columns, c, candidates
-            )
-            # Try candidates in increasing cost order until one is a
-            # feasible (full-rank, unvisited) strict improvement.
-            for i in np.argsort(costs, kind="stable"):
-                cost = int(costs[i])
-                if cost >= best_cost:
-                    break
-                candidate = current.with_column(c, int(candidates[i]))
-                if not candidate.is_full_rank:
-                    continue
-                key = candidate.canonical_key()
-                if key in visited:
-                    continue
-                best_cost = cost
-                best_fn = candidate
-                break
-        if best_fn is None:
-            break  # local optimum (paper: stop when no neighbour improves)
-        current = best_fn
-        current_cost = best_cost
-        visited.add(current.canonical_key())
-        history.append(current_cost)
-        steps += 1
-
-    return SearchResult(
-        function=current,
-        estimated_misses=current_cost,
-        start_misses=start_cost,
-        steps=steps,
-        evaluations=estimator.evaluations - evaluations_before,
-        seconds=time.perf_counter() - t0,
-        history=history,
-        family_name=family.name,
-    )
 
 
 def hill_climb_front(

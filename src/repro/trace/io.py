@@ -20,7 +20,6 @@ __all__ = [
     "save_trace",
     "load_trace",
     "save_trace_text",
-    "save_trace_text_reference",
 ]
 
 #: Addresses formatted per vectorized batch; bounds the transient
@@ -98,7 +97,7 @@ def save_trace_text(trace: Trace, path: str | Path) -> None:
     """One hex byte-address per line, with a ``#``-comment header.
 
     Formats addresses in vectorized batches of ``_TEXT_CHUNK``;
-    byte-identical output to :func:`save_trace_text_reference`
+    byte-identical output to a per-line ``f"{address:x}"`` writer
     (property-tested) at array speed, in bounded memory.
     """
     with open(path, "wb") as fh:
@@ -107,14 +106,3 @@ def save_trace_text(trace: Trace, path: str | Path) -> None:
         )
         for start in range(0, len(trace), _TEXT_CHUNK):
             fh.write(_format_hex_lines(trace.addresses[start : start + _TEXT_CHUNK]))
-
-
-def save_trace_text_reference(trace: Trace, path: str | Path) -> None:
-    """Per-line loop writer, kept as the oracle for
-    :func:`save_trace_text`."""
-    with open(path, "w") as fh:
-        fh.write(f"# name: {trace.name}\n")
-        fh.write(f"# kind: {trace.kind}\n")
-        fh.write(f"# uops: {trace.uops}\n")
-        for addr in trace.addresses:
-            fh.write(f"{int(addr):x}\n")

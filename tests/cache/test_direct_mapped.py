@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.cache.engine import lru_miss_vector, simulate
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import BitSelectIndexing, ModuloIndexing, XorIndexing
-from repro.cache.reference import simulate_direct_mapped_scalar
 from tests.conftest import block_traces, hash_functions
+from tests.oracles.cache import simulate_direct_mapped_scalar
 
 #: Direct-mapped geometries of 16, 32 and 256 sets (4-byte blocks).
 DM16 = CacheGeometry.direct_mapped(16 * 4)

@@ -25,16 +25,16 @@ from repro.cache.engine import (
 )
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import BitSelectIndexing, ModuloIndexing, XorIndexing
-from repro.cache.reference import (
+from repro.gf2.hashfn import XorHashFunction
+from repro.workloads.registry import get_workload
+
+from tests.conftest import block_traces, hash_functions
+from tests.oracles.cache import (
     simulate_direct_mapped_scalar,
     simulate_fully_associative_scalar,
     simulate_set_associative_scalar,
     simulate_skewed_scalar,
 )
-from repro.gf2.hashfn import XorHashFunction
-from repro.workloads.registry import get_workload
-
-from tests.conftest import block_traces, hash_functions
 
 N = 14  # hashed window for the random-function matrix (traces use < 2^14 blocks)
 

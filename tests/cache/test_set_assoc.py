@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from repro.cache.engine import simulate
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import ModuloIndexing
-from repro.cache.reference import (
+from tests.conftest import block_traces
+from tests.oracles.cache import (
     simulate_direct_mapped_scalar,
     simulate_set_associative_scalar,
 )
-from tests.conftest import block_traces
 
 
 class TestAgainstDirectMapped:

@@ -12,14 +12,16 @@ from repro.profiling import conflict_profile
 from repro.profiling.conflict_profile import (
     ConflictProfile,
     profile_blocks,
-    profile_blocks_reference,
-    profile_blocks_slotted,
     profile_trace,
 )
-from repro.profiling.lru_stack import LRUStack
 from repro.profiling.reuse import reuse_distances
 from repro.trace.trace import Trace
 from tests.conftest import block_traces
+from tests.oracles.profile import (
+    LRUStack,
+    profile_blocks_reference,
+    profile_blocks_slotted,
+)
 
 
 def assert_profiles_equal(a: ConflictProfile, b: ConflictProfile) -> None:

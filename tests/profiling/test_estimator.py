@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gf2.bitpack import packing_pays
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
-from repro.profiling.estimator import MissEstimator, estimate_misses_nullspace
+from repro.profiling.estimator import MissEstimator
 from tests.conftest import hash_functions
+from tests.oracles.eq4 import estimate_misses_nullspace
+from tests.oracles.search import annihilated, column_replaced_costs, support_arrays
 
 
 @st.composite
@@ -29,11 +32,46 @@ def profiles(draw, n=10):
     return ConflictProfile(n, counts)
 
 
+def _single(estimator, columns, masks, move_columns):
+    """:meth:`MissEstimator.costs_for_moves_front` for a front of one."""
+    masks = np.asarray(masks)
+    return estimator.costs_for_moves_front(
+        (tuple(columns),), masks, np.zeros(len(masks), dtype=np.intp), move_columns
+    )
+
+
+def _neighbourhood(data, m, n):
+    """Drawn single-column moves: up to six candidate masks per column."""
+    masks, cols = [], []
+    for c in range(m):
+        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+            masks.append(data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)))
+            cols.append(c)
+    return np.array(masks, dtype=np.uint64), np.array(cols, dtype=np.intp)
+
+
+def assert_front_matches_oracle(estimator, profile, column_sets, masks, owners, cols):
+    """The neighbourhood property: every cost ``costs_for_moves_front``
+    returns equals the frozen search oracle's per-column scalar cost."""
+    fused = estimator.costs_for_moves_front(column_sets, masks, owners, cols)
+    assert fused.dtype == np.int64
+    vectors, weights = support_arrays(profile)
+    for k, columns in enumerate(column_sets):
+        for c in range(len(columns)):
+            mine = (owners == k) & (cols == c)
+            if mine.any():
+                expected = column_replaced_costs(
+                    vectors, weights, tuple(columns), c, masks[mine]
+                )
+                assert (fused[mine] == expected).all()
+    return fused
+
+
 class TestBothSidesAgree:
     @settings(max_examples=60, deadline=None)
     @given(profiles(), hash_functions(n=10))
     def test_support_equals_nullspace(self, profile, fn):
-        assert MissEstimator(profile).cost_of(fn) == \
+        assert MissEstimator(profile).cost(fn.columns) == \
             estimate_misses_nullspace(profile, fn)
 
 
@@ -47,7 +85,7 @@ class TestEq4Semantics:
         profile = ConflictProfile(6, counts)
         fn = XorHashFunction.modulo(6, 3)  # N(H) = vectors with low 3 bits 0
         assert estimate_misses_nullspace(profile, fn) == 7
-        assert MissEstimator(profile).cost_of(fn) == 7
+        assert MissEstimator(profile).cost(fn.columns) == 7
 
     def test_window_mismatch_rejected(self):
         import pytest
@@ -65,7 +103,7 @@ class TestEq4Semantics:
         blocks = np.tile(np.array([0, 256], dtype=np.uint64), 50)
         profile = profile_blocks(blocks, 256, 16)
         fn = XorHashFunction.modulo(16, 8)
-        estimated = MissEstimator(profile).cost_of(fn)
+        estimated = MissEstimator(profile).cost(fn.columns)
         exact = simulate(blocks, CacheGeometry.direct_mapped(256 * 4))
         assert estimated == exact.misses - exact.compulsory
 
@@ -76,7 +114,6 @@ class TestMissEstimator:
     def test_cost_matches_free_function(self, profile, fn):
         estimator = MissEstimator(profile)
         assert estimator.cost(fn.columns) == estimate_misses_nullspace(profile, fn)
-        assert estimator.cost_of(fn) == estimator.cost(fn.columns)
 
     @settings(max_examples=30, deadline=None)
     @given(profiles(), hash_functions(n=10, m=4), st.data())
@@ -89,7 +126,9 @@ class TestMissEstimator:
              for _ in range(5)],
             dtype=np.uint32,
         )
-        batched = estimator.costs_with_column_replaced(fn.columns, column, candidates)
+        batched = _single(
+            estimator, fn.columns, candidates, np.full(5, column, dtype=np.intp)
+        )
         for cand, cost in zip(candidates, batched):
             replaced = list(fn.columns)
             replaced[column] = int(cand)
@@ -98,60 +137,43 @@ class TestMissEstimator:
     @settings(max_examples=30, deadline=None)
     @given(profiles(), hash_functions(n=10, m=4), st.data())
     def test_vectorized_column_replacement_matches_loop(self, profile, fn, data):
-        """The 2-D parity-table evaluation equals the per-candidate
-        reference loop it replaced."""
-        estimator = MissEstimator(profile)
-        column = data.draw(st.integers(min_value=0, max_value=fn.m - 1))
-        count = data.draw(st.integers(min_value=0, max_value=12))
-        candidates = np.array(
-            [data.draw(st.integers(min_value=0, max_value=(1 << 10) - 1))
-             for _ in range(count)],
-            dtype=np.uint32,
+        """The whole-neighbourhood pass equals the frozen oracle's
+        per-column scalar cost at n <= 16 (unpacked parities)."""
+        masks, cols = _neighbourhood(data, fn.m, 10)
+        assert_front_matches_oracle(
+            MissEstimator(profile), profile, [fn.columns], masks,
+            np.zeros(len(masks), dtype=np.intp), cols,
         )
-        batched = estimator.costs_with_column_replaced(fn.columns, column, candidates)
-        loop = estimator._costs_with_column_replaced_loop(fn.columns, column, candidates)
-        assert batched.dtype == np.int64
-        assert (batched == loop).all()
 
     def test_vectorized_column_replacement_chunks(self):
-        """Forcing tiny chunks must not change the batched results."""
+        """Forcing tiny chunks must not change the neighbourhood costs."""
         counts = np.zeros(1 << 10, dtype=np.int64)
         rng = np.random.default_rng(3)
         counts[rng.integers(1, 1 << 10, size=40)] = rng.integers(1, 50, size=40)
-        estimator = MissEstimator(ConflictProfile(10, counts))
+        profile = ConflictProfile(10, counts)
+        estimator = MissEstimator(profile)
         columns = (0b1, 0b10, 0b1100)
         candidates = rng.integers(0, 1 << 10, size=33).astype(np.uint32)
-        expected = estimator._costs_with_column_replaced_loop(columns, 1, candidates)
         estimator.CHUNK_ELEMENTS = 4  # a handful of vectors per chunk
-        assert (
-            estimator.costs_with_column_replaced(columns, 1, candidates) == expected
-        ).all()
+        assert_front_matches_oracle(
+            estimator, profile, [columns], candidates,
+            np.zeros(33, dtype=np.intp), np.ones(33, dtype=np.intp),
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(profiles(), hash_functions(n=10, m=4), st.data())
     def test_costs_for_moves_matches_per_column(self, profile, fn, data):
-        """The whole-neighbourhood pass equals the per-column batched
-        evaluation (its oracle) for every (column, candidate) move."""
+        """The whole-neighbourhood pass equals scoring each column's
+        moves in a call of their own."""
         estimator = MissEstimator(profile)
-        masks, move_columns = [], []
-        for c in range(fn.m):
-            count = data.draw(st.integers(min_value=0, max_value=6))
-            for _ in range(count):
-                masks.append(
-                    data.draw(st.integers(min_value=0, max_value=(1 << 10) - 1))
-                )
-                move_columns.append(c)
-        masks = np.array(masks, dtype=np.uint64)
-        move_columns = np.array(move_columns, dtype=np.intp)
-        fused = estimator.costs_for_moves(fn.columns, masks, move_columns)
+        masks, move_columns = _neighbourhood(data, fn.m, 10)
+        fused = _single(estimator, fn.columns, masks, move_columns)
         assert fused.dtype == np.int64
         for c in range(fn.m):
             mine = move_columns == c
             if not mine.any():
                 continue
-            per_column = estimator.costs_with_column_replaced(
-                fn.columns, c, masks[mine]
-            )
+            per_column = _single(estimator, fn.columns, masks[mine], move_columns[mine])
             assert (fused[mine] == per_column).all()
 
     def test_costs_for_moves_front_matches_single(self):
@@ -171,7 +193,7 @@ class TestMissEstimator:
         fused = estimator.costs_for_moves_front(column_sets, masks, owners, cols)
         for k, columns in enumerate(column_sets):
             mine = owners == k
-            single = estimator.costs_for_moves(columns, masks[mine], cols[mine])
+            single = _single(estimator, columns, masks[mine], cols[mine])
             assert (fused[mine] == single).all()
 
     def test_costs_for_moves_chunking(self):
@@ -182,9 +204,9 @@ class TestMissEstimator:
         columns = (0b1, 0b10, 0b1100)
         masks = rng.integers(0, 1 << 10, size=41).astype(np.uint64)
         cols = rng.integers(0, 3, size=41).astype(np.intp)
-        expected = estimator.costs_for_moves(columns, masks, cols)
+        expected = _single(estimator, columns, masks, cols)
         estimator.CHUNK_ELEMENTS = 4
-        assert (estimator.costs_for_moves(columns, masks, cols) == expected).all()
+        assert (_single(estimator, columns, masks, cols) == expected).all()
 
     def test_costs_for_moves_validation(self):
         estimator = MissEstimator(ConflictProfile(4, np.zeros(16, dtype=np.int64)))
@@ -199,9 +221,9 @@ class TestMissEstimator:
                 np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
             )
         with pytest.raises(ValueError):
-            estimator.costs_for_moves(
-                (1, 2), np.array([1, 2], dtype=np.uint64),
-                np.array([0], dtype=np.intp),
+            estimator.costs_for_moves_front(
+                [(1, 2)], np.array([1, 2], dtype=np.uint64),
+                np.zeros(2, dtype=np.intp), np.array([0], dtype=np.intp),
             )
 
     def test_evaluation_counter(self):
@@ -209,9 +231,12 @@ class TestMissEstimator:
         counts[1] = 1
         estimator = MissEstimator(ConflictProfile(4, counts))
         estimator.cost((0b1, 0b10))
-        estimator.costs_with_column_replaced((0b1, 0b10), 0, np.array([1, 2, 4]))
+        _single(
+            estimator, (0b1, 0b10), np.array([1, 2, 4]), np.zeros(3, dtype=np.intp)
+        )
         assert estimator.evaluations == 4
-        estimator.costs_for_moves(
+        _single(
+            estimator,
             (0b1, 0b10),
             np.array([1, 2, 4], dtype=np.uint64),
             np.array([0, 1, 1], dtype=np.intp),
@@ -222,6 +247,18 @@ class TestMissEstimator:
         estimator = MissEstimator(ConflictProfile(4, np.zeros(16, dtype=np.int64)))
         assert estimator.cost((0b1,)) == 0
         assert estimator.support_size == 0
+
+
+class _SupportProfile:
+    """A profile given by its support alone: a 40-bit window has no
+    dense histogram."""
+
+    def __init__(self, n, vectors, weights):
+        self.n = n
+        self._support = (vectors, weights)
+
+    def support(self):
+        return self._support
 
 
 class TestWideWindows:
@@ -243,7 +280,7 @@ class TestWideWindows:
     def test_support_side_has_no_width_limit(self):
         profile = self._wide_profile()
         fn = XorHashFunction(17, [1 << c for c in range(14)])
-        assert MissEstimator(profile).cost_of(fn) == \
+        assert MissEstimator(profile).cost(fn.columns) == \
             estimate_misses_nullspace(profile, fn)
 
     @settings(max_examples=20, deadline=None)
@@ -263,7 +300,7 @@ class TestWideWindows:
         for vector, weight in entries:
             counts[vector] += weight
         profile = ConflictProfile(n, counts)
-        assert MissEstimator(profile).cost_of(fn) == \
+        assert MissEstimator(profile).cost(fn.columns) == \
             estimate_misses_nullspace(profile, fn)
 
     def test_wide_estimator_agrees_with_nullspace(self):
@@ -274,17 +311,52 @@ class TestWideWindows:
         profile = ConflictProfile(n, counts)
         fn = XorHashFunction(n, [(1 << c) | (1 << 19) for c in range(8)])
         estimator = MissEstimator(profile)
-        assert estimator.cost_of(fn) == estimate_misses_nullspace(profile, fn)
+        assert estimator.cost(fn.columns) == estimate_misses_nullspace(profile, fn)
         candidates = rng.integers(0, 1 << n, size=40).astype(np.uint32)
-        batched = estimator.costs_with_column_replaced(fn.columns, 2, candidates)
-        loop = estimator._costs_with_column_replaced_loop(fn.columns, 2, candidates)
-        assert (batched == loop).all()
+        batched = assert_front_matches_oracle(
+            estimator, profile, [fn.columns], candidates,
+            np.zeros(40, dtype=np.intp), np.full(40, 2, dtype=np.intp),
+        )
         for cand, cost in zip(candidates[:5], batched[:5]):
             replaced = list(fn.columns)
             replaced[2] = int(cand)
             assert estimate_misses_nullspace(
                 profile, XorHashFunction(n, replaced)
             ) == cost
+
+    def test_packed_neighbourhood_matches_oracle(self):
+        """n = 20 with residues large enough that the candidate gather
+        takes the bit-packed route."""
+        n = 20
+        rng = np.random.default_rng(13)
+        counts = np.zeros(1 << n, dtype=np.int64)
+        counts[rng.integers(1, 1 << n, size=4000)] = rng.integers(1, 40, size=4000)
+        profile = ConflictProfile(n, counts)
+        columns = ((1 << 3) | (1 << 17), (1 << 5) | (1 << 11))
+        masks = rng.integers(0, 1 << n, size=64).astype(np.uint64)
+        cols = np.repeat(np.arange(2, dtype=np.intp), 32)
+        vectors, _ = support_arrays(profile)
+        for other in columns:
+            assert packing_pays(n, 32 * int(annihilated(vectors, [other]).sum()))
+        assert_front_matches_oracle(
+            MissEstimator(profile), profile, [columns], masks,
+            np.zeros(64, dtype=np.intp), cols,
+        )
+
+    def test_uint64_support_matches_oracle(self):
+        """n = 40: the support is ``uint64`` and masks reach past bit 32."""
+        n = 40
+        rng = np.random.default_rng(17)
+        vectors = np.unique(rng.integers(1, 1 << n, size=3000, dtype=np.uint64))
+        weights = rng.integers(1, 40, size=len(vectors)).astype(np.int64)
+        profile = _SupportProfile(n, vectors, weights)
+        columns = tuple(map(int, rng.integers(1, 1 << n, size=3, dtype=np.uint64)))
+        masks = rng.integers(0, 1 << n, size=60, dtype=np.uint64)
+        assert (masks >> np.uint64(32)).any()
+        assert_front_matches_oracle(
+            MissEstimator(profile), profile, [columns], masks,
+            np.zeros(60, dtype=np.intp), rng.integers(0, 3, size=60).astype(np.intp),
+        )
 
     def test_support_dtype_widens_past_32_bits(self):
         from repro.profiling.estimator import _support_dtype

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.profiling.lru_stack import LRUStack
+from tests.oracles.profile import LRUStack
 
 
 class TestLruStack:

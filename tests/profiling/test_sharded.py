@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.pipeline.context import PipelineContext
-from repro.profiling.conflict_profile import (
-    ConflictProfile,
-    profile_blocks,
-    profile_blocks_reference,
-)
+from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
 from repro.profiling.sharded import ShardPlan, run_sharded_profile
 from repro.trace import Trace, save_trace_bin
 from tests.conftest import block_traces
+from tests.oracles.profile import profile_blocks_reference
 from tests.profiling.test_conflict_profile import assert_profiles_equal
 
 

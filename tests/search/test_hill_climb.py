@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from repro.gf2.hashfn import XorHashFunction
 from repro.profiling.conflict_profile import ConflictProfile, profile_blocks
-from repro.profiling.estimator import MissEstimator
 from repro.search.families import (
     BitSelectFamily,
     GeneralXorFamily,
     PermutationFamily,
 )
-from repro.search.hill_climb import (
-    hill_climb_front,
-    hill_climb_restarts,
-    hill_climb_scalar,
-)
+from repro.search.hill_climb import hill_climb_front, hill_climb_restarts
 from repro.search.strategies import strategy_for_name
+from tests.oracles.search import hill_climb_scalar
 
 #: The batched steepest descent, the paper's search pass.
 STEEPEST = strategy_for_name("steepest")
@@ -224,15 +220,12 @@ class TestLockstepFront:
         profile = profile_blocks(blocks, 64, 12)
         family = PermutationFamily(12, 6, 2)
         front = hill_climb_front(profile, family, restarts=5, seed=9)
-        estimator = MissEstimator(profile)
         start_rng = np.random.default_rng(9)
-        expected = [hill_climb_scalar(profile, family, estimator=estimator)]
+        expected = [hill_climb_scalar(profile, family)]
         for _ in range(5):
             expected.append(
                 hill_climb_scalar(
-                    profile, family,
-                    start=family.random_member(start_rng),
-                    estimator=estimator,
+                    profile, family, start=family.random_member(start_rng)
                 )
             )
         assert len(front) == 6

@@ -5,7 +5,7 @@ import pytest
 
 from repro.profiling.conflict_profile import profile_blocks
 from repro.search.families import BitSelectFamily, PermutationFamily
-from repro.search.hill_climb import hill_climb_front, hill_climb_scalar
+from repro.search.hill_climb import hill_climb_front
 from repro.search.strategies import (
     Annealing,
     BeamSearch,
@@ -14,6 +14,7 @@ from repro.search.strategies import (
     SteepestDescent,
     strategy_for_name,
 )
+from tests.oracles.search import hill_climb_scalar
 
 
 @pytest.fixture(scope="module")

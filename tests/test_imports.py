@@ -8,7 +8,8 @@ Specs validate against static name tables and a warm replay answers
 from its records, so neither imports NumPy either.
 """
 
-import importlib
+import ast
+import importlib.util
 import json
 import os
 import pkgutil
@@ -144,6 +145,50 @@ def test_every_exported_name_resolves(package):
     for name in getattr(module, "__all__", ()):
         assert getattr(module, name) is not None, name
         assert name in dir(module)
+
+
+#: Test oracles that live under ``tests/oracles/`` and the estimator
+#: scorers no package code called; no ``repro`` module may hold them.
+RETIRED_NAMES = {
+    "LRUStack",
+    "profile_blocks_reference",
+    "profile_blocks_slotted",
+    "hill_climb_scalar",
+    "simulate_direct_mapped_scalar",
+    "simulate_set_associative_scalar",
+    "simulate_fully_associative_scalar",
+    "simulate_skewed_scalar",
+    "estimate_misses_nullspace",
+    "save_trace_text_reference",
+    "cost_of",
+    "costs_for_moves",
+    "costs_with_column_replaced",
+    "_costs_with_column_replaced_loop",
+}
+RETIRED_MODULES = ("repro.cache.reference", "repro.profiling.lru_stack")
+
+
+def test_oracles_live_outside_the_package():
+    """No ``repro`` module defines or exports an oracle, and none
+    imports the test package."""
+    for module in RETIRED_MODULES:
+        assert importlib.util.find_spec(module) is None, module
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = node.name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                defined = node.value  # an __all__ or lazy-export entry
+            elif isinstance(node, ast.Import):
+                defined = None
+                for alias in node.names:
+                    assert alias.name.split(".")[0] != "tests", path
+            elif isinstance(node, ast.ImportFrom):
+                defined = None
+                assert (node.module or "").split(".")[0] != "tests", path
+            else:
+                continue
+            assert defined not in RETIRED_NAMES, f"{path}: {defined}"
 
 
 def test_lazy_attribute_errors_are_attribute_errors():

@@ -7,9 +7,10 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.core.optimizer import optimize_for_trace
 from repro.profiling.conflict_profile import profile_trace
-from repro.profiling.estimator import MissEstimator, estimate_misses_nullspace
+from repro.profiling.estimator import MissEstimator
 from repro.gf2.hashfn import XorHashFunction
 from repro.trace.trace import Trace
+from tests.oracles.eq4 import estimate_misses_nullspace
 
 
 @pytest.fixture
@@ -53,7 +54,7 @@ class TestNarrowWindow:
         profile = ConflictProfile(17, counts)
         fn = XorHashFunction.modulo(17, 4)
         assert estimate_misses_nullspace(profile, fn) == 5  # 1<<16 is in N(fn)
-        assert MissEstimator(profile).cost_of(fn) == 5
+        assert MissEstimator(profile).cost(fn.columns) == 5
 
     def test_wide_window_end_to_end(self, small_conflict_trace):
         """The full pipeline runs at n = 18, where the estimator packs."""

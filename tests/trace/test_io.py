@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace.formats import iter_trace_text
-from repro.trace.io import (
-    load_trace,
-    save_trace,
-    save_trace_text,
-    save_trace_text_reference,
-)
+from repro.trace.io import load_trace, save_trace, save_trace_text
 from repro.trace.trace import Trace
+from tests.oracles.trace_text import save_trace_text_reference
 
 
 def _sample():
