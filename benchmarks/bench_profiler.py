@@ -13,7 +13,9 @@ Two entry points:
   ~94 M pairs at 16 KB) at 1/4/16 KB, once in a single multi-capacity
   pass and once per capacity; it verifies the profiles agree, records
   each kernel's conflict pairs per second, and fails unless the single
-  pass is no slower than the three separate ones together.  Both
+  pass is no slower than the three separate ones together.  One more,
+  untimed, multi-capacity pass per kernel runs under ``tracemalloc``
+  and records its peak and the bytes its profiles keep.  Both
   sections go to ``BENCH_profiler.json``;
 * ``pytest benchmarks/bench_profiler.py`` — pytest-benchmark variant
   on a reduced trace for trend tracking.
@@ -25,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +108,18 @@ def _best_of(repeats: int, fn):
     return best
 
 
+def _traced(fn):
+    """(result, traced peak in MB, traced bytes the result keeps) of
+    one call of ``fn`` under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20, retained
+
+
 def run_multi(repeats: int = 2) -> dict:
     """One multi-capacity pass against one pass per capacity."""
     from repro.api import TraceSpec
@@ -129,6 +144,8 @@ def run_multi(repeats: int = 2) -> dict:
         assert [p.digest for p in multi] == [p.digest for p in singles], (
             f"{kernel}: multi-capacity profiles diverge"
         )
+        traced, peak_mb, retained = _traced(one_pass)
+        assert [p.digest for p in traced] == [p.digest for p in multi]
         kernels.append(
             {
                 "kernel": kernel,
@@ -138,6 +155,9 @@ def run_multi(repeats: int = 2) -> dict:
                 # Pairs the one pass enumerates: the largest capacity's.
                 "pairs_per_s": round(multi[-1].total_weight / multi_s),
                 "single_passes_seconds": round(singles_s, 4),
+                "tracemalloc_peak_mb": round(peak_mb, 2),
+                # The profiles' support arrays and objects.
+                "retained_bytes": retained,
             }
         )
     one = sum(k["one_pass_seconds"] for k in kernels)
@@ -187,7 +207,9 @@ def main(argv: list[str] | None = None) -> int:
           f"({multi['speedup']:.2f}x)")
     for kernel in multi["kernels"]:
         print(f"    {kernel['kernel']:8s} one pass {kernel['one_pass_seconds']:6.2f}s  "
-              f"({kernel['pairs_per_s'] / 1e6:.1f} M pairs/s)")
+              f"({kernel['pairs_per_s'] / 1e6:.1f} M pairs/s, "
+              f"peak {kernel['tracemalloc_peak_mb']:.1f} MB, "
+              f"profiles {kernel['retained_bytes'] / 1024:.0f} KB)")
     args.output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.output}")
     status = 0

@@ -40,9 +40,10 @@ __all__ = [
 #: (:func:`parse_family` additionally accepts any ``"<k>-in"``.)
 FAMILY_CHOICES = ("1-in", "2-in", "4-in", "16-in", "general")
 
-#: Widest hashed window ``search.n`` a spec may ask for.  The conflict
-#: profile is dense — one int64 bin per ``n``-bit vector and capacity —
-#: so 24 bits already cost 128 MiB per capacity.
+#: Widest hashed window ``search.n`` a spec may ask for.  The Fig. 1
+#: pass bins into a dense histogram — one int64 bin per ``n``-bit vector
+#: and capacity — so 24 bits already cost 128 MiB per capacity, though
+#: the finished profile keeps only its non-zero bins.
 MAX_HASHED_BITS = 24
 
 #: Kernel names per suite, in the paper's table order (Tables 2 and 3).

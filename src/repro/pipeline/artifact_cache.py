@@ -63,6 +63,7 @@ __all__ = [
     "PROFILE_MEMO",
     "cache_events",
     "default_cache_dir",
+    "profile_key",
     "replayed",
     "stable_key",
 ]
@@ -99,6 +100,17 @@ def stable_key(kind: str, params: dict[str, Any]) -> str:
         {"kind": kind, "params": params}, sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def profile_key(kind: str, base: dict, capacity: int, shard=None) -> str:
+    """Key of a profile artifact: ``base`` (trace digest, block size,
+    window ``n``) and the capacity in blocks — not the full geometry,
+    so every associativity sharing a capacity shares the profile — plus
+    a shard's bounds (``start``, ``stop``) for the per-shard partials."""
+    params = {**base, "capacity_blocks": capacity}
+    if shard is not None:
+        params.update(start=shard.start, stop=shard.stop)
+    return stable_key(kind, params)
 
 
 #: Event dicts of the :func:`cache_events` scopes open in this context,
@@ -215,6 +227,8 @@ class DeferredProfile:
                     f"memo records {self.digest}"
                 )
             self._profile = profile
+            # The profile holds its support; the archive bytes can go.
+            del self._payload
         return profile
 
     def __getattr__(self, name: str):

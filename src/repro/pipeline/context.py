@@ -11,9 +11,11 @@ artifact goes through it:
   :meth:`~PipelineContext.baseline`, :meth:`~PipelineContext.evaluate`
   and :meth:`~PipelineContext.evaluate_many` front the exact simulators
   of :mod:`repro.cache.engine`;
-* ``profile`` — :meth:`~PipelineContext.profile` fronts the one Fig. 1
-  profile driver, :func:`repro.profiling.run_sharded_profile`, which
-  stages the merged profiles (and, unmemoized, its shard scans);
+* ``profile`` — :meth:`~PipelineContext.profile_stage` stages the
+  merged profiles that :meth:`~PipelineContext.profile` and the Fig. 1
+  profile driver, :func:`repro.profiling.run_sharded_profile`, ask for;
+  a miss walks the shards (:func:`repro.profiling.sharded.walk_shards`,
+  which stages the shard scans unmemoized);
 * ``optimization`` — :func:`~repro.core.optimizer.optimize_for_trace`
   stages whole results, unmemoized, so a warm replay skips even the
   hill climb.
@@ -65,9 +67,9 @@ from repro.pipeline.artifact_cache import (
     REPLAY_ONLY,
     ArtifactCache,
     NotCached,
+    profile_key,
     stable_key,
 )
-from repro.profiling.sharded import run_sharded_profile
 from repro.trace.trace import DeferredTrace, Trace
 
 if TYPE_CHECKING:
@@ -379,30 +381,73 @@ class PipelineContext:
     ) -> "ConflictProfile":
         """Cached :func:`repro.profiling.profile_trace`.
 
-        The profile driver, :func:`repro.profiling.run_sharded_profile`,
-        stages the merged profiles in this context.  ``capacities``
-        names further capacities (in blocks) that will be asked of the
-        same trace, block size and ``n`` — a campaign grid's other
-        cache sizes.  A miss then profiles each of them not yet
-        memoized or cached in the same pass and stores it under its own
-        key, where those later calls find it.  ``shard_size=None`` is
-        the single in-memory pass; with ``shard_size`` the trace is
-        profiled shard by shard (bit-identical, bounded memory,
-        resumable, optionally parallel over ``workers``), but only once
-        no merged profile is stored under the same keys.
+        ``capacities`` names further capacities (in blocks) that will
+        be asked of the same trace, block size and ``n`` — a campaign
+        grid's other cache sizes.  A miss then profiles each of them
+        not yet memoized or cached in the same pass and stores it under
+        its own key, where those later calls find it.
+        ``shard_size=None`` is the single in-memory pass; with
+        ``shard_size`` the trace is profiled shard by shard
+        (bit-identical, bounded memory, resumable, optionally parallel
+        over ``workers``), but only once no merged profile is stored
+        under the same keys.  A hit imports neither the shard driver
+        nor NumPy.
         """
-        return run_sharded_profile(
-            trace,
-            geometry,
-            n,
-            shard_size=shard_size,
-            workers=workers,
-            context=self,
-            retries=retries,
-            task_timeout=task_timeout,
-            on_error=on_error,
-            capacities=capacities,
-        ).profile
+
+        def walk(wanted: list[int]) -> dict[int, "ConflictProfile"]:
+            from repro.profiling.sharded import walk_shards
+
+            return walk_shards(
+                trace,
+                geometry.block_size,
+                n,
+                wanted,
+                self,
+                shard_size=shard_size,
+                workers=workers,
+                retries=retries,
+                task_timeout=task_timeout,
+                on_error=on_error,
+            )[0]
+
+        found = self.profile_stage(trace, geometry, n, capacities, walk)
+        return found[geometry.num_blocks]
+
+    def profile_stage(
+        self,
+        trace: Trace,
+        geometry: CacheGeometry,
+        n: int,
+        capacities: Sequence[int],
+        walk: Callable[[list[int]], dict[int, "ConflictProfile"]],
+    ) -> dict[int, "ConflictProfile"]:
+        """The merged profiles of ``trace``, by capacity in blocks, as
+        one :meth:`stage` under the standard ``"profile"`` keys.
+
+        ``geometry``'s capacity is looked up first.  Only if it misses
+        are the other ``capacities`` looked up, and ``walk(missing)``
+        computes the missing ones (``geometry``'s first) in one pass;
+        the result holds every profile found or computed.
+        """
+        capacity = geometry.num_blocks
+        base = {"trace": trace.digest, "block_size": geometry.block_size, "n": n}
+        wanted = [capacity, *sorted(set(capacities) - {capacity})]
+        by_key = {profile_key("profile", base, c): c for c in wanted}
+        primary, *siblings = by_key
+
+        def compute(missing: list[str]):
+            merged = walk([by_key[key] for key in missing])
+            return [(key, merged[by_key[key]]) for key in missing]
+
+        found = self.stage(
+            "profile",
+            [primary],
+            compute,
+            load=ArtifactCache.load_profile,
+            store=ArtifactCache.store_profile,
+            siblings=siblings,
+        )
+        return {by_key[key]: profile for key, profile in found.items()}
 
     # -- exact simulation --------------------------------------------------
 

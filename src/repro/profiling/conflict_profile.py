@@ -17,7 +17,8 @@ cache of the same size).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO
 
@@ -58,9 +59,13 @@ _SPAN_WORK = 1 << 14
 #: Masked cells worth one more broadcast in :func:`_bin_suffixes`.
 _CUT_COST = 1500
 
-#: Pair bins buffered between ``bincount`` flushes: 2 Mi int64 entries
-#: (16 MiB) keep ``bincount`` in its fastest range while amortizing
-#: the add of the ``K * 2^n`` histogram.
+#: Cap on the pair bins buffered between ``bincount`` flushes: 2 Mi
+#: int64 entries (16 MiB).  Each flush pays for the ``K * 2^n``
+#: histogram it adds to, so :class:`_PairBins` buffers about 2.5 cells
+#: per bin (:func:`_buffer_cells`): 2 MiB for one capacity at
+#: ``n = 16``, 4 MiB for Table 2's three.  Smaller buffers flush too
+#: often (a Table-2 pass took 24 % longer at half that size); larger
+#: ones only hold memory.
 _PAIR_BUFFER = 1 << 21
 
 #: Cells per flat-gather batch: its index, liveness and bin temporaries
@@ -68,48 +73,94 @@ _PAIR_BUFFER = 1 << 21
 _GATHER_CELLS = 1 << 15
 
 
-@dataclass(frozen=True)
 class ConflictProfile:
     """Histogram of conflict vectors over the hashed address window.
 
     ``counts[v]`` is the number of (access, intervening block) pairs
     whose XOR, truncated to ``n`` bits, equals ``v`` — the paper's
-    ``misses(v)``.
+    ``misses(v)``.  The constructor takes that dense ``2^n`` histogram,
+    but a profile keeps only its support: the non-zero ``vectors``
+    (ascending ``uint32``) and their ``weights`` (``int64``), both
+    read-only.  Eq. 4 sums nothing else, and the profile of a real
+    trace fills a few thousand of the ``2^n`` bins.  :attr:`counts`
+    rebuilds the dense histogram on each read; :attr:`digest`,
+    :meth:`save` and :meth:`merge` hold it only while they run.
     """
 
     n: int
-    counts: np.ndarray
-    compulsory: int = 0
-    capacity: int = 0
-    accesses: int = 0
+    vectors: np.ndarray
+    weights: np.ndarray
+    compulsory: int
+    capacity: int
+    accesses: int
     #: Pairs of distinct blocks equal in all hashed bits.  They conflict
     #: under *every* n-bit hash function (0 is in every null space), so
     #: they are an unavoidable constant excluded from ``counts``.
-    beyond_window: int = 0
+    beyond_window: int
 
-    def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.shape != (1 << self.n,):
+    def __init__(
+        self,
+        n: int,
+        counts: np.ndarray,
+        compulsory: int = 0,
+        capacity: int = 0,
+        accesses: int = 0,
+        beyond_window: int = 0,
+    ):
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (1 << n,):
             raise ValueError(
-                f"counts must have shape ({1 << self.n},), got {counts.shape}"
+                f"counts must have shape ({1 << n},), got {counts.shape}"
             )
         if counts[0] != 0:
             raise ValueError("misses(0) must be zero: a block cannot conflict with itself")
+        vectors = np.flatnonzero(counts)
+        # Both are fresh arrays, so no later write to the caller's
+        # array reaches the profile.
+        self._adopt(
+            n,
+            vectors.astype(np.uint32),
+            counts[vectors],
+            compulsory=compulsory,
+            capacity=capacity,
+            accesses=accesses,
+            beyond_window=beyond_window,
+        )
+
+    def _adopt(self, n: int, vectors, weights, **header: int) -> None:
         # Frozen for real: the memoized digest keys cache artifacts.
-        # Copy when the conversion was a no-op on a writable caller
-        # array, so the freeze never leaks out as a side effect.
-        if counts is self.counts and counts.flags.writeable:
-            counts = counts.copy()
+        vectors.setflags(write=False)
+        weights.setflags(write=False)
+        for name, value in dict(n=n, vectors=vectors, weights=weights, **header).items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def replace(self, **header: int) -> "ConflictProfile":
+        """The same support under other header fields (``compulsory``,
+        ``capacity``, ``accesses``, ``beyond_window``)."""
+        profile = object.__new__(ConflictProfile)
+        fields = {name: getattr(self, name) for name in _HEADER}
+        profile._adopt(self.n, self.vectors, self.weights, **{**fields, **header})
+        return profile
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense ``2^n`` histogram, built anew (read-only) per read."""
+        counts = np.zeros(1 << self.n, dtype=np.int64)
+        counts[self.vectors] = self.weights
         counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        return counts
 
     @property
     def digest(self) -> str:
         """Stable content digest over every field of the profile.
 
         Used by the artifact cache to key search outcomes against the
-        exact profile they were derived from.  Memoized per instance
-        (the counts array is frozen).
+        exact profile they were derived from: sha256 over the header
+        and the dense histogram's bytes.  Memoized per instance (the
+        profile is frozen).
         """
         cached = self.__dict__.get("_digest")
         if cached is None:
@@ -118,7 +169,7 @@ class ConflictProfile:
                 f"|n={self.n}|compulsory={self.compulsory}|capacity={self.capacity}"
                 f"|accesses={self.accesses}|beyond={self.beyond_window}|".encode()
             )
-            h.update(self.counts.tobytes())
+            h.update(self.counts)
             cached = h.hexdigest()
             object.__setattr__(self, "_digest", cached)
         return cached
@@ -126,64 +177,51 @@ class ConflictProfile:
     @property
     def total_weight(self) -> int:
         """Sum of all vector counts."""
-        return int(self.counts.sum())
+        return int(self.weights.sum())
 
     @property
     def num_distinct_vectors(self) -> int:
-        return int(np.count_nonzero(self.counts))
+        return len(self.vectors)
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(vectors, counts) for the non-zero entries, as numpy arrays."""
-        vectors = np.nonzero(self.counts)[0].astype(np.uint32)
-        return vectors, self.counts[vectors]
+        """(vectors, counts) for the non-zero entries, vectors ascending
+        (the profile's own read-only arrays)."""
+        return self.vectors, self.weights
 
     def weight_of(self, vector: int) -> int:
         """``misses(v)`` for a single vector."""
         if not 0 <= vector < (1 << self.n):
             raise ValueError(f"vector {vector:#x} does not fit in {self.n} bits")
-        return int(self.counts[vector])
+        i = int(np.searchsorted(self.vectors, vector))
+        if i < len(self.vectors) and int(self.vectors[i]) == vector:
+            return int(self.weights[i])
+        return 0
 
     @classmethod
     def merge(cls, profiles) -> "ConflictProfile":
         """One-pass pointwise sum of any number of profiles.
 
-        Accepts any iterable (consumed lazily, so a generator of
-        per-shard or per-window profiles never holds more than one
-        addend plus the accumulator — memory stays O(2^n), not
-        O(profiles x 2^n)) and accumulates every histogram into a
-        single buffer.  Equivalent to chaining :meth:`merged_with`
-        (property-tested) without the intermediate profile object and
-        ``2^n`` temporary per addend.
+        Accepts any iterable, consumed lazily: a generator of per-shard
+        or per-window profiles never holds more than one addend plus
+        one dense ``2^n`` accumulator, freed on return.  Equivalent to
+        chaining :meth:`merged_with` (property-tested) without the
+        intermediate profile objects.
         """
         iterator = iter(profiles)
         try:
             first = next(iterator)
         except StopIteration:
             raise ValueError("merge needs at least one profile") from None
-        counts = np.array(first.counts, dtype=np.int64)
-        compulsory = first.compulsory
-        capacity = first.capacity
-        accesses = first.accesses
-        beyond_window = first.beyond_window
-        for profile in iterator:
+        counts = np.zeros(1 << first.n, dtype=np.int64)
+        header = dict.fromkeys(_HEADER, 0)
+        for profile in chain([first], iterator):
             if profile.n != first.n:
                 raise ValueError(f"window sizes differ: {first.n} vs {profile.n}")
-            np.add(counts, profile.counts, out=counts)
-            compulsory += profile.compulsory
-            capacity += profile.capacity
-            accesses += profile.accesses
-            beyond_window += profile.beyond_window
-        # Pre-freeze so the constructor adopts the accumulator instead
-        # of defensively copying a writable caller array.
-        counts.setflags(write=False)
-        return cls(
-            first.n,
-            counts,
-            compulsory=compulsory,
-            capacity=capacity,
-            accesses=accesses,
-            beyond_window=beyond_window,
-        )
+            # A profile's vectors are distinct, so no index repeats.
+            counts[profile.vectors] += profile.weights
+            for name in _HEADER:
+                header[name] += getattr(profile, name)
+        return cls(first.n, counts, **header)
 
     def merged_with(self, other: "ConflictProfile") -> "ConflictProfile":
         """Pointwise sum of two profiles over the same window."""
@@ -192,14 +230,14 @@ class ConflictProfile:
     def top_vectors(self, k: int) -> list[tuple[int, int]]:
         """The ``k`` heaviest conflict vectors as (vector, count) pairs,
         ties broken by ascending vector."""
-        vectors, counts = self.support()
-        # support() lists vectors ascending, so a stable sort on the
-        # negated counts keeps tied vectors in that order.
-        order = np.argsort(-counts, kind="stable")[:k]
-        return [(int(vectors[i]), int(counts[i])) for i in order]
+        # The vectors ascend, so a stable sort on the negated counts
+        # keeps tied vectors in that order.
+        order = np.argsort(-self.weights, kind="stable")[:k]
+        return [(int(self.vectors[i]), int(self.weights[i])) for i in order]
 
     def save(self, target: str | Path | BinaryIO) -> None:
-        """Write a compressed ``.npz`` archive to a path or binary file."""
+        """Write a compressed ``.npz`` archive (``n``, the dense
+        ``counts`` and ``meta``) to a path or binary file."""
         np.savez_compressed(
             target,
             n=self.n,
@@ -232,6 +270,10 @@ class ConflictProfile:
             f"weight={self.total_weight}, compulsory={self.compulsory}, "
             f"capacity={self.capacity}, accesses={self.accesses})"
         )
+
+
+#: The header fields a profile carries beside its support.
+_HEADER = ("compulsory", "capacity", "accesses", "beyond_window")
 
 
 def profile_blocks(
@@ -325,7 +367,6 @@ def _profile_pass(
     cumulative = np.cumsum(hist.reshape(len(caps), 1 << n), axis=0)
     beyond = cumulative[:, 0].copy()
     cumulative[:, 0] = 0
-    cumulative.setflags(write=False)
     compulsory = count - int(per_bucket.sum())
     capacity_misses = np.cumsum(per_bucket[::-1])[::-1]
     return {
@@ -426,6 +467,14 @@ def _bin_chunk(bins, low, nxt, t0, live, live_nxt, lo, rows, high) -> None:
         r0 = r1
 
 
+def _buffer_cells(bins: int) -> int:
+    """Buffer cells for a ``bins``-bin histogram: 2.5 per bin, rounded
+    up to a power of two, at least ``_GATHER_CELLS`` (one gather batch)
+    and at most ``_PAIR_BUFFER``."""
+    cells = 1 << ((5 * bins + 1) // 2 - 1).bit_length()
+    return min(_PAIR_BUFFER, max(_GATHER_CELLS, cells))
+
+
 class _PairBins:
     """A ``bincount`` histogram fed through one preallocated buffer.
 
@@ -436,7 +485,7 @@ class _PairBins:
     def __init__(self, bins: int):
         self.dump = bins
         self._hist = np.zeros(bins + 1, dtype=np.int64)
-        self._buf = np.empty(_PAIR_BUFFER, dtype=np.int64)
+        self._buf = np.empty(_buffer_cells(bins), dtype=np.int64)
         self._fill = 0
 
     def _flush(self) -> None:

@@ -9,7 +9,8 @@ the single pass, in memory bounded by the shard size and the block
 working set rather than the trace length.  It is the only profile
 driver: the single pass is its one-shard plan, and every
 :meth:`PipelineContext.profile
-<repro.pipeline.context.PipelineContext.profile>` miss runs here.
+<repro.pipeline.context.PipelineContext.profile>` miss runs
+:func:`walk_shards`.
 
 Why exactness survives the cut
 ------------------------------
@@ -48,11 +49,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.cache.geometry import CacheGeometry
+from repro.pipeline.artifact_cache import profile_key
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +69,7 @@ __all__ = [
     "ArrayBlockSource",
     "FileBlockSource",
     "run_sharded_profile",
+    "walk_shards",
 ]
 
 #: Default accesses per shard: ~32 MB of uint64 blocks, small enough
@@ -253,26 +256,12 @@ def _profile_shard(
     profile_blocks(synthetic, max(capacities), n, siblings=profiles)
     # The prefix accesses are first touches at every capacity.
     return {
-        capacity: replace(
-            profile,
+        capacity: profile.replace(
             compulsory=profile.compulsory - len(prefix_blocks),
             accesses=len(shard_blocks),
         )
         for capacity, profile in profiles.items()
     }
-
-
-def _profile_key(kind: str, base: dict, capacity: int, shard: Shard | None = None) -> str:
-    """Key of a profile artifact: ``base`` (trace digest, block size,
-    window ``n``) and the capacity in blocks — not the full geometry,
-    so every associativity sharing a capacity shares the profile — plus
-    a shard's bounds for the per-shard partials."""
-    from repro.pipeline.artifact_cache import stable_key
-
-    params = {**base, "capacity_blocks": capacity}
-    if shard is not None:
-        params.update(start=shard.start, stop=shard.stop)
-    return stable_key(kind, params)
 
 
 # -- worker tasks (top level so the process pool can pickle them) ----------
@@ -321,32 +310,50 @@ def _profile_shard_task(context, item, source, n) -> dict[int, ConflictProfile]:
 # -- drivers ---------------------------------------------------------------
 
 
-def _run_sharded(
-    source,
-    plan: ShardPlan,
-    capacities: list[int],
+def _plan(trace: Trace, shard_size: int | None, workers: int | None) -> tuple[ShardPlan, int]:
+    """The plan cutting ``trace`` and the workers it runs on: one per
+    core for ``workers=None``, at most one per shard."""
+    plan = ShardPlan(len(trace), shard_size)
+    # One shard runs in process: no core count (a file read per call),
+    # which a cache hit would otherwise pay for.
+    if workers is None and len(plan) > 1:
+        workers = os.cpu_count() or 1
+    return plan, max(1, min(workers or 1, len(plan)))
+
+
+def walk_shards(
+    trace: Trace,
+    block_size: int,
     n: int,
-    workers: int,
+    capacities: list[int],
     context,
-    key_base: dict | None = None,
+    shard_size: int | None = DEFAULT_SHARD_SIZE,
+    workers: int | None = 1,
     retries: int = 0,
     task_timeout: float | None = None,
     on_error: str = "raise",
 ) -> tuple[dict[int, ConflictProfile], int, int, int]:
     """(merged profile per capacity, shards recomputed, shards loaded,
-    scans recomputed) for ``source`` cut along ``plan``.
+    scans recomputed) for ``trace`` cut into ``shard_size`` shards:
+    the compute half of :func:`run_sharded_profile`, which looks up no
+    merged profile.
 
     A plan of at most one shard is the single pass, run in process: no
     scan, shard artifact, fault site or retry layer.  Otherwise both
-    phases fan out through ``context.map``.  Shard artifacts are keyed
-    on ``key_base``, given only with a cached ``context``.
-    Scan summaries depend on no capacity; they are keyed like
-    ``capacities[0]``'s.
+    phases fan out through ``context.map``.  With a cached ``context``
+    the shard artifacts are keyed by trace digest, block size, ``n``,
+    capacity and shard bounds.  Scan summaries depend on no capacity;
+    they are keyed like ``capacities[0]``'s.
     """
     import numpy as np
 
     from repro.profiling.conflict_profile import ConflictProfile
 
+    plan, workers = _plan(trace, shard_size, workers)
+    source = _block_source(trace, block_size)
+    key_base = None
+    if context.cache is not None:
+        key_base = {"trace": trace.digest, "block_size": block_size, "n": n}
     if min(capacities) < 1:
         raise ValueError(f"capacity must be >= 1 block, got {min(capacities)}")
     if len(plan) <= 1:
@@ -368,7 +375,7 @@ def _run_sharded(
     def shard_key(kind: str, shard: Shard, capacity: int) -> str | None:
         if key_base is None:
             return None
-        return _profile_key(kind, key_base, capacity, shard)
+        return profile_key(kind, key_base, capacity, shard)
 
     # Per shard: the stored profile by capacity, and the keys of the
     # capacities a shard task must compute.
@@ -453,9 +460,10 @@ def run_sharded_profile(
     capacities: Sequence[int] = (),
 ) -> ShardedProfileResult:
     """Profile a trace shard by shard; return the merged profile plus
-    execution stats.  The one Fig. 1 profile driver: every
+    execution stats.  The one Fig. 1 profile driver:
     :meth:`PipelineContext.profile
-    <repro.pipeline.context.PipelineContext.profile>` miss runs here.
+    <repro.pipeline.context.PipelineContext.profile>` runs the same
+    stage and, on a miss, the same :func:`walk_shards`.
 
     ``shard_size=None`` is a one-shard plan, the single in-memory pass.
     ``capacities`` names further capacities (in blocks) profiled in the
@@ -464,7 +472,8 @@ def run_sharded_profile(
 
     With a ``context`` (a
     :class:`~repro.pipeline.context.PipelineContext`) the merged
-    profiles are one :meth:`~repro.pipeline.context.PipelineContext.stage`
+    profiles are its
+    :meth:`~repro.pipeline.context.PipelineContext.profile_stage`,
     under the standard ``"profile"`` keys: a stored merged profile is
     served first (then, on a miss, each other capacity is looked up)
     and only the missing ones are computed.  A one-shard plan's only
@@ -484,66 +493,35 @@ def run_sharded_profile(
     recomputed by a retry.
     """
     t0 = time.perf_counter()
-    block_size = geometry.block_size
-    capacity = geometry.num_blocks
-    plan = ShardPlan(len(trace), shard_size)
-    wanted = [capacity, *sorted(set(capacities) - {capacity})]
-    # One shard runs in process: no core count (a file read per call),
-    # which a cache hit would otherwise pay for.
-    if workers is None and len(plan) > 1:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers or 1, len(plan)))
-    cache = context.cache if context is not None else None
-    base = None
-    if context is not None:
-        base = {"trace": trace.digest, "block_size": block_size, "n": n}
+    if context is None:
+        from repro.pipeline.context import PipelineContext
+
+        # Shards fan out through a context even without a cache.
+        context = PipelineContext()
+    plan, pool = _plan(trace, shard_size, workers)
     ran = {"shards": 0, "cached": 0, "scans": 0}
 
     def walk(capacities: list[int]) -> dict[int, ConflictProfile]:
-        profiles, ran["shards"], ran["cached"], ran["scans"] = _run_sharded(
-            _block_source(trace, block_size),
-            plan,
-            capacities,
+        profiles, ran["shards"], ran["cached"], ran["scans"] = walk_shards(
+            trace,
+            geometry.block_size,
             n,
-            workers,
+            capacities,
             context,
-            base if cache is not None else None,
+            shard_size=shard_size,
+            workers=pool,
             retries=retries,
             task_timeout=task_timeout,
             on_error=on_error,
         )
         return profiles
 
-    if context is None:
-        from repro.pipeline.context import PipelineContext
-
-        # Shards fan out through a context even without a cache.
-        context = PipelineContext()
-        profiles = walk(wanted)
-    else:
-        from repro.pipeline.artifact_cache import ArtifactCache
-
-        by_key = {_profile_key("profile", base, c): c for c in wanted}
-        primary, *siblings = by_key
-
-        def compute(missing: list[str]):
-            merged = walk([by_key[key] for key in missing])
-            return [(key, merged[by_key[key]]) for key in missing]
-
-        found = context.stage(
-            "profile",
-            [primary],
-            compute,
-            load=ArtifactCache.load_profile,
-            store=ArtifactCache.store_profile,
-            siblings=siblings,
-        )
-        profiles = {by_key[key]: profile for key, profile in found.items()}
+    profiles = context.profile_stage(trace, geometry, n, capacities, walk)
     return ShardedProfileResult(
-        profile=profiles[capacity],
+        profile=profiles[geometry.num_blocks],
         profiles=profiles,
         plan=plan,
-        workers=workers,
+        workers=pool,
         recomputed_shards=ran["shards"],
         cached_shards=ran["cached"],
         recomputed_scans=ran["scans"],

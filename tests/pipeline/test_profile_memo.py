@@ -23,9 +23,9 @@ from repro.pipeline.artifact_cache import (
     DeferredProfile,
     cache_events,
 )
+from repro.pipeline.artifact_cache import profile_key as _profile_key
 from repro.pipeline.context import PipelineContext
 from repro.profiling.conflict_profile import ConflictProfile
-from repro.profiling.sharded import _profile_key
 
 SPEC = ExperimentSpec(
     trace=TraceSpec("powerstone", "qurt", scale="tiny"),

@@ -103,6 +103,24 @@ def test_warm_run_is_lean(warm_cache):
     assert "numpy" not in modules
 
 
+def test_warm_run_skips_the_shard_driver(warm_cache):
+    """A stored profile is looked up before the shard driver loads."""
+    spec_file, cache, _ = warm_cache
+    probe = run_python(
+        "-c",
+        "import json, sys\n"
+        "from repro.__main__ import main\n"
+        f"assert main(['run', {str(spec_file)!r}, '--cache-dir', {str(cache)!r}, "
+        "'--expect-cached', '--json']) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))",
+    )
+    assert probe.returncode == 0, probe.stderr
+    modules = json.loads(probe.stdout.splitlines()[-1])
+    assert "repro.pipeline.context" in modules
+    assert "repro.profiling.sharded" not in modules
+    assert "numpy" not in modules
+
+
 def test_dry_run_loads_no_numpy(warm_cache):
     spec_file, _, _ = warm_cache
     probe = run_python(
@@ -160,6 +178,7 @@ RETIRED_NAMES = {
     "simulate_skewed_scalar",
     "estimate_misses_nullspace",
     "save_trace_text_reference",
+    "DenseConflictProfile",
     "cost_of",
     "costs_for_moves",
     "costs_with_column_replaced",
