@@ -13,7 +13,9 @@ Two entry points:
 
 Every case asserts the engine's stats equal the scalar oracle's on
 the full trace, and that same full scalar replay provides the
-reference timing — identical work on both sides.
+reference timing — identical work on both sides.  A case's speedup is
+the median of :data:`PAIRS` alternating engine/reference timing pairs,
+so one pair slowed by other load on a shared host cannot decide a floor.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ FLOORS = {
     "fully_associative": 3.0,
     "skewed_two_bank": 5.0,
 }
+
+#: Timing pairs per case (odd, so the median is one pair).  A pair is the
+#: engine's best of 3 followed by one reference replay.
+PAIRS = 5
 
 
 def make_blocks(refs: int, seed: int = 42) -> np.ndarray:
@@ -101,14 +107,19 @@ def run(refs: int) -> dict:
          simulate_skewed_scalar, (banks, 0)),
     ]
     for name, engine_fn, engine_args, scalar_fn, scalar_args in cases:
-        with use_backend("numpy"):
-            rate, stats = _rate(engine_fn, blocks, *engine_args)
-        scalar_rate, scalar_stats = _rate(scalar_fn, blocks, *scalar_args, repeats=1)
-        assert stats == scalar_stats, f"{name}: engine != reference"
+        pairs = []
+        for _ in range(PAIRS):
+            with use_backend("numpy"):
+                rate, stats = _rate(engine_fn, blocks, *engine_args)
+            scalar_rate, scalar_stats = _rate(scalar_fn, blocks, *scalar_args, repeats=1)
+            assert stats == scalar_stats, f"{name}: engine != reference"
+            pairs.append((rate / scalar_rate, rate, scalar_rate))
+        speedup, rate, scalar_rate = sorted(pairs)[PAIRS // 2]
         results["cases"][name] = {
             "engine_accesses_per_sec": round(rate),
             "reference_accesses_per_sec": round(scalar_rate),
-            "speedup": round(rate / scalar_rate, 2),
+            "speedup": round(speedup, 2),
+            "pair_speedups": [round(pair[0], 2) for pair in pairs],
         }
         if name in FLOORS:
             results["cases"][name]["floor"] = FLOORS[name]

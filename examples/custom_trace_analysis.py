@@ -17,7 +17,7 @@ Run:  python examples/custom_trace_analysis.py
 
 import numpy as np
 
-from repro import CacheGeometry, PAPER_HASHED_BITS, optimize_for_trace, profile_trace
+from repro import CacheGeometry, PAPER_HASHED_BITS, profile_trace
 from repro.cache import (
     ModuloIndexing,
     XorIndexing,
@@ -25,6 +25,7 @@ from repro.cache import (
     simulate_banks,
     simulate_capacity,
 )
+from repro.core.optimizer import optimize_for_trace
 from repro.gf2 import XorHashFunction
 from repro.trace import Trace, summarize
 

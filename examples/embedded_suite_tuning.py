@@ -13,7 +13,8 @@ Run:  python examples/embedded_suite_tuning.py [mibench|powerstone]
 
 import sys
 
-from repro import CacheGeometry, PAPER_HASHED_BITS, optimize_for_trace, profile_trace
+from repro import CacheGeometry, PAPER_HASHED_BITS, profile_trace
+from repro.core.optimizer import optimize_for_trace
 from repro.workloads import get_workload, workload_names
 
 CACHE_SIZES = (1024, 4096, 16384)

@@ -10,7 +10,8 @@ switch settings.
 Run:  python examples/reconfigurable_hardware.py
 """
 
-from repro import CacheGeometry, optimize_for_trace
+from repro import CacheGeometry
+from repro.core.optimizer import optimize_for_trace
 from repro.hardware import (
     build_network,
     render_network,

@@ -11,15 +11,6 @@ Quickstart::
     print(result.summary())
     print(result.hash_function.describe())
 
-The imperative surface remains::
-
-    from repro import CacheGeometry, optimize_for_trace
-    from repro.workloads import get_trace
-
-    trace = get_trace("mibench", "fft", kind="data", scale="small")
-    result = optimize_for_trace(trace, CacheGeometry.direct_mapped(4096),
-                                family="2-in")
-
 Packages:
 
 * :mod:`repro.api` — declarative experiment specs, the ``Session``
@@ -67,10 +58,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.gf2.hashfn": ("XorHashFunction",),
         "repro.trace.trace": ("Trace",),
         "repro.profiling.conflict_profile": ("ConflictProfile", "profile_trace"),
-        "repro.core.optimizer": ("optimize_for_trace", "OptimizationResult"),
+        "repro.core.optimizer": ("OptimizationResult",),
         "repro.pipeline.artifact_cache": ("ArtifactCache",),
         "repro.pipeline.context": ("PipelineContext",),
-        "repro.pipeline.campaign": ("run_campaign",),
     },
 )
 __all__.append("__version__")

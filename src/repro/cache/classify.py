@@ -23,6 +23,7 @@ import numpy as np
 from repro.cache.engine import simulate, simulate_capacity
 from repro.cache.geometry import CacheGeometry
 from repro.cache.indexing import IndexingPolicy
+from repro.cache.stats import CacheStats
 
 __all__ = ["MissBreakdown", "classify_misses"]
 
@@ -39,6 +40,19 @@ class MissBreakdown:
 
     def __post_init__(self):
         assert self.compulsory + self.capacity + self.conflict == self.total
+
+    @classmethod
+    def from_stats(cls, actual: CacheStats, fully: CacheStats) -> "MissBreakdown":
+        """Split ``actual``'s misses, given the same trace's stats on a
+        fully-associative LRU cache of the same capacity (``fully``)."""
+        capacity = fully.misses - fully.compulsory
+        return cls(
+            accesses=actual.accesses,
+            total=actual.misses,
+            compulsory=actual.compulsory,
+            capacity=capacity,
+            conflict=actual.misses - actual.compulsory - capacity,
+        )
 
     @property
     def conflict_fraction(self) -> float:
@@ -61,16 +75,7 @@ def classify_misses(
     """Classify the misses of a direct-mapped cache on a block trace."""
     if not geometry.is_direct_mapped:
         raise ValueError("three-Cs classification here targets direct-mapped caches")
-    blocks = np.asarray(blocks, dtype=np.uint64)
-    actual = simulate(blocks, geometry, indexing)
-    fully = simulate_capacity(blocks, geometry.num_blocks)
-    compulsory = actual.compulsory
-    capacity = fully.misses - fully.compulsory
-    conflict = actual.misses - compulsory - capacity
-    return MissBreakdown(
-        accesses=actual.accesses,
-        total=actual.misses,
-        compulsory=compulsory,
-        capacity=capacity,
-        conflict=conflict,
+    return MissBreakdown.from_stats(
+        simulate(blocks, geometry, indexing),
+        simulate_capacity(blocks, geometry.num_blocks),
     )

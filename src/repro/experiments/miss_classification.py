@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.classify import MissBreakdown, classify_misses
+from repro.cache.classify import MissBreakdown
 from repro.cache.geometry import CacheGeometry
-from repro.core.optimizer import optimize_for_trace
-from repro.experiments.common import format_table, mean
-from repro.workloads.registry import get_workload, workload_names
+from repro.experiments.common import format_table, mibench_rows
+from repro.pipeline.context import PipelineContext
 
 __all__ = [
     "ClassificationRow",
@@ -42,13 +41,15 @@ class ClassificationRow:
         """Conflict share of all baseline misses (the removable pool)."""
         return 100.0 * self.breakdown.conflict_fraction
 
-    @property
-    def recovered_of_conflicts(self) -> float:
-        """Removed misses as a share of the conflict pool."""
-        if self.breakdown.conflict <= 0:
-            return 0.0
-        removed = self.removed_percent / 100.0 * self.breakdown.total
-        return 100.0 * removed / self.breakdown.conflict
+
+def _row(context, name, trace, geometry, base, app) -> ClassificationRow:
+    fully = CacheGeometry.fully_associative(geometry.size_bytes, geometry.block_size)
+    return ClassificationRow(
+        benchmark=name,
+        cache_bytes=geometry.size_bytes,
+        breakdown=MissBreakdown.from_stats(base, context.baseline(trace, fully)),
+        removed_percent=app.removed_percent,
+    )
 
 
 def run_miss_classification(
@@ -56,24 +57,11 @@ def run_miss_classification(
     cache_bytes: int = 4096,
     benchmarks: tuple[str, ...] | None = None,
     seed: int = 0,
+    context: PipelineContext | None = None,
 ) -> list[ClassificationRow]:
-    names = benchmarks if benchmarks is not None else tuple(workload_names("mibench"))
-    geometry = CacheGeometry.direct_mapped(cache_bytes)
-    rows = []
-    for name in names:
-        trace = get_workload("mibench", name, scale, seed).data
-        blocks = trace.block_addresses(geometry.block_size)
-        breakdown = classify_misses(blocks, geometry)
-        result = optimize_for_trace(trace, geometry, family="2-in")
-        rows.append(
-            ClassificationRow(
-                benchmark=name,
-                cache_bytes=cache_bytes,
-                breakdown=breakdown,
-                removed_percent=result.removed_percent,
-            )
-        )
-    return rows
+    """Three-Cs split and 2-in removal per MiBench benchmark, as cached
+    stages of ``context`` (FA-LRU of equal capacity for the split)."""
+    return mibench_rows(_row, scale, cache_bytes, benchmarks, seed, context)
 
 
 def format_miss_classification(rows: list[ClassificationRow]) -> str:
@@ -89,22 +77,12 @@ def format_miss_classification(rows: list[ClassificationRow]) -> str:
         ]
         for r in rows
     ]
-    table.append(
-        [
-            "average",
-            "",
-            "",
-            "",
-            "",
-            mean(r.conflict_percent for r in rows),
-            mean(r.removed_percent for r in rows),
-        ]
-    )
     size = rows[0].cache_bytes // 1024 if rows else 0
     return format_table(
         ["benchmark", "misses", "compulsory", "capacity", "conflict",
          "conflict %", "removed %"],
         table,
+        average=True,
         title=f"Extension: three-Cs decomposition vs achieved removal "
         f"({size}KB data cache)",
     )

@@ -17,18 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache import engine
-from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
-from repro.core.optimizer import optimize_for_trace
-from repro.experiments.common import format_table, mean
+from repro.cache.geometry import PAPER_HASHED_BITS
+from repro.experiments.common import format_table, mibench_rows
 from repro.gf2.polynomial import irreducible_polynomials, polynomial_hash_function
-from repro.workloads.registry import get_workload, workload_names
+from repro.pipeline.context import PipelineContext
 
 __all__ = [
     "PolynomialBaselineRow",
     "run_polynomial_baseline",
     "format_polynomial_baseline",
 ]
+
+#: How many irreducible polynomials of degree m the ``best-poly``
+#: column tries (in :func:`irreducible_polynomials` order).
+POLYNOMIALS = 16
 
 
 @dataclass(frozen=True)
@@ -40,45 +42,34 @@ class PolynomialBaselineRow:
     app_specific_removed: float
 
 
+def _row(context, name, trace, geometry, base, app) -> PolynomialBaselineRow:
+    functions = [
+        polynomial_hash_function(PAPER_HASHED_BITS, p)
+        for p in irreducible_polynomials(geometry.index_bits)[:POLYNOMIALS]
+    ]
+    removed = [
+        stats.removed_fraction(base)
+        for stats in context.evaluate_many(trace, geometry, functions)
+    ]
+    return PolynomialBaselineRow(
+        benchmark=name,
+        base_misses=base.misses,
+        fixed_poly_removed=removed[0],
+        best_poly_removed=max(removed),
+        app_specific_removed=app.removed_percent,
+    )
+
+
 def run_polynomial_baseline(
     scale: str = "small",
     cache_bytes: int = 4096,
     benchmarks: tuple[str, ...] | None = None,
-    max_polynomials: int = 16,
     seed: int = 0,
+    context: PipelineContext | None = None,
 ) -> list[PolynomialBaselineRow]:
-    names = benchmarks if benchmarks is not None else tuple(workload_names("mibench"))
-    geometry = CacheGeometry.direct_mapped(cache_bytes)
-    n = PAPER_HASHED_BITS
-    m = geometry.index_bits
-    polys = irreducible_polynomials(m)[:max_polynomials]
-    functions = [polynomial_hash_function(n, p) for p in polys]
-
-    rows = []
-    for name in names:
-        trace = get_workload("mibench", name, scale, seed).data
-        blocks = trace.block_addresses(geometry.block_size)
-        base = engine.simulate(blocks, geometry)
-        poly_misses = [
-            stats.misses for stats in engine.evaluate_many(blocks, geometry, functions)
-        ]
-        fixed = poly_misses[0]
-        best = min(poly_misses)
-        app = optimize_for_trace(trace, geometry, family="2-in")
-
-        def removed(misses: int) -> float:
-            return 100.0 * (base.misses - misses) / base.misses if base.misses else 0.0
-
-        rows.append(
-            PolynomialBaselineRow(
-                benchmark=name,
-                base_misses=base.misses,
-                fixed_poly_removed=removed(fixed),
-                best_poly_removed=removed(best),
-                app_specific_removed=app.removed_percent,
-            )
-        )
-    return rows
+    """Fixed and best-of-:data:`POLYNOMIALS` polynomial hashing beside the
+    2-in function per MiBench benchmark, as cached stages of ``context``."""
+    return mibench_rows(_row, scale, cache_bytes, benchmarks, seed, context)
 
 
 def format_polynomial_baseline(rows: list[PolynomialBaselineRow]) -> str:
@@ -86,17 +77,10 @@ def format_polynomial_baseline(rows: list[PolynomialBaselineRow]) -> str:
         [r.benchmark, r.fixed_poly_removed, r.best_poly_removed, r.app_specific_removed]
         for r in rows
     ]
-    table.append(
-        [
-            "average",
-            mean(r.fixed_poly_removed for r in rows),
-            mean(r.best_poly_removed for r in rows),
-            mean(r.app_specific_removed for r in rows),
-        ]
-    )
     return format_table(
         ["benchmark", "fixed poly %", "best poly %", "app-specific %"],
         table,
+        average=True,
         title="Extension: fixed polynomial hashing (Rau) vs application-specific "
         "XOR (% misses removed, 4KB data cache)",
     )

@@ -10,14 +10,13 @@ set-associative LRU as the conventional middle ground.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.cache import engine
 from repro.cache.geometry import CacheGeometry, PAPER_HASHED_BITS
 from repro.cache.indexing import ModuloIndexing, XorIndexing
-from repro.core.optimizer import optimize_for_trace
-from repro.experiments.common import format_table, mean
+from repro.experiments.common import format_table, mibench_rows
 from repro.gf2.hashfn import XorHashFunction
-from repro.workloads.registry import get_workload, workload_names
+from repro.pipeline.context import PipelineContext
 
 __all__ = ["SkewedComparisonRow", "run_skewed_comparison", "format_skewed_comparison"]
 
@@ -41,39 +40,31 @@ def _skew_banks(n: int, m: int) -> list:
     ]
 
 
+def _row(context, name, trace, geometry, base, app, seed) -> SkewedComparisonRow:
+    two_way = CacheGeometry(geometry.size_bytes, geometry.block_size, associativity=2)
+    banks = _skew_banks(PAPER_HASHED_BITS, two_way.index_bits)
+    skewed = context.simulate(trace, two_way, banks, seed=seed)
+    return SkewedComparisonRow(
+        benchmark=name,
+        base_misses=base.misses,
+        optimized_dm_removed=app.removed_percent,
+        skewed_removed=skewed.removed_fraction(base),
+        two_way_removed=context.baseline(trace, two_way).removed_fraction(base),
+    )
+
+
 def run_skewed_comparison(
     scale: str = "small",
     cache_bytes: int = 4096,
     benchmarks: tuple[str, ...] | None = None,
     seed: int = 0,
+    context: PipelineContext | None = None,
 ) -> list[SkewedComparisonRow]:
-    names = benchmarks if benchmarks is not None else tuple(workload_names("mibench"))
-    geometry = CacheGeometry.direct_mapped(cache_bytes)
-    n = PAPER_HASHED_BITS
-    rows = []
-    for name in names:
-        trace = get_workload("mibench", name, scale, seed).data
-        blocks = trace.block_addresses(geometry.block_size)
-        base = engine.simulate(blocks, geometry)
-
-        optimized = optimize_for_trace(trace, geometry, family="2-in")
-        skewed = engine.simulate_banks(
-            blocks, _skew_banks(n, geometry.index_bits - 1), seed=seed
-        )
-        two_way = engine.simulate(
-            blocks,
-            CacheGeometry(cache_bytes, geometry.block_size, associativity=2),
-        )
-        rows.append(
-            SkewedComparisonRow(
-                benchmark=name,
-                base_misses=base.misses,
-                optimized_dm_removed=optimized.removed_percent,
-                skewed_removed=skewed.removed_fraction(base),
-                two_way_removed=two_way.removed_fraction(base),
-            )
-        )
-    return rows
+    """Per MiBench benchmark, as cached stages of ``context``: the 2-in DM
+    function, a two-bank skewed cache (its replacement seeded by ``seed``,
+    like the workloads) and 2-way LRU, all at ``cache_bytes``."""
+    row = partial(_row, seed=seed)
+    return mibench_rows(row, scale, cache_bytes, benchmarks, seed, context)
 
 
 def format_skewed_comparison(rows: list[SkewedComparisonRow]) -> str:
@@ -81,17 +72,10 @@ def format_skewed_comparison(rows: list[SkewedComparisonRow]) -> str:
         [r.benchmark, r.optimized_dm_removed, r.skewed_removed, r.two_way_removed]
         for r in rows
     ]
-    table.append(
-        [
-            "average",
-            mean(r.optimized_dm_removed for r in rows),
-            mean(r.skewed_removed for r in rows),
-            mean(r.two_way_removed for r in rows),
-        ]
-    )
     return format_table(
         ["benchmark", "opt-DM 2-in %", "skewed 2-way %", "LRU 2-way %"],
         table,
+        average=True,
         title="Extension: application-specific DM vs skewed-associative vs 2-way LRU "
         "(% misses removed, equal capacity)",
     )

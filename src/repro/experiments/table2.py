@@ -134,14 +134,10 @@ def format_table2(result: Table2Result) -> str:
             cells.append(row.base_misses_per_kuop)
             cells.extend(row.removed_percent[f] for f in families)
         table_rows.append(cells)
-    average: list = ["average"]
-    for size in sizes:
-        average.append(result.average_base(size))
-        average.extend(result.average_removed(size, f) for f in families)
-    table_rows.append(average)
     return format_table(
         headers,
         table_rows,
+        average=True,
         title=(
             f"Table 2 ({result.kind} caches, scale={result.scale}): "
             "base misses/K-uop and % misses removed"

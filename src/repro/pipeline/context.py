@@ -10,7 +10,10 @@ artifact goes through it:
 * ``stats`` — :meth:`~PipelineContext.simulate`,
   :meth:`~PipelineContext.baseline`, :meth:`~PipelineContext.evaluate`
   and :meth:`~PipelineContext.evaluate_many` front the exact simulators
-  of :mod:`repro.cache.engine`;
+  of :mod:`repro.cache.engine`, one indexing scheme per key:
+  ``modulo``, ``xor``, or ``skewed`` (a bank list and its replacement
+  seed, the skewed-associative cache of
+  :func:`~repro.cache.engine.simulate_banks`);
 * ``profile`` — :meth:`~PipelineContext.profile_stage` stages the
   merged profiles that :meth:`~PipelineContext.profile` and the Fig. 1
   profile driver, :func:`repro.profiling.run_sharded_profile`, ask for;
@@ -37,9 +40,9 @@ entry, parses no array and imports no NumPy:
   <repro.pipeline.artifact_cache.ArtifactCache.load_profile>`).
 
 Stages take their context as an explicit ``context=`` argument
-(:func:`~repro.core.optimizer.optimize_for_trace`, the table drivers,
-:func:`~repro.pipeline.campaign.run_campaign`); results are
-bit-identical to a context without a cache (property-tested in
+(:func:`~repro.core.optimizer.optimize_for_trace`, the table and
+extension drivers, :func:`~repro.pipeline.campaign.run_campaign`);
+results are bit-identical to a context without a cache (property-tested in
 ``tests/pipeline``).  :meth:`~PipelineContext.map` is the one way work
 fans out: campaign cells, shard scans and profiles, and Table 3 rows
 each run as ``task(context, item)``, serially on the context itself or
@@ -451,33 +454,52 @@ class PipelineContext:
 
     # -- exact simulation --------------------------------------------------
 
-    def _indexing_params(self, indexing) -> dict:
+    def _indexing_params(self, indexing, seed: int = 0) -> dict:
         from repro.cache.indexing import ModuloIndexing, XorIndexing
 
+        if isinstance(indexing, (list, tuple)):
+            banks = [self._indexing_params(bank) for bank in indexing]
+            return {"scheme": "skewed", "banks": banks, "seed": seed}
         if isinstance(indexing, XorIndexing):
             return {"scheme": "xor", **function_to_json(indexing.hash_function)}
         if isinstance(indexing, ModuloIndexing):
             return {"scheme": "modulo", "m": indexing.m}
         raise TypeError(f"cannot key indexing policy {indexing!r}")
 
-    def _stats_key(self, trace: Trace, geometry: CacheGeometry, indexing) -> str:
+    def _stats_key(
+        self, trace: Trace, geometry: CacheGeometry, indexing, seed: int = 0
+    ) -> str:
         return stable_key(
             "stats",
             {
                 "trace": trace.digest,
                 "geometry": geometry_params(geometry),
-                "indexing": self._indexing_params(indexing),
+                "indexing": self._indexing_params(indexing, seed),
             },
         )
 
-    def simulate(self, trace: Trace, geometry: CacheGeometry, indexing) -> CacheStats:
-        """Cached exact replay of ``trace`` through ``geometry``."""
-        key = self._stats_key(trace, geometry, indexing)
+    def simulate(
+        self, trace: Trace, geometry: CacheGeometry, indexing, seed: int = 0
+    ) -> CacheStats:
+        """Cached exact replay of ``trace`` through ``geometry``.
+
+        ``indexing`` is one policy, or a list of per-bank policies: a
+        skewed cache of ``geometry.associativity`` banks of
+        ``geometry.num_sets`` frames each, whose pseudo-random
+        replacement ``seed`` seeds (and only then keys).
+        """
+        skewed = isinstance(indexing, (list, tuple))
+        banks = [geometry.num_sets] * geometry.associativity
+        if skewed and [bank.num_sets for bank in indexing] != banks:
+            raise ValueError(f"bank list {indexing!r} does not fit {geometry}")
+        key = self._stats_key(trace, geometry, indexing, seed)
 
         def replay(missing: list[str]):
             from repro.cache import engine
 
             blocks = trace.block_addresses(geometry.block_size)
+            if skewed:
+                return [(key, engine.simulate_banks(blocks, indexing, seed=seed))]
             return [(key, engine.simulate(blocks, geometry, indexing))]
 
         return self.stage("stats", [key], replay, _load_stats, _store_stats)[key]

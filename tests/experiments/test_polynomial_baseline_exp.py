@@ -10,9 +10,7 @@ from repro.experiments.polynomial_baseline import (
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_polynomial_baseline(
-        scale="tiny", benchmarks=("dijkstra", "fft"), max_polynomials=4
-    )
+    return run_polynomial_baseline(scale="tiny", benchmarks=("dijkstra", "fft"))
 
 
 class TestPolynomialBaseline:

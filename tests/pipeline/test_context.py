@@ -181,6 +181,73 @@ class TestEvaluateMany:
         assert PipelineContext(tmp_path).baseline(conflict_trace, geometry) == direct
 
 
+def _keys_trace() -> Trace:
+    return Trace(np.arange(256, dtype=np.uint64) * 12, name="keys")
+
+
+def _skew_banks(m: int, shift: int = 0) -> list:
+    """Modulo in bank 0, a fixed XOR permutation in bank 1."""
+    sigma = [m + ((c + shift) % (16 - m)) for c in range(m)]
+    return [ModuloIndexing(m), XorIndexing(XorHashFunction.from_sigma(16, m, sigma))]
+
+
+class TestStatsKeys:
+    """A ``stats`` key names its indexing scheme.  The modulo and xor
+    keys are pinned to the values records were stored under before the
+    skewed scheme existed, so a key change that would orphan them
+    fails here."""
+
+    DM = CacheGeometry.direct_mapped(1024)
+    TWO_WAY = CacheGeometry(1024, 4, associativity=2)
+    XOR = XorHashFunction.from_sigma(16, 8, [8 + c for c in range(8)])
+
+    def key(self, geometry, indexing, **seed) -> str:
+        return PipelineContext()._stats_key(_keys_trace(), geometry, indexing, **seed)
+
+    def test_existing_keys_are_unchanged(self):
+        fa = CacheGeometry.fully_associative(1024)
+        keys = [
+            self.key(geometry, ModuloIndexing(geometry.index_bits))
+            for geometry in (self.DM, self.TWO_WAY, fa)
+        ]
+        keys.append(self.key(self.DM, XorIndexing(self.XOR)))
+        assert keys == [
+            "87c01900a9354b92873d3109ba55560831c7066548972fb608de27b2a5c09710",
+            "649a6bb242254d2cf51e59fc070e796f4e26f583c268f3a6df3af38d59f34e8c",
+            "19a0444f90bcd8e6be17c74220f020257bd3fa99311318f2bb999c38a2b7630c",
+            "cdb13bc690d7571490073b66ea5d3ed3fb32536fbda13c6c144a245c4be2a4cc",
+        ]
+
+    def test_skewed_key_separates_seed_and_banks(self):
+        banks = _skew_banks(7)
+        key = self.key(self.TWO_WAY, banks, seed=0)
+        # Pinned too, so stored skewed records stay addressable.
+        assert key == "d511f88a57fab6f9fdb79495f214440cbbb5927d42480bd1be40583e8905bd0b"
+        assert self.key(self.TWO_WAY, banks, seed=1) != key
+        assert self.key(self.TWO_WAY, _skew_banks(7, shift=1), seed=0) != key
+        assert self.key(self.TWO_WAY, banks[::-1], seed=0) != key
+
+    def test_skewed_cached_equals_engine(self, conflict_trace, tmp_path):
+        banks = _skew_banks(7)
+        direct = engine.simulate_banks(conflict_trace.block_addresses(4), banks, seed=3)
+
+        def simulate():
+            return PipelineContext(tmp_path).simulate(
+                conflict_trace, self.TWO_WAY, banks, seed=3
+            )
+
+        cold = simulate()
+        with cache_events() as events, replay_only():
+            warm = simulate()
+        assert cold == direct and warm == direct and replayed(events)
+
+    def test_bank_list_must_fit_the_geometry(self, conflict_trace):
+        with pytest.raises(ValueError, match="does not fit"):
+            PipelineContext().simulate(conflict_trace, self.DM, _skew_banks(7))
+        with pytest.raises(ValueError, match="does not fit"):
+            PipelineContext().simulate(conflict_trace, self.TWO_WAY, _skew_banks(6))
+
+
 class TestReplayOnly:
     def test_a_miss_raises_and_counts_nothing(self, conflict_trace, geometry_1kb, tmp_path):
         with cache_events() as events, replay_only(), pytest.raises(NotCached) as raised:

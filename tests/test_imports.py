@@ -210,6 +210,35 @@ def test_oracles_live_outside_the_package():
             assert defined not in RETIRED_NAMES, f"{path}: {defined}"
 
 
+def test_kwarg_entry_points_live_in_their_modules():
+    """``optimize_for_trace`` and ``run_campaign`` are no ``repro``
+    exports; each stays importable from its own module."""
+    from repro.core.optimizer import optimize_for_trace
+    from repro.pipeline.campaign import run_campaign
+
+    for name in ("optimize_for_trace", "run_campaign"):
+        assert name not in repro.__all__ and not hasattr(repro, name)
+    assert callable(optimize_for_trace) and callable(run_campaign)
+
+
+def test_experiment_drivers_compute_only_through_stages():
+    """Every driver but the ablations reaches traces, simulators and
+    the optimizer through a ``PipelineContext``, never directly."""
+    direct = {"optimize_for_trace", "get_workload", "repro.cache.engine"}
+    for path in sorted((ROOT / "src" / "repro" / "experiments").glob("*.py")):
+        if path.name == "ablations.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+                names |= {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            else:
+                continue
+            assert not names & direct, f"{path.name}: {sorted(names & direct)}"
+
+
 def test_lazy_attribute_errors_are_attribute_errors():
     with pytest.raises(AttributeError):
         repro.no_such_name  # noqa: B018

@@ -17,6 +17,7 @@ import contextlib
 import importlib
 import sys
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -29,8 +30,13 @@ from repro.api import (
     Session,
     TraceSpec,
 )
+from repro.experiments import (
+    run_miss_classification,
+    run_polynomial_baseline,
+    run_skewed_comparison,
+)
 from repro.pipeline.artifact_cache import cache_events, replayed
-from repro.pipeline.context import NotCached, replay_only
+from repro.pipeline.context import NotCached, PipelineContext, replay_only
 from repro.serve import ReproServer, ServeClient
 from repro.trace.trace import DeferredTrace
 
@@ -207,6 +213,27 @@ class TestSession:
             with replay_only(), pytest.raises(NotCached):
                 entry_point(cold)
         assert events == {}  # the probe charged no miss
+
+
+class TestExtensionDrivers:
+    @pytest.mark.parametrize(
+        "driver",
+        [run_miss_classification, run_skewed_comparison, run_polynomial_baseline],
+        ids=["classification", "skewed", "polynomial"],
+    )
+    def test_warm_rerun_replays(self, tmp_path, refusals, driver):
+        """Cold, a driver refuses replay-only and charges no miss; warm,
+        a fresh context on the same cache returns equal rows under
+        each refusal, as a replay."""
+        run = partial(driver, scale="tiny", cache_bytes=1024, benchmarks=("dijkstra",))
+        with cache_events() as events, replay_only(), pytest.raises(NotCached):
+            run(context=PipelineContext(tmp_path))
+        assert events == {}
+        cold = run(context=PipelineContext(tmp_path))
+        for refusal in refusals:
+            with refusal(), cache_events() as events:
+                assert run(context=PipelineContext(tmp_path)) == cold
+            assert replayed(events)
 
 
 class TestServe:

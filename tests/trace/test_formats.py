@@ -81,7 +81,8 @@ class TestLackey:
 
     def test_pipeline_integration(self, tmp_path):
         """A lackey trace drives the optimizer end to end."""
-        from repro import CacheGeometry, optimize_for_trace
+        from repro import CacheGeometry
+        from repro.core.optimizer import optimize_for_trace
 
         lines = []
         for i in range(200):
