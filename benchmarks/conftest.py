@@ -1,10 +1,13 @@
 """Benchmark configuration.
 
-Each paper table/figure has one bench module.  Experiment benches run
-the full driver once per benchmark round (``pedantic`` with a single
-round: regenerating a table *is* the measured unit) and print the
-regenerated table so the run doubles as the reproduction artifact;
-outputs are also written to ``benchmarks/results/``.
+Each paper table/figure that runs a workload has one bench module;
+the closed-form Sec. 2 counts and Table 1 have none, because
+``tests/experiments/`` asserts their every number and ``repro tables
+--only counting table1`` regenerates them.  Experiment benches run the
+full driver once per benchmark round (``pedantic`` with a single round:
+regenerating a table *is* the measured unit) and print the regenerated
+table so the run doubles as the reproduction artifact; outputs are also
+written to ``benchmarks/results/``.
 
 Environment knobs:
 

@@ -24,7 +24,7 @@ Commands:
   ``/v1/jobs``, in-flight dedup by spec digest, reports over HTTP;
 * ``tables``    — regenerate the paper's tables/figures;
 * ``workloads`` — list the bundled benchmark kernels;
-* ``backends``  — list the registered compute backends and which one
+* ``backends``  — list the compute backends and which one
   the engine kernels dispatch to;
 * ``classify``  — three-Cs miss breakdown for a workload and cache.
 """
@@ -147,10 +147,7 @@ def _print_report(payload: dict) -> None:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    try:
-        spec = _spec_from_args(args)
-    except SpecError as error:
-        return _fail(error)
+    spec = _spec_from_args(args)
     result = Session(cache_dir=args.cache_dir).optimize(spec)
     if args.json:
         _print_report(result.to_json())
@@ -169,10 +166,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     from repro.profiling.conflict_profile import profile_trace
     from repro.search import hill_climb_front
 
-    try:
-        spec = _spec_from_args(args)
-    except SpecError as error:
-        return _fail(error)
+    spec = _spec_from_args(args)
     trace = spec.trace.resolve()
     geometry = spec.geometry.resolve()
     family = spec.search.resolve_family(geometry.index_bits)
@@ -205,49 +199,46 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.pipeline.artifact_cache import cache_events
     from repro.profiling.sharded import run_sharded_profile
 
-    try:
-        if args.trace_file is not None:
-            if args.suite or args.name:
-                raise SpecError(
-                    "profile takes either a registry workload (suite + "
-                    "name) or --trace-file, not both",
-                    field="trace.path",
-                )
-            trace_spec = TraceSpec(
-                path=args.trace_file, format=args.format, kind=args.kind
+    if args.trace_file is not None:
+        if args.suite or args.name:
+            raise SpecError(
+                "profile takes either a registry workload (suite + "
+                "name) or --trace-file, not both",
+                field="trace.path",
             )
-        else:
-            if not args.suite or not args.name:
-                raise SpecError(
-                    "name a workload (repro profile <suite> <name>) or an "
-                    "on-disk trace (--trace-file PATH)"
-                )
-            if args.format:
-                raise SpecError(
-                    "--format only applies to --trace-file",
-                    field="trace.format",
-                )
-            trace_spec = TraceSpec(
-                suite=args.suite, benchmark=args.name, kind=args.kind,
-                scale=args.scale, seed=args.seed,
-            )
-        spec = ExperimentSpec(
-            trace=trace_spec,
-            geometry=GeometrySpec(
-                cache_bytes=args.cache_kb * 1024, block_size=args.block_size
-            ),
-            search=SearchSpec(n=args.n),
-            execution=ExecutionSpec(
-                shard_size=args.shard_size, workers=args.workers,
-                cache_dir=args.cache_dir, **_resilience_overrides(args),
-            ),
+        trace_spec = TraceSpec(
+            path=args.trace_file, format=args.format, kind=args.kind
         )
-        session = Session(cache_dir=args.cache_dir, workers=args.workers)
-        # Through the trace memo: a warm single-pass replay never runs
-        # the workload kernel.
-        trace = session.context().trace(spec.trace)
-    except SpecError as error:
-        return _fail(error)
+    else:
+        if not args.suite or not args.name:
+            raise SpecError(
+                "name a workload (repro profile <suite> <name>) or an "
+                "on-disk trace (--trace-file PATH)"
+            )
+        if args.format:
+            raise SpecError(
+                "--format only applies to --trace-file",
+                field="trace.format",
+            )
+        trace_spec = TraceSpec(
+            suite=args.suite, benchmark=args.name, kind=args.kind,
+            scale=args.scale, seed=args.seed,
+        )
+    spec = ExperimentSpec(
+        trace=trace_spec,
+        geometry=GeometrySpec(
+            cache_bytes=args.cache_kb * 1024, block_size=args.block_size
+        ),
+        search=SearchSpec(n=args.n),
+        execution=ExecutionSpec(
+            shard_size=args.shard_size, workers=args.workers,
+            cache_dir=args.cache_dir, **_resilience_overrides(args),
+        ),
+    )
+    session = Session(cache_dir=args.cache_dir, workers=args.workers)
+    # Through the trace memo: a warm single-pass replay never runs
+    # the workload kernel.
+    trace = session.context().trace(spec.trace)
     geometry = spec.geometry.resolve()
     with cache_events() as events:
         result = run_sharded_profile(
@@ -293,10 +284,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.pipeline.artifact_cache import cache_events
 
-    try:
-        spec = ExperimentSpec.load(args.spec_file)
-    except SpecError as error:
-        return _fail(error)
+    spec = ExperimentSpec.load(args.spec_file)
     if args.cache_dir:
         spec = spec.with_execution(cache_dir=args.cache_dir)
     overrides = _resilience_overrides(args)
@@ -322,23 +310,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_spec(args: argparse.Namespace) -> int:
-    try:
-        spec = ExperimentSpec(
-            trace=TraceSpec(
-                suite=args.suite, benchmark=args.benchmark, kind=args.kind,
-                scale=args.scale, seed=args.seed,
-            ),
-            geometry=GeometrySpec(cache_bytes=args.cache_kb * 1024),
-            search=SearchSpec(
-                family=args.family, strategy=args.strategy,
-                restarts=args.restarts, guard=args.guard,
-            ),
-            execution=ExecutionSpec(
-                workers=args.workers, cache_dir=args.cache_dir
-            ),
-        )
-    except SpecError as error:
-        return _fail(error)
+    spec = ExperimentSpec(
+        trace=TraceSpec(
+            suite=args.suite, benchmark=args.benchmark, kind=args.kind,
+            scale=args.scale, seed=args.seed,
+        ),
+        geometry=GeometrySpec(cache_bytes=args.cache_kb * 1024),
+        search=SearchSpec(
+            family=args.family, strategy=args.strategy,
+            restarts=args.restarts, guard=args.guard,
+        ),
+        execution=ExecutionSpec(
+            workers=args.workers, cache_dir=args.cache_dir
+        ),
+    )
     text = spec.to_toml(
         header=(
             "repro experiment spec (schema: see `repro run --help`)\n"
@@ -401,22 +386,19 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.pipeline.artifact_cache import default_cache_dir
     from repro.pipeline.campaign import format_campaign
 
-    try:
-        specs = expand_grid(
-            {
-                "suite": args.suite,
-                "benchmarks": list(args.benchmarks) if args.benchmarks else None,
-                "kinds": list(args.kinds),
-                "cache_bytes": [kb * 1024 for kb in args.cache_kb],
-                "families": list(args.families),
-                "strategies": [args.strategy],
-                "scale": args.scale,
-                "workload_seed": args.seed,
-                "guard": args.guard,
-            }
-        )
-    except SpecError as error:
-        return _fail(error)
+    specs = expand_grid(
+        {
+            "suite": args.suite,
+            "benchmarks": list(args.benchmarks) if args.benchmarks else None,
+            "kinds": list(args.kinds),
+            "cache_bytes": [kb * 1024 for kb in args.cache_kb],
+            "families": list(args.families),
+            "strategies": [args.strategy],
+            "scale": args.scale,
+            "workload_seed": args.seed,
+            "guard": args.guard,
+        }
+    )
     if not specs:
         print("error: the campaign grid is empty", file=sys.stderr)
         return 2

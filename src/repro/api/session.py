@@ -207,12 +207,13 @@ class Session:
 
     @property
     def backends(self) -> list[dict]:
-        """Compute-backend status: one row per registered backend.
+        """Compute-backend status: one row per backend, in preference
+        order.
 
         Rows come from :func:`repro.backend.backend_status` — ``name``,
         ``available``, ``active``, ``priority``, ``description`` — where
         *active* reflects the current resolution (``use_backend``
-        override, then ``REPRO_BACKEND``, then best available).  A
+        override, then ``REPRO_BACKEND``, then the first available).  A
         spec's ``execution.backend`` pins the choice per run instead.
         """
         from repro.backend import backend_status

@@ -3,13 +3,12 @@
 The per-access reference loops compiled with :func:`numba.njit`: the
 same algorithms as the ``python`` backend (so bit-identity is by
 construction), at native speed.  When :mod:`numba` is not installed
-the backend is registered as *unavailable* (see :mod:`repro.backend`) —
+the backend is listed as *unavailable* (see :mod:`repro.backend`) —
 discoverable by ``repro backends`` and selectable only with an
 actionable error — exactly like the parity kernel in
 :mod:`repro.gf2.bitvec` degrades to its table fallback without new
-NumPy.  Installed
-but failing to import, its kernels raise and every call degrades to the
-NumPy kernels with a recorded warning.
+NumPy.  Installed but failing to import, its kernels raise and every
+call degrades to the NumPy kernels with a recorded warning.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ else:
 
     def _unavailable(*_args, **_kwargs):
         raise RuntimeError(
-            "the numba backend is registered but numba is not importable; "
+            "the numba backend is listed but numba is not importable; "
             "select the numpy backend instead"
         )
 

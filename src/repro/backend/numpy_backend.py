@@ -76,7 +76,6 @@ def lru_depth_at_least(
     prev: np.ndarray,
     nxt: np.ndarray,
     threshold: int,
-    chunk_size: int | None = None,
 ) -> np.ndarray:
     """Chunked vectorized LRU stack-depth test.
 
@@ -117,14 +116,11 @@ def lru_depth_at_least(
     if threshold <= 0:
         np.greater_equal(prev, 0, out=out)
         return out
-    if chunk_size is None:
-        # Small thresholds resolve almost everything by arithmetic and
-        # the survivor cumsum, so larger chunks amortize the per-chunk
-        # passes; large thresholds keep chunks small so the carried
-        # state and the probe grids stay cache-resident.
-        chunk_size = max(_CHUNK, min(1 << 17, (_CHUNK << 5) // threshold))
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    # Small thresholds resolve almost everything by arithmetic and the
+    # survivor cumsum, so larger chunks amortize the per-chunk passes;
+    # large thresholds keep chunks small so the carried state and the
+    # probe grids stay cache-resident.
+    chunk_size = max(_CHUNK, min(1 << 17, (_CHUNK << 5) // threshold))
 
     # 32-bit times/links halve the memory traffic of every pass below;
     # counts past 2**31 - 2 (sentinel needs count + 1) fall back to 64.
@@ -361,8 +357,6 @@ def skewed_misses(
     keys: np.ndarray,
     victims: np.ndarray,
     num_sets: int,
-    max_rounds: int | None = None,
-    chunk_size: int | None = None,
 ) -> np.ndarray:
     """Skewed-cache miss vector by chunked speculative replay.
 
@@ -387,17 +381,13 @@ def skewed_misses(
     eviction-dependency depth — the point of chunking: depth scales
     with writes per frame *within* the chunk, keeping rounds
     near-constant where a global fixpoint would need hundreds.  A
-    chunk exceeding ``max_rounds`` falls back to a reference replay of
-    that chunk alone, seeded from the same materialized state.
+    chunk exceeding ``_MAX_ROUNDS`` rounds falls back to a reference
+    replay of that chunk alone, seeded from the same materialized state.
     """
     num_banks, count = bank_ids.shape
     if count == 0:
         return np.zeros(0, dtype=bool)
-    if max_rounds is None:
-        max_rounds = _MAX_ROUNDS
-    if chunk_size is None:
-        chunk_size = _SKEW_CHUNK
-    chunk_size = min(chunk_size, count)
+    chunk_size = min(_SKEW_CHUNK, count)
     bank_ids = np.asarray(bank_ids)
     vic8 = np.asarray(victims).astype(np.uint8)
     nframes = num_banks * num_sets
@@ -507,7 +497,7 @@ def skewed_misses(
         keys_live = keys_live_buf[: nc + 1]
         miss_c = ~frozen_hit.any(axis=0)
         converged = False
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             g = miss_c[order]
             np.cumsum(g, dtype=np.intp, out=cum_c[1:])
             mpos = np.flatnonzero(g)

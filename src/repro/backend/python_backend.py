@@ -1,10 +1,10 @@
 """Reference per-access loops — the ``python`` backend.
 
-These are the retired engine loops, kept registered (lowest priority)
-as the always-available oracle: every other backend's kernels are
-property-tested bit-identical to these, and the NumPy skewed kernel
-falls back to :func:`skewed_misses` on the rare trace where its
-speculative replay does not converge within the round budget.
+These are the retired engine loops, kept last in the backend
+preference order as the always-available oracle: every other backend's
+kernels are property-tested bit-identical to these, and the NumPy
+skewed kernel falls back to :func:`skewed_misses` on the rare trace
+where its speculative replay does not converge within the round budget.
 """
 
 from __future__ import annotations

@@ -285,15 +285,15 @@ def run_spec(
 ) -> tuple[Trace, OptimizationResult]:
     """The one spec runner, behind ``Session.optimize``,
     ``Session.profile`` and every campaign cell: trace and profile
-    (:func:`profile_spec`), then search and exact verification with
-    this thread pinned to ``execution.backend``, which the result
-    records."""
+    (:func:`profile_spec`), then search and exact verification, all
+    with this thread pinned to ``execution.backend``, which the result
+    records.  The backend choice is validated before any stage runs."""
     from repro.backend import use_backend
 
     execution = execution or spec.execution
-    trace, profile = profile_spec(context, spec, execution, capacities)
     search = spec.search
     with use_backend(execution.backend) as backend:
+        trace, profile = profile_spec(context, spec, execution, capacities)
         result = optimize_for_trace(
             trace,
             spec.geometry.resolve(),

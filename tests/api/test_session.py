@@ -230,20 +230,16 @@ class TestCampaignEnvironment:
         assert recomputed(session) > 0
 
     def test_campaign_runs_on_the_execution_backend(self, monkeypatch):
-        from repro.backend import registry
+        from repro.backend import python_backend
 
-        python = registry._REGISTRY["python"]
+        kernel = python_backend.lru_depth_at_least
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return python.lru_depth_at_least(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setitem(
-            registry._REGISTRY,
-            "python",
-            replace(python, lru_depth_at_least=counting),
-        )
+        monkeypatch.setattr(python_backend, "lru_depth_at_least", counting)
         spec = replace(
             tiny_spec("fir"),
             geometry=GeometrySpec(cache_bytes=1024, associativity=2),

@@ -202,36 +202,22 @@ class TestShardedBitIdentity:
 
 class TestBackendDegradation:
     @pytest.fixture()
-    def brittle_backend(self):
-        from repro.backend.registry import (
-            _RAW_KERNELS,
-            _REGISTRY,
-            Backend,
-            clear_degradations,
-            register_backend,
-        )
+    def brittle_backend(self, monkeypatch):
+        """The ``python`` backend with both kernels failing, as a JIT
+        kernel might on an exotic dtype."""
+        from repro.backend import clear_degradations, get_backend, python_backend
 
         def boom(*args, **kwargs):
             raise RuntimeError("jit exploded")
 
+        monkeypatch.setattr(python_backend, "lru_depth_at_least", boom)
+        monkeypatch.setattr(python_backend, "skewed_misses", boom)
         clear_degradations()
-        backend = register_backend(
-            Backend(
-                name="brittle",
-                lru_depth_at_least=boom,
-                skewed_misses=boom,
-                priority=-100,
-                description="always-failing test backend",
-            )
-        )
-        yield backend
-        _REGISTRY.pop("brittle", None)
-        _RAW_KERNELS.pop(("brittle", "lru_depth_at_least"), None)
-        _RAW_KERNELS.pop(("brittle", "skewed_misses"), None)
+        yield get_backend("python")
         clear_degradations()
 
     def test_runtime_failure_falls_back_to_numpy(self, brittle_backend):
-        from repro.backend.registry import degradation_events, get_backend
+        from repro.backend import degradation_events, get_backend
 
         prev = np.array([-1, 0, -1, 1], dtype=np.int64)
         nxt = np.array([1, 4, 3, 4], dtype=np.int64)
@@ -240,14 +226,61 @@ class TestBackendDegradation:
             got = brittle_backend.lru_depth_at_least(prev, nxt, 1)
         np.testing.assert_array_equal(got, expected)
         events = degradation_events()
-        assert len(events) == 1 and "brittle" in events[0]
+        assert len(events) == 1 and "'python'" in events[0]
         # degradation is recorded once; later calls go straight to numpy
         got_again = brittle_backend.lru_depth_at_least(prev, nxt, 1)
         np.testing.assert_array_equal(got_again, expected)
         assert len(degradation_events()) == 1
 
+    def test_degraded_run_reports_its_warning(self, brittle_backend):
+        from repro.api.session import Session
+        from repro.api.spec import ExperimentSpec, GeometrySpec, SearchSpec, TraceSpec
+
+        spec = ExperimentSpec(
+            trace=TraceSpec("powerstone", "qurt", scale="tiny"),
+            geometry=GeometrySpec(cache_bytes=1024, associativity=2),
+            search=SearchSpec(n=12, restarts=0),
+        )
+        clean = Session().optimize(spec)
+        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
+            degraded = Session().optimize(spec.with_execution(backend="python"))
+        [warning] = degraded.warnings
+        assert "'python'" in warning
+        assert optimization_report(degraded, spec)["environment"]["warnings"] == [warning]
+        assert degraded.backend == "python"
+        assert (degraded.baseline, degraded.optimized) == (clean.baseline, clean.optimized)
+
+    def test_injected_fault_reaches_the_retry_layer(self, tmp_path):
+        """An injected ``backend.kernel`` fault on a non-NumPy backend
+        fails the task; it is not healed by the kernel fallback."""
+        from repro.api.spec import ExperimentSpec, GeometrySpec, SearchSpec, TraceSpec
+        from repro.backend import clear_degradations, degradation_events
+
+        spec = ExperimentSpec(
+            trace=TraceSpec("powerstone", "qurt", scale="tiny"),
+            geometry=GeometrySpec(cache_bytes=1024, associativity=2),
+            search=SearchSpec(n=12, restarts=0),
+        )
+        clear_degradations()
+        plan = "backend.kernel:error:p=1:count=1:seed=0"
+        with use_faults(plan):
+            failed = run_campaign(
+                [spec],
+                PipelineContext(tmp_path / "failed"),
+                ExecutionSpec(workers=1, backend="python", on_error="skip"),
+            )
+        with use_faults(plan):
+            healed = run_campaign(
+                [spec],
+                PipelineContext(tmp_path / "healed"),
+                ExecutionSpec(workers=1, backend="python", retries=1),
+            )
+        assert "FaultInjected" in failed.rows[0].error
+        assert healed.rows[0].ok and healed.rows[0].attempts == 2
+        assert degradation_events() == []
+
     def test_numpy_failures_still_raise(self):
-        from repro.backend.registry import get_backend
+        from repro.backend import get_backend
 
         with pytest.raises(Exception):
             get_backend("numpy").lru_depth_at_least("not", "arrays", None)

@@ -59,6 +59,15 @@ class TestCommands:
         active = next(row for row in payload["backends"] if row["active"])
         assert active["name"] == "python"
 
+    def test_backends_unknown_env_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "fortran")
+        assert main(["backends"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: REPRO_BACKEND: ") and "'fortran'" in line
+        assert "numba, numpy, python" in line
+
     def test_optimize_runs(self, capsys):
         code = main(
             ["optimize", "powerstone", "qurt", "--scale", "tiny", "--cache-kb", "1"]
@@ -231,6 +240,35 @@ class TestSpecDrivenCommands:
         assert main(args + ["--expect-cached"]) == 1  # cold run recomputes
         capsys.readouterr()
         assert main(args + ["--expect-cached"]) == 0  # warm replay does not
+
+    def test_run_unknown_backend_env_fails_before_any_stage(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        spec_file = tmp_path / "exp.toml"
+        main(["spec", "--suite", "powerstone", "--benchmark", "qurt",
+              "--scale", "tiny", "--cache-kb", "1", "-o", str(spec_file)])
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_BACKEND", "fortran")
+        cache = tmp_path / "cache"
+        assert main(["run", str(spec_file), "--cache-dir", str(cache)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: REPRO_BACKEND: ")
+        assert not [path for path in cache.rglob("*") if path.is_file()]
+
+    def test_run_unavailable_spec_backend_fails_cleanly(self, capsys, tmp_path):
+        from repro.backend import backend_status
+
+        unavailable = [row["name"] for row in backend_status() if not row["available"]]
+        if not unavailable:
+            pytest.skip("every backend is available here")
+        spec_file = tmp_path / "exp.json"
+        spec_file.write_text(json.dumps({
+            "trace": {"suite": "powerstone", "benchmark": "qurt", "scale": "tiny"},
+            "execution": {"backend": unavailable[0]},
+        }))
+        assert main(["run", str(spec_file)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: execution.backend: ") and "not available" in line
 
     def test_run_checked_in_example_spec_dry_run(self, capsys):
         assert main(["run", "examples/experiment.toml", "--dry-run"]) == 0

@@ -165,8 +165,10 @@ def test_every_exported_name_resolves(package):
         assert name in dir(module)
 
 
-#: Test oracles that live under ``tests/oracles/`` and the estimator
-#: scorers no package code called; no ``repro`` module may hold them.
+#: Test oracles that live under ``tests/oracles/``, the estimator
+#: scorers no package code called, and the backend registry's
+#: registration API (the backends are a fixed table in
+#: ``repro.backend``); no ``repro`` module may hold them.
 RETIRED_NAMES = {
     "LRUStack",
     "profile_blocks_reference",
@@ -183,8 +185,16 @@ RETIRED_NAMES = {
     "costs_for_moves",
     "costs_with_column_replaced",
     "_costs_with_column_replaced_loop",
+    "register_backend",
+    "available_backends",
+    "_RAW_KERNELS",
+    "_with_fallback",
 }
-RETIRED_MODULES = ("repro.cache.reference", "repro.profiling.lru_stack")
+RETIRED_MODULES = (
+    "repro.cache.reference",
+    "repro.profiling.lru_stack",
+    "repro.backend.registry",
+)
 
 
 def test_oracles_live_outside_the_package():
